@@ -248,6 +248,8 @@ VERIFY_SUITES = {
 
 def run_verify_suite(suite, seed, trials, hat_fn=None):
     """Run one named verification suite; returns (passed, report dict)."""
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     report = {"suite": suite, "seed": seed, "trials": trials}
     fn = VERIFY_SUITES[suite]
     if suite == "lemma-bc" and hat_fn is not None:
@@ -277,10 +279,11 @@ def _load_setup(name_or_path):
     data = _load_json(name_or_path)
     try:
         alg = liealg.algebra_from_json(data, name=os.path.basename(name_or_path))
+        omega = io.form_from_json(data["omega"], grade=2) if "omega" in data else None
     except (ValueError, KeyError, TypeError) as e:
         raise CliError(f"bad algebra file {name_or_path}: {e}")
-    if "omega" in data:
-        return liealg.InvariantSetup(alg, io.form_from_json(data["omega"], grade=2))
+    if omega is not None:
+        return liealg.InvariantSetup(alg, omega)
     return liealg.InvariantSetup.standard(alg)
 
 
@@ -359,13 +362,18 @@ def _flow_one(setup, c0, args, out_dir, tag=""):
 
 
 def cmd_flow(args):
+    for opt in ("t_max", "tol", "blow_norm"):
+        value = getattr(args, opt)
+        if not (math.isfinite(value) and value > 0):
+            raise CliError(f"--{opt.replace('_', '-')} must be finite and > 0, "
+                           f"got {value}")
     setup = _load_setup(args.algebra)
     data = _load_json(args.initial)
     os.makedirs(args.out or ".", exist_ok=True)
     out_dir = args.out or "."
     if isinstance(data, list):
-        for k, entry in enumerate(data):
-            c0 = io.coords_from_json(entry)
+        starts = [io.coords_from_json(entry) for entry in data]
+        for k, c0 in enumerate(starts):
             _flow_one(setup, c0, args, out_dir, tag=f"-{k:03d}")
     else:
         _flow_one(setup, io.coords_from_json(data), args, out_dir)

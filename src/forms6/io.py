@@ -6,6 +6,7 @@ strictly increasing and 1-based.  Exact coefficients travel as "p/q" strings
 temp-file + rename."""
 
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -27,6 +28,8 @@ def scalar_from_json(v):
         return Fraction(int(num), int(den) if den else 1)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"bad coefficient {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"non-finite coefficient {v!r}")
     return v
 
 
@@ -59,6 +62,9 @@ def coords_to_json(c):
 
 def coords_from_json(data):
     from .invariants import COORD_NAMES, PrimitiveCoords
+    if not isinstance(data, dict):
+        raise ValueError("coefficients must be an object keyed A..N, "
+                         f"not {type(data).__name__}")
     extra = set(data) - set(COORD_NAMES)
     if extra:
         raise ValueError(f"unknown coefficient names {sorted(extra)}")

@@ -306,6 +306,8 @@ def integrability_flags(setup, phi, tol=DEFAULT_TOL):
 
 def algebra_from_json(data, name=""):
     d = data["d"]
+    if not isinstance(d, dict):
+        raise ValueError('"d" must be an object keyed "1".."6"')
     d1 = []
     for i in range(1, DIM + 1):
         terms = d.get(str(i), [])

@@ -1,0 +1,18 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import forms6
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(forms6.__file__)))
+
+
+@pytest.mark.parametrize("demo", ["demo_nil_flow.py", "demo_solv_blowup.py"])
+def test_flow_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

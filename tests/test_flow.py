@@ -113,6 +113,21 @@ def test_nil_convergence_to_stationary_value(rng):
     assert abs(traj.final_state[0] - limit) <= 1e-6 * max(1.0, abs(limit))
 
 
+@pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-2, 1.0, 1e2])
+def test_nil_flow_is_scale_equivariant(s):
+    # f is a homogeneous cubic: c -> s c maps t -> t / s^2 and the limit
+    # R/(4H^2) -> s R/(4H^2), so no scale may stop early or settle off it
+    c = inv.PrimitiveCoords(A=0.2, B=0.5, C=-0.3, D=1.0, E=0.7, F=1.2,
+                            G=-0.8, H=0.9, I=0.3, J=0.6, K=-0.2, L=0.4,
+                            M=0.1, N=-0.5)
+    nd = flow.NilData.from_coords(c)
+    t_max = 10.0 / s ** 2
+    traj = flow.integrate(NIL, [s * x for x in c], t_max)
+    assert traj.t_final == t_max
+    limit = s * nd.R / (4 * nd.H ** 2)
+    assert abs(traj.final_state[0] - limit) <= 1e-12 * abs(limit)
+
+
 def test_abelian_converges_immediately(rng):
     traj = flow.integrate(AB, rand_coords(rng), 50.0)
     assert traj.status == "converged"
@@ -196,6 +211,16 @@ def test_solv_blow_up_time_below_bound(rng):
             assert traj.t_final <= tools.t_prime.value + 1e-9
 
 
+def test_solv_blow_up_rarely_rejects(rng):
+    # the controller shrinks h after an accepted step close to the tolerance,
+    # so an accelerating blow-up does not alternate accepted and rejected steps
+    for _ in range(3):
+        traj = flow.integrate(SOLV, rand_solv_data(rng).to_coords(), 100.0,
+                              SOLV_CONTROLS)
+        assert traj.status == "blow_up"
+        assert traj.n_rejected <= 0.05 * (traj.n_accepted + traj.n_rejected)
+
+
 def test_solv_error_status_with_unreachable_gate(rng):
     # with the default coefficient gate the sqrt-type growth exhausts float
     # steps first; the failure surfaces as an explicit error, never silently
@@ -224,6 +249,55 @@ def test_grid_consistency_of_blow_up_time(rng):
     t2 = flow.integrate(SOLV, sd.to_coords(), 100.0,
                         flow.FlowControls(rtol=5e-10, blow_norm=1e5)).t_final
     assert abs(t1 - t2) < 1e-9
+
+
+# --- integrator cost and accuracy -------------------------------------------------------
+
+def test_rhs_evaluations_shared_between_stages(rng):
+    # f(y) is evaluated once per accepted state and reused as the k1 of the
+    # full step, of the first half step and of every retry from that state
+    runs = ((SOLV, rand_solv_data(rng).to_coords(), 100.0, SOLV_CONTROLS),
+            (NIL, rand_nil_coords(rng), 40.0, flow.FlowControls()),
+            (NIL, rand_nil_coords(rng), 10.0,
+             flow.FlowControls(detect_stationary=False)))
+    for setup, c0, t_max, controls in runs:
+        rhs = flow.ReducedFlow(setup).rhs
+        evals = 0
+
+        def f(y):
+            nonlocal evals
+            evals += 1
+            return rhs(y)
+
+        traj = flow.integrate_ode(f, [float(x) for x in c0], t_max, controls)
+        attempts = traj.n_accepted + traj.n_rejected
+        assert attempts > 0
+        assert evals <= 1 + 10 * attempts + traj.n_accepted
+
+
+def test_trajectory_matches_dop853_at_mid_run(rng):
+    integrate = pytest.importorskip("scipy.integrate")
+    runs = ((SOLV, rand_solv_data(rng).to_coords(), 100.0, SOLV_CONTROLS),
+            (NIL, rand_nil_coords(rng), 10.0,
+             flow.FlowControls(detect_stationary=False)))
+    for setup, c0, t_max, controls in runs:
+        traj = flow.integrate(setup, c0, t_max, controls)
+        i = int(np.searchsorted(traj.times, 0.5 * traj.t_final))
+        rhs = flow.ReducedFlow(setup).rhs
+        sol = integrate.solve_ivp(lambda _t, y: rhs(y),
+                                  (0.0, float(traj.times[i])),
+                                  [float(x) for x in c0], method="DOP853",
+                                  rtol=1e-11, atol=1e-13)
+        assert sol.success
+        ref = sol.y[:, -1]
+        assert np.max(np.abs(traj.states[i] - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+
+def test_huge_state_surfaces_as_blow_up():
+    # Python floats raise OverflowError in ** where float64 overflows to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = flow.integrate(SOLV, [1e160] * 14, 1.0)
+    assert traj.status == "blow_up"
 
 
 # --- u-v tools ------------------------------------------------------------------------------

@@ -49,8 +49,10 @@ def test_coords_json_round_trip(rng):
     c = rand_coords(rng)
     assert io.coords_from_json(io.coords_to_json(c)) == c
     assert io.coords_from_json({"A": 1}) == inv.PrimitiveCoords(A=1)
-    with pytest.raises(ValueError):
-        io.coords_from_json({"Z": 1})
+    for bad in ({"Z": 1}, [1, 2], 3, {"A": float("nan")}, {"A": float("inf")},
+                {"A": -float("inf")}):
+        with pytest.raises(ValueError):
+            io.coords_from_json(bad)
 
 
 def test_atomic_write(tmp_path):
@@ -64,6 +66,14 @@ def test_atomic_write(tmp_path):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def assert_refused(capsys, *argv):
+    """The command exits 2 with one ``forms6:`` line on stderr."""
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("forms6: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_classify_normal_forms(tmp_path, capsys):
@@ -137,6 +147,14 @@ def test_verify_negative_control():
     assert not passed
     assert "counterexample" in report
     inv.coords_to_form(io.coords_from_json(report["counterexample"]))
+
+
+def test_verify_and_hessian_require_trials(capsys):
+    # a run that checked nothing must never report "passed"
+    for trials in ("0", "-5"):
+        assert "--trials" in assert_refused(
+            capsys, "verify", "--suite", "identities", "--trials", trials)
+    assert "--trials" in assert_refused(capsys, "hessian", "--trials", "0")
 
 
 def test_verify_unknown_suite(capsys):
@@ -224,6 +242,38 @@ def test_flow_custom_algebra_file(tmp_path):
     assert run_cli("flow", str(path), str(init), "--out", str(tmp_path)) == 0
     status = json.loads((tmp_path / "status.json").read_text())
     assert status["status"] == "converged"
+
+
+def test_flow_rejects_malformed_initial_data(tmp_path, capsys):
+    init = tmp_path / "init.json"
+    for text in ("[1, 2]", '[{"A": 0.1, "H": 0.5}, [1, 2]]', "3",
+                 '{"A": NaN, "H": 0.5}', '{"A": 0.1, "H": Infinity}'):
+        init.write_text(text)
+        assert_refused(capsys, "flow", "nil-debartolomeis", str(init),
+                       "--out", str(tmp_path))
+    # a sweep is checked whole before any start is integrated
+    assert not [p for p in os.listdir(tmp_path) if p != "init.json"]
+
+
+def test_flow_rejects_bad_controls(tmp_path, capsys):
+    init = tmp_path / "init.json"
+    write_coords(init, A=0.1, H=0.5)
+    for opt in ("--t-max", "--tol", "--blow-norm"):
+        for value in ("nan", "inf", "-5", "0"):
+            err = assert_refused(capsys, "flow", "nil-debartolomeis", str(init),
+                                 opt, value, "--out", str(tmp_path))
+            assert opt in err
+
+
+def test_flow_rejects_malformed_algebra_file(tmp_path, capsys):
+    init = tmp_path / "init.json"
+    write_coords(init, A=1.0)
+    alg = tmp_path / "alg.json"
+    empty_d = {str(i): [] for i in range(1, 7)}
+    for data in ({"d": 5}, [1, 2], {"d": empty_d, "omega": [{"coeff": 1}]}):
+        alg.write_text(json.dumps(data))
+        assert "bad algebra file" in assert_refused(
+            capsys, "flow", str(alg), str(init), "--out", str(tmp_path))
 
 
 # --- hessian ----------------------------------------------------------------------
