@@ -7,7 +7,7 @@ and the Hessian geometry of the associated Lagrangian leaves.
 """
 
 from .exterior import (DEFAULT_TOL, Form, GradeError, LinearMap6, basis,
-                       eval_form, forms_close, interior, pullback,
+                       eval_form, interior, pullback,
                        vector_of_five_form, wedge)
 from .invariants import (PrimitiveCoords, SpOrbit, classify_gl, classify_sp,
                          compute_F, compute_K, compute_Q, coords_to_form,

@@ -166,9 +166,6 @@ class Form:
     def to_float(self):
         return self.map_coeffs(float)
 
-    def to_fraction(self):
-        return self.map_coeffs(Fraction)
-
     def is_exact(self):
         return all(is_exact(c) for c in self.coeffs.values())
 
@@ -358,9 +355,3 @@ def form_max_diff(a, b):
     masks = set(a.coeffs) | set(b.coeffs)
     return max((abs(float(a.coeffs.get(m, 0)) - float(b.coeffs.get(m, 0)))
                 for m in masks), default=0.0)
-
-
-def forms_close(a, b, tol=DEFAULT_TOL):
-    """Tolerant equality: max coefficient difference vs max(1, scale)."""
-    scale = max(1.0, a.max_abs(), b.max_abs())
-    return form_max_diff(a, b) <= tol * scale

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .exterior import Form, basis, is_exact, wedge
-from .invariants import _exact_sqrt, compute_F, compute_K, volume_of
+from .invariants import _K_and_F, _exact_sqrt, volume_of
 
 
 class DomainError(ValueError):
@@ -303,12 +303,11 @@ def fiber_verifications(metric, p, tol=1e-10):
     omega, phi = build_six_forms(metric, p)
     vol = volume_of(omega)
     prim = wedge(omega, phi).max_abs()
-    F = compute_F(phi, vol=vol)
+    K, F = _K_and_F(phi, vol)
     s = float(metric.sqrt_det)
     F_target = basis(1, 2, 3) * (-4.0 * s)
     F_res = max((abs(float(F.coeffs.get(m, 0)) - float(F_target.coeffs.get(m, 0)))
                  for m in set(F.coeffs) | set(F_target.coeffs)), default=0.0)
-    K = compute_K(phi, vol=vol)
     fiber_res = max(abs(float(K.rows[i][j])) for i in range(6) for j in range(3, 6))
     data = leaf_data(metric, p)
     frame_res = 0.0

@@ -17,8 +17,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .exterior import (DIM, DEFAULT_TOL, Form, GradeError, LinearMap6, basis,
-                       interior, is_exact, pullback, vector_of_five_form, wedge)
+from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
+                       LinearMap6, basis, interior, is_exact, pullback,
+                       vector_of_five_form, wedge)
 
 # GL(V) orbit labels
 O_MINUS = "O-"
@@ -64,28 +65,218 @@ def _resolve_vol(omega, vol):
     return volume_of(omega)
 
 
+# --- K, F and Q on cleared denominators -------------------------------------
+#
+# K(phi) is quadratic in phi and phi(K., ., .) is cubic, so with c the
+# coefficient of vol, c K(phi) and c phi(K., ., .) are fixed integer
+# combinations of products of the coefficients of phi.  The tables below are
+# derived at import from the Form-level definitions and evaluated on the
+# coefficient vector of phi.  An exact phi is first scaled by the lcm D of
+# its denominators, so the tables run on int, and each output entry is
+# divided once at the end: K by D^2 c, F by D^3 c and Q by D^4 c^2.
+
+_MASKS3 = tuple(m for m in range(1 << DIM) if m.bit_count() == 3)
+_INDEX3 = {m: n for n, m in enumerate(_MASKS3)}
+
+
+def _unit(j):
+    e = [0] * DIM
+    e[j] = 1
+    return e
+
+
+def _build_K_table():
+    """Entry i*DIM + j of c K(phi) as a sum of t phi_a phi_b over index pairs
+    a < b, read off iota_{K e_j} vol = -iota_{e_j} e^a ^ e^b.
+
+    For each (a, j) one wedge against the sum of the e^b that miss
+    iota_{e_j} e^a = +-e^pair covers every pair that does not vanish: the
+    products land on distinct 5-forms, so entry i of the column belongs to
+    b = (all axes but i) minus pair."""
+    vol = standard_volume()
+    acc = {}
+    for na, a in enumerate(_MASKS3):
+        ea = Form(3, {a: 1})
+        for j in range(DIM):
+            if not a >> j & 1:
+                continue
+            ia = -interior(_unit(j), ea)
+            (pair,) = ia.coeffs
+            rest = FULL_MASK ^ pair
+            free = Form(3, {rest ^ (1 << k): 1 for k in range(DIM) if rest >> k & 1})
+            col = vector_of_five_form(wedge(ia, free), vol)
+            for i, x in enumerate(col):
+                if x:
+                    nb = _INDEX3[rest ^ (1 << i)]
+                    key = (na, nb, i * DIM + j) if na < nb else (nb, na, i * DIM + j)
+                    acc[key] = acc.get(key, 0) + int(x)
+    table = {}
+    for (a, b, o), t in sorted(acc.items()):
+        if t:
+            table.setdefault((a, b), []).append((o, t))
+    return tuple((a, b, tuple(terms)) for (a, b), terms in table.items())
+
+
+def _build_F_table():
+    """For each basis 3-form e^t, t = {i < j < k}, the three readings
+    phi(K e_i, e_j, e_k) = -phi(K e_j, e_i, e_k) = phi(K e_k, e_i, e_j)
+    of -c F_t/2, each a sum of s (c K)_{l, first} phi_m over the terms
+    phi(e_l, ., .) = iota_{e_l} phi that reach the pair."""
+    reach = {}  # (l, pair) -> (index of m, s) with iota_{e_l} e^m = s e^pair
+    for m in _MASKS3:
+        for l in range(DIM):
+            if m >> l & 1:
+                ((pair, s),) = interior(_unit(l), Form(3, {m: 1})).items()
+                reach[l, pair] = (_INDEX3[m], s)
+    table = []
+    for t in _MASKS3:
+        readings = []
+        for pos, i in enumerate(j for j in range(DIM) if t >> j & 1):
+            pair = t ^ (1 << i)
+            sign = -1 if pos == 1 else 1
+            terms = []
+            for l in range(DIM):
+                if (l, pair) in reach:
+                    m, s = reach[l, pair]
+                    terms.append((l * DIM + i, m, sign * s))
+            readings.append(tuple(terms))
+        table.append(tuple(readings))
+    return tuple(table)
+
+
+def _build_Q_table():
+    """(index of the complement of e^t, sign of e^t ^ e^(complement))."""
+    table = []
+    for t in _MASKS3:
+        top = wedge(Form(3, {t: 1}), Form(3, {FULL_MASK ^ t: 1}))
+        table.append((_INDEX3[FULL_MASK ^ t], top.coeffs[FULL_MASK]))
+    return tuple(table)
+
+
+_K_TABLE = _build_K_table()
+_F_TABLE = _build_F_table()
+_Q_TABLE = _build_Q_table()
+
+
+class _Scaled(NamedTuple):
+    """phi as the table input: v = the coefficients of D phi in _MASKS3
+    order, and c the coefficient of vol.  On the exact backend D clears
+    every denominator of phi, so v is int; otherwise D = 1."""
+    v: list
+    D: int
+    c: object
+    exact: bool
+
+
+def _cleared(phi):
+    """(D, D phi) for an exact form phi, with D the lcm of its denominators
+    and D phi on int coefficients."""
+    D = math.lcm(*(x.denominator for x in phi.coeffs.values()))
+    return D, Form(phi.grade, {m: x.numerator * (D // x.denominator)
+                               for m, x in phi.coeffs.items()})
+
+
+def _scaled(phi, vol):
+    if phi.grade != 3:
+        raise GradeError("K is defined for 3-forms")
+    c = vol.coeffs[FULL_MASK]
+    exact = is_exact(c) and phi.is_exact()
+    D = 1
+    if exact:
+        D, phi = _cleared(phi)
+    elif is_exact(c):
+        c = float(c)
+    v = [0] * len(_MASKS3)
+    for m, x in phi.coeffs.items():
+        v[_INDEX3[m]] = x
+    return _Scaled(v, D, c, exact)
+
+
+def _K_numerators(v):
+    """The 36 entries of c K(phi), row-major, from the coefficient vector v."""
+    out = [0] * (DIM * DIM)
+    for a, b, terms in _K_TABLE:
+        x = v[a]
+        if x:
+            y = v[b]
+            if y:
+                p = x * y
+                for o, t in terms:
+                    out[o] += t * p
+    return out
+
+
+def _F_numerators(kn, s, tol):
+    """The 20 coefficients of -c F(phi)/2 from kn = _K_numerators(s.v).
+
+    That phi(K v1, v2, v3) alternates in its first slot against the others is
+    a theorem, not bookkeeping, so every reading is checked: exactly on the
+    exact backend, and relative to max|phi|^3 (c F is cubic in phi) on
+    floats.  A failure means K is broken and raises."""
+    v = s.v
+    scale = 0.0 if s.exact else tol * max(abs(x) for x in v) ** 3
+    out = []
+    for t, readings in enumerate(_F_TABLE):
+        g = []
+        for terms in readings:
+            acc = 0
+            for o, m, sign in terms:
+                x = v[m]
+                if x:
+                    acc += sign * kn[o] * x
+            g.append(acc)
+        g0, g1, g2 = g
+        if s.exact:
+            bad = g0 != g1 or g0 != g2
+        else:
+            bad = abs(g0 - g1) > scale or abs(g0 - g2) > scale
+        if bad:
+            axes = tuple(i + 1 for i in range(DIM) if _MASKS3[t] >> i & 1)
+            raise ArithmeticError(
+                f"F(phi) is not alternating at {axes}; K is inconsistent")
+        out.append(g0)
+    return out
+
+
+def _divider(s, power):
+    """x -> x / (D^power c).  On the exact backend the quotient stays an int
+    when D^power c = 1, so integer forms keep integer K and F."""
+    c = s.c
+    if not s.exact:
+        return lambda x: x / c
+    den = s.D ** power * c.numerator
+    mul = c.denominator
+    if den == mul == 1:
+        return lambda x: x
+    return lambda x: Fraction(x * mul, den) if x else 0
+
+
+def _K_of(s, kn):
+    div = _divider(s, 2)
+    return LinearMap6([[div(kn[i * DIM + j]) for j in range(DIM)]
+                       for i in range(DIM)])
+
+
+def _F_of(s, gn):
+    div = _divider(s, 3)
+    return Form(3, {m: div(-2 * g) for m, g in zip(_MASKS3, gn) if g})
+
+
+def _K_and_F(phi, vol, tol=DEFAULT_TOL):
+    """K(phi) and F(phi) from a single K evaluation."""
+    s = _scaled(phi, vol)
+    kn = _K_numerators(s.v)
+    return _K_of(s, kn), _F_of(s, _F_numerators(kn, s, tol))
+
+
 def compute_K(phi, omega=None, vol=None):
     """The endomorphism K(phi) relative to vol = omega^3/3! (or a given vol).
 
     Column j is K(e_j), the unique vector with
     iota_{K e_j} vol = -iota_{e_j} phi ^ phi.
     """
-    if phi.grade != 3:
-        raise GradeError("K is defined for 3-forms")
-    vol = _resolve_vol(omega, vol)
-    cols = []
-    for j in range(DIM):
-        ej = [0] * DIM
-        ej[j] = 1
-        beta = -wedge(interior(ej, phi), phi)
-        cols.append(vector_of_five_form(beta, vol))
-    return LinearMap6([[cols[j][i] for j in range(DIM)] for i in range(DIM)])
-
-
-def _contractions_by_K(phi, K):
-    """iota_{K e_i} phi for each basis vector, reused by F and friends."""
-    rows = K.rows
-    return [interior([rows[l][i] for l in range(DIM)], phi) for i in range(DIM)]
+    s = _scaled(phi, _resolve_vol(omega, vol))
+    return _K_of(s, _K_numerators(s.v))
 
 
 def compute_F(phi, omega=None, vol=None, tol=DEFAULT_TOL):
@@ -94,51 +285,19 @@ def compute_F(phi, omega=None, vol=None, tol=DEFAULT_TOL):
     Alternation in the first slot against the others is not formal, so it is
     verified internally; a failure indicates a broken K and raises.
     """
-    vol = _resolve_vol(omega, vol)
-    K = compute_K(phi, vol=vol)
-    mphi = _contractions_by_K(phi, K)  # mphi[i] = iota_{K e_i} phi, a 2-form
-
-    def pair(m2, j, k):
-        # value of a 2-form on (e_j, e_k), axes 1-based
-        mask = (1 << (j - 1)) | (1 << (k - 1))
-        c = m2.coeffs.get(mask, 0)
-        return c if j < k else -c
-
-    out = {}
-    exact = phi.is_exact() and vol.is_exact()
-    for i in range(1, DIM + 1):
-        for j in range(i + 1, DIM + 1):
-            # antisymmetry of phi(K.,.,.) in its first two slots is a theorem,
-            # not bookkeeping: check it on every pair
-            for k in range(1, DIM + 1):
-                if k == i or k == j:
-                    continue
-                lhs = pair(mphi[i - 1], j, k)
-                rhs = pair(mphi[j - 1], i, k)
-                if exact:
-                    bad = lhs + rhs != 0
-                else:
-                    bad = abs(float(lhs + rhs)) > tol * max(1.0, abs(float(lhs)), abs(float(rhs)))
-                if bad:
-                    raise ArithmeticError(
-                        f"F(phi) is not alternating at ({i},{j},{k}); K is inconsistent")
-            for k in range(j + 1, DIM + 1):
-                c = -2 * pair(mphi[i - 1], j, k)
-                if c != 0:
-                    out[(1 << (i - 1)) | (1 << (j - 1)) | (1 << (k - 1))] = c
-    return Form(3, out)
+    s = _scaled(phi, _resolve_vol(omega, vol))
+    return _F_of(s, _F_numerators(_K_numerators(s.v), s, tol))
 
 
 def compute_Q(phi, omega=None, vol=None):
     """The scalar Q(phi) = -(phi ^ F(phi)) / vol."""
-    vol = _resolve_vol(omega, vol)
-    F = compute_F(phi, vol=vol)
-    top = -wedge(phi, F)
-    c = top.coeffs.get((1 << DIM) - 1, 0)
-    v = vol.coeffs[(1 << DIM) - 1]
-    if isinstance(c, int) and isinstance(v, int):
-        return Fraction(c, v)
-    return c / v
+    s = _scaled(phi, _resolve_vol(omega, vol))
+    gn = _F_numerators(_K_numerators(s.v), s, DEFAULT_TOL)
+    # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
+    top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(s.v, _Q_TABLE) if x)
+    if s.exact:
+        return Fraction(top, s.D ** 4) / (s.c * s.c)
+    return top / (s.c * s.c)
 
 
 def omega_matrix(omega):

@@ -19,8 +19,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import invariants, io, linalg
-from .exterior import (DIM, DEFAULT_TOL, Form, GradeError, form_max_diff,
-                       interior, wedge)
+from .exterior import DIM, DEFAULT_TOL, Form, GradeError, interior, wedge
 from .invariants import (PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
                          compute_K, coords_to_form, form_to_coords,
                          primitivity_residual, standard_omega, volume_of)
@@ -115,6 +114,7 @@ class InvariantSetup:
         self.algebra = algebra
         self.omega = omega
         self._reduced_flow = None
+        self._integral = None
 
     @classmethod
     def standard(cls, algebra):
@@ -203,9 +203,11 @@ def nijenhuis(setup, phi):
     Returns {(i, j): vector} for 1 <= i < j <= 6 with
     N(X,Y) = -K^2[X,Y] + K([KX,Y] + [X,KY]) - [KX,KY].
     """
-    K = compute_K(phi, setup.omega)
+    return _nijenhuis_of(setup.algebra, compute_K(phi, setup.omega))
+
+
+def _nijenhuis_of(alg, K):
     rows = K.rows
-    alg = setup.algebra
 
     def kvec(v):
         return tuple(sum(rows[l][m] * v[m] for m in range(DIM)) for l in range(DIM))
@@ -226,7 +228,10 @@ def nijenhuis(setup, phi):
 
 
 def nijenhuis_max(setup, phi):
-    n = nijenhuis(setup, phi)
+    return _max_entry(nijenhuis(setup, phi))
+
+
+def _max_entry(n):
     return max((abs(float(x)) for v in n.values() for x in v), default=0.0)
 
 
@@ -246,13 +251,11 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
 
     Returns {(i, j): (lhs 5-form, rhs 5-form)}.
     """
-    omega = setup.omega
-    vol = volume_of(omega)
-    K = compute_K(phi, omega)
-    F = compute_F(phi, omega)
+    vol = volume_of(setup.omega)
+    K, F = invariants._K_and_F(phi, vol)
     dphi = ce_d(setup, phi)
     dF = ce_d(setup, F)
-    N = nijenhuis(setup, phi)
+    N = _nijenhuis_of(setup.algebra, K)
     rows = K.rows
     out = {}
     for i in range(DIM):
@@ -272,12 +275,37 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
     return out
 
 
+def _integral_setup(setup):
+    """(E, the setup with every structure constant multiplied by E), E the lcm
+    of their denominators, so that the constants are int; (1, setup) when one
+    is not exact.  Cached on the setup."""
+    if setup._integral is None:
+        d1 = setup.algebra.d_one
+        if all(f.is_exact() for f in d1):
+            E = math.lcm(*(x.denominator for f in d1 for x in f.coeffs.values()))
+            alg = LieAlgebra6([f.map_coeffs(lambda x: x.numerator * (E // x.denominator))
+                               for f in d1], name=f"{E} x {setup.algebra.name}")
+            setup._integral = (E, InvariantSetup(alg, setup.omega))
+        else:
+            setup._integral = (1, setup)
+    return setup._integral
+
+
 def verify_nijenhuis_identity(setup, phi):
     """Largest coefficient residual of the Nijenhuis identity over all 15
     basis pairs; exactly zero on the rational backend for any invariant
-    primitive phi."""
+    primitive phi.
+
+    Both sides are homogeneous of degree 4 in phi and of degree 1 in the
+    structure constants.  So an exact phi is checked as D phi, D the lcm of
+    its denominators, on the algebra with its constants scaled by E to int,
+    and the residual is divided by E D^4."""
+    D = 1
+    if phi.is_exact():
+        D, phi = invariants._cleared(phi)
+    E, setup = _integral_setup(setup)
     sides = nijenhuis_identity_sides(setup, phi)
-    return max(form_max_diff(l, r) for l, r in sides.values())
+    return max((l - r).max_abs() for l, r in sides.values()) / (E * D ** 4)
 
 
 class IntegrabilityFlags(NamedTuple):
@@ -295,9 +323,9 @@ def integrability_flags(setup, phi, tol=DEFAULT_TOL):
 
     dphi = ce_d(setup, phi)
     integrable = dphi.is_zero(0.0 if exact else tol * max(1.0, phi.max_abs()))
-    F = compute_F(phi, setup.omega)
+    K, F = invariants._K_and_F(phi, volume_of(setup.omega))
     F_integrable = ce_d(setup, F).is_zero(ztol)
-    K_integrable = nijenhuis_max(setup, phi) <= (0.0 if exact else ztol)
+    K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= (0.0 if exact else ztol)
     return IntegrabilityFlags(integrable, F_integrable,
                               integrable and F_integrable, K_integrable, True)
 
@@ -324,11 +352,6 @@ def load_builtin(name):
     return algebra_from_json(data, name=name)
 
 
-def nil_algebra():
-    """Nilpotent algebra with d e^4 = e^15, d e^6 = e^13."""
-    return load_builtin("nil-debartolomeis")
-
-
 def solv_algebra(lam=None):
     """Solvable algebra d e^1 = -lam e^15, d e^2 = lam e^25, d e^3 = -lam e^36,
     d e^4 = lam e^46.  The built-in value of lam is log((3+sqrt5)/2); any
@@ -343,10 +366,6 @@ def solv_algebra(lam=None):
     zero = Form.zero(2)
     return LieAlgebra6([e15 * -lam, e25 * lam, e36 * -lam, e46 * lam, zero, zero],
                        name=f"solv(lam={lam})")
-
-
-def abelian_algebra():
-    return load_builtin("abelian")
 
 
 def builtin_setup(name):

@@ -13,6 +13,21 @@ def rng():
     return random.Random(20260810)
 
 
+@pytest.fixture
+def K_evaluations(monkeypatch):
+    """A list that grows by one on each evaluation of the K table kernel."""
+    from forms6 import invariants
+    calls = []
+    kernel = invariants._K_numerators
+
+    def counting(v):
+        calls.append(1)
+        return kernel(v)
+
+    monkeypatch.setattr(invariants, "_K_numerators", counting)
+    return calls
+
+
 def rand_fraction(rng, lo=-6, hi=6, dens=(1, 1, 2, 3)):
     return Fraction(rng.randint(lo, hi), rng.choice(dens))
 

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (rand_coords, rand_form, rand_fraction, rand_invertible,
                       rand_symplectic, rand_vector)
 from forms6 import invariants as inv
 from forms6 import linalg
-from forms6.exterior import (Form, LinearMap6, basis, eval_form, interior,
-                             pullback, wedge)
+from forms6.exterior import (Form, LinearMap6, basis, eval_form, form_max_diff,
+                             interior, pullback, vector_of_five_form, wedge)
 
 OMEGA = inv.standard_omega()
 VOL = inv.volume_of(OMEGA)
@@ -25,13 +26,7 @@ def test_K_of_zero_form():
 def test_K_of_O0_normal_form_brute_force():
     phi = inv.gl_normal_form("O0")
     K = inv.compute_K(phi, OMEGA)
-    # oracle: column j solves iota_{K e_j} vol = -iota_{e_j} phi ^ phi
-    from forms6.exterior import vector_of_five_form
-    for j in range(6):
-        ej = [0] * 6
-        ej[j] = 1
-        expect = vector_of_five_form(-wedge(interior(ej, phi), phi), VOL)
-        assert tuple(K.rows[i][j] for i in range(6)) == expect
+    assert K.rows == oracle_K(phi, VOL)
     KK = K.compose(K)
     assert all(x == 0 for r in KK.rows for x in r)
     assert linalg.exact_rank(K.rows) == 3
@@ -97,6 +92,96 @@ def test_Q_values(label, mu, expect):
     phi = inv.sp_normal_form(label, mu) if label not in ("O0+",) \
         else inv.sp_normal_form(label)
     assert inv.compute_Q(phi, OMEGA) == expect
+
+
+# --- the table kernel against the Form-level definitions ----------------------------
+
+def oracle_K(phi, vol):
+    # column j solves iota_{K e_j} vol = -iota_{e_j} phi ^ phi
+    cols = []
+    for j in range(6):
+        ej = [0] * 6
+        ej[j] = 1
+        cols.append(vector_of_five_form(-wedge(interior(ej, phi), phi), vol))
+    return tuple(tuple(cols[j][i] for j in range(6)) for i in range(6))
+
+
+def oracle_F(phi, vol):
+    # F(e_i, e_j, e_k) = -2 (iota_{K e_i} phi)(e_j, e_k), contracting phi with
+    # the columns of K
+    K = oracle_K(phi, vol)
+    out = Form.zero(3)
+    for i in range(6):
+        contracted = interior([K[l][i] for l in range(6)], phi)
+        for j in range(i + 1, 6):
+            for k in range(j + 1, 6):
+                c = contracted.coeffs.get((1 << j) | (1 << k), 0)
+                out = out + basis(i + 1, j + 1, k + 1) * (-2 * c)
+    return out
+
+
+def oracle_Q(phi, vol):
+    return -wedge(phi, oracle_F(phi, vol)).coeffs.get(63, 0) / vol.coeffs[63]
+
+
+MASKS3 = [m for m in range(64) if bin(m).count("1") == 3]
+exact_forms = st.dictionaries(
+    st.sampled_from(MASKS3),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6)).map(lambda d: Form(3, d))
+exact_vols = st.sampled_from([VOL, inv.standard_volume(),
+                              inv.standard_volume() * Fraction(3, 2),
+                              inv.standard_volume() * Fraction(-5, 7)])
+float_forms = st.tuples(
+    st.lists(st.integers(-10 ** 6, 10 ** 6).map(lambda n: n / 1e6), min_size=20, max_size=20),
+    st.integers(-6, 6)).map(lambda t: Form(3, {m: x * 10.0 ** t[1]
+                                              for m, x in zip(MASKS3, t[0])}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_forms, exact_vols)
+def test_kernel_matches_form_level_definitions_exactly(phi, vol):
+    K = inv.compute_K(phi, vol=vol)
+    assert K.rows == oracle_K(phi, vol)
+    assert linalg.matrix_is_exact(K.rows)
+    assert inv.compute_F(phi, vol=vol) == oracle_F(phi, vol)
+    Q = inv.compute_Q(phi, vol=vol)
+    assert isinstance(Q, Fraction) and Q == oracle_Q(phi, vol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_forms, st.sampled_from([1.0, 1.5, -0.4]))
+def test_kernel_matches_form_level_definitions_on_floats(phi, c):
+    vol = inv.standard_volume() * c
+    m = phi.max_abs()
+    K, expect = inv.compute_K(phi, vol=vol), oracle_K(phi, vol)
+    assert all(abs(K.rows[i][j] - expect[i][j]) <= 1e-12 * m ** 2 / abs(c)
+               for i in range(6) for j in range(6))
+    assert form_max_diff(inv.compute_F(phi, vol=vol), oracle_F(phi, vol)) \
+        <= 1e-12 * m ** 3 / abs(c)
+
+
+def test_F_of_scaled_float_forms_is_cubic():
+    # the alternation check inside compute_F is relative to max|phi|^3, so
+    # scaling float Sp-transformed normal forms never trips it (an absolute
+    # floor of 1 made 31-33 of these 180 forms raise at scales 1e2-1e6)
+    rng = random.Random(11)
+    maps = [rand_symplectic(rng) for _ in range(20)]
+    for g in maps:
+        for label in inv.SP_LABELS:
+            phi = pullback(g, inv.sp_normal_form(label)).to_float()
+            F = inv.compute_F(phi, OMEGA)
+            for s in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6):
+                Fs = inv.compute_F(phi * s, OMEGA)
+                assert form_max_diff(Fs, F * s ** 3) <= 1e-12 * (phi * s).max_abs() ** 3
+
+
+def test_one_K_evaluation_per_call(rng, K_evaluations):
+    phi = rand_form(rng, 3)
+    for fn in (inv.compute_K, inv.compute_F, inv.compute_Q):
+        for form in (phi, phi.to_float()):
+            K_evaluations.clear()
+            fn(form, OMEGA)
+            assert len(K_evaluations) == 1, fn.__name__
 
 
 # --- q-form and signatures -------------------------------------------------------

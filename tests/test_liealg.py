@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -239,6 +240,34 @@ def test_nijenhuis_identity_exact(rng):
         for _ in range(15):
             phi = inv.coords_to_form(rand_coords(rng))
             assert la.verify_nijenhuis_identity(setup, phi) == 0.0
+
+
+def test_nijenhuis_identity_evaluates_K_once(rng, K_evaluations):
+    for setup in (NIL, SOLV_EXACT):
+        K_evaluations.clear()
+        assert la.verify_nijenhuis_identity(setup, inv.coords_to_form(rand_coords(rng))) == 0.0
+        assert len(K_evaluations) == 1
+
+
+def test_nijenhuis_residual_is_homogeneous(rng):
+    # verify_nijenhuis_identity checks D phi on int coefficients, on the
+    # algebra with its structure constants scaled to int by E, and divides the
+    # residual by E D^4; pin both degrees on the variant whose residual does
+    # not vanish
+    def worst(setup, form):
+        sides = la.nijenhuis_identity_sides(setup, form, extra_df_term=True)
+        return max(max((abs(x) for x in (l - r).coeffs.values()), default=0)
+                   for l, r in sides.values())
+
+    solv_times_5 = la.InvariantSetup.standard(la.solv_algebra(7))
+    for setup in (NIL, SOLV_EXACT):
+        phi = inv.coords_to_form(rand_coords(rng))
+        D = math.lcm(*(x.denominator for x in phi.coeffs.values()))
+        assert D > 1
+        res = worst(setup, phi)
+        assert res != 0
+        assert worst(setup, phi.map_coeffs(lambda x: int(x * D))) == D ** 4 * res
+    assert worst(solv_times_5, phi) == 5 * res
 
 
 def test_nijenhuis_identity_erratum_regression(rng):
