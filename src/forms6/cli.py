@@ -77,10 +77,6 @@ def cmd_classify(args):
     }
     if args.omega:
         omega = _load_form(args.omega, grade=2)
-        res = inv.primitivity_residual(phi, omega)
-        if res > args.tol * max(1.0, phi.max_abs()):
-            raise CliError(
-                f"Sp classification needs a primitive form; |omega ^ phi| = {res}")
         report["gl_orbit"] = inv.classify_gl(phi, vol=inv.volume_of(omega), tol=args.tol)
         sp = inv.classify_sp(phi, omega, tol=args.tol)
         report["sp_orbit"] = sp.label

@@ -12,12 +12,14 @@ classification, and the 14-coefficient parametrization of primitive 3-forms
 (``PrimitiveCoords``) with its closed-form image ``hat_map`` under -F/2.
 """
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
+from .exterior import (_WSIGN, DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
                        LinearMap6, basis, interior, is_exact, pullback,
                        vector_of_five_form, wedge)
 
@@ -75,6 +77,8 @@ def _resolve_vol(omega, vol):
 # its denominators, so the tables run on int, and each output entry is
 # divided once at the end: K by D^2 c, F by D^3 c and Q by D^4 c^2.
 
+_MASKS2 = tuple(m for m in range(1 << DIM) if m.bit_count() == 2)
+_INDEX2 = {m: n for n, m in enumerate(_MASKS2)}
 _MASKS3 = tuple(m for m in range(1 << DIM) if m.bit_count() == 3)
 _INDEX3 = {m: n for n, m in enumerate(_MASKS3)}
 
@@ -117,17 +121,27 @@ def _build_K_table():
     return tuple((a, b, tuple(terms)) for (a, b), terms in table.items())
 
 
+def _build_contraction_table():
+    """Row i: (index of e^p, index of e^m, s) for each basis 3-form e^m with
+    iota_{e_i} e^m = s e^p."""
+    table = []
+    for i in range(DIM):
+        row = []
+        for n, m in enumerate(_MASKS3):
+            if m >> i & 1:
+                ((p, s),) = interior(_unit(i), Form(3, {m: 1})).items()
+                row.append((_INDEX2[p], n, s))
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def _build_F_table():
     """For each basis 3-form e^t, t = {i < j < k}, the three readings
     phi(K e_i, e_j, e_k) = -phi(K e_j, e_i, e_k) = phi(K e_k, e_i, e_j)
     of -c F_t/2, each a sum of s (c K)_{l, first} phi_m over the terms
     phi(e_l, ., .) = iota_{e_l} phi that reach the pair."""
-    reach = {}  # (l, pair) -> (index of m, s) with iota_{e_l} e^m = s e^pair
-    for m in _MASKS3:
-        for l in range(DIM):
-            if m >> l & 1:
-                ((pair, s),) = interior(_unit(l), Form(3, {m: 1})).items()
-                reach[l, pair] = (_INDEX3[m], s)
+    reach = {(l, _MASKS2[p]): (m, s)
+             for l, row in enumerate(_CONTR) for p, m, s in row}
     table = []
     for t in _MASKS3:
         readings = []
@@ -153,9 +167,40 @@ def _build_Q_table():
     return tuple(table)
 
 
+def _build_one_form_table():
+    """Row j: (index of e^q, index of e^m, s) for each basis 3-form e^m with
+    e^j ^ e^m = s e^q; a 4-form e^q is indexed by its complement."""
+    table = []
+    for j in range(DIM):
+        row = []
+        for n, m in enumerate(_MASKS3):
+            if not m >> j & 1:
+                ((q, s),) = wedge(basis(j + 1), Form(3, {m: 1})).items()
+                row.append((_INDEX2[FULL_MASK ^ q], n, s))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _build_triple_table():
+    """(index of e^p, index of e^r, w, s) for the 90 ordered pairs of
+    disjoint 2-masks p, r, with w the 2-mask left over and
+    e^p ^ e^r ^ e^w = s e^123456."""
+    table = []
+    for p in _MASKS2:
+        for r in _MASKS2:
+            if not p & r:
+                w = FULL_MASK ^ p ^ r
+                s = _WSIGN[p << DIM | r] * _WSIGN[(p | r) << DIM | w]
+                table.append((_INDEX2[p], _INDEX2[r], w, s))
+    return tuple(table)
+
+
+_CONTR = _build_contraction_table()
 _K_TABLE = _build_K_table()
 _F_TABLE = _build_F_table()
 _Q_TABLE = _build_Q_table()
+_WEDGE1 = _build_one_form_table()
+_TRIPLES = _build_triple_table()
 
 
 class _Scaled(NamedTuple):
@@ -289,15 +334,20 @@ def compute_F(phi, omega=None, vol=None, tol=DEFAULT_TOL):
     return _F_of(s, _F_numerators(_K_numerators(s.v), s, tol))
 
 
-def compute_Q(phi, omega=None, vol=None):
-    """The scalar Q(phi) = -(phi ^ F(phi)) / vol."""
-    s = _scaled(phi, _resolve_vol(omega, vol))
-    gn = _F_numerators(_K_numerators(s.v), s, DEFAULT_TOL)
+def _Q_of(s, kn):
+    """Q(phi) from kn = _K_numerators(s.v)."""
+    gn = _F_numerators(kn, s, DEFAULT_TOL)
     # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
     top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(s.v, _Q_TABLE) if x)
     if s.exact:
         return Fraction(top, s.D ** 4) / (s.c * s.c)
     return top / (s.c * s.c)
+
+
+def compute_Q(phi, omega=None, vol=None):
+    """The scalar Q(phi) = -(phi ^ F(phi)) / vol."""
+    s = _scaled(phi, _resolve_vol(omega, vol))
+    return _Q_of(s, _K_numerators(s.v))
 
 
 def omega_matrix(omega):
@@ -310,6 +360,149 @@ def omega_matrix(omega):
     return w
 
 
+def _check_primitive(phi, omega, tol, what):
+    """Reject a form with omega ^ phi != 0: exactly on the exact backend,
+    above tol max(1, |phi|) on floats."""
+    w = wedge(omega, phi)
+    res = w.max_abs()
+    if phi.is_exact() and omega.is_exact():
+        bad = bool(w)
+    else:
+        bad = res > tol * max(1.0, phi.max_abs())
+    if bad:
+        raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
+
+
+# --- q on cleared denominators ------------------------------------------------
+#
+# q(v1, v2) is quadratic in phi and is computed three ways, all bilinear in
+# the 6 x 15 matrix C with C_i = D iota_{e_i} phi (the contraction table on
+# the cleared coefficients):
+#   route 1  omega(v1, K v2)                          = W kn / (D^2 c)
+#   route 2  (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol = C G2 C^T / (D^2 c)
+#   route 3  -<iota_{v1}phi, iota_{v2}phi>             = -C G3 C^T / D^2
+# where G2[p][r] is the coefficient of e^p ^ e^r ^ omega and G3 the pairing
+# of 2-forms induced by omega (the determinant extension of -W^-1).  W, G2
+# and G3 depend on omega only and are built once per omega.
+
+class _OmegaTables(NamedTuple):
+    """W, G2 and G3 of one omega as sparse rows of (column, entry), cleared
+    to int when omega is exact, with multipliers m and den such that
+    den D^2 q = m[0] W kn = m[1] C G2 C^T = m[2] C G3 C^T."""
+    vol: Form
+    W: tuple
+    G2: tuple
+    G3: tuple
+    m: tuple
+    den: object
+
+
+def _sparse(rows):
+    return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
+
+
+def _integral(rows):
+    """(d, d rows on int), d the lcm of the denominators of exact rows."""
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    return d, [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+
+
+@functools.lru_cache(maxsize=16)
+def _omega_tables_of(grade, exact, items):
+    omega = Form(grade, dict(items))
+    vol = volume_of(omega)
+    c = vol.coeffs[FULL_MASK]
+    W = omega_matrix(omega)
+    Winv = linalg.inverse(W)
+    if exact:
+        dI, Winv = _integral(Winv)  # G3 on int, divided by dI^2 below
+    else:
+        Winv = [[float(x) for x in r] for r in Winv]
+    G2 = [[0] * len(_MASKS2) for _ in _MASKS2]
+    for p, r, w, s in _TRIPLES:
+        x = omega.coeffs.get(w, 0)
+        if x:
+            G2[p][r] = s * x
+    # -W^-1 enters twice per term, so its sign drops out
+    pairs = [tuple(i for i in range(DIM) if m >> i & 1) for m in _MASKS2]
+    G3 = [[Winv[i][k] * Winv[j][l] - Winv[i][l] * Winv[j][k] for k, l in pairs]
+          for i, j in pairs]
+    if exact:
+        c = Fraction(c)
+        (dW, W), (d2, G2), d3 = _integral(W), _integral(G2), dI ** 2
+        den = math.lcm(dW * abs(c.numerator), d2 * abs(c.numerator), d3)
+        m = (den * c.denominator // (dW * c.numerator),
+             den * c.denominator // (d2 * c.numerator), -den // d3)
+    else:
+        den, m = 1, (1 / c, 1 / c, -1)
+    return _OmegaTables(vol, _sparse(W), _sparse(G2), _sparse(G3), m, den)
+
+
+def _omega_tables(omega):
+    return _omega_tables_of(omega.grade, omega.is_exact(),
+                            tuple(sorted(omega.coeffs.items())))
+
+
+def _table_rows(table, v):
+    """Row i: sum of s v[m] e_p over the (p, m, s) of table[i], the 15
+    entries indexed like the basis 2-forms.  With _CONTR, row i is
+    iota_{e_i} of the form with coefficients v."""
+    rows = []
+    for terms in table:
+        row = [0] * len(_MASKS2)
+        for p, m, s in terms:
+            x = v[m]
+            if x:
+                row[p] = x if s > 0 else -x
+        rows.append(row)
+    return rows
+
+
+def _bilinear(C, G, mult):
+    """mult C_i G C_j^T for a symmetric G given by sparse rows."""
+    GC = [[sum(g * Cj[r] for r, g in row) for row in G] for Cj in C]
+    out = [[0] * DIM for _ in range(DIM)]
+    for i, Ci in enumerate(C):
+        nz = [(p, x) for p, x in enumerate(Ci) if x]
+        for j in range(i, DIM):
+            gj = GC[j]
+            out[i][j] = out[j][i] = mult * sum(x * gj[p] for p, x in nz)
+    return out
+
+
+def _q_of(s, kn, C, tables, tol):
+    """q(omega, phi) from the three routes, which must agree and (route 1)
+    be symmetric: exactly on the exact backend, to tol max(1, |phi|^2) on
+    floats.  Each entry is divided once, at the end."""
+    m1, m2, m3 = tables.m
+    q1 = [[m1 * sum(w * kn[l * DIM + j] for l, w in Wi) for j in range(DIM)]
+          for Wi in tables.W]
+    q2 = _bilinear(C, tables.G2, m2)
+    q3 = _bilinear(C, tables.G3, m3)
+    den = tables.den * s.D ** 2
+    if s.exact:
+        agree = operator.eq
+    else:
+        q1, q2, q3 = ([[x / den for x in r] for r in q] for q in (q1, q2, q3))
+        den = 1
+        scale = tol * max(1.0, max(abs(x) for x in s.v) ** 2)
+
+        def agree(a, b):
+            return abs(a - b) <= scale
+
+    def value(x):
+        return x if den == 1 else Fraction(x, den)
+
+    for i in range(DIM):
+        for j in range(DIM):
+            x = q1[i][j]
+            if not (agree(x, q1[j][i]) and agree(x, q2[i][j]) and agree(x, q3[i][j])):
+                raise ArithmeticError(
+                    f"q-form routes disagree at ({i},{j}): "
+                    f"{value(x)}, {value(q2[i][j])}, {value(q3[i][j])}")
+    return [[value(x) for x in r] for r in q1]
+
+
 def q_form(phi, omega, tol=DEFAULT_TOL):
     """The symmetric bilinear form q(omega, phi) of a primitive 3-form.
 
@@ -320,62 +513,10 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     of the first formula) holds on the primitive subspace only, which is the
     natural domain of this form; non-primitive input is rejected.
     """
-    res = primitivity_residual(phi, omega)
-    if res > tol * max(1.0, phi.max_abs()):
-        raise ValueError(f"q-form needs a primitive 3-form; |omega ^ phi| = {res}")
-    vol = volume_of(omega)
-    volc = vol.coeffs[(1 << DIM) - 1]
-    W = omega_matrix(omega)
-    K = compute_K(phi, vol=vol)
-
-    # route 1: omega(v1, K v2) = (W K)_{ij}
-    q1 = [[sum(W[i][l] * K.rows[l][j] for l in range(DIM)) for j in range(DIM)]
-          for i in range(DIM)]
-
-    # route 2: top-degree wedge quotient
-    contr = []
-    for i in range(DIM):
-        ei = [0] * DIM
-        ei[i] = 1
-        contr.append(interior(ei, phi))
-    q2 = [[None] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i, DIM):
-            top = wedge(wedge(contr[i], contr[j]), omega)
-            c = top.coeffs.get((1 << DIM) - 1, 0)
-            val = Fraction(c, volc) if isinstance(c, int) and isinstance(volc, int) else c / volc
-            q2[i][j] = val
-            q2[j][i] = val
-
-    # route 3: pairing of 2-forms induced by omega (determinant extension of
-    # the dual pairing omega1 = -W^{-1})
-    Winv = linalg.inverse(W)
-    O1 = [[-Winv[i][j] for j in range(DIM)] for i in range(DIM)]
-
-    def pair2(a, b):
-        tot = 0
-        for ma, ca in a.coeffs.items():
-            i, j = (x for x in range(DIM) if ma >> x & 1)
-            for mb, cb in b.coeffs.items():
-                k, l = (x for x in range(DIM) if mb >> x & 1)
-                g = O1[i][k] * O1[j][l] - O1[i][l] * O1[j][k]
-                if g:
-                    tot += ca * cb * g
-        return tot
-
-    q3 = [[-pair2(contr[i], contr[j]) for j in range(DIM)] for i in range(DIM)]
-
-    scale = max(1.0, phi.max_abs() ** 2)
-    for i in range(DIM):
-        for j in range(DIM):
-            d12 = abs(float(q1[i][j] - q2[i][j]))
-            d13 = abs(float(q1[i][j] - q3[i][j]))
-            dsym = abs(float(q1[i][j] - q1[j][i]))
-            if max(d12, d13, dsym) > tol * scale:
-                raise ArithmeticError(
-                    f"q-form routes disagree at ({i},{j}): "
-                    f"{q1[i][j]}, {q2[i][j]}, {q3[i][j]}")
-    return q1
+    _check_primitive(phi, omega, tol, "q-form input")
+    tables = _omega_tables(omega)
+    s = _scaled(phi, tables.vol)
+    return _q_of(s, _K_numerators(s.v), _table_rows(_CONTR, s.v), tables, tol)
 
 
 class SignatureTriple(NamedTuple):
@@ -397,28 +538,20 @@ class SubspaceDims(NamedTuple):
 
 
 def subspace_dims(phi, omega=None, vol=None, tol=1e-8):
-    """Dimensions (ker phi, ker K, im K, (Ann phi)^perp)."""
-    vol = _resolve_vol(omega if omega is not None else standard_omega(), vol)
-    # v -> iota_v phi as a 15 x 6 matrix over the 2-form basis
-    cols = []
-    for j in range(DIM):
-        ej = [0] * DIM
-        ej[j] = 1
-        cols.append(interior(ej, phi))
-    masks2 = sorted({m for c in cols for m in c.coeffs})
-    m1 = [[cols[j].coeffs.get(m, 0) for j in range(DIM)] for m in masks2] or [[0] * DIM]
-    ker_phi = DIM - linalg.rank(m1, tol)
+    """Dimensions (ker phi, ker K, im K, (Ann phi)^perp).
 
-    K = compute_K(phi, vol=vol)
-    rk = linalg.rank(K.rows, tol)
+    Ranks of v -> iota_v phi (the contraction matrix), of K and of
+    alpha -> alpha ^ phi, all taken on D phi: rank does not see the scale."""
+    s = _scaled(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
+    kn = _K_numerators(s.v)
+    rk = linalg.rank([kn[i * DIM:(i + 1) * DIM] for i in range(DIM)], tol)
+    return SubspaceDims(_ker_phi(_table_rows(_CONTR, s.v), tol), DIM - rk, rk,
+                        linalg.rank(_table_rows(_WEDGE1, s.v), tol))
 
-    # alpha -> alpha ^ phi as a 15 x 6 matrix over the 4-form basis
-    wcols = [wedge(basis(j + 1), phi) for j in range(DIM)]
-    masks4 = sorted({m for c in wcols for m in c.coeffs})
-    m2 = [[wcols[j].coeffs.get(m, 0) for j in range(DIM)] for m in masks4] or [[0] * DIM]
-    ann_perp = linalg.rank(m2, tol)
 
-    return SubspaceDims(ker_phi, DIM - rk, rk, ann_perp)
+def _ker_phi(C, tol):
+    """dim ker phi from the contraction matrix C (row i: iota_{e_i} phi)."""
+    return DIM - linalg.rank(C, tol)
 
 
 class ClassificationError(ValueError):
@@ -440,10 +573,11 @@ def classify_gl(phi, vol=None, tol=1e-8):
     """
     if vol is None:
         vol = standard_volume()
-    Q = compute_Q(phi, vol=vol)
+    s = _scaled(phi, _resolve_vol(None, vol))
+    Q = _Q_of(s, _K_numerators(s.v))
     if not _q_is_zero(phi, Q, tol):
         return O_MINUS if Q < 0 else O_PLUS
-    k = subspace_dims(phi, vol=vol, tol=tol).ker_phi
+    k = _ker_phi(_table_rows(_CONTR, s.v), tol)
     table = {0: O_0, 1: O_1, 3: O_3, 6: O_6}
     if k not in table:
         raise ClassificationError(
@@ -462,25 +596,25 @@ def _fourth_root(x):
     return x ** 0.25
 
 
-def primitivity_residual(phi, omega):
-    """Max coefficient of omega ^ phi (0 iff phi is primitive)."""
-    return wedge(omega, phi).max_abs()
-
-
 def classify_sp(phi, omega=None, tol=1e-8):
     """Sp(V, omega) orbit of a primitive 3-form, with mu for stable orbits.
 
     mu is recovered from Q: Q = -16 mu^4 on the O- orbits and Q = 4 mu^4 on
-    O+.  Inside Q = 0 the label follows the signature of the q-form.
+    O+.  Inside Q = 0 the label follows dim ker phi and the signature of the
+    q-form.  Q, q and dim ker phi come from one K evaluation and one
+    contraction matrix.
     """
     if omega is None:
         omega = standard_omega()
-    res = primitivity_residual(phi, omega)
-    if res > tol * max(1.0, phi.max_abs()):
-        raise ValueError(f"form is not primitive: |omega ^ phi| = {res}")
-    Q = compute_Q(phi, omega)
-    sig = signature(q_form(phi, omega, tol), tol)
+    _check_primitive(phi, omega, tol, "form")
+    tables = _omega_tables(omega)
+    s = _scaled(phi, tables.vol)
+    kn = _K_numerators(s.v)
+    C = _table_rows(_CONTR, s.v)
+    Q = _Q_of(s, kn)
+    q = _q_of(s, kn, C, tables, tol)  # its route checks run on every form
     if not _q_is_zero(phi, Q, tol):
+        sig = signature(q, tol)
         if Q < 0:
             mu = _fourth_root(-Q / 16)
             if sig == (0, 6, 0):
@@ -492,24 +626,27 @@ def classify_sp(phi, omega=None, tol=1e-8):
         if sig != (0, 3, 3):
             raise ClassificationError(f"Q>0 with unexpected signature {sig}")
         return SpOrbit("O+", mu)
-    k = subspace_dims(phi, omega, tol=tol).ker_phi
+    # O3 and O6 are told by the kernel alone; their q vanishes, and a float
+    # signature of it would read rounding noise
+    k = _ker_phi(C, tol)
+    if k == 3:
+        return SpOrbit("O3")
+    if k == 6:
+        return SpOrbit("O6")
+    if k not in (0, 1):
+        raise ClassificationError(f"dim ker phi = {k} is impossible")
+    sig = signature(q, tol)
     if k == 0:
         if sig == (3, 3, 0):
             return SpOrbit("O0+")
         if sig == (3, 1, 2):
             return SpOrbit("O0-")
         raise ClassificationError(f"nondegenerate unstable form with signature {sig}")
-    if k == 1:
-        if sig == (5, 1, 0):
-            return SpOrbit("O1+")
-        if sig == (5, 0, 1):
-            return SpOrbit("O1-")
-        raise ClassificationError(f"kernel-1 form with signature {sig}")
-    if k == 3:
-        return SpOrbit("O3")
-    if k == 6:
-        return SpOrbit("O6")
-    raise ClassificationError(f"dim ker phi = {k} is impossible")
+    if sig == (5, 1, 0):
+        return SpOrbit("O1+")
+    if sig == (5, 0, 1):
+        return SpOrbit("O1-")
+    raise ClassificationError(f"kernel-1 form with signature {sig}")
 
 
 # --- the 14-coefficient parametrization of primitive 3-forms ----------------
@@ -572,10 +709,7 @@ def form_to_coords(phi, tol=DEFAULT_TOL):
     """Coefficients of a primitive 3-form; rejects non-primitive input."""
     if phi.grade != 3:
         raise GradeError("expected a 3-form")
-    res = primitivity_residual(phi, standard_omega())
-    exact = phi.is_exact()
-    if (res != 0) if exact else (res > tol * max(1.0, phi.max_abs())):
-        raise ValueError(f"form is not primitive: |omega ^ phi| = {res}")
+    _check_primitive(phi, standard_omega(), tol, "form")
     return PrimitiveCoords(*(phi.coeffs.get(m, 0) for m in _LEAD_MASKS))
 
 
@@ -758,12 +892,14 @@ def hitchin_data(phi, omega=None, tol=1e-8):
     """
     if omega is None:
         omega = standard_omega()
-    Q = compute_Q(phi, omega)
+    s = _scaled(phi, volume_of(omega))
+    kn = _K_numerators(s.v)
+    Q = _Q_of(s, kn)
     if _q_is_zero(phi, Q, tol) or Q > 0:
         raise ValueError(f"not in O-: Q(phi) = {Q} >= 0")
     normsq = _exact_sqrt(-Q)
     lam = Q / 4 if not is_exact(Q) else Fraction(Q, 4)
-    K = compute_K(phi, omega)
+    K = _K_of(s, kn)
     root = _exact_sqrt(-lam)  # = normsq / 2
     if is_exact(root) and linalg.matrix_is_exact(K.rows):
         J = LinearMap6([[Fraction(x) / root for x in r] for r in K.rows])

@@ -15,6 +15,7 @@ inputs.
 
 import json
 import math
+from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from . import invariants, io, linalg
 from .exterior import DIM, DEFAULT_TOL, Form, GradeError, interior, wedge
 from .invariants import (PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
                          compute_K, coords_to_form, form_to_coords,
-                         primitivity_residual, standard_omega, volume_of)
+                         standard_omega, volume_of)
 
 #: growth rate of the built-in solvable algebra, log((3 + sqrt 5)/2)
 SOLV_LAMBDA = math.log((3 + math.sqrt(5)) / 2)
@@ -149,14 +150,6 @@ def lefschetz_lambda(setup, a):
     return out
 
 
-def _check_primitive(setup, phi, tol, what):
-    res = primitivity_residual(phi, setup.omega)
-    exact = phi.is_exact() and setup.omega.is_exact()
-    bad = (res != 0) if exact else (res > tol * max(1.0, phi.max_abs()))
-    if bad:
-        raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
-
-
 def dlambdad(setup, a):
     """The composition d Lambda d."""
     return ce_d(setup, lefschetz_lambda(setup, ce_d(setup, a)))
@@ -168,10 +161,10 @@ def flow_operator(setup, phi, tol=DEFAULT_TOL):
     The result is invariant by construction and must come back primitive;
     a non-primitive image violates the operator's contract and raises.
     """
-    _check_primitive(setup, phi, tol, "flow input")
+    invariants._check_primitive(phi, setup.omega, tol, "flow input")
     F = compute_F(phi, setup.omega)
     out = dlambdad(setup, F)
-    _check_primitive(setup, out, tol, "flow output (internal error)")
+    invariants._check_primitive(out, setup.omega, tol, "flow output (internal error)")
     return out
 
 
@@ -227,8 +220,21 @@ def _nijenhuis_of(alg, K):
     return out
 
 
+def _is_exact_problem(setup, phi):
+    return phi.is_exact() and setup.omega.is_exact() and all(
+        f.is_exact() for f in setup.algebra.d_one)
+
+
 def nijenhuis_max(setup, phi):
-    return _max_entry(nijenhuis(setup, phi))
+    """Largest |entry| of the Nijenhuis tensor of K(phi).  On exact input it
+    is computed on D phi over the algebra scaled to int constants by E (see
+    verify_nijenhuis_identity), and the exact maximum is divided by E D^4."""
+    if not _is_exact_problem(setup, phi):
+        return _max_entry(nijenhuis(setup, phi))
+    D, phi = invariants._cleared(phi)
+    E, setup = _integral_setup(setup)
+    top = max((abs(x) for v in nijenhuis(setup, phi).values() for x in v), default=0)
+    return float(Fraction(top, E * D ** 4))
 
 
 def _max_entry(n):
@@ -317,15 +323,20 @@ class IntegrabilityFlags(NamedTuple):
 
 
 def integrability_flags(setup, phi, tol=DEFAULT_TOL):
-    exact = phi.is_exact() and setup.omega.is_exact() and all(
-        f.is_exact() for f in setup.algebra.d_one)
+    """d phi = 0, d F(phi) = 0 and N_K = 0 are each unchanged when phi is
+    scaled by D and the structure constants by E, so exact input is tested
+    on D phi over the integral algebra, where every zero test runs on int."""
+    exact = _is_exact_problem(setup, phi)
+    if exact:
+        phi = invariants._cleared(phi)[1]
+        setup = _integral_setup(setup)[1]
     ztol = 0.0 if exact else tol * max(1.0, phi.max_abs()) ** 3
 
     dphi = ce_d(setup, phi)
     integrable = dphi.is_zero(0.0 if exact else tol * max(1.0, phi.max_abs()))
     K, F = invariants._K_and_F(phi, volume_of(setup.omega))
     F_integrable = ce_d(setup, F).is_zero(ztol)
-    K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= (0.0 if exact else ztol)
+    K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= ztol
     return IntegrabilityFlags(integrable, F_integrable,
                               integrable and F_integrable, K_integrable, True)
 

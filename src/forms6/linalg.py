@@ -1,11 +1,13 @@
 """Dense linear algebra helpers for small matrices.
 
 Exact paths run fraction-preserving Gaussian elimination (entries int or
-Fraction, never rounded); float paths go through numpy (SVD ranks, symmetric
+Fraction, never rounded), and exact ranks a fraction-free elimination on
+int rows; float paths go through numpy (SVD ranks, symmetric
 eigenvalues).  Dispatching helpers pick the exact route whenever every entry
 is exact.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +50,29 @@ def _rref(rows):
 
 
 def exact_rank(rows):
-    return len(_rref(rows)[1])
+    """Rank of an exact matrix, fraction-free.  Each row is scaled to int
+    (row scaling leaves the rank alone) and divided by the gcd of its
+    entries; a row whose leading column is taken by a kept row b becomes
+    b[c] row - row[c] b, which clears that column, and is reduced again."""
+    kept = {}  # leading column -> kept int row
+    for r in rows:
+        d = math.lcm(*(x.denominator for x in r))
+        row = [x.numerator * (d // x.denominator) for x in r]
+        while True:
+            lead = next((c for c, x in enumerate(row) if x), None)
+            if lead is None:
+                break
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+            b = kept.get(lead)
+            if b is None:
+                kept[lead] = row
+                break
+            g = math.gcd(b[lead], row[lead])
+            f, h = b[lead] // g, row[lead] // g
+            row = [f * x - h * y for x, y in zip(row, b)]
+    return len(kept)
 
 
 def exact_nullspace(rows):

@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from forms6 import linalg
 from forms6.exterior import Form, LinearMap6
 from forms6.invariants import PrimitiveCoords
+
+
+# CI runs the suite with --hypothesis-profile=ci, so a failing example there
+# is drawn the same way on every machine and reproduces locally
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture

@@ -176,11 +176,16 @@ def test_F_of_scaled_float_forms_is_cubic():
 
 
 def test_one_K_evaluation_per_call(rng, K_evaluations):
-    phi = rand_form(rng, 3)
-    for fn in (inv.compute_K, inv.compute_F, inv.compute_Q):
-        for form in (phi, phi.to_float()):
+    phi, prim = rand_form(rng, 3), inv.coords_to_form(rand_coords(rng))
+    calls = ((inv.compute_K, phi, (OMEGA,)), (inv.compute_F, phi, (OMEGA,)),
+             (inv.compute_Q, phi, (OMEGA,)), (inv.classify_sp, prim, (OMEGA,)),
+             (inv.classify_gl, prim, ()), (inv.q_form, prim, (OMEGA,)),
+             (inv.subspace_dims, prim, (OMEGA,)),
+             (inv.hitchin_data, inv.sp_normal_form("O-+", 2), (OMEGA,)))
+    for fn, form, args in calls:
+        for f in (form, form.to_float()):
             K_evaluations.clear()
-            fn(form, OMEGA)
+            fn(f, *args)
             assert len(K_evaluations) == 1, fn.__name__
 
 
@@ -200,6 +205,97 @@ def test_q_form_routes_agree_on_random_primitive_forms(rng):
 def test_q_form_rejects_non_primitive():
     with pytest.raises(ValueError, match="primitive"):
         inv.q_form(basis(1, 2, 3), OMEGA)
+
+
+def oracle_q_routes(phi, omega):
+    # the three Form-level routes: omega(v1, K v2), (iota_{v1}phi ^
+    # iota_{v2}phi ^ omega)/vol, and -<iota_{v1}phi, iota_{v2}phi> under the
+    # determinant extension of -W^-1 to 2-forms
+    vol = inv.volume_of(omega)
+    volc = vol.coeffs[63]  # a Fraction on exact omega
+    W = inv.omega_matrix(omega)
+    K = oracle_K(phi, vol)
+    q1 = [[sum(W[i][l] * K[l][j] for l in range(6)) for j in range(6)]
+          for i in range(6)]
+    contr = [interior([int(k == i) for k in range(6)], phi) for i in range(6)]
+    q2 = [[wedge(wedge(contr[i], contr[j]), omega).coeffs.get(63, 0) / volc
+           for j in range(6)] for i in range(6)]
+    O1 = [[-x for x in r] for r in linalg.inverse(W)]
+
+    def pair2(a, b):
+        tot = 0
+        for ma, ca in a.coeffs.items():
+            i, j = (x for x in range(6) if ma >> x & 1)
+            for mb, cb in b.coeffs.items():
+                k, l = (x for x in range(6) if mb >> x & 1)
+                tot += ca * cb * (O1[i][k] * O1[j][l] - O1[i][l] * O1[j][k])
+        return tot
+
+    q3 = [[-pair2(contr[i], contr[j]) for j in range(6)] for i in range(6)]
+    return q1, q2, q3
+
+
+exact_coords = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                        min_size=14, max_size=14).map(lambda c: inv.PrimitiveCoords(*c))
+# (omega, g): phi is moved by g, so it stays primitive for omega = g* omega_0
+GL_MAPS = [rand_invertible(random.Random(n)) for n in range(3)]
+exact_omegas = st.sampled_from([(OMEGA, None), (OMEGA * Fraction(3, 2), None)]
+                               + [(pullback(g, OMEGA), g) for g in GL_MAPS])
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_coords, exact_omegas)
+def test_q_form_matches_form_level_routes_exactly(c, omega_and_map):
+    omega, g = omega_and_map
+    phi = inv.coords_to_form(c)
+    if g is not None:
+        phi = pullback(g, phi)
+    q = inv.q_form(phi, omega)
+    assert linalg.matrix_is_exact(q)
+    for route in oracle_q_routes(phi, omega):
+        assert route == q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=14, max_size=14),
+       st.integers(-6, 6))
+def test_q_form_matches_form_level_routes_on_floats(ints, t):
+    phi = inv.coords_to_form(inv.PrimitiveCoords(*(n / 1e6 * 10.0 ** t for n in ints)))
+    q, bound = inv.q_form(phi, OMEGA), 1e-12 * phi.max_abs() ** 2
+    for route in oracle_q_routes(phi, OMEGA):
+        assert all(abs(q[i][j] - route[i][j]) <= bound
+                   for i in range(6) for j in range(6))
+
+
+def test_exact_primitivity_is_exact():
+    # a residual of 1e-12 is inside the float tolerance, but not zero
+    phi = inv.sp_normal_form("O-+") + basis(1, 2, 3) * Fraction(1, 10 ** 12)
+    with pytest.raises(ValueError, match="not primitive"):
+        inv.q_form(phi, OMEGA)
+    with pytest.raises(ValueError, match="not primitive"):
+        inv.classify_sp(phi, OMEGA)
+    assert inv.classify_sp(phi.to_float(), OMEGA).label == "O-+"
+
+
+def test_exact_routes_are_compared_by_equality(monkeypatch):
+    # shift route 3 by one unit of its numerator; with D = 10^6 that is 1e-12
+    # in q, far inside the float tolerance, yet the exact backend refuses it
+    tables = inv._omega_tables(OMEGA)
+    bilinear = inv._bilinear
+
+    def shifted(C, G, mult):
+        out = bilinear(C, G, mult)
+        if G is tables.G3:
+            out[0][0] += 1 if isinstance(out[0][0], int) else 1e-12
+        return out
+
+    monkeypatch.setattr(inv, "_bilinear", shifted)
+    phi = inv.sp_normal_form("O-+", Fraction(1, 10 ** 6))
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        inv.q_form(phi, OMEGA)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        inv.classify_sp(phi, OMEGA)
+    inv.q_form(phi.to_float(), OMEGA)  # the float tolerance is unchanged
 
 
 SIGNATURE_TABLE = {
@@ -311,6 +407,38 @@ def test_classify_sp_symplectic_invariance(rng):
             assert pullback(g, OMEGA) == OMEGA
             out = inv.classify_sp(pullback(g, phi), OMEGA)
             assert out.label == label
+
+
+GL_OF_SP = {"O-+": "O-", "O--": "O-", "O+": "O+", "O0+": "O0", "O0-": "O0",
+            "O1+": "O1", "O1-": "O1", "O3": "O3", "O6": "O6"}
+
+
+def _classify_scaled(labels, scales):
+    """Sp-transformed float normal forms keep their label, and mu scales with
+    phi, at every scale given."""
+    rng = random.Random(11)
+    maps = [rand_symplectic(rng) for _ in range(10)]
+    for g in maps:
+        for label in labels:
+            phi = pullback(g, inv.sp_normal_form(label)).to_float()
+            for s in scales:
+                out = inv.classify_sp(phi * s, OMEGA)
+                assert out.label == label, (label, s)
+                assert inv.classify_gl(phi * s) == GL_OF_SP[label], (label, s)
+                if out.mu is not None:
+                    assert abs(out.mu - s) <= 1e-8 * s, (label, s)
+
+
+def test_classification_of_scaled_float_forms_is_scale_free():
+    _classify_scaled(inv.SP_LABELS, (1e-2, 1.0, 1e2, 1e4, 1e6))
+    _classify_scaled(("O0+", "O0-", "O1+", "O1-", "O3", "O6"), (1e-6, 1e-4))
+
+
+@pytest.mark.xfail(strict=True, raises=inv.ClassificationError,
+                   reason="the float Q = 0 test floors |phi| at 1, so Q of a "
+                          "stable form at scale 1e-4 (~1e-16) reads as 0")
+def test_classification_of_small_stable_float_forms():
+    _classify_scaled(("O-+", "O--", "O+"), (1e-6, 1e-4))
 
 
 def test_classify_sp_rejects_non_primitive():

@@ -370,3 +370,30 @@ def test_algebra_json_round_trip(tmp_path):
     alg = la.algebra_from_json(data, name="nil-copy")
     for i in range(6):
         assert alg.d_one[i] == NIL.algebra.d_one[i]
+
+
+def test_flags_and_nijenhuis_max_match_definitions_on_phi(rng):
+    # exact input is tested as D phi over the algebra scaled to int constants;
+    # every flag and the tensor's maximum must read as on phi itself
+    seen = set()
+    for setup in (NIL, SOLV_EXACT):
+        for n in range(24):
+            c = rand_coords(rng)
+            if n % 3 == 1:  # closed on nil, F-harmonic when D = I = 0 too
+                c = c._replace(H=Fraction(0), J=Fraction(0), L=Fraction(0),
+                               N=Fraction(0), D=Fraction(0), I=Fraction(0))
+            elif n % 3 == 2:  # closed stationary family on solv
+                p, q = c.A, c.C
+                c = inv.PrimitiveCoords(A=p, B=p, C=q, D=-q, E=q, F=-q, G=-p,
+                                        H=-p, M=p + q, N=p - q)
+            phi = inv.coords_to_form(c)
+            K, F = inv.compute_K(phi, setup.omega), inv.compute_F(phi, setup.omega)
+            N = la._nijenhuis_of(setup.algebra, K)
+            flags = la.integrability_flags(setup, phi)
+            assert flags.integrable == (not la.ce_d(setup, phi).coeffs)
+            assert flags.F_integrable == (not la.ce_d(setup, F).coeffs)
+            assert flags.K_integrable == (not any(x for v in N.values() for x in v))
+            assert la.nijenhuis_max(setup, phi) == la._max_entry(N)
+            seen.add((setup is NIL, flags.F_harmonic, flags.K_integrable))
+    assert {(True, True, True), (False, True, True), (True, False, False),
+            (False, False, False)} <= seen

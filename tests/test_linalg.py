@@ -20,6 +20,23 @@ def test_exact_rank_against_numpy(rng):
             linalg.to_float_matrix(a), tol=1e-9)
 
 
+def test_exact_rank_matches_rref_on_rank_deficient_matrices(rng):
+    # products of n x k and k x m factors have rank <= k; half the rows then
+    # get scaled copies or sums of others, and some entries stay int
+    for _ in range(300):
+        n, m = rng.randint(1, 8), rng.randint(1, 15)
+        k = rng.randint(0, min(n, m))
+        a, b = rand_mat(rng, n, k) if k else [[]] * n, rand_mat(rng, k, m)
+        rows = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                 for j in range(m)] for i in range(n)]
+        for i in range(n // 2):
+            src = rows[rng.randrange(n)]
+            rows[i] = [x * rng.choice((-3, Fraction(1, 7))) + y
+                       for x, y in zip(src, rows[rng.randrange(n)])]
+        rows[0] = [int(x) if x.denominator == 1 else x for x in rows[0]]
+        assert linalg.exact_rank(rows) == len(linalg._rref(rows)[1])
+
+
 def test_exact_nullspace(rng):
     for _ in range(20):
         a = rand_mat(rng, 4, 6)
