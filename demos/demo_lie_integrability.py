@@ -18,7 +18,7 @@ nil = la.builtin_setup("nil-debartolomeis")
 solv = la.builtin_setup("solv-tomassini")
 ab = la.builtin_setup("abelian")
 
-print("d(e246) on the nil algebra:", la.ce_d(nil, basis(2, 4, 6)))
+print("d(e246) on the nil algebra:", nil.algebra.d(basis(2, 4, 6)))
 print("d Lambda d (e246):", la.dlambdad(nil, basis(2, 4, 6)))
 for setup, name in ((nil, "nil"), (solv, "solv"), (ab, "abelian")):
     dim = len(la.kernel_of_dlambdad(setup))

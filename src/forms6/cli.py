@@ -15,15 +15,11 @@ import io as _stringio
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import flow, hessian, invariants as inv, io, liealg, linalg
-from .exterior import Form, interior, wedge
-from .invariants import COORD_NAMES, PrimitiveCoords
+from . import flow, invariants as inv, io, liealg, verify
+from .invariants import COORD_NAMES
 
 
 class CliError(Exception):
@@ -92,175 +88,10 @@ def cmd_classify(args):
     return 0
 
 
-# --- verify suites -------------------------------------------------------------
-
-def _rand_fraction(rng, lo=-6, hi=6):
-    return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
-
-
-def random_primitive_coords(rng):
-    return PrimitiveCoords(*(_rand_fraction(rng) for _ in range(14)))
-
-
-def random_three_form(rng):
-    import itertools
-    coeffs = {}
-    for axes in itertools.combinations(range(1, 7), 3):
-        c = _rand_fraction(rng)
-        if c:
-            coeffs[sum(1 << (a - 1) for a in axes)] = c
-    return Form(3, coeffs)
-
-
-def _suite_identities(seed, trials, report):
-    """Exact polynomial identities of K, F, Q and the contraction lemma."""
-    rng = random.Random(seed)
-    omega = inv.standard_omega()
-    vol = inv.volume_of(omega)
-    for n in range(trials):
-        phi = inv.coords_to_form(random_primitive_coords(rng)) if n % 2 \
-            else random_three_form(rng)
-        K = inv.compute_K(phi, vol=vol)
-        F = inv.compute_F(phi, vol=vol)
-        Q = -wedge(phi, F).coeffs.get(63, 0)
-        KK = K.compose(K)
-        ok = all(KK.rows[i][j] == (Fraction(Q, 4) if i == j else 0)
-                 for i in range(6) for j in range(6))
-        KF = inv.compute_K(F, vol=vol)
-        ok = ok and all(KF.rows[i][j] == -Q * K.rows[i][j]
-                        for i in range(6) for j in range(6))
-        FF = inv.compute_F(F, vol=vol)
-        ok = ok and FF == phi.map_coeffs(lambda x: -Q * Q * x)
-        X = [Fraction(rng.randint(-4, 4)) for _ in range(6)]
-        Y = [Fraction(rng.randint(-4, 4)) for _ in range(6)]
-        pf = wedge(phi, F)
-        ok = ok and wedge(interior(X, phi), F) == -wedge(phi, interior(X, F))
-        ok = ok and wedge(interior(X, phi), F) == interior(X, pf).map_coeffs(
-            lambda v: Fraction(v, 2))
-        o21 = wedge(interior(X, phi), interior(Y, F)) \
-            + wedge(interior(Y, phi), interior(X, F))
-        ok = ok and not o21.coeffs
-        ok = ok and wedge(interior(Y, interior(X, phi)), F) \
-            == wedge(phi, interior(Y, interior(X, F)))
-        if not ok:
-            report["counterexample"] = io.form_to_json(phi)
-            return False
-    report["residual"] = 0.0
-    return True
-
-
-def _suite_lemma_bc(seed, trials, report, hat_fn=None):
-    """Closed-form hat map and quartic against the brute-force invariants."""
-    hat_fn = hat_fn or inv.hat_map
-    rng = random.Random(seed)
-    omega = inv.standard_omega()
-    for _ in range(trials):
-        c = random_primitive_coords(rng)
-        phi = inv.coords_to_form(c)
-        lhs = inv.coords_to_form(hat_fn(c))
-        F = inv.compute_F(phi, omega)
-        rhs = F.map_coeffs(lambda x: Fraction(x, -2))
-        if lhs != rhs or inv.q_from_coords(c) != inv.compute_Q(phi, omega):
-            report["counterexample"] = io.coords_to_json(c)
-            return False
-    report["residual"] = 0.0
-    return True
-
-
-def _suite_gradients(seed, trials, report):
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
-        c = PrimitiveCoords(*(rng.uniform(-2, 2) for _ in range(14)))
-        worst = max(worst, inv.gradient_relations_check(c))
-    report["residual"] = worst
-    return worst < 1e-6
-
-
-def _suite_nijenhuis(seed, trials, report):
-    rng = random.Random(seed)
-    setups = (liealg.builtin_setup("nil-debartolomeis"),
-              liealg.InvariantSetup.standard(liealg.solv_algebra(Fraction(7, 5))))
-    worst = 0.0
-    for n in range(trials):
-        c = random_primitive_coords(rng)
-        res = liealg.verify_nijenhuis_identity(setups[n % 2], inv.coords_to_form(c))
-        if res != 0.0:
-            report["counterexample"] = io.coords_to_json(c)
-            report["residual"] = res
-            return False
-        worst = max(worst, res)
-    report["residual"] = worst
-    return True
-
-
-def _suite_hessian(seed, trials, report):
-    rng = random.Random(seed)
-    worst = {}
-    ok = True
-    for _ in range(max(1, trials // 32)):
-        a = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)])
-        metric = hessian.BaseMetric3((a @ a.T + 1.5 * np.eye(3)).tolist())
-        for C in (-0.1, 0.0, 0.5, 2.0):
-            for _ in range(4):
-                t = tuple(rng.uniform(0.5, 1.8) * rng.choice((-1, 1))
-                          for _ in range(3))
-                p = hessian.FiberPoint(t, C)
-                try:
-                    p.validate(metric)
-                except hessian.DomainError:
-                    continue
-                checks = hessian.fiber_verifications(metric, p)
-                data = hessian.leaf_data(metric, p)
-                S, ricci = hessian.scalar_curvature(data)
-                checks["scalar_closed_form"] = abs(
-                    S - hessian.closed_form_scalar_curvature(metric, p))
-                checks["ricci_min_eig"] = -min(
-                    0.0, float(np.linalg.eigvalsh(ricci).min()))
-                checks["affine_fd"] = hessian.affine_derivative_check(metric, p)
-                for k, v in checks.items():
-                    worst[k] = max(worst.get(k, 0.0), v)
-    limits = {"primitivity": 1e-12, "F_closed_form": 1e-10,
-              "K_kills_fibers": 1e-10, "K_frame_match": 1e-9,
-              "det_h_minus_8detg": 1e-10, "h_inv_vs_numeric": 1e-10,
-              "scalar_closed_form": 1e-8, "ricci_min_eig": 1e-10,
-              "affine_fd": 1e-4}
-    report["residuals"] = worst
-    for k, lim in limits.items():
-        if worst.get(k, 0.0) > lim:
-            ok = False
-            report.setdefault("failures", []).append(f"{k} = {worst[k]} > {lim}")
-    return ok
-
-
-VERIFY_SUITES = {
-    "identities": _suite_identities,
-    "lemma-bc": _suite_lemma_bc,
-    "gradients": _suite_gradients,
-    "nijenhuis": _suite_nijenhuis,
-    "hessian": _suite_hessian,
-}
-
-
-def run_verify_suite(suite, seed, trials, hat_fn=None):
-    """Run one named verification suite; returns (passed, report dict)."""
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
-    report = {"suite": suite, "seed": seed, "trials": trials}
-    fn = VERIFY_SUITES[suite]
-    if suite == "lemma-bc" and hat_fn is not None:
-        passed = fn(seed, trials, report, hat_fn=hat_fn)
-    else:
-        passed = fn(seed, trials, report)
-    report["passed"] = bool(passed)
-    return passed, report
-
+# --- verify --------------------------------------------------------------------
 
 def cmd_verify(args):
-    if args.suite not in VERIFY_SUITES:
-        raise CliError(f"unknown suite {args.suite!r}; "
-                       f"choose from {sorted(VERIFY_SUITES)}")
-    passed, report = run_verify_suite(args.suite, args.seed, args.trials)
+    passed, report = verify.run(args.suite, args.seed, args.trials)
     _emit(_stamp(report), args.out)
     return 0 if passed else 1
 
@@ -379,7 +210,7 @@ def cmd_flow(args):
 # --- hessian -------------------------------------------------------------------
 
 def cmd_hessian(args):
-    passed, report = run_verify_suite("hessian", args.seed, args.trials)
+    passed, report = verify.run("hessian", args.seed, args.trials)
     report["grid"] = "per metric: C in {-0.1, 0, 0.5, 2}, 4 random fiber points each"
     _emit(_stamp(report), args.out)
     return 0 if passed else 1
@@ -402,7 +233,7 @@ def build_parser():
     c.set_defaults(fn=cmd_classify)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
+    v.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=200)
     v.add_argument("--out")

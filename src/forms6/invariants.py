@@ -64,7 +64,7 @@ def _resolve_vol(omega, vol):
         return vol
     if omega is None:
         raise ValueError("need a symplectic form or a volume form")
-    return volume_of(omega)
+    return _omega_tables(omega).vol
 
 
 # --- K, F and Q on cleared denominators -------------------------------------

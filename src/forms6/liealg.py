@@ -125,11 +125,6 @@ class InvariantSetup:
         return f"InvariantSetup({self.algebra!r})"
 
 
-def ce_d(setup, a):
-    """Chevalley-Eilenberg differential within a setup."""
-    return setup.algebra.d(a)
-
-
 def lefschetz_lambda(setup, a):
     """Lefschetz contraction Lambda by omega (paired contraction for the
     standard form, normalized so Lambda omega = 3)."""
@@ -152,7 +147,7 @@ def lefschetz_lambda(setup, a):
 
 def dlambdad(setup, a):
     """The composition d Lambda d."""
-    return ce_d(setup, lefschetz_lambda(setup, ce_d(setup, a)))
+    return setup.algebra.d(lefschetz_lambda(setup, setup.algebra.d(a)))
 
 
 def flow_operator(setup, phi, tol=DEFAULT_TOL):
@@ -259,8 +254,8 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
     """
     vol = volume_of(setup.omega)
     K, F = invariants._K_and_F(phi, vol)
-    dphi = ce_d(setup, phi)
-    dF = ce_d(setup, F)
+    dphi = setup.algebra.d(phi)
+    dF = setup.algebra.d(F)
     N = _nijenhuis_of(setup.algebra, K)
     rows = K.rows
     out = {}
@@ -332,10 +327,10 @@ def integrability_flags(setup, phi, tol=DEFAULT_TOL):
         setup = _integral_setup(setup)[1]
     ztol = 0.0 if exact else tol * max(1.0, phi.max_abs()) ** 3
 
-    dphi = ce_d(setup, phi)
+    dphi = setup.algebra.d(phi)
     integrable = dphi.is_zero(0.0 if exact else tol * max(1.0, phi.max_abs()))
     K, F = invariants._K_and_F(phi, volume_of(setup.omega))
-    F_integrable = ce_d(setup, F).is_zero(ztol)
+    F_integrable = setup.algebra.d(F).is_zero(ztol)
     K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= ztol
     return IntegrabilityFlags(integrable, F_integrable,
                               integrable and F_integrable, K_integrable, True)

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from forms6 import linalg
 from forms6.exterior import Form, LinearMap6
-from forms6.invariants import PrimitiveCoords
+from forms6.verify import rand_coords, rand_fraction  # noqa: F401 (re-exported)
 
 
 # CI runs the suite with --hypothesis-profile=ci, so a failing example there
@@ -34,10 +34,6 @@ def K_evaluations(monkeypatch):
     return calls
 
 
-def rand_fraction(rng, lo=-6, hi=6, dens=(1, 1, 2, 3)):
-    return Fraction(rng.randint(lo, hi), rng.choice(dens))
-
-
 def rand_form(rng, grade, sparsity=1.0):
     import itertools
     coeffs = {}
@@ -47,10 +43,6 @@ def rand_form(rng, grade, sparsity=1.0):
             if c:
                 coeffs[sum(1 << (a - 1) for a in axes)] = c
     return Form(grade, coeffs)
-
-
-def rand_coords(rng):
-    return PrimitiveCoords(*(rand_fraction(rng) for _ in range(14)))
 
 
 def rand_vector(rng, lo=-4, hi=4):

@@ -2,26 +2,26 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  Every expected value is either derived from an independent
-oracle inside the test or pinned from the verified closed forms.
+oracle inside the test or pinned from the verified closed forms.  Criteria
+01, 04 and 05 run the seeded suites of ``forms6.verify``, the same code as
+``forms6 verify``, with their own seeds and trial counts.
 """
 
 import json
-import math
 import random
 import re
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from forms6 import cli, flow, hessian as hs
 from forms6 import invariants as inv
 from forms6 import liealg as la
-from forms6 import linalg
-from forms6.exterior import basis, form_max_diff, interior, wedge
+from forms6 import linalg, verify
+from forms6.exterior import basis, form_max_diff, wedge
+from forms6.verify import rand_coords, rand_fraction
 
 OMEGA = inv.standard_omega()
-VOL = inv.volume_of(OMEGA)
 NIL = la.builtin_setup("nil-debartolomeis")
 SOLV = la.builtin_setup("solv-tomassini")
 SOLV_EXACT = la.InvariantSetup.standard(la.solv_algebra(Fraction(7, 5)))
@@ -31,55 +31,17 @@ def report(num, text):
     print(f"[PASS] criterion {num:2d}: {text}")
 
 
-def _rand_fraction(rng):
-    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
-
-
-def _rand_primitive(rng):
-    return inv.coords_to_form(
-        inv.PrimitiveCoords(*(_rand_fraction(rng) for _ in range(14))))
-
-
-def _rand_any(rng):
-    import itertools
-    coeffs = {}
-    for axes in itertools.combinations(range(1, 7), 3):
-        c = _rand_fraction(rng)
-        if c:
-            coeffs[sum(1 << (a - 1) for a in axes)] = c
-    from forms6.exterior import Form
-    return Form(3, coeffs)
+def run_suite(num, suite, seed, trials):
+    passed, rep = verify.run(suite, seed, trials)
+    assert passed, rep
+    report(num, f"verify suite {rep}")
 
 
 def test_criterion_01_algebraic_identity_suite():
     """K.K = (Q/4) id, K(F) = -Q K, F(F) = -Q^2 phi, and the contraction
     lemma, exactly, on 1000 random rational primitive and non-primitive
     3-forms."""
-    rng = random.Random(1001)
-    for n in range(1000):
-        phi = _rand_primitive(rng) if n % 2 else _rand_any(rng)
-        K = inv.compute_K(phi, vol=VOL)
-        F = inv.compute_F(phi, vol=VOL)
-        Q = -wedge(phi, F).coeffs.get(63, 0)
-        KK = K.compose(K)
-        assert all(KK.rows[i][j] == (Fraction(Q, 4) if i == j else 0)
-                   for i in range(6) for j in range(6))
-        KF = inv.compute_K(F, vol=VOL)
-        assert all(KF.rows[i][j] == -Q * K.rows[i][j]
-                   for i in range(6) for j in range(6))
-        assert inv.compute_F(F, vol=VOL) == phi.map_coeffs(lambda x: -Q * Q * x)
-        X = [Fraction(rng.randint(-4, 4)) for _ in range(6)]
-        Y = [Fraction(rng.randint(-4, 4)) for _ in range(6)]
-        pf = wedge(phi, F)
-        iXphi = interior(X, phi)
-        assert wedge(iXphi, F) == -wedge(phi, interior(X, F))
-        assert wedge(iXphi, F) == interior(X, pf).map_coeffs(
-            lambda v: Fraction(v, 2))
-        assert not (wedge(iXphi, interior(Y, F))
-                    + wedge(interior(Y, phi), interior(X, F))).coeffs
-        assert wedge(interior(Y, iXphi), F) == \
-            wedge(phi, interior(Y, interior(X, F)))
-    report(1, "identity suite exact on 1000 random rational 3-forms")
+    run_suite(1, "identities", 1001, 1000)
 
 
 GL_TABLE = {"O-": (0, 0, 6, 6), "O+": (0, 0, 6, 6), "O0": (0, 3, 3, 6),
@@ -125,27 +87,13 @@ def test_criterion_03_signature_case_list():
 def test_criterion_04_coordinate_equivalence():
     """hat map and quartic polynomial agree exactly with the brute-force
     invariants on 1000 random coordinate vectors."""
-    rng = random.Random(1004)
-    for _ in range(1000):
-        c = inv.PrimitiveCoords(*(_rand_fraction(rng) for _ in range(14)))
-        phi = inv.coords_to_form(c)
-        F = inv.compute_F(phi, OMEGA)
-        assert inv.coords_to_form(inv.hat_map(c)) == \
-            F.map_coeffs(lambda x: Fraction(x, -2))
-        assert inv.q_from_coords(c) == inv.compute_Q(phi, OMEGA)
-    report(4, "hat map and quartic exact vs brute force on 1000 vectors")
+    run_suite(4, "lemma-bc", 1004, 1000)
 
 
 def test_criterion_05_gradient_relations():
     """Central differences of Q match the signed hat table to 1e-6 relative
     at 100 random float points."""
-    rng = random.Random(1005)
-    worst = 0.0
-    for _ in range(100):
-        c = inv.PrimitiveCoords(*(rng.uniform(-2, 2) for _ in range(14)))
-        worst = max(worst, inv.gradient_relations_check(c, h=1e-5))
-    assert worst < 1e-6
-    report(5, f"gradient relations, max relative error {worst:.2e} < 1e-6")
+    run_suite(5, "gradients", 1005, 100)
 
 
 def test_criterion_06_nijenhuis_identity():
@@ -155,12 +103,12 @@ def test_criterion_06_nijenhuis_identity():
     rng = random.Random(1006)
     for setup in (NIL, SOLV_EXACT):
         for _ in range(200):
-            phi = _rand_primitive(rng)
+            phi = inv.coords_to_form(rand_coords(rng))
             assert la.verify_nijenhuis_identity(setup, phi) == 0.0
     # F-harmonic search: constrained families plus a rejection filter
     found = 0
     for _ in range(200):
-        c = inv.PrimitiveCoords(*(_rand_fraction(rng) for _ in range(14)))
+        c = rand_coords(rng)
         c = c._replace(H=Fraction(0), J=Fraction(0), L=Fraction(0), N=Fraction(0))
         if rng.random() < 0.5:
             c = c._replace(D=Fraction(0), I=Fraction(0))
@@ -170,7 +118,7 @@ def test_criterion_06_nijenhuis_identity():
             found += 1
     assert found > 50
     for _ in range(50):
-        p, q = _rand_fraction(rng), _rand_fraction(rng)
+        p, q = rand_fraction(rng), rand_fraction(rng)
         if p == 0 or q == 0:
             continue
         # (M+N)^2 = 4 alpha delta and (M-N)^2 = 4 beta gamma: a closed

@@ -1,3 +1,4 @@
+import glob
 import os
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import forms6
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(forms6.__file__)))
+DEMOS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
-@pytest.mark.parametrize("demo", ["demo_nil_flow.py", "demo_solv_blowup.py"])
-def test_flow_demo_runs(demo):
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
                           env=env, capture_output=True, text=True, timeout=120)

@@ -189,6 +189,23 @@ def test_one_K_evaluation_per_call(rng, K_evaluations):
             assert len(K_evaluations) == 1, fn.__name__
 
 
+def test_volume_of_omega_taken_from_cached_tables(rng, monkeypatch):
+    # omega^3/3! comes from the per-omega tables, not from fresh wedges
+    phi = inv.coords_to_form(rand_coords(rng))
+    inv.compute_K(phi, OMEGA)
+    calls = []
+    plain_wedge = inv.wedge
+
+    def counting(a, b):
+        calls.append(1)
+        return plain_wedge(a, b)
+
+    monkeypatch.setattr(inv, "wedge", counting)
+    inv.compute_K(phi, OMEGA)
+    inv.subspace_dims(phi, OMEGA)
+    assert calls == []
+
+
 # --- q-form and signatures -------------------------------------------------------
 
 def test_q_form_zero():

@@ -136,17 +136,21 @@ def test_verify_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_verify_negative_control():
+def test_verify_negative_control(monkeypatch, tmp_path):
     # a corrupted hat formula must fail with a serialized counterexample
+    hat_map = inv.hat_map
+
     def corrupted(c):
-        h = inv.hat_map(c)
+        h = hat_map(c)
         return h._replace(H=h.H + 1)
 
-    passed, report = cli.run_verify_suite("lemma-bc", seed=3, trials=50,
-                                          hat_fn=corrupted)
-    assert not passed
-    assert "counterexample" in report
-    inv.coords_to_form(io.coords_from_json(report["counterexample"]))
+    monkeypatch.setattr(inv, "hat_map", corrupted)
+    out = tmp_path / "neg.json"
+    assert run_cli("verify", "--suite", "lemma-bc", "--seed", "3",
+                   "--trials", "50", "--out", str(out)) == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    inv.coords_to_form(io.coords_from_json(rep["counterexample"]))
 
 
 def test_verify_and_hessian_require_trials(capsys):

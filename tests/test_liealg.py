@@ -62,9 +62,9 @@ def test_nil_structure_constants():
 # --- differential -----------------------------------------------------------------
 
 def test_ce_d_examples():
-    assert la.ce_d(NIL, basis(2, 4, 6)) == basis(1, 2, 5, 6) - basis(1, 2, 3, 4)
-    assert not la.ce_d(SOLV, basis(1, 2)).coeffs
-    assert not la.ce_d(AB, rand_form(random.Random(0), 3)).coeffs
+    assert NIL.algebra.d(basis(2, 4, 6)) == basis(1, 2, 5, 6) - basis(1, 2, 3, 4)
+    assert not SOLV.algebra.d(basis(1, 2)).coeffs
+    assert not AB.algebra.d(rand_form(random.Random(0), 3)).coeffs
 
 
 def test_ce_d_matches_expansion_oracle(rng):
@@ -72,14 +72,14 @@ def test_ce_d_matches_expansion_oracle(rng):
         for g in (2, 3, 4):
             for _ in range(10):
                 a = rand_form(rng, g, 0.5)
-                assert la.ce_d(setup, a) == d_oracle(setup.algebra, a)
+                assert setup.algebra.d(a) == d_oracle(setup.algebra, a)
 
 
 def test_d_squared_zero_on_random_forms(rng):
     for setup in (NIL, SOLV_EXACT, AB):
         for g in (1, 2, 3, 4):
             a = rand_form(rng, g, 0.6)
-            assert not la.ce_d(setup, la.ce_d(setup, a)).coeffs
+            assert not setup.algebra.d(setup.algebra.d(a)).coeffs
 
 
 def test_d_squared_zero_for_random_solv_family(rng):
@@ -88,7 +88,7 @@ def test_d_squared_zero_for_random_solv_family(rng):
         lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         setup = la.InvariantSetup.standard(la.solv_algebra(lam))
         a = rand_form(rng, 3, 0.6)
-        assert not la.ce_d(setup, la.ce_d(setup, a)).coeffs
+        assert not setup.algebra.d(setup.algebra.d(a)).coeffs
 
 
 def test_d_of_top_form_rejected():
@@ -277,7 +277,7 @@ def test_nijenhuis_identity_erratum_regression(rng):
     phi = basis(1, 3, 5) + basis(2, 4, 6)
     sides = la.nijenhuis_identity_sides(NIL, phi, extra_df_term=True)
     F = inv.compute_F(phi, NIL.omega)
-    dphi = la.ce_d(NIL, phi)
+    dphi = NIL.algebra.d(phi)
     mismatched = 0
     for (i, j), (lhs, rhs) in sides.items():
         X = tuple(int(m == i - 1) for m in range(6))
@@ -390,8 +390,8 @@ def test_flags_and_nijenhuis_max_match_definitions_on_phi(rng):
             K, F = inv.compute_K(phi, setup.omega), inv.compute_F(phi, setup.omega)
             N = la._nijenhuis_of(setup.algebra, K)
             flags = la.integrability_flags(setup, phi)
-            assert flags.integrable == (not la.ce_d(setup, phi).coeffs)
-            assert flags.F_integrable == (not la.ce_d(setup, F).coeffs)
+            assert flags.integrable == (not setup.algebra.d(phi).coeffs)
+            assert flags.F_integrable == (not setup.algebra.d(F).coeffs)
             assert flags.K_integrable == (not any(x for v in N.values() for x in v))
             assert la.nijenhuis_max(setup, phi) == la._max_entry(N)
             seen.add((setup is NIL, flags.F_harmonic, flags.K_integrable))
