@@ -7,8 +7,6 @@
 # H != 0, straight-line growth when H = 0 -- which makes this a sharp
 # integrator test and a worked example of limit extraction.
 
-import numpy as np
-
 from forms6 import flow
 from forms6 import invariants as inv
 from forms6 import liealg as la

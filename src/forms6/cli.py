@@ -9,14 +9,14 @@ field.
 """
 
 import argparse
-import csv
 import datetime
-import io as _stringio
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import flow, invariants as inv, io, liealg, verify
 from .invariants import COORD_NAMES
@@ -114,63 +114,66 @@ def _load_setup(name_or_path):
     return liealg.InvariantSetup.standard(alg)
 
 
-def _flow_one(setup, c0, args, out_dir, tag=""):
-    controls = flow.FlowControls(rtol=args.tol, blow_norm=args.blow_norm,
-                                 detect_stationary=not args.no_stationary)
-    if args.require_positive:
-        try:
-            sd = flow.SolvData.from_coords(c0)
-        except ValueError as e:
-            raise CliError(f"--require-positive: {e}")
-        rep = flow.positivity_check(sd)
-        if not rep.ok:
-            raise CliError(
-                f"initial data violates positivity: failed {rep.failed()}")
-    traj = flow.integrate(setup, c0, args.t_max, controls)
+def _check_positive(c0):
+    try:
+        sd = flow.SolvData.from_coords(c0)
+    except ValueError as e:
+        raise CliError(f"--require-positive: {e}")
+    rep = flow.positivity_check(sd)
+    if not rep.ok:
+        raise CliError(f"initial data violates positivity: failed {rep.failed()}")
 
-    is_nil = setup.algebra.name == "nil-debartolomeis"
-    is_solv = setup.algebra.name == "solv-tomassini"
-    extra = []
-    if is_nil:
+
+def _extra_columns(setup, c0, traj):
+    """(name, values) of the closed-form and reduced columns that follow the
+    coefficients in the trajectory CSV of the nil and solv algebras."""
+    times = traj.times.tolist()
+    if setup.algebra.name == "nil-debartolomeis":
         nd = flow.NilData.from_coords(c0)
-        extra = [("A_closed", lambda i, t: flow.nil_closed_form(nd, float(c0[0]), t))]
-    elif is_solv:
-        def u_of(i, t):
-            st = traj.states[i]
-            return 4.0 * st[0] * -st[6]
+        A0 = float(c0[0])
+        return [("A_closed", [flow.nil_closed_form(nd, A0, t) for t in times])]
+    if setup.algebra.name != "solv-tomassini":
+        return []
+    st = traj.states
+    extra = [("u", 4.0 * st[:, 0] * -st[:, 6]), ("v", 4.0 * st[:, 2] * st[:, 4])]
+    try:
+        sd = flow.SolvData.from_coords(c0)
+    except ValueError:
+        return extra
+    tools = flow.solv_uv_tools(sd)
+    if tools.t_prime.available:
+        tp = tools.t_prime.value
+        rate = -flow.UV_RATE * sd.lam ** 2 * sd.S
+        # math.exp per element: numpy's exp rounds differently on some inputs
+        extra.append(("u_comparison",
+                      [tools.w_closed_form(t) * math.exp(rate * t) if t < tp
+                       else float("nan") for t in times]))
+    return extra
 
-        def v_of(i, t):
-            st = traj.states[i]
-            return 4.0 * st[2] * st[4]
-        extra = [("u", u_of), ("v", v_of)]
-        try:
-            sd = flow.SolvData.from_coords(c0)
-            tools = flow.solv_uv_tools(sd)
-            if tools.t_prime.available:
-                tp = tools.t_prime.value
-                extra.append(("u_comparison",
-                              lambda i, t: tools.w_closed_form(t)
-                              * math.exp(-flow.UV_RATE * sd.lam ** 2 * sd.S * t)
-                              if t < tp else float("nan")))
-        except ValueError:
-            pass
 
-    buf = _stringio.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["t", *COORD_NAMES, *(name for name, _ in extra)])
-    for i, t in enumerate(traj.times):
-        row = [repr(float(t))] + [repr(float(x)) for x in traj.states[i]]
-        row += [repr(float(fn(i, float(t)))) for _, fn in extra]
-        w.writerow(row)
-    csv_path = os.path.join(out_dir, f"trajectory{tag}.csv")
-    io.atomic_write_text(csv_path, buf.getvalue())
+def _trajectory_csv(setup, c0, traj):
+    """The trajectory as CSV text, the same bytes as csv.writer gives for
+    the repr of each value."""
+    extra = _extra_columns(setup, c0, traj)
+    header = ["t", *COORD_NAMES, *(name for name, _ in extra)]
+    table = np.column_stack((traj.times, traj.states, *(col for _, col in extra)))
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return "\r\n".join(lines) + "\r\n"
 
+
+def _write_flow(setup, c0, traj, args, out_dir, tag):
+    io.atomic_write_text(os.path.join(out_dir, f"trajectory{tag}.csv"),
+                         _trajectory_csv(setup, c0, traj))
     status = {
         "status": traj.status,
         "message": traj.message,
         "t_final": traj.t_final,
         "n_accepted": traj.n_accepted,
         "n_rejected": traj.n_rejected,
+        "rhs_rows": traj.rhs_rows,
+        "min_step": traj.min_step,
+        "max_step": traj.max_step,
         "limit_form": None,
         "limit_orbit": None,
     }
@@ -185,10 +188,11 @@ def _flow_one(setup, c0, args, out_dir, tag=""):
         except flow.LimitError as e:
             status["limit_error"] = str(e)
     _emit(_stamp(status), os.path.join(out_dir, f"status{tag}.json"))
-    return traj
 
 
 def cmd_flow(args):
+    """Parse and check the whole sweep, integrate it as one batch, then
+    write each start's files; a refused start leaves no file behind."""
     for opt in ("t_max", "tol", "blow_norm"):
         value = getattr(args, opt)
         if not (math.isfinite(value) and value > 0):
@@ -196,14 +200,21 @@ def cmd_flow(args):
                            f"got {value}")
     setup = _load_setup(args.algebra)
     data = _load_json(args.initial)
-    os.makedirs(args.out or ".", exist_ok=True)
-    out_dir = args.out or "."
     if isinstance(data, list):
         starts = [io.coords_from_json(entry) for entry in data]
-        for k, c0 in enumerate(starts):
-            _flow_one(setup, c0, args, out_dir, tag=f"-{k:03d}")
+        tags = [f"-{k:03d}" for k in range(len(starts))]
     else:
-        _flow_one(setup, io.coords_from_json(data), args, out_dir)
+        starts, tags = [io.coords_from_json(data)], [""]
+    if args.require_positive:
+        for c0 in starts:
+            _check_positive(c0)
+    controls = flow.FlowControls(rtol=args.tol, blow_norm=args.blow_norm,
+                                 detect_stationary=not args.no_stationary)
+    trajs = flow.integrate_sweep(setup, starts, args.t_max, controls)
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    for c0, traj, tag in zip(starts, trajs, tags):
+        _write_flow(setup, c0, traj, args, out_dir, tag)
     return 0
 
 

@@ -3,13 +3,14 @@
 The evolution d phi/dt = d Lambda d F(phi) restricted to invariant forms on
 a 6-dimensional symplectic Lie algebra is a cubic polynomial ODE on the 14
 primitive coefficients.  This module evaluates that right side generically
-(through the cached linear operator of d Lambda d composed with the cubic
-hat map on Python floats, never hand-coded per algebra), integrates it with
-an adaptive step-doubling RK4 scheme that shares its first stages and stops
-on blow-up or on a stationarity test relative to |y|^3, extracts normalized
-limits, and carries the closed-form solutions used as cross-checks: the
-scalar ODE on the nil algebra and the u-v comparison system with its
-blow-up bound on the solv algebra.
+(one table of cubic monomials per setup, derived exactly from the K and F
+tables and the cached linear operator of d Lambda d, never hand-coded per
+algebra), integrates a batch of starts at once with an adaptive
+step-doubling RK4 scheme that stacks the stages of the full and the first
+half step and stops each start on blow-up or on a stationarity test
+relative to |y|^3, extracts normalized limits, and carries the closed-form
+solutions used as cross-checks: the scalar ODE on the nil algebra and the
+u-v comparison system with its blow-up bound on the solv algebra.
 """
 
 import math
@@ -19,34 +20,54 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import liealg, linalg
-from .invariants import (PrimitiveCoords, classify_sp, coords_to_form,
-                         hat_map, q_from_coords)
+from .invariants import (COORD_NAMES, PrimitiveCoords, classify_sp,
+                         coords_to_form, hat_monomial_table)
 
 # --- generic reduced right side ---------------------------------------------
 
 
-class ReducedFlow:
-    """The flow's right side on coefficient vectors, for one setup.
+def rhs_table(setup):
+    """The reduced right side as a table of cubic monomials.
 
-    rhs(c) = -2 * M @ hat(c), where M is the matrix of d Lambda d on the
-    primitive basis (built once through the full form-level operator) and
-    hat is the closed-form cubic for -F/2.  Identical to pushing phi through
-    flow_operator, but cheap enough for inner integration loops.
+    Returns (monos, rows) with rhs(c)[i] = sum_n rows[n][i] c_p c_q c_r over
+    (p, q, r) = monos[n]: the hat monomials composed with -2 M, M the matrix
+    of d Lambda d on the primitive basis (built through the full form-level
+    operator), keeping those that M does not annihilate (96 of 156 on the
+    solv algebra, 12 on the nil one).  The composition is exact when M is."""
+    mat = liealg.dlambdad_coords_matrix(setup)
+    cols = [[(i, row[j]) for i, row in enumerate(mat) if row[j]]
+            for j in range(len(COORD_NAMES))]
+    monos, rows = [], []
+    for mono, hat in zip(*hat_monomial_table()):
+        out = [0] * len(COORD_NAMES)
+        for j, x in enumerate(hat):
+            for i, m in cols[j] if x else ():
+                out[i] -= 2 * m * x
+        if any(out):
+            monos.append(mono)
+            rows.append(out)
+    return monos, rows
+
+
+class ReducedFlow:
+    """The flow's right side on rows of coefficients, for one setup.
+
+    rhs(Y) = mono(Y) . P with mono(Y) = Y[:, a] Y[:, b] Y[:, c], from
+    rhs_table in floats.  The contraction is an einsum, whose rows do not
+    depend on the batch as those of a BLAS product do, so a row gives the
+    same bits alone or in a sweep.
     """
 
     def __init__(self, setup):
         self.setup = setup
-        mat = liealg.dlambdad_coords_matrix(setup)
-        self.matrix = linalg.to_float_matrix(mat)
+        monos, rows = rhs_table(setup)
+        self.a, self.b, self.c = np.array(monos, dtype=np.intp).reshape(-1, 3).T
+        self.table = np.array(rows, dtype=float).reshape(-1, len(COORD_NAMES))
 
     def rhs(self, y):
-        # Python floats run the cubic twice as fast as numpy float64 scalars,
-        # with the same rounding, but their ** raises where float64 gives inf
-        try:
-            hats = hat_map(y.tolist())
-        except OverflowError:
-            hats = hat_map(y)
-        return -2.0 * (self.matrix @ np.array(hats, dtype=float))
+        """The right side of each row of y, shape (R, 14) or (14,)."""
+        mono = y.take(self.a, axis=-1) * y.take(self.b, axis=-1) * y.take(self.c, axis=-1)
+        return np.einsum("...m,mn->...n", mono, self.table)
 
 
 def _reduced(setup):
@@ -88,6 +109,9 @@ class Trajectory:
     message: str = ""
     n_accepted: int = 0
     n_rejected: int = 0
+    rhs_rows: int = 0            # rows of the right side evaluated for this start
+    min_step: Optional[float] = None    # smallest and largest accepted step
+    max_step: Optional[float] = None
 
     @property
     def t_final(self):
@@ -98,112 +122,210 @@ class Trajectory:
         return self.states[-1]
 
 
+class _Member:
+    """The run of one row of a batch: its step size, time, samples, counters
+    and, once it stops, its status."""
+
+    def __init__(self, y0, h):
+        self.t = 0.0
+        self.h = h
+        self.still = 0
+        self.times = [0.0]
+        self.states = [y0]
+        self.n_acc = self.n_rej = 0
+        self.rows = 1
+        self.min_step = self.max_step = None
+        self.status = None
+        self.message = ""
+
+    def running(self, t_max, max_steps):
+        """Whether the start takes another attempt; one that has used up
+        max_steps stops here with status "error"."""
+        if self.status is not None or self.t >= t_max:
+            return False
+        if self.n_acc + self.n_rej >= max_steps:
+            self.status, self.message = "error", f"exceeded {max_steps} steps"
+            return False
+        return True
+
+    def accept(self, y, h):
+        self.t += h
+        self.n_acc += 1
+        self.times.append(self.t)
+        self.states.append(y)
+        if self.min_step is None:
+            self.min_step = self.max_step = h
+        else:
+            self.min_step = min(self.min_step, h)
+            self.max_step = max(self.max_step, h)
+
+    def check_underflow(self, norm, c):
+        if self.h < c.h_min or self.t + self.h == self.t:
+            if norm > c.blow_norm:
+                self.status = "blow_up"
+                self.message = f"|y| = {norm:.3e} at step underflow"
+            else:
+                self.status = "error"
+                self.message = f"step underflow at t = {self.t} without blow-up"
+
+    def trajectory(self):
+        return Trajectory(np.array(self.times), np.array(self.states),
+                          self.status or "reached_t_max", self.message,
+                          self.n_acc, self.n_rej, self.rows,
+                          self.min_step, self.max_step)
+
+
 def _rk4(f, y, h, k1):
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
+    # h is a column: one step size per row
+    half = 0.5 * h
+    k2 = f(y + half * k1)
+    k3 = f(y + half * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _is_still(fy, y, residual):
-    # relative to |y|^3, as the reduced flow is a homogeneous cubic; products
-    # rather than ** so that a huge |y| gives inf instead of OverflowError
-    norm = float(np.max(np.abs(y)))
-    return float(np.max(np.abs(fy))) <= residual * norm * norm * norm
+def _is_still(fy, norm, residual):
+    # relative to |y|^3, as the reduced flow is a homogeneous cubic
+    return (np.max(np.abs(fy), axis=-1) <= residual * norm * norm * norm).tolist()
 
 
 def integrate_ode(f, y0, t_max, controls=None):
     """Adaptive RK4 with step doubling (5th-order local extrapolation).
 
+    y0 is one start, shape (n,), or a batch of starts, shape (B, n); the
+    result is one Trajectory, or a list with one per start.  f maps rows to
+    rows, (R, n) to (R, n), and must treat each row alone, so that a start
+    integrated in a batch gives the same bits as integrated alone.  Every
+    start keeps its own step size, time, counters and status; those still
+    running attempt one step each per pass.
+
     The local error estimate is the Richardson difference of one full step
     against two half steps (Hairer, Norsett and Wanner, Solving ODEs I,
     II.4).  f(y) is evaluated once per accepted state and serves as the k1
     of the full step, of the first half step, and of every retry from that
-    state, and as the stationarity residual: a run costs 1 + 10 (accepted +
-    rejected) + accepted evaluations at most.  After each attempt h is
-    rescaled by 0.9 err^(-1/5), within [0.2, 5], so it shrinks again on an
-    accepted step whose error is close to the tolerance.
+    state, and as the stationarity residual.  The full step and the first
+    half step run their remaining stages as one stacked call on 2 rows per
+    start, so an attempt costs 3 stacked calls, 4 calls for the second half
+    step and 1 for f at the accepted states: 8 calls in all, and per start
+    10 rows per attempt plus 1 per accepted step (``Trajectory.rhs_rows``).
+    After each attempt h is rescaled by 0.9 err^(-1/5), within [0.2, 5], so
+    it shrinks again on an accepted step whose error is close to the
+    tolerance.
 
     Blow-up is declared when the state norm exceeds ``blow_norm`` while
-    accepted steps have shrunk below ``blow_step``.  The run converges once
+    accepted steps have shrunk below ``blow_step``.  A start converges once
     max|f(y)| <= ``stationary_residual`` * max|y|^3 has held for
     ``stationary_steps`` accepted steps in a row (at once for stationary
     initial data, y = 0 included); the test is relative because the
     reduced flow is a homogeneous cubic, so it is unchanged by the
     rescaling y -> s y, t -> t / s^2.  Step underflow without norm growth
-    surfaces as status "error".
+    surfaces as status "error".  Non-finite values are left to these
+    tests: an error estimate that is not finite rejects the step.
     """
     c = controls or FlowControls()
     y = np.array(y0, dtype=float)
-    t = 0.0
-    times = [0.0]
-    states = [y.copy()]
-    h = min(c.h0, t_max) if t_max > 0 else c.h0
+    single = y.ndim == 1
+    if single:
+        y = y[None]
+    h0 = min(c.h0, t_max) if t_max > 0 else c.h0
     # cap growth so a run always resolves at least ~20 samples; otherwise the
     # x5 step doubling outruns both the sampling and the stationarity window
     h_cap = min(c.h_max, t_max / 20.0) if t_max > 0 else c.h_max
-    n_acc = n_rej = 0
-    still = 0
-    status, message = "reached_t_max", ""
-
-    fy = f(y)
-    if c.detect_stationary and _is_still(fy, y, c.stationary_residual):
-        return Trajectory(np.array(times), np.array(states), "converged",
-                          "stationary initial data", 0, 0)
-
-    while t < t_max:
-        if n_acc + n_rej >= c.max_steps:
-            status, message = "error", f"exceeded {c.max_steps} steps"
-            break
-        h = min(h, t_max - t, h_cap)
-        full = _rk4(f, y, h, fy)
-        half = _rk4(f, y, 0.5 * h, fy)
-        two = _rk4(f, half, 0.5 * h, f(half))
-        diff = (two - full) / 15.0
-        scale = c.atol + c.rtol * np.maximum(np.abs(y), np.abs(two))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            err = float(np.max(np.abs(diff) / scale))
-        if not np.isfinite(err):
-            err = math.inf
-        if err <= 1.0:
-            y = two + diff  # 5th-order extrapolation
-            t += h
-            n_acc += 1
-            times.append(t)
-            states.append(y.copy())
-            norm = float(np.max(np.abs(y)))
-            if norm > c.blow_norm and h < c.blow_step:
-                status, message = "blow_up", f"|y| = {norm:.3e} with step {h:.3e}"
+    members = [_Member(row, h0) for row in y]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fy = f(y)
+        if c.detect_stationary:
+            norm = np.max(np.abs(y), axis=-1)
+            for m, still in zip(members, _is_still(fy, norm, c.stationary_residual)):
+                if still:
+                    m.status, m.message = "converged", "stationary initial data"
+        active = members
+        while True:
+            keep = [k for k, m in enumerate(active) if m.running(t_max, c.max_steps)]
+            if len(keep) < len(active):
+                active = [active[k] for k in keep]
+                y, fy = y[keep], fy[keep]
+            if not active:
                 break
-            fy = f(y)
-            if c.detect_stationary:
-                still = still + 1 if _is_still(fy, y, c.stationary_residual) else 0
-                if still >= c.stationary_steps:
-                    status = "converged"
-                    message = (f"residual <= {c.stationary_residual} |y|^3 "
-                               f"for {still} steps")
-                    break
-            h *= 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-        else:
-            n_rej += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
-        if h < c.h_min or t + h == t:
-            norm = float(np.max(np.abs(y)))
-            if norm > c.blow_norm:
-                status, message = "blow_up", f"|y| = {norm:.3e} at step underflow"
-            else:
-                status, message = "error", f"step underflow at t = {t} without blow-up"
-            break
+            y, fy = _attempt(f, y, fy, active, t_max, h_cap, c)
+    trajs = [m.trajectory() for m in members]
+    return trajs[0] if single else trajs
 
-    return Trajectory(np.array(times), np.array(states), status, message,
-                      n_acc, n_rej)
+
+def _attempt(f, y, fy, active, t_max, h_cap, c):
+    """One step attempt of every running start; returns the next (y, f(y))."""
+    n = len(active)
+    for m in active:
+        m.h = min(m.h, t_max - m.t, h_cap)
+        m.rows += 10
+    h = np.array([m.h for m in active])[:, None]
+    both = _rk4(f, np.concatenate((y, y)), np.concatenate((h, 0.5 * h)),
+                np.concatenate((fy, fy)))
+    full, half = both[:n], both[n:]
+    two = _rk4(f, half, 0.5 * h, f(half))
+    diff = (two - full) / 15.0
+    scale = c.atol + c.rtol * np.maximum(np.abs(y), np.abs(two))
+    err = np.max(np.abs(diff) / scale, axis=-1).tolist()
+    y_new = two + diff  # 5th-order extrapolation
+    norm = np.max(np.abs(y_new), axis=-1).tolist()
+
+    moved = []      # accepted and still running: f is needed at y_new
+    for k, m in enumerate(active):
+        e = err[k] if math.isfinite(err[k]) else math.inf
+        if e <= 1.0:
+            m.accept(y_new[k], m.h)
+            if norm[k] > c.blow_norm and m.h < c.blow_step:
+                m.status, m.message = "blow_up", f"|y| = {norm[k]:.3e} with step {m.h:.3e}"
+            else:
+                moved.append(k)
+        else:
+            m.n_rej += 1
+            m.h *= max(0.2, 0.9 * e ** -0.2)
+            m.check_underflow(float(np.max(np.abs(y[k]))), c)
+    if not moved:
+        return y, fy
+
+    if len(moved) == n:
+        y, fy = y_new, f(y_new)
+        fy_moved = fy
+    else:
+        mask = np.zeros(n, dtype=bool)
+        mask[moved] = True
+        y = np.where(mask[:, None], y_new, y)
+        fy_moved = f(y_new[moved])
+        fy = fy.copy()
+        fy[moved] = fy_moved
+    if c.detect_stationary:
+        still = _is_still(fy_moved, np.array([norm[k] for k in moved]),
+                          c.stationary_residual)
+    for i, k in enumerate(moved):
+        m = active[k]
+        m.rows += 1
+        if c.detect_stationary:
+            m.still = m.still + 1 if still[i] else 0
+            if m.still >= c.stationary_steps:
+                m.status = "converged"
+                m.message = (f"residual <= {c.stationary_residual} |y|^3 "
+                             f"for {m.still} steps")
+                continue
+        e = err[k]
+        m.h *= 5.0 if e == 0.0 else min(5.0, 0.9 * e ** -0.2)
+        m.check_underflow(norm[k], c)
+    return y, fy
+
+
+def integrate_sweep(setup, starts, t_max, controls=None):
+    """Integrate the reduced flow from each of the initial coefficient
+    vectors in starts as one batch; one Trajectory per start, each the same
+    as integrating that start alone."""
+    y0 = np.array([[float(x) for x in c0] for c0 in starts], dtype=float)
+    y0 = y0.reshape(len(starts), len(COORD_NAMES))
+    return integrate_ode(_reduced(setup).rhs, y0, t_max, controls)
 
 
 def integrate(setup, c0, t_max, controls=None):
     """Integrate the reduced flow from initial coefficients c0."""
-    flow = _reduced(setup)
-    y0 = np.array([float(x) for x in c0], dtype=float)
-    return integrate_ode(flow.rhs, y0, t_max, controls)
+    return integrate_sweep(setup, [c0], t_max, controls)[0]
 
 
 # --- nil algebra closed form --------------------------------------------------
@@ -251,7 +373,6 @@ def normalized_limit(traj, normalizer="A", tol=1e-8, window_frac=0.05,
     with a c + k/t model, which removes the O(1/t) tail of linear growth.
     Stationary trajectories are rejected: there is nothing to normalize.
     """
-    from .invariants import COORD_NAMES
     idx = COORD_NAMES.index(normalizer) if isinstance(normalizer, str) else normalizer
     if traj.status == "converged":
         raise LimitError("trajectory is stationary; no normalized limit to take")
@@ -348,19 +469,20 @@ def solv_system_rhs(sd):
     """Hand-written right side of the four-component closed-ansatz system.
 
     Cross-check oracle only: the integrator always goes through the generic
-    reduced right side."""
+    reduced right side.  Maps rows (alpha, beta, gamma, delta) to rows, as
+    integrate_ode asks of a right side."""
     l2 = 4.0 * sd.lam ** 2
     MN2m = (sd.M - sd.N) ** 2
     MN2p = (sd.M + sd.N) ** 2
 
     def rhs(y):
-        a, b, g, d = y
-        return np.array([
+        a, b, g, d = np.asarray(y).T
+        return np.stack([
             l2 * a * (4.0 * b * g - MN2m),
             l2 * b * (4.0 * a * d - MN2p),
             l2 * g * (4.0 * a * d - MN2p),
             l2 * d * (4.0 * b * g - MN2m),
-        ])
+        ], axis=-1)
 
     return rhs
 
@@ -466,19 +588,20 @@ def _t_prime(sd):
 def solv_uv_tools(sd):
     """The u = 4 alpha delta, v = 4 beta gamma reduction: its right side, the
     symmetric comparison system, the closed form of w = e^{8 lam^2 S t} u for
-    the comparison system, and the blow-up bound T'."""
+    the comparison system, and the blow-up bound T'.  Both right sides map
+    rows (u, v) to rows, as integrate_ode asks."""
     l2 = UV_RATE * sd.lam ** 2
     MN2m = (sd.M - sd.N) ** 2
     MN2p = (sd.M + sd.N) ** 2
     S, C0, u0, v0 = sd.S, sd.C0, sd.u0, sd.v0
 
     def uv_rhs(y):
-        u, v = y
-        return np.array([l2 * u * (v - MN2m), l2 * v * (u - MN2p)])
+        u, v = np.asarray(y).T
+        return np.stack([l2 * u * (v - MN2m), l2 * v * (u - MN2p)], axis=-1)
 
     def comparison_rhs(y):
-        u, v = y
-        return np.array([l2 * u * (v - S), l2 * v * (u - S)])
+        u, v = np.asarray(y).T
+        return np.stack([l2 * u * (v - S), l2 * v * (u - S)], axis=-1)
 
     def w_closed_form(t):
         if S == 0.0:

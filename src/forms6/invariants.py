@@ -13,6 +13,7 @@ classification, and the 14-coefficient parametrization of primitive 3-forms
 """
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -750,6 +751,37 @@ def hat_map(c):
     hN = N * (-A * H - B * G + C * F + D * E) + 2 * M * (B * H - D * F) \
         + 2 * (B * J * L - D * J * K - F * I * L + H * I * K)
     return PrimitiveCoords(hA, hB, hC, hD, hE, hF, hG, hH, hI, hJ, hK, hL, hM, hN)
+
+
+@functools.cache
+def hat_monomial_table():
+    """hat_map as integer coefficients on cubic monomials.
+
+    Returns (monos, rows): monos the sorted index triples p <= q <= r of the
+    monomials c_p c_q c_r that occur, and rows[n] the 14 coefficients of
+    monomial n, so that hat_map(c)[i] = sum_n rows[n][i] c_p c_q c_r.
+    Derived on first use, not at import, by the route of -compute_F/2 with
+    the standard vol (c = 1): reading 0 of _F_TABLE at each lead mask,
+    expanded through _K_TABLE, then the coefficients of phi written in c
+    through PRIMITIVE_BASIS."""
+    lin = [[] for _ in _MASKS3]     # lin[a]: (j, s) with phi_a = sum s c_j
+    for j, b in enumerate(PRIMITIVE_BASIS):
+        for m, s in b.coeffs.items():
+            lin[_INDEX3[m]].append((j, s))
+    k_terms = [[] for _ in range(DIM * DIM)]    # entry o of c K: (a, b, t)
+    for a, b, terms in _K_TABLE:
+        for o, t in terms:
+            k_terms[o].append((a, b, t))
+    acc = {}
+    for i, lead in enumerate(_LEAD_MASKS):
+        for o, m, sign in _F_TABLE[_INDEX3[lead]][0]:
+            for a, b, t in k_terms[o]:
+                for (ja, sa), (jb, sb), (jm, sm) in itertools.product(
+                        lin[a], lin[b], lin[m]):
+                    row = acc.setdefault(tuple(sorted((ja, jb, jm))), [0] * 14)
+                    row[i] += sign * t * sa * sb * sm
+    monos = sorted(k for k, row in acc.items() if any(row))
+    return tuple(monos), tuple(tuple(acc[k]) for k in monos)
 
 
 def q_from_coords(c):

@@ -252,7 +252,7 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
 
     Returns {(i, j): (lhs 5-form, rhs 5-form)}.
     """
-    vol = volume_of(setup.omega)
+    vol = invariants._resolve_vol(setup.omega, None)
     K, F = invariants._K_and_F(phi, vol)
     dphi = setup.algebra.d(phi)
     dF = setup.algebra.d(F)
@@ -329,7 +329,7 @@ def integrability_flags(setup, phi, tol=DEFAULT_TOL):
 
     dphi = setup.algebra.d(phi)
     integrable = dphi.is_zero(0.0 if exact else tol * max(1.0, phi.max_abs()))
-    K, F = invariants._K_and_F(phi, volume_of(setup.omega))
+    K, F = invariants._K_and_F(phi, invariants._resolve_vol(setup.omega, None))
     F_integrable = setup.algebra.d(F).is_zero(ztol)
     K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= ztol
     return IntegrabilityFlags(integrable, F_integrable,

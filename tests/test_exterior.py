@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest

@@ -1,9 +1,10 @@
+import functools
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_coords
 from forms6 import flow
@@ -14,6 +15,7 @@ from forms6.exterior import basis, form_max_diff
 NIL = la.builtin_setup("nil-debartolomeis")
 SOLV = la.builtin_setup("solv-tomassini")
 AB = la.builtin_setup("abelian")
+SOLV_EXACT = la.InvariantSetup.standard(la.solv_algebra(Fraction(7, 5)))
 
 
 def rand_nil_coords(rng, h_min=0.3, h_max=1.2):
@@ -55,6 +57,47 @@ def test_reduced_rhs_solv_matches_hand_coded_system(rng):
         # the ansatz shape is preserved slot by slot
         assert r.A == r.B and r.C == -r.D and r.E == -r.F and r.G == r.H
         assert all(x == 0 for x in (r.I, r.J, r.K, r.L, r.M, r.N))
+
+
+@functools.cache
+def _matrix(setup):
+    return [[Fraction(x) for x in row] for row in la.dlambdad_coords_matrix(setup)]
+
+
+def _minus_2_M_hat(setup, c):
+    M, hat = _matrix(setup), inv.hat_map(c)
+    return [-2 * sum(M[i][j] * hat[j] for j in range(14) if M[i][j]) for i in range(14)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.fractions(-8, 8, max_denominator=12), min_size=14, max_size=14))
+def test_rhs_table_is_minus_2_M_hat_exactly(c):
+    for setup in (NIL, SOLV_EXACT):
+        monos, rows = flow.rhs_table(setup)
+        got = [0] * 14
+        for (p, q, r), row in zip(monos, rows):
+            x = c[p] * c[q] * c[r]
+            for i, t in enumerate(row):
+                if t:
+                    got[i] += t * x
+        assert got == _minus_2_M_hat(setup, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=14, max_size=14),
+       st.floats(-6.0, 6.0))
+def test_rhs_rows_agree_with_closed_form_at_scale(c, e):
+    # against -2 M hat(y) evaluated exactly on the float y, at |y| from
+    # 1e-6 to 1e6; the rows of a batch are those of single calls, bit for bit
+    y = np.array(c) * 10.0 ** e
+    bound = 1e-14 * float(np.max(np.abs(y))) ** 3
+    for setup in (NIL, SOLV):
+        rhs = flow.ReducedFlow(setup).rhs
+        got = rhs(y)
+        want = _minus_2_M_hat(setup, [Fraction(x) for x in y.tolist()])
+        assert max(abs(g - float(w)) for g, w in zip(got.tolist(), want)) <= bound
+        batch = rhs(np.stack((y[::-1], y, 2.0 * y)))
+        assert np.array_equal(batch[1], got) and np.array_equal(batch[0], rhs(y[::-1]))
 
 
 def test_reduced_rhs_abelian_zero(rng):
@@ -255,24 +298,62 @@ def test_grid_consistency_of_blow_up_time(rng):
 
 def test_rhs_evaluations_shared_between_stages(rng):
     # f(y) is evaluated once per accepted state and reused as the k1 of the
-    # full step, of the first half step and of every retry from that state
+    # full step, of the first half step and of every retry from that state;
+    # the full and the first half step share each of their other stages in
+    # one stacked call
     runs = ((SOLV, rand_solv_data(rng).to_coords(), 100.0, SOLV_CONTROLS),
             (NIL, rand_nil_coords(rng), 40.0, flow.FlowControls()),
             (NIL, rand_nil_coords(rng), 10.0,
              flow.FlowControls(detect_stationary=False)))
     for setup, c0, t_max, controls in runs:
         rhs = flow.ReducedFlow(setup).rhs
-        evals = 0
+        calls = rows = 0
 
         def f(y):
-            nonlocal evals
-            evals += 1
+            nonlocal calls, rows
+            calls += 1
+            rows += len(y)
             return rhs(y)
 
         traj = flow.integrate_ode(f, [float(x) for x in c0], t_max, controls)
         attempts = traj.n_accepted + traj.n_rejected
         assert attempts > 0
-        assert evals <= 1 + 10 * attempts + traj.n_accepted
+        assert calls <= 1 + 8 * attempts
+        assert rows <= 1 + 10 * attempts + traj.n_accepted
+        assert traj.rhs_rows == rows
+        # each step as t_{k+1} - t_k, up to the rounding of t
+        steps = np.diff(traj.times)
+        slack = 4 * np.finfo(float).eps * traj.t_final
+        assert abs(traj.min_step - steps.min()) <= slack
+        assert abs(traj.max_step - steps.max()) <= slack
+
+
+def test_sweep_members_match_solo_runs(rng):
+    # a start gives the same bits alone or in a batch, whichever of the
+    # others stop first and however their steps are accepted or rejected
+    zero = inv.PrimitiveCoords(*[0.0] * 14)
+    sweeps = ((SOLV, [rand_solv_data(rng).to_coords(), zero,
+                      rand_solv_data(rng).to_coords()], 100.0, SOLV_CONTROLS),
+              (NIL, [rand_nil_coords(rng, 0.9, 1.2), rand_nil_coords(rng, 0.9, 1.2), zero],
+               40.0, flow.FlowControls()))
+    statuses = []
+    for setup, starts, t_max, controls in sweeps:
+        batch = flow.integrate_sweep(setup, starts, t_max, controls)
+        assert len({len(t.times) for t in batch}) == 3
+        statuses += [t.status for t in batch]
+        for c0, got in zip(starts, batch):
+            solo = flow.integrate(setup, c0, t_max, controls)
+            assert np.array_equal(got.times, solo.times)
+            assert np.array_equal(got.states, solo.states)
+            assert (got.status, got.message, got.n_accepted, got.n_rejected,
+                    got.rhs_rows, got.min_step, got.max_step) == \
+                (solo.status, solo.message, solo.n_accepted, solo.n_rejected,
+                 solo.rhs_rows, solo.min_step, solo.max_step)
+    # both nil starts reject steps, so some attempts accept one row and
+    # reject another
+    assert batch[0].n_rejected > 0 and batch[1].n_rejected > 0
+    assert {"blow_up", "converged", "reached_t_max"} <= set(statuses)
+    assert flow.integrate_sweep(NIL, [], 1.0) == []
 
 
 def test_trajectory_matches_dop853_at_mid_run(rng):
@@ -294,7 +375,8 @@ def test_trajectory_matches_dop853_at_mid_run(rng):
 
 
 def test_huge_state_surfaces_as_blow_up():
-    # Python floats raise OverflowError in ** where float64 overflows to inf
+    # the cubes overflow float64 to inf; the non-finite error estimates
+    # reject every step until the step underflows at a huge norm
     with np.errstate(over="ignore", invalid="ignore"):
         traj = flow.integrate(SOLV, [1e160] * 14, 1.0)
     assert traj.status == "blow_up"

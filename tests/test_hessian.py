@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ import pytest
 from forms6 import hessian as hs
 from forms6 import invariants as inv
 from forms6 import linalg
-from forms6.exterior import basis, form_max_diff, wedge
+from forms6.exterior import wedge
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -554,6 +553,21 @@ def test_hat_map_examples():
     hats = inv.hat_map(inv.PrimitiveCoords(A=mu, H=mu))
     assert hats == inv.PrimitiveCoords(A=mu ** 3, H=-mu ** 3)
     assert inv.hat_map(inv.PrimitiveCoords()) == inv.PrimitiveCoords()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.fractions(-8, 8, max_denominator=12), min_size=14, max_size=14))
+def test_hat_monomial_table_matches_hat_map_exactly(c):
+    # the table is derived from the K and F tables, not typed in or fitted
+    monos, rows = inv.hat_monomial_table()
+    assert len(monos) == 156
+    got = [0] * 14
+    for (p, q, r), row in zip(monos, rows):
+        x = c[p] * c[q] * c[r]
+        for i, t in enumerate(row):
+            if t:
+                got[i] += t * x
+    assert got == list(inv.hat_map(c))
 
 
 def test_hat_map_matches_brute_force(rng):

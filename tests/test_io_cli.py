@@ -213,6 +213,57 @@ def test_flow_sweep(tmp_path):
         "trajectory-000.csv", "trajectory-001.csv"]
 
 
+def _without_stamp(path):
+    status = json.loads(path.read_text())
+    del status["generated_at"]
+    return status
+
+
+def test_flow_sweep_matches_solo_runs(tmp_path):
+    # one batch of three starts that stop in different ways writes the
+    # files of three single runs
+    starts = [{"A": 0.2, "B": 0.5, "D": 1.0, "F": 1.2, "G": -0.8, "H": 0.9, "J": 0.6},
+              {"A": 0.2, "D": 1.0, "F": 1.2, "G": -0.8, "J": 0.6, "L": 0.4},
+              {}]
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(starts))
+    assert run_cli("flow", "nil-debartolomeis", str(sweep), "--t-max", "20",
+                   "--out", str(tmp_path / "sweep")) == 0
+    seen = set()
+    for k, start in enumerate(starts):
+        init = tmp_path / f"start-{k}.json"
+        write_coords(init, **start)
+        solo = tmp_path / f"solo-{k}"
+        assert run_cli("flow", "nil-debartolomeis", str(init), "--t-max", "20",
+                       "--out", str(solo)) == 0
+        assert (tmp_path / "sweep" / f"trajectory-{k:03d}.csv").read_bytes() == \
+            (solo / "trajectory.csv").read_bytes()
+        status = _without_stamp(tmp_path / "sweep" / f"status-{k:03d}.json")
+        assert status == _without_stamp(solo / "status.json")
+        rows = len((solo / "trajectory.csv").read_text().splitlines()) - 1
+        attempts = status["n_accepted"] + status["n_rejected"]
+        assert status["rhs_rows"] == 1 + 10 * attempts + status["n_accepted"]
+        if attempts:
+            assert 0 < status["min_step"] <= status["max_step"]
+        else:
+            assert status["min_step"] is status["max_step"] is None
+        assert rows == 1 + status["n_accepted"]
+        seen.add(status["status"])
+    assert seen == {"converged", "reached_t_max"}
+
+
+def test_flow_require_positive_refuses_whole_sweep(tmp_path, capsys):
+    good = {"A": 1.0, "B": 1.0, "C": 0.8, "D": -0.8, "E": 1.1, "F": -1.1,
+            "G": -0.9, "H": -0.9, "M": 0.1, "N": 0.05}
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps([good, dict(good, M=3.0), good]))
+    out = tmp_path / "out"
+    err = assert_refused(capsys, "flow", "solv-tomassini", str(sweep),
+                         "--require-positive", "--out", str(out))
+    assert "dominates_M" in err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_flow_solv_with_positivity(tmp_path, capsys):
     init = tmp_path / "solv.json"
     write_coords(init, A=1.0, B=1.0, C=0.8, D=-0.8, E=1.1, F=-1.1,

@@ -249,6 +249,26 @@ def test_nijenhuis_identity_evaluates_K_once(rng, K_evaluations):
         assert len(K_evaluations) == 1
 
 
+def test_volume_of_setup_omega_taken_from_cached_tables(rng, monkeypatch):
+    # omega^3/3! comes from the per-omega tables, not from fresh wedges
+    phi = inv.coords_to_form(rand_coords(rng))
+    for setup in (NIL, SOLV_EXACT):
+        la.verify_nijenhuis_identity(setup, phi)
+        la.integrability_flags(setup, phi)
+    calls = []
+    plain_wedge = inv.wedge
+
+    def counting(a, b):
+        calls.append(1)
+        return plain_wedge(a, b)
+
+    monkeypatch.setattr(inv, "wedge", counting)
+    for setup in (NIL, SOLV_EXACT):
+        la.verify_nijenhuis_identity(setup, phi)
+        la.integrability_flags(setup, phi)
+    assert calls == []
+
+
 def test_nijenhuis_residual_is_homogeneous(rng):
     # verify_nijenhuis_identity checks D phi on int coefficients, on the
     # algebra with its structure constants scaled to int by E, and divides the
