@@ -10,6 +10,7 @@ field.
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -229,7 +230,10 @@ def cmd_hessian(args):
 
 # --- argument parsing ------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The forms6 argument parser, built once per process: parse_args keeps
+    no state between calls, so main reuses it."""
     p = argparse.ArgumentParser(
         prog="forms6",
         description="3-forms on symplectic 6-space: classification, "

@@ -389,8 +389,10 @@ def _check_primitive(phi, omega, tol, what):
 class _OmegaTables(NamedTuple):
     """W, G2 and G3 of one omega as sparse rows of (column, entry), cleared
     to int when omega is exact, with multipliers m and den such that
-    den D^2 q = m[0] W kn = m[1] C G2 C^T = m[2] C G3 C^T."""
+    den D^2 q = m[0] W kn = m[1] C G2 C^T = m[2] C G3 C^T.  Winv is W^-1 as
+    linalg.inverse gives it, for the Lefschetz contraction."""
     vol: Form
+    Winv: tuple
     W: tuple
     G2: tuple
     G3: tuple
@@ -414,11 +416,11 @@ def _omega_tables_of(grade, exact, items):
     vol = volume_of(omega)
     c = vol.coeffs[FULL_MASK]
     W = omega_matrix(omega)
-    Winv = linalg.inverse(W)
+    inverse = tuple(map(tuple, linalg.inverse(W)))
     if exact:
-        dI, Winv = _integral(Winv)  # G3 on int, divided by dI^2 below
+        dI, Winv = _integral(inverse)  # G3 on int, divided by dI^2 below
     else:
-        Winv = [[float(x) for x in r] for r in Winv]
+        Winv = [[float(x) for x in r] for r in inverse]
     G2 = [[0] * len(_MASKS2) for _ in _MASKS2]
     for p, r, w, s in _TRIPLES:
         x = omega.coeffs.get(w, 0)
@@ -436,7 +438,7 @@ def _omega_tables_of(grade, exact, items):
              den * c.denominator // (d2 * c.numerator), -den // d3)
     else:
         den, m = 1, (1 / c, 1 / c, -1)
-    return _OmegaTables(vol, _sparse(W), _sparse(G2), _sparse(G3), m, den)
+    return _OmegaTables(vol, inverse, _sparse(W), _sparse(G2), _sparse(G3), m, den)
 
 
 def _omega_tables(omega):

@@ -130,8 +130,7 @@ def lefschetz_lambda(setup, a):
     standard form, normalized so Lambda omega = 3)."""
     if a.grade < 2:
         raise GradeError("Lambda needs a form of grade >= 2")
-    W = invariants.omega_matrix(setup.omega)
-    P = linalg.inverse(W)
+    P = invariants._omega_tables(setup.omega).Winv
     out = Form.zero(a.grade - 2)
     for i in range(DIM):
         for j in range(i + 1, DIM):

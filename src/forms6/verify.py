@@ -7,16 +7,25 @@ of the 14-coefficient chart (``lemma-bc``), the gradient relations of Q
 (``gradients``), the Nijenhuis identity on the built-in algebras
 (``nijenhuis``) and the Hessian leaf geometry (``hessian``).  ``run`` returns
 (passed, report); the CLI and the acceptance tests both call it.
+
+The two exact suites call the library's K, F and Q on the drawn Fraction
+phi (or c), so its clearing of denominators is exercised, and run their own
+algebra on ints, on D phi (or D c) with D the lcm of the denominators.  Each
+identity is homogeneous in phi and linear in the integer vectors X and Y, so
+equality there is the same check, each side carrying a known power of D
+(named in the suite docstrings).  A failed report names the first check that
+broke in ``failed_check``.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
 from . import hessian, invariants as inv, io, liealg
-from .exterior import Form, interior, wedge
+from .exterior import Form, LinearMap6, interior, wedge
 
 
 def rand_fraction(rng, lo=-6, hi=6, dens=(1, 1, 2, 3)):
@@ -36,52 +45,86 @@ def rand_three_form(rng):
     return Form(3, coeffs)
 
 
+def _integral(values, s):
+    """The ints s x for the x in values, or None when one of them is not an
+    int: a library value scaled by its power of D is checked, never
+    truncated."""
+    out = [x * s for x in values]
+    if any(y.denominator != 1 for y in out):
+        return None
+    return [y.numerator for y in out]
+
+
+def _identity_checks(phi, vol, rng):
+    """(name, holds) for each check of one ``identities`` trial, in order;
+    X and Y are drawn from rng only once the K/F/Q identities hold."""
+    D, P = inv._cleared(phi)                    # P = D phi
+    k = _integral(itertools.chain(*inv.compute_K(phi, vol=vol).rows), D ** 2)
+    yield "D^2 K integral", k is not None
+    K = LinearMap6([k[i:i + 6] for i in range(0, 36, 6)])
+    F = inv.compute_F(phi, vol=vol)
+    f = _integral(F.coeffs.values(), D ** 3)
+    yield "D^3 F integral", f is not None
+    FP = Form(3, dict(zip(F.coeffs, f)))        # D^3 F
+    pf = wedge(P, FP)                           # D^4 phi ^ F
+    Q = -pf.coeffs.get(63, 0)                   # D^4 Q
+    yield "K K = (Q/4) id", K.compose(K).scale(4) == LinearMap6.diagonal([Q] * 6)
+    yield "K(F) = -Q K", inv.compute_K(F, vol=vol).scale(D ** 6) == K.scale(-Q)
+    yield "F(F) = -Q^2 phi", inv.compute_F(F, vol=vol) * D ** 9 == P * (-Q * Q)
+    X = [rng.randint(-4, 4) for _ in range(6)]
+    Y = [rng.randint(-4, 4) for _ in range(6)]
+    iXP, iXF = interior(X, P), interior(X, FP)
+    iXP_F = wedge(iXP, FP)                      # both sides of each: D^4
+    yield "i_X phi ^ F = -phi ^ i_X F", iXP_F == -wedge(P, iXF)
+    yield "i_X phi ^ F = i_X(phi ^ F)/2", iXP_F * 2 == interior(X, pf)
+    o21 = wedge(iXP, interior(Y, FP)) + wedge(interior(Y, P), iXF)
+    yield "i_X phi ^ i_Y F + i_Y phi ^ i_X F = 0", not o21
+    yield ("i_Y i_X phi ^ F = phi ^ i_Y i_X F",
+           wedge(interior(Y, iXP), FP) == wedge(P, interior(Y, iXF)))
+
+
 def _suite_identities(seed, trials, report):
-    """Exact polynomial identities of K, F, Q and the contraction lemma."""
+    """Exact polynomial identities of K, F, Q and the contraction lemma, on
+    P = D phi: K carries D^2, F D^3, Q D^4, K(F) D^6, F(F) D^9 and each side
+    of the contraction lemma D^4."""
     rng = random.Random(seed)
     vol = inv.volume_of(inv.standard_omega())
     for n in range(trials):
         phi = inv.coords_to_form(rand_coords(rng)) if n % 2 else rand_three_form(rng)
-        K = inv.compute_K(phi, vol=vol)
-        F = inv.compute_F(phi, vol=vol)
-        pf = wedge(phi, F)
-        Q = -pf.coeffs.get(63, 0)
-        KK = K.compose(K)
-        ok = all(KK.rows[i][j] == (Fraction(Q, 4) if i == j else 0)
-                 for i in range(6) for j in range(6))
-        KF = inv.compute_K(F, vol=vol)
-        ok = ok and all(KF.rows[i][j] == -Q * K.rows[i][j]
-                        for i in range(6) for j in range(6))
-        FF = inv.compute_F(F, vol=vol)
-        ok = ok and FF == phi.map_coeffs(lambda x: -Q * Q * x)
-        X = [Fraction(rng.randint(-4, 4)) for _ in range(6)]
-        Y = [Fraction(rng.randint(-4, 4)) for _ in range(6)]
-        iXphi, iXF = interior(X, phi), interior(X, F)
-        iXphi_F = wedge(iXphi, F)
-        ok = ok and iXphi_F == -wedge(phi, iXF)
-        ok = ok and iXphi_F == interior(X, pf).map_coeffs(lambda v: Fraction(v, 2))
-        o21 = wedge(iXphi, interior(Y, F)) + wedge(interior(Y, phi), iXF)
-        ok = ok and not o21.coeffs
-        ok = ok and wedge(interior(Y, iXphi), F) == wedge(phi, interior(Y, iXF))
-        if not ok:
+        # the checks are drawn lazily: none runs after the first failure
+        checks = _identity_checks(phi, vol, rng)
+        failed = next((name for name, holds in checks if not holds), None)
+        if failed:
             report["counterexample"] = io.form_to_json(phi)
+            report["failed_check"] = failed
             return False
     report["residual"] = 0.0
     return True
 
 
+def _lemma_bc_checks(c, omega):
+    """(name, holds) for each check of one ``lemma-bc`` trial."""
+    D = math.lcm(*(x.denominator for x in c))
+    cD = inv.PrimitiveCoords(*(x.numerator * (D // x.denominator) for x in c))
+    phi = inv.coords_to_form(cD).map_coeffs(lambda x: Fraction(x, D))
+    hat = inv.coords_to_form(inv.hat_map(cD))   # D^3 (-F/2)
+    yield "hat_map", hat * -2 == inv.compute_F(phi, omega) * D ** 3
+    yield "q_from_coords", inv.q_from_coords(cD) == inv.compute_Q(phi, omega) * D ** 4
+
+
 def _suite_lemma_bc(seed, trials, report):
-    """Closed-form hat map and quartic against the brute-force invariants."""
+    """Closed-form hat map and quartic against the brute-force invariants,
+    on D c: hat(D c) = D^3 hat(c) against D^3 F and q(D c) = D^4 q(c)
+    against D^4 Q, with F and Q from the library on the Fraction phi."""
     rng = random.Random(seed)
     omega = inv.standard_omega()
     for _ in range(trials):
         c = rand_coords(rng)
-        phi = inv.coords_to_form(c)
-        lhs = inv.coords_to_form(inv.hat_map(c))
-        F = inv.compute_F(phi, omega)
-        rhs = F.map_coeffs(lambda x: Fraction(x, -2))
-        if lhs != rhs or inv.q_from_coords(c) != inv.compute_Q(phi, omega):
+        failed = next((name for name, holds in _lemma_bc_checks(c, omega)
+                       if not holds), None)
+        if failed:
             report["counterexample"] = io.coords_to_json(c)
+            report["failed_check"] = failed
             return False
     report["residual"] = 0.0
     return True

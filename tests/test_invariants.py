@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -568,6 +569,24 @@ def test_hat_monomial_table_matches_hat_map_exactly(c):
             if t:
                 got[i] += t * x
     assert got == list(inv.hat_map(c))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.fractions(-8, 8, max_denominator=12), min_size=14, max_size=14),
+       exact_forms, exact_vols)
+def test_scaling_by_cleared_denominators_is_exact(c, phi, vol):
+    # the exact verification suites check each identity on D c and D phi,
+    # D the lcm of the denominators, and rely on these degrees
+    c = inv.PrimitiveCoords(*c)
+    D = math.lcm(*(x.denominator for x in c))
+    cD = inv.PrimitiveCoords(*(x * D for x in c))
+    assert inv.hat_map(cD) == tuple(x * D ** 3 for x in inv.hat_map(c))
+    assert inv.q_from_coords(cD) == inv.q_from_coords(c) * D ** 4
+    assert inv.coords_to_form(cD) == inv.coords_to_form(c) * D
+    D, P = inv._cleared(phi)
+    assert P == phi * D and all(type(x) is int for x in P.coeffs.values())
+    assert inv.compute_K(P, vol=vol) == inv.compute_K(phi, vol=vol).scale(D ** 2)
+    assert inv.compute_F(P, vol=vol) == inv.compute_F(phi, vol=vol) * D ** 3
 
 
 def test_hat_map_matches_brute_force(rng):

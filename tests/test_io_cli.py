@@ -150,7 +150,31 @@ def test_verify_negative_control(monkeypatch, tmp_path):
                    "--trials", "50", "--out", str(out)) == 1
     rep = json.loads(out.read_text())
     assert rep["passed"] is False
+    assert rep["failed_check"] == "hat_map"
     inv.coords_to_form(io.coords_from_json(rep["counterexample"]))
+
+
+@pytest.mark.parametrize("error, check", [(Fraction(1, 7), "D^3 F integral"),
+                                          (1, "K K = (Q/4) id")],
+                         ids=("seventh", "integer"))
+def test_verify_identities_negative_control(monkeypatch, tmp_path, error, check):
+    # a corrupted F must fail with a serialized counterexample and the name
+    # of the check it broke; the suite scales F by D^3 with D in {1, 2, 3, 6},
+    # which cannot clear a seventh, so that error fails as non-integral
+    # instead of being truncated away
+    compute_F = inv.compute_F
+
+    def corrupted(phi, *args, **kwargs):
+        return compute_F(phi, *args, **kwargs) + basis(1, 3, 5) * error
+
+    monkeypatch.setattr(inv, "compute_F", corrupted)
+    out = tmp_path / "neg.json"
+    assert run_cli("verify", "--suite", "identities", "--seed", "3",
+                   "--trials", "50", "--out", str(out)) == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    assert rep["failed_check"] == check
+    io.form_from_json(rep["counterexample"], grade=3)
 
 
 def test_verify_and_hessian_require_trials(capsys):
@@ -162,8 +186,43 @@ def test_verify_and_hessian_require_trials(capsys):
 
 
 def test_verify_unknown_suite(capsys):
+    # the parser is built once per process; it still refuses after a run
+    assert run_cli("verify", "--suite", "lemma-bc", "--trials", "1") == 0
     with pytest.raises(SystemExit):
         run_cli("verify", "--suite", "nope")
+
+
+def _unstamped(path):
+    return re.sub(rb'"generated_at": "[^"]*"', b'"generated_at": "X"',
+                  path.read_bytes())
+
+
+def test_repeated_calls_in_one_process_write_the_same_bytes(tmp_path, capsys):
+    # the parser and the per-omega tables outlive a call; a second round of
+    # the same calls, each followed by a refused one, writes the same bytes
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps([{"A": 0.1, "H": 0.5}, {"A": -0.3, "H": 0.7}]))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    refused = [("classify", str(bad)),
+               ("verify", "--suite", "identities", "--trials", "0"),
+               ("flow", "nil-debartolomeis", str(sweep), "--t-max", "nan"),
+               ("flow", "nil-debartolomeis", str(bad))]
+    rounds = []
+    for k in (0, 1):
+        out = tmp_path / f"round-{k}"
+        out.mkdir()
+        for suite, bad_call in zip(("identities", "lemma-bc", "nijenhuis"), refused):
+            assert run_cli("verify", "--suite", suite, "--seed", "5", "--trials", "6",
+                           "--out", str(out / f"{suite}.json")) == 0
+            assert_refused(capsys, *bad_call)
+        assert run_cli("flow", "nil-debartolomeis", str(sweep), "--t-max", "2",
+                       "--out", str(out / "flow")) == 0
+        assert_refused(capsys, *refused[-1])
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert len(files) == 7
+        rounds.append({f: _unstamped(out / f) for f in files})
+    assert rounds[0] == rounds[1]
 
 
 # --- flow --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from conftest import rand_coords, rand_form
 from forms6 import invariants as inv
 from forms6 import liealg as la
+from forms6 import linalg
 from forms6.exterior import Form, GradeError, basis, form_max_diff, interior, wedge
 
 NIL = la.builtin_setup("nil-debartolomeis")
@@ -125,6 +126,40 @@ def test_lambda_paired_contraction_oracle(rng):
 def test_lambda_grade_error():
     with pytest.raises(GradeError):
         la.lefschetz_lambda(NIL, basis(1))
+
+
+def test_dlambdad_matrix_takes_omega_inverse_from_cached_tables(monkeypatch):
+    # Lambda reads W^-1 from the per-omega tables: the 14 x 14 matrix equals
+    # the one built on a fresh inverse, and a warm build inverts nothing
+    def fresh_lambda(setup, a):
+        P = linalg.inverse(inv.omega_matrix(setup.omega))
+        out = Form.zero(a.grade - 2)
+        for i in range(6):
+            for j in range(i + 1, 6):
+                if P[j][i]:
+                    ei, ej = [0] * 6, [0] * 6
+                    ei[i] = ej[j] = 1
+                    out = out + interior(ej, interior(ei, a)) * P[j][i]
+        return out
+
+    setups = (NIL, SOLV, SOLV_EXACT)
+    for setup in setups:
+        d = setup.algebra.d
+        cols = [inv.form_to_coords(d(fresh_lambda(setup, d(b))))
+                for b in inv.PRIMITIVE_BASIS]
+        assert la.dlambdad_coords_matrix(setup) == \
+            [[cols[j][i] for j in range(14)] for i in range(14)]
+    calls = []
+    plain_inverse = linalg.inverse
+
+    def counting(rows):
+        calls.append(1)
+        return plain_inverse(rows)
+
+    monkeypatch.setattr(linalg, "inverse", counting)
+    for setup in setups:
+        la.dlambdad_coords_matrix(setup)
+    assert calls == []
 
 
 def test_primitive_iff_lambda_zero(rng):
