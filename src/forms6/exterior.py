@@ -13,6 +13,7 @@ Conventions
 * Vectors are plain length-6 sequences in the basis dual to e^1..e^6.
 """
 
+import math
 from fractions import Fraction
 
 DIM = 6
@@ -48,6 +49,22 @@ def axes_from_mask(mask):
 def is_exact(x):
     """True for scalars of the exact backend (int or Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _clear_denominators(xs):
+    """(D, [D x for x in xs]) for exact scalars xs, D the lcm of their
+    denominators, so that every D x is an int."""
+    xs = list(xs)
+    D = math.lcm(*(x.denominator for x in xs))
+    return D, [x.numerator * (D // x.denominator) for x in xs]
+
+
+def _exact_div(a, b):
+    """a / b, kept exact as a Fraction when both are int; Fraction / int
+    stays a Fraction and a float operand gives a float, as with ``/``."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
 
 
 def _build_wedge_signs():
@@ -106,23 +123,6 @@ class Form:
     @classmethod
     def zero(cls, grade):
         return cls(grade, {})
-
-    @classmethod
-    def from_terms(cls, terms, grade=None):
-        """Build from (coefficient, axes) pairs; grade inferred if omitted."""
-        coeffs = {}
-        for c, axes in terms:
-            m = mask_from_axes(axes)
-            if grade is None:
-                grade = m.bit_count()
-            coeffs[m] = coeffs.get(m, 0) + c
-        if grade is None:
-            raise ValueError("grade required for an empty term list")
-        return cls(grade, coeffs)
-
-    def term(self, *axes):
-        """Coefficient of e^{axes} (0 if absent)."""
-        return self.coeffs.get(mask_from_axes(axes), 0)
 
     def items(self):
         return self.coeffs.items()
@@ -292,10 +292,6 @@ class LinearMap6:
     def __eq__(self, other):
         return isinstance(other, LinearMap6) and other.rows == self.rows
 
-    def det(self):
-        from . import linalg
-        return linalg.det(self.rows)
-
     def inverse(self):
         from . import linalg
         return LinearMap6(linalg.inverse(self.rows))
@@ -339,12 +335,7 @@ def vector_of_five_form(beta, vol):
         if b == 0:
             u.append(0)
             continue
-        s = b if i % 2 == 0 else -b
-        # keep int/int exact instead of decaying to float
-        if isinstance(s, int) and isinstance(c, int):
-            u.append(Fraction(s, c))
-        else:
-            u.append(s / c)
+        u.append(_exact_div(b if i % 2 == 0 else -b, c))
     return tuple(u)
 
 

@@ -86,19 +86,22 @@ def reduced_rhs(setup, coords):
 
 # --- adaptive integrator ------------------------------------------------------
 
+# thresholds of integrate_ode that no caller sets; FlowControls holds the
+# ones the CLI exposes
+ATOL = 1e-12
+H0 = 1e-3
+H_MIN = 1e-14
+BLOW_STEP = 1e-12            # blow-up once accepted steps shrink below this
+STATIONARY_RESIDUAL = 1e-10  # max|f(y)| relative to max|y|^3
+STATIONARY_STEPS = 10
+MAX_STEPS = 2_000_000
+
+
 @dataclass
 class FlowControls:
     rtol: float = 1e-9
-    atol: float = 1e-12
-    h0: float = 1e-3
-    h_min: float = 1e-14
-    h_max: float = math.inf     # additionally capped at t_max/20 per run
-    blow_norm: float = 1e8       # coefficient norm declaring blow-up ...
-    blow_step: float = 1e-12     # ... once accepted steps shrink below this
-    stationary_residual: float = 1e-10  # max|f(y)| relative to max|y|^3
-    stationary_steps: int = 10
+    blow_norm: float = 1e8       # coefficient norm declaring blow-up
     detect_stationary: bool = True
-    max_steps: int = 2_000_000
 
 
 @dataclass
@@ -138,13 +141,13 @@ class _Member:
         self.status = None
         self.message = ""
 
-    def running(self, t_max, max_steps):
+    def running(self, t_max):
         """Whether the start takes another attempt; one that has used up
-        max_steps stops here with status "error"."""
+        MAX_STEPS stops here with status "error"."""
         if self.status is not None or self.t >= t_max:
             return False
-        if self.n_acc + self.n_rej >= max_steps:
-            self.status, self.message = "error", f"exceeded {max_steps} steps"
+        if self.n_acc + self.n_rej >= MAX_STEPS:
+            self.status, self.message = "error", f"exceeded {MAX_STEPS} steps"
             return False
         return True
 
@@ -160,7 +163,7 @@ class _Member:
             self.max_step = max(self.max_step, h)
 
     def check_underflow(self, norm, c):
-        if self.h < c.h_min or self.t + self.h == self.t:
+        if self.h < H_MIN or self.t + self.h == self.t:
             if norm > c.blow_norm:
                 self.status = "blow_up"
                 self.message = f"|y| = {norm:.3e} at step underflow"
@@ -213,9 +216,9 @@ def integrate_ode(f, y0, t_max, controls=None):
     tolerance.
 
     Blow-up is declared when the state norm exceeds ``blow_norm`` while
-    accepted steps have shrunk below ``blow_step``.  A start converges once
-    max|f(y)| <= ``stationary_residual`` * max|y|^3 has held for
-    ``stationary_steps`` accepted steps in a row (at once for stationary
+    accepted steps have shrunk below ``BLOW_STEP``.  A start converges once
+    max|f(y)| <= ``STATIONARY_RESIDUAL`` * max|y|^3 has held for
+    ``STATIONARY_STEPS`` accepted steps in a row (at once for stationary
     initial data, y = 0 included); the test is relative because the
     reduced flow is a homogeneous cubic, so it is unchanged by the
     rescaling y -> s y, t -> t / s^2.  Step underflow without norm growth
@@ -227,21 +230,21 @@ def integrate_ode(f, y0, t_max, controls=None):
     single = y.ndim == 1
     if single:
         y = y[None]
-    h0 = min(c.h0, t_max) if t_max > 0 else c.h0
+    h0 = min(H0, t_max) if t_max > 0 else H0
     # cap growth so a run always resolves at least ~20 samples; otherwise the
     # x5 step doubling outruns both the sampling and the stationarity window
-    h_cap = min(c.h_max, t_max / 20.0) if t_max > 0 else c.h_max
+    h_cap = t_max / 20.0 if t_max > 0 else math.inf
     members = [_Member(row, h0) for row in y]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fy = f(y)
         if c.detect_stationary:
             norm = np.max(np.abs(y), axis=-1)
-            for m, still in zip(members, _is_still(fy, norm, c.stationary_residual)):
+            for m, still in zip(members, _is_still(fy, norm, STATIONARY_RESIDUAL)):
                 if still:
                     m.status, m.message = "converged", "stationary initial data"
         active = members
         while True:
-            keep = [k for k, m in enumerate(active) if m.running(t_max, c.max_steps)]
+            keep = [k for k, m in enumerate(active) if m.running(t_max)]
             if len(keep) < len(active):
                 active = [active[k] for k in keep]
                 y, fy = y[keep], fy[keep]
@@ -264,7 +267,7 @@ def _attempt(f, y, fy, active, t_max, h_cap, c):
     full, half = both[:n], both[n:]
     two = _rk4(f, half, 0.5 * h, f(half))
     diff = (two - full) / 15.0
-    scale = c.atol + c.rtol * np.maximum(np.abs(y), np.abs(two))
+    scale = ATOL + c.rtol * np.maximum(np.abs(y), np.abs(two))
     err = np.max(np.abs(diff) / scale, axis=-1).tolist()
     y_new = two + diff  # 5th-order extrapolation
     norm = np.max(np.abs(y_new), axis=-1).tolist()
@@ -274,7 +277,7 @@ def _attempt(f, y, fy, active, t_max, h_cap, c):
         e = err[k] if math.isfinite(err[k]) else math.inf
         if e <= 1.0:
             m.accept(y_new[k], m.h)
-            if norm[k] > c.blow_norm and m.h < c.blow_step:
+            if norm[k] > c.blow_norm and m.h < BLOW_STEP:
                 m.status, m.message = "blow_up", f"|y| = {norm[k]:.3e} with step {m.h:.3e}"
             else:
                 moved.append(k)
@@ -297,15 +300,15 @@ def _attempt(f, y, fy, active, t_max, h_cap, c):
         fy[moved] = fy_moved
     if c.detect_stationary:
         still = _is_still(fy_moved, np.array([norm[k] for k in moved]),
-                          c.stationary_residual)
+                          STATIONARY_RESIDUAL)
     for i, k in enumerate(moved):
         m = active[k]
         m.rows += 1
         if c.detect_stationary:
             m.still = m.still + 1 if still[i] else 0
-            if m.still >= c.stationary_steps:
+            if m.still >= STATIONARY_STEPS:
                 m.status = "converged"
-                m.message = (f"residual <= {c.stationary_residual} |y|^3 "
+                m.message = (f"residual <= {STATIONARY_RESIDUAL} |y|^3 "
                              f"for {m.still} steps")
                 continue
         e = err[k]
@@ -364,14 +367,15 @@ class LimitError(RuntimeError):
     pass
 
 
-def normalized_limit(traj, normalizer="A", tol=1e-8, window_frac=0.05,
-                     growth_factor=1e3):
-    """Limit of phi(t)/c_normalizer(t) over the final window, classified.
+def normalized_limit(traj, normalizer="A"):
+    """Limit of phi(t)/c_normalizer(t) over the final window (the last 5% of
+    the samples, at least 3), classified.
 
     Blow-up trajectories use final-window averaging (ratio drift there is
-    negligible); divergent reached_t_max trajectories extrapolate each ratio
-    with a c + k/t model, which removes the O(1/t) tail of linear growth.
-    Stationary trajectories are rejected: there is nothing to normalize.
+    negligible); reached_t_max trajectories must have grown in norm by 1e3,
+    and extrapolate each ratio with a c + k/t model, which removes the
+    O(1/t) tail of linear growth.  Stationary trajectories are rejected:
+    there is nothing to normalize.
     """
     idx = COORD_NAMES.index(normalizer) if isinstance(normalizer, str) else normalizer
     if traj.status == "converged":
@@ -380,11 +384,11 @@ def normalized_limit(traj, normalizer="A", tol=1e-8, window_frac=0.05,
         raise LimitError(f"trajectory failed: {traj.message}")
     norm0 = float(np.max(np.abs(traj.states[0]))) or 1.0
     normf = float(np.max(np.abs(traj.final_state)))
-    if traj.status == "reached_t_max" and normf < growth_factor * norm0:
+    if traj.status == "reached_t_max" and normf < 1e3 * norm0:
         raise LimitError(
             f"no divergence detected: final norm {normf:.3e} vs initial {norm0:.3e}")
     n = len(traj.times)
-    w = max(3, int(window_frac * n))
+    w = max(3, int(0.05 * n))
     ts = traj.times[-w:]
     den = traj.states[-w:, idx]
     if np.any(den == 0.0):
@@ -409,7 +413,7 @@ def normalized_limit(traj, normalizer="A", tol=1e-8, window_frac=0.05,
             f"window of {w} samples ending at t = {ts[-1]:.6g}")
     limit_coords = PrimitiveCoords(*coords)
     form = coords_to_form(limit_coords)
-    orbit = classify_sp(form, tol=tol)
+    orbit = classify_sp(form)
     return form, orbit
 
 

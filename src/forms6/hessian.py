@@ -18,6 +18,7 @@ stays rational whenever the metric, the fiber point and sqrt(det g) are
 rational.  Any other C forces floats.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .exterior import Form, basis, is_exact, wedge
+from .exterior import Form, _exact_div, basis, form_max_diff, is_exact, wedge
 from .invariants import _K_and_F, _exact_sqrt, volume_of
 
 
@@ -35,7 +36,8 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class BaseMetric3:
-    """A positive-definite 3x3 base metric (constant along each leaf)."""
+    """A positive-definite 3x3 base metric (constant along each leaf).
+    det, inv and sqrt_det are computed on first use and kept."""
     g: tuple
 
     def __init__(self, g):
@@ -50,15 +52,15 @@ class BaseMetric3:
             raise ValueError("base metric must be positive definite")
         object.__setattr__(self, "g", rows)
 
-    @property
+    @functools.cached_property
     def det(self):
         return linalg.det(self.g)
 
-    @property
+    @functools.cached_property
     def inv(self):
         return linalg.inverse(self.g)
 
-    @property
+    @functools.cached_property
     def sqrt_det(self):
         return _exact_sqrt(self.det)
 
@@ -93,19 +95,16 @@ class FiberPoint:
         g = metric.g
         t = self.t
         num = sum(t[j] * t[k] * g[j][k] for j in range(3) for k in range(3))
-        d = metric.det
-        if is_exact(num) and is_exact(d):
-            return Fraction(num) / Fraction(d)
-        return float(num) / float(d)
+        return _exact_div(num, metric.det)
 
     def rho(self, metric):
         return math.sqrt(float(self.r(metric)))
 
-    def validate(self, metric, margin=1e-6):
+    def validate(self, metric):
         r = self.r(metric)
         if self.C != 0 and float(r) <= 0.0:
             raise DomainError("r must be positive when C != 0")
-        if self.C < 0 and float(r) <= (-float(self.C)) ** (2.0 / 3.0) + margin:
+        if self.C < 0 and float(r) <= (-float(self.C)) ** (2.0 / 3.0) + 1e-6:
             raise DomainError(
                 f"r = {float(r):.6g} inside the excised ball r <= (-C)^(2/3)")
         return r
@@ -114,12 +113,8 @@ class FiberPoint:
 def _grad_r(metric, p):
     """dr/dt^j = 2 g_{jk} t^k / det g."""
     g, d, t = metric.g, metric.det, p.t
-    out = []
-    for j in range(3):
-        num = 2 * sum(g[j][k] * t[k] for k in range(3))
-        out.append(Fraction(num) / Fraction(d)
-                   if is_exact(num) and is_exact(d) else float(num) / float(d))
-    return tuple(out)
+    return tuple(_exact_div(2 * sum(g[j][k] * t[k] for k in range(3)), d)
+                 for j in range(3))
 
 
 def build_six_forms(metric, p):
@@ -140,8 +135,7 @@ def build_six_forms(metric, p):
     omega = Form.zero(2)
     for k in range(3):
         for j in range(3):
-            c = g[k][j] / s if not (is_exact(g[k][j]) and is_exact(s)) \
-                else Fraction(g[k][j]) / Fraction(s)
+            c = _exact_div(g[k][j], s)
             if c != 0:
                 omega = omega + Form(2, {(1 << k) | (1 << (3 + j)): conv(c)})
 
@@ -217,26 +211,21 @@ def leaf_data(metric, p):
     V = [[2 * f * s * ((fr if j == k else 0) - (fp * P[j] * t[k] if fp != 0 else 0))
           for k in range(3)] for j in range(3)]
 
-    S = _scalar_curvature_value(h_inv, h3)
+    hi = np.array([[float(x) for x in row] for row in h_inv])
+    t3 = np.array([[[float(x) for x in row] for row in mat] for mat in h3])
+    S = float(0.25 * np.einsum("st,ik,jl,sil,tkj->", hi, hi, hi, t3, t3))
     return HessianLeafData(h, h_inv, h3, V, S)
 
 
-def _scalar_curvature_value(h_inv, h3):
-    hi = np.array([[float(x) for x in row] for row in h_inv])
-    t3 = np.array([[[float(x) for x in row] for row in mat] for mat in h3])
-    return float(0.25 * np.einsum("st,ik,jl,sil,tkj->", hi, hi, hi, t3, t3))
-
-
 def scalar_curvature(data):
-    """(S, Ricci) from the contracted third-derivative expressions.
-
-    Ricci_{jk} = (1/4) h^{st} h^{lp} h_{jps} h_{klt}; its trace against
-    h^{jk} reproduces S."""
+    """(S, Ricci): S = (1/4) h^{st} h^{ik} h^{jl} h_{sil} h_{tkj} as
+    leaf_data computed it, and Ricci_{jk} = (1/4) h^{st} h^{lp} h_{jps}
+    h_{klt} from the contracted third derivatives; its trace against h^{jk}
+    reproduces S."""
     hi = np.array([[float(x) for x in row] for row in data.h_inv])
     t3 = np.array([[[float(x) for x in row] for row in mat] for mat in data.h3])
     ricci = 0.25 * np.einsum("st,lp,jps,klt->jk", hi, hi, t3, t3)
-    S = float(0.25 * np.einsum("st,ik,jl,sil,tkj->", hi, hi, hi, t3, t3))
-    return S, ricci
+    return data.S, ricci
 
 
 def closed_form_scalar_curvature(metric, p):
@@ -294,7 +283,7 @@ def affine_derivative_check(metric, p, step=1e-6):
     return worst
 
 
-def fiber_verifications(metric, p, tol=1e-10):
+def fiber_verifications(metric, p):
     """Pointwise checks of the construction: primitivity of phi_f, the closed
     form of F(phi_f), annihilation of the fiber directions by K, agreement of
     the K-images of the base directions with the affine frame, the
@@ -305,9 +294,7 @@ def fiber_verifications(metric, p, tol=1e-10):
     prim = wedge(omega, phi).max_abs()
     K, F = _K_and_F(phi, vol)
     s = float(metric.sqrt_det)
-    F_target = basis(1, 2, 3) * (-4.0 * s)
-    F_res = max((abs(float(F.coeffs.get(m, 0)) - float(F_target.coeffs.get(m, 0)))
-                 for m in set(F.coeffs) | set(F_target.coeffs)), default=0.0)
+    F_res = form_max_diff(F, basis(1, 2, 3) * (-4.0 * s))
     fiber_res = max(abs(float(K.rows[i][j])) for i in range(6) for j in range(3, 6))
     data = leaf_data(metric, p)
     frame_res = 0.0

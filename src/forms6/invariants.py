@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 from . import linalg
 from .exterior import (_WSIGN, DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
-                       LinearMap6, basis, interior, is_exact, pullback,
-                       vector_of_five_form, wedge)
+                       LinearMap6, _clear_denominators, _exact_div, basis,
+                       interior, is_exact, pullback, vector_of_five_form,
+                       wedge)
 
 # GL(V) orbit labels
 O_MINUS = "O-"
@@ -51,8 +52,7 @@ def volume_of(omega):
     """omega^3/3!; raises on degenerate omega."""
     if omega.grade != 2:
         raise GradeError("symplectic form must have grade 2")
-    w3 = wedge(wedge(omega, omega), omega)
-    vol = w3 / 6 if not w3.is_exact() else w3.map_coeffs(lambda c: Fraction(c, 6))
+    vol = wedge(wedge(omega, omega), omega).map_coeffs(lambda c: _exact_div(c, 6))
     if not vol:
         raise ValueError("degenerate symplectic form: omega^3 = 0")
     return vol
@@ -217,9 +217,8 @@ class _Scaled(NamedTuple):
 def _cleared(phi):
     """(D, D phi) for an exact form phi, with D the lcm of its denominators
     and D phi on int coefficients."""
-    D = math.lcm(*(x.denominator for x in phi.coeffs.values()))
-    return D, Form(phi.grade, {m: x.numerator * (D // x.denominator)
-                               for m, x in phi.coeffs.items()})
+    D, ints = _clear_denominators(phi.coeffs.values())
+    return D, Form(phi.grade, dict(zip(phi.coeffs, ints)))
 
 
 def _scaled(phi, vol):
@@ -227,13 +226,13 @@ def _scaled(phi, vol):
         raise GradeError("K is defined for 3-forms")
     c = vol.coeffs[FULL_MASK]
     exact = is_exact(c) and phi.is_exact()
-    D = 1
+    D, xs = 1, phi.coeffs.values()
     if exact:
-        D, phi = _cleared(phi)
+        D, xs = _clear_denominators(xs)
     elif is_exact(c):
         c = float(c)
     v = [0] * len(_MASKS3)
-    for m, x in phi.coeffs.items():
+    for m, x in zip(phi.coeffs, xs):
         v[_INDEX3[m]] = x
     return _Scaled(v, D, c, exact)
 
@@ -340,9 +339,7 @@ def _Q_of(s, kn):
     gn = _F_numerators(kn, s, DEFAULT_TOL)
     # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
     top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(s.v, _Q_TABLE) if x)
-    if s.exact:
-        return Fraction(top, s.D ** 4) / (s.c * s.c)
-    return top / (s.c * s.c)
+    return _exact_div(top, s.D ** 4) / (s.c * s.c)
 
 
 def compute_Q(phi, omega=None, vol=None):
@@ -406,8 +403,9 @@ def _sparse(rows):
 
 def _integral(rows):
     """(d, d rows on int), d the lcm of the denominators of exact rows."""
-    d = math.lcm(*(x.denominator for r in rows for x in r))
-    return d, [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+    d, ints = _clear_denominators(itertools.chain(*rows))
+    it = iter(ints)
+    return d, [[next(it) for _ in r] for r in rows]
 
 
 @functools.lru_cache(maxsize=16)
@@ -700,12 +698,11 @@ _LEAD_MASKS = tuple(sorted(f.coeffs)[0] for f in PRIMITIVE_BASIS)
 
 
 def coords_to_form(c):
-    """The primitive 3-form with the given coefficients (standard omega)."""
-    out = Form.zero(3)
-    for x, b in zip(c, PRIMITIVE_BASIS):
-        if x != 0:
-            out = out + b * x
-    return out
+    """The primitive 3-form with the given coefficients (standard omega):
+    the sum of x b over the PRIMITIVE_BASIS forms b, whose masks are
+    disjoint, so each coefficient is s x for the sign s of its mask."""
+    return Form(3, {m: s * x for x, b in zip(c, PRIMITIVE_BASIS) if x != 0
+                    for m, s in b.coeffs.items()})
 
 
 def form_to_coords(phi, tol=DEFAULT_TOL):
@@ -932,13 +929,9 @@ def hitchin_data(phi, omega=None, tol=1e-8):
     if _q_is_zero(phi, Q, tol) or Q > 0:
         raise ValueError(f"not in O-: Q(phi) = {Q} >= 0")
     normsq = _exact_sqrt(-Q)
-    lam = Q / 4 if not is_exact(Q) else Fraction(Q, 4)
-    K = _K_of(s, kn)
+    lam = Q / 4
     root = _exact_sqrt(-lam)  # = normsq / 2
-    if is_exact(root) and linalg.matrix_is_exact(K.rows):
-        J = LinearMap6([[Fraction(x) / root for x in r] for r in K.rows])
-    else:
-        J = LinearMap6([[float(x) / float(root) for x in r] for r in K.rows])
+    J = LinearMap6([[_exact_div(x, root) for x in r] for r in _K_of(s, kn).rows])
     phihat = pullback(J, phi)
     return HitchinData(J, normsq, phihat, lam)
 

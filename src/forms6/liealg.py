@@ -20,7 +20,8 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import invariants, io, linalg
-from .exterior import DIM, DEFAULT_TOL, Form, GradeError, interior, wedge
+from .exterior import (DIM, DEFAULT_TOL, Form, GradeError, _clear_denominators,
+                       interior, wedge)
 from .invariants import (PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
                          compute_K, coords_to_form, form_to_coords,
                          standard_omega, volume_of)
@@ -176,11 +177,12 @@ def dlambdad_coords_matrix(setup):
     return [[cols[j][i] for j in range(14)] for i in range(14)]
 
 
-def kernel_of_dlambdad(setup, tol=1e-10):
+def kernel_of_dlambdad(setup):
     """Basis (list of Forms) of the kernel of d Lambda d on invariant
-    primitive 3-forms."""
+    primitive 3-forms; a float matrix cuts its singular values at 1e-10
+    of the largest."""
     mat = dlambdad_coords_matrix(setup)
-    vecs = linalg.nullspace(mat, tol)
+    vecs = linalg.nullspace(mat, 1e-10)
     return [coords_to_form(PrimitiveCoords(*v)) for v in vecs]
 
 
@@ -282,9 +284,10 @@ def _integral_setup(setup):
     if setup._integral is None:
         d1 = setup.algebra.d_one
         if all(f.is_exact() for f in d1):
-            E = math.lcm(*(x.denominator for f in d1 for x in f.coeffs.values()))
-            alg = LieAlgebra6([f.map_coeffs(lambda x: x.numerator * (E // x.denominator))
-                               for f in d1], name=f"{E} x {setup.algebra.name}")
+            E, ints = _clear_denominators(x for f in d1 for x in f.coeffs.values())
+            it = iter(ints)
+            alg = LieAlgebra6([Form(f.grade, {m: next(it) for m in f.coeffs}) for f in d1],
+                              name=f"{E} x {setup.algebra.name}")
             setup._integral = (E, InvariantSetup(alg, setup.omega))
         else:
             setup._integral = (1, setup)

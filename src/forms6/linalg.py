@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exterior import is_exact
+from .exterior import _clear_denominators, _exact_div, is_exact
 
 
 def matrix_is_exact(rows):
@@ -24,29 +24,35 @@ def to_float_matrix(rows):
 
 
 def _rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot columns)."""
+    """Reduced row echelon form: (rref rows, pivot columns, det), det the
+    product of the pivots times the sign of the row swaps, which for a
+    square matrix with a pivot in every column is its determinant."""
     m = [list(r) for r in rows]
     nrow = len(m)
     ncol = len(m[0]) if nrow else 0
     pivots = []
+    det = 1
     r = 0
     for c in range(ncol):
         pr = next((i for i in range(r, nrow) if m[i][c] != 0), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            det = -det
         pv = m[r][c]
-        m[r] = [x / pv if not isinstance(x, int) or not isinstance(pv, int)
-                else Fraction(x, pv) for x in m[r]]
+        det *= pv
+        # row r is 0 left of column c, so only columns c.. change
+        row = m[r][c:] = [_exact_div(x, pv) for x in m[r][c:]]
         for i in range(nrow):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i][c:] = [a - f * b for a, b in zip(m[i][c:], row)]
         pivots.append(c)
         r += 1
         if r == nrow:
             break
-    return m, pivots
+    return m, pivots, det
 
 
 def exact_rank(rows):
@@ -56,8 +62,7 @@ def exact_rank(rows):
     b[c] row - row[c] b, which clears that column, and is reduced again."""
     kept = {}  # leading column -> kept int row
     for r in rows:
-        d = math.lcm(*(x.denominator for x in r))
-        row = [x.numerator * (d // x.denominator) for x in r]
+        row = _clear_denominators(r)[1]
         while True:
             lead = next((c for c, x in enumerate(row) if x), None)
             if lead is None:
@@ -80,7 +85,7 @@ def exact_nullspace(rows):
     if not rows:
         return []
     ncol = len(rows[0])
-    rref, pivots = _rref(rows)
+    rref, pivots, _ = _rref(rows)
     free = [c for c in range(ncol) if c not in pivots]
     basis = []
     for fc in free:
@@ -95,7 +100,7 @@ def exact_nullspace(rows):
 def exact_solve(rows, rhs):
     """Solve A x = b exactly; returns None when inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = _rref(aug)
+    rref, pivots, _ = _rref(aug)
     ncol = len(rows[0])
     if ncol in pivots:
         return None
@@ -106,30 +111,17 @@ def exact_solve(rows, rhs):
 
 
 def exact_det(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    """Determinant of a square exact matrix, as a Fraction, from the pivots
+    of _rref."""
+    _, pivots, det = _rref(rows)
+    return Fraction(det) if len(pivots) == len(rows) else Fraction(0)
 
 
 def exact_inverse(rows):
     n = len(rows)
     aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
            for i, r in enumerate(rows)]
-    rref, pivots = _rref(aug)
+    rref, pivots, _ = _rref(aug)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [r[n:] for r in rref]

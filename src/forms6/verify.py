@@ -18,14 +18,13 @@ broke in ``failed_check``.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
 from . import hessian, invariants as inv, io, liealg
-from .exterior import Form, LinearMap6, interior, wedge
+from .exterior import Form, LinearMap6, _clear_denominators, interior, wedge
 
 
 def rand_fraction(rng, lo=-6, hi=6, dens=(1, 1, 2, 3)):
@@ -104,8 +103,8 @@ def _suite_identities(seed, trials, report):
 
 def _lemma_bc_checks(c, omega):
     """(name, holds) for each check of one ``lemma-bc`` trial."""
-    D = math.lcm(*(x.denominator for x in c))
-    cD = inv.PrimitiveCoords(*(x.numerator * (D // x.denominator) for x in c))
+    D, ints = _clear_denominators(c)
+    cD = inv.PrimitiveCoords(*ints)
     phi = inv.coords_to_form(cD).map_coeffs(lambda x: Fraction(x, D))
     hat = inv.coords_to_form(inv.hat_map(cD))   # D^3 (-F/2)
     yield "hat_map", hat * -2 == inv.compute_F(phi, omega) * D ** 3

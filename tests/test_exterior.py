@@ -2,11 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_form, rand_invertible, rand_vector
-from forms6.exterior import (Form, GradeError, LinearMap6, basis, eval_form,
-                             interior, mask_from_axes, pullback,
-                             vector_of_five_form, wedge)
+from forms6.exterior import (Form, GradeError, LinearMap6, _clear_denominators,
+                             _exact_div, basis, eval_form, interior,
+                             mask_from_axes, pullback, vector_of_five_form,
+                             wedge)
 
 
 def perm_sign(perm):
@@ -172,3 +174,33 @@ def test_form_validation():
 def test_mixed_grade_addition_rejected():
     with pytest.raises(GradeError):
         basis(1, 2) + basis(1, 2, 3)
+
+
+exact_scalars = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                          st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exact_scalars, max_size=8))
+def test_clear_denominators_scales_by_the_least_common_denominator(xs):
+    D, ints = _clear_denominators(iter(xs))
+    assert all(type(n) is int for n in ints)
+    assert ints == [D * x for x in xs]
+    # no proper divisor of D clears every x
+    for p in range(2, D + 1):
+        if D % p == 0:
+            assert any(((D // p) * x).denominator != 1 for x in xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6).filter(bool),
+       st.integers(1, 12))
+def test_exact_div_keeps_exact_quotients_exact(a, b, d):
+    q = _exact_div(a, b)
+    assert type(q) is Fraction and q * b == a
+    q = _exact_div(Fraction(a, d), b)
+    assert type(q) is Fraction and q * b * d == a
+    for x, y in ((float(a), b), (a, float(b)), (Fraction(a, d), float(b)),
+                 (float(a), Fraction(b, d))):
+        q = _exact_div(x, y)
+        assert type(q) is float and q == x / y

@@ -145,6 +145,25 @@ def test_h3_total_symmetry(rng):
                 assert h3[j][k][l] == h3[k][j][l] == h3[l][k][j] == h3[j][l][k]
 
 
+def test_metric_is_read_once(rng, monkeypatch):
+    """On a warm metric leaf_data computes no det or inverse, and a whole
+    leaves item only the det and inverse of h in fiber_verifications."""
+    metric = rand_spd(rng)
+    p = domain_point(rng, metric, 0.5)
+    hs.leaf_data(metric, p)
+    calls = []
+    for name in ("det", "inverse"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda rows, fn=fn, name=name: calls.append(name) or fn(rows))
+    hs.leaf_data(metric, domain_point(rng, metric, -0.1))
+    assert calls == []
+    hs.fiber_verifications(metric, p)
+    hs.scalar_curvature(hs.leaf_data(metric, p))
+    hs.affine_derivative_check(metric, p)
+    assert calls == ["det", "inverse"]
+
+
 @pytest.mark.parametrize("C", [-0.1, 0.5, 2.0])
 def test_affine_derivative_check(rng, C):
     metric = rand_spd(rng)

@@ -284,6 +284,22 @@ def test_q_form_matches_form_level_routes_on_floats(ints, t):
                    for i in range(6) for j in range(6))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-6, 6), min_size=14, max_size=14),
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+             min_size=14, max_size=14),
+    st.lists(st.floats(-1e6, 1e6), min_size=14, max_size=14)))
+def test_coords_to_form_is_the_form_level_sum(c):
+    want = Form.zero(3)
+    for x, b in zip(c, inv.PRIMITIVE_BASIS):
+        if x != 0:
+            want = want + b * x
+    got = inv.coords_to_form(inv.PrimitiveCoords(*c))
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert [type(x) for x in got.coeffs.values()] == [type(x) for x in want.coeffs.values()]
+
+
 def test_exact_primitivity_is_exact():
     # a residual of 1e-12 is inside the float tolerance, but not zero
     phi = inv.sp_normal_form("O-+") + basis(1, 2, 3) * Fraction(1, 10 ** 12)

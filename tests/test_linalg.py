@@ -60,6 +60,35 @@ def test_exact_inverse_and_det(rng):
         assert abs(float(d) - np.linalg.det(linalg.to_float_matrix(a))) < 1e-6 * max(1, abs(float(d)))
 
 
+def test_exact_det_and_inverse_match_sympy(rng):
+    import sympy
+    for n in range(90):
+        size = rng.randint(1, 6)
+        if n % 3 == 0:      # int entries only
+            a = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+        else:
+            a = rand_mat(rng, size)
+        if n % 3 == 2:      # singular: the last row combines two others
+            size = max(size, 2)
+            a = rand_mat(rng, size)
+            s, t = rand_mat(rng, 1, 2)[0]
+            a[-1] = [s * x + t * y for x, y in zip(a[0], a[-2])]
+        m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                          for r in a])
+        want = m.det()
+        d = linalg.exact_det(a)
+        assert type(d) is Fraction
+        assert d == Fraction(int(want.p), int(want.q))
+        if want == 0:
+            with pytest.raises(ZeroDivisionError):
+                linalg.exact_inverse(a)
+            continue
+        mi = m.inv()
+        assert linalg.exact_inverse(a) == [
+            [Fraction(int(mi[i, j].p), int(mi[i, j].q)) for j in range(size)]
+            for i in range(size)]
+
+
 def test_exact_solve(rng):
     a = [[1, 2], [3, 4]]
     x = linalg.exact_solve(a, [5, 6])
