@@ -117,36 +117,53 @@ def _grad_r(metric, p):
                  for j in range(3))
 
 
+def _point(metric, p):
+    """The per-point kernel: (exact, g, det g, sqrt det g, t, r, dr/dt, f, f').
+
+    This is the one home of the exact-or-float rule: the point stays exact
+    only for C = 0 with rational g, t and sqrt(det g), and otherwise every
+    returned scalar is a float."""
+    r = p.validate(metric)
+    g, d, s, t = metric.g, metric.det, metric.sqrt_det, p.t
+    exact = p.C == 0 and is_exact(s) and all(is_exact(x) for x in t) \
+        and all(is_exact(x) for row in g for x in row)
+    P = _grad_r(metric, p)
+    if not exact:
+        g = [[float(x) for x in row] for row in g]
+        d, s, r = float(d), float(s), float(r)
+        P = tuple(float(x) for x in P)
+        t = tuple(float(x) for x in t)
+    f, fp = profile(r, p.C)
+    return exact, g, d, s, t, r, P, f, fp
+
+
+def _leaf_h(metric, p):
+    """(h, kernel): the Hessian leaf metric h_jk = 2 g_jk / f - f f' det g
+    r_j r_k in the affine frame, with the kernel values it was built on."""
+    pt = _point(metric, p)
+    _, g, d, _, _, _, P, f, fp = pt
+    h = [[2 * g[j][k] / f - f * fp * d * P[j] * P[k] if fp != 0 else 2 * g[j][k] / f
+          for k in range(3)] for j in range(3)]
+    return h, pt
+
+
 def build_six_forms(metric, p):
     """(omega, phi_f) at the fiber point.
 
     omega = (g_kj / sqrt(det g)) dx^k ^ dt^j, with dx -> axes 1..3 and
     dt -> axes 4..6; phi_f = f d(alpha) + f' dr ^ alpha for the tautological
     2-form alpha."""
-    r = p.validate(metric)
-    s = metric.sqrt_det
-    g = metric.g
-    exact = is_exact(s) and all(is_exact(x) for x in p.t) \
-        and all(is_exact(x) for row in g for x in row) and p.C == 0
-
-    def conv(x):
-        return x if exact else float(x)
-
-    omega = Form.zero(2)
-    for k in range(3):
-        for j in range(3):
-            c = _exact_div(g[k][j], s)
-            if c != 0:
-                omega = omega + Form(2, {(1 << k) | (1 << (3 + j)): conv(c)})
-
-    t = tuple(conv(x) for x in p.t)
+    exact, _, _, _, t, _, P, f, fp = _point(metric, p)
+    g, s = metric.g, metric.sqrt_det
+    conv = (lambda x: x) if exact else float
+    # g_kj / sqrt(det g) on the metric's own scalars, rounded once
+    omega = Form(2, {(1 << k) | (1 << (3 + j)): conv(_exact_div(g[k][j], s))
+                     for k in range(3) for j in range(3)})
     alpha = Form(2, {0b000110: t[0], 0b000101: -t[1], 0b000011: t[2]})
     dalpha = basis(2, 3, 4) - basis(1, 3, 5) + basis(1, 2, 6)
-    f, fp = profile(r if exact else float(r), p.C)
     phi = dalpha * f
     if fp != 0:
-        P = _grad_r(metric, p)
-        dr = Form(1, {1 << (3 + j): conv(P[j]) for j in range(3) if P[j] != 0})
+        dr = Form(1, {1 << (3 + j): P[j] for j in range(3)})
         phi = phi + wedge(dr, alpha) * fp
     return omega, phi
 
@@ -165,26 +182,8 @@ class HessianLeafData:
 
 
 def leaf_data(metric, p):
-    r = p.validate(metric)
-    g = metric.g
-    ginv = metric.inv
-    d = metric.det
-    s = metric.sqrt_det
-    exact = p.C == 0 and is_exact(s) and all(is_exact(x) for x in p.t) \
-        and all(is_exact(x) for row in g for x in row)
-    f, fp = profile(r if exact else float(r), p.C)
-    P = _grad_r(metric, p)
-    if not exact:
-        g = [[float(x) for x in row] for row in g]
-        ginv = [[float(x) for x in row] for row in ginv]
-        d, s, r = float(d), float(s), float(r)
-        P = tuple(float(x) for x in P)
-        t = tuple(float(x) for x in p.t)
-    else:
-        t = p.t
-
-    h = [[2 * g[j][k] / f - f * fp * d * P[j] * P[k] if fp != 0 else 2 * g[j][k] / f
-          for k in range(3)] for j in range(3)]
+    h, (exact, g, d, s, t, r, P, f, fp) = _leaf_h(metric, p)
+    ginv = metric.inv if exact else [[float(x) for x in row] for row in metric.inv]
 
     # closed-form inverse, valid because f^2 (f + 2 r f') = 1
     T = [2 * t[j] / d for j in range(3)]  # = g^{jp} P_p
@@ -263,7 +262,8 @@ def polar_leaf_metric(p, metric):
 def affine_derivative_check(metric, p, step=1e-6):
     """Finite-difference derivative of the leaf metric along each affine
     frame vector against the closed-form third derivatives; returns the
-    largest componentwise residual.
+    largest componentwise residual.  The full leaf package is built once, at
+    p; the 6 neighbour points evaluate h alone.
 
     The default step keeps the truncation error small even close to the
     excised boundary for C < 0, where the third derivatives grow."""
@@ -274,8 +274,8 @@ def affine_derivative_check(metric, p, step=1e-6):
     for l in range(3):
         tp = tuple(t[k] + step * V[l][k] for k in range(3))
         tm = tuple(t[k] - step * V[l][k] for k in range(3))
-        hp = leaf_data(metric, FiberPoint(tp, p.C)).h
-        hm = leaf_data(metric, FiberPoint(tm, p.C)).h
+        hp = _leaf_h(metric, FiberPoint(tp, p.C))[0]
+        hm = _leaf_h(metric, FiberPoint(tm, p.C))[0]
         for j in range(3):
             for k in range(3):
                 fd = (float(hp[j][k]) - float(hm[j][k])) / (2 * step)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from forms6 import hessian as hs
 from forms6 import invariants as inv
 from forms6 import linalg
-from forms6.exterior import wedge
+from forms6.exterior import is_exact, wedge
 
 
 @pytest.fixture
@@ -85,6 +86,42 @@ def test_exact_checks_all_zero(rng):
                                 * rng.choice((-1, 1)) for _ in range(3)), 0)
         checks = hs.fiber_verifications(EXACT_METRIC, p)
         assert all(v == 0.0 for v in checks.values()), checks
+
+
+# C = 0 with rational g, t and sqrt(det g) keeps a point exact; anything else
+# is float.  g = A A^T has sqrt(det g) = |det A|, and 2 A A^T does not.
+_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.lists(_rationals, min_size=3, max_size=3), min_size=3, max_size=3),
+       st.lists(st.tuples(st.fractions(min_value=1, max_value=4, max_denominator=4),
+                          st.sampled_from((1, -1))).map(lambda xs: xs[0] * xs[1]),
+                min_size=3, max_size=3))
+def test_one_exact_or_float_rule(A, t):
+    assume(linalg.det(A) != 0)
+    AAt = [[sum(A[i][k] * A[j][k] for k in range(3)) for j in range(3)]
+           for i in range(3)]
+    metrics = {"square": AAt, "non-square": [[2 * x for x in row] for row in AAt],
+               "float": [[float(x) for x in row] for row in AAt]}
+    points = {"rational": tuple(t), "float": tuple(float(x) for x in t),
+              "mixed": (t[0], float(t[1]), t[2])}
+    for mkind, g in metrics.items():
+        metric = hs.BaseMetric3(g)
+        for pkind, coords in points.items():
+            for C in (0, 0.0, Fraction(1, 2), 0.5, 2.0, -0.1):
+                p = hs.FiberPoint(coords, C)
+                try:
+                    p.validate(metric)
+                except hs.DomainError:
+                    continue
+                exact = C == 0 and mkind == "square" and pkind == "rational"
+                omega, phi = hs.build_six_forms(metric, p)
+                for scalars in (list(omega.coeffs.values()) + list(phi.coeffs.values()),
+                                [x for row in hs.leaf_data(metric, p).h for x in row],
+                                [x for row in hs._leaf_h(metric, p)[0] for x in row]):
+                    assert all(is_exact(x) if exact else type(x) is float
+                               for x in scalars), (mkind, pkind, C)
 
 
 # --- float path over the domain grid ---------------------------------------------------
@@ -175,6 +212,35 @@ def test_affine_derivative_exact_when_flat(rng):
     metric = rand_spd(rng)
     p = domain_point(rng, metric, 0.0)
     assert hs.affine_derivative_check(metric, p, step=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("C", [-0.1, 0.0, 0.5, 2.0])
+def test_affine_derivative_check_differentiates_h_alone(rng, monkeypatch, C):
+    """One full leaf package per call; at each of the 6 neighbour points the h
+    it differentiates is that of leaf_data, bit for bit."""
+    metric = rand_spd(rng)
+    p = domain_point(rng, metric, C, lo=0.8)
+    leaf_data, leaf_h = hs.leaf_data, hs._leaf_h
+    packages, evaluated = [], []
+
+    def counting_leaf_data(m, q):
+        packages.append(q)
+        return leaf_data(m, q)
+
+    def recording_leaf_h(m, q):
+        out = leaf_h(m, q)
+        evaluated.append((q, out[0]))
+        return out
+
+    monkeypatch.setattr(hs, "leaf_data", counting_leaf_data)
+    monkeypatch.setattr(hs, "_leaf_h", recording_leaf_h)
+    hs.affine_derivative_check(metric, p)
+    monkeypatch.undo()
+    assert packages == [p]
+    neighbours = [(q, h) for q, h in evaluated if q != p]
+    assert len(neighbours) == 6
+    for q, h in neighbours:
+        assert repr(h) == repr(hs.leaf_data(metric, q).h)
 
 
 def test_polar_cross_check(rng):
