@@ -15,12 +15,11 @@ classification, and the 14-coefficient parametrization of primitive 3-forms
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .exterior import (_WSIGN, DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
+from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
                        LinearMap6, _clear_denominators, _exact_div, basis,
                        interior, is_exact, pullback, vector_of_five_form,
                        wedge)
@@ -182,26 +181,11 @@ def _build_one_form_table():
     return tuple(table)
 
 
-def _build_triple_table():
-    """(index of e^p, index of e^r, w, s) for the 90 ordered pairs of
-    disjoint 2-masks p, r, with w the 2-mask left over and
-    e^p ^ e^r ^ e^w = s e^123456."""
-    table = []
-    for p in _MASKS2:
-        for r in _MASKS2:
-            if not p & r:
-                w = FULL_MASK ^ p ^ r
-                s = _WSIGN[p << DIM | r] * _WSIGN[(p | r) << DIM | w]
-                table.append((_INDEX2[p], _INDEX2[r], w, s))
-    return tuple(table)
-
-
 _CONTR = _build_contraction_table()
 _K_TABLE = _build_K_table()
 _F_TABLE = _build_F_table()
 _Q_TABLE = _build_Q_table()
 _WEDGE1 = _build_one_form_table()
-_TRIPLES = _build_triple_table()
 
 
 class _Scaled(NamedTuple):
@@ -373,27 +357,20 @@ def _check_primitive(phi, omega, tol, what):
 
 # --- q on cleared denominators ------------------------------------------------
 #
-# q(v1, v2) is quadratic in phi and is computed three ways, all bilinear in
-# the 6 x 15 matrix C with C_i = D iota_{e_i} phi (the contraction table on
-# the cleared coefficients):
-#   route 1  omega(v1, K v2)                          = W kn / (D^2 c)
-#   route 2  (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol = C G2 C^T / (D^2 c)
-#   route 3  -<iota_{v1}phi, iota_{v2}phi>             = -C G3 C^T / D^2
-# where G2[p][r] is the coefficient of e^p ^ e^r ^ omega and G3 the pairing
-# of 2-forms induced by omega (the determinant extension of -W^-1).  W, G2
-# and G3 depend on omega only and are built once per omega.
+# q(v1, v2) = omega(v1, K v2) is quadratic in phi: W kn / (D^2 c), with W the
+# matrix of omega and kn the K numerators.  That it equals
+# (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol and -<iota_{v1}phi, iota_{v2}phi>
+# is a theorem, checked by the ``identities`` verification suite, not here.
+# W depends on omega only and is built once per omega.
 
 class _OmegaTables(NamedTuple):
-    """W, G2 and G3 of one omega as sparse rows of (column, entry), cleared
-    to int when omega is exact, with multipliers m and den such that
-    den D^2 q = m[0] W kn = m[1] C G2 C^T = m[2] C G3 C^T.  Winv is W^-1 as
-    linalg.inverse gives it, for the Lefschetz contraction."""
+    """W of one omega as sparse rows of (column, entry), cleared to int when
+    omega is exact, with a multiplier m and den such that den D^2 q = m W kn.
+    Winv is W^-1 as linalg.inverse gives it, for the Lefschetz contraction."""
     vol: Form
     Winv: tuple
     W: tuple
-    G2: tuple
-    G3: tuple
-    m: tuple
+    m: object
     den: object
 
 
@@ -416,27 +393,13 @@ def _omega_tables_of(grade, exact, items):
     W = omega_matrix(omega)
     inverse = tuple(map(tuple, linalg.inverse(W)))
     if exact:
-        dI, Winv = _integral(inverse)  # G3 on int, divided by dI^2 below
-    else:
-        Winv = [[float(x) for x in r] for r in inverse]
-    G2 = [[0] * len(_MASKS2) for _ in _MASKS2]
-    for p, r, w, s in _TRIPLES:
-        x = omega.coeffs.get(w, 0)
-        if x:
-            G2[p][r] = s * x
-    # -W^-1 enters twice per term, so its sign drops out
-    pairs = [tuple(i for i in range(DIM) if m >> i & 1) for m in _MASKS2]
-    G3 = [[Winv[i][k] * Winv[j][l] - Winv[i][l] * Winv[j][k] for k, l in pairs]
-          for i, j in pairs]
-    if exact:
         c = Fraction(c)
-        (dW, W), (d2, G2), d3 = _integral(W), _integral(G2), dI ** 2
-        den = math.lcm(dW * abs(c.numerator), d2 * abs(c.numerator), d3)
-        m = (den * c.denominator // (dW * c.numerator),
-             den * c.denominator // (d2 * c.numerator), -den // d3)
+        dW, W = _integral(W)
+        den = dW * abs(c.numerator)
+        m = c.denominator if c > 0 else -c.denominator
     else:
-        den, m = 1, (1 / c, 1 / c, -1)
-    return _OmegaTables(vol, inverse, _sparse(W), _sparse(G2), _sparse(G3), m, den)
+        den, m = 1, 1 / c
+    return _OmegaTables(vol, inverse, _sparse(W), m, den)
 
 
 def _omega_tables(omega):
@@ -459,65 +422,42 @@ def _table_rows(table, v):
     return rows
 
 
-def _bilinear(C, G, mult):
-    """mult C_i G C_j^T for a symmetric G given by sparse rows."""
-    GC = [[sum(g * Cj[r] for r, g in row) for row in G] for Cj in C]
-    out = [[0] * DIM for _ in range(DIM)]
-    for i, Ci in enumerate(C):
-        nz = [(p, x) for p, x in enumerate(Ci) if x]
-        for j in range(i, DIM):
-            gj = GC[j]
-            out[i][j] = out[j][i] = mult * sum(x * gj[p] for p, x in nz)
-    return out
-
-
-def _q_of(s, kn, C, tables, tol):
-    """q(omega, phi) from the three routes, which must agree and (route 1)
-    be symmetric: exactly on the exact backend, to tol max(1, |phi|^2) on
-    floats.  Each entry is divided once, at the end."""
-    m1, m2, m3 = tables.m
-    q1 = [[m1 * sum(w * kn[l * DIM + j] for l, w in Wi) for j in range(DIM)]
-          for Wi in tables.W]
-    q2 = _bilinear(C, tables.G2, m2)
-    q3 = _bilinear(C, tables.G3, m3)
-    den = tables.den * s.D ** 2
-    if s.exact:
-        agree = operator.eq
-    else:
-        q1, q2, q3 = ([[x / den for x in r] for r in q] for q in (q1, q2, q3))
-        den = 1
-        scale = tol * max(1.0, max(abs(x) for x in s.v) ** 2)
-
-        def agree(a, b):
-            return abs(a - b) <= scale
-
-    def value(x):
-        return x if den == 1 else Fraction(x, den)
-
+def _q_of(s, kn, tables, tol):
+    """q(omega, phi) = W kn / (D^2 c), which must be symmetric: exactly on
+    the exact backend, to tol max|phi|^2 on floats.  Each entry is divided
+    once, at the end."""
+    m = tables.m
+    q = [[m * sum(w * kn[l * DIM + j] for l, w in Wi) for j in range(DIM)]
+         for Wi in tables.W]
+    den, scale = tables.den * s.D ** 2, 0
+    if not s.exact:
+        q = [[x / den for x in r] for r in q]
+        den, scale = 1, tol * max(abs(x) for x in s.v) ** 2
     for i in range(DIM):
-        for j in range(DIM):
-            x = q1[i][j]
-            if not (agree(x, q1[j][i]) and agree(x, q2[i][j]) and agree(x, q3[i][j])):
+        for j in range(i, DIM):  # with the diagonal, so that NaN fails too
+            if not abs(q[i][j] - q[j][i]) <= scale:
                 raise ArithmeticError(
-                    f"q-form routes disagree at ({i},{j}): "
-                    f"{value(x)}, {value(q2[i][j])}, {value(q3[i][j])}")
-    return [[value(x) for x in r] for r in q1]
+                    f"q-form is not symmetric at ({i},{j}): {q[i][j]} against "
+                    f"{q[j][i]}; K is inconsistent")
+    if den == 1:
+        return q
+    return [[Fraction(x, den) for x in r] for r in q]
 
 
 def q_form(phi, omega, tol=DEFAULT_TOL):
-    """The symmetric bilinear form q(omega, phi) of a primitive 3-form.
+    """The symmetric bilinear form q(omega, phi) = omega(v1, K v2) of a
+    primitive 3-form.
 
-    Computed three ways -- omega(v1, K v2), (iota_{v1}phi ^ iota_{v2}phi ^
-    omega)/vol, and -<iota_{v1}phi, iota_{v2}phi> under the pairing on
-    2-forms induced by omega -- which must agree; disagreement or asymmetry
-    raises an internal consistency error.  The agreement (and the symmetry
-    of the first formula) holds on the primitive subspace only, which is the
-    natural domain of this form; non-primitive input is rejected.
+    Its symmetry holds on the primitive subspace only, which is the natural
+    domain of this form, and is checked on every call: a failure means K is
+    broken and raises.  Non-primitive input is rejected.  That q also equals
+    (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol and -<iota_{v1}phi,
+    iota_{v2}phi> is checked by ``forms6 verify --suite identities``.
     """
     _check_primitive(phi, omega, tol, "q-form input")
     tables = _omega_tables(omega)
     s = _scaled(phi, tables.vol)
-    return _q_of(s, _K_numerators(s.v), _table_rows(_CONTR, s.v), tables, tol)
+    return _q_of(s, _K_numerators(s.v), tables, tol)
 
 
 class SignatureTriple(NamedTuple):
@@ -602,8 +542,8 @@ def classify_sp(phi, omega=None, tol=1e-8):
 
     mu is recovered from Q: Q = -16 mu^4 on the O- orbits and Q = 4 mu^4 on
     O+.  Inside Q = 0 the label follows dim ker phi and the signature of the
-    q-form.  Q, q and dim ker phi come from one K evaluation and one
-    contraction matrix.
+    q-form.  Q and q come from one K evaluation, and dim ker phi from the
+    contraction matrix on the same cleared coefficients.
     """
     if omega is None:
         omega = standard_omega()
@@ -611,9 +551,8 @@ def classify_sp(phi, omega=None, tol=1e-8):
     tables = _omega_tables(omega)
     s = _scaled(phi, tables.vol)
     kn = _K_numerators(s.v)
-    C = _table_rows(_CONTR, s.v)
+    q = _q_of(s, kn, tables, tol)  # its symmetry check runs on every form
     Q = _Q_of(s, kn)
-    q = _q_of(s, kn, C, tables, tol)  # its route checks run on every form
     if not _q_is_zero(phi, Q, tol):
         sig = signature(q, tol)
         if Q < 0:
@@ -629,7 +568,7 @@ def classify_sp(phi, omega=None, tol=1e-8):
         return SpOrbit("O+", mu)
     # O3 and O6 are told by the kernel alone; their q vanishes, and a float
     # signature of it would read rounding noise
-    k = _ker_phi(C, tol)
+    k = _ker_phi(_table_rows(_CONTR, s.v), tol)
     if k == 3:
         return SpOrbit("O3")
     if k == 6:

@@ -97,19 +97,6 @@ def exact_nullspace(rows):
     return basis
 
 
-def exact_solve(rows, rhs):
-    """Solve A x = b exactly; returns None when inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots, _ = _rref(aug)
-    ncol = len(rows[0])
-    if ncol in pivots:
-        return None
-    x = [Fraction(0)] * ncol
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(rref[r][ncol])
-    return tuple(x)
-
-
 def exact_det(rows):
     """Determinant of a square exact matrix, as a Fraction, from the pivots
     of _rref."""

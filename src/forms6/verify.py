@@ -2,11 +2,13 @@
 
 Each suite checks one family of identities on ``trials`` inputs drawn from
 ``random.Random(seed)``: the exact polynomial identities of K, F and Q with
-the contraction lemma (``identities``), the closed-form hat map and quartic
-of the 14-coefficient chart (``lemma-bc``), the gradient relations of Q
-(``gradients``), the Nijenhuis identity on the built-in algebras
-(``nijenhuis``) and the Hessian leaf geometry (``hessian``).  ``run`` returns
-(passed, report); the CLI and the acceptance tests both call it.
+the contraction lemma, and on primitive forms the agreement of the three
+routes to the q-form, which the library computes one way (``identities``);
+the closed-form hat map and quartic of the 14-coefficient chart
+(``lemma-bc``); the gradient relations of Q (``gradients``); the Nijenhuis
+identity on the built-in algebras (``nijenhuis``); and the Hessian leaf
+geometry (``hessian``).  ``run`` returns (passed, report); the CLI and the
+acceptance tests both call it.
 
 The two exact suites call the library's K, F and Q on the drawn Fraction
 phi (or c), so its clearing of denominators is exercised, and run their own
@@ -17,14 +19,16 @@ equality there is the same check, each side carrying a known power of D
 broke in ``failed_check``.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from . import hessian, invariants as inv, io, liealg
-from .exterior import Form, LinearMap6, _clear_denominators, interior, wedge
+from . import hessian, invariants as inv, io, liealg, linalg
+from .exterior import (FULL_MASK, Form, LinearMap6, _clear_denominators,
+                       _exact_div, interior, wedge)
 
 
 def rand_fraction(rng, lo=-6, hi=6, dens=(1, 1, 2, 3)):
@@ -54,9 +58,49 @@ def _integral(values, s):
     return [y.numerator for y in out]
 
 
-def _identity_checks(phi, vol, rng):
+@functools.cache
+def _q_route_tables():
+    """(W, d, G2, G3) for the standard omega, with G2 and G3 sparse rows over
+    the basis 2-forms scaled to int by their lcm denominator d: G2[p][r] is
+    (e^p ^ e^r ^ omega)/vol and G3[p][r] the pairing of e^p and e^r induced
+    by omega, the determinant extension of -W^-1.  Derived from wedge and
+    W^-1 on first use, not at import."""
+    omega = inv.standard_omega()
+    c = inv.volume_of(omega).coeffs[FULL_MASK]
+    W = inv.omega_matrix(omega)
+    e2 = [Form(2, {m: 1}) for m in inv._MASKS2]
+    G2 = [[_exact_div(wedge(wedge(a, b), omega).coeffs.get(FULL_MASK, 0), c)
+           for b in e2] for a in e2]
+    O = [[-x for x in r] for r in linalg.inverse(W)]
+    pairs = [tuple(i for i in range(6) if m >> i & 1) for m in inv._MASKS2]
+    G3 = [[O[i][k] * O[j][l] - O[i][l] * O[j][k] for k, l in pairs]
+          for i, j in pairs]
+    d, ints = inv._integral(G2 + G3)
+    return W, d, inv._sparse(ints[:len(G2)]), inv._sparse(ints[len(G2):])
+
+
+def _bilinear(C, G):
+    """C G C^T for G given by sparse rows."""
+    GC = [[sum(g * Cj[r] for r, g in row) for row in G] for Cj in C]
+    return [[sum(x * y for x, y in zip(Ci, gj)) for gj in GC] for Ci in C]
+
+
+def _q_route_checks(P, k):
+    """(name, holds) for the two other routes to q = omega(v1, K v2) on a
+    primitive P = D phi, with k = D^2 K: C G2 C^T and -C G3 C^T, C the
+    contraction matrix of P, each carry d D^2 q, as does d W k."""
+    W, d, G2, G3 = _q_route_tables()
+    C = inv._table_rows(inv._CONTR, [P.coeffs.get(m, 0) for m in inv._MASKS3])
+    q = [[d * sum(W[i][l] * k[l * 6 + j] for l in range(6)) for j in range(6)]
+         for i in range(6)]
+    yield "q = (i phi ^ i phi ^ omega)/vol", _bilinear(C, G2) == q
+    yield "q = -<i phi, i phi>", _bilinear(C, G3) == [[-x for x in r] for r in q]
+
+
+def _identity_checks(phi, primitive, vol, rng):
     """(name, holds) for each check of one ``identities`` trial, in order;
-    X and Y are drawn from rng only once the K/F/Q identities hold."""
+    X and Y are drawn from rng only once the K/F/Q identities hold, and the
+    q routes are checked on primitive phi only."""
     D, P = inv._cleared(phi)                    # P = D phi
     k = _integral(itertools.chain(*inv.compute_K(phi, vol=vol).rows), D ** 2)
     yield "D^2 K integral", k is not None
@@ -70,6 +114,8 @@ def _identity_checks(phi, vol, rng):
     yield "K K = (Q/4) id", K.compose(K).scale(4) == LinearMap6.diagonal([Q] * 6)
     yield "K(F) = -Q K", inv.compute_K(F, vol=vol).scale(D ** 6) == K.scale(-Q)
     yield "F(F) = -Q^2 phi", inv.compute_F(F, vol=vol) * D ** 9 == P * (-Q * Q)
+    if primitive:
+        yield from _q_route_checks(P, k)
     X = [rng.randint(-4, 4) for _ in range(6)]
     Y = [rng.randint(-4, 4) for _ in range(6)]
     iXP, iXF = interior(X, P), interior(X, FP)
@@ -85,13 +131,15 @@ def _identity_checks(phi, vol, rng):
 def _suite_identities(seed, trials, report):
     """Exact polynomial identities of K, F, Q and the contraction lemma, on
     P = D phi: K carries D^2, F D^3, Q D^4, K(F) D^6, F(F) D^9 and each side
-    of the contraction lemma D^4."""
+    of the contraction lemma D^4.  On the primitive trials (odd n) the three
+    routes to the q-form must agree, each carrying D^2."""
     rng = random.Random(seed)
     vol = inv.volume_of(inv.standard_omega())
     for n in range(trials):
-        phi = inv.coords_to_form(rand_coords(rng)) if n % 2 else rand_three_form(rng)
+        primitive = n % 2
+        phi = inv.coords_to_form(rand_coords(rng)) if primitive else rand_three_form(rng)
         # the checks are drawn lazily: none runs after the first failure
-        checks = _identity_checks(phi, vol, rng)
+        checks = _identity_checks(phi, primitive, vol, rng)
         failed = next((name for name, holds in checks if not holds), None)
         if failed:
             report["counterexample"] = io.form_to_json(phi)

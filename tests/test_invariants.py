@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (rand_coords, rand_form, rand_fraction, rand_invertible,
                       rand_symplectic, rand_vector)
 from forms6 import invariants as inv
-from forms6 import linalg
+from forms6 import io, linalg, verify
 from forms6.exterior import (Form, LinearMap6, basis, eval_form, form_max_diff,
                              interior, pullback, vector_of_five_form, wedge)
 
@@ -213,12 +213,6 @@ def test_q_form_zero():
     assert all(x == 0 for r in q for x in r)
 
 
-def test_q_form_routes_agree_on_random_primitive_forms(rng):
-    # construction raises internally if the three defining formulas disagree
-    for _ in range(40):
-        inv.q_form(inv.coords_to_form(rand_coords(rng)), OMEGA)
-
-
 def test_q_form_rejects_non_primitive():
     with pytest.raises(ValueError, match="primitive"):
         inv.q_form(basis(1, 2, 3), OMEGA)
@@ -310,25 +304,61 @@ def test_exact_primitivity_is_exact():
     assert inv.classify_sp(phi.to_float(), OMEGA).label == "O-+"
 
 
-def test_exact_routes_are_compared_by_equality(monkeypatch):
-    # shift route 3 by one unit of its numerator; with D = 10^6 that is 1e-12
-    # in q, far inside the float tolerance, yet the exact backend refuses it
-    tables = inv._omega_tables(OMEGA)
-    bilinear = inv._bilinear
+def _shift_K_numerator(monkeypatch, rel):
+    # shift the K numerator (0, 2) by rel |phi|^2 on floats and by one unit on
+    # ints; through W it lands in q[1][2] and not in q[2][1]
+    numerators = inv._K_numerators
 
-    def shifted(C, G, mult):
-        out = bilinear(C, G, mult)
-        if G is tables.G3:
-            out[0][0] += 1 if isinstance(out[0][0], int) else 1e-12
+    def shifted(v):
+        out = numerators(v)
+        exact = all(isinstance(x, int) for x in v)
+        out[2] += 1 if exact else rel * max(map(abs, v)) ** 2
         return out
 
-    monkeypatch.setattr(inv, "_bilinear", shifted)
-    phi = inv.sp_normal_form("O-+", Fraction(1, 10 ** 6))
-    with pytest.raises(ArithmeticError, match="routes disagree"):
+    monkeypatch.setattr(inv, "_K_numerators", shifted)
+
+
+def test_exact_q_symmetry_is_checked_by_equality(monkeypatch):
+    # one unit of a K numerator at D = 10^6 is a relative asymmetry of 1e-12
+    # in q, far inside the float cut, yet the exact backend refuses it
+    _shift_K_numerator(monkeypatch, 1e-12)
+    phi = inv.sp_normal_form("O-+", Fraction(10 ** 6 + 1, 10 ** 6))
+    for f in (inv.q_form, inv.classify_sp):
+        with pytest.raises(ArithmeticError, match="not symmetric"):
+            f(phi, OMEGA)
+        f(phi.to_float(), OMEGA)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_float_q_symmetry_cut_is_relative(monkeypatch, scale):
+    # at scale 1e-4 a relative asymmetry of 1e-6 is 1e-14 in q: inside a cut
+    # floored at |phi| = 1, far outside tol |phi|^2
+    phi = inv.sp_normal_form("O-+", scale)
+    with monkeypatch.context() as m:
+        _shift_K_numerator(m, 1e-12)
         inv.q_form(phi, OMEGA)
-    with pytest.raises(ArithmeticError, match="routes disagree"):
-        inv.classify_sp(phi, OMEGA)
-    inv.q_form(phi.to_float(), OMEGA)  # the float tolerance is unchanged
+    _shift_K_numerator(monkeypatch, 1e-6)
+    with pytest.raises(ArithmeticError, match="not symmetric"):
+        inv.q_form(phi, OMEGA)
+
+
+@pytest.mark.parametrize("route, check", [(2, "q = (i phi ^ i phi ^ omega)/vol"),
+                                          (3, "q = -<i phi, i phi>")],
+                         ids=("G2", "G3"))
+def test_identities_suite_catches_a_broken_q_route(monkeypatch, route, check):
+    # q is computed one way at run time; the other two routes live in the
+    # identities suite, which must fail, naming the route, when one entry of
+    # its table is off by one
+    tables = list(verify._q_route_tables())
+    rows = list(tables[route])
+    (r, g), *rest = rows[0]
+    rows[0] = ((r, g + 1), *rest)
+    tables[route] = tuple(rows)
+    monkeypatch.setattr(verify, "_q_route_tables", lambda: tuple(tables))
+    _, rep = verify.run("identities", 5, 6)
+    assert rep["passed"] is False
+    assert rep["failed_check"] == check
+    inv.form_to_coords(io.form_from_json(rep["counterexample"], grade=3))
 
 
 SIGNATURE_TABLE = {

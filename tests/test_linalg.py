@@ -89,14 +89,6 @@ def test_exact_det_and_inverse_match_sympy(rng):
             for i in range(size)]
 
 
-def test_exact_solve(rng):
-    a = [[1, 2], [3, 4]]
-    x = linalg.exact_solve(a, [5, 6])
-    assert x == (Fraction(-4), Fraction(9, 2))
-    # inconsistent system
-    assert linalg.exact_solve([[1, 1], [2, 2]], [1, 3]) is None
-
-
 def test_signature_counts():
     assert linalg.signature_counts(np.eye(6).tolist()) == (0, 6, 0)
     assert linalg.signature_counts(np.diag([1, 1, 1, -1, -1, -1]).tolist()) == (0, 3, 3)
