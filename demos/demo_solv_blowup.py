@@ -45,9 +45,9 @@ print("alpha*delta - beta*gamma at the limit:",
 
 # The comparison system blows up exactly at T'; the full u-v system, driven
 # by the larger right side, gets there first.
-tr_cmp = flow.integrate_ode(tools.comparison_rhs, [sd.u0, sd.v0], 100.0,
+tr_cmp = flow.integrate_ode(tools.comparison_flow, [sd.u0, sd.v0, 1.0], 100.0,
                             flow.FlowControls(detect_stationary=False))
-tr_uv = flow.integrate_ode(tools.uv_rhs, [sd.u0, sd.v0], 100.0,
+tr_uv = flow.integrate_ode(tools.uv_flow, [sd.u0, sd.v0, 1.0], 100.0,
                            flow.FlowControls(detect_stationary=False))
 print(f"comparison system pole: {tr_cmp.t_final:.8f} (vs T' {tools.t_prime.value:.8f})")
 print(f"full u-v system pole:   {tr_uv.t_final:.8f} (earlier)")

@@ -259,7 +259,9 @@ def build_parser():
     f.add_argument("initial", help="initial coefficients JSON "
                                    "(object, or array for a sweep)")
     f.add_argument("--t-max", type=float, default=10.0)
-    f.add_argument("--tol", type=float, default=1e-9)
+    f.add_argument("--tol", type=float, default=1e-9,
+                   help="relative bound on the last Taylor terms of a step, "
+                        "which sets the step size (default 1e-9)")
     f.add_argument("--blow-norm", type=float, default=1e8)
     f.add_argument("--normalizer", default="A", choices=COORD_NAMES)
     f.add_argument("--no-stationary", action="store_true",

@@ -5,12 +5,13 @@ a 6-dimensional symplectic Lie algebra is a cubic polynomial ODE on the 14
 primitive coefficients.  This module evaluates that right side generically
 (one table of cubic monomials per setup, derived exactly from the K and F
 tables and the cached linear operator of d Lambda d, never hand-coded per
-algebra), integrates a batch of starts at once with an adaptive
-step-doubling RK4 scheme that stacks the stages of the full and the first
-half step and stops each start on blow-up or on a stationarity test
-relative to |y|^3, extracts normalized limits, and carries the closed-form
-solutions used as cross-checks: the scalar ODE on the nil algebra and the
-u-v comparison system with its blow-up bound on the solv algebra.
+algebra), integrates a batch of starts at once with a fixed-order Taylor
+series whose coefficients come from Cauchy products over the monomial
+table, stops each start on blow-up or on a stationarity test relative to
+|y|^3 held over a span of t, extracts normalized limits, and carries the
+closed-form solutions used as cross-checks: the scalar ODE on the nil
+algebra and the u-v comparison system with its blow-up bound on the solv
+algebra, whose polynomial systems are tables of the same kind.
 """
 
 import math
@@ -49,31 +50,71 @@ def rhs_table(setup):
     return monos, rows
 
 
-class ReducedFlow:
-    """The flow's right side on rows of coefficients, for one setup.
+#: order of the Taylor series that steps every flow
+ORDER = 20
 
-    rhs(Y) = mono(Y) . P with mono(Y) = Y[:, a] Y[:, b] Y[:, c], from
-    rhs_table in floats.  The contraction is an einsum, whose rows do not
-    depend on the batch as those of a BLAS product do, so a row gives the
-    same bits alone or in a sweep.
+
+class ReducedFlow:
+    """A polynomial flow dy/dt = f(y) whose monomials are all cubic.
+
+    f(y)[i] = sum_n table[n, i] y_a y_b y_c over (a, b, c) = monos[n].  The
+    reduced flow of a setup is one (``reduced_flow``); the closed reductions
+    of the solv flow are others, with a constant coordinate 1 making their
+    lower-degree monomials cubic.  Contractions are einsums and sums over a
+    leading axis, whose rows do not depend on the batch as those of a BLAS
+    product do, so a row gives the same bits alone or in a sweep.
     """
 
-    def __init__(self, setup):
-        self.setup = setup
-        monos, rows = rhs_table(setup)
-        self.a, self.b, self.c = np.array(monos, dtype=np.intp).reshape(-1, 3).T
-        self.table = np.array(rows, dtype=float).reshape(-1, len(COORD_NAMES))
+    def __init__(self, monos, rows, dim):
+        idx = np.array(monos, dtype=np.intp).reshape(-1, 3)
+        self.a, self.b, self.c = idx.T
+        self.table = np.array(rows, dtype=float).reshape(-1, dim)
+        pairs = {}
+        self.pair_of = np.array([pairs.setdefault((b, c), len(pairs))
+                                 for _, b, c in idx.tolist()], dtype=np.intp)
+        self.pair_b, self.pair_c = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+        # table / (k + 1), the step from f(y)_k to y_{k+1}
+        self.tables = self.table / np.arange(1.0, ORDER + 1)[:, None, None]
 
     def rhs(self, y):
-        """The right side of each row of y, shape (R, 14) or (14,)."""
+        """The right side of each row of y, shape (R, n) or (n,)."""
         mono = y.take(self.a, axis=-1) * y.take(self.b, axis=-1) * y.take(self.c, axis=-1)
         return np.einsum("...m,mn->...n", mono, self.table)
 
+    def taylor(self, y):
+        """Taylor coefficients y_0..y_ORDER in t of the solution through each
+        row of y, shape (ORDER + 1, R, n).
 
-def _reduced(setup):
+        With y(t) = sum_k y_k t^k, y_{k+1} = f(y)_k / (k + 1), and the k-th
+        coefficient of a monomial is a Cauchy product: first of each
+        distinct pair, (y_b y_c)_k = sum_j y_{b,j} y_{c,k-j}, then of a with
+        its pair (Jorba and Zou, Experimental Mathematics 14, 2005).  No
+        further evaluation of f is made."""
+        add = np.add.reduce
+        rows, m, p = len(y), len(self.a), len(self.pair_b)
+        coef = np.empty((ORDER + 1,) + y.shape)
+        a = np.empty((ORDER, rows, m))           # y_j at each monomial's a
+        b = np.empty((ORDER, rows, p))           # y_j at each pair's b
+        c = np.empty((ORDER, rows, p))           # y_{ORDER-1-j} at each pair's c
+        bc = np.empty((ORDER, rows, m))          # (y_b y_c)_{ORDER-1-j} at each monomial
+        coef[0] = y
+        for k in range(ORDER):
+            # the reversed buffers keep both factors of each sum in forward order
+            r = ORDER - 1 - k
+            coef[k].take(self.a, axis=-1, out=a[k])
+            coef[k].take(self.pair_b, axis=-1, out=b[k])
+            coef[k].take(self.pair_c, axis=-1, out=c[r])
+            add(b[:k + 1] * c[r:], axis=0).take(self.pair_of, axis=-1, out=bc[r])
+            abc = add(a[:k + 1] * bc[r:], axis=0)
+            np.einsum("rm,mn->rn", abc, self.tables[k], out=coef[k + 1])
+        return coef
+
+
+def reduced_flow(setup):
+    """The setup's ReducedFlow, built on first use and kept on the setup."""
     flow = setup._reduced_flow
     if flow is None:
-        flow = ReducedFlow(setup)
+        flow = ReducedFlow(*rhs_table(setup), len(COORD_NAMES))
         setup._reduced_flow = flow
     return flow
 
@@ -81,19 +122,16 @@ def _reduced(setup):
 def reduced_rhs(setup, coords):
     """Coefficient vector of d Lambda d F(phi) in the primitive basis."""
     y = np.array([float(x) for x in coords], dtype=float)
-    return PrimitiveCoords(*_reduced(setup).rhs(y))
+    return PrimitiveCoords(*reduced_flow(setup).rhs(y))
 
 
-# --- adaptive integrator ------------------------------------------------------
+# --- Taylor integrator --------------------------------------------------------
 
 # thresholds of integrate_ode that no caller sets; FlowControls holds the
 # ones the CLI exposes
-ATOL = 1e-12
-H0 = 1e-3
 H_MIN = 1e-14
 BLOW_STEP = 1e-12            # blow-up once accepted steps shrink below this
 STATIONARY_RESIDUAL = 1e-10  # max|f(y)| relative to max|y|^3
-STATIONARY_STEPS = 10
 MAX_STEPS = 2_000_000
 
 
@@ -111,8 +149,8 @@ class Trajectory:
     status: str                  # reached_t_max | converged | blow_up | error
     message: str = ""
     n_accepted: int = 0
-    n_rejected: int = 0
-    rhs_rows: int = 0            # rows of the right side evaluated for this start
+    n_rejected: int = 0          # 1 when the start stopped on step underflow
+    rhs_rows: int = 0            # Taylor coefficient builds for this start
     min_step: Optional[float] = None    # smallest and largest accepted step
     max_step: Optional[float] = None
 
@@ -126,23 +164,22 @@ class Trajectory:
 
 
 class _Member:
-    """The run of one row of a batch: its step size, time, samples, counters
-    and, once it stops, its status."""
+    """The run of one row of a batch: its time, samples, counters and, once
+    it stops, its status."""
 
-    def __init__(self, y0, h):
+    def __init__(self, y0):
         self.t = 0.0
-        self.h = h
-        self.still = 0
+        self.still_since = None
         self.times = [0.0]
         self.states = [y0]
         self.n_acc = self.n_rej = 0
-        self.rows = 1
+        self.rows = 0
         self.min_step = self.max_step = None
         self.status = None
         self.message = ""
 
     def running(self, t_max):
-        """Whether the start takes another attempt; one that has used up
+        """Whether the start takes another step; one that has used up
         MAX_STEPS stops here with status "error"."""
         if self.status is not None or self.t >= t_max:
             return False
@@ -151,7 +188,43 @@ class _Member:
             return False
         return True
 
-    def accept(self, y, h):
+    def converged(self, slope, norm):
+        """Whether max|f(y)| = slope has stayed within STATIONARY_RESIDUAL
+        |y|^3 at every sample from the time t_s it first did so up to
+        t >= 2 t_s, or does so on the initial data.  The first span measures
+        how long the start takes to come this close, so holding as long again
+        brings it about as much closer; both tests are unchanged by the
+        rescaling y -> s y, t -> t / s^2 of the homogeneous cubic flow."""
+        if not (slope <= STATIONARY_RESIDUAL * norm * norm * norm
+                and math.isfinite(slope)):
+            self.still_since = None
+            return False
+        if self.n_acc == 0:
+            self.status, self.message = "converged", "stationary initial data"
+            return True
+        if self.still_since is None:
+            self.still_since = self.t
+        if self.t < 2.0 * self.still_since:
+            return False
+        self.status = "converged"
+        self.message = (f"residual <= {STATIONARY_RESIDUAL} |y|^3 over "
+                        f"t = {self.still_since:.6g}..{self.t:.6g}")
+        return True
+
+    def underflow(self, h, norm, c):
+        """Stop, as a rejected attempt, when the step h is too small to move t."""
+        if h >= H_MIN and self.t + h != self.t:
+            return False
+        self.n_rej += 1
+        if norm > c.blow_norm:
+            self.status = "blow_up"
+            self.message = f"|y| = {norm:.3e} at step underflow"
+        else:
+            self.status = "error"
+            self.message = f"step underflow at t = {self.t} without blow-up"
+        return True
+
+    def accept(self, y, h, norm, c):
         self.t += h
         self.n_acc += 1
         self.times.append(self.t)
@@ -161,15 +234,8 @@ class _Member:
         else:
             self.min_step = min(self.min_step, h)
             self.max_step = max(self.max_step, h)
-
-    def check_underflow(self, norm, c):
-        if self.h < H_MIN or self.t + self.h == self.t:
-            if norm > c.blow_norm:
-                self.status = "blow_up"
-                self.message = f"|y| = {norm:.3e} at step underflow"
-            else:
-                self.status = "error"
-                self.message = f"step underflow at t = {self.t} without blow-up"
+        if norm > c.blow_norm and h < BLOW_STEP:
+            self.status, self.message = "blow_up", f"|y| = {norm:.3e} with step {h:.3e}"
 
     def trajectory(self):
         return Trajectory(np.array(self.times), np.array(self.states),
@@ -178,143 +244,102 @@ class _Member:
                           self.min_step, self.max_step)
 
 
-def _rk4(f, y, h, k1):
-    # h is a column: one step size per row
-    half = 0.5 * h
-    k2 = f(y + half * k1)
-    k3 = f(y + half * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _root(x, k):
+    """x^(1/k) for x > 0, taken on the mantissa with the exponent split off
+    in multiples of k, so that scaling x by 2^(k j) scales it by exactly 2^j."""
+    mant, e = math.frexp(x)
+    q, r = divmod(e, k)
+    return math.ldexp(math.ldexp(mant, r) ** (1.0 / k), q)
 
 
-def _is_still(fy, norm, residual):
-    # relative to |y|^3, as the reduced flow is a homogeneous cubic
-    return (np.max(np.abs(fy), axis=-1) <= residual * norm * norm * norm).tolist()
+def _step_size(eps, sizes):
+    """min over k = ORDER - 1, ORDER of (eps / |y_k|)^(1/k), with |y_k| the
+    two norms in sizes; 0 where one of them or eps is not finite, so that
+    the start stops on step underflow."""
+    if not math.isfinite(eps):
+        return 0.0
+    h = math.inf
+    for k, size in zip((ORDER - 1, ORDER), sizes):
+        if not math.isfinite(size):
+            return 0.0
+        if size > 0.0:
+            h = min(h, _root(eps / size, k))
+    return h
 
 
-def integrate_ode(f, y0, t_max, controls=None):
-    """Adaptive RK4 with step doubling (5th-order local extrapolation).
+def integrate_ode(flow, y0, t_max, controls=None):
+    """Integrate the polynomial flow of a ReducedFlow by a Taylor series of
+    order ORDER.
 
     y0 is one start, shape (n,), or a batch of starts, shape (B, n); the
-    result is one Trajectory, or a list with one per start.  f maps rows to
-    rows, (R, n) to (R, n), and must treat each row alone, so that a start
-    integrated in a batch gives the same bits as integrated alone.  Every
-    start keeps its own step size, time, counters and status; those still
-    running attempt one step each per pass.
-
-    The local error estimate is the Richardson difference of one full step
-    against two half steps (Hairer, Norsett and Wanner, Solving ODEs I,
-    II.4).  f(y) is evaluated once per accepted state and serves as the k1
-    of the full step, of the first half step, and of every retry from that
-    state, and as the stationarity residual.  The full step and the first
-    half step run their remaining stages as one stacked call on 2 rows per
-    start, so an attempt costs 3 stacked calls, 4 calls for the second half
-    step and 1 for f at the accepted states: 8 calls in all, and per start
-    10 rows per attempt plus 1 per accepted step (``Trajectory.rhs_rows``).
-    After each attempt h is rescaled by 0.9 err^(-1/5), within [0.2, 5], so
-    it shrinks again on an accepted step whose error is close to the
-    tolerance.
+    result is one Trajectory, or a list with one per start, each the same
+    bits as integrating that start alone.  Every start keeps its own time,
+    counters and status.  A pass builds the Taylor coefficients of every
+    running start in one batch (``ReducedFlow.taylor``; one build per start
+    and pass, ``Trajectory.rhs_rows``) and steps each by
+    h = min((eps/|y_{p-1}|)^(1/(p-1)), (eps/|y_p|)^(1/p)), p = ORDER,
+    eps = rtol max|y| (Jorba and Zou, 2005), capped at t_max / 20 so that a
+    run resolves at least 20 samples, and at t_max - t.  The step is chosen
+    before it is taken, so none is rejected; eps relative to |y| makes the
+    steps follow the rescaling y -> s y, t -> t / s^2 of a homogeneous cubic.
 
     Blow-up is declared when the state norm exceeds ``blow_norm`` while
-    accepted steps have shrunk below ``BLOW_STEP``.  A start converges once
-    max|f(y)| <= ``STATIONARY_RESIDUAL`` * max|y|^3 has held for
-    ``STATIONARY_STEPS`` accepted steps in a row (at once for stationary
-    initial data, y = 0 included); the test is relative because the
-    reduced flow is a homogeneous cubic, so it is unchanged by the
-    rescaling y -> s y, t -> t / s^2.  Step underflow without norm growth
-    surfaces as status "error".  Non-finite values are left to these
-    tests: an error estimate that is not finite rejects the step.
+    accepted steps have shrunk below ``BLOW_STEP``.  A step below ``H_MIN``
+    or too small to move t stops the start: "blow_up" above ``blow_norm``,
+    "error" below it (counted in ``n_rejected``).  With detect_stationary, a
+    start converges by ``_Member.converged``: at once for stationary initial
+    data, y = 0 included.  A start or t_max that is not finite, or
+    t_max <= 0, raises ValueError.
     """
     c = controls or FlowControls()
     y = np.array(y0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite initial coefficient")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     single = y.ndim == 1
     if single:
         y = y[None]
-    h0 = min(H0, t_max) if t_max > 0 else H0
-    # cap growth so a run always resolves at least ~20 samples; otherwise the
-    # x5 step doubling outruns both the sampling and the stationarity window
-    h_cap = t_max / 20.0 if t_max > 0 else math.inf
-    members = [_Member(row, h0) for row in y]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fy = f(y)
-        if c.detect_stationary:
-            norm = np.max(np.abs(y), axis=-1)
-            for m, still in zip(members, _is_still(fy, norm, STATIONARY_RESIDUAL)):
-                if still:
-                    m.status, m.message = "converged", "stationary initial data"
-        active = members
+    h_cap = t_max / 20.0
+    members = [_Member(row) for row in y]
+    active = members
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
             keep = [k for k, m in enumerate(active) if m.running(t_max)]
             if len(keep) < len(active):
                 active = [active[k] for k in keep]
-                y, fy = y[keep], fy[keep]
+                y = y[keep]
             if not active:
                 break
-            y, fy = _attempt(f, y, fy, active, t_max, h_cap, c)
+            y = _step(flow, y, active, t_max, h_cap, c)
     trajs = [m.trajectory() for m in members]
     return trajs[0] if single else trajs
 
 
-def _attempt(f, y, fy, active, t_max, h_cap, c):
-    """One step attempt of every running start; returns the next (y, f(y))."""
-    n = len(active)
-    for m in active:
-        m.h = min(m.h, t_max - m.t, h_cap)
-        m.rows += 10
-    h = np.array([m.h for m in active])[:, None]
-    both = _rk4(f, np.concatenate((y, y)), np.concatenate((h, 0.5 * h)),
-                np.concatenate((fy, fy)))
-    full, half = both[:n], both[n:]
-    two = _rk4(f, half, 0.5 * h, f(half))
-    diff = (two - full) / 15.0
-    scale = ATOL + c.rtol * np.maximum(np.abs(y), np.abs(two))
-    err = np.max(np.abs(diff) / scale, axis=-1).tolist()
-    y_new = two + diff  # 5th-order extrapolation
-    norm = np.max(np.abs(y_new), axis=-1).tolist()
-
-    moved = []      # accepted and still running: f is needed at y_new
+def _step(flow, y, active, t_max, h_cap, c):
+    """One coefficient build and step of every running start; returns the
+    new rows (those of starts that stopped are dropped by the caller)."""
+    coef = flow.taylor(y)
+    norm, slope, *last = np.max(np.abs(coef[[0, 1, ORDER - 1, ORDER]]), axis=-1).tolist()
+    steps = [0.0] * len(active)
     for k, m in enumerate(active):
-        e = err[k] if math.isfinite(err[k]) else math.inf
-        if e <= 1.0:
-            m.accept(y_new[k], m.h)
-            if norm[k] > c.blow_norm and m.h < BLOW_STEP:
-                m.status, m.message = "blow_up", f"|y| = {norm[k]:.3e} with step {m.h:.3e}"
-            else:
-                moved.append(k)
-        else:
-            m.n_rej += 1
-            m.h *= max(0.2, 0.9 * e ** -0.2)
-            m.check_underflow(float(np.max(np.abs(y[k]))), c)
-    if not moved:
-        return y, fy
-
-    if len(moved) == n:
-        y, fy = y_new, f(y_new)
-        fy_moved = fy
-    else:
-        mask = np.zeros(n, dtype=bool)
-        mask[moved] = True
-        y = np.where(mask[:, None], y_new, y)
-        fy_moved = f(y_new[moved])
-        fy = fy.copy()
-        fy[moved] = fy_moved
-    if c.detect_stationary:
-        still = _is_still(fy_moved, np.array([norm[k] for k in moved]),
-                          STATIONARY_RESIDUAL)
-    for i, k in enumerate(moved):
-        m = active[k]
         m.rows += 1
-        if c.detect_stationary:
-            m.still = m.still + 1 if still[i] else 0
-            if m.still >= STATIONARY_STEPS:
-                m.status = "converged"
-                m.message = (f"residual <= {STATIONARY_RESIDUAL} |y|^3 "
-                             f"for {m.still} steps")
-                continue
-        e = err[k]
-        m.h *= 5.0 if e == 0.0 else min(5.0, 0.9 * e ** -0.2)
-        m.check_underflow(norm[k], c)
-    return y, fy
+        if c.detect_stationary and m.converged(slope[k], norm[k]):
+            continue
+        h = _step_size(c.rtol * norm[k], (last[0][k], last[1][k]))
+        if not m.underflow(h, norm[k], c):
+            steps[k] = min(h, t_max - m.t, h_cap)
+    # sum_k h^k y_k, smallest terms first
+    powers = np.empty((ORDER + 1, len(steps)))
+    powers[0] = 1.0
+    powers[1:] = steps
+    np.cumprod(powers, axis=0, out=powers)
+    y_new = (powers[::-1, :, None] * coef[::-1]).sum(axis=0)
+    norm_new = np.max(np.abs(y_new), axis=-1).tolist()
+    for k, m in enumerate(active):
+        if steps[k]:
+            m.accept(y_new[k], steps[k], norm_new[k], c)
+    return y_new
 
 
 def integrate_sweep(setup, starts, t_max, controls=None):
@@ -323,7 +348,7 @@ def integrate_sweep(setup, starts, t_max, controls=None):
     as integrating that start alone."""
     y0 = np.array([[float(x) for x in c0] for c0 in starts], dtype=float)
     y0 = y0.reshape(len(starts), len(COORD_NAMES))
-    return integrate_ode(_reduced(setup).rhs, y0, t_max, controls)
+    return integrate_ode(reduced_flow(setup), y0, t_max, controls)
 
 
 def integrate(setup, c0, t_max, controls=None):
@@ -469,26 +494,34 @@ class SolvData:
         return cls(c.A, c.C, c.E, -c.G, c.M, c.N, lam)
 
 
-def solv_system_rhs(sd):
-    """Hand-written right side of the four-component closed-ansatz system.
+def _padded_flow(dim, terms):
+    """A ReducedFlow on rows (y_0, ..., y_{dim-2}, 1) from terms (i, x, mono):
+    f_i gains x y_a y_b y_c over (a, b, c) = mono, where the index dim - 1
+    stands for the constant coordinate 1, whose own f is 0."""
+    monos = sorted({mono for _, _, mono in terms})
+    rows = [[0.0] * dim for _ in monos]
+    for i, x, mono in terms:
+        rows[monos.index(mono)][i] += x
+    return ReducedFlow(monos, rows, dim)
+
+
+def solv_system(sd):
+    """The four-component closed-ansatz system, hand-written, as a
+    ReducedFlow on rows (alpha, beta, gamma, delta, 1).
 
     Cross-check oracle only: the integrator always goes through the generic
-    reduced right side.  Maps rows (alpha, beta, gamma, delta) to rows, as
-    integrate_ode asks of a right side."""
+    reduced right side."""
     l2 = 4.0 * sd.lam ** 2
     MN2m = (sd.M - sd.N) ** 2
     MN2p = (sd.M + sd.N) ** 2
-
-    def rhs(y):
-        a, b, g, d = np.asarray(y).T
-        return np.stack([
-            l2 * a * (4.0 * b * g - MN2m),
-            l2 * b * (4.0 * a * d - MN2p),
-            l2 * g * (4.0 * a * d - MN2p),
-            l2 * d * (4.0 * b * g - MN2m),
-        ], axis=-1)
-
-    return rhs
+    # alpha' = l2 alpha (4 beta gamma - (M-N)^2), beta' = l2 beta (4 alpha
+    # delta - (M+N)^2), gamma' likewise, delta' like alpha'
+    return _padded_flow(5, [
+        (0, 4.0 * l2, (0, 1, 2)), (0, -l2 * MN2m, (0, 4, 4)),
+        (1, 4.0 * l2, (0, 1, 3)), (1, -l2 * MN2p, (1, 4, 4)),
+        (2, 4.0 * l2, (0, 2, 3)), (2, -l2 * MN2p, (2, 4, 4)),
+        (3, 4.0 * l2, (1, 2, 3)), (3, -l2 * MN2m, (3, 4, 4)),
+    ])
 
 
 @dataclass
@@ -555,8 +588,8 @@ class TPrimeBound:
 
 @dataclass
 class SolvUVTools:
-    uv_rhs: Callable
-    comparison_rhs: Callable
+    uv_flow: ReducedFlow
+    comparison_flow: ReducedFlow
     w_closed_form: Callable
     t_prime: TPrimeBound
 
@@ -589,23 +622,21 @@ def _t_prime(sd):
     return TPrimeBound(-math.log(bracket) / (l2 * S), "general")
 
 
+def _uv_flow(l2, su, sv):
+    # u' = l2 u (v - su), v' = l2 v (u - sv) on rows (u, v, 1)
+    return _padded_flow(3, [(0, l2, (0, 1, 2)), (0, -l2 * su, (0, 2, 2)),
+                            (1, l2, (0, 1, 2)), (1, -l2 * sv, (1, 2, 2))])
+
+
 def solv_uv_tools(sd):
-    """The u = 4 alpha delta, v = 4 beta gamma reduction: its right side, the
+    """The u = 4 alpha delta, v = 4 beta gamma reduction: its flow, the
     symmetric comparison system, the closed form of w = e^{8 lam^2 S t} u for
-    the comparison system, and the blow-up bound T'.  Both right sides map
-    rows (u, v) to rows, as integrate_ode asks."""
+    the comparison system, and the blow-up bound T'.  Both flows are
+    ReducedFlows on rows (u, v, 1), for integrate_ode."""
     l2 = UV_RATE * sd.lam ** 2
     MN2m = (sd.M - sd.N) ** 2
     MN2p = (sd.M + sd.N) ** 2
     S, C0, u0, v0 = sd.S, sd.C0, sd.u0, sd.v0
-
-    def uv_rhs(y):
-        u, v = np.asarray(y).T
-        return np.stack([l2 * u * (v - MN2m), l2 * v * (u - MN2p)], axis=-1)
-
-    def comparison_rhs(y):
-        u, v = np.asarray(y).T
-        return np.stack([l2 * u * (v - S), l2 * v * (u - S)], axis=-1)
 
     def w_closed_form(t):
         if S == 0.0:
@@ -619,4 +650,5 @@ def solv_uv_tools(sd):
         expo = math.exp(-(C0 / S) * (math.exp(-l2 * S * t) - 1.0))
         return C0 / (1.0 - ((u0 - C0) / u0) * expo)
 
-    return SolvUVTools(uv_rhs, comparison_rhs, w_closed_form, _t_prime(sd))
+    return SolvUVTools(_uv_flow(l2, MN2m, MN2p), _uv_flow(l2, S, S),
+                       w_closed_form, _t_prime(sd))

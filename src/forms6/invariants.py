@@ -213,8 +213,12 @@ def _scaled(phi, vol):
     D, xs = 1, phi.coeffs.values()
     if exact:
         D, xs = _clear_denominators(xs)
-    elif is_exact(c):
-        c = float(c)
+    else:
+        for x in xs:
+            if not math.isfinite(x):
+                raise ValueError(f"non-finite coefficient {x!r}")
+        if is_exact(c):
+            c = float(c)
     v = [0] * len(_MASKS3)
     for m, x in zip(phi.coeffs, xs):
         v[_INDEX3[m]] = x

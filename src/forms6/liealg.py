@@ -13,6 +13,7 @@ loaded from the packaged JSON data files, so the same files double as CLI
 inputs.
 """
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -376,6 +377,9 @@ def solv_algebra(lam=None):
                        name=f"solv(lam={lam})")
 
 
+@functools.cache
 def builtin_setup(name):
-    """InvariantSetup for a named built-in algebra (standard omega)."""
+    """InvariantSetup for a named built-in algebra (standard omega), built
+    once per process: the setup is immutable, and its derived operators,
+    the reduced flow's table among them, cache on it."""
     return InvariantSetup.standard(load_builtin(name))

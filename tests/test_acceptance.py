@@ -211,7 +211,7 @@ def test_criterion_09_comparison_system():
             continue
         tools = flow.solv_uv_tools(sd)
         assert tools.t_prime.available
-        tr = flow.integrate_ode(tools.comparison_rhs, [sd.u0, sd.v0], 100.0,
+        tr = flow.integrate_ode(tools.comparison_flow, [sd.u0, sd.v0, 1.0], 100.0,
                                 flow.FlowControls(detect_stationary=False))
         assert tr.status == "blow_up"
         assert abs(tr.t_final - tools.t_prime.value) / tools.t_prime.value < 0.01

@@ -50,9 +50,9 @@ def test_reduced_rhs_solv_matches_hand_coded_system(rng):
         sd = flow.SolvData(*(rng.uniform(-2, 2) for _ in range(4)),
                            M=rng.uniform(-1, 1), N=rng.uniform(-1, 1))
         r = flow.reduced_rhs(SOLV, sd.to_coords())
-        hand = flow.solv_system_rhs(sd)(
-            np.array([sd.alpha, sd.beta, sd.gamma, sd.delta]))
-        got = np.array([r.A, r.C, r.E, -r.G])
+        hand = flow.solv_system(sd).rhs(
+            np.array([sd.alpha, sd.beta, sd.gamma, sd.delta, 1.0]))
+        got = np.array([r.A, r.C, r.E, -r.G, 0.0])
         assert np.allclose(got, hand, rtol=1e-12, atol=1e-12)
         # the ansatz shape is preserved slot by slot
         assert r.A == r.B and r.C == -r.D and r.E == -r.F and r.G == r.H
@@ -92,7 +92,7 @@ def test_rhs_rows_agree_with_closed_form_at_scale(c, e):
     y = np.array(c) * 10.0 ** e
     bound = 1e-14 * float(np.max(np.abs(y))) ** 3
     for setup in (NIL, SOLV):
-        rhs = flow.ReducedFlow(setup).rhs
+        rhs = flow.reduced_flow(setup).rhs
         got = rhs(y)
         want = _minus_2_M_hat(setup, [Fraction(x) for x in y.tolist()])
         assert max(abs(g - float(w)) for g, w in zip(got.tolist(), want)) <= bound
@@ -156,19 +156,41 @@ def test_nil_convergence_to_stationary_value(rng):
     assert abs(traj.final_state[0] - limit) <= 1e-6 * max(1.0, abs(limit))
 
 
-@pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-2, 1.0, 1e2])
+SCALED_NIL = inv.PrimitiveCoords(A=0.2, B=0.5, C=-0.3, D=1.0, E=0.7, F=1.2,
+                                 G=-0.8, H=0.9, I=0.3, J=0.6, K=-0.2, L=0.4,
+                                 M=0.1, N=-0.5)
+
+
+@pytest.mark.parametrize("s", [1e-6, 2.0 ** -20, 1e-4, 1e-3, 1e-2, 1.0, 1e2])
 def test_nil_flow_is_scale_equivariant(s):
     # f is a homogeneous cubic: c -> s c maps t -> t / s^2 and the limit
     # R/(4H^2) -> s R/(4H^2), so no scale may stop early or settle off it
-    c = inv.PrimitiveCoords(A=0.2, B=0.5, C=-0.3, D=1.0, E=0.7, F=1.2,
-                            G=-0.8, H=0.9, I=0.3, J=0.6, K=-0.2, L=0.4,
-                            M=0.1, N=-0.5)
+    c = SCALED_NIL
     nd = flow.NilData.from_coords(c)
     t_max = 10.0 / s ** 2
     traj = flow.integrate(NIL, [s * x for x in c], t_max)
     assert traj.t_final == t_max
     limit = s * nd.R / (4 * nd.H ** 2)
     assert abs(traj.final_state[0] - limit) <= 1e-12 * abs(limit)
+    # run on four times as long, the state stays on the limit
+    traj = flow.integrate(NIL, [s * x for x in c], 4 * t_max,
+                          flow.FlowControls(detect_stationary=False))
+    assert abs(traj.final_state[0] - limit) <= 1e-12 * abs(limit)
+
+
+@pytest.mark.parametrize("detect", [True, False])
+def test_power_of_two_scaling_takes_the_same_steps(detect):
+    # the step rule and the stationarity test are relative to |y|, so a
+    # scaling by 2^-20 scales every time by 2^40 and every state by 2^-20
+    s = 2.0 ** -20
+    controls = flow.FlowControls(detect_stationary=detect)
+    ref = flow.integrate(NIL, SCALED_NIL, 40.0, controls)
+    got = flow.integrate(NIL, [s * x for x in SCALED_NIL], 40.0 / s ** 2, controls)
+    assert (got.status, got.n_accepted, got.n_rejected) == \
+        (ref.status, ref.n_accepted, ref.n_rejected)
+    assert got.status == ("converged" if detect else "reached_t_max")
+    assert np.array_equal(got.times * s ** 2, ref.times)
+    assert np.array_equal(got.states / s, ref.states)
 
 
 def test_abelian_converges_immediately(rng):
@@ -255,13 +277,13 @@ def test_solv_blow_up_time_below_bound(rng):
 
 
 def test_solv_blow_up_rarely_rejects(rng):
-    # the controller shrinks h after an accepted step close to the tolerance,
-    # so an accelerating blow-up does not alternate accepted and rejected steps
+    # the Taylor step is chosen before it is taken, so a blow-up run that
+    # stops at the blow_norm gate rejects no step
     for _ in range(3):
         traj = flow.integrate(SOLV, rand_solv_data(rng).to_coords(), 100.0,
                               SOLV_CONTROLS)
         assert traj.status == "blow_up"
-        assert traj.n_rejected <= 0.05 * (traj.n_accepted + traj.n_rejected)
+        assert traj.n_rejected == 0
 
 
 def test_solv_error_status_with_unreachable_gate(rng):
@@ -296,45 +318,64 @@ def test_grid_consistency_of_blow_up_time(rng):
 
 # --- integrator cost and accuracy -------------------------------------------------------
 
-def test_rhs_evaluations_shared_between_stages(rng):
-    # f(y) is evaluated once per accepted state and reused as the k1 of the
-    # full step, of the first half step and of every retry from that state;
-    # the full and the first half step share each of their other stages in
-    # one stacked call
+def test_taylor_coefficients_built_once_per_step(rng):
+    # each pass builds the Taylor coefficients of every running start once
+    # and steps from them; a start that stops on convergence or step
+    # underflow has built the coefficients of its last state
     runs = ((SOLV, rand_solv_data(rng).to_coords(), 100.0, SOLV_CONTROLS),
+            (SOLV, rand_solv_data(rng).to_coords(), 100.0, flow.FlowControls()),
             (NIL, rand_nil_coords(rng), 40.0, flow.FlowControls()),
             (NIL, rand_nil_coords(rng), 10.0,
              flow.FlowControls(detect_stationary=False)))
+    seen = set()
     for setup, c0, t_max, controls in runs:
-        rhs = flow.ReducedFlow(setup).rhs
+        poly = flow.ReducedFlow(*flow.rhs_table(setup), 14)
+        taylor = poly.taylor
         calls = rows = 0
 
-        def f(y):
+        def counting(y):
             nonlocal calls, rows
             calls += 1
             rows += len(y)
-            return rhs(y)
+            return taylor(y)
 
-        traj = flow.integrate_ode(f, [float(x) for x in c0], t_max, controls)
-        attempts = traj.n_accepted + traj.n_rejected
-        assert attempts > 0
-        assert calls <= 1 + 8 * attempts
-        assert rows <= 1 + 10 * attempts + traj.n_accepted
-        assert traj.rhs_rows == rows
+        poly.taylor = counting
+        traj = flow.integrate_ode(poly, [float(x) for x in c0], t_max, controls)
+        seen.add(traj.status)
+        stopped_early = traj.status in ("converged", "error")
+        assert traj.n_accepted > 0
+        assert traj.n_rejected == (traj.status == "error")
+        assert calls == rows == traj.rhs_rows == traj.n_accepted + stopped_early
         # each step as t_{k+1} - t_k, up to the rounding of t
         steps = np.diff(traj.times)
         slack = 4 * np.finfo(float).eps * traj.t_final
         assert abs(traj.min_step - steps.min()) <= slack
         assert abs(traj.max_step - steps.max()) <= slack
+    assert seen == {"blow_up", "error", "converged", "reached_t_max"}
+
+
+def test_taylor_coefficients_match_derivatives(rng):
+    # y_1 = f(y), and 2 y_2 = f'(y) f(y) by a central difference
+    for setup in (NIL, SOLV):
+        poly = flow.reduced_flow(setup)
+        y = np.array([[rng.uniform(-1, 1) for _ in range(14)] for _ in range(3)])
+        coef = poly.taylor(y)
+        assert coef.shape == (flow.ORDER + 1, 3, 14)
+        assert np.array_equal(coef[0], y)
+        assert np.allclose(coef[1], poly.rhs(y), rtol=1e-13, atol=1e-13)
+        e = 1e-6
+        jf = (poly.rhs(y + e * coef[1]) - poly.rhs(y - e * coef[1])) / (2 * e)
+        assert np.allclose(2 * coef[2], jf, rtol=1e-6, atol=1e-7)
 
 
 def test_sweep_members_match_solo_runs(rng):
     # a start gives the same bits alone or in a batch, whichever of the
-    # others stop first and however their steps are accepted or rejected
+    # others stop first and after however many steps
     zero = inv.PrimitiveCoords(*[0.0] * 14)
     sweeps = ((SOLV, [rand_solv_data(rng).to_coords(), zero,
                       rand_solv_data(rng).to_coords()], 100.0, SOLV_CONTROLS),
-              (NIL, [rand_nil_coords(rng, 0.9, 1.2), rand_nil_coords(rng, 0.9, 1.2), zero],
+              (NIL, [rand_nil_coords(rng, 0.9, 1.2),
+                     rand_nil_coords(rng, 0.9, 1.2)._replace(H=0.0), zero],
                40.0, flow.FlowControls()))
     statuses = []
     for setup, starts, t_max, controls in sweeps:
@@ -349,9 +390,11 @@ def test_sweep_members_match_solo_runs(rng):
                     got.rhs_rows, got.min_step, got.max_step) == \
                 (solo.status, solo.message, solo.n_accepted, solo.n_rejected,
                  solo.rhs_rows, solo.min_step, solo.max_step)
-    # both nil starts reject steps, so some attempts accept one row and
-    # reject another
-    assert batch[0].n_rejected > 0 and batch[1].n_rejected > 0
+    # the nil batch shrinks at its first pass, when the zero start converges,
+    # and again when the start with H != 0 converges while the one with
+    # H = 0 grows on to t_max
+    assert [t.status for t in batch] == ["converged", "reached_t_max", "converged"]
+    assert 0 < batch[0].n_accepted < batch[1].n_accepted
     assert {"blow_up", "converged", "reached_t_max"} <= set(statuses)
     assert flow.integrate_sweep(NIL, [], 1.0) == []
 
@@ -364,7 +407,7 @@ def test_trajectory_matches_dop853_at_mid_run(rng):
     for setup, c0, t_max, controls in runs:
         traj = flow.integrate(setup, c0, t_max, controls)
         i = int(np.searchsorted(traj.times, 0.5 * traj.t_final))
-        rhs = flow.ReducedFlow(setup).rhs
+        rhs = flow.reduced_flow(setup).rhs
         sol = integrate.solve_ivp(lambda _t, y: rhs(y),
                                   (0.0, float(traj.times[i])),
                                   [float(x) for x in c0], method="DOP853",
@@ -375,11 +418,34 @@ def test_trajectory_matches_dop853_at_mid_run(rng):
 
 
 def test_huge_state_surfaces_as_blow_up():
-    # the cubes overflow float64 to inf; the non-finite error estimates
-    # reject every step until the step underflows at a huge norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = flow.integrate(SOLV, [1e160] * 14, 1.0)
+    # the cubes overflow float64 to inf; non-finite Taylor coefficients give
+    # a step of 0, which stops the start as an underflow at a huge norm
+    traj = flow.integrate(SOLV, [1e160] * 14, 1.0)
     assert traj.status == "blow_up"
+    assert (traj.n_accepted, traj.n_rejected, traj.rhs_rows) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_start_is_refused(bad):
+    c0 = [0.5] * 14
+    c0[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        flow.integrate(NIL, c0, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        flow.integrate_sweep(NIL, [[0.5] * 14, c0], 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        flow.integrate_ode(flow.reduced_flow(NIL), c0, 1.0)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bad_t_max_is_refused(t_max):
+    c0 = [0.5] * 14
+    with pytest.raises(ValueError, match="t_max"):
+        flow.integrate(NIL, c0, t_max)
+    with pytest.raises(ValueError, match="t_max"):
+        flow.integrate_sweep(NIL, [c0, c0], t_max)
+    with pytest.raises(ValueError, match="t_max"):
+        flow.integrate_ode(flow.reduced_flow(NIL), c0, t_max)
 
 
 # --- u-v tools ------------------------------------------------------------------------------
@@ -390,17 +456,17 @@ def test_uv_rhs_definitions():
     l2 = flow.UV_RATE * sd.lam ** 2
     u, v = 3.0, 4.0
     np.testing.assert_allclose(
-        tools.uv_rhs((u, v)),
-        [l2 * u * (v - (sd.M - sd.N) ** 2), l2 * v * (u - (sd.M + sd.N) ** 2)])
+        tools.uv_flow.rhs(np.array([u, v, 1.0])),
+        [l2 * u * (v - (sd.M - sd.N) ** 2), l2 * v * (u - (sd.M + sd.N) ** 2), 0.0])
     np.testing.assert_allclose(
-        tools.comparison_rhs((u, v)),
-        [l2 * u * (v - sd.S), l2 * v * (u - sd.S)])
+        tools.comparison_flow.rhs(np.array([u, v, 1.0])),
+        [l2 * u * (v - sd.S), l2 * v * (u - sd.S), 0.0])
 
 
 def test_uv_rate_regression(rng):
     # the factor in the u-v reduction: differentiating u = 4 alpha delta and
     # v = 4 beta gamma through the generic reduced right side must reproduce
-    # uv_rhs exactly; this rules out the quarter-speed variant
+    # uv_flow exactly; this rules out the quarter-speed variant
     for _ in range(8):
         sd = flow.SolvData(*(rng.uniform(0.3, 2.0) for _ in range(4)),
                            M=rng.uniform(-1, 1), N=rng.uniform(-1, 1))
@@ -408,7 +474,7 @@ def test_uv_rate_regression(rng):
         du = 4 * (r.A * sd.delta + sd.alpha * -r.G)
         dv = 4 * (r.C * sd.gamma + sd.beta * r.E)
         tools = flow.solv_uv_tools(sd)
-        expect = tools.uv_rhs((sd.u0, sd.v0))
+        expect = tools.uv_flow.rhs(np.array([sd.u0, sd.v0, 1.0]))
         assert abs(du - expect[0]) < 1e-9 * max(1.0, abs(expect[0]))
         assert abs(dv - expect[1]) < 1e-9 * max(1.0, abs(expect[1]))
 
@@ -420,14 +486,14 @@ def test_uv_consistency_with_coefficient_flow(rng):
     tools = flow.solv_uv_tools(sd)
     traj = flow.integrate(SOLV, sd.to_coords(), 100.0, SOLV_CONTROLS)
     t_check = 0.8 * traj.t_final
-    uv = flow.integrate_ode(tools.uv_rhs, [sd.u0, sd.v0], t_check,
+    uv = flow.integrate_ode(tools.uv_flow, [sd.u0, sd.v0, 1.0], t_check,
                             flow.FlowControls(detect_stationary=False))
     assert uv.status == "reached_t_max"
     i = int(np.searchsorted(traj.times, t_check))
     st = traj.states[min(i, len(traj.times) - 1)]
     t_at = traj.times[min(i, len(traj.times) - 1)]
     # re-integrate the uv system to the exact sample time of the trajectory
-    uv = flow.integrate_ode(tools.uv_rhs, [sd.u0, sd.v0], float(t_at),
+    uv = flow.integrate_ode(tools.uv_flow, [sd.u0, sd.v0, 1.0], float(t_at),
                             flow.FlowControls(detect_stationary=False))
     u_coeff = 4 * st[0] * -st[6]
     v_coeff = 4 * st[2] * st[4]
@@ -444,7 +510,7 @@ def test_symmetric_branch_closed_form():
     l2 = flow.UV_RATE * sd.lam ** 2
     assert abs(tp.value - math.log(sd.u0 / (sd.u0 - sd.S)) / (l2 * sd.S)) < 1e-15
     # numeric comparison-system blow-up agrees
-    tr = flow.integrate_ode(tools.comparison_rhs, [sd.u0, sd.v0], 10.0,
+    tr = flow.integrate_ode(tools.comparison_flow, [sd.u0, sd.v0, 1.0], 10.0,
                             flow.FlowControls(detect_stationary=False))
     assert tr.status == "blow_up"
     assert abs(tr.t_final - tp.value) / tp.value < 0.01
@@ -457,7 +523,7 @@ def test_general_t_prime_matches_numeric_pole(rng):
             continue
         tools = flow.solv_uv_tools(sd)
         assert tools.t_prime.available
-        tr = flow.integrate_ode(tools.comparison_rhs, [sd.u0, sd.v0], 50.0,
+        tr = flow.integrate_ode(tools.comparison_flow, [sd.u0, sd.v0, 1.0], 50.0,
                                 flow.FlowControls(detect_stationary=False))
         assert tr.status == "blow_up"
         assert abs(tr.t_final - tools.t_prime.value) / tools.t_prime.value < 0.01
@@ -472,9 +538,9 @@ def test_general_t_prime_matches_numeric_pole(rng):
 def test_full_uv_blows_up_before_comparison(rng):
     sd = rand_solv_data(rng)
     tools = flow.solv_uv_tools(sd)
-    full = flow.integrate_ode(tools.uv_rhs, [sd.u0, sd.v0], 50.0,
+    full = flow.integrate_ode(tools.uv_flow, [sd.u0, sd.v0, 1.0], 50.0,
                               flow.FlowControls(detect_stationary=False))
-    comp = flow.integrate_ode(tools.comparison_rhs, [sd.u0, sd.v0], 50.0,
+    comp = flow.integrate_ode(tools.comparison_flow, [sd.u0, sd.v0, 1.0], 50.0,
                               flow.FlowControls(detect_stationary=False))
     assert full.status == comp.status == "blow_up"
     assert full.t_final <= comp.t_final + 1e-9
@@ -493,7 +559,7 @@ def test_s_zero_branch():
     tp = flow._t_prime(sd)
     assert tp.branch == "S=0" and tp.available
     tools = flow.solv_uv_tools(sd)
-    tr = flow.integrate_ode(tools.comparison_rhs, [sd.u0, sd.v0], 10.0,
+    tr = flow.integrate_ode(tools.comparison_flow, [sd.u0, sd.v0, 1.0], 10.0,
                             flow.FlowControls(detect_stationary=False))
     assert tr.status == "blow_up"
     assert abs(tr.t_final - tp.value) / tp.value < 0.01

@@ -794,3 +794,15 @@ def test_stabilizer_form_fixes_normal_form_via_pullback():
     M = _embed(A, B, C)
     g = inv.block_matrix_to_map(M)
     assert pullback(g, inv.o0_normal_form()) == inv.o0_normal_form()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_form_is_refused(bad):
+    # a NaN coefficient would otherwise read as Q != 0 and not Q < 0: O+
+    phi = (basis(1, 3, 5) - basis(1, 4, 6) - basis(2, 3, 6)) * 1.0 + basis(2, 4, 5) * bad
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        inv.classify_gl(phi)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        inv.classify_sp(phi)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        inv.compute_Q(phi, OMEGA)

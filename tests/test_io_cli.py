@@ -300,15 +300,36 @@ def test_flow_sweep_matches_solo_runs(tmp_path):
         status = _without_stamp(tmp_path / "sweep" / f"status-{k:03d}.json")
         assert status == _without_stamp(solo / "status.json")
         rows = len((solo / "trajectory.csv").read_text().splitlines()) - 1
+        # one Taylor coefficient build per step, and one more at the state a
+        # start converges or underflows at
         attempts = status["n_accepted"] + status["n_rejected"]
-        assert status["rhs_rows"] == 1 + 10 * attempts + status["n_accepted"]
-        if attempts:
+        assert status["rhs_rows"] == attempts + (status["status"] == "converged")
+        if status["n_accepted"]:
             assert 0 < status["min_step"] <= status["max_step"]
         else:
             assert status["min_step"] is status["max_step"] is None
         assert rows == 1 + status["n_accepted"]
         seen.add(status["status"])
     assert seen == {"converged", "reached_t_max"}
+
+
+def test_flow_calls_in_one_process_write_the_same_files(tmp_path):
+    # the built-in setup and its right-side table are built once per
+    # process; a second call must not depend on what the first left behind
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps([{"A": 0.2, "D": 1.0, "F": 1.2, "H": 0.9},
+                                 {"A": -0.3, "H": 0.7, "J": 0.6}]))
+    for k in (1, 2):
+        assert run_cli("flow", "nil-debartolomeis", str(sweep), "--t-max", "20",
+                       "--out", str(tmp_path / f"run-{k}")) == 0
+    def unstamped(path):
+        return re.sub(rb'"generated_at": "[^"]*"', b"", path.read_bytes())
+
+    for name in ("trajectory-000.csv", "trajectory-001.csv",
+                 "status-000.json", "status-001.json"):
+        assert unstamped(tmp_path / "run-1" / name) == \
+            unstamped(tmp_path / "run-2" / name)
+    assert b'"generated_at"' in (tmp_path / "run-1" / "status-000.json").read_bytes()
 
 
 def test_flow_require_positive_refuses_whole_sweep(tmp_path, capsys):

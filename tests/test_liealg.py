@@ -452,3 +452,9 @@ def test_flags_and_nijenhuis_max_match_definitions_on_phi(rng):
             seen.add((setup is NIL, flags.F_harmonic, flags.K_integrable))
     assert {(True, True, True), (False, True, True), (True, False, False),
             (False, False, False)} <= seen
+
+
+def test_builtin_setup_built_once_per_process():
+    for name in ("nil-debartolomeis", "solv-tomassini", "abelian"):
+        assert la.builtin_setup(name) is la.builtin_setup(name)
+    assert la.builtin_setup("nil-debartolomeis") is NIL
