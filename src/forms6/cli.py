@@ -2,10 +2,10 @@
 
 Subcommands: classify (orbit report for a 3-form file), verify (seeded
 verification suites with JSON reports), flow (trajectory CSV + status JSON),
-hessian (leaf-geometry check report).  Every error path exits nonzero with a
-message on stderr; reports are written atomically and are byte-reproducible
-for a fixed seed and configuration apart from the single generated_at header
-field.
+hessian (verify --suite hessian: the leaf-geometry report).  Every error
+path exits nonzero with a message on stderr; reports are written atomically
+and are byte-reproducible for a fixed seed and configuration apart from the
+single generated_at header field.
 """
 
 import argparse
@@ -219,15 +219,6 @@ def cmd_flow(args):
     return 0
 
 
-# --- hessian -------------------------------------------------------------------
-
-def cmd_hessian(args):
-    passed, report = verify.run("hessian", args.seed, args.trials)
-    report["grid"] = "per metric: C in {-0.1, 0, 0.5, 2}, 4 random fiber points each"
-    _emit(_stamp(report), args.out)
-    return 0 if passed else 1
-
-
 # --- argument parsing ------------------------------------------------------------
 
 @functools.cache
@@ -271,11 +262,12 @@ def build_parser():
     f.add_argument("--out", help="output directory", default=".")
     f.set_defaults(fn=cmd_flow)
 
-    h = sub.add_parser("hessian", help="verify the leaf geometry example")
+    h = sub.add_parser("hessian", help="verify the leaf geometry example "
+                                       "(verify --suite hessian)")
     h.add_argument("--seed", type=int, default=0)
     h.add_argument("--trials", type=int, default=96)
     h.add_argument("--out")
-    h.set_defaults(fn=cmd_hessian)
+    h.set_defaults(fn=cmd_verify, suite="hessian")
     return p
 
 
@@ -283,10 +275,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"forms6: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as e:
+    except (CliError, ValueError, ArithmeticError) as e:
         print(f"forms6: {e}", file=sys.stderr)
         return 2
 

@@ -194,10 +194,6 @@ def basis(*axes):
     return Form(len(axes), {mask_from_axes(axes): 1})
 
 
-def scalar_form(value):
-    return Form(0, {0: value})
-
-
 def wedge(a, b):
     """Exterior product.  Grades must sum to at most 6 (hard error past 6)."""
     g = a.grade + b.grade
@@ -216,14 +212,6 @@ def wedge(a, b):
                     p = -p
                 out[m] = out.get(m, 0) + p
     return Form(g, out)
-
-
-def wedge_all(forms):
-    """Wedge of a sequence of forms, left to right (empty product = 1)."""
-    acc = scalar_form(1)
-    for f in forms:
-        acc = wedge(acc, f)
-    return acc
 
 
 def interior(v, a):
@@ -313,7 +301,10 @@ def pullback(g, a):
                  for i in range(DIM)]
     out = Form.zero(a.grade)
     for m, c in a.coeffs.items():
-        prod = wedge_all(row_forms[i] for i in range(DIM) if m >> i & 1)
+        prod = Form(0, {0: 1})
+        for i in range(DIM):
+            if m >> i & 1:
+                prod = wedge(prod, row_forms[i])
         out = out + prod * c
     return out
 

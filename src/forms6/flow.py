@@ -393,8 +393,8 @@ class LimitError(RuntimeError):
 
 
 def normalized_limit(traj, normalizer="A"):
-    """Limit of phi(t)/c_normalizer(t) over the final window (the last 5% of
-    the samples, at least 3), classified.
+    """Limit of phi(t)/c_normalizer(t), normalizer a name in COORD_NAMES,
+    over the final window (the last 5% of the samples, at least 3), classified.
 
     Blow-up trajectories use final-window averaging (ratio drift there is
     negligible); reached_t_max trajectories must have grown in norm by 1e3,
@@ -402,7 +402,7 @@ def normalized_limit(traj, normalizer="A"):
     O(1/t) tail of linear growth.  Stationary trajectories are rejected:
     there is nothing to normalize.
     """
-    idx = COORD_NAMES.index(normalizer) if isinstance(normalizer, str) else normalizer
+    idx = COORD_NAMES.index(normalizer)
     if traj.status == "converged":
         raise LimitError("trajectory is stationary; no normalized limit to take")
     if traj.status == "error":
@@ -483,7 +483,8 @@ class SolvData:
                                M=self.M, N=self.N)
 
     @classmethod
-    def from_coords(cls, c, lam=liealg.SOLV_LAMBDA, tol=1e-12):
+    def from_coords(cls, c):
+        tol = 1e-12   # relative above 1 for the pairs
         c = PrimitiveCoords(*(float(x) for x in c))
         pairs = ((c.A, c.B), (c.C, -c.D), (c.E, -c.F), (-c.G, -c.H))
         for a, b in pairs:
@@ -491,7 +492,7 @@ class SolvData:
                 raise ValueError("coefficients are not a closed solv ansatz")
         if any(abs(x) > tol for x in (c.I, c.J, c.K, c.L)):
             raise ValueError("closed solv ansatz needs I = J = K = L = 0")
-        return cls(c.A, c.C, c.E, -c.G, c.M, c.N, lam)
+        return cls(c.A, c.C, c.E, -c.G, c.M, c.N)
 
 
 def _padded_flow(dim, terms):

@@ -142,8 +142,8 @@ def _leaf_h(metric, p):
     r_j r_k in the affine frame, with the kernel values it was built on."""
     pt = _point(metric, p)
     _, g, d, _, _, _, P, f, fp = pt
-    h = [[2 * g[j][k] / f - f * fp * d * P[j] * P[k] if fp != 0 else 2 * g[j][k] / f
-          for k in range(3)] for j in range(3)]
+    h = [[2 * g[j][k] / f - f * fp * d * P[j] * P[k] for k in range(3)]
+         for j in range(3)]
     return h, pt
 
 
@@ -172,13 +172,13 @@ def build_six_forms(metric, p):
 class HessianLeafData:
     """Leaf metric package at one fiber point: the Hessian metric h in the
     affine frame, its closed-form inverse, the totally symmetric third
-    derivatives, the affine frame vectors (rows = frame vectors in the
-    fiber coordinates) and the scalar curvature."""
+    derivatives and the affine frame vectors (rows = frame vectors in the
+    fiber coordinates).  The curvature is read off this package by
+    scalar_curvature."""
     h: object
     h_inv: object
     h3: object
     V_frame: object
-    S: float
 
 
 def leaf_data(metric, p):
@@ -206,25 +206,22 @@ def leaf_data(metric, p):
                                       (k, l, j), (l, j, k), (l, k, j)}:
                         h3[a][b][c] = val
 
-    fr = f + 2 * r * fp if fp != 0 else f
-    V = [[2 * f * s * ((fr if j == k else 0) - (fp * P[j] * t[k] if fp != 0 else 0))
+    fr = f + 2 * r * fp
+    V = [[2 * f * s * ((fr if j == k else 0) - fp * P[j] * t[k])
           for k in range(3)] for j in range(3)]
-
-    hi = np.array([[float(x) for x in row] for row in h_inv])
-    t3 = np.array([[[float(x) for x in row] for row in mat] for mat in h3])
-    S = float(0.25 * np.einsum("st,ik,jl,sil,tkj->", hi, hi, hi, t3, t3))
-    return HessianLeafData(h, h_inv, h3, V, S)
+    return HessianLeafData(h, h_inv, h3, V)
 
 
 def scalar_curvature(data):
-    """(S, Ricci): S = (1/4) h^{st} h^{ik} h^{jl} h_{sil} h_{tkj} as
-    leaf_data computed it, and Ricci_{jk} = (1/4) h^{st} h^{lp} h_{jps}
-    h_{klt} from the contracted third derivatives; its trace against h^{jk}
-    reproduces S."""
+    """(S, Ricci) of the leaf metric, on floats: Ricci_{jk} = (1/4) h^{st}
+    h^{lp} h_{jps} h_{klt} from the contracted third derivatives, and S =
+    h^{jk} Ricci_{jk}, which is (1/4) h^{st} h^{ik} h^{jl} h_{sil} h_{tkj}
+    (Shima, The Geometry of Hessian Structures, 2007).  This is the one place
+    the curvature is computed."""
     hi = np.array([[float(x) for x in row] for row in data.h_inv])
     t3 = np.array([[[float(x) for x in row] for row in mat] for mat in data.h3])
     ricci = 0.25 * np.einsum("st,lp,jps,klt->jk", hi, hi, t3, t3)
-    return data.S, ricci
+    return float(np.einsum("jk,jk->", hi, ricci)), ricci
 
 
 def closed_form_scalar_curvature(metric, p):

@@ -37,6 +37,9 @@ GL_LABELS = (O_MINUS, O_PLUS, O_0, O_1, O_3, O_6)
 # Sp(V, omega) orbit labels on primitive 3-forms
 SP_LABELS = ("O-+", "O--", "O+", "O0+", "O0-", "O1+", "O1-", "O3", "O6")
 
+# default tolerance of the float orbit decisions: Q = 0, ranks, signatures
+ORBIT_TOL = 1e-8
+
 
 def standard_omega():
     """The standard symplectic form e^12 + e^34 + e^56."""
@@ -295,11 +298,11 @@ def _F_of(s, gn):
     return Form(3, {m: div(-2 * g) for m, g in zip(_MASKS3, gn) if g})
 
 
-def _K_and_F(phi, vol, tol=DEFAULT_TOL):
+def _K_and_F(phi, vol):
     """K(phi) and F(phi) from a single K evaluation."""
     s = _scaled(phi, vol)
     kn = _K_numerators(s.v)
-    return _K_of(s, kn), _F_of(s, _F_numerators(kn, s, tol))
+    return _K_of(s, kn), _F_of(s, _F_numerators(kn, s, DEFAULT_TOL))
 
 
 def compute_K(phi, omega=None, vol=None):
@@ -312,14 +315,14 @@ def compute_K(phi, omega=None, vol=None):
     return _K_of(s, _K_numerators(s.v))
 
 
-def compute_F(phi, omega=None, vol=None, tol=DEFAULT_TOL):
+def compute_F(phi, omega=None, vol=None):
     """The 3-form F(phi), F(v1,v2,v3) = -2 phi(K v1, v2, v3), trivialized by vol.
 
     Alternation in the first slot against the others is not formal, so it is
     verified internally; a failure indicates a broken K and raises.
     """
     s = _scaled(phi, _resolve_vol(omega, vol))
-    return _F_of(s, _F_numerators(_K_numerators(s.v), s, tol))
+    return _F_of(s, _F_numerators(_K_numerators(s.v), s, DEFAULT_TOL))
 
 
 def _Q_of(s, kn):
@@ -470,7 +473,7 @@ class SignatureTriple(NamedTuple):
     nminus: int
 
 
-def signature(sym, tol=1e-8):
+def signature(sym, tol=ORBIT_TOL):
     """Inertia (n_zero, n_plus, n_minus) of a symmetric matrix."""
     return SignatureTriple(*linalg.signature_counts(sym, tol))
 
@@ -482,7 +485,7 @@ class SubspaceDims(NamedTuple):
     ann_perp: int
 
 
-def subspace_dims(phi, omega=None, vol=None, tol=1e-8):
+def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
     """Dimensions (ker phi, ker K, im K, (Ann phi)^perp).
 
     Ranks of v -> iota_v phi (the contraction matrix), of K and of
@@ -510,7 +513,7 @@ def _q_is_zero(phi, Q, tol):
     return abs(float(Q)) <= tol * scale
 
 
-def classify_gl(phi, vol=None, tol=1e-8):
+def classify_gl(phi, vol=None, tol=ORBIT_TOL):
     """GL(V) orbit label of a 3-form.
 
     Stable orbits by the sign of Q; on the Q = 0 hypersurface the kernel
@@ -541,7 +544,7 @@ def _fourth_root(x):
     return x ** 0.25
 
 
-def classify_sp(phi, omega=None, tol=1e-8):
+def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     """Sp(V, omega) orbit of a primitive 3-form, with mu for stable orbits.
 
     mu is recovered from Q: Q = -16 mu^4 on the O- orbits and Q = 4 mu^4 on
@@ -648,11 +651,11 @@ def coords_to_form(c):
                     for m, s in b.coeffs.items()})
 
 
-def form_to_coords(phi, tol=DEFAULT_TOL):
+def form_to_coords(phi):
     """Coefficients of a primitive 3-form; rejects non-primitive input."""
     if phi.grade != 3:
         raise GradeError("expected a 3-form")
-    _check_primitive(phi, standard_omega(), tol, "form")
+    _check_primitive(phi, standard_omega(), DEFAULT_TOL, "form")
     return PrimitiveCoords(*(phi.coeffs.get(m, 0) for m in _LEAD_MASKS))
 
 
@@ -751,8 +754,9 @@ GRADIENT_TABLE = (
 )
 
 
-def gradient_relations_check(c, h=1e-5):
+def gradient_relations_check(c):
     """Worst relative error of central differences of Q against the hat table."""
+    h = 1e-5
     c = c.to_floats()
     hats = hat_map(c)
     worst = 0.0
@@ -801,7 +805,7 @@ class StabilizerCheck(NamedTuple):
     reason: str = ""
 
 
-def stabilizer_predicates(block, tol=DEFAULT_TOL):
+def stabilizer_predicates(block):
     """Block conditions for stabilizing F(phi0) and phi0 for the normal form
     phi0 = o0_normal_form(), with block = [[A, 0], [B, C]] in (dx, dy) order.
 
@@ -818,12 +822,13 @@ def stabilizer_predicates(block, tol=DEFAULT_TOL):
     exact = linalg.matrix_is_exact(block)
 
     def near(x, y):
-        return x == y if exact else abs(float(x - y)) <= tol * max(1.0, abs(float(y)))
+        return (x == y if exact
+                else abs(float(x - y)) <= DEFAULT_TOL * max(1.0, abs(float(y))))
 
     if any(not near(x, 0) for r in Z for x in r):
         return StabilizerCheck(False, False, "upper-right block is nonzero")
     detC = linalg.det(C)
-    if detC == 0 or (not exact and abs(float(detC)) <= tol):
+    if detC == 0 or (not exact and abs(float(detC)) <= DEFAULT_TOL):
         return StabilizerCheck(False, False, "C block is singular")
     detA = linalg.det(A)
     f_ok = near(detA * detC * detC, 1)
@@ -858,18 +863,16 @@ def _exact_sqrt(x):
     return math.sqrt(float(x))
 
 
-def hitchin_data(phi, omega=None, tol=1e-8):
+def hitchin_data(phi, omega=None):
     """Almost complex structure data for phi with Q(phi) < 0.
 
     J = K/sqrt(-lambda) squares to -id, phihat = J* phi, and
     F = |phi|^2 phihat with |phi|^2 = sqrt(-Q), lambda = Q/4.
     """
-    if omega is None:
-        omega = standard_omega()
-    s = _scaled(phi, volume_of(omega))
+    s = _scaled(phi, _omega_tables(omega if omega is not None else standard_omega()).vol)
     kn = _K_numerators(s.v)
     Q = _Q_of(s, kn)
-    if _q_is_zero(phi, Q, tol) or Q > 0:
+    if _q_is_zero(phi, Q, ORBIT_TOL) or Q > 0:
         raise ValueError(f"not in O-: Q(phi) = {Q} >= 0")
     normsq = _exact_sqrt(-Q)
     lam = Q / 4

@@ -151,16 +151,17 @@ def dlambdad(setup, a):
     return setup.algebra.d(lefschetz_lambda(setup, setup.algebra.d(a)))
 
 
-def flow_operator(setup, phi, tol=DEFAULT_TOL):
+def flow_operator(setup, phi):
     """d Lambda d F(phi) for an invariant primitive 3-form.
 
     The result is invariant by construction and must come back primitive;
     a non-primitive image violates the operator's contract and raises.
     """
-    invariants._check_primitive(phi, setup.omega, tol, "flow input")
+    invariants._check_primitive(phi, setup.omega, DEFAULT_TOL, "flow input")
     F = compute_F(phi, setup.omega)
     out = dlambdad(setup, F)
-    invariants._check_primitive(out, setup.omega, tol, "flow output (internal error)")
+    invariants._check_primitive(out, setup.omega, DEFAULT_TOL,
+                                "flow output (internal error)")
     return out
 
 
@@ -320,7 +321,7 @@ class IntegrabilityFlags(NamedTuple):
     Q_integrable: bool     # Q is constant: automatic for invariant forms
 
 
-def integrability_flags(setup, phi, tol=DEFAULT_TOL):
+def integrability_flags(setup, phi):
     """d phi = 0, d F(phi) = 0 and N_K = 0 are each unchanged when phi is
     scaled by D and the structure constants by E, so exact input is tested
     on D phi over the integral algebra, where every zero test runs on int."""
@@ -328,10 +329,10 @@ def integrability_flags(setup, phi, tol=DEFAULT_TOL):
     if exact:
         phi = invariants._cleared(phi)[1]
         setup = _integral_setup(setup)[1]
-    ztol = 0.0 if exact else tol * max(1.0, phi.max_abs()) ** 3
+    ztol = 0.0 if exact else DEFAULT_TOL * max(1.0, phi.max_abs()) ** 3
 
     dphi = setup.algebra.d(phi)
-    integrable = dphi.is_zero(0.0 if exact else tol * max(1.0, phi.max_abs()))
+    integrable = dphi.is_zero(0.0 if exact else DEFAULT_TOL * max(1.0, phi.max_abs()))
     K, F = invariants._K_and_F(phi, invariants._resolve_vol(setup.omega, None))
     F_integrable = setup.algebra.d(F).is_zero(ztol)
     K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= ztol

@@ -204,15 +204,23 @@ def _suite_nijenhuis(seed, trials, report):
     return True
 
 
+_LEAF_CS = (-0.1, 0.0, 0.5, 2.0)
+_LEAF_POINTS = 4
+
+
 def _suite_hessian(seed, trials, report):
+    """The leaf-geometry checks on one random base metric per 32 trials, at
+    _LEAF_POINTS random fiber points for each C in _LEAF_CS."""
     rng = random.Random(seed)
     worst = {}
     ok = True
+    cs = ", ".join(f"{C:g}" for C in _LEAF_CS)
+    report["grid"] = f"per metric: C in {{{cs}}}, {_LEAF_POINTS} random fiber points each"
     for _ in range(max(1, trials // 32)):
         a = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)])
         metric = hessian.BaseMetric3((a @ a.T + 1.5 * np.eye(3)).tolist())
-        for C in (-0.1, 0.0, 0.5, 2.0):
-            for _ in range(4):
+        for C in _LEAF_CS:
+            for _ in range(_LEAF_POINTS):
                 t = tuple(rng.uniform(0.5, 1.8) * rng.choice((-1, 1))
                           for _ in range(3))
                 p = hessian.FiberPoint(t, C)

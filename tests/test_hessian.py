@@ -76,7 +76,7 @@ def test_exact_primitivity_and_determinant():
     data = hs.leaf_data(EXACT_METRIC, p)
     assert linalg.det(data.h) == 8 * EXACT_METRIC.det
     assert all(isinstance(x, Fraction) for row in data.h for x in row)
-    assert data.S == 0.0
+    assert hs.scalar_curvature(data)[0] == 0.0
     assert all(x == 0 for mat in data.h3 for row in mat for x in row)
 
 
@@ -148,9 +148,12 @@ def test_scalar_curvature_closed_form(rng, C):
         data = hs.leaf_data(metric, p)
         S, ricci = hs.scalar_curvature(data)
         assert abs(S - hs.closed_form_scalar_curvature(metric, p)) < 1e-8
-        assert abs(S - data.S) < 1e-12
-        # trace consistency and positive semidefiniteness
+        # the 5-index contraction (1/4) h^{st} h^{ik} h^{jl} h_{sil} h_{tkj}
         hi = np.array([[float(x) for x in row] for row in data.h_inv])
+        t3 = np.array([[[float(x) for x in row] for row in mat] for mat in data.h3])
+        S5 = 0.25 * np.einsum("st,ik,jl,sil,tkj->", hi, hi, hi, t3, t3)
+        assert abs(S - S5) < 1e-12 * max(1.0, abs(S))
+        # trace consistency and positive semidefiniteness
         assert abs(np.einsum("jk,jk->", hi, ricci) - S) < 1e-10 * max(1.0, abs(S))
         assert np.linalg.eigvalsh(ricci).min() > -1e-10
 

@@ -203,6 +203,7 @@ def test_volume_of_omega_taken_from_cached_tables(rng, monkeypatch):
     monkeypatch.setattr(inv, "wedge", counting)
     inv.compute_K(phi, OMEGA)
     inv.subspace_dims(phi, OMEGA)
+    inv.hitchin_data(inv.sp_normal_form("O-+"), OMEGA)
     assert calls == []
 
 

@@ -420,3 +420,8 @@ def test_hessian_subcommand(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["passed"] is True
     assert rep["residuals"]["det_h_minus_8detg"] < 1e-10
+    # forms6 hessian is verify --suite hessian: the same report
+    via_verify = tmp_path / "verify.json"
+    assert run_cli("verify", "--suite", "hessian", "--seed", "5", "--trials", "32",
+                   "--out", str(via_verify)) == 0
+    assert _unstamped(via_verify) == _unstamped(out)
