@@ -68,7 +68,7 @@ def _num(x):
 def cmd_classify(args):
     phi = _load_form(args.form, grade=3)
     report = {
-        "input": os.path.abspath(args.form),
+        "input": args.form,
         "gl_orbit": None, "sp_orbit": None, "mu": None, "Q": None,
         "signature": None, "dims": None,
     }
@@ -253,7 +253,9 @@ def build_parser():
     f.add_argument("--tol", type=float, default=1e-9,
                    help="relative bound on the last Taylor terms of a step, "
                         "which sets the step size (default 1e-9)")
-    f.add_argument("--blow-norm", type=float, default=1e8)
+    f.add_argument("--blow-norm", type=float, default=1e8,
+                   help="growth of max|y| over the start's past which a step below "
+                        "--tol times t stops a start as blow_up (default 1e8)")
     f.add_argument("--normalizer", default="A", choices=COORD_NAMES)
     f.add_argument("--no-stationary", action="store_true",
                    help="disable stationary-point termination")

@@ -7,11 +7,11 @@ primitive coefficients.  This module evaluates that right side generically
 tables and the cached linear operator of d Lambda d, never hand-coded per
 algebra), integrates a batch of starts at once with a fixed-order Taylor
 series whose coefficients come from Cauchy products over the monomial
-table, stops each start on blow-up or on a stationarity test relative to
-|y|^3 held over a span of t, extracts normalized limits, and carries the
-closed-form solutions used as cross-checks: the scalar ODE on the nil
-algebra and the u-v comparison system with its blow-up bound on the solv
-algebra, whose polynomial systems are tables of the same kind.
+table, each row in its own power-of-two units, stops each start on
+scale-free blow-up and stationarity tests, extracts normalized limits, and
+carries the closed-form solutions used as cross-checks: the scalar ODE on
+the nil algebra and the u-v comparison system with its blow-up bound on
+the solv algebra, whose polynomial systems are tables of the same kind.
 """
 
 import math
@@ -129,8 +129,6 @@ def reduced_rhs(setup, coords):
 
 # thresholds of integrate_ode that no caller sets; FlowControls holds the
 # ones the CLI exposes
-H_MIN = 1e-14
-BLOW_STEP = 1e-12            # blow-up once accepted steps shrink below this
 STATIONARY_RESIDUAL = 1e-10  # max|f(y)| relative to max|y|^3
 MAX_STEPS = 2_000_000
 
@@ -138,7 +136,7 @@ MAX_STEPS = 2_000_000
 @dataclass
 class FlowControls:
     rtol: float = 1e-9
-    blow_norm: float = 1e8       # coefficient norm declaring blow-up
+    blow_norm: float = 1e8       # growth of max|y| over the start's that declares blow-up
     detect_stationary: bool = True
 
 
@@ -149,7 +147,7 @@ class Trajectory:
     status: str                  # reached_t_max | converged | blow_up | error
     message: str = ""
     n_accepted: int = 0
-    n_rejected: int = 0          # 1 when the start stopped on step underflow
+    n_rejected: int = 0          # 1 when the start stopped on a step that cannot move t
     rhs_rows: int = 0            # Taylor coefficient builds for this start
     min_step: Optional[float] = None    # smallest and largest accepted step
     max_step: Optional[float] = None
@@ -164,18 +162,18 @@ class Trajectory:
 
 
 class _Member:
-    """The run of one row of a batch: its time, samples, counters and, once
-    it stops, its status."""
+    """The run of one row of a batch: its time, samples, max|y| now and at
+    the start, counters and, once it stops, its status.  Its stop tests
+    compare max|f(y)| with max|y|^3, max|y| with max|y0| and a step with t,
+    so the rescaling y -> s y, t -> t / s^2 of the cubic flow leaves them
+    unchanged, and a power of two s bit for bit."""
 
-    def __init__(self, y0):
-        self.t = 0.0
-        self.still_since = None
-        self.times = [0.0]
-        self.states = [y0]
-        self.n_acc = self.n_rej = 0
-        self.rows = 0
-        self.min_step = self.max_step = None
-        self.status = None
+    def __init__(self, y0, norm):
+        self.t, self.still_since = 0.0, None
+        self.times, self.states = [0.0], [y0]
+        self.norm = self.norm0 = norm
+        self.n_acc = self.n_rej = self.rows = 0
+        self.min_step = self.max_step = self.status = None
         self.message = ""
 
     def running(self, t_max):
@@ -193,10 +191,8 @@ class _Member:
         |y|^3 at every sample from the time t_s it first did so up to
         t >= 2 t_s, or does so on the initial data.  The first span measures
         how long the start takes to come this close, so holding as long again
-        brings it about as much closer; both tests are unchanged by the
-        rescaling y -> s y, t -> t / s^2 of the homogeneous cubic flow."""
-        if not (slope <= STATIONARY_RESIDUAL * norm * norm * norm
-                and math.isfinite(slope)):
+        brings it about as much closer."""
+        if not slope <= STATIONARY_RESIDUAL * norm * norm * norm:
             self.still_since = None
             return False
         if self.n_acc == 0:
@@ -211,31 +207,28 @@ class _Member:
                         f"t = {self.still_since:.6g}..{self.t:.6g}")
         return True
 
-    def underflow(self, h, norm, c):
-        """Stop, as a rejected attempt, when the step h is too small to move t."""
-        if h >= H_MIN and self.t + h != self.t:
-            return False
-        self.n_rej += 1
-        if norm > c.blow_norm:
-            self.status = "blow_up"
-            self.message = f"|y| = {norm:.3e} at step underflow"
+    def blows_up(self, h, c):
+        """Whether the start stops as "blow_up" instead of taking the step h:
+        h cannot move t (counted in n_rejected), or max|y| > blow_norm max|y0|
+        while h < rtol t, the time left being below the run's own tolerance."""
+        if self.t + h == self.t:
+            self.n_rej += 1
+            self.message = f"step {h:.3e} cannot move t = {self.t!r} at |y| = {self.norm:.3e}"
+        elif self.norm > c.blow_norm * self.norm0 and h < c.rtol * self.t:
+            self.message = f"|y| = {self.norm:.3e} > {c.blow_norm:g} |y0|, step {h:.3e} < {c.rtol:g} t"
         else:
-            self.status = "error"
-            self.message = f"step underflow at t = {self.t} without blow-up"
+            return False
+        self.status = "blow_up"
         return True
 
-    def accept(self, y, h, norm, c):
+    def accept(self, y, h, norm):
         self.t += h
         self.n_acc += 1
         self.times.append(self.t)
         self.states.append(y)
-        if self.min_step is None:
-            self.min_step = self.max_step = h
-        else:
-            self.min_step = min(self.min_step, h)
-            self.max_step = max(self.max_step, h)
-        if norm > c.blow_norm and h < BLOW_STEP:
-            self.status, self.message = "blow_up", f"|y| = {norm:.3e} with step {h:.3e}"
+        self.norm = norm
+        self.min_step = min(self.min_step or h, h)     # steps are > 0
+        self.max_step = max(self.max_step or h, h)
 
     def trajectory(self):
         return Trajectory(np.array(self.times), np.array(self.states),
@@ -244,27 +237,15 @@ class _Member:
                           self.min_step, self.max_step)
 
 
-def _root(x, k):
-    """x^(1/k) for x > 0, taken on the mantissa with the exponent split off
-    in multiples of k, so that scaling x by 2^(k j) scales it by exactly 2^j."""
-    mant, e = math.frexp(x)
-    q, r = divmod(e, k)
-    return math.ldexp(math.ldexp(mant, r) ** (1.0 / k), q)
-
-
 def _step_size(eps, sizes):
     """min over k = ORDER - 1, ORDER of (eps / |y_k|)^(1/k), with |y_k| the
-    two norms in sizes; 0 where one of them or eps is not finite, so that
-    the start stops on step underflow."""
-    if not math.isfinite(eps):
+    two norms in sizes; 0, a step that stops the start, where one is not
+    finite."""
+    if not all(map(math.isfinite, sizes)):
         return 0.0
-    h = math.inf
-    for k, size in zip((ORDER - 1, ORDER), sizes):
-        if not math.isfinite(size):
-            return 0.0
-        if size > 0.0:
-            h = min(h, _root(eps / size, k))
-    return h
+    return min([(eps / size) ** (1.0 / k)
+                for k, size in zip((ORDER - 1, ORDER), sizes) if size > 0.0],
+               default=math.inf)
 
 
 def integrate_ode(flow, y0, t_max, controls=None):
@@ -276,20 +257,19 @@ def integrate_ode(flow, y0, t_max, controls=None):
     bits as integrating that start alone.  Every start keeps its own time,
     counters and status.  A pass builds the Taylor coefficients of every
     running start in one batch (``ReducedFlow.taylor``; one build per start
-    and pass, ``Trajectory.rhs_rows``) and steps each by
+    and pass, ``Trajectory.rhs_rows``), each row in its own power-of-two
+    units (``_step``), and steps each by
     h = min((eps/|y_{p-1}|)^(1/(p-1)), (eps/|y_p|)^(1/p)), p = ORDER,
     eps = rtol max|y| (Jorba and Zou, 2005), capped at t_max / 20 so that a
     run resolves at least 20 samples, and at t_max - t.  The step is chosen
-    before it is taken, so none is rejected; eps relative to |y| makes the
-    steps follow the rescaling y -> s y, t -> t / s^2 of a homogeneous cubic.
+    before it is taken, so none is rejected.
 
-    Blow-up is declared when the state norm exceeds ``blow_norm`` while
-    accepted steps have shrunk below ``BLOW_STEP``.  A step below ``H_MIN``
-    or too small to move t stops the start: "blow_up" above ``blow_norm``,
-    "error" below it (counted in ``n_rejected``).  With detect_stationary, a
-    start converges by ``_Member.converged``: at once for stationary initial
-    data, y = 0 included.  A start or t_max that is not finite, or
-    t_max <= 0, raises ValueError.
+    A start stops as "blow_up" by ``_Member.blows_up``: when its step cannot
+    move t, or when max|y| exceeds ``blow_norm`` max|y0| with a step below
+    rtol t.  With detect_stationary, a start converges by
+    ``_Member.converged``: at once for stationary initial data, y = 0
+    included.  A start or t_max that is not finite, or t_max <= 0, raises
+    ValueError.
     """
     c = controls or FlowControls()
     y = np.array(y0, dtype=float)
@@ -298,10 +278,10 @@ def integrate_ode(flow, y0, t_max, controls=None):
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     single = y.ndim == 1
-    if single:
-        y = y[None]
+    y = np.atleast_2d(y)
     h_cap = t_max / 20.0
-    members = [_Member(row) for row in y]
+    members = [_Member(row, norm)
+               for row, norm in zip(y, np.max(np.abs(y), axis=-1).tolist())]
     active = members
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -318,27 +298,39 @@ def integrate_ode(flow, y0, t_max, controls=None):
 
 def _step(flow, y, active, t_max, h_cap, c):
     """One coefficient build and step of every running start; returns the
-    new rows (those of starts that stopped are dropped by the caller)."""
-    coef = flow.taylor(y)
-    norm, slope, *last = np.max(np.abs(coef[[0, 1, ORDER - 1, ORDER]]), axis=-1).tolist()
-    steps = [0.0] * len(active)
+    new rows (those of starts that stopped are dropped by the caller).
+
+    Each row is stepped in its own units: y = 2^e Y, e the binary exponent
+    of max|y|, and by the flow's scaling y(t + H 4^-e) = 2^e Y(H).  Every
+    factor is a power of two, so no coefficient over- or underflows, and a
+    row scaled by 2^j takes the same steps and gives the scaled bits."""
+    e = [math.frexp(m.norm)[1] for m in active]
+    rows_e = np.array(e)[:, None]
+    coef = flow.taylor(np.ldexp(y, -rows_e))
+    slope, *last = np.max(np.abs(coef[[1, ORDER - 1, ORDER]]), axis=-1).tolist()
+    steps, H = [0.0] * len(active), [0.0] * len(active)
     for k, m in enumerate(active):
         m.rows += 1
-        if c.detect_stationary and m.converged(slope[k], norm[k]):
+        norm = math.ldexp(m.norm, -e[k])
+        if c.detect_stationary and m.converged(slope[k], norm):
             continue
-        h = _step_size(c.rtol * norm[k], (last[0][k], last[1][k]))
-        if not m.underflow(h, norm[k], c):
-            steps[k] = min(h, t_max - m.t, h_cap)
-    # sum_k h^k y_k, smallest terms first
-    powers = np.empty((ORDER + 1, len(steps)))
+        h = _step_size(c.rtol * norm, (last[0][k], last[1][k]))
+        h = min(math.ldexp(h, -2 * e[k]), t_max - m.t, h_cap)
+        if not m.blows_up(h, c):
+            steps[k], H[k] = h, math.ldexp(h, 2 * e[k])
+    # sum_k H^k Y_k, smallest terms first; H^k overflows only against Y_k
+    # that are exactly 0 (linear growth), where a power clamped at the float
+    # maximum gives 0 and inf would give nan
+    powers = np.empty((ORDER + 1, len(H)))
     powers[0] = 1.0
-    powers[1:] = steps
+    powers[1:] = H
     np.cumprod(powers, axis=0, out=powers)
-    y_new = (powers[::-1, :, None] * coef[::-1]).sum(axis=0)
+    np.minimum(powers, np.finfo(float).max, out=powers)
+    y_new = np.ldexp((powers[::-1, :, None] * coef[::-1]).sum(axis=0), rows_e)
     norm_new = np.max(np.abs(y_new), axis=-1).tolist()
     for k, m in enumerate(active):
         if steps[k]:
-            m.accept(y_new[k], steps[k], norm_new[k], c)
+            m.accept(y_new[k], steps[k], norm_new[k])
     return y_new
 
 
@@ -484,13 +476,12 @@ class SolvData:
 
     @classmethod
     def from_coords(cls, c):
-        tol = 1e-12   # relative above 1 for the pairs
         c = PrimitiveCoords(*(float(x) for x in c))
+        cut = 1e-12 * max(map(abs, c))    # scales with c
         pairs = ((c.A, c.B), (c.C, -c.D), (c.E, -c.F), (-c.G, -c.H))
-        for a, b in pairs:
-            if abs(a - b) > tol * max(1.0, abs(a), abs(b)):
-                raise ValueError("coefficients are not a closed solv ansatz")
-        if any(abs(x) > tol for x in (c.I, c.J, c.K, c.L)):
+        if any(abs(a - b) > cut for a, b in pairs):
+            raise ValueError("coefficients are not a closed solv ansatz")
+        if any(abs(x) > cut for x in (c.I, c.J, c.K, c.L)):
             raise ValueError("closed solv ansatz needs I = J = K = L = 0")
         return cls(c.A, c.C, c.E, -c.G, c.M, c.N)
 

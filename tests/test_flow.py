@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,81 @@ def test_power_of_two_scaling_takes_the_same_steps(detect):
     assert np.array_equal(got.states / s, ref.states)
 
 
+def _bench_pool(seed):
+    """The solv and nil starts of the flow-sweep benchmark pool of a seed:
+    three rounds of one solv sweep then three nil sweeps, two starts each;
+    solv starts closed and positive, nil starts with 0.5 <= |H| <= 1.2."""
+    rng = random.Random(seed)
+    solv, nil = [], []
+    for kind in (["solv"] + ["nil"] * 3) * 3:
+        for _ in range(2):
+            if kind == "nil":
+                c = [rng.uniform(-1.0, 1.0) for _ in range(14)]
+                c[7] = rng.uniform(0.5, 1.2) * rng.choice((-1, 1))
+                nil.append(c)
+                continue
+            while True:
+                abgd = [rng.uniform(0.5, 2.0) for _ in range(4)]
+                sd = flow.SolvData(*abgd, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+                if flow.positivity_check(sd).ok:
+                    solv.append(list(sd.to_coords()))
+                    break
+    return solv, nil
+
+
+POOLS = [_bench_pool(seed) for seed in (7, 11, 23)]
+POOL_RUNS = {"solv": (SOLV, [c for p in POOLS for c in p[0]], 100.0),
+             "nil": (NIL, [c for p in POOLS for c in p[1]], 40.0)}
+DEFAULT_BLOW_NORM = flow.FlowControls().blow_norm
+
+
+@functools.cache
+def _pool_run(kind, blow_norm, s):
+    """The pool's starts of one kind scaled by s, run to t_max / s^2."""
+    setup, starts, t_max = POOL_RUNS[kind]
+    return flow.integrate_sweep(setup, [[s * x for x in c] for c in starts],
+                                t_max / s / s, flow.FlowControls(blow_norm=blow_norm))
+
+
+def _limit(traj):
+    try:
+        form, orbit = flow.normalized_limit(traj, "A")
+    except flow.LimitError:
+        return None
+    return form, orbit.label
+
+
+@pytest.mark.parametrize("blow_norm", [1e5, DEFAULT_BLOW_NORM])
+@pytest.mark.parametrize("kind", ["solv", "nil"])
+def test_pool_starts_scale_by_powers_of_two(kind, blow_norm):
+    # every row is stepped in its own power-of-two units and every stop test
+    # is relative, so a start scaled by 2^j takes the same steps, stops the
+    # same way and gives the scaled bits and the same limit, up to |y| of
+    # 2^400 where cubes of y itself would overflow
+    refs = _pool_run(kind, blow_norm, 1.0)
+    for j in (-400, -30, 30, 400):
+        s = 2.0 ** j
+        for ref, got in zip(refs, _pool_run(kind, blow_norm, s)):
+            assert (got.status, got.n_accepted, got.n_rejected, got.rhs_rows) == \
+                (ref.status, ref.n_accepted, ref.n_rejected, ref.rhs_rows)
+            assert np.array_equal(got.states / s, ref.states)
+            assert np.array_equal(got.times * s * s, ref.times)
+            assert _limit(got) == _limit(ref)
+    if kind == "solv":
+        assert {t.status for t in refs} == {"blow_up"}
+        assert {_limit(t)[1] for t in refs} == {"O-+"}
+
+
+@pytest.mark.parametrize("blow_norm", [1e5, DEFAULT_BLOW_NORM])
+@pytest.mark.parametrize("s", [1e-3, 3.7])
+def test_solv_pool_blows_up_alike_at_other_scales(s, blow_norm):
+    refs = _pool_run("solv", blow_norm, 1.0)
+    for ref, got in zip(refs, _pool_run("solv", blow_norm, s)):
+        assert got.status == "blow_up"
+        assert _limit(got)[1] == "O-+"
+        assert abs(got.t_final * s * s - ref.t_final) <= 1e-9 * ref.t_final
+
+
 def test_abelian_converges_immediately(rng):
     traj = flow.integrate(AB, rand_coords(rng), 50.0)
     assert traj.status == "converged"
@@ -286,13 +362,18 @@ def test_solv_blow_up_rarely_rejects(rng):
         assert traj.n_rejected == 0
 
 
-def test_solv_error_status_with_unreachable_gate(rng):
-    # with the default coefficient gate the sqrt-type growth exhausts float
-    # steps first; the failure surfaces as an explicit error, never silently
-    sd = rand_solv_data(rng)
-    traj = flow.integrate(SOLV, sd.to_coords(), 100.0)
-    assert traj.status == "error"
-    assert "underflow" in traj.message
+def test_solv_default_gate_blows_up(rng):
+    # with the default growth factor the sqrt-type growth runs until the
+    # step can no longer move t; that is a blow-up with a limit, not an error
+    for _ in range(3):
+        sd = rand_solv_data(rng)
+        traj = flow.integrate(SOLV, sd.to_coords(), 100.0)
+        assert traj.status == "blow_up"
+        assert traj.n_rejected == ("cannot move" in traj.message)
+        tools = flow.solv_uv_tools(sd)
+        if tools.t_prime.available:
+            assert traj.t_final <= tools.t_prime.value
+        assert flow.normalized_limit(traj, "A")[1].label == "O-+"
 
 
 def test_solv_rhs_vanishes_on_stationary_locus():
@@ -320,8 +401,8 @@ def test_grid_consistency_of_blow_up_time(rng):
 
 def test_taylor_coefficients_built_once_per_step(rng):
     # each pass builds the Taylor coefficients of every running start once
-    # and steps from them; a start that stops on convergence or step
-    # underflow has built the coefficients of its last state
+    # and steps from them; a start that stops on convergence or blow-up has
+    # built the coefficients of its last state
     runs = ((SOLV, rand_solv_data(rng).to_coords(), 100.0, SOLV_CONTROLS),
             (SOLV, rand_solv_data(rng).to_coords(), 100.0, flow.FlowControls()),
             (NIL, rand_nil_coords(rng), 40.0, flow.FlowControls()),
@@ -342,16 +423,16 @@ def test_taylor_coefficients_built_once_per_step(rng):
         poly.taylor = counting
         traj = flow.integrate_ode(poly, [float(x) for x in c0], t_max, controls)
         seen.add(traj.status)
-        stopped_early = traj.status in ("converged", "error")
+        stopped_early = traj.status in ("converged", "blow_up")
         assert traj.n_accepted > 0
-        assert traj.n_rejected == (traj.status == "error")
+        assert traj.n_rejected == ("cannot move" in traj.message)
         assert calls == rows == traj.rhs_rows == traj.n_accepted + stopped_early
         # each step as t_{k+1} - t_k, up to the rounding of t
         steps = np.diff(traj.times)
         slack = 4 * np.finfo(float).eps * traj.t_final
         assert abs(traj.min_step - steps.min()) <= slack
         assert abs(traj.max_step - steps.max()) <= slack
-    assert seen == {"blow_up", "error", "converged", "reached_t_max"}
+    assert seen == {"blow_up", "converged", "reached_t_max"}
 
 
 def test_taylor_coefficients_match_derivatives(rng):
@@ -417,12 +498,22 @@ def test_trajectory_matches_dop853_at_mid_run(rng):
         assert np.max(np.abs(traj.states[i] - ref)) <= 1e-7 * np.max(np.abs(ref))
 
 
-def test_huge_state_surfaces_as_blow_up():
-    # the cubes overflow float64 to inf; non-finite Taylor coefficients give
-    # a step of 0, which stops the start as an underflow at a huge norm
+def test_huge_state_steps_in_its_own_units():
+    # each row is stepped divided by the power of two of its max|y|, so
+    # cubes that would overflow float64 are never formed: a state of 2^400
+    # takes the steps of the unit state, and one of 1e160 run to t = 1 blows
+    # up through finite states once its steps, of order 1e-320, stop moving t
+    s = 2.0 ** 400
+    ref = flow.integrate(SOLV, [1.0] * 14, 1.0)
+    got = flow.integrate(SOLV, [s] * 14, 1.0 / s / s)
+    assert ref.status == got.status == "blow_up"
+    assert (got.n_accepted, got.n_rejected, got.rhs_rows) == \
+        (ref.n_accepted, ref.n_rejected, ref.rhs_rows)
+    assert np.array_equal(got.states / s, ref.states)
+    assert np.array_equal(got.times * s * s, ref.times)
     traj = flow.integrate(SOLV, [1e160] * 14, 1.0)
-    assert traj.status == "blow_up"
-    assert (traj.n_accepted, traj.n_rejected, traj.rhs_rows) == (0, 1, 1)
+    assert traj.status == "blow_up" and "cannot move" in traj.message
+    assert traj.n_accepted > 0 and np.all(np.isfinite(traj.states))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -593,3 +684,23 @@ def test_solv_data_coords_round_trip(rng):
         (sd.alpha, sd.beta, sd.gamma, sd.delta, sd.M, sd.N)
     with pytest.raises(ValueError):
         flow.SolvData.from_coords(inv.PrimitiveCoords(A=1.0, B=0.5))
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-6, 1.0, 3.7, 1e6, 1e13])
+def test_solv_data_from_coords_cuts_relative_to_the_data(s):
+    # the closed-ansatz cuts are 1e-12 max|c|: at every scale closed data is
+    # accepted, also with rounding-size noise, and a broken pair or a
+    # nonzero I..L coefficient of the data's own size is refused
+    c = [s * x for x in flow.SolvData(1.0, 0.8, 1.1, 0.9, 0.1, 0.05).to_coords()]
+    back = flow.SolvData.from_coords(c)
+    assert (back.alpha, back.beta, back.gamma, back.delta, back.M, back.N) == \
+        (c[0], c[2], c[4], -c[6], c[12], c[13])
+    noisy = list(c)
+    noisy[1] *= 1.0 + 1e-15
+    noisy[9] = 1e-15 * s
+    flow.SolvData.from_coords(noisy)
+    for k, x in ((1, 1.5 * s), (3, 0.5 * s), (9, 1e-3 * s)):
+        bad = list(c)
+        bad[k] = x
+        with pytest.raises(ValueError):
+            flow.SolvData.from_coords(bad)

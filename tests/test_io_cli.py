@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,23 @@ def test_classify_with_omega(capsys):
 def test_classify_zero_form(capsys):
     assert run_cli("classify", data_file("forms/gl_O6.json")) == 0
     assert json.loads(capsys.readouterr().out)["gl_orbit"] == "O6"
+
+
+def test_classify_report_is_the_same_from_any_directory(tmp_path, monkeypatch):
+    # the report names its input as given, so the same relative command
+    # gives the same bytes from two working directories
+    texts = []
+    for name in ("a", "b"):
+        here = tmp_path / name
+        here.mkdir()
+        for rel in ("forms/sp_O0+.json", "forms/omega_standard.json"):
+            shutil.copy(data_file(rel), here)
+        monkeypatch.chdir(here)
+        assert run_cli("classify", "sp_O0+.json", "--omega", "omega_standard.json",
+                       "--out", "report.json") == 0
+        texts.append(_unstamped(here / "report.json"))
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["input"] == "sp_O0+.json"
 
 
 def test_classify_error_paths(tmp_path, capsys):
