@@ -259,6 +259,23 @@ def test_pool_starts_scale_by_powers_of_two(kind, blow_norm):
         assert {_limit(t)[1] for t in refs} == {"O-+"}
 
 
+@pytest.mark.parametrize("kind, held", [("solv", "IJKLMN"), ("nil", "BCDEFGHIJKLMN")])
+def test_unmoved_coordinates_keep_their_start_bits(kind, held):
+    # f moves A..H on the solv algebra and only A on the nil one; a
+    # monomial with fewer than two moving factors gets no Cauchy product,
+    # and every other coordinate keeps the bits of its start at each sample
+    poly = flow.reduced_flow(POOL_RUNS[kind][0])
+    moved = "".join(n for n, col in zip(inv.COORD_NAMES, poly.table.T) if col.any())
+    assert moved == {"solv": "ABCDEFGH", "nil": "A"}[kind]
+    assert (poly.n_cauchy, len(poly.table)) == {"solv": (40, 96), "nil": (0, 12)}[kind]
+    cols = [inv.COORD_NAMES.index(n) for n in held]
+    for s in (1.0, 2.0 ** -30, 2.0 ** 30):
+        for c0, traj in zip(POOL_RUNS[kind][1], _pool_run(kind, DEFAULT_BLOW_NORM, s)):
+            start = np.array([s * x for x in c0])[cols]
+            assert np.all(traj.states[:, cols] == start)
+            assert traj.n_accepted > 0
+
+
 @pytest.mark.parametrize("blow_norm", [1e5, DEFAULT_BLOW_NORM])
 @pytest.mark.parametrize("s", [1e-3, 3.7])
 def test_solv_pool_blows_up_alike_at_other_scales(s, blow_norm):
@@ -435,6 +452,24 @@ def test_taylor_coefficients_built_once_per_step(rng):
     assert seen == {"blow_up", "converged", "reached_t_max"}
 
 
+def _taylor_oracle(poly, y, table):
+    """y_0..y_ORDER from y_{k+1} = f(y)_k / (k + 1), f the monomials of poly
+    with coefficients table, the k-th coefficient of every monomial a
+    Cauchy product over all three factors, sum_{i+j+l=k} y_{a,i} y_{b,j}
+    y_{c,l}, whichever coordinates move."""
+    coef = [y]
+    for k in range(flow.ORDER):
+        mono = sum(coef[i][:, poly.a] * coef[j][:, poly.b] * coef[k - i - j][:, poly.c]
+                   for i in range(k + 1) for j in range(k + 1 - i))
+        coef.append(mono @ table / (k + 1))
+    return np.array(coef)
+
+
+#: |taylor - oracle| allowed at each order of a row, relative to the max of
+#: the oracle run on |y| and |table|, which bounds every term either sums
+TAYLOR_RTOL = 32 * np.finfo(float).eps
+
+
 def test_taylor_coefficients_match_derivatives(rng):
     # y_1 = f(y), and 2 y_2 = f'(y) f(y) by a central difference
     for setup in (NIL, SOLV):
@@ -447,6 +482,34 @@ def test_taylor_coefficients_match_derivatives(rng):
         e = 1e-6
         jf = (poly.rhs(y + e * coef[1]) - poly.rhs(y - e * coef[1])) / (2 * e)
         assert np.allclose(2 * coef[2], jf, rtol=1e-6, atol=1e-7)
+    # every order against full Cauchy products over the whole table, on a
+    # zero row, unit rows and rows scaled by 2^40 and 2^-40.  y_k scales as
+    # s^(2k+1), so on the scaled rows the orders past about 10 over- or
+    # underflow; an order is compared where its bound is finite and normal
+    sd = rand_solv_data(rng)
+    tools = flow.solv_uv_tools(sd)
+    polys = [flow.reduced_flow(NIL), flow.reduced_flow(SOLV), flow.reduced_flow(AB),
+             flow.solv_system(sd), tools.uv_flow, tools.comparison_flow]
+    tiny = np.finfo(float).tiny / np.finfo(float).eps
+    for poly in polys:
+        n = poly.table.shape[1]
+        unit = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(4)])
+        y = np.vstack([np.zeros(n), unit, 2.0 ** 40 * unit[:1], 2.0 ** -40 * unit[1:2]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = poly.taylor(y)
+            want = _taylor_oracle(poly, y, poly.table)
+            bound = np.max(_taylor_oracle(poly, np.abs(y), np.abs(poly.table)), axis=-1)
+            err = np.max(np.abs(got - want), axis=-1)
+        assert got.shape == want.shape == (flow.ORDER + 1, len(y), n)
+        compared = np.isfinite(bound) & ((bound == 0.0) | (bound > tiny))
+        assert compared[:, :5].all() and compared[:11].all()
+        assert np.all(err[compared] <= TAYLOR_RTOL * bound[compared])
+        assert not np.any(got[:, 0])
+        # a row's coefficients are the same bits alone as in the batch
+        for r in range(len(y)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.array_equal(poly.taylor(y[r:r + 1])[:, 0], got[:, r],
+                                      equal_nan=True)
 
 
 def test_sweep_members_match_solo_runs(rng):

@@ -362,7 +362,15 @@ def test_flow_require_positive_refuses_whole_sweep(tmp_path, capsys):
     assert not out.exists() or not os.listdir(out)
 
 
-def test_flow_solv_with_positivity(tmp_path, capsys):
+def test_flow_solv_with_positivity(tmp_path, capsys, monkeypatch):
+    # u_comparison needs T' and the closed form of w only, not the u-v or
+    # comparison systems as flows
+    from forms6 import flow
+
+    def refuse(*args):
+        raise AssertionError("a u-v flow was built")
+
+    monkeypatch.setattr(flow, "_uv_flow", refuse)
     init = tmp_path / "solv.json"
     write_coords(init, A=1.0, B=1.0, C=0.8, D=-0.8, E=1.1, F=-1.1,
                  G=-0.9, H=-0.9, M=0.1, N=0.05)
@@ -372,8 +380,9 @@ def test_flow_solv_with_positivity(tmp_path, capsys):
     status = json.loads((tmp_path / "status.json").read_text())
     assert status["status"] == "blow_up"
     assert status["limit_orbit"] == "O-+"
-    header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
-    assert header.endswith("u,v,u_comparison")
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert rows[0].endswith("u,v,u_comparison")
+    assert float(rows[1].split(",")[-1]) == pytest.approx(4.0 * 1.0 * 0.9, rel=1e-14)
 
 
 def test_flow_positivity_refusal(tmp_path, capsys):
