@@ -21,7 +21,7 @@ rep = flow.positivity_check(sd)
 print("positivity report:", rep)
 print(f"u0 = {sd.u0}, v0 = {sd.v0}, S = {sd.S:.4f}, C0 = {sd.C0:.4f}")
 
-tools = flow.solv_uv_tools(sd)
+tools = flow.SolvUVTools(sd)
 print(f"closed-form blow-up bound T' = {tools.t_prime.value:.8f} "
       f"({tools.t_prime.branch} branch)")
 

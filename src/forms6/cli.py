@@ -141,7 +141,7 @@ def _extra_columns(setup, c0, traj):
         sd = flow.SolvData.from_coords(c0)
     except ValueError:
         return extra
-    tools = flow.solv_uv_tools(sd)
+    tools = flow.SolvUVTools(sd)
     if tools.t_prime.available:
         tp = tools.t_prime.value
         rate = -flow.UV_RATE * sd.lam ** 2 * sd.S

@@ -674,8 +674,3 @@ class SolvUVTools:
             return es * S / (1.0 - (1.0 - S / u0) * es)
         expo = math.exp(-(C0 / S) * (math.exp(-l2 * S * t) - 1.0))
         return C0 / (1.0 - ((u0 - C0) / u0) * expo)
-
-
-def solv_uv_tools(sd):
-    """The SolvUVTools of closed solv data sd."""
-    return SolvUVTools(sd)

@@ -1,18 +1,17 @@
 """Dense linear algebra helpers for small matrices.
 
-Exact paths run fraction-preserving Gaussian elimination (entries int or
-Fraction, never rounded), and exact ranks a fraction-free elimination on
-int rows; float paths go through numpy (SVD ranks, symmetric
-eigenvalues).  Dispatching helpers pick the exact route whenever every entry
-is exact.
+Exact paths (entries int or Fraction, never rounded) share one
+fraction-free elimination on rows scaled to int, which gives the rank,
+determinant, inverse and null space; float paths go through numpy (SVD
+ranks, symmetric eigenvalues).  Dispatching helpers pick the exact route
+whenever every entry is exact.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from .exterior import _clear_denominators, _exact_div, is_exact
+from .exterior import _clear_denominators, is_exact
 
 
 def matrix_is_exact(rows):
@@ -23,95 +22,91 @@ def to_float_matrix(rows):
     return np.array([[float(x) for x in r] for r in rows], dtype=float)
 
 
-def _rref(rows):
-    """Reduced row echelon form: (rref rows, pivot columns, det), det the
-    product of the pivots times the sign of the row swaps, which for a
-    square matrix with a pivot in every column is its determinant."""
-    m = [list(r) for r in rows]
-    nrow = len(m)
-    ncol = len(m[0]) if nrow else 0
-    pivots = []
-    det = 1
-    r = 0
+def _bareiss(rows, jordan=False):
+    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Each row is first scaled to int.  The pivot p of column c sits on the
+    first row at or below the current one that is nonzero there, and every
+    other row becomes (p row - row[c] pivot_row) // d, d the previous pivot
+    (1 at the start).  The division is exact: every entry stays a minor of
+    the scaled matrix.  The forward elimination clears below the pivots
+    only; jordan=True clears above them too, and then every pivot row
+    carries the last pivot d at its pivot, so those rows are d times the
+    reduced row echelon form.
+
+    Returns (int rows, pivot columns, d, D), D the product of the row
+    scalings times the sign of the row swaps: a square matrix of full rank
+    has determinant d / D."""
+    m, D = [], 1
+    for r in rows:
+        s, row = _clear_denominators(r)
+        m.append(row)
+        D *= s
+    nrow, ncol = len(m), len(m[0]) if m else 0
+    pivots, d, r = [], 1, 0
     for c in range(ncol):
-        pr = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrow) if m[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            det = -det
-        pv = m[r][c]
-        det *= pv
-        # row r is 0 left of column c, so only columns c.. change
-        row = m[r][c:] = [_exact_div(x, pv) for x in m[r][c:]]
-        for i in range(nrow):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i][c:] = [a - f * b for a, b in zip(m[i][c:], row)]
+            D = -D
+        top = m[r]
+        p = top[c]
+        for i in range(0 if jordan else r + 1, nrow):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f:
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], top)]
+            elif p != d:
+                m[i] = [p * x // d for x in m[i]]
         pivots.append(c)
+        d = p
         r += 1
         if r == nrow:
             break
-    return m, pivots, det
+    return m, pivots, d, D
 
 
 def exact_rank(rows):
-    """Rank of an exact matrix, fraction-free.  Each row is scaled to int
-    (row scaling leaves the rank alone) and divided by the gcd of its
-    entries; a row whose leading column is taken by a kept row b becomes
-    b[c] row - row[c] b, which clears that column, and is reduced again."""
-    kept = {}  # leading column -> kept int row
-    for r in rows:
-        row = _clear_denominators(r)[1]
-        while True:
-            lead = next((c for c, x in enumerate(row) if x), None)
-            if lead is None:
-                break
-            g = math.gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-            b = kept.get(lead)
-            if b is None:
-                kept[lead] = row
-                break
-            g = math.gcd(b[lead], row[lead])
-            f, h = b[lead] // g, row[lead] // g
-            row = [f * x - h * y for x, y in zip(row, b)]
-    return len(kept)
+    """Rank of an exact matrix: the pivot count of the forward elimination."""
+    return len(_bareiss(rows)[1])
 
 
 def exact_nullspace(rows):
-    """Basis of the right null space, as tuples of Fractions."""
-    if not rows:
-        return []
-    ncol = len(rows[0])
-    rref, pivots, _ = _rref(rows)
-    free = [c for c in range(ncol) if c not in pivots]
+    """Basis of the right null space, as tuples of Fractions: one vector per
+    free column, read off the pivot rows d RREF."""
+    m, pivots, d, _ = _bareiss(rows, jordan=True)
+    ncol = len(m[0]) if m else 0
     basis = []
-    for fc in free:
+    for fc in range(ncol):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncol
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -Fraction(rref[r][fc])
+            v[pc] = Fraction(-m[r][fc], d)
         basis.append(tuple(v))
     return basis
 
 
 def exact_det(rows):
-    """Determinant of a square exact matrix, as a Fraction, from the pivots
-    of _rref."""
-    _, pivots, det = _rref(rows)
-    return Fraction(det) if len(pivots) == len(rows) else Fraction(0)
+    """Determinant of a square exact matrix, as a Fraction."""
+    _, pivots, d, D = _bareiss(rows)
+    return Fraction(d, D) if len(pivots) == len(rows) else Fraction(0)
 
 
 def exact_inverse(rows):
+    """Inverse of a square exact matrix, as rows of Fractions: the right half
+    of [A | I] after the Gauss-Jordan elimination is d A^-1."""
     n = len(rows)
-    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    rref, pivots, _ = _rref(aug)
+    m, pivots, d, _ = _bareiss(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)],
+        jordan=True)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [r[n:] for r in rref]
+    return [[Fraction(x, d) for x in r[n:]] for r in m]
 
 
 def det(rows):

@@ -183,7 +183,7 @@ def test_criterion_08_solv_flow():
         ga, de = traj.states[:, 4], -traj.states[:, 6]
         assert np.max(np.abs(al / de - al[0] / de[0])) < 1e-8
         assert np.max(np.abs(be / ga - be[0] / ga[0])) < 1e-8
-        tools = flow.solv_uv_tools(sd)
+        tools = flow.SolvUVTools(sd)
         if tools.t_prime.available:
             assert traj.t_final <= tools.t_prime.value + 1e-9
             bounded += 1
@@ -209,7 +209,7 @@ def test_criterion_09_comparison_system():
                            M=rng.uniform(-0.4, 0.4), N=rng.uniform(-0.4, 0.4))
         if not (sd.u0 > sd.S and sd.v0 > sd.S and flow.positivity_check(sd).ok):
             continue
-        tools = flow.solv_uv_tools(sd)
+        tools = flow.SolvUVTools(sd)
         assert tools.t_prime.available
         tr = flow.integrate_ode(tools.comparison_flow, [sd.u0, sd.v0, 1.0], 100.0,
                                 flow.FlowControls(detect_stationary=False))

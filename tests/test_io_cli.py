@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_coords, rand_form
-from forms6 import cli, io
+from forms6 import cli, flow, io
 from forms6 import invariants as inv
 from forms6.exterior import Form, basis
 
@@ -277,6 +277,20 @@ def test_flow_nil_linear_divergence_limit(tmp_path):
     terms = {tuple(t["axes"]): t["coeff"] for t in status["limit_form"]}
     assert set(terms) == {(1, 3, 5)}
     assert abs(terms[(1, 3, 5)] - 1.0) < 1e-6
+
+
+def test_flow_writes_no_limit_after_max_steps(tmp_path, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    init = tmp_path / "init.json"
+    write_coords(init, A=0.2, B=0.5, D=1.0, F=1.2, G=-0.8, H=0.9, J=0.6)
+    assert run_cli("flow", "nil-debartolomeis", str(init),
+                   "--t-max", "40", "--out", str(tmp_path)) == 0
+    text = (tmp_path / "status.json").read_text()
+    assert '"limit_orbit": null' in text
+    status = json.loads(text)
+    assert (status["status"], status["message"]) == ("error", "exceeded 3 steps")
+    assert status["n_accepted"] == status["rhs_rows"] == 3
+    assert status["limit_form"] is None
 
 
 def test_flow_sweep(tmp_path):

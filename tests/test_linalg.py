@@ -7,6 +7,50 @@ import pytest
 from forms6 import linalg
 
 
+def rref_oracle(rows):
+    """Fraction Gauss-Jordan, independent of linalg: (reduced row echelon
+    rows, pivot columns, det), det the product of the pivots times the sign
+    of the row swaps."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrow, ncol = len(m), len(m[0]) if m else 0
+    pivots, det, r = [], Fraction(1), 0
+    for c in range(ncol):
+        pr = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            det = -det
+        pv = m[r][c]
+        det *= pv
+        row = m[r] = [x / pv for x in m[r]]
+        for i in range(nrow):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+        if r == nrow:
+            break
+    return m, pivots, det
+
+
+def nullspace_oracle(rows):
+    rref, pivots, _ = rref_oracle(rows)
+    ncol = len(rows[0]) if rows else 0
+    basis = []
+    for fc in (c for c in range(ncol) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(ncol)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def assert_fractions(xs):
+    assert all(type(x) is Fraction for x in xs)
+
+
 def rand_mat(rng, n, m=None):
     m = m or n
     return [[Fraction(rng.randint(-5, 5), rng.choice((1, 2))) for _ in range(m)]
@@ -34,13 +78,45 @@ def test_exact_rank_matches_rref_on_rank_deficient_matrices(rng):
             rows[i] = [x * rng.choice((-3, Fraction(1, 7))) + y
                        for x, y in zip(src, rows[rng.randrange(n)])]
         rows[0] = [int(x) if x.denominator == 1 else x for x in rows[0]]
-        assert linalg.exact_rank(rows) == len(linalg._rref(rows)[1])
+        assert linalg.exact_rank(rows) == len(rref_oracle(rows)[1])
+        basis = linalg.exact_nullspace(rows)
+        assert basis == nullspace_oracle(rows)
+        assert all(type(v) is tuple for v in basis)
+        assert_fractions(x for v in basis for x in v)
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[]], [[], []], [[0]], [[-3]], [[Fraction(2, 3)]],
+    [[0, 0], [0, 0]], [[2, 4], [1, 2]], [[0, 1], [1, 0]], [[0, 2, 1], [0, 4, 2]],
+    [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+], ids=lambda rows: str(rows).replace(" ", ""))
+def test_exact_routes_match_oracle_on_edge_cases(rows):
+    rref, pivots, det = rref_oracle(rows)
+    assert linalg.exact_rank(rows) == len(pivots)
+    basis = linalg.exact_nullspace(rows)
+    assert basis == nullspace_oracle(rows)
+    assert_fractions(x for v in basis for x in v)
+    if any(len(r) != len(rows) for r in rows):
+        return
+    d = linalg.exact_det(rows)
+    assert type(d) is Fraction
+    assert d == (det if len(pivots) == len(rows) else 0)
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.exact_inverse(rows)
+        return
+    n = len(rows)
+    inv = linalg.exact_inverse(rows)
+    assert inv == [r[n:] for r in rref_oracle(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])[0]]
+    assert_fractions(x for r in inv for x in r)
 
 
 def test_exact_nullspace(rng):
     for _ in range(20):
         a = rand_mat(rng, 4, 6)
         for v in linalg.exact_nullspace(a):
+            assert_fractions(v)
             assert all(sum(r[j] * v[j] for j in range(6)) == 0 for r in a)
         assert len(linalg.exact_nullspace(a)) == 6 - linalg.exact_rank(a)
 
@@ -54,6 +130,7 @@ def test_exact_inverse_and_det(rng):
                 linalg.exact_inverse(a)
             continue
         inv = linalg.exact_inverse(a)
+        assert_fractions(x for r in inv for x in r)
         prod = [[sum(a[i][k] * inv[k][j] for k in range(5)) for j in range(5)]
                 for i in range(5)]
         assert prod == [[1 if i == j else 0 for j in range(5)] for i in range(5)]
