@@ -121,6 +121,16 @@ class Form:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, grade, coeffs):
+        """A form from masks that are valid by construction, as the kernel
+        operations below build them: no grade check, zeros dropped as in
+        the public constructor."""
+        f = object.__new__(cls)
+        f.grade = grade
+        f.coeffs = {m: c for m, c in coeffs.items() if c != 0}
+        return f
+
+    @classmethod
     def zero(cls, grade):
         return cls(grade, {})
 
@@ -135,23 +145,23 @@ class Form:
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) + c
-        return Form(self.grade, out)
+        return Form._trusted(self.grade, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Form(self.grade, {m: -c for m, c in self.coeffs.items()})
+        return Form._trusted(self.grade, {m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, s):
         if isinstance(s, Form):
             raise TypeError("use wedge() for products of forms")
-        return Form(self.grade, {m: c * s for m, c in self.coeffs.items()})
+        return Form._trusted(self.grade, {m: c * s for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, s):
-        return Form(self.grade, {m: c / s for m, c in self.coeffs.items()})
+        return Form._trusted(self.grade, {m: c / s for m, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Form) and other.grade == self.grade
@@ -161,7 +171,7 @@ class Form:
         return bool(self.coeffs)
 
     def map_coeffs(self, fn):
-        return Form(self.grade, {m: fn(c) for m, c in self.coeffs.items()})
+        return Form._trusted(self.grade, {m: fn(c) for m, c in self.coeffs.items()})
 
     def to_float(self):
         return self.map_coeffs(float)
@@ -211,7 +221,7 @@ def wedge(a, b):
                 if s < 0:
                     p = -p
                 out[m] = out.get(m, 0) + p
-    return Form(g, out)
+    return Form._trusted(g, out)
 
 
 def interior(v, a):
@@ -227,7 +237,7 @@ def interior(v, a):
                 if s < 0:
                     p = -p
                 out[nm] = out.get(nm, 0) + p
-    return Form(a.grade - 1, out)
+    return Form._trusted(a.grade - 1, out)
 
 
 def eval_form(a, *vectors):
@@ -296,12 +306,12 @@ def pullback(g, a):
     """
     rows = rows_of(g)
     if a.grade == 0:
-        return Form(0, dict(a.coeffs))
-    row_forms = [Form(1, {1 << j: rows[i][j] for j in range(DIM) if rows[i][j] != 0})
+        return Form._trusted(0, a.coeffs)
+    row_forms = [Form._trusted(1, {1 << j: rows[i][j] for j in range(DIM)})
                  for i in range(DIM)]
     out = Form.zero(a.grade)
     for m, c in a.coeffs.items():
-        prod = Form(0, {0: 1})
+        prod = Form._trusted(0, {0: 1})
         for i in range(DIM):
             if m >> i & 1:
                 prod = wedge(prod, row_forms[i])

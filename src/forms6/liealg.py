@@ -20,9 +20,11 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
+import numpy as np
+
 from . import invariants, io, linalg
-from .exterior import (DIM, DEFAULT_TOL, Form, GradeError, _clear_denominators,
-                       interior, wedge)
+from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
+                       _clear_denominators, axes_from_mask, interior, wedge)
 from .invariants import (PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
                          compute_K, coords_to_form, form_to_coords,
                          standard_omega, volume_of)
@@ -118,6 +120,7 @@ class InvariantSetup:
         self.omega = omega
         self._reduced_flow = None
         self._integral = None
+        self._identity = None
 
     @classmethod
     def standard(cls, algebra):
@@ -296,6 +299,159 @@ def _integral_setup(setup):
     return setup._integral
 
 
+# --- the Nijenhuis identity on tables ------------------------------------------
+#
+# Both sides of the identity are polynomial in phi (K quadratic, F cubic, d phi
+# linear, dF cubic) and linear in the structure constants, so all 15 basis
+# pairs are contracted at once from the K and F numerators and a few arrays.
+# Every array is read off interior, wedge, d and bracket on basis forms, so
+# nijenhuis_identity_sides stays the one definition; the tests hold the two to
+# each other entry for entry.
+
+_MASKS4 = tuple(m for m in range(1 << DIM) if m.bit_count() == 4)
+_MASKS5 = tuple(m for m in range(1 << DIM) if m.bit_count() == 5)
+_PAIRS = tuple((i, j) for i in range(DIM) for j in range(i + 1, DIM))
+_PAIR_I, _PAIR_J = (np.array(x) for x in zip(*_PAIRS))
+#: the int64 route runs only when every intermediate is bounded below this
+_INT64_BOUND = 1 << 62
+
+
+def _coefficients(form, masks):
+    return [form.coeffs.get(m, 0) for m in masks]
+
+
+class _Contractions(NamedTuple):
+    """ii[i, j] takes the coefficients of a 4-form to those of iota_{e_j}
+    iota_{e_i} of it; w[q, p, m] is the coefficient of e^(_MASKS5[q]) in the
+    wedge of the p-th basis 2-form with the m-th basis 3-form; ivol[q, k] is
+    that of iota_{e_k} e^123456.  The r_* are their largest absolute row
+    sums over the contracted indices."""
+    ii: np.ndarray
+    w: np.ndarray
+    ivol: np.ndarray
+    r_ii: int
+    r_w: int
+    r_vol: int
+
+
+@functools.cache
+def _contraction_tables():
+    """The _Contractions as int64 arrays, built from interior and wedge on
+    first use, not at import."""
+    unit = invariants._unit
+    e4 = [Form(4, {m: 1}) for m in _MASKS4]
+    ii = np.array([[[_coefficients(interior(unit(j), interior(unit(i), e)),
+                                   invariants._MASKS2) for e in e4]
+                     for j in range(DIM)] for i in range(DIM)], np.int64)
+    ii = np.ascontiguousarray(ii.transpose(0, 1, 3, 2))
+    e3 = [Form(3, {m: 1}) for m in invariants._MASKS3]
+    w = np.array([[_coefficients(wedge(Form(2, {p: 1}), e), _MASKS5) for e in e3]
+                  for p in invariants._MASKS2], np.int64)
+    w = np.ascontiguousarray(w.transpose(2, 0, 1))
+    vol = Form(DIM, {FULL_MASK: 1})
+    ivol = np.array([_coefficients(interior(unit(k), vol), _MASKS5)
+                     for k in range(DIM)], np.int64).T.copy()
+    return _Contractions(ii, w, ivol, int(abs(ii).sum(axis=3).max()),
+                         int(abs(w).sum(axis=(1, 2)).max()),
+                         int(abs(ivol).sum(axis=1).max()))
+
+
+class _IdentityTables(NamedTuple):
+    """d[r, m]: the coefficient of the r-th basis 4-form in d of the m-th
+    basis 3-form; bracket[k, i, j] = [e_i, e_j]^k.  int64 when the structure
+    constants are int and small, object (Python ints) when they are int and
+    large, float64 otherwise; d_rows is the largest absolute row sum of d and
+    bracket_max the largest |entry| of bracket."""
+    d: np.ndarray
+    bracket: np.ndarray
+    d_rows: object
+    bracket_max: object
+
+
+def _identity_tables(setup):
+    """The setup's _IdentityTables, built from d and bracket on basis forms
+    on first use and cached on the setup."""
+    if setup._identity is None:
+        alg, unit = setup.algebra, invariants._unit
+        d = np.array([_coefficients(alg.d(Form(3, {m: 1})), _MASKS4)
+                      for m in invariants._MASKS3], object).T
+        br = np.array([[alg.bracket(unit(i), unit(j)) for j in range(DIM)]
+                       for i in range(DIM)], object).transpose(2, 0, 1)
+        entries = [*d.flat, *br.flat]
+        if not all(isinstance(x, int) for x in entries):
+            dtype = np.float64
+        elif max(map(abs, entries)) < _INT64_BOUND:
+            dtype = np.int64
+        else:
+            dtype = object
+        tables = _IdentityTables(d.astype(dtype), br.astype(dtype),
+                                 abs(d).sum(axis=1).max(), abs(br).max())
+        tables.d.flags.writeable = tables.bracket.flags.writeable = False
+        setup._identity = tables
+    return setup._identity
+
+
+def _sides_dtype(s, t, kn, fn):
+    """float64 unless phi and the setup are both exact.  Then int64 when a
+    bound from max|P|, max|k|, max|f| and the tables' absolute row sums
+    shows that no intermediate of _table_sides reaches 2^62, else object,
+    on Python ints."""
+    if not s.exact or t.d.dtype == np.float64:
+        return "float64"
+    if t.d.dtype == object:
+        return "object"
+    c = _contraction_tables()
+    p, k, f = (max(map(abs, xs)) for xs in (s.v, kn, fn))
+    dp, df = t.d_rows * p, t.d_rows * f
+    a, af = c.r_ii * dp, c.r_ii * df
+    u = DIM * k * a                            # U sums DIM terms
+    inner = 4 * u + af
+    rhs = c.r_w * (f * a + p * inner)
+    n = 4 * DIM * DIM * t.bracket_max * k * k  # N sums 144 products k k [e_a, e_b]
+    bound = max(p, k, f, dp, df, a, u, inner, c.r_w * max(p, f), rhs, n, c.r_vol * n)
+    return "int64" if bound < _INT64_BOUND else "object"
+
+
+def _table_sides(setup, phi):
+    """(lhs, rhs, scale): both sides of the Nijenhuis identity as (15, 6)
+    arrays over the basis pairs _PAIRS and the basis 5-forms _MASKS5, each
+    scale = c E D^4 times the side of nijenhuis_identity_sides.
+
+    They are computed on P = D phi, D the lcm of the denominators of an exact
+    phi (else 1), over the algebra with its structure constants scaled to int
+    by E (see _integral_setup), from k = c K(P) and f = c F(P), the K and F
+    numerators, with c the coefficient of vol.  The lhs is iota_N e^123456
+    with N = -k^2[X,Y] + k([kX,Y] + [X,kY]) - [kX,kY]: N is c^2 E D^4 N_K,
+    so the lhs is c E D^4 iota_{N_K} vol.  The rhs is
+    a W_f + (2(U - U^T) + iota_Y iota_X df) W_P, with a = iota_Y iota_X dP,
+    U = iota_Y iota_{kX} dP and W_f, W_P the wedges with f and P; each of
+    its three terms carries c from k or f, E from d and D^4 from its degree
+    4 in phi.  Exact input runs in int64 or on Python ints, as
+    _sides_dtype decides, and float input in float64."""
+    vol = invariants._resolve_vol(setup.omega, None)
+    s = invariants._scaled(phi, vol)
+    kn = invariants._K_numerators(s.v)
+    fn = [-2 * g for g in invariants._F_numerators(kn, s, DEFAULT_TOL)]
+    E, setup = _integral_setup(setup)
+    t = _identity_tables(setup)
+    dtype = _sides_dtype(s, t, kn, fn)
+    c = _contraction_tables()
+    ii, w, ivol, d, br = (x.astype(dtype, copy=False)
+                          for x in (c.ii, c.w, c.ivol, t.d, t.bracket))
+    P, f = np.array(s.v, dtype), np.array(fn, dtype)
+    k = np.array(kn, dtype).reshape(DIM, DIM)
+    a = ii @ (d @ P)                             # a[i, j] = iota_{e_j} iota_{e_i} dP
+    U = np.einsum("li,ljp->ijp", k, a)           # iota_{e_j} iota_{k e_i} dP
+    inner = 2 * (U - U.transpose(1, 0, 2)) + ii @ (d @ f)
+    rhs = a @ (w @ f).T + inner @ (w @ P).T
+    kb = np.einsum("ka,aij->kij", k, br)         # k [e_i, e_j]
+    bk = np.einsum("kaj,ai->kij", br, k)         # [k e_i, e_j]
+    N = (np.einsum("ka,aij->kij", k, bk - bk.transpose(0, 2, 1) - kb)
+         - np.einsum("kab,ai,bj->kij", br, k, k))
+    lhs = np.einsum("qk,kij->ijq", ivol, N)
+    return lhs[_PAIR_I, _PAIR_J], rhs[_PAIR_I, _PAIR_J], s.c * E * s.D ** 4
+
+
 def verify_nijenhuis_identity(setup, phi):
     """Largest coefficient residual of the Nijenhuis identity over all 15
     basis pairs; exactly zero on the rational backend for any invariant
@@ -304,13 +460,26 @@ def verify_nijenhuis_identity(setup, phi):
     Both sides are homogeneous of degree 4 in phi and of degree 1 in the
     structure constants.  So an exact phi is checked as D phi, D the lcm of
     its denominators, on the algebra with its constants scaled by E to int,
-    and the residual is divided by E D^4."""
-    D = 1
-    if phi.is_exact():
-        D, phi = invariants._cleared(phi)
-    E, setup = _integral_setup(setup)
-    sides = nijenhuis_identity_sides(setup, phi)
-    return max((l - r).max_abs() for l, r in sides.values()) / (E * D ** 4)
+    with the tables of _table_sides, and the residual is divided by
+    |c| E D^4."""
+    lhs, rhs, scale = _table_sides(setup, phi)
+    top = abs(lhs - rhs).max()
+    if lhs.dtype == np.float64:
+        return float(top) / abs(float(scale))
+    return float(Fraction(int(top)) / abs(scale))
+
+
+def _identity_failure(setup, phi):
+    """The first basis pair and 5-form component where the two sides of the
+    exact identity differ, named as a check; None when they agree."""
+    lhs, rhs, _ = _table_sides(setup, phi)
+    bad = np.flatnonzero(lhs != rhs)
+    if not len(bad):
+        return None
+    n, q = divmod(int(bad[0]), len(_MASKS5))
+    i, j = _PAIRS[n]
+    axes = "".join(str(a) for a in axes_from_mask(_MASKS5[q]))
+    return f"iota_N vol = rhs at (X, Y) = (e_{i + 1}, e_{j + 1}), e^{axes}"
 
 
 class IntegrabilityFlags(NamedTuple):
@@ -324,18 +493,20 @@ class IntegrabilityFlags(NamedTuple):
 def integrability_flags(setup, phi):
     """d phi = 0, d F(phi) = 0 and N_K = 0 are each unchanged when phi is
     scaled by D and the structure constants by E, so exact input is tested
-    on D phi over the integral algebra, where every zero test runs on int."""
+    on D phi over the integral algebra, where every zero test runs on int.
+    On floats each cut is relative to |phi| = max|phi_i| in its degree:
+    tol |phi| for d phi, tol |phi|^3 for dF and tol |phi|^4 for N."""
     exact = _is_exact_problem(setup, phi)
+    size = 0.0 if exact else phi.max_abs()
     if exact:
         phi = invariants._cleared(phi)[1]
         setup = _integral_setup(setup)[1]
-    ztol = 0.0 if exact else DEFAULT_TOL * max(1.0, phi.max_abs()) ** 3
 
     dphi = setup.algebra.d(phi)
-    integrable = dphi.is_zero(0.0 if exact else DEFAULT_TOL * max(1.0, phi.max_abs()))
+    integrable = dphi.is_zero(DEFAULT_TOL * size)
     K, F = invariants._K_and_F(phi, invariants._resolve_vol(setup.omega, None))
-    F_integrable = setup.algebra.d(F).is_zero(ztol)
-    K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= ztol
+    F_integrable = setup.algebra.d(F).is_zero(DEFAULT_TOL * size ** 3)
+    K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= DEFAULT_TOL * size ** 4
     return IntegrabilityFlags(integrable, F_integrable,
                               integrable and F_integrable, K_integrable, True)
 

@@ -171,6 +171,22 @@ def test_form_validation():
         mask_from_axes((0, 1))
 
 
+def test_public_constructor_keeps_its_checks():
+    # the kernel operations build their results unchecked; the public
+    # constructor still refuses a wrong-grade mask and a grade outside 0..6
+    with pytest.raises(ValueError, match="has grade 3"):
+        Form(2, {mask_from_axes((1, 2)): 1, mask_from_axes((1, 2, 3)): 1})
+    for grade in (-1, 7):
+        with pytest.raises(GradeError):
+            Form(grade, {})
+    a, b = basis(1, 2) + basis(3, 4) * Fraction(1, 2), basis(5, 6) - basis(1, 3)
+    products = (a + b, -a, a * 3, a / 2, a.map_coeffs(abs), wedge(a, b),
+                interior((1, 0, 2, 0, 0, 0), a), pullback([[1] * 6] * 6, a))
+    for f in products:
+        assert Form(f.grade, f.coeffs) == f
+    assert not (a + -a).coeffs and not (a * 0).coeffs and not wedge(a, a - a).coeffs
+
+
 def test_mixed_grade_addition_rejected():
     with pytest.raises(GradeError):
         basis(1, 2) + basis(1, 2, 3)

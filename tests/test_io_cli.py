@@ -4,11 +4,13 @@ import re
 import shutil
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import rand_coords, rand_form
-from forms6 import cli, flow, io
+from forms6 import cli, flow, io, verify
 from forms6 import invariants as inv
+from forms6 import liealg as la
 from forms6.exterior import Form, basis
 
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
@@ -193,6 +195,26 @@ def test_verify_identities_negative_control(monkeypatch, tmp_path, error, check)
     assert rep["passed"] is False
     assert rep["failed_check"] == check
     io.form_from_json(rep["counterexample"], grade=3)
+
+
+def test_verify_nijenhuis_negative_control(monkeypatch, tmp_path):
+    # one flipped entry of the nil setup's cached d table must fail the
+    # nijenhuis suite, naming the first basis pair and 5-form that broke
+    setup = verify._nijenhuis_setups()[0]
+    integral = la._integral_setup(setup)[1]
+    tables = la._identity_tables(integral)
+    d = tables.d.copy()
+    r, m = np.argwhere(d)[0]
+    d[r, m] = -d[r, m]
+    monkeypatch.setattr(integral, "_identity", tables._replace(d=d))
+    out = tmp_path / "neg.json"
+    assert run_cli("verify", "--suite", "nijenhuis", "--seed", "3",
+                   "--trials", "20", "--out", str(out)) == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    assert rep["failed_check"] == "iota_N vol = rhs at (X, Y) = (e_1, e_2), e^12345"
+    assert rep["residual"] > 0
+    inv.coords_to_form(io.coords_from_json(rep["counterexample"]))
 
 
 def test_verify_and_hessian_require_trials(capsys):

@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_coords, rand_form
 from forms6 import invariants as inv
@@ -304,6 +306,67 @@ def test_volume_of_setup_omega_taken_from_cached_tables(rng, monkeypatch):
     assert calls == []
 
 
+def _form_level_arrays(setup, P):
+    # the Form-level sides on the integral setup, as (15, 6) lists over the
+    # table route's pairs and 5-forms
+    sides = la.nijenhuis_identity_sides(setup, P)
+    return tuple([[side.coeffs.get(m, 0) for m in la._MASKS5]
+                  for side in (sides[(i + 1, j + 1)][k] for i, j in la._PAIRS)]
+                 for k in (0, 1))
+
+
+def test_table_sides_equal_form_level_sides(rng):
+    # the tables hold D phi over the integral algebra with c = 1, so each
+    # side is E D^4 times the side on phi, entry for entry
+    for setup in (NIL, SOLV_EXACT):
+        E, integral = la._integral_setup(setup)
+        for _ in range(12):
+            phi = inv.coords_to_form(rand_coords(rng))
+            D, P = inv._cleared(phi)
+            lhs, rhs, scale = la._table_sides(setup, phi)
+            assert lhs.dtype == np.int64 and scale == E * D ** 4
+            assert (lhs.tolist(), rhs.tolist()) == _form_level_arrays(integral, P)
+            assert la._identity_failure(setup, phi) is None
+
+
+def test_table_sides_fall_back_to_python_ints(rng):
+    # coefficients near 2^40 put K near 2^80, past the int64 bound: the same
+    # expressions run on Python ints and stay exact
+    for setup in (NIL, SOLV_EXACT):
+        c = inv.PrimitiveCoords(*(Fraction(2 ** 40 + rng.randint(-9, 9),
+                                           rng.choice((1, 2, 3))) for _ in range(14)))
+        phi = inv.coords_to_form(c)
+        lhs, rhs, scale = la._table_sides(setup, phi)
+        assert lhs.dtype == object and (lhs == rhs).all()
+        assert la.verify_nijenhuis_identity(setup, phi) == 0.0
+        integral, P = la._integral_setup(setup)[1], inv._cleared(phi)[1]
+        assert (lhs.tolist(), rhs.tolist()) == _form_level_arrays(integral, P)
+
+
+def test_float_table_sides_match_form_route(rng):
+    for setup in (NIL, SOLV_EXACT, SOLV):
+        for _ in range(4):
+            phi = inv.coords_to_form(rand_coords(rng)).to_float()
+            lhs, rhs, scale = la._table_sides(setup, phi)
+            assert lhs.dtype == np.float64
+            want = np.array(_form_level_arrays(setup, phi), dtype=float)
+            got = np.array([lhs, rhs]) / scale
+            assert abs(got - want).max() <= 1e-12 * abs(want).max()
+            assert la.verify_nijenhuis_identity(setup, phi) <= 1e-12 * abs(want).max()
+
+
+def test_identity_tables_built_on_first_use():
+    setup = la.InvariantSetup.standard(la.solv_algebra(Fraction(3, 2)))
+    assert setup._integral is None
+    phi = basis(1, 3, 5) + basis(2, 4, 6)
+    assert la.verify_nijenhuis_identity(setup, phi) == 0.0
+    integral = la._integral_setup(setup)[1]
+    tables = integral._identity
+    assert tables is not None and not tables.d.flags.writeable
+    la.verify_nijenhuis_identity(setup, phi)
+    assert integral._identity is tables
+
+
 def test_nijenhuis_residual_is_homogeneous(rng):
     # verify_nijenhuis_identity checks D phi on int coefficients, on the
     # algebra with its structure constants scaled to int by E, and divides the
@@ -452,6 +515,37 @@ def test_flags_and_nijenhuis_max_match_definitions_on_phi(rng):
             seen.add((setup is NIL, flags.F_harmonic, flags.K_integrable))
     assert {(True, True, True), (False, True, True), (True, False, False),
             (False, False, False)} <= seen
+
+
+def _seeded_coords(seed, kind, solv):
+    # random, closed, or closed and F-harmonic (nil: D = I = 0 on top of the
+    # closed slots; solv: the closed stationary family)
+    c = rand_coords(random.Random(seed))
+    zero = Fraction(0)
+    if kind == "random":
+        return c
+    if solv and kind == "closed":
+        return c._replace(B=c.A, D=-c.C, F=-c.E, H=c.G, I=zero, J=zero, K=zero, L=zero)
+    if solv:
+        p, q = c.A, c.C
+        return inv.PrimitiveCoords(A=p, B=p, C=q, D=-q, E=q, F=-q, G=-p, H=-p,
+                                   M=p + q, N=p - q)
+    c = c._replace(H=zero, J=zero, L=zero, N=zero)
+    return c if kind == "closed" else c._replace(D=zero, I=zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(solv=st.booleans(), seed=st.integers(0, 2 ** 32),
+       kind=st.sampled_from(("random", "closed", "harmonic")),
+       scale=st.sampled_from((2.0 ** -30, 1e-6, 1e-4, 1e-3, 3.7, 1e4, 2.0 ** 30))
+       | st.floats(2.0 ** -30, 2.0 ** 30))
+def test_integrability_flags_are_scale_free(solv, seed, kind, scale):
+    # each float cut is relative to |phi| in the degree of its quantity, so
+    # the float flags of s phi are the exact flags of phi at every scale s
+    setup = SOLV_EXACT if solv else NIL
+    phi = inv.coords_to_form(_seeded_coords(seed, kind, solv))
+    scaled = phi.map_coeffs(lambda x: float(x) * scale)
+    assert la.integrability_flags(setup, scaled) == la.integrability_flags(setup, phi)
 
 
 def test_builtin_setup_built_once_per_process():
