@@ -295,7 +295,7 @@ def _K_of(s, kn):
 
 def _F_of(s, gn):
     div = _divider(s, 3)
-    return Form(3, {m: div(-2 * g) for m, g in zip(_MASKS3, gn) if g})
+    return Form._trusted(3, {m: div(-2 * g) for m, g in zip(_MASKS3, gn) if g})
 
 
 def _K_and_F(phi, vol):
@@ -349,15 +349,16 @@ def omega_matrix(omega):
     return w
 
 
-def _check_primitive(phi, omega, tol, what):
+def _check_primitive(phi, omega, tol, what, size=None):
     """Reject a form with omega ^ phi != 0: exactly on the exact backend,
-    above tol max(1, |phi|) on floats."""
+    above tol |phi| on floats, or above tol size when the caller gives the
+    reference size (for a phi that may itself be rounding residue)."""
     w = wedge(omega, phi)
     res = w.max_abs()
     if phi.is_exact() and omega.is_exact():
         bad = bool(w)
     else:
-        bad = res > tol * max(1.0, phi.max_abs())
+        bad = res > tol * (phi.max_abs() if size is None else size)
     if bad:
         raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
 
@@ -647,8 +648,8 @@ def coords_to_form(c):
     """The primitive 3-form with the given coefficients (standard omega):
     the sum of x b over the PRIMITIVE_BASIS forms b, whose masks are
     disjoint, so each coefficient is s x for the sign s of its mask."""
-    return Form(3, {m: s * x for x, b in zip(c, PRIMITIVE_BASIS) if x != 0
-                    for m, s in b.coeffs.items()})
+    return Form._trusted(3, {m: s * x for x, b in zip(c, PRIMITIVE_BASIS) if x != 0
+                             for m, s in b.coeffs.items()})
 
 
 def form_to_coords(phi):

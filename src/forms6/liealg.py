@@ -6,7 +6,10 @@ differential), with d^2 = 0 enforced at construction (equivalently Jacobi).
 On top of an :class:`InvariantSetup` (algebra + closed symplectic form) this
 module provides the Lefschetz contraction, the flow operator d Lambda d F,
 Nijenhuis tensors of K(phi) and the integrability predicates for invariant
-primitive 3-forms.
+primitive 3-forms.  The predicates, max|N_K| and the Nijenhuis identity are
+all read off one set of per-setup tables (d on the basis 3-forms and the
+bracket, int on an exact algebra), derived from ``LieAlgebra6.d`` and
+``bracket`` and held to the Form-level definitions by the tests.
 
 Built-in algebras ("nil-debartolomeis", "solv-tomassini", "abelian") are
 loaded from the packaged JSON data files, so the same files double as CLI
@@ -24,7 +27,8 @@ import numpy as np
 
 from . import invariants, io, linalg
 from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
-                       _clear_denominators, axes_from_mask, interior, wedge)
+                       _clear_denominators, axes_from_mask, interior, is_exact,
+                       wedge)
 from .invariants import (PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
                          compute_K, coords_to_form, form_to_coords,
                          standard_omega, volume_of)
@@ -119,7 +123,6 @@ class InvariantSetup:
         self.algebra = algebra
         self.omega = omega
         self._reduced_flow = None
-        self._integral = None
         self._identity = None
 
     @classmethod
@@ -158,13 +161,15 @@ def flow_operator(setup, phi):
     """d Lambda d F(phi) for an invariant primitive 3-form.
 
     The result is invariant by construction and must come back primitive;
-    a non-primitive image violates the operator's contract and raises.
+    a non-primitive image violates the operator's contract and raises.  On
+    floats the output is cut relative to tol |phi|^3, its degree in the
+    input, since a vanishing image is itself rounding residue.
     """
     invariants._check_primitive(phi, setup.omega, DEFAULT_TOL, "flow input")
     F = compute_F(phi, setup.omega)
     out = dlambdad(setup, F)
     invariants._check_primitive(out, setup.omega, DEFAULT_TOL,
-                                "flow output (internal error)")
+                                "flow output (internal error)", phi.max_abs() ** 3)
     return out
 
 
@@ -221,27 +226,6 @@ def _nijenhuis_of(alg, K):
     return out
 
 
-def _is_exact_problem(setup, phi):
-    return phi.is_exact() and setup.omega.is_exact() and all(
-        f.is_exact() for f in setup.algebra.d_one)
-
-
-def nijenhuis_max(setup, phi):
-    """Largest |entry| of the Nijenhuis tensor of K(phi).  On exact input it
-    is computed on D phi over the algebra scaled to int constants by E (see
-    verify_nijenhuis_identity), and the exact maximum is divided by E D^4."""
-    if not _is_exact_problem(setup, phi):
-        return _max_entry(nijenhuis(setup, phi))
-    D, phi = invariants._cleared(phi)
-    E, setup = _integral_setup(setup)
-    top = max((abs(x) for v in nijenhuis(setup, phi).values() for x in v), default=0)
-    return float(Fraction(top, E * D ** 4))
-
-
-def _max_entry(n):
-    return max((abs(float(x)) for v in n.values() for x in v), default=0.0)
-
-
 def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
     """Both sides of the Nijenhuis identity on all 15 basis pairs.
 
@@ -282,31 +266,14 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
     return out
 
 
-def _integral_setup(setup):
-    """(E, the setup with every structure constant multiplied by E), E the lcm
-    of their denominators, so that the constants are int; (1, setup) when one
-    is not exact.  Cached on the setup."""
-    if setup._integral is None:
-        d1 = setup.algebra.d_one
-        if all(f.is_exact() for f in d1):
-            E, ints = _clear_denominators(x for f in d1 for x in f.coeffs.values())
-            it = iter(ints)
-            alg = LieAlgebra6([Form(f.grade, {m: next(it) for m in f.coeffs}) for f in d1],
-                              name=f"{E} x {setup.algebra.name}")
-            setup._integral = (E, InvariantSetup(alg, setup.omega))
-        else:
-            setup._integral = (1, setup)
-    return setup._integral
-
-
-# --- the Nijenhuis identity on tables ------------------------------------------
+# --- integrability and the Nijenhuis identity on tables -------------------------
 #
-# Both sides of the identity are polynomial in phi (K quadratic, F cubic, d phi
-# linear, dF cubic) and linear in the structure constants, so all 15 basis
-# pairs are contracted at once from the K and F numerators and a few arrays.
-# Every array is read off interior, wedge, d and bracket on basis forms, so
-# nijenhuis_identity_sides stays the one definition; the tests hold the two to
-# each other entry for entry.
+# d phi, dF, N_K and both sides of the identity are polynomial in phi (K
+# quadratic, F cubic, d phi linear, dF cubic) and linear in the structure
+# constants, so all 15 basis pairs are contracted at once from the K and F
+# numerators and a few arrays.  Every array is read off interior, wedge, d and
+# bracket on basis forms, so d, nijenhuis and nijenhuis_identity_sides stay the
+# definitions; the tests hold the tables to them entry for entry.
 
 _MASKS4 = tuple(m for m in range(1 << DIM) if m.bit_count() == 4)
 _MASKS5 = tuple(m for m in range(1 << DIM) if m.bit_count() == 5)
@@ -357,20 +324,23 @@ def _contraction_tables():
 
 
 class _IdentityTables(NamedTuple):
-    """d[r, m]: the coefficient of the r-th basis 4-form in d of the m-th
-    basis 3-form; bracket[k, i, j] = [e_i, e_j]^k.  int64 when the structure
-    constants are int and small, object (Python ints) when they are int and
-    large, float64 otherwise; d_rows is the largest absolute row sum of d and
-    bracket_max the largest |entry| of bracket."""
+    """d[r, m]: E times the coefficient of the r-th basis 4-form in d of the
+    m-th basis 3-form; bracket[k, i, j] = E [e_i, e_j]^k.  When the
+    structure constants are exact, E is the lcm of their denominators, so
+    the tables are int: int64 when small, object (Python ints) when large;
+    otherwise E = 1 and they are float64.  d_rows is the largest absolute
+    row sum of d and bracket_max the largest |entry| of bracket."""
     d: np.ndarray
     bracket: np.ndarray
+    E: int
     d_rows: object
     bracket_max: object
 
 
 def _identity_tables(setup):
     """The setup's _IdentityTables, built from d and bracket on basis forms
-    on first use and cached on the setup."""
+    on first use and cached on the setup.  Every structure constant is a
+    bracket entry, so E clears the constants themselves."""
     if setup._identity is None:
         alg, unit = setup.algebra, invariants._unit
         d = np.array([_coefficients(alg.d(Form(3, {m: 1})), _MASKS4)
@@ -378,13 +348,13 @@ def _identity_tables(setup):
         br = np.array([[alg.bracket(unit(i), unit(j)) for j in range(DIM)]
                        for i in range(DIM)], object).transpose(2, 0, 1)
         entries = [*d.flat, *br.flat]
-        if not all(isinstance(x, int) for x in entries):
-            dtype = np.float64
-        elif max(map(abs, entries)) < _INT64_BOUND:
-            dtype = np.int64
-        else:
-            dtype = object
-        tables = _IdentityTables(d.astype(dtype), br.astype(dtype),
+        E, dtype = 1, np.float64
+        if all(map(is_exact, entries)):
+            E, ints = _clear_denominators(entries)
+            d = np.array(ints[:d.size], object).reshape(d.shape)
+            br = np.array(ints[d.size:], object).reshape(br.shape)
+            dtype = np.int64 if max(map(abs, ints)) < _INT64_BOUND else object
+        tables = _IdentityTables(d.astype(dtype), br.astype(dtype), E,
                                  abs(d).sum(axis=1).max(), abs(br).max())
         tables.d.flags.writeable = tables.bracket.flags.writeable = False
         setup._identity = tables
@@ -412,42 +382,60 @@ def _sides_dtype(s, t, kn, fn):
     return "int64" if bound < _INT64_BOUND else "object"
 
 
+def _table_core(setup, phi):
+    """(s, E, k, P, f, dP, df, N): what every reader of the tables needs.
+
+    P = D phi is the coefficient vector of phi in _MASKS3 order, D the lcm
+    of the denominators of an exact phi (else 1), and s its
+    invariants._Scaled, with c the coefficient of vol; k = c K(P) (6x6) and
+    f = c F(P) are the K and F numerators.  Over the tables, whose structure
+    constants carry E, dP = E D d phi and df = c E D^3 dF on the basis
+    4-forms, and N[:, i, j] = -k^2[e_i,e_j] + k([ke_i,e_j] + [e_i,ke_j])
+    - [ke_i,ke_j] is c^2 E D^4 N_K(e_i, e_j).  Exact input runs in int64 or
+    on Python ints, as _sides_dtype decides, and float input in float64."""
+    vol = invariants._resolve_vol(setup.omega, None)
+    s = invariants._scaled(phi, vol)
+    kn = invariants._K_numerators(s.v)
+    fn = [-2 * g for g in invariants._F_numerators(kn, s, DEFAULT_TOL)]
+    t = _identity_tables(setup)
+    dtype = _sides_dtype(s, t, kn, fn)
+    d, br = (x.astype(dtype, copy=False) for x in (t.d, t.bracket))
+    P, f = np.array(s.v, dtype), np.array(fn, dtype)
+    k = np.array(kn, dtype).reshape(DIM, DIM)
+    kb = np.einsum("ka,aij->kij", k, br)         # k [e_i, e_j]
+    bk = np.einsum("kaj,ai->kij", br, k)         # [k e_i, e_j]
+    N = (np.einsum("ka,aij->kij", k, bk - bk.transpose(0, 2, 1) - kb)
+         - np.einsum("kab,ai,bj->kij", br, k, k))
+    return s, t.E, k, P, f, d @ P, d @ f, N
+
+
+def _max_over(x, scale):
+    """max|x| / |scale| as a float; an int x is divided exactly, as a
+    Fraction."""
+    top = abs(x).max()
+    if x.dtype == np.float64:
+        return float(top) / abs(float(scale))
+    return float(Fraction(int(top)) / abs(scale))
+
+
 def _table_sides(setup, phi):
     """(lhs, rhs, scale): both sides of the Nijenhuis identity as (15, 6)
     arrays over the basis pairs _PAIRS and the basis 5-forms _MASKS5, each
     scale = c E D^4 times the side of nijenhuis_identity_sides.
 
-    They are computed on P = D phi, D the lcm of the denominators of an exact
-    phi (else 1), over the algebra with its structure constants scaled to int
-    by E (see _integral_setup), from k = c K(P) and f = c F(P), the K and F
-    numerators, with c the coefficient of vol.  The lhs is iota_N e^123456
-    with N = -k^2[X,Y] + k([kX,Y] + [X,kY]) - [kX,kY]: N is c^2 E D^4 N_K,
-    so the lhs is c E D^4 iota_{N_K} vol.  The rhs is
+    With the names of _table_core, the lhs is iota_N e^123456, so
+    c E D^4 iota_{N_K} vol.  The rhs is
     a W_f + (2(U - U^T) + iota_Y iota_X df) W_P, with a = iota_Y iota_X dP,
     U = iota_Y iota_{kX} dP and W_f, W_P the wedges with f and P; each of
     its three terms carries c from k or f, E from d and D^4 from its degree
-    4 in phi.  Exact input runs in int64 or on Python ints, as
-    _sides_dtype decides, and float input in float64."""
-    vol = invariants._resolve_vol(setup.omega, None)
-    s = invariants._scaled(phi, vol)
-    kn = invariants._K_numerators(s.v)
-    fn = [-2 * g for g in invariants._F_numerators(kn, s, DEFAULT_TOL)]
-    E, setup = _integral_setup(setup)
-    t = _identity_tables(setup)
-    dtype = _sides_dtype(s, t, kn, fn)
+    4 in phi."""
+    s, E, k, P, f, dP, df, N = _table_core(setup, phi)
     c = _contraction_tables()
-    ii, w, ivol, d, br = (x.astype(dtype, copy=False)
-                          for x in (c.ii, c.w, c.ivol, t.d, t.bracket))
-    P, f = np.array(s.v, dtype), np.array(fn, dtype)
-    k = np.array(kn, dtype).reshape(DIM, DIM)
-    a = ii @ (d @ P)                             # a[i, j] = iota_{e_j} iota_{e_i} dP
+    ii, w, ivol = (x.astype(P.dtype, copy=False) for x in (c.ii, c.w, c.ivol))
+    a = ii @ dP                                  # a[i, j] = iota_{e_j} iota_{e_i} dP
     U = np.einsum("li,ljp->ijp", k, a)           # iota_{e_j} iota_{k e_i} dP
-    inner = 2 * (U - U.transpose(1, 0, 2)) + ii @ (d @ f)
+    inner = 2 * (U - U.transpose(1, 0, 2)) + ii @ df
     rhs = a @ (w @ f).T + inner @ (w @ P).T
-    kb = np.einsum("ka,aij->kij", k, br)         # k [e_i, e_j]
-    bk = np.einsum("kaj,ai->kij", br, k)         # [k e_i, e_j]
-    N = (np.einsum("ka,aij->kij", k, bk - bk.transpose(0, 2, 1) - kb)
-         - np.einsum("kab,ai,bj->kij", br, k, k))
     lhs = np.einsum("qk,kij->ijq", ivol, N)
     return lhs[_PAIR_I, _PAIR_J], rhs[_PAIR_I, _PAIR_J], s.c * E * s.D ** 4
 
@@ -459,14 +447,18 @@ def verify_nijenhuis_identity(setup, phi):
 
     Both sides are homogeneous of degree 4 in phi and of degree 1 in the
     structure constants.  So an exact phi is checked as D phi, D the lcm of
-    its denominators, on the algebra with its constants scaled by E to int,
-    with the tables of _table_sides, and the residual is divided by
-    |c| E D^4."""
+    its denominators, over the setup's tables, whose constants carry E,
+    with _table_sides, and the residual is divided by |c| E D^4."""
     lhs, rhs, scale = _table_sides(setup, phi)
-    top = abs(lhs - rhs).max()
-    if lhs.dtype == np.float64:
-        return float(top) / abs(float(scale))
-    return float(Fraction(int(top)) / abs(scale))
+    return _max_over(lhs - rhs, scale)
+
+
+def nijenhuis_max(setup, phi):
+    """Largest |entry| of the Nijenhuis tensor of K(phi): max|N| over
+    |c^2 E D^4|, with N of _table_core, divided as a Fraction on exact
+    input."""
+    s, E, *_, N = _table_core(setup, phi)
+    return _max_over(N, s.c * s.c * E * s.D ** 4)
 
 
 def _identity_failure(setup, phi):
@@ -491,22 +483,19 @@ class IntegrabilityFlags(NamedTuple):
 
 
 def integrability_flags(setup, phi):
-    """d phi = 0, d F(phi) = 0 and N_K = 0 are each unchanged when phi is
-    scaled by D and the structure constants by E, so exact input is tested
-    on D phi over the integral algebra, where every zero test runs on int.
-    On floats each cut is relative to |phi| = max|phi_i| in its degree:
-    tol |phi| for d phi, tol |phi|^3 for dF and tol |phi|^4 for N."""
-    exact = _is_exact_problem(setup, phi)
-    size = 0.0 if exact else phi.max_abs()
-    if exact:
-        phi = invariants._cleared(phi)[1]
-        setup = _integral_setup(setup)[1]
-
-    dphi = setup.algebra.d(phi)
-    integrable = dphi.is_zero(DEFAULT_TOL * size)
-    K, F = invariants._K_and_F(phi, invariants._resolve_vol(setup.omega, None))
-    F_integrable = setup.algebra.d(F).is_zero(DEFAULT_TOL * size ** 3)
-    K_integrable = _max_entry(_nijenhuis_of(setup.algebra, K)) <= DEFAULT_TOL * size ** 4
+    """d phi = 0, d F(phi) = 0 and N_K = 0, read off _table_core's dP, df
+    and N, which are E D, c E D^3 and c^2 E D^4 times them.  On exact input
+    each is an all-zero test on ints.  On floats each cut is relative to
+    |P| = max|P_i| in its degree: tol |P| E for dP, tol |P|^3 |c| E for df
+    and tol |P|^4 c^2 E for N."""
+    s, E, _, P, _, dP, df, N = _table_core(setup, phi)
+    cuts = (0, 0, 0)
+    if P.dtype == np.float64:
+        size, c = float(abs(P).max()), abs(float(s.c))
+        tol = DEFAULT_TOL * E
+        cuts = (tol * size, tol * c * size ** 3, tol * c * c * size ** 4)
+    integrable, F_integrable, K_integrable = (
+        bool(abs(x).max() <= cut) for x, cut in zip((dP, df, N), cuts))
     return IntegrabilityFlags(integrable, F_integrable,
                               integrable and F_integrable, K_integrable, True)
 

@@ -190,7 +190,7 @@ def _suite_gradients(seed, trials, report):
 @functools.cache
 def _nijenhuis_setups():
     """The nil setup and the exact solv one with lam = 7/5, built once per
-    process, so that their integral copies and identity tables are too."""
+    process, so that their identity tables are too."""
     return (liealg.builtin_setup("nil-debartolomeis"),
             liealg.InvariantSetup.standard(liealg.solv_algebra(Fraction(7, 5))))
 

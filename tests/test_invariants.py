@@ -9,8 +9,9 @@ from conftest import (rand_coords, rand_form, rand_fraction, rand_invertible,
                       rand_symplectic, rand_vector)
 from forms6 import invariants as inv
 from forms6 import io, linalg, verify
-from forms6.exterior import (Form, LinearMap6, basis, eval_form, form_max_diff,
-                             interior, pullback, vector_of_five_form, wedge)
+from forms6.exterior import (DEFAULT_TOL, Form, LinearMap6, basis, eval_form,
+                             form_max_diff, interior, pullback, vector_of_five_form,
+                             wedge)
 
 OMEGA = inv.standard_omega()
 VOL = inv.volume_of(OMEGA)
@@ -591,6 +592,27 @@ def test_coords_round_trip(rng):
 def test_form_to_coords_rejects_non_primitive():
     with pytest.raises(ValueError, match="not primitive"):
         inv.form_to_coords(basis(1, 2, 3))
+
+
+@pytest.mark.parametrize("scale", (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 3.7, 1e3, 1e6))
+def test_float_primitivity_check_is_scale_free(rng, scale):
+    # the float cut is tol |phi|: a non-primitive form is refused at every
+    # scale, and a primitive one moved by Sp(6), whose omega ^ phi is rounding
+    # residue, is not
+    def scaled(form):
+        return form.map_coeffs(lambda x: float(x) * scale)
+
+    for _ in range(10):
+        bad = rand_form(rng, 3)
+        assert wedge(OMEGA, bad).coeffs
+        for form in (scaled(bad), scaled(basis(1, 2, 3))):
+            with pytest.raises(ValueError, match="not primitive"):
+                inv.form_to_coords(form)
+            with pytest.raises(ValueError, match="not primitive"):
+                inv.classify_sp(form, OMEGA)
+        good = scaled(pullback(rand_symplectic(rng), inv.coords_to_form(rand_coords(rng))))
+        inv._check_primitive(good, OMEGA, DEFAULT_TOL, "form")
+        assert inv.coords_to_form(inv.form_to_coords(good)) == good
 
 
 def test_hat_map_examples():

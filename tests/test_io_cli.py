@@ -201,12 +201,11 @@ def test_verify_nijenhuis_negative_control(monkeypatch, tmp_path):
     # one flipped entry of the nil setup's cached d table must fail the
     # nijenhuis suite, naming the first basis pair and 5-form that broke
     setup = verify._nijenhuis_setups()[0]
-    integral = la._integral_setup(setup)[1]
-    tables = la._identity_tables(integral)
+    tables = la._identity_tables(setup)
     d = tables.d.copy()
     r, m = np.argwhere(d)[0]
     d[r, m] = -d[r, m]
-    monkeypatch.setattr(integral, "_identity", tables._replace(d=d))
+    monkeypatch.setattr(setup, "_identity", tables._replace(d=d))
     out = tmp_path / "neg.json"
     assert run_cli("verify", "--suite", "nijenhuis", "--seed", "3",
                    "--trials", "20", "--out", str(out)) == 1

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -211,6 +212,21 @@ def test_flow_operator_rejects_non_primitive():
         la.flow_operator(NIL, basis(1, 2, 3))
 
 
+def test_flow_operator_output_cut_relative_to_input(monkeypatch):
+    # a float image whose exact value is 0 is rounding residue, so its
+    # primitivity is cut at tol |phi|^3, its degree in the input, never at
+    # its own size; on the F-harmonic solv family the image is such residue
+    phi = inv.coords_to_form(inv.PrimitiveCoords(
+        A=1.5, B=1.5, C=0.7, D=-0.7, E=0.7, F=-0.7, G=-1.5, H=-1.5, M=2.2, N=0.8))
+    for scale in (1e-3, 1.0, 3.7, 1e3):
+        form = phi * scale
+        assert la.flow_operator(SOLV, form).max_abs() <= 1e-12 * form.max_abs() ** 3
+    monkeypatch.setattr(la, "dlambdad", lambda setup, F: basis(1, 2, 3) * 1e-20)
+    assert la.flow_operator(SOLV, phi) == basis(1, 2, 3) * 1e-20
+    with pytest.raises(ValueError, match="flow output"):
+        la.flow_operator(SOLV, phi * 1e-5)
+
+
 def test_nil_stationary_iff_hat_H_zero(rng):
     for _ in range(20):
         c = rand_coords(rng)
@@ -306,26 +322,32 @@ def test_volume_of_setup_omega_taken_from_cached_tables(rng, monkeypatch):
     assert calls == []
 
 
-def _form_level_arrays(setup, P):
-    # the Form-level sides on the integral setup, as (15, 6) lists over the
-    # table route's pairs and 5-forms
-    sides = la.nijenhuis_identity_sides(setup, P)
+def _form_level_arrays(setup, phi):
+    # the Form-level sides, as (15, 6) lists over the table route's pairs and
+    # 5-forms
+    sides = la.nijenhuis_identity_sides(setup, phi)
     return tuple([[side.coeffs.get(m, 0) for m in la._MASKS5]
                   for side in (sides[(i + 1, j + 1)][k] for i, j in la._PAIRS)]
                  for k in (0, 1))
 
 
+def _divided(lhs, rhs, scale):
+    # the table sides over their scale, as exact Fractions
+    return tuple([[Fraction(int(x)) / scale for x in row] for row in side.tolist()]
+                 for side in (lhs, rhs))
+
+
 def test_table_sides_equal_form_level_sides(rng):
-    # the tables hold D phi over the integral algebra with c = 1, so each
-    # side is E D^4 times the side on phi, entry for entry
+    # the tables hold D phi over the constants scaled by E, with c = 1, so
+    # each side over E D^4 is the Form-level side on phi, entry for entry
     for setup in (NIL, SOLV_EXACT):
-        E, integral = la._integral_setup(setup)
+        E = la._identity_tables(setup).E
         for _ in range(12):
             phi = inv.coords_to_form(rand_coords(rng))
-            D, P = inv._cleared(phi)
+            D = inv._cleared(phi)[0]
             lhs, rhs, scale = la._table_sides(setup, phi)
             assert lhs.dtype == np.int64 and scale == E * D ** 4
-            assert (lhs.tolist(), rhs.tolist()) == _form_level_arrays(integral, P)
+            assert _divided(lhs, rhs, scale) == _form_level_arrays(setup, phi)
             assert la._identity_failure(setup, phi) is None
 
 
@@ -339,8 +361,7 @@ def test_table_sides_fall_back_to_python_ints(rng):
         lhs, rhs, scale = la._table_sides(setup, phi)
         assert lhs.dtype == object and (lhs == rhs).all()
         assert la.verify_nijenhuis_identity(setup, phi) == 0.0
-        integral, P = la._integral_setup(setup)[1], inv._cleared(phi)[1]
-        assert (lhs.tolist(), rhs.tolist()) == _form_level_arrays(integral, P)
+        assert _divided(lhs, rhs, scale) == _form_level_arrays(setup, phi)
 
 
 def test_float_table_sides_match_form_route(rng):
@@ -355,16 +376,44 @@ def test_float_table_sides_match_form_route(rng):
             assert la.verify_nijenhuis_identity(setup, phi) <= 1e-12 * abs(want).max()
 
 
-def test_identity_tables_built_on_first_use():
+def test_identity_tables_built_on_first_use(monkeypatch):
+    # the tables are read off the setup's own algebra: no scaled copy of it
+    # is built, and they are cached on the setup after the first call
     setup = la.InvariantSetup.standard(la.solv_algebra(Fraction(3, 2)))
-    assert setup._integral is None
+    assert setup._identity is None
+    built = []
+    plain_init = la.LieAlgebra6.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(la.LieAlgebra6, "__init__", counting)
     phi = basis(1, 3, 5) + basis(2, 4, 6)
     assert la.verify_nijenhuis_identity(setup, phi) == 0.0
-    integral = la._integral_setup(setup)[1]
-    tables = integral._identity
-    assert tables is not None and not tables.d.flags.writeable
+    tables = setup._identity
+    assert tables is not None and not tables.d.flags.writeable and tables.E == 2
     la.verify_nijenhuis_identity(setup, phi)
-    assert integral._identity is tables
+    la.integrability_flags(setup, phi)
+    la.nijenhuis_max(setup, phi)
+    assert setup._identity is tables and built == []
+
+
+def test_identity_tables_clear_the_structure_constants():
+    # lam = 7/5 clears with E = 5; the tables are then 5 times d and bracket
+    tables = la._identity_tables(SOLV_EXACT)
+    assert tables.E == 5 and tables.d.dtype == np.int64
+    unit = inv._unit
+    for i in range(6):
+        for j in range(6):
+            want = SOLV_EXACT.algebra.bracket(unit(i), unit(j))
+            assert tables.bracket[:, i, j].tolist() == [5 * x for x in want]
+    d = [[5 * x for x in la._coefficients(SOLV_EXACT.algebra.d(Form(3, {m: 1})),
+                                            la._MASKS4)] for m in inv._MASKS3]
+    assert tables.d.T.tolist() == d
+    assert la._identity_tables(NIL).E == 1
+    float_tables = la._identity_tables(SOLV)
+    assert float_tables.E == 1 and float_tables.d.dtype == np.float64
 
 
 def test_nijenhuis_residual_is_homogeneous(rng):
@@ -491,8 +540,8 @@ def test_algebra_json_round_trip(tmp_path):
 
 
 def test_flags_and_nijenhuis_max_match_definitions_on_phi(rng):
-    # exact input is tested as D phi over the algebra scaled to int constants;
-    # every flag and the tensor's maximum must read as on phi itself
+    # exact input is tested as D phi over the tables' int constants; every
+    # flag and the tensor's maximum must read as the definitions on phi
     seen = set()
     for setup in (NIL, SOLV_EXACT):
         for n in range(24):
@@ -511,7 +560,8 @@ def test_flags_and_nijenhuis_max_match_definitions_on_phi(rng):
             assert flags.integrable == (not setup.algebra.d(phi).coeffs)
             assert flags.F_integrable == (not setup.algebra.d(F).coeffs)
             assert flags.K_integrable == (not any(x for v in N.values() for x in v))
-            assert la.nijenhuis_max(setup, phi) == la._max_entry(N)
+            assert la.nijenhuis_max(setup, phi) == float(max(abs(x) for v in N.values()
+                                                             for x in v))
             seen.add((setup is NIL, flags.F_harmonic, flags.K_integrable))
     assert {(True, True, True), (False, True, True), (True, False, False),
             (False, False, False)} <= seen
@@ -546,6 +596,55 @@ def test_integrability_flags_are_scale_free(solv, seed, kind, scale):
     phi = inv.coords_to_form(_seeded_coords(seed, kind, solv))
     scaled = phi.map_coeffs(lambda x: float(x) * scale)
     assert la.integrability_flags(setup, scaled) == la.integrability_flags(setup, phi)
+
+
+def _flag_definitions(setup, phi):
+    # the flags and max|N_K| from the Form-level d, F and Nijenhuis tensor
+    K, F = inv.compute_K(phi, setup.omega), inv.compute_F(phi, setup.omega)
+    top = max(abs(x) for v in la._nijenhuis_of(setup.algebra, K).values() for x in v)
+    return ((not setup.algebra.d(phi).coeffs, not setup.algebra.d(F).coeffs, top == 0),
+            float(top))
+
+
+def test_flags_on_python_ints_match_definitions():
+    # coefficients near 2^40 push K past the int64 bound, so the flags and
+    # the maximum come from Python ints; they still read as the definitions
+    for solv, setup in ((False, NIL), (True, SOLV_EXACT)):
+        for seed, kind in enumerate(("random", "closed", "harmonic")):
+            phi = inv.coords_to_form(_seeded_coords(seed, kind, solv)) * (2 ** 40 + 7)
+            assert la._table_core(setup, phi)[-1].dtype == object
+            flags = la.integrability_flags(setup, phi)
+            want, top = _flag_definitions(setup, phi)
+            assert (flags.integrable, flags.F_integrable, flags.K_integrable) == want
+            assert flags.F_harmonic == (kind == "harmonic")
+            assert la.nijenhuis_max(setup, phi) == top
+
+
+def test_integrability_flags_are_bool(rng):
+    # Python bools on the int64, Python-int and float routes, so that a report
+    # serializes them as they are
+    phi = inv.coords_to_form(rand_coords(rng))
+    for setup in (NIL, SOLV_EXACT, SOLV):
+        for form in (phi, phi.to_float(), phi * (2 ** 40 + 7)):
+            flags = la.integrability_flags(setup, form)
+            assert all(type(x) is bool for x in flags)
+            assert json.loads(json.dumps(flags._asdict())) == flags._asdict()
+
+
+def test_flags_read_the_cached_d_table(monkeypatch):
+    # d vanishes on every basis 3-form that a closed nil form uses, so one
+    # entry of the cached d table in such a column, set from 0 to 1, changes
+    # the form's flags: they are read off the tables
+    phi = inv.coords_to_form(_seeded_coords(0, "harmonic", False))
+    assert la.integrability_flags(NIL, phi) == (True, True, True, True, True)
+    tables = la._identity_tables(NIL)
+    m = np.flatnonzero(la._table_core(NIL, phi)[3])[0]
+    assert not tables.d[:, m].any()
+    d = tables.d.copy()
+    d[0, m] = 1
+    monkeypatch.setattr(NIL, "_identity", tables._replace(d=d))
+    flags = la.integrability_flags(NIL, phi)
+    assert not flags.integrable and not flags.F_harmonic
 
 
 def test_builtin_setup_built_once_per_process():
