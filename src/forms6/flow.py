@@ -7,12 +7,13 @@ primitive coefficients.  This module evaluates that right side generically
 tables and the cached linear operator of d Lambda d, never hand-coded per
 algebra), integrates a batch of starts at once with a fixed-order Taylor
 series whose coefficients come from Cauchy products over the monomials
-with two or more factors the flow moves, each row in its own power-of-two
-units, stops each start on scale-free blow-up and stationarity tests,
-extracts normalized limits, and carries the closed-form solutions used as
-cross-checks: the scalar ODE on the nil algebra and the u-v comparison
-system with its blow-up bound on the solv algebra, whose polynomial systems
-are tables of the same kind.
+with two or more factors the flow moves, built in buffers laid out once
+per batch size, each row in its own power-of-two units, stops each start
+on scale-free blow-up and stationarity tests, extracts normalized limits,
+and carries the closed-form solutions used as cross-checks: the scalar
+ODE on the nil algebra and the u-v comparison system with its blow-up
+bound on the solv algebra, whose polynomial systems are tables of the same
+kind.
 """
 
 import functools
@@ -111,31 +112,79 @@ class ReducedFlow:
         Cauchy product: first of b and c, (y_b y_c)_k = sum_j y_{b,j}
         y_{c,k-j}, then of a with that (Jorba and Zou, Experimental
         Mathematics 14, 2005).  No further evaluation of f is made."""
-        dot = np.vecdot
-        rows, nc, nm = len(y), self.n_cauchy, self.n_moved
-        coef = np.empty((ORDER + 1,) + y.shape)
-        mono = np.empty((rows, 1, len(self.table)))     # the monomials' k-th coefficients
-        fwd = np.empty((ORDER, rows, len(self.moving_factors)))  # y_j at each moving factor
+        return _TaylorWork(self, len(y)).run(y)
+
+
+class _TaylorWork:
+    """The buffers of ReducedFlow.taylor for a batch of a fixed number of
+    rows, and the views that each order reads and writes, laid out once, so
+    that a run is only the arithmetic of a build.  integrate_ode keeps one
+    for its current batch size and runs it on every pass, and _step sums the
+    series in its other buffers.  A run writes every buffer before it reads
+    it, so it gives the bits of a fresh build; the coefficients it returns
+    are its own ``coef``, overwritten by the next run."""
+
+    def __init__(self, flow, rows):
+        nc, nm, n = flow.n_cauchy, flow.n_moved, len(flow.table)
+        self.cauchy = nc > 0
+        self.fixed_factors = flow.fixed_factors
+        self.coef = coef = np.empty((ORDER + 1, rows, flow.table.shape[1]))
+        self.mono = mono = np.empty((rows, 1, n))    # the monomials' k-th coefficients
+        fwd = np.empty((ORDER, rows, len(flow.moving_factors)))  # y_j at each moving factor
         a, b, c = (fwd[..., i * nc:(i + 1) * nc] for i in range(3))
         lin = fwd[..., 3 * nc:]
-        bc = np.empty((ORDER, rows, nc))         # (y_b y_c)_j at each Cauchy monomial
-        coef[0] = y
-        f1, f2, f0 = (y.take(i, axis=-1) for i in self.fixed_factors)
-        w = f1 * f2
-        np.multiply(w[:, nm - nc:], f0, out=mono[:, 0, nm:])
-        w = w[:, :nm - nc]
-        for k in range(ORDER):
-            # the indices are in range; "clip" lets take write out unbuffered
-            coef[k].take(self.moving_factors, axis=-1, out=fwd[k], mode="clip")
-            if nc:
-                # sums over j = 0..k of u_j v_{k-j}, v read backwards
-                dot(b[:k + 1], c[k::-1], axis=0, out=bc[k])
-                dot(a[:k + 1], bc[k::-1], axis=0, out=mono[:, 0, :nc])
-            np.multiply(lin[k], w, out=mono[:, 0, nc:nm])
-            dot(mono, self.tables[k], out=coef[k + 1])
+        bc = np.empty((ORDER, rows, nc))             # (y_b y_c)_j at each Cauchy monomial
+        # the fixed factors at y_0 and the products w of the first two; the
+        # constant monomials' coefficient is w f0 at k = 0 and 0 past it
+        self.fixed = [np.empty((rows, len(i))) for i in flow.fixed_factors]
+        self.w = np.empty((rows, n - nc))
+        self.w_lin, self.w_const = self.w[:, :nm - nc], self.w[:, nm - nc:]
+        self.cauchy_out, self.lin_out, self.const = (
+            mono[:, 0, :nc], mono[:, 0, nc:nm], mono[:, 0, nm:])
+
+        def j_last(x):
+            return x.transpose(1, 2, 0)
+        # per order k: y_k, the moving factors and where they go, the Cauchy
+        # operands with j last (sums over j = 0..k of u_j v_{k-j}, v read
+        # backwards), the linear factors, the table step and y_{k+1}
+        self.orders = [(coef[k], flow.moving_factors, fwd[k],
+                        j_last(b[:k + 1]), j_last(c[k::-1]), bc[k],
+                        j_last(a[:k + 1]), j_last(bc[k::-1]),
+                        lin[k], flow.tables[k], coef[k + 1]) for k in range(ORDER)]
+        # for _step: |Y_1|, |Y_ORDER-1| and |Y_ORDER|; the powers H^k of each
+        # row's step (k = 0 stays 1); the terms H^k Y_k, highest k first,
+        # and their sum
+        self.ends = np.empty((3,) + coef.shape[1:])
+        self.powers = np.empty((ORDER + 1, rows))
+        self.powers[0] = 1.0
+        self.terms = np.empty_like(coef)
+        self.series = np.empty(coef.shape[1:])
+
+    def run(self, y):
+        """ReducedFlow.taylor(y) for y of this work's row count, written
+        into and returned as ``coef``."""
+        dot, multiply, y0 = np.vecdot, np.multiply, self.coef[0]
+        y0[...] = y
+        # the indices are in range; "clip" lets take write out unbuffered
+        for i, out in zip(self.fixed_factors, self.fixed):
+            y0.take(i, -1, out, "clip")
+        f1, f2, f0 = self.fixed
+        multiply(f1, f2, self.w)
+        multiply(self.w_const, f0, self.const)
+        w, cauchy, cauchy_out, lin_out, mono = (
+            self.w_lin, self.cauchy, self.cauchy_out, self.lin_out, self.mono)
+        # arguments go by position, the fastest for numpy to parse
+        for k, (y_k, moving, fwd, b, c, bc, a, bc_back, lin, table, y_next) in \
+                enumerate(self.orders):
+            y_k.take(moving, -1, fwd, "clip")
+            if cauchy:
+                dot(b, c, bc)
+                dot(a, bc_back, cauchy_out)
+            multiply(lin, w, lin_out)
+            dot(mono, table, y_next)
             if k == 0:
-                mono[:, 0, nm:] = 0.0
-        return coef
+                self.const.fill(0.0)
+        return self.coef
 
 
 def reduced_flow(setup):
@@ -284,9 +333,11 @@ def integrate_ode(flow, y0, t_max, controls=None):
     result is one Trajectory, or a list with one per start, each the same
     bits as integrating that start alone.  Every start keeps its own time,
     counters and status.  A pass builds the Taylor coefficients of every
-    running start in one batch (``ReducedFlow.taylor``; one build per start
-    and pass, ``Trajectory.rhs_rows``), each row in its own power-of-two
-    units (``_step``), and steps each by
+    running start in one batch (the build of ``ReducedFlow.taylor``; one
+    per start and pass, ``Trajectory.rhs_rows``), each row in its own
+    power-of-two units (``_step``), in buffers laid out once per batch size
+    (``_TaylorWork``; when starts stop, the batch's buffers are laid out
+    anew for the rows left and the old ones dropped), and steps each by
     h = min((eps/|y_{p-1}|)^(1/(p-1)), (eps/|y_p|)^(1/p)), p = ORDER,
     eps = rtol max|y| (Jorba and Zou, 2005), capped at t_max / 20 so that a
     run resolves at least 20 samples, and at t_max - t.  The step is chosen
@@ -310,23 +361,28 @@ def integrate_ode(flow, y0, t_max, controls=None):
     h_cap = t_max / 20.0
     members = [_Member(row, norm)
                for row, norm in zip(y, np.max(np.abs(y), axis=-1).tolist())]
-    active = members
+    active, work = members, _TaylorWork(flow, len(members))
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             keep = [k for k, m in enumerate(active) if m.running(t_max)]
             if len(keep) < len(active):
                 active = [active[k] for k in keep]
                 y = y[keep]
+                work = _TaylorWork(flow, len(active)) if active else None
             if not active:
                 break
-            y = _step(flow, y, active, t_max, h_cap, c)
+            y = _step(work, y, active, t_max, h_cap, c)
     trajs = [m.trajectory() for m in members]
     return trajs[0] if single else trajs
 
 
-def _step(flow, y, active, t_max, h_cap, c):
-    """One coefficient build and step of every running start; returns the
-    new rows (those of starts that stopped are dropped by the caller).
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _step(work, y, active, t_max, h_cap, c):
+    """One coefficient build and step of every running start, in the
+    buffers of work, a _TaylorWork of their row count; returns the new rows
+    (those of starts that stopped are dropped by the caller).
 
     Each row is stepped in its own units: y = 2^e Y, e the binary exponent
     of max|y|, and by the flow's scaling y(t + H 4^-e) = 2^e Y(H).  Every
@@ -334,8 +390,10 @@ def _step(flow, y, active, t_max, h_cap, c):
     row scaled by 2^j takes the same steps and gives the scaled bits."""
     e = [math.frexp(m.norm)[1] for m in active]
     rows_e = np.array(e)[:, None]
-    coef = flow.taylor(np.ldexp(y, -rows_e))
-    slope, *last = np.max(np.abs(coef[[1, ORDER - 1, ORDER]]), axis=-1).tolist()
+    coef, ends, powers = work.run(np.ldexp(y, -rows_e)), work.ends, work.powers
+    np.abs(coef[1], out=ends[0])
+    np.abs(coef[ORDER - 1:], out=ends[1:])
+    slope, *last = np.maximum.reduce(ends, axis=-1).tolist()
     steps, H = [0.0] * len(active), [0.0] * len(active)
     for k, m in enumerate(active):
         m.rows += 1
@@ -349,13 +407,12 @@ def _step(flow, y, active, t_max, h_cap, c):
     # sum_k H^k Y_k, smallest terms first; H^k overflows only against Y_k
     # that are exactly 0 (linear growth), where a power clamped at the float
     # maximum gives 0 and inf would give nan
-    powers = np.empty((ORDER + 1, len(H)))
-    powers[0] = 1.0
     powers[1:] = H
     np.cumprod(powers, axis=0, out=powers)
-    np.minimum(powers, np.finfo(float).max, out=powers)
-    y_new = np.ldexp((powers[::-1, :, None] * coef[::-1]).sum(axis=0), rows_e)
-    norm_new = np.max(np.abs(y_new), axis=-1).tolist()
+    np.minimum(powers, _FLOAT_MAX, out=powers)
+    np.multiply(powers[::-1, :, None], coef[::-1], out=work.terms)
+    y_new = np.ldexp(np.add.reduce(work.terms, axis=0, out=work.series), rows_e)
+    norm_new = np.maximum.reduce(np.abs(y_new, out=work.series), axis=-1).tolist()
     for k, m in enumerate(active):
         if steps[k]:
             m.accept(y_new[k], steps[k], norm_new[k])
@@ -452,6 +509,11 @@ def normalized_limit(traj, normalizer="A"):
         fit = design @ sol
         spread[:] = np.max(np.abs(fit - ratios), axis=0)
     bad = float(np.max(spread))
+    # the ratios are of degree 0 in phi, so this cut is scale-free as it
+    # stands: a start scaled by 2^j gives the same ratios, spread and verdict
+    # bit for bit.  The floor at 1 may stay, as it never acts: the
+    # normalizer's own ratio is 1, exactly on blow-up and up to the fit's
+    # rounding otherwise, so max|coords| is at least about 1 anyway
     if bad > 1e-4 * max(1.0, float(np.max(np.abs(coords)))):
         raise LimitError(
             f"ratios not settled in the final window (spread {bad:.3e}); "

@@ -287,15 +287,39 @@ def _coefficients(form, masks):
     return [form.coeffs.get(m, 0) for m in masks]
 
 
+class _Gather(NamedTuple):
+    """A contraction table with at most one nonzero entry per output, as
+    the index of that entry and its value (0 where there is none): the
+    table applied to x, contracting x's first axis, is sign x[src]."""
+    src: np.ndarray
+    sign: np.ndarray
+
+    @classmethod
+    def of(cls, table):
+        """The _Gather of an int table over its last axis; raises if an
+        output has two nonzero entries."""
+        nonzero = table != 0
+        if nonzero.sum(axis=-1).max() > 1:
+            raise ValueError("not a gather: an output has two nonzero entries")
+        src = nonzero.argmax(axis=-1)
+        return cls(src, np.take_along_axis(table, src[..., None], -1)[..., 0])
+
+    def __call__(self, x):
+        sign = self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 1))
+        return sign * x[self.src]
+
+
 class _Contractions(NamedTuple):
     """ii[i, j] takes the coefficients of a 4-form to those of iota_{e_j}
-    iota_{e_i} of it; w[q, p, m] is the coefficient of e^(_MASKS5[q]) in the
-    wedge of the p-th basis 2-form with the m-th basis 3-form; ivol[q, k] is
-    that of iota_{e_k} e^123456.  The r_* are their largest absolute row
-    sums over the contracted indices."""
-    ii: np.ndarray
-    w: np.ndarray
-    ivol: np.ndarray
+    iota_{e_i} of it; w[q, p] takes those of a 3-form to the coefficient of
+    e^(_MASKS5[q]) in its wedge with the p-th basis 2-form; ivol[q] takes a
+    vector x over k = 0..5 to that in sum_k x_k iota_{e_k} e^123456.  Each
+    is a _Gather: of the 8100, 1800 and 36 entries of the dense tables, 180,
+    60 and 6 are nonzero, at most one per output.  The r_* are the dense
+    tables' largest absolute row sums over the contracted indices."""
+    ii: _Gather
+    w: _Gather
+    ivol: _Gather
     r_ii: int
     r_w: int
     r_vol: int
@@ -303,8 +327,8 @@ class _Contractions(NamedTuple):
 
 @functools.cache
 def _contraction_tables():
-    """The _Contractions as int64 arrays, built from interior and wedge on
-    first use, not at import."""
+    """The _Contractions, read off interior and wedge on basis forms as
+    int64 arrays on first use, not at import."""
     unit = invariants._unit
     e4 = [Form(4, {m: 1}) for m in _MASKS4]
     ii = np.array([[[_coefficients(interior(unit(j), interior(unit(i), e)),
@@ -318,7 +342,8 @@ def _contraction_tables():
     vol = Form(DIM, {FULL_MASK: 1})
     ivol = np.array([_coefficients(interior(unit(k), vol), _MASKS5)
                      for k in range(DIM)], np.int64).T.copy()
-    return _Contractions(ii, w, ivol, int(abs(ii).sum(axis=3).max()),
+    return _Contractions(_Gather.of(ii), _Gather.of(w), _Gather.of(ivol),
+                         int(abs(ii).sum(axis=3).max()),
                          int(abs(w).sum(axis=(1, 2)).max()),
                          int(abs(ivol).sum(axis=1).max()))
 
@@ -431,13 +456,14 @@ def _table_sides(setup, phi):
     4 in phi."""
     s, E, k, P, f, dP, df, N = _table_core(setup, phi)
     c = _contraction_tables()
-    ii, w, ivol = (x.astype(P.dtype, copy=False) for x in (c.ii, c.w, c.ivol))
-    a = ii @ dP                                  # a[i, j] = iota_{e_j} iota_{e_i} dP
-    U = np.einsum("li,ljp->ijp", k, a)           # iota_{e_j} iota_{k e_i} dP
-    inner = 2 * (U - U.transpose(1, 0, 2)) + ii @ df
-    rhs = a @ (w @ f).T + inner @ (w @ P).T
-    lhs = np.einsum("qk,kij->ijq", ivol, N)
-    return lhs[_PAIR_I, _PAIR_J], rhs[_PAIR_I, _PAIR_J], s.c * E * s.D ** 4
+    a = c.ii(dP)                                 # a[i, j] = iota_{e_j} iota_{e_i} dP
+    # U[i, j] - U[j, i] at the pairs, U[i, j] = iota_{e_j} iota_{k e_i} dP
+    U = (np.einsum("ln,lnp->np", k[:, _PAIR_I], a[:, _PAIR_J])
+         - np.einsum("ln,lnp->np", k[:, _PAIR_J], a[:, _PAIR_I]))
+    inner = 2 * U + c.ii(df)[_PAIR_I, _PAIR_J]
+    rhs = a[_PAIR_I, _PAIR_J] @ c.w(f).T + inner @ c.w(P).T
+    lhs = c.ivol(N[:, _PAIR_I, _PAIR_J]).T
+    return lhs, rhs, s.c * E * s.D ** 4
 
 
 def verify_nijenhuis_identity(setup, phi):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -371,6 +372,24 @@ def test_solv_blow_up_and_limit(rng):
     assert orbit.label == "O-+"
 
 
+@pytest.mark.parametrize("j", [-400, -30, 30, 400])
+def test_normalized_limit_is_scale_free(rng, j):
+    # the spread cut acts on ratios of coefficients, of degree 0 in phi, so
+    # a solv start scaled by 2^j, run to t_max scaled by 4^-j, gives the same
+    # limit coordinates and orbit bit for bit
+    c0 = rand_solv_data(rng).to_coords()
+    ref = flow.integrate(SOLV, c0, 100.0, SOLV_CONTROLS)
+    got = flow.integrate(SOLV, [2.0 ** j * x for x in c0], 100.0 * 4.0 ** -j, SOLV_CONTROLS)
+    assert got.status == ref.status == "blow_up"
+
+    def bits(traj):
+        form, orbit = flow.normalized_limit(traj, "A")
+        return sorted((m, x.hex()) for m, x in form.coeffs.items()), orbit.label, orbit.mu.hex()
+
+    assert bits(got) == bits(ref)
+    assert bits(ref)[1] == "O-+"
+
+
 def test_solv_positivity_preserved_along_flow(rng):
     sd = rand_solv_data(rng)
     traj = flow.integrate(SOLV, sd.to_coords(), 100.0, SOLV_CONTROLS)
@@ -436,29 +455,33 @@ def test_grid_consistency_of_blow_up_time(rng):
 
 # --- integrator cost and accuracy -------------------------------------------------------
 
-def test_taylor_coefficients_built_once_per_step(rng):
+def test_taylor_coefficients_built_once_per_step(rng, monkeypatch):
     # each pass builds the Taylor coefficients of every running start once
     # and steps from them; a start that stops on convergence or blow-up has
-    # built the coefficients of its last state
+    # built the coefficients of its last state.  The integrator builds in
+    # the buffers of a _TaylorWork, one alive at a time
     runs = ((SOLV, rand_solv_data(rng).to_coords(), 100.0, SOLV_CONTROLS),
             (SOLV, rand_solv_data(rng).to_coords(), 100.0, flow.FlowControls()),
             (NIL, rand_nil_coords(rng), 40.0, flow.FlowControls()),
             (NIL, rand_nil_coords(rng), 10.0,
              flow.FlowControls(detect_stationary=False)))
+    run, alive = flow._TaylorWork.run, weakref.WeakSet()
+    calls = rows = 0
+
+    def counting(work, y):
+        nonlocal calls, rows
+        alive.add(work)
+        assert len(alive) == 1
+        calls += 1
+        rows += len(y)
+        return run(work, y)
+
+    monkeypatch.setattr(flow._TaylorWork, "run", counting)
     seen = set()
     for setup, c0, t_max, controls in runs:
-        poly = flow.ReducedFlow(*flow.rhs_table(setup), 14)
-        taylor = poly.taylor
         calls = rows = 0
-
-        def counting(y):
-            nonlocal calls, rows
-            calls += 1
-            rows += len(y)
-            return taylor(y)
-
-        poly.taylor = counting
-        traj = flow.integrate_ode(poly, [float(x) for x in c0], t_max, controls)
+        traj = flow.integrate_ode(flow.reduced_flow(setup), [float(x) for x in c0],
+                                  t_max, controls)
         seen.add(traj.status)
         stopped_early = traj.status in ("converged", "blow_up")
         assert traj.n_accepted > 0
@@ -470,6 +493,29 @@ def test_taylor_coefficients_built_once_per_step(rng):
         assert abs(traj.min_step - steps.min()) <= slack
         assert abs(traj.max_step - steps.max()) <= slack
     assert seen == {"blow_up", "converged", "reached_t_max"}
+
+
+def test_taylor_work_is_laid_out_once_per_batch_size(monkeypatch):
+    # a sweep lays out one _TaylorWork per batch size: a zero start stops at
+    # once, then the two nil starts with H != 0 run on as a batch of 2 until
+    # the first converges; each start gets the bits of its solo run
+    starts = [[0.0] * 14, list(SCALED_NIL), list(SCALED_NIL._replace(H=-0.6, J=0.3))]
+    init, sizes = flow._TaylorWork.__init__, []
+
+    def recording(work, poly, rows):
+        sizes.append(rows)
+        init(work, poly, rows)
+
+    monkeypatch.setattr(flow._TaylorWork, "__init__", recording)
+    trajs = flow.integrate_sweep(NIL, starts, 40.0)
+    assert sizes == [3, 2, 1]
+    assert [t.status for t in trajs] == ["converged"] * 3
+    assert trajs[0].message == "stationary initial data"
+    monkeypatch.undo()
+    for c0, traj in zip(starts, trajs):
+        solo = flow.integrate(NIL, c0, 40.0)
+        assert np.array_equal(solo.states, traj.states)
+        assert np.array_equal(solo.times, traj.times)
 
 
 def _taylor_oracle(poly, y, table):
@@ -530,6 +576,28 @@ def test_taylor_coefficients_match_derivatives(rng):
             with np.errstate(over="ignore", invalid="ignore"):
                 assert np.array_equal(poly.taylor(y[r:r + 1])[:, 0], got[:, r],
                                       equal_nan=True)
+
+
+def test_reused_taylor_work_gives_fresh_bits(rng):
+    # one work object run on successive different batches gives the bits of
+    # a fresh build each time; the constant monomials' slot is zeroed past
+    # order 0 and must be refilled by the next run
+    sd = rand_solv_data(rng)
+    tools = flow.SolvUVTools(sd)
+    polys = [flow.reduced_flow(NIL), flow.reduced_flow(SOLV), flow.reduced_flow(AB),
+             flow.solv_system(sd), tools.uv_flow, tools.comparison_flow]
+    for poly in polys:
+        n = poly.table.shape[1]
+        unit = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(6)])
+        batches = [np.vstack([np.zeros(n), unit[0]]), unit[1:3],
+                   np.vstack([2.0 ** 40 * unit[3], 2.0 ** -40 * unit[4]]),
+                   np.zeros((2, n)), unit[4:6]]
+        work = flow._TaylorWork(poly, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for y in batches:
+                got = work.run(y).copy()
+                assert np.array_equal(got, poly.taylor(y), equal_nan=True)
+        assert np.isfinite(got).all()    # so the last comparison is not nan with nan
 
 
 def test_sweep_members_match_solo_runs(rng):

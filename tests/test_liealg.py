@@ -364,6 +364,24 @@ def test_table_sides_fall_back_to_python_ints(rng):
         assert _divided(lhs, rhs, scale) == _form_level_arrays(setup, phi)
 
 
+def test_python_int_route_equals_int64_route(rng, monkeypatch):
+    # the Python-int route, forced on input that the int64 route takes,
+    # gives the int64 route's sides and core entry for entry
+    cases = [(setup, inv.coords_to_form(rand_coords(rng)))
+             for setup in (NIL, SOLV_EXACT) for _ in range(6)]
+    want = [(la._table_sides(setup, phi), la._table_core(setup, phi)[2:])
+            for setup, phi in cases]
+    monkeypatch.setattr(la, "_sides_dtype", lambda *args: "object")
+    for (setup, phi), ((lhs, rhs, scale), core) in zip(cases, want):
+        assert lhs.dtype == np.int64
+        got_lhs, got_rhs, got_scale = la._table_sides(setup, phi)
+        assert got_lhs.dtype == got_rhs.dtype == object
+        assert got_lhs.tolist() == lhs.tolist() and got_rhs.tolist() == rhs.tolist()
+        assert got_scale == scale
+        for x, y in zip(la._table_core(setup, phi)[2:], core):
+            assert x.dtype == object and x.tolist() == y.tolist()
+
+
 def test_float_table_sides_match_form_route(rng):
     for setup in (NIL, SOLV_EXACT, SOLV):
         for _ in range(4):
