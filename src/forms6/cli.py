@@ -66,6 +66,9 @@ def _num(x):
 # --- classify ----------------------------------------------------------------
 
 def cmd_classify(args):
+    """With --omega, the GL orbit and q's signature are the SP_ORBITS entry
+    of the Sp label, whose signature classify_sp measured at --tol (on O3
+    and O6 it measures none, so q is taken here): 3 K evaluations, 4 there."""
     phi = _load_form(args.form, grade=3)
     report = {
         "input": args.form,
@@ -74,12 +77,16 @@ def cmd_classify(args):
     }
     if args.omega:
         omega = _load_form(args.omega, grade=2)
-        report["gl_orbit"] = inv.classify_gl(phi, vol=inv.volume_of(omega), tol=args.tol)
         sp = inv.classify_sp(phi, omega, tol=args.tol)
+        orbit = inv.SP_ORBITS[sp.label]
+        sig = orbit.signature
+        if sig is None:
+            sig = inv.signature(inv.q_form(phi, omega, args.tol), args.tol)
+        report["gl_orbit"] = orbit.gl
         report["sp_orbit"] = sp.label
         report["mu"] = _num(sp.mu) if sp.mu is not None else None
         report["Q"] = _num(inv.compute_Q(phi, omega))
-        report["signature"] = list(inv.signature(inv.q_form(phi, omega), args.tol))
+        report["signature"] = list(sig)
         report["dims"] = list(inv.subspace_dims(phi, omega, tol=args.tol))
     else:
         report["gl_orbit"] = inv.classify_gl(phi, tol=args.tol)

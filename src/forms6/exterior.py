@@ -183,11 +183,6 @@ class Form:
         """Largest absolute coefficient, as a float (0.0 for the zero form)."""
         return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)
 
-    def is_zero(self, tol=0.0):
-        if not self.coeffs:
-            return True
-        return tol > 0 and self.max_abs() <= tol
-
     def __repr__(self):
         if not self.coeffs:
             return f"Form({self.grade}, 0)"

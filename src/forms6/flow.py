@@ -587,6 +587,8 @@ def _padded_flow(dim, terms):
     return ReducedFlow(monos, rows, dim)
 
 
+# used only by the tests, which hold the generic right side to this paper's
+# closed system on the solv algebra
 def solv_system(sd):
     """The four-component closed-ansatz system, hand-written, as a
     ReducedFlow on rows (alpha, beta, gamma, delta, 1).

@@ -32,10 +32,34 @@ O_1 = "O1"
 O_3 = "O3"
 O_6 = "O6"
 
-GL_LABELS = (O_MINUS, O_PLUS, O_0, O_1, O_3, O_6)
 
-# Sp(V, omega) orbit labels on primitive 3-forms
-SP_LABELS = ("O-+", "O--", "O+", "O0+", "O0-", "O1+", "O1-", "O3", "O6")
+class _OrbitEntry(NamedTuple):
+    gl: str
+    signature: tuple  # (n0, n+, n-) of q; None on O3 and O6
+    normal_form: Form
+
+
+# The Sp(V, omega) orbits of primitive 3-forms: each label's GL orbit (the
+# sign of Q, or dim ker phi where Q = 0), the signature of q that splits it,
+# and its normal form at mu = 1 (standard omega).
+SP_ORBITS = {
+    "O-+": _OrbitEntry(O_MINUS, (0, 6, 0), basis(1, 3, 5) - basis(1, 4, 6)
+                       - basis(2, 3, 6) - basis(2, 4, 5)),
+    "O--": _OrbitEntry(O_MINUS, (0, 2, 4), basis(1, 3, 5) - basis(1, 4, 6)
+                       + basis(2, 3, 6) + basis(2, 4, 5)),
+    "O+": _OrbitEntry(O_PLUS, (0, 3, 3), basis(1, 3, 5) + basis(2, 4, 6)),
+    "O0+": _OrbitEntry(O_0, (3, 3, 0),
+                       basis(1, 4, 6) + basis(2, 3, 6) + basis(2, 4, 5)),
+    "O0-": _OrbitEntry(O_0, (3, 1, 2),
+                       basis(1, 4, 6) - basis(2, 3, 6) - basis(2, 4, 5)),
+    "O1+": _OrbitEntry(O_1, (5, 1, 0), basis(1, 3, 5) - basis(2, 4, 5)),
+    "O1-": _OrbitEntry(O_1, (5, 0, 1), basis(1, 3, 5) + basis(2, 4, 5)),
+    "O3": _OrbitEntry(O_3, None, basis(1, 3, 5)),
+    "O6": _OrbitEntry(O_6, None, Form.zero(3)),
+}
+SP_LABELS = tuple(SP_ORBITS)
+_SP_OF = {(o.gl, o.signature): label for label, o in SP_ORBITS.items()}
+_GL_OF_KERNEL = {0: O_0, 1: O_1, 3: O_3, 6: O_6}  # dim ker phi where Q = 0
 
 # default tolerance of the float orbit decisions: Q = 0, ranks, signatures
 ORBIT_TOL = 1e-8
@@ -514,24 +538,29 @@ def _q_is_zero(phi, Q, tol):
     return abs(float(Q)) <= tol * scale
 
 
-def classify_gl(phi, vol=None, tol=ORBIT_TOL):
-    """GL(V) orbit label of a 3-form.
+def _gl_orbit(s, kn, phi, tol):
+    """(GL(V) orbit label, Q) of phi from kn = _K_numerators(s.v).
 
-    Stable orbits by the sign of Q; on the Q = 0 hypersurface the kernel
-    dimension (0, 1, 3, 6) separates the remaining orbits.
-    """
+    Stable orbits by the sign of Q; on the Q = 0 hypersurface dim ker phi
+    (0, 1, 3, 6), from the contraction matrix on the same cleared
+    coefficients, separates the remaining orbits."""
+    Q = _Q_of(s, kn)
+    if not _q_is_zero(phi, Q, tol):
+        return (O_MINUS if Q < 0 else O_PLUS), Q
+    k = _ker_phi(_table_rows(_CONTR, s.v), tol)
+    if k not in _GL_OF_KERNEL:
+        raise ClassificationError(
+            f"dim ker phi = {k} is impossible for a 3-form; check tolerances")
+    return _GL_OF_KERNEL[k], Q
+
+
+def classify_gl(phi, vol=None, tol=ORBIT_TOL):
+    """GL(V) orbit label of a 3-form: the sign of Q, or where Q = 0 the
+    dimension of ker phi."""
     if vol is None:
         vol = standard_volume()
     s = _scaled(phi, _resolve_vol(None, vol))
-    Q = _Q_of(s, _K_numerators(s.v))
-    if not _q_is_zero(phi, Q, tol):
-        return O_MINUS if Q < 0 else O_PLUS
-    k = _ker_phi(_table_rows(_CONTR, s.v), tol)
-    table = {0: O_0, 1: O_1, 3: O_3, 6: O_6}
-    if k not in table:
-        raise ClassificationError(
-            f"dim ker phi = {k} is impossible for a 3-form; check tolerances")
-    return table[k]
+    return _gl_orbit(s, _K_numerators(s.v), phi, tol)[0]
 
 
 class SpOrbit(NamedTuple):
@@ -539,19 +568,12 @@ class SpOrbit(NamedTuple):
     mu: object = None  # positive scalar for the stable orbits, else None
 
 
-def _fourth_root(x):
-    if is_exact(x):
-        x = float(x)
-    return x ** 0.25
-
-
 def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     """Sp(V, omega) orbit of a primitive 3-form, with mu for stable orbits.
 
-    mu is recovered from Q: Q = -16 mu^4 on the O- orbits and Q = 4 mu^4 on
-    O+.  Inside Q = 0 the label follows dim ker phi and the signature of the
-    q-form.  Q and q come from one K evaluation, and dim ker phi from the
-    contraction matrix on the same cleared coefficients.
+    The label is the SP_ORBITS entry with the GL orbit of _gl_orbit and the
+    signature of q measured at tol (none on O3 and O6).  mu is recovered
+    from Q: Q = -16 mu^4 on O- and 4 mu^4 on O+.  One K evaluation.
     """
     if omega is None:
         omega = standard_omega()
@@ -560,41 +582,15 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     s = _scaled(phi, tables.vol)
     kn = _K_numerators(s.v)
     q = _q_of(s, kn, tables, tol)  # its symmetry check runs on every form
-    Q = _Q_of(s, kn)
-    if not _q_is_zero(phi, Q, tol):
-        sig = signature(q, tol)
-        if Q < 0:
-            mu = _fourth_root(-Q / 16)
-            if sig == (0, 6, 0):
-                return SpOrbit("O-+", mu)
-            if sig == (0, 2, 4):
-                return SpOrbit("O--", mu)
-            raise ClassificationError(f"Q<0 with unexpected signature {sig}")
-        mu = _fourth_root(Q / 4)
-        if sig != (0, 3, 3):
-            raise ClassificationError(f"Q>0 with unexpected signature {sig}")
-        return SpOrbit("O+", mu)
-    # O3 and O6 are told by the kernel alone; their q vanishes, and a float
-    # signature of it would read rounding noise
-    k = _ker_phi(_table_rows(_CONTR, s.v), tol)
-    if k == 3:
-        return SpOrbit("O3")
-    if k == 6:
-        return SpOrbit("O6")
-    if k not in (0, 1):
-        raise ClassificationError(f"dim ker phi = {k} is impossible")
-    sig = signature(q, tol)
-    if k == 0:
-        if sig == (3, 3, 0):
-            return SpOrbit("O0+")
-        if sig == (3, 1, 2):
-            return SpOrbit("O0-")
-        raise ClassificationError(f"nondegenerate unstable form with signature {sig}")
-    if sig == (5, 1, 0):
-        return SpOrbit("O1+")
-    if sig == (5, 0, 1):
-        return SpOrbit("O1-")
-    raise ClassificationError(f"kernel-1 form with signature {sig}")
+    gl, Q = _gl_orbit(s, kn, phi, tol)
+    # q vanishes on O3 and O6, and a float signature of it would read
+    # rounding noise
+    sig = None if gl in (O_3, O_6) else signature(q, tol)
+    label = _SP_OF.get((gl, sig))
+    if label is None:
+        raise ClassificationError(f"{gl} form with unexpected signature {sig}")
+    mu4 = {O_MINUS: -Q / 16, O_PLUS: Q / 4}.get(gl)
+    return SpOrbit(label, None if mu4 is None else float(mu4) ** 0.25)
 
 
 # --- the 14-coefficient parametrization of primitive 3-forms ----------------
@@ -776,6 +772,9 @@ def gradient_relations_check(c):
 
 
 # --- stabilizer of the O0 normal form ---------------------------------------
+# o0_normal_form, block_matrix_to_map, stabilizer_predicates and hitchin_data
+# are used only by the tests; each states a paper claim they check: the
+# stabilizer of phi0 and F(phi0) on O0, and Hitchin's J on O-.
 
 # coframe order (dx1, dx2, dx3, dy1, dy2, dy3) -> axes (1, 3, 5, 2, 4, 6)
 _BLOCK_TO_AXIS = (1, 3, 5, 2, 4, 6)
@@ -872,8 +871,8 @@ def hitchin_data(phi, omega=None):
     """
     s = _scaled(phi, _omega_tables(omega if omega is not None else standard_omega()).vol)
     kn = _K_numerators(s.v)
-    Q = _Q_of(s, kn)
-    if _q_is_zero(phi, Q, ORBIT_TOL) or Q > 0:
+    gl, Q = _gl_orbit(s, kn, phi, ORBIT_TOL)
+    if gl != O_MINUS:
         raise ValueError(f"not in O-: Q(phi) = {Q} >= 0")
     normsq = _exact_sqrt(-Q)
     lam = Q / 4
@@ -898,17 +897,7 @@ def gl_normal_form(label):
 
 
 def sp_normal_form(label, mu=1):
-    """Normal forms of the Sp orbits (standard omega)."""
-    e = basis
-    forms = {
-        "O-+": (e(1, 3, 5) - e(1, 4, 6) - e(2, 3, 6) - e(2, 4, 5)) * mu,
-        "O--": (e(1, 3, 5) - e(1, 4, 6) + e(2, 3, 6) + e(2, 4, 5)) * mu,
-        "O+": (e(1, 3, 5) + e(2, 4, 6)) * mu,
-        "O0+": e(1, 4, 6) + e(2, 3, 6) + e(2, 4, 5),
-        "O0-": e(1, 4, 6) - e(2, 3, 6) - e(2, 4, 5),
-        "O1+": e(1, 3, 5) - e(2, 4, 5),
-        "O1-": e(1, 3, 5) + e(2, 4, 5),
-        "O3": e(1, 3, 5),
-        "O6": Form.zero(3),
-    }
-    return forms[label]
+    """A fresh copy of the SP_ORBITS normal form of an Sp orbit, scaled by
+    mu on the stable orbits O-+, O-- and O+ (standard omega)."""
+    orbit = SP_ORBITS[label]
+    return orbit.normal_form * (mu if orbit.gl in (O_MINUS, O_PLUS) else 1)

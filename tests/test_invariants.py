@@ -478,6 +478,21 @@ GL_OF_SP = {"O-+": "O-", "O--": "O-", "O+": "O+", "O0+": "O0", "O0-": "O0",
             "O1+": "O1", "O1-": "O1", "O3": "O3", "O6": "O6"}
 
 
+def test_sp_orbit_table_agrees_with_the_test_tables():
+    assert inv.SP_LABELS == tuple(inv.SP_ORBITS) and set(inv.SP_ORBITS) == set(GL_OF_SP)
+    for label, orbit in inv.SP_ORBITS.items():
+        assert orbit.gl == GL_OF_SP[label]
+        # O3 and O6 are told apart by dim ker phi, not by q
+        want = None if label in ("O3", "O6") else SIGNATURE_TABLE[label]
+        assert orbit.signature == want
+        assert inv.sp_normal_form(label) == orbit.normal_form
+        assert inv.classify_sp(orbit.normal_form, OMEGA) == (
+            label, 1.0 if orbit.gl in ("O-", "O+") else None)
+    # sp_normal_form gives a fresh Form, so a caller cannot edit the table
+    inv.sp_normal_form("O3").coeffs.clear()
+    assert inv.SP_ORBITS["O3"].normal_form == basis(1, 3, 5)
+
+
 def _classify_scaled(labels, scales):
     """Sp-transformed float normal forms keep their label, and mu scales with
     phi, at every scale given."""

@@ -11,7 +11,7 @@ from conftest import rand_coords, rand_form
 from forms6 import cli, flow, io, verify
 from forms6 import invariants as inv
 from forms6 import liealg as la
-from forms6.exterior import Form, basis
+from forms6.exterior import Form, basis, wedge
 
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 
@@ -79,21 +79,57 @@ def assert_refused(capsys, *argv):
     return err
 
 
+# what each packaged form's report must say, from the orbit tables: dims are
+# (ker phi, ker K, im K, (Ann phi)^perp) of the GL orbit, and the Sp forms
+# carry (GL orbit, signature of q)
+GL_DIMS = {"O-": [0, 0, 6, 6], "O+": [0, 0, 6, 6], "O0": [0, 3, 3, 6],
+           "O1": [1, 5, 1, 5], "O3": [3, 6, 0, 3], "O6": [6, 6, 0, 0]}
+SP_DATA = {"O-+": ("O-", [0, 6, 0]), "O--": ("O-", [0, 2, 4]),
+           "O+": ("O+", [0, 3, 3]), "O0+": ("O0", [3, 3, 0]),
+           "O0-": ("O0", [3, 1, 2]), "O1+": ("O1", [5, 1, 0]),
+           "O1-": ("O1", [5, 0, 1]), "O3": ("O3", [6, 0, 0]),
+           "O6": ("O6", [6, 0, 0])}
+OMEGA_FILE = data_file("forms/omega_standard.json")
+
+
 def test_classify_normal_forms(tmp_path, capsys):
-    for name, gl in (("gl_O-", "O-"), ("gl_O+", "O+"), ("gl_O6", "O6")):
-        assert run_cli("classify", data_file(f"forms/{name}.json")) == 0
+    for gl, dims in GL_DIMS.items():
+        assert run_cli("classify", data_file(f"forms/gl_{gl}.json")) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["gl_orbit"] == gl
-        assert rep["sp_orbit"] is None
+        assert rep["dims"] == dims
+        assert rep["sp_orbit"] is None and rep["signature"] is None
 
 
-def test_classify_with_omega(capsys):
-    assert run_cli("classify", data_file("forms/sp_O0+.json"),
-                   "--omega", data_file("forms/omega_standard.json")) == 0
+def test_classify_with_omega(monkeypatch, capsys):
+    # K is evaluated by classify_sp, compute_Q and subspace_dims; on O3 and
+    # O6 also by q_form, for the signature classify_sp does not measure there
+    calls = []
+    K = inv._K_numerators
+    monkeypatch.setattr(inv, "_K_numerators", lambda v: calls.append(1) or K(v))
+    for label, (gl, sig) in SP_DATA.items():
+        calls.clear()
+        assert run_cli("classify", data_file(f"forms/sp_{label}.json"),
+                       "--omega", OMEGA_FILE) == 0
+        assert len(calls) == (4 if gl in ("O3", "O6") else 3), label
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["sp_orbit"] == label
+        assert rep["gl_orbit"] == gl
+        assert rep["signature"] == sig
+        assert rep["dims"] == GL_DIMS[gl]
+        assert (rep["mu"] == 1.0) == (gl in ("O-", "O+"))
+
+
+def test_classify_takes_the_primitivity_cut_at_tol(tmp_path, capsys):
+    # |omega ^ phi| = 5e-9 |phi| passes the default --tol of 1e-8 on every
+    # step of the report
+    phi = inv.sp_normal_form("O1+").to_float() + basis(1, 2, 5) * 5e-9
+    assert wedge(inv.standard_omega(), phi).max_abs() == 5e-9 * phi.max_abs()
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(io.form_to_json(phi)))
+    assert run_cli("classify", str(path), "--omega", OMEGA_FILE) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["sp_orbit"] == "O0+"
-    assert rep["signature"] == [3, 3, 0]
-    assert rep["dims"] == [0, 3, 3, 6]
+    assert rep["sp_orbit"] == "O1+" and rep["signature"] == [5, 1, 0]
 
 
 def test_classify_zero_form(capsys):
@@ -128,8 +164,7 @@ def test_classify_error_paths(tmp_path, capsys):
     # non-primitive with Sp requested
     nonprim = tmp_path / "nonprim.json"
     nonprim.write_text(json.dumps([{"axes": [1, 2, 3], "coeff": 1}]))
-    assert run_cli("classify", str(nonprim),
-                   "--omega", data_file("forms/omega_standard.json")) != 0
+    assert run_cli("classify", str(nonprim), "--omega", OMEGA_FILE) != 0
     assert "primitive" in capsys.readouterr().err
 
 
