@@ -259,7 +259,8 @@ def build_parser():
     f.add_argument("--t-max", type=float, default=10.0)
     f.add_argument("--tol", type=float, default=1e-9,
                    help="relative bound on the last Taylor terms of a step, "
-                        "which sets the step size (default 1e-9)")
+                        "which sets the step size, and the stationarity cut "
+                        "max|f(y)| <= tol max|y|^3 (default 1e-9)")
     f.add_argument("--blow-norm", type=float, default=1e8,
                    help="growth of max|y| over the start's past which a step below "
                         "--tol times t stops a start as blow_up (default 1e8)")

@@ -9,7 +9,8 @@ algebra), integrates a batch of starts at once with a fixed-order Taylor
 series whose coefficients come from Cauchy products over the monomials
 with two or more factors the flow moves, built in buffers laid out once
 per batch size, each row in its own power-of-two units, stops each start
-on scale-free blow-up and stationarity tests, extracts normalized limits,
+on scale-free blow-up and stationarity tests (the latter cut at the run's
+own rtol and held with max|y| steady), extracts normalized limits,
 and carries the closed-form solutions used as cross-checks: the scalar
 ODE on the nil algebra and the u-v comparison system with its blow-up
 bound on the solv algebra, whose polynomial systems are tables of the same
@@ -206,7 +207,7 @@ def reduced_rhs(setup, coords):
 
 # thresholds of integrate_ode that no caller sets; FlowControls holds the
 # ones the CLI exposes
-STATIONARY_RESIDUAL = 1e-10  # max|f(y)| relative to max|y|^3
+NORM_HOLD = 1e-6             # change of max|y| over a stationarity hold, relative
 MAX_STEPS = 2_000_000
 
 
@@ -239,14 +240,15 @@ class Trajectory:
 
 
 class _Member:
-    """The run of one row of a batch: its time, samples, max|y| now and at
-    the start, counters and, once it stops, its status.  Its stop tests
-    compare max|f(y)| with max|y|^3, max|y| with max|y0| and a step with t,
-    so the rescaling y -> s y, t -> t / s^2 of the cubic flow leaves them
-    unchanged, and a power of two s bit for bit."""
+    """The run of one row of a batch: its time, samples, max|y| now, at the
+    start and at a stationarity hold's start, counters and, once it stops,
+    its status.  Its stop tests compare max|f(y)| with max|y|^3, max|y| with
+    those other two and a step with t, so the rescaling y -> s y,
+    t -> t / s^2 of the cubic flow leaves them unchanged, and a power of
+    two s bit for bit."""
 
     def __init__(self, y0, norm):
-        self.t, self.still_since = 0.0, None
+        self.t, self.still_since, self.still_norm = 0.0, None, None
         self.times, self.states = [0.0], [y0]
         self.norm = self.norm0 = norm
         self.n_acc = self.n_rej = self.rows = 0
@@ -263,25 +265,32 @@ class _Member:
             return False
         return True
 
-    def converged(self, slope, norm):
-        """Whether max|f(y)| = slope has stayed within STATIONARY_RESIDUAL
-        |y|^3 at every sample from the time t_s it first did so up to
-        t >= 2 t_s, or does so on the initial data.  The first span measures
-        how long the start takes to come this close, so holding as long again
-        brings it about as much closer."""
-        if not slope <= STATIONARY_RESIDUAL * norm * norm * norm:
+    def converged(self, slope, norm, rtol):
+        """Whether max|f(y)| = slope has stayed within rtol max|y|^3, the
+        run's own tolerance, at every sample from the time t_s it first did
+        so up to t >= 2 t_s, with max|y| within NORM_HOLD of its value at
+        t_s, or does so on the initial data.  The first span measures how
+        long the start takes to come this close, so holding as long again
+        brings it about as much closer.  A hold whose max|y| moved more
+        restarts at t, so a start growing without bound never converges."""
+        if not slope <= rtol * norm * norm * norm:
             self.still_since = None
             return False
         if self.n_acc == 0:
             self.status, self.message = "converged", "stationary initial data"
             return True
         if self.still_since is None:
-            self.still_since = self.t
+            self.still_since, self.still_norm = self.t, self.norm
         if self.t < 2.0 * self.still_since:
             return False
+        moved = abs(self.norm - self.still_norm)
+        if not moved <= NORM_HOLD * self.still_norm:
+            self.still_since, self.still_norm = self.t, self.norm
+            return False
         self.status = "converged"
-        self.message = (f"residual <= {STATIONARY_RESIDUAL} |y|^3 over "
-                        f"t = {self.still_since:.6g}..{self.t:.6g}")
+        self.message = (f"max|f|/max|y|^3 = {slope / norm ** 3:.3e} <= rtol = {rtol:.3e} "
+                        f"over t = {self.still_since:.6g}..{self.t:.6g}, max|y| moved "
+                        f"{moved / self.still_norm if moved else 0.0:.3e} relative")
         return True
 
     def blows_up(self, h, c):
@@ -346,9 +355,10 @@ def integrate_ode(flow, y0, t_max, controls=None):
     A start stops as "blow_up" by ``_Member.blows_up``: when its step cannot
     move t, or when max|y| exceeds ``blow_norm`` max|y0| with a step below
     rtol t.  With detect_stationary, a start converges by
-    ``_Member.converged``: at once for stationary initial data, y = 0
-    included.  A start or t_max that is not finite, or t_max <= 0, raises
-    ValueError.
+    ``_Member.converged``: once max|f(y)| <= rtol max|y|^3 has held from
+    t_s to 2 t_s with max|y| steady to NORM_HOLD, or at once for stationary
+    initial data, y = 0 included.  A start or t_max that is not finite, or
+    t_max <= 0, raises ValueError.
     """
     c = controls or FlowControls()
     y = np.array(y0, dtype=float)
@@ -398,7 +408,7 @@ def _step(work, y, active, t_max, h_cap, c):
     for k, m in enumerate(active):
         m.rows += 1
         norm = math.ldexp(m.norm, -e[k])
-        if c.detect_stationary and m.converged(slope[k], norm):
+        if c.detect_stationary and m.converged(slope[k], norm, c.rtol):
             continue
         h = _step_size(c.rtol * norm, (last[0][k], last[1][k]))
         h = min(math.ldexp(h, -2 * e[k]), t_max - m.t, h_cap)

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -182,17 +183,18 @@ def test_nil_flow_is_scale_equivariant(s):
 
 @pytest.mark.parametrize("detect", [True, False])
 def test_power_of_two_scaling_takes_the_same_steps(detect):
-    # the step rule and the stationarity test are relative to |y|, so a
-    # scaling by 2^-20 scales every time by 2^40 and every state by 2^-20
-    s = 2.0 ** -20
+    # the step rule, the stationarity cut and its norm hold are relative to
+    # |y|, so a scaling by s = 2^j scales every time by 2^-2j and every
+    # state by 2^j, for either sign of j
     controls = flow.FlowControls(detect_stationary=detect)
     ref = flow.integrate(NIL, SCALED_NIL, 40.0, controls)
-    got = flow.integrate(NIL, [s * x for x in SCALED_NIL], 40.0 / s ** 2, controls)
-    assert (got.status, got.n_accepted, got.n_rejected) == \
-        (ref.status, ref.n_accepted, ref.n_rejected)
-    assert got.status == ("converged" if detect else "reached_t_max")
-    assert np.array_equal(got.times * s ** 2, ref.times)
-    assert np.array_equal(got.states / s, ref.states)
+    assert ref.status == ("converged" if detect else "reached_t_max")
+    for s in (2.0 ** -20, 2.0 ** 20):
+        got = flow.integrate(NIL, [s * x for x in SCALED_NIL], 40.0 / s ** 2, controls)
+        assert (got.status, got.n_accepted, got.n_rejected) == \
+            (ref.status, ref.n_accepted, ref.n_rejected)
+        assert np.array_equal(got.times * s ** 2, ref.times)
+        assert np.array_equal(got.states / s, ref.states)
 
 
 def _bench_pool(seed):
@@ -287,15 +289,53 @@ def test_solv_pool_blows_up_alike_at_other_scales(s, blow_norm):
         assert abs(got.t_final * s * s - ref.t_final) <= 1e-9 * ref.t_final
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "near a stable nil fixed point the Taylor step grows to a h ~ 8.8, "
-    "a = 4H^2, where the order-20 series no longer damps A - R/a; the "
-    "residual then stays above STATIONARY_RESIDUAL |y|^3 and the start "
-    "never converges"))
 def test_nil_pool_starts_converge_by_t_100():
+    # near a stable nil fixed point the Taylor step grows to a h ~ 8.8,
+    # a = 4H^2, where the order-20 series leaves A - R/a bouncing at about
+    # 1.3e-10 |y|; the cut at the run's rtol = 1e-9 lies above that bounce
     trajs = flow.integrate_sweep(NIL, POOL_RUNS["nil"][1], 100.0)
     assert len(trajs) == 54
     assert [t.status for t in trajs] == ["converged"] * 54
+
+
+@pytest.mark.parametrize("rtol", [1e-7, 1e-9, 1e-11])
+def test_stationarity_cut_follows_rtol(rtol):
+    # the cut is the run's own tolerance, so every start of the pool
+    # converges at each rtol and stops within rtol of its limit R/(4H^2)
+    starts = POOL_RUNS["nil"][1]
+    trajs = flow.integrate_sweep(NIL, starts, 100.0, flow.FlowControls(rtol=rtol))
+    assert [t.status for t in trajs] == ["converged"] * 54
+    for c0, traj in zip(starts, trajs):
+        nd = flow.NilData.from_coords(c0)
+        limit = nd.R / (4 * nd.H ** 2)
+        assert abs(traj.final_state[0] - limit) <= rtol * max(1.0, abs(limit))
+        assert f"<= rtol = {rtol:.3e} over t = " in traj.message
+
+
+@pytest.mark.parametrize("t_max", [1e4, 1e5, 1e6])
+def test_linear_growth_never_converges(t_max):
+    # with H = 0, A = A0 + R t grows without bound: f is constant, so it
+    # falls below rtol |y|^3 once |y| is large, but max|y| never holds
+    # still over a span t_s..2t_s and the start runs to t_max
+    c = SCALED_NIL._replace(H=0.0)
+    assert flow.NilData.from_coords(c).R != 0.0
+    traj = flow.integrate(NIL, c, t_max)
+    assert traj.status == "reached_t_max"
+    assert traj.t_final == t_max
+
+
+def test_converged_message_states_the_stop():
+    # a converged start reports the cut, its residual at the stop, the hold
+    # span and how far max|y| moved over it, in fixed formats
+    traj = flow.integrate(NIL, SCALED_NIL, 40.0)
+    assert traj.status == "converged"
+    m = re.fullmatch(r"max\|f\|/max\|y\|\^3 = (\S+) <= rtol = 1\.000e-09 over "
+                     r"t = (\S+)\.\.(\S+), max\|y\| moved (\S+) relative", traj.message)
+    assert m is not None, traj.message
+    residual, t_s, t, moved = map(float, m.groups())
+    assert residual <= 1e-9
+    assert 0 < t_s < t == pytest.approx(traj.t_final, rel=1e-5)
+    assert moved <= flow.NORM_HOLD
 
 
 def test_max_steps_stops_with_error(monkeypatch):
