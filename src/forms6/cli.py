@@ -262,8 +262,11 @@ def build_parser():
                         "which sets the step size, and the stationarity cut "
                         "max|f(y)| <= tol max|y|^3 (default 1e-9)")
     f.add_argument("--blow-norm", type=float, default=1e8,
-                   help="growth of max|y| over the start's past which a step below "
-                        "--tol times t stops a start as blow_up (default 1e8)")
+                   help="growth of max|y| over the start's past which a step whose "
+                        "t-advance is below --tol times t stops a start as blow_up; "
+                        "a flow that can blow up is stepped in a projective time, "
+                        "and the status message gives the growth rate and blow-up "
+                        "time estimate at the stop (default 1e8)")
     f.add_argument("--normalizer", default="A", choices=COORD_NAMES)
     f.add_argument("--no-stationary", action="store_true",
                    help="disable stationary-point termination")

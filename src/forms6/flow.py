@@ -6,11 +6,13 @@ primitive coefficients.  This module evaluates that right side generically
 (one table of cubic monomials per setup, derived exactly from the K and F
 tables and the cached linear operator of d Lambda d, never hand-coded per
 algebra), integrates a batch of starts at once with a fixed-order Taylor
-series whose coefficients come from Cauchy products over the monomials
-with two or more factors the flow moves, built in buffers laid out once
-per batch size, each row in its own power-of-two units, stops each start
-on scale-free blow-up and stationarity tests (the latter cut at the run's
-own rtol and held with max|y| steady), extracts normalized limits,
+series whose coefficients come from Cauchy products, built in buffers laid
+out once per batch size, each row in its own power-of-two units, and on a
+flow that can blow up (one with monomials of two or more factors the flow
+moves) in a projective time tau, dtau proportional to |y|^2 dt, in which
+the blow-up lies at tau = infinity, stops each start on scale-free blow-up
+and stationarity tests (the latter cut at the run's own rtol and held with
+max|y| steady), which read t, extracts normalized limits,
 and carries the closed-form solutions used as cross-checks: the scalar
 ODE on the nil algebra and the u-v comparison system with its blow-up
 bound on the solv algebra, whose polynomial systems are tables of the same
@@ -66,11 +68,13 @@ class ReducedFlow:
     of the solv flow are others, with a constant coordinate 1 making their
     lower-degree monomials cubic.  The coordinates f moves are the nonzero
     columns of the table; every other one, the constant 1 included, is held
-    at its start.  So ``taylor`` needs Cauchy products only for the
-    ``n_cauchy`` monomials with two or more moving factors: 40 of 96 on the
-    solv algebra, none of 12 on the nil one.  Its sums are vecdots, one dot
-    product per entry, whose bits do not depend on the batch as those of a
-    matrix product may, so a row gives the same bits alone or in a sweep.
+    at its start.  ``n_cauchy`` counts the monomials with two or more moving
+    factors: 40 of 96 on the solv algebra, none of 12 on the nil one.  A flow
+    without them is affine in each moving coordinate and cannot blow up; one
+    with them is built and stepped in a projective time (``_TaylorWork``).
+    The builds' sums are vecdots, one dot product per entry, whose bits do
+    not depend on the batch as those of a matrix product may, so a row gives
+    the same bits alone or in a sweep.
     """
 
     def __init__(self, monos, rows, dim):
@@ -83,15 +87,9 @@ class ReducedFlow:
         fac = np.take_along_axis(idx, np.argsort(~moving, axis=1, kind="stable"), 1)
         n_moving = np.count_nonzero(moving, axis=1)
         order = np.argsort(-n_moving, kind="stable")
-        fac, n_moving = fac[order], n_moving[order]
-        self.n_cauchy = nc = int(np.count_nonzero(n_moving >= 2))
-        self.n_moved = nm = nc + int(np.count_nonzero(n_moving == 1))
-        # taken at every order: a, b and c of each Cauchy monomial, then the
-        # moving factor of each linear one
-        self.moving_factors = np.concatenate((fac[:nc, 0], fac[:nc, 1], fac[:nc, 2], fac[nc:nm, 0]))
-        # taken at order 0 only: the two fixed factors of each linear or
-        # constant monomial, and the third of each constant one
-        self.fixed_factors = fac[nc:, 1], fac[nc:, 2], fac[nm:, 0]
+        self.factors, n_moving = fac[order], n_moving[order]
+        self.n_cauchy = int(np.count_nonzero(n_moving >= 2))
+        self.n_moved = self.n_cauchy + int(np.count_nonzero(n_moving == 1))
         # table / (k + 1), the step from f(y)_k to y_{k+1}, transposed
         self.tables = self.table[order].T / np.arange(1.0, ORDER + 1)[:, None, None]
 
@@ -106,38 +104,66 @@ class ReducedFlow:
 
         With y(t) = sum_k y_k t^k, y_{k+1} = f(y)_k / (k + 1), where f(y)_k
         contracts the k-th coefficients of the monomials with the table.  A
-        coordinate that f does not move has y_k = 0 past k = 0.  So a monomial
-        with at most one moving factor has k-th coefficient w y_k at that
-        factor, or w at k = 0 and 0 past it with none, w the product of its
-        other factors at y_0.  That of a monomial with two or more is a
-        Cauchy product: first of b and c, (y_b y_c)_k = sum_j y_{b,j}
-        y_{c,k-j}, then of a with that (Jorba and Zou, Experimental
+        coordinate that f does not move has y_k = 0 past k = 0.  So on a flow
+        without Cauchy monomials a monomial has k-th coefficient w y_k at
+        its one moving factor, or w at k = 0 and 0 past it with none, w the
+        product of its other factors at y_0.  On a flow with them every
+        monomial's is a Cauchy product, as the gauge of ``_TaylorWork``
+        moves every coordinate: first of b and c, (y_b y_c)_k = sum_j
+        y_{b,j} y_{c,k-j}, then of a with that (Jorba and Zou, Experimental
         Mathematics 14, 2005).  No further evaluation of f is made."""
         return _TaylorWork(self, len(y)).run(y)
 
 
 class _TaylorWork:
-    """The buffers of ReducedFlow.taylor for a batch of a fixed number of
+    """The buffers of a coefficient build for a batch of a fixed number of
     rows, and the views that each order reads and writes, laid out once, so
     that a run is only the arithmetic of a build.  integrate_ode keeps one
-    for its current batch size and runs it on every pass, and _step sums the
-    series in its other buffers.  A run writes every buffer before it reads
-    it, so it gives the bits of a fresh build; the coefficients it returns
-    are its own ``coef``, overwritten by the next run."""
+    (``stepping``) for its current batch size and runs it on every pass, and
+    _step sums the series in its other buffers.  A run writes every buffer
+    before it reads it, so it gives the bits of a fresh build; the
+    coefficients it returns are a view of its own ``coef``, overwritten by
+    the next run.
+
+    On a flow with Cauchy monomials, which can blow up in finite t, every
+    monomial is built as a Cauchy product and ``coef`` carries two more
+    columns, u and v.  With ``gauge`` set, as integrate_ode sets it on such a
+    flow, a run builds instead the series in tau of
+        z' = f(z) - s z,  u' = -2 s u,  v' = u,  s = <z, f(z)> / N0,
+    from z = y, u = 1, v = 0, with N0 = |y|_2^2 (s = 0 on a zero row).  For a
+    cubic f, z / sqrt(u) solves y' = f(y) in t = v, for any s; this s keeps
+    |z| = |y| at its start, so the series in tau has no pole where y has one
+    in t (the Poincare compactification: Dumortier, Llibre and Artes,
+    Qualitative Theory of Planar Differential Systems, ch. 5).  Its orders
+    take one more contraction, for s_k = sum_j <z_j, f(z)_{k-j}> / N0, and
+    one more for the Cauchy product of s with z and u.  Without the gauge,
+    the gauge terms are absent, s = 0, u = 1 and v(tau) = tau: a run gives
+    the t series of ReducedFlow.taylor."""
 
     def __init__(self, flow, rows):
-        nc, nm, n = flow.n_cauchy, flow.n_moved, len(flow.table)
-        self.cauchy = nc > 0
-        self.fixed_factors = flow.fixed_factors
-        self.coef = coef = np.empty((ORDER + 1, rows, flow.table.shape[1]))
+        n, dim = flow.table.shape
+        self.cauchy = cauchy = flow.n_cauchy > 0
+        self.gauge = False
+        # the factors taken at every order: a, b and c of each Cauchy
+        # monomial, then the moving factor of each linear one, and those taken
+        # at order 0 only: the two fixed factors of each linear or constant
+        # monomial, and the third of each constant one.  On a flow with
+        # Cauchy monomials the gauge moves every coordinate, so every
+        # monomial is a Cauchy product there
+        fac = flow.factors
+        nc, nm = (n, n) if cauchy else (flow.n_cauchy, flow.n_moved)
+        moving = np.concatenate((fac[:nc, 0], fac[:nc, 1], fac[:nc, 2], fac[nc:nm, 0]))
+        self.fixed_factors = fac[nc:, 1], fac[nc:, 2], fac[nm:, 0]
+        self.coef = coef = np.empty((ORDER + 1, rows, dim + 2 if cauchy else dim))
+        self.y = coef[..., :dim]
         self.mono = mono = np.empty((rows, 1, n))    # the monomials' k-th coefficients
-        fwd = np.empty((ORDER, rows, len(flow.moving_factors)))  # y_j at each moving factor
+        fwd = np.empty((ORDER, rows, len(moving)))   # y_j at each moving factor
         a, b, c = (fwd[..., i * nc:(i + 1) * nc] for i in range(3))
         lin = fwd[..., 3 * nc:]
         bc = np.empty((ORDER, rows, nc))             # (y_b y_c)_j at each Cauchy monomial
         # the fixed factors at y_0 and the products w of the first two; the
         # constant monomials' coefficient is w f0 at k = 0 and 0 past it
-        self.fixed = [np.empty((rows, len(i))) for i in flow.fixed_factors]
+        self.fixed = [np.empty((rows, len(i))) for i in self.fixed_factors]
         self.w = np.empty((rows, n - nc))
         self.w_lin, self.w_const = self.w[:, :nm - nc], self.w[:, nm - nc:]
         self.cauchy_out, self.lin_out, self.const = (
@@ -148,32 +174,70 @@ class _TaylorWork:
         # per order k: y_k, the moving factors and where they go, the Cauchy
         # operands with j last (sums over j = 0..k of u_j v_{k-j}, v read
         # backwards), the linear factors, the table step and y_{k+1}
-        self.orders = [(coef[k], flow.moving_factors, fwd[k],
+        self.orders = [(coef[k], moving, fwd[k],
                         j_last(b[:k + 1]), j_last(c[k::-1]), bc[k],
                         j_last(a[:k + 1]), j_last(bc[k::-1]),
-                        lin[k], flow.tables[k], coef[k + 1]) for k in range(ORDER)]
-        # for _step: |Y_1|, |Y_ORDER-1| and |Y_ORDER|; the powers H^k of each
-        # row's step (k = 0 stays 1); the terms H^k Y_k, highest k first,
-        # and their sum
-        self.ends = np.empty((3,) + coef.shape[1:])
+                        lin[k], flow.tables[k], coef[k + 1, :, :dim]) for k in range(ORDER)]
+        # for _step: |f(y)_0|, |Y_ORDER-1| and |Y_ORDER|; the powers H^k of
+        # each row's step (k = 0 stays 1); the terms H^k Y_k, highest k
+        # first, and their sum
+        self.ends = np.zeros((3,) + coef.shape[1:])
+        self.slope = self.ends[0, :, :dim]
         self.powers = np.empty((ORDER + 1, rows))
         self.powers[0] = 1.0
         self.terms = np.empty_like(coef)
         self.series = np.empty(coef.shape[1:])
+        if not cauchy:
+            return
+        # the gauge terms: f(z)_k, with 0 in u's column; <z_j, f_{k-j}> for
+        # j = 0..k; 1/N0 in every column, so that one dot of the two gives
+        # s_k; s_j with j last; (s [z, u])_k; and per order the weights
+        # 1/(k+1) and, for u, 2/(k+1), which take [f, 0]_k - (s [z, u])_k
+        # to [z, u]_{k+1}.  v_{k+1} = u_k / (k+1) is filled after the orders
+        self.held = np.flatnonzero(~np.any(flow.table != 0.0, axis=0))
+        self.f = f = np.zeros((ORDER, rows, dim + 1))
+        zf, self.r, s = np.empty((3, rows, ORDER))
+        sz = np.empty((rows, dim + 1))
+        zu = coef[..., :dim + 1]
+        self.ks = np.arange(1.0, ORDER + 1)[:, None]
+        self.gauge_orders = []
+        for k in range(ORDER):
+            weights = np.full(dim + 1, 1.0 / (k + 1))
+            weights[dim] = 2.0 / (k + 1)
+            self.gauge_orders.append((
+                flow.tables[0], f[k, :, :dim],
+                coef[:k + 1, :, :dim].transpose(1, 0, 2), f[k::-1, :, :dim].transpose(1, 0, 2),
+                zf[:, :k + 1], self.r[:, :k + 1], s[:, k], s[:, None, :k + 1],
+                j_last(zu[k::-1]), sz, f[k], weights, zu[k + 1]))
+
+    @classmethod
+    def stepping(cls, flow, rows):
+        """The work integrate_ode steps with: gauged exactly when the flow
+        has Cauchy monomials."""
+        work = cls(flow, rows)
+        work.gauge = work.cauchy
+        return work
 
     def run(self, y):
-        """ReducedFlow.taylor(y) for y of this work's row count, written
-        into and returned as ``coef``."""
-        dot, multiply, y0 = np.vecdot, np.multiply, self.coef[0]
-        y0[...] = y
+        """ReducedFlow.taylor(y) for y of this work's row count, or with
+        ``gauge`` the series of z, written into ``coef`` and returned as a
+        view of it; the series of u and v are coef's last two columns."""
+        dot, multiply, subtract, coef = np.vecdot, np.multiply, np.subtract, self.coef
+        y0 = coef[0]
+        self.y[0] = y
         # the indices are in range; "clip" lets take write out unbuffered
         for i, out in zip(self.fixed_factors, self.fixed):
             y0.take(i, -1, out, "clip")
         f1, f2, f0 = self.fixed
         multiply(f1, f2, self.w)
         multiply(self.w_const, f0, self.const)
-        w, cauchy, cauchy_out, lin_out, mono = (
-            self.w_lin, self.cauchy, self.cauchy_out, self.lin_out, self.mono)
+        w, cauchy, gauge, cauchy_out, lin_out, mono = (
+            self.w_lin, self.cauchy, self.gauge, self.cauchy_out, self.lin_out, self.mono)
+        if gauge:
+            y0[:, -2:] = (1.0, 0.0)
+            n0, r = dot(y, y), self.r
+            r.fill(0.0)
+            np.divide(1.0, n0[:, None], out=r, where=n0[:, None] > 0.0)
         # arguments go by position, the fastest for numpy to parse
         for k, (y_k, moving, fwd, b, c, bc, a, bc_back, lin, table, y_next) in \
                 enumerate(self.orders):
@@ -181,11 +245,24 @@ class _TaylorWork:
             if cauchy:
                 dot(b, c, bc)
                 dot(a, bc_back, cauchy_out)
-            multiply(lin, w, lin_out)
-            dot(mono, table, y_next)
+            else:
+                multiply(lin, w, lin_out)
+            if gauge:
+                table, f_k, z, f_back, zf, r, s_k, s, zu_back, sz, f_pad, weights, zu_next = \
+                    self.gauge_orders[k]
+                dot(mono, table, f_k)
+                dot(z, f_back, zf)
+                dot(zf, r, s_k)
+                dot(s, zu_back, sz)
+                subtract(f_pad, sz, sz)
+                multiply(sz, weights, zu_next)
+            else:
+                dot(mono, table, y_next)
             if k == 0:
                 self.const.fill(0.0)
-        return self.coef
+        if gauge:
+            np.divide(coef[:-1, :, -2], self.ks, out=coef[1:, :, -1])
+        return self.y
 
 
 def reduced_flow(setup):
@@ -209,6 +286,7 @@ def reduced_rhs(setup, coords):
 # ones the CLI exposes
 NORM_HOLD = 1e-6             # change of max|y| over a stationarity hold, relative
 MAX_STEPS = 2_000_000
+NEWTON_STEPS = 60            # bound on the iterations of _gauge_step's root
 
 
 @dataclass
@@ -293,15 +371,16 @@ class _Member:
                         f"{moved / self.still_norm if moved else 0.0:.3e} relative")
         return True
 
-    def blows_up(self, h, c):
-        """Whether the start stops as "blow_up" instead of taking the step h:
-        h cannot move t (counted in n_rejected), or max|y| > blow_norm max|y0|
-        while h < rtol t, the time left being below the run's own tolerance."""
-        if self.t + h == self.t:
+    def blows_up(self, dt, c):
+        """Whether the start stops as "blow_up" instead of taking a step that
+        advances t by dt: dt cannot move t (counted in n_rejected), or
+        max|y| > blow_norm max|y0| while dt < rtol t, the time left being
+        below the run's own tolerance."""
+        if self.t + dt == self.t:
             self.n_rej += 1
-            self.message = f"step {h:.3e} cannot move t = {self.t!r} at |y| = {self.norm:.3e}"
-        elif self.norm > c.blow_norm * self.norm0 and h < c.rtol * self.t:
-            self.message = f"|y| = {self.norm:.3e} > {c.blow_norm:g} |y0|, step {h:.3e} < {c.rtol:g} t"
+            self.message = f"step {dt:.3e} cannot move t = {self.t!r} at |y| = {self.norm:.3e}"
+        elif self.norm > c.blow_norm * self.norm0 and dt < c.rtol * self.t:
+            self.message = f"|y| = {self.norm:.3e} > {c.blow_norm:g} |y0|, step {dt:.3e} < {c.rtol:g} t"
         else:
             return False
         self.status = "blow_up"
@@ -342,19 +421,22 @@ def integrate_ode(flow, y0, t_max, controls=None):
     result is one Trajectory, or a list with one per start, each the same
     bits as integrating that start alone.  Every start keeps its own time,
     counters and status.  A pass builds the Taylor coefficients of every
-    running start in one batch (the build of ``ReducedFlow.taylor``; one
-    per start and pass, ``Trajectory.rhs_rows``), each row in its own
-    power-of-two units (``_step``), in buffers laid out once per batch size
-    (``_TaylorWork``; when starts stop, the batch's buffers are laid out
-    anew for the rows left and the old ones dropped), and steps each by
+    running start in one batch (one build per start and pass,
+    ``Trajectory.rhs_rows``), each row in its own power-of-two units
+    (``_step``), in buffers laid out once per batch size (``_TaylorWork``;
+    when starts stop, the batch's buffers are laid out anew for the rows
+    left and the old ones dropped), and steps each by
     h = min((eps/|y_{p-1}|)^(1/(p-1)), (eps/|y_p|)^(1/p)), p = ORDER,
-    eps = rtol max|y| (Jorba and Zou, 2005), capped at t_max / 20 so that a
-    run resolves at least 20 samples, and at t_max - t.  The step is chosen
-    before it is taken, so none is rejected.
+    eps = rtol max|y| (Jorba and Zou, 2005).  A flow with Cauchy monomials
+    is stepped in the projective time tau of ``_TaylorWork``'s gauge, where
+    its blow-up lies at tau = infinity, and one without in t; either way the
+    step's t-advance is capped at t_max / 20, so that a run resolves at
+    least 20 samples, and at t_max - t.  The step is chosen before it is
+    taken, so none is rejected.
 
     A start stops as "blow_up" by ``_Member.blows_up``: when its step cannot
-    move t, or when max|y| exceeds ``blow_norm`` max|y0| with a step below
-    rtol t.  With detect_stationary, a start converges by
+    move t, or when max|y| exceeds ``blow_norm`` max|y0| with a t-advance
+    below rtol t.  With detect_stationary, a start converges by
     ``_Member.converged``: once max|f(y)| <= rtol max|y|^3 has held from
     t_s to 2 t_s with max|y| steady to NORM_HOLD, or at once for stationary
     initial data, y = 0 included.  A start or t_max that is not finite, or
@@ -371,19 +453,61 @@ def integrate_ode(flow, y0, t_max, controls=None):
     h_cap = t_max / 20.0
     members = [_Member(row, norm)
                for row, norm in zip(y, np.max(np.abs(y), axis=-1).tolist())]
-    active, work = members, _TaylorWork(flow, len(members))
+    active, work = members, _TaylorWork.stepping(flow, len(members))
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             keep = [k for k, m in enumerate(active) if m.running(t_max)]
             if len(keep) < len(active):
                 active = [active[k] for k in keep]
                 y = y[keep]
-                work = _TaylorWork(flow, len(active)) if active else None
+                work = _TaylorWork.stepping(flow, len(active)) if active else None
             if not active:
                 break
             y = _step(work, y, active, t_max, h_cap, c)
     trajs = [m.trajectory() for m in members]
     return trajs[0] if single else trajs
+
+
+def _poly(coefs, x):
+    """The polynomial sum_k coefs[k] x^k and its derivative at x, by Horner."""
+    p = dp = 0.0
+    for a in reversed(coefs):
+        dp = dp * x + p
+        p = p * x + a
+    return p, dp
+
+
+def _gauge_step(v, h, cap, e2):
+    """The step in tau of a gauged row and its t-advance: (h, 4^-e v(h)),
+    v the row's series of t in tau in its units (e2 = 2e), where that
+    advance is at most cap, else (h', cap) with h' <= h the root of
+    v(h') = 4^e cap by Newton's method from that target.  v increases, as
+    v' = u > 0, and so it has one root below h."""
+    dt = math.ldexp(_poly(v, h)[0], -e2)
+    if dt <= cap:
+        return h, dt
+    target = math.ldexp(cap, e2)
+    x = min(target, h)
+    for _ in range(NEWTON_STEPS):
+        p, dp = _poly(v, x)
+        x, x_old = min(x - (p - target) / dp, h), x
+        if x == x_old:
+            break
+    return x, cap
+
+
+def _blow_up_estimate(y, f, t, e):
+    """The growth rate g = <y, f(y)> / |y|_2^2 = d log|y|/dt of a row y in
+    its power-of-two units 2^-e, f = f(y), and the blow-up time
+    T^ = t + 1/(2g) that it gives, as the tail of a blow_up message; in
+    tau, T^ - t is 1/(2 s) in step units."""
+    yy = float(np.vecdot(y, y))
+    growth = float(np.vecdot(y, f)) / yy if yy else 0.0
+    g = float(np.ldexp(growth, 2 * e))
+    if not growth > 0.0:
+        return f"; growth d log|y|/dt = {g:.6e} <= 0, T^ unavailable"
+    t_hat = t + math.ldexp(0.5 / growth, -2 * e)
+    return f"; growth d log|y|/dt = {g:.6e}, T^ = t + 1/(2 growth) = {t_hat!r}"
 
 
 _FLOAT_MAX = np.finfo(float).max
@@ -397,13 +521,21 @@ def _step(work, y, active, t_max, h_cap, c):
     Each row is stepped in its own units: y = 2^e Y, e the binary exponent
     of max|y|, and by the flow's scaling y(t + H 4^-e) = 2^e Y(H).  Every
     factor is a power of two, so no coefficient over- or underflows, and a
-    row scaled by 2^j takes the same steps and gives the scaled bits."""
+    row scaled by 2^j takes the same steps and gives the scaled bits.  A
+    gauged row steps by H in tau: Y becomes z(H) / sqrt(u(H)), with the
+    coordinates the flow does not move written back with their start bits,
+    and t advances by 4^-e v(H).  The stop tests read the row's own f(Y)
+    and t-advance, in both gauges."""
     e = [math.frexp(m.norm)[1] for m in active]
     rows_e = np.array(e)[:, None]
-    coef, ends, powers = work.run(np.ldexp(y, -rows_e)), work.ends, work.powers
-    np.abs(coef[1], out=ends[0])
+    work.run(np.ldexp(y, -rows_e))
+    coef, ends, powers, gauge = work.coef, work.ends, work.powers, work.gauge
+    dim = y.shape[1]
+    f0 = work.f[0, :, :dim] if gauge else coef[1]       # f(Y)
+    np.abs(f0, out=work.slope)
     np.abs(coef[ORDER - 1:], out=ends[1:])
     slope, *last = np.maximum.reduce(ends, axis=-1).tolist()
+    v = coef[:, :, -1].T.tolist() if gauge else None
     steps, H = [0.0] * len(active), [0.0] * len(active)
     for k, m in enumerate(active):
         m.rows += 1
@@ -411,9 +543,16 @@ def _step(work, y, active, t_max, h_cap, c):
         if c.detect_stationary and m.converged(slope[k], norm, c.rtol):
             continue
         h = _step_size(c.rtol * norm, (last[0][k], last[1][k]))
-        h = min(math.ldexp(h, -2 * e[k]), t_max - m.t, h_cap)
-        if not m.blows_up(h, c):
-            steps[k], H[k] = h, math.ldexp(h, 2 * e[k])
+        cap = min(t_max - m.t, h_cap)
+        if gauge:
+            h, dt = _gauge_step(v[k], h, cap, 2 * e[k])
+        else:
+            dt = min(math.ldexp(h, -2 * e[k]), cap)
+            h = math.ldexp(dt, 2 * e[k])
+        if m.blows_up(dt, c):
+            m.message += _blow_up_estimate(coef[0, k, :dim], f0[k], m.t, e[k])
+        else:
+            steps[k], H[k] = dt, h
     # sum_k H^k Y_k, smallest terms first; H^k overflows only against Y_k
     # that are exactly 0 (linear growth), where a power clamped at the float
     # maximum gives 0 and inf would give nan
@@ -421,8 +560,13 @@ def _step(work, y, active, t_max, h_cap, c):
     np.cumprod(powers, axis=0, out=powers)
     np.minimum(powers, _FLOAT_MAX, out=powers)
     np.multiply(powers[::-1, :, None], coef[::-1], out=work.terms)
-    y_new = np.ldexp(np.add.reduce(work.terms, axis=0, out=work.series), rows_e)
-    norm_new = np.maximum.reduce(np.abs(y_new, out=work.series), axis=-1).tolist()
+    series = np.add.reduce(work.terms, axis=0, out=work.series)
+    if gauge:
+        y_new = np.ldexp(series[:, :dim] / np.sqrt(series[:, dim:dim + 1]), rows_e)
+        y_new[:, work.held] = y[:, work.held]
+    else:
+        y_new = np.ldexp(series, rows_e)
+    norm_new = np.maximum.reduce(np.abs(y_new, out=work.slope), axis=-1).tolist()
     for k, m in enumerate(active):
         if steps[k]:
             m.accept(y_new[k], steps[k], norm_new[k])

@@ -289,6 +289,64 @@ def test_solv_pool_blows_up_alike_at_other_scales(s, blow_norm):
         assert abs(got.t_final * s * s - ref.t_final) <= 1e-9 * ref.t_final
 
 
+@pytest.mark.parametrize("blow_norm", [1e5, DEFAULT_BLOW_NORM])
+def test_solv_pool_blows_up_in_few_projective_steps(blow_norm):
+    # stepped in tau, each step covers a fixed share of log(T - t), so a
+    # start reaches its blow-up in a few passes: at most 20 at either gate,
+    # against about 50 and 78 in t.  Its limit is O-+ on the alpha delta =
+    # beta gamma locus to 1e-8
+    for traj in _pool_run("solv", blow_norm, 1.0):
+        assert traj.status == "blow_up"
+        assert traj.n_accepted <= 20 and traj.rhs_rows == traj.n_accepted + 1
+        form, label = _limit(traj)
+        cc = inv.form_to_coords(form)
+        assert label == "O-+"
+        assert abs(cc.A * -cc.G - cc.C * cc.E) <= 1e-8
+
+
+@pytest.mark.parametrize("blow_norm", [1e5, DEFAULT_BLOW_NORM])
+def test_blow_up_message_states_growth_and_estimate(blow_norm):
+    # a blow_up start reports the growth rate g = <y, f(y)>/|y|^2 at its stop
+    # and T^ = t + 1/(2g), which lies within 2 rtol t past the stop and below
+    # the comparison bound T'
+    rtol = flow.FlowControls().rtol
+    for c0, traj in zip(POOL_RUNS["solv"][1], _pool_run("solv", blow_norm, 1.0)):
+        m = re.search(r"; growth d log\|y\|/dt = (\S+), T\^ = t \+ 1/\(2 growth\) = (\S+)$",
+                      traj.message)
+        assert m is not None, traj.message
+        g, t_hat = map(float, m.groups())
+        assert g > 0
+        assert traj.t_final <= t_hat <= traj.t_final + 2 * rtol * traj.t_final
+        tp = flow.SolvUVTools(flow.SolvData.from_coords(c0)).t_prime
+        assert not tp.available or t_hat <= tp.value + 1e-9
+
+
+def test_blow_up_without_growth_has_no_estimate():
+    # a nil start of |y| = 2^544 whose A decays: its first step, 4^-544 in
+    # its own units, underflows and cannot move t, while |y| does not grow,
+    # so the message says so rather than give a blow-up time
+    c0 = [2.0 ** 540 * x for x in SCALED_NIL._replace(A=10.0)]
+    traj = flow.integrate(NIL, c0, 1.0, flow.FlowControls(detect_stationary=False))
+    assert traj.status == "blow_up" and "cannot move" in traj.message
+    assert traj.message.endswith("<= 0, T^ unavailable")
+
+
+def test_projective_steps_land_on_t_max():
+    # stopped short of its blow-up, a solv start is capped by t_max / 20 and
+    # lands on t_max; its state is DOP853's there
+    integrate = pytest.importorskip("scipy.integrate")
+    c0 = POOL_RUNS["solv"][1][0]
+    t_max = 0.5 * _pool_run("solv", 1e5, 1.0)[0].t_final
+    traj = flow.integrate(SOLV, c0, t_max)
+    assert traj.status == "reached_t_max" and traj.t_final == t_max
+    assert traj.n_accepted >= 20 and traj.max_step <= t_max / 20
+    rhs = flow.reduced_flow(SOLV).rhs
+    sol = integrate.solve_ivp(lambda _t, y: rhs(y), (0.0, t_max), c0, method="DOP853",
+                              rtol=1e-12, atol=1e-14)
+    ref = sol.y[:, -1]
+    assert np.max(np.abs(traj.final_state - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_nil_pool_starts_converge_by_t_100():
     # near a stable nil fixed point the Taylor step grows to a h ~ 8.8,
     # a = 4H^2, where the order-20 series leaves A - R/a bouncing at about
@@ -616,6 +674,75 @@ def test_taylor_coefficients_match_derivatives(rng):
             with np.errstate(over="ignore", invalid="ignore"):
                 assert np.array_equal(poly.taylor(y[r:r + 1])[:, 0], got[:, r],
                                       equal_nan=True)
+
+
+def _gauge_oracle(poly, y, table, sign=-1.0):
+    """z_0..z_ORDER, u_0..u_ORDER and v_0..v_ORDER in tau of the gauged
+    system z' = f(z) - s z, u' = -2 s u, v' = u from z = y, u = 1, v = 0,
+    s = <z, f(z)> / N0 with N0 = |y|^2 (0 on a zero row), every order by
+    full Cauchy products over all three factors of every monomial.  With
+    sign = +1, on |y| and |table|, every term is added in absolute value,
+    which bounds each term the build sums."""
+    n0 = np.sum(y * y, axis=-1)
+    r = np.divide(1.0, n0, out=np.zeros_like(n0), where=n0 > 0.0)
+    z, u, v, f, s = [y], [np.ones(len(y))], [np.zeros(len(y))], [], []
+    for k in range(flow.ORDER):
+        mono = sum(z[i][:, poly.a] * z[j][:, poly.b] * z[k - i - j][:, poly.c]
+                   for i in range(k + 1) for j in range(k + 1 - i))
+        f.append(mono @ table)
+        s.append(sum(np.sum(z[j] * f[k - j], axis=-1) for j in range(k + 1)) * r)
+        sz = sum(s[j][:, None] * z[k - j] for j in range(k + 1))
+        su = sum(s[j] * u[k - j] for j in range(k + 1))
+        z.append((f[k] + sign * sz) / (k + 1))
+        u.append(2.0 * sign * su / (k + 1))
+        v.append(u[k] / (k + 1))
+    return np.array(z), np.array(u), np.array(v)
+
+
+def test_gauged_build_matches_oracle(rng):
+    # the tau build of every flow with Cauchy monomials, order by order
+    # against full Cauchy products, on a zero row, unit rows and rows scaled
+    # by 2^40 and 2^-40, compared where the bound is finite and normal; its
+    # first order is f(Y) - s_0 Y and -2 s_0, and a row gives the same bits
+    # alone as in the batch
+    sd = rand_solv_data(rng)
+    tools = flow.SolvUVTools(sd)
+    polys = [flow.reduced_flow(SOLV), flow.solv_system(sd), tools.uv_flow,
+             tools.comparison_flow]
+    tiny = np.finfo(float).tiny / np.finfo(float).eps
+    for poly in polys:
+        assert poly.n_cauchy > 0
+        n = poly.table.shape[1]
+        unit = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(4)])
+        y = np.vstack([np.zeros(n), unit, 2.0 ** 40 * unit[:1], 2.0 ** -40 * unit[1:2]])
+        work = flow._TaylorWork.stepping(poly, len(y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(work.run(y), work.coef[..., :n], equal_nan=True)
+            got = work.coef.copy()
+            want = np.concatenate([x.reshape(flow.ORDER + 1, len(y), -1)
+                                   for x in _gauge_oracle(poly, y, poly.table)], axis=-1)
+            bound = np.concatenate(
+                [x.reshape(flow.ORDER + 1, len(y), -1)
+                 for x in _gauge_oracle(poly, np.abs(y), np.abs(poly.table), 1.0)], axis=-1)
+            bound = np.max(bound, axis=-1)
+            err = np.max(np.abs(got - want), axis=-1)
+        assert got.shape == want.shape == (flow.ORDER + 1, len(y), n + 2)
+        compared = np.isfinite(bound) & ((bound == 0.0) | (bound > tiny))
+        assert compared[:, :5].all() and compared[:11].all()
+        assert np.all(err[compared] <= TAYLOR_RTOL * bound[compared])
+        # the zero row takes s = 0: z stays 0, u stays 1 and v is tau
+        assert not np.any(got[:, 0, :n]) and not np.any(got[1:, 0, n])
+        assert got[1, 0, n + 1] == 1.0 and not np.any(got[2:, 0, n + 1])
+        f = poly.rhs(y)
+        s0 = np.sum(y * f, axis=-1)[1:] / np.sum(y * y, axis=-1)[1:]
+        assert np.allclose(got[1, 1:, :n], f[1:] - s0[:, None] * y[1:],
+                           rtol=0.0, atol=TAYLOR_RTOL * np.max(bound[1]))
+        assert np.allclose(got[1, 1:, n] / (-2.0 * s0), 1.0, rtol=1e-14, atol=0.0)
+        for r in range(len(y)):
+            solo = flow._TaylorWork.stepping(poly, 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                solo.run(y[r:r + 1])
+            assert np.array_equal(solo.coef[:, 0], got[:, r], equal_nan=True)
 
 
 def test_reused_taylor_work_gives_fresh_bits(rng):
