@@ -67,8 +67,9 @@ def _num(x):
 
 def cmd_classify(args):
     """With --omega, the GL orbit and q's signature are the SP_ORBITS entry
-    of the Sp label, whose signature classify_sp measured at --tol (on O3
-    and O6 it measures none, so q is taken here): 3 K evaluations, 4 there."""
+    of the Sp label, whose signature classify_sp measured, exactly on exact
+    input and at --tol on floats (on O3 and O6 it measures none, so q is
+    taken here): 3 K evaluations, 4 there."""
     phi = _load_form(args.form, grade=3)
     report = {
         "input": args.form,

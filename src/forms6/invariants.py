@@ -373,18 +373,28 @@ def omega_matrix(omega):
     return w
 
 
-def _check_primitive(phi, omega, tol, what, size=None):
-    """Reject a form with omega ^ phi != 0: exactly on the exact backend,
-    above tol |phi| on floats, or above tol size when the caller gives the
-    reference size (for a phi that may itself be rounding residue)."""
-    w = wedge(omega, phi)
-    res = w.max_abs()
-    if phi.is_exact() and omega.is_exact():
-        bad = bool(w)
+def _require_primitive(s, tables, tol, what, size=None):
+    """Reject a form with omega ^ phi != 0, read off the rows tables.P on
+    the table input s: exactly on the exact backend, above tol |phi| on
+    floats, or above tol size when the caller gives the reference size (for
+    a phi that may itself be rounding residue)."""
+    v = s.v
+    w = [sum(x * v[n] for n, x in row) for row in tables.P]
+    if s.exact:
+        if not any(w):
+            return
+        res = max(abs(float(Fraction(x, tables.dP * s.D))) for x in w)
     else:
-        bad = res > tol * (phi.max_abs() if size is None else size)
-    if bad:
-        raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
+        res = max(abs(x) for x in w) / tables.dP
+        if not res > tol * (max(abs(float(x)) for x in v) if size is None else size):
+            return
+    raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
+
+
+def _check_primitive(phi, omega, tol, what, size=None):
+    """_require_primitive on a 3-form phi and a symplectic form omega."""
+    tables = _omega_tables(omega)
+    _require_primitive(_scaled(phi, tables.vol), tables, tol, what, size)
 
 
 # --- q on cleared denominators ------------------------------------------------
@@ -398,23 +408,31 @@ def _check_primitive(phi, omega, tol, what, size=None):
 class _OmegaTables(NamedTuple):
     """W of one omega as sparse rows of (column, entry), cleared to int when
     omega is exact, with a multiplier m and den such that den D^2 q = m W kn.
-    Winv is W^-1 as linalg.inverse gives it, for the Lefschetz contraction."""
+    Winv is W^-1 as linalg.inverse gives it, for the Lefschetz contraction.
+    P holds omega ^ phi as sparse rows over the coefficients of phi in
+    _MASKS3 order, one per basis 5-form, cleared to int when omega is
+    exact: dP D (omega ^ phi) = P v."""
     vol: Form
     Winv: tuple
     W: tuple
     m: object
     den: object
+    P: tuple
+    dP: object
 
 
 def _sparse(rows):
     return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
 
 
-def _integral(rows):
-    """(d, d rows on int), d the lcm of the denominators of exact rows."""
-    d, ints = _clear_denominators(itertools.chain(*rows))
-    it = iter(ints)
-    return d, [[next(it) for _ in r] for r in rows]
+def _wedge_rows(omega):
+    """Row i: the coefficient of e^(all axes but i+1) in omega ^ e^m, for
+    each basis 3-form e^m in _MASKS3 order."""
+    rows = [[0] * len(_MASKS3) for _ in range(DIM)]
+    for n, m in enumerate(_MASKS3):
+        for q, x in wedge(omega, Form(3, {m: 1})).items():
+            rows[(FULL_MASK ^ q).bit_length() - 1][n] = x
+    return rows
 
 
 @functools.lru_cache(maxsize=16)
@@ -424,14 +442,16 @@ def _omega_tables_of(grade, exact, items):
     c = vol.coeffs[FULL_MASK]
     W = omega_matrix(omega)
     inverse = tuple(map(tuple, linalg.inverse(W)))
+    P, dP = _wedge_rows(omega), 1
     if exact:
         c = Fraction(c)
-        dW, W = _integral(W)
+        dW, W = linalg._integral(W)
+        dP, P = linalg._integral(P)
         den = dW * abs(c.numerator)
         m = c.denominator if c > 0 else -c.denominator
     else:
         den, m = 1, 1 / c
-    return _OmegaTables(vol, inverse, _sparse(W), m, den)
+    return _OmegaTables(vol, inverse, _sparse(W), m, den, _sparse(P), dP)
 
 
 def _omega_tables(omega):
@@ -455,9 +475,10 @@ def _table_rows(table, v):
 
 
 def _q_of(s, kn, tables, tol):
-    """q(omega, phi) = W kn / (D^2 c), which must be symmetric: exactly on
-    the exact backend, to tol max|phi|^2 on floats.  Each entry is divided
-    once, at the end."""
+    """(n, den) with q(omega, phi) = W kn / (D^2 c) = n / den, den > 0; n
+    must be symmetric: exactly on the exact backend, where it is an int
+    matrix, to tol max|phi|^2 on floats, where the division is done here
+    and den = 1."""
     m = tables.m
     q = [[m * sum(w * kn[l * DIM + j] for l, w in Wi) for j in range(DIM)]
          for Wi in tables.W]
@@ -471,9 +492,7 @@ def _q_of(s, kn, tables, tol):
                 raise ArithmeticError(
                     f"q-form is not symmetric at ({i},{j}): {q[i][j]} against "
                     f"{q[j][i]}; K is inconsistent")
-    if den == 1:
-        return q
-    return [[Fraction(x, den) for x in r] for r in q]
+    return q, den
 
 
 def q_form(phi, omega, tol=DEFAULT_TOL):
@@ -485,11 +504,15 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     broken and raises.  Non-primitive input is rejected.  That q also equals
     (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol and -<iota_{v1}phi,
     iota_{v2}phi> is checked by ``forms6 verify --suite identities``.
+    Primitivity is read off the per-omega rows of omega ^ phi on the same
+    coefficients that K is computed from.  On the exact backend the entries
+    are int, or Fractions when a denominator is left.
     """
-    _check_primitive(phi, omega, tol, "q-form input")
     tables = _omega_tables(omega)
     s = _scaled(phi, tables.vol)
-    return _q_of(s, _K_numerators(s.v), tables, tol)
+    _require_primitive(s, tables, tol, "q-form input")
+    q, den = _q_of(s, _K_numerators(s.v), tables, tol)
+    return q if den == 1 else [[Fraction(x, den) for x in r] for r in q]
 
 
 class SignatureTriple(NamedTuple):
@@ -499,7 +522,9 @@ class SignatureTriple(NamedTuple):
 
 
 def signature(sym, tol=ORBIT_TOL):
-    """Inertia (n_zero, n_plus, n_minus) of a symmetric matrix."""
+    """Inertia (n_zero, n_plus, n_minus) of a symmetric matrix: exact, and
+    blind to tol, when every entry is exact; on floats, eigenvalues within
+    tol * max|eigenvalue| of zero count as zero (linalg.signature_counts)."""
     return SignatureTriple(*linalg.signature_counts(sym, tol))
 
 
@@ -572,20 +597,23 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     """Sp(V, omega) orbit of a primitive 3-form, with mu for stable orbits.
 
     The label is the SP_ORBITS entry with the GL orbit of _gl_orbit and the
-    signature of q measured at tol (none on O3 and O6).  mu is recovered
+    signature of q (none on O3 and O6).  On the exact backend that
+    signature is linalg.exact_inertia of the int matrix den q, so tol is
+    never read there; on floats it is measured at tol.  mu is recovered
     from Q: Q = -16 mu^4 on O- and 4 mu^4 on O+.  One K evaluation.
     """
     if omega is None:
         omega = standard_omega()
-    _check_primitive(phi, omega, tol, "form")
     tables = _omega_tables(omega)
     s = _scaled(phi, tables.vol)
+    _require_primitive(s, tables, tol, "form")
     kn = _K_numerators(s.v)
-    q = _q_of(s, kn, tables, tol)  # its symmetry check runs on every form
+    q, _ = _q_of(s, kn, tables, tol)  # its symmetry check runs on every form
     gl, Q = _gl_orbit(s, kn, phi, tol)
     # q vanishes on O3 and O6, and a float signature of it would read
     # rounding noise
-    sig = None if gl in (O_3, O_6) else signature(q, tol)
+    sig = None if gl in (O_3, O_6) else SignatureTriple(*(
+        linalg.exact_inertia(q) if s.exact else linalg.signature_counts(q, tol)))
     label = _SP_OF.get((gl, sig))
     if label is None:
         raise ClassificationError(f"{gl} form with unexpected signature {sig}")

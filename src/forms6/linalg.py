@@ -7,6 +7,7 @@ ranks, symmetric eigenvalues).  Dispatching helpers pick the exact route
 whenever every entry is exact.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -151,30 +152,90 @@ def nullspace(rows, tol=1e-8):
     return float_nullspace(rows, tol)
 
 
+def _integral(rows):
+    """(d, d rows on int), d the lcm of the denominators of exact rows."""
+    d, ints = _clear_denominators(itertools.chain(*rows))
+    it = iter(ints)
+    return d, [[next(it) for _ in r] for r in rows]
+
+
+def _charpoly(a):
+    """[1, c_1, ..., c_n], det(x I - a) = sum c_k x^(n-k), of a square int
+    matrix, by Faddeev-LeVerrier: M_1 = I, c_k = -tr(a M_k)/k and
+    M_(k+1) = a M_k + c_k I.  Each c_k is an int, so k divides the trace
+    and the floor division is exact."""
+    n = len(a)
+    coeffs, M = [1], [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*M))
+        aM = [[sum(x * y for x, y in zip(r, col)) for col in cols] for r in a]
+        c = -sum(aM[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        M = [[x + c if i == j else x for j, x in enumerate(r)]
+             for i, r in enumerate(aM)]
+    return coeffs
+
+
+def exact_inertia(rows):
+    """Inertia (n_zero, n_plus, n_minus) of a symmetric int matrix, exact.
+
+    n_zero = n - rank from the forward Bareiss pass.  The signs come from
+    eigvalsh of the float copy when they are certified: the computed
+    eigenvalues are those of a matrix within 64 n eps |a|_F of a (the
+    rounding to float, and eigvalsh's backward stability), so by Weyl's
+    inequality every one farther than that from zero has the sign of its
+    exact eigenvalue, and when n - n_zero of them are, they are all the
+    nonzero ones.  Otherwise the signs are counted exactly: the
+    characteristic polynomial of a symmetric matrix has only real roots, so
+    Descartes' rule of signs gives n_plus as the sign changes of its
+    coefficients.  No tolerance is read."""
+    n = len(rows)
+    if any(len(r) != n for r in rows) or any(
+            rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    n0 = n - len(_bareiss(rows)[1])
+    if n0 == n:
+        return (n, 0, 0)
+    try:
+        a = np.array(rows, dtype=float)
+    except OverflowError:  # beyond float range: only the exact count
+        pass
+    else:
+        w = np.linalg.eigvalsh(a)
+        top = float(np.abs(a).max())  # |a|_F = top |a / top|_F, free of overflow
+        fro = top * float(np.sqrt(np.sum((a / top) ** 2)))
+        cut = 64 * n * np.finfo(float).eps * fro
+        npos, nneg = int(np.sum(w > cut)), int(np.sum(w < -cut))
+        if npos + nneg == n - n0:
+            return (n0, npos, nneg)
+    signs = [c > 0 for c in _charpoly(rows) if c]
+    npos = sum(x != y for x, y in zip(signs, signs[1:]))
+    return (n0, npos, n - n0 - npos)
+
+
 def signature_counts(sym, tol=1e-8):
     """Eigenvalue inertia (n_zero, n_plus, n_minus) of a symmetric matrix.
 
-    Eigenvalues within tol * max|eigenvalue| of zero count as zero.  For an
-    exact matrix the zero count is cross-checked against the exact rank.
-    """
+    An exact matrix is scaled to int once and handed to exact_inertia,
+    which never reads tol.  On floats, a matrix with a non-finite entry is
+    refused, symmetry is |a - a^T| <= 1e-12 max(1, max|a|) + 1e-5 |a^T|
+    entrywise, and eigenvalues within tol * max|eigenvalue| of zero count
+    as zero."""
+    if matrix_is_exact(sym):
+        return exact_inertia(_integral(sym)[1])
     a = to_float_matrix(sym)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     scale0 = float(np.abs(a).max()) if a.size else 0.0
-    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, scale0)):
+    if not (np.abs(a - a.T) <= 1e-12 * max(1.0, scale0) + 1e-5 * np.abs(a.T)).all():
         raise ValueError("matrix is not symmetric")
     w = np.linalg.eigvalsh(a)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0:
         return (len(sym), 0, 0)
     cut = tol * scale
-    n0 = int(np.sum(np.abs(w) <= cut))
-    npos = int(np.sum(w > cut))
-    nneg = int(np.sum(w < -cut))
-    if matrix_is_exact(sym):
-        n0_exact = len(sym) - exact_rank(sym)
-        if n0_exact != n0:
-            raise ValueError(
-                f"signature tolerance misconfigured: float zeros {n0}, exact {n0_exact}")
-    return (n0, npos, nneg)
+    return (int(np.sum(np.abs(w) <= cut)), int(np.sum(w > cut)),
+            int(np.sum(w < -cut)))
 
 
 def leading_minors(rows):

@@ -75,7 +75,7 @@ def _q_route_tables():
     pairs = [tuple(i for i in range(6) if m >> i & 1) for m in inv._MASKS2]
     G3 = [[O[i][k] * O[j][l] - O[i][l] * O[j][k] for k, l in pairs]
           for i, j in pairs]
-    d, ints = inv._integral(G2 + G3)
+    d, ints = linalg._integral(G2 + G3)
     return W, d, inv._sparse(ints[:len(G2)]), inv._sparse(ints[len(G2):])
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from forms6 import linalg
 from forms6.exterior import Form, LinearMap6
@@ -67,6 +67,30 @@ def _interleave(block):
     return out
 
 
+def _lift(A):
+    """The GL(3) lift diag(A, A^-T) as a symplectic map."""
+    Ait = linalg.exact_inverse([[A[j][i] for j in range(3)] for i in range(3)])
+    return LinearMap6(_interleave(
+        [[A[i][j] if i < 3 and j < 3 else Ait[i - 3][j - 3] if i >= 3 and j >= 3
+          else 0 for j in range(6)] for i in range(6)]))
+
+
+def _shear(B):
+    """The symmetric shear [[I, B], [0, I]] as a symplectic map."""
+    return LinearMap6(_interleave(
+        [[(1 if i == j else 0) if j < 3 or i >= 3 else B[i][j - 3]
+          for j in range(6)] for i in range(6)]))
+
+
+def _swap():
+    """The x/y swap [[0, I], [-I, 0]] as a symplectic map."""
+    block = [[0] * 6 for _ in range(6)]
+    for i in range(3):
+        block[i][3 + i] = 1
+        block[3 + i][i] = -1
+    return LinearMap6(_interleave(block))
+
+
 def rand_symplectic(rng, factors=3):
     """Random element of Sp(6) from elementary generators: block-diagonal
     GL(3) lifts, symmetric shears, and the x/y swap."""
@@ -79,22 +103,41 @@ def rand_symplectic(rng, factors=3):
                      for _ in range(3)]
                 if linalg.exact_det(A) != 0:
                     break
-            Ait = linalg.exact_inverse([[A[j][i] for j in range(3)]
-                                        for i in range(3)])
-            block = [[A[i][j] if i < 3 and j < 3
-                      else Ait[i - 3][j - 3] if i >= 3 and j >= 3 else 0
-                      for j in range(6)] for i in range(6)]
+            h = _lift(A)
         elif kind == 1:
             B = [[0] * 3 for _ in range(3)]
             for i in range(3):
                 for j in range(i, 3):
                     B[i][j] = B[j][i] = rand_fraction(rng, -2, 2, (1, 2))
-            block = [[(1 if i == j else 0) if j < 3 or i >= 3 else B[i][j - 3]
-                      for j in range(6)] for i in range(6)]
+            h = _shear(B)
         else:
-            block = [[0] * 6 for _ in range(6)]
+            h = _swap()
+        g = g.compose(h)
+    return g
+
+
+@st.composite
+def ill_conditioned_symplectic(draw, max_factors=8, max_entry=10 ** 12):
+    """Integer elements of Sp(6) that spread a form over many decades: a
+    product of up to max_factors of rand_symplectic's generators, with GL(3)
+    lifts of the unimodular I + t E_ij and symmetric shears whose entries t
+    reach max_entry.  Exact integer forms stay integer under them."""
+    big = st.integers(-max_entry, max_entry)
+    g = LinearMap6.identity()
+    for kind in draw(st.lists(st.sampled_from(("lift", "shear", "swap")),
+                              min_size=1, max_size=max_factors)):
+        if kind == "lift":
+            i, j, _ = draw(st.permutations(range(3)))
+            A = [[int(r == c) for c in range(3)] for r in range(3)]
+            A[i][j] = draw(big)
+            h = _lift(A)
+        elif kind == "shear":
+            B = [[0] * 3 for _ in range(3)]
             for i in range(3):
-                block[i][3 + i] = 1
-                block[3 + i][i] = -1
-        g = g.compose(LinearMap6(_interleave(block)))
+                for j in range(i, 3):
+                    B[i][j] = B[j][i] = draw(st.sampled_from((0, 1, -1)) | big)
+            h = _shear(B)
+        else:
+            h = _swap()
+        g = g.compose(h)
     return g

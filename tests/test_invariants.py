@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (rand_coords, rand_form, rand_fraction, rand_invertible,
-                      rand_symplectic, rand_vector)
+from conftest import (ill_conditioned_symplectic, rand_coords, rand_form,
+                      rand_fraction, rand_invertible, rand_symplectic, rand_vector)
 from forms6 import invariants as inv
 from forms6 import io, linalg, verify
 from forms6.exterior import (DEFAULT_TOL, Form, LinearMap6, basis, eval_form,
@@ -478,6 +478,37 @@ GL_OF_SP = {"O-+": "O-", "O--": "O-", "O+": "O+", "O0+": "O0", "O0-": "O0",
             "O1+": "O1", "O1-": "O1", "O3": "O3", "O6": "O6"}
 
 
+def _assert_exact_table_answers(g):
+    """Exact classify_sp, classify_gl, signature(q_form) and subspace_dims
+    on the nine normal forms moved by g give their SP_ORBITS entry."""
+    for label, orbit in inv.SP_ORBITS.items():
+        phi = pullback(g, orbit.normal_form)
+        assert phi.is_exact()
+        assert inv.classify_sp(phi, OMEGA).label == label
+        assert inv.classify_gl(phi) == orbit.gl
+        assert tuple(inv.signature(inv.q_form(phi, OMEGA))) == SIGNATURE_TABLE[label]
+        assert tuple(inv.subspace_dims(phi, OMEGA)) == DIM_TABLE[orbit.gl]
+
+
+@pytest.mark.parametrize("b", [10 ** 2, 10 ** 4, 10 ** 8, 10 ** 12])
+def test_exact_classification_of_sheared_normal_forms(b):
+    # the shear [[I, B], [0, I]] with B = diag(b, 0, 0) spreads q's
+    # eigenvalues over b^2 to 1/b^2; a float zero cut misreads them from
+    # b = 10^2, so the exact backend must not read one
+    block = [[int(i == j) for j in range(6)] for i in range(6)]
+    block[0][3] = b
+    g = inv.block_matrix_to_map(block)
+    assert pullback(g, OMEGA) == OMEGA
+    _assert_exact_table_answers(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ill_conditioned_symplectic())
+def test_exact_classification_under_ill_conditioned_symplectic_maps(g):
+    assert pullback(g, OMEGA) == OMEGA
+    _assert_exact_table_answers(g)
+
+
 def test_sp_orbit_table_agrees_with_the_test_tables():
     assert inv.SP_LABELS == tuple(inv.SP_ORBITS) and set(inv.SP_ORBITS) == set(GL_OF_SP)
     for label, orbit in inv.SP_ORBITS.items():
@@ -602,6 +633,29 @@ def test_coords_round_trip(rng):
     for _ in range(300):
         c = rand_coords(rng)
         assert inv.form_to_coords(inv.coords_to_form(c)) == c
+
+
+@pytest.mark.parametrize("omega", [OMEGA, OMEGA * Fraction(3, 2),
+                                   pullback(rand_invertible(random.Random(5)), OMEGA)],
+                         ids=("standard", "3/2 standard", "GL-moved"))
+def test_primitivity_rows_are_the_wedge(rng, omega):
+    # the per-omega rows P give dP D (omega ^ phi) = P v, v the table input
+    # of phi: exactly on exact forms, to rounding on floats and float omega
+    for om in (omega, omega.to_float()):
+        tables = inv._omega_tables(om)
+        for _ in range(10):
+            phi = rand_form(rng, 3, sparsity=0.6)
+            for form in (phi, phi.to_float()):
+                s = inv._scaled(form, tables.vol)
+                got = [sum(x * s.v[n] for n, x in row) for row in tables.P]
+                w = wedge(om, form)
+                want = [w.coeffs.get(63 ^ (1 << i), 0) for i in range(6)]
+                if s.exact:
+                    assert [Fraction(x, tables.dP * s.D) for x in got] == want
+                else:
+                    assert all(abs(x / tables.dP - float(y))
+                               <= 1e-12 * max(1.0, form.max_abs() * om.max_abs())
+                               for x, y in zip(got, want))
 
 
 def test_form_to_coords_rejects_non_primitive():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -172,6 +173,99 @@ def test_signature_counts():
     assert linalg.signature_counts([[0] * 6 for _ in range(6)]) == (6, 0, 0)
     with pytest.raises(ValueError):
         linalg.signature_counts([[0, 1, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)])
+
+
+def rand_symmetric(rng, rank, n=6):
+    """A symmetric int matrix of rank at most rank (almost always exactly),
+    sum of +-u u^T over random int u, then congruent by a diagonal of mixed
+    signs and magnitudes up to 10^8: the inertia stays, but its eigenvalues
+    spread over up to 16 decades."""
+    s = [[0] * n for _ in range(n)]
+    for _ in range(rank):
+        u = [rng.randint(-5, 5) for _ in range(n)]
+        sign = rng.choice((1, -1))
+        for i in range(n):
+            for j in range(n):
+                s[i][j] += sign * u[i] * u[j]
+    d = [rng.choice((1, -1)) * 10 ** rng.randint(0, 8) for _ in range(n)]
+    return [[d[i] * x * d[j] for j, x in enumerate(r)] for i, r in enumerate(s)]
+
+
+def sympy_inertia(rows):
+    """(zero, positive, negative) real roots of the characteristic polynomial
+    with multiplicity, counted by sympy on its square-free factors."""
+    import sympy
+    counts = [0, 0, 0]
+    for f, k in sympy.Matrix(rows).charpoly().sqf_list()[1]:
+        zero = int(f.eval(0) == 0)
+        counts[0] += k * zero
+        counts[1] += k * (f.count_roots(0, None) - zero)
+        counts[2] += k * (f.count_roots(None, 0) - zero)
+    assert sum(counts) == len(rows)  # a symmetric matrix is real-rooted
+    return tuple(counts)
+
+
+def test_exact_inertia_matches_sympy_roots(rng, monkeypatch):
+    charpolys = []
+    charpoly = linalg._charpoly
+    monkeypatch.setattr(linalg, "_charpoly",
+                        lambda a: charpolys.append(1) or charpoly(a))
+    for n in range(140):
+        a = rand_symmetric(rng, n % 7)
+        want = sympy_inertia(a)
+        assert linalg.exact_inertia(a) == want
+        # exact input never reads tol, and a common denominator changes nothing
+        for tol in (0.5, 1e-8, 1e-300):
+            assert linalg.signature_counts(a, tol) == want
+        assert linalg.signature_counts([[Fraction(x, 7) for x in r] for r in a]) == want
+    # both the certified float read and the Descartes fallback ran
+    assert 0 < len(charpolys) < 140
+
+
+def test_exact_inertia_beyond_float_range():
+    big = 10 ** 400
+    a = [[big, 1, 0], [1, -big, 0], [0, 0, 0]]
+    assert linalg.exact_inertia(a) == (1, 1, 1)
+    assert linalg.signature_counts(a, 1e-8) == (1, 1, 1)
+
+
+def test_charpoly_is_the_determinant_expansion(rng):
+    import sympy
+    for n in range(20):
+        a = rand_symmetric(rng, n % 7, n=1 + n % 6)
+        want = sympy.Matrix(a).charpoly().all_coeffs()
+        assert linalg._charpoly(a) == [int(c) for c in want]
+
+
+def test_exact_inertia_refuses_asymmetric_input():
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.exact_inertia([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.exact_inertia([[0, 1]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_signature_refuses_non_finite_entries(bad):
+    a = np.eye(6).tolist()
+    a[2][2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.signature_counts(a)
+    a[2][2], a[0][1] = 1.0, bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.signature_counts(a)
+
+
+def test_float_symmetry_cut():
+    # |a - a^T| <= 1e-12 max(1, max|a|) + 1e-5 |a^T|, entrywise
+    a = np.diag([1.0, 2.0, 3.0]).tolist()
+    a[0][1], a[1][0] = 1.0, 1.0 + 0.9e-5
+    assert linalg.signature_counts(a) == (0, 3, 0)
+    a[1][0] = 1.0 + 1.1e-5
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.signature_counts(a)
+    a[0][1], a[1][0] = 0.0, 4e-12
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.signature_counts(a)
 
 
 def test_positive_definite():
