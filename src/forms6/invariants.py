@@ -217,12 +217,14 @@ _WEDGE1 = _build_one_form_table()
 
 class _Scaled(NamedTuple):
     """phi as the table input: v = the coefficients of D phi in _MASKS3
-    order, and c the coefficient of vol.  On the exact backend D clears
-    every denominator of phi, so v is int; otherwise D = 1."""
+    order, and c the coefficient of vol.  On the exact backend (phi and vol
+    exact) D clears every denominator of phi, so v is int; otherwise D = 1,
+    and v is exact when phi is (exact_phi)."""
     v: list
     D: int
     c: object
     exact: bool
+    exact_phi: bool
 
 
 def _cleared(phi):
@@ -236,7 +238,8 @@ def _scaled(phi, vol):
     if phi.grade != 3:
         raise GradeError("K is defined for 3-forms")
     c = vol.coeffs[FULL_MASK]
-    exact = is_exact(c) and phi.is_exact()
+    exact_phi = phi.is_exact()
+    exact = exact_phi and is_exact(c)
     D, xs = 1, phi.coeffs.values()
     if exact:
         D, xs = _clear_denominators(xs)
@@ -249,7 +252,7 @@ def _scaled(phi, vol):
     v = [0] * len(_MASKS3)
     for m, x in zip(phi.coeffs, xs):
         v[_INDEX3[m]] = x
-    return _Scaled(v, D, c, exact)
+    return _Scaled(v, D, c, exact, exact_phi)
 
 
 def _K_numerators(v):
@@ -542,37 +545,44 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
     alpha -> alpha ^ phi, all taken on D phi: rank does not see the scale."""
     s = _scaled(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
     kn = _K_numerators(s.v)
-    rk = linalg.rank([kn[i * DIM:(i + 1) * DIM] for i in range(DIM)], tol)
-    return SubspaceDims(_ker_phi(_table_rows(_CONTR, s.v), tol), DIM - rk, rk,
-                        linalg.rank(_table_rows(_WEDGE1, s.v), tol))
+    rk = _rank(s, [kn[i * DIM:(i + 1) * DIM] for i in range(DIM)], tol)
+    return SubspaceDims(_ker_phi(s, tol), DIM - rk, rk,
+                        _rank(s, _table_rows(_WEDGE1, s.v), tol))
 
 
-def _ker_phi(C, tol):
-    """dim ker phi from the contraction matrix C (row i: iota_{e_i} phi)."""
-    return DIM - linalg.rank(C, tol)
+def _rank(s, rows, tol):
+    """Rank of rows built from s.v on the backend _scaled chose; an exact
+    phi under a float vol gives Fraction rows and keeps its exact rank."""
+    if s.exact_phi:
+        return linalg.int_rank(rows) if s.exact else linalg.exact_rank(rows)
+    return linalg.float_rank(rows, tol)
+
+
+def _ker_phi(s, tol):
+    """dim ker phi from the contraction matrix (row i: iota_{e_i} phi)."""
+    return DIM - _rank(s, _table_rows(_CONTR, s.v), tol)
 
 
 class ClassificationError(ValueError):
     """Raised when tolerancing produces an impossible orbit datum."""
 
 
-def _q_is_zero(phi, Q, tol):
-    if is_exact(Q):
+def _q_is_zero(s, Q, tol):
+    if s.exact:
         return Q == 0
-    scale = max(1.0, phi.max_abs()) ** 4
-    return abs(float(Q)) <= tol * scale
+    return abs(float(Q)) <= tol * max(1.0, max(abs(float(x)) for x in s.v)) ** 4
 
 
-def _gl_orbit(s, kn, phi, tol):
+def _gl_orbit(s, kn, tol):
     """(GL(V) orbit label, Q) of phi from kn = _K_numerators(s.v).
 
     Stable orbits by the sign of Q; on the Q = 0 hypersurface dim ker phi
     (0, 1, 3, 6), from the contraction matrix on the same cleared
     coefficients, separates the remaining orbits."""
     Q = _Q_of(s, kn)
-    if not _q_is_zero(phi, Q, tol):
+    if not _q_is_zero(s, Q, tol):
         return (O_MINUS if Q < 0 else O_PLUS), Q
-    k = _ker_phi(_table_rows(_CONTR, s.v), tol)
+    k = _ker_phi(s, tol)
     if k not in _GL_OF_KERNEL:
         raise ClassificationError(
             f"dim ker phi = {k} is impossible for a 3-form; check tolerances")
@@ -582,10 +592,8 @@ def _gl_orbit(s, kn, phi, tol):
 def classify_gl(phi, vol=None, tol=ORBIT_TOL):
     """GL(V) orbit label of a 3-form: the sign of Q, or where Q = 0 the
     dimension of ker phi."""
-    if vol is None:
-        vol = standard_volume()
-    s = _scaled(phi, _resolve_vol(None, vol))
-    return _gl_orbit(s, _K_numerators(s.v), phi, tol)[0]
+    s = _scaled(phi, _resolve_vol(None, standard_volume() if vol is None else vol))
+    return _gl_orbit(s, _K_numerators(s.v), tol)[0]
 
 
 class SpOrbit(NamedTuple):
@@ -609,11 +617,11 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     _require_primitive(s, tables, tol, "form")
     kn = _K_numerators(s.v)
     q, _ = _q_of(s, kn, tables, tol)  # its symmetry check runs on every form
-    gl, Q = _gl_orbit(s, kn, phi, tol)
+    gl, Q = _gl_orbit(s, kn, tol)
     # q vanishes on O3 and O6, and a float signature of it would read
     # rounding noise
     sig = None if gl in (O_3, O_6) else SignatureTriple(*(
-        linalg.exact_inertia(q) if s.exact else linalg.signature_counts(q, tol)))
+        linalg.exact_inertia(q) if s.exact else linalg.float_inertia(q, tol)))
     label = _SP_OF.get((gl, sig))
     if label is None:
         raise ClassificationError(f"{gl} form with unexpected signature {sig}")
@@ -899,7 +907,7 @@ def hitchin_data(phi, omega=None):
     """
     s = _scaled(phi, _omega_tables(omega if omega is not None else standard_omega()).vol)
     kn = _K_numerators(s.v)
-    gl, Q = _gl_orbit(s, kn, phi, ORBIT_TOL)
+    gl, Q = _gl_orbit(s, kn, ORBIT_TOL)
     if gl != O_MINUS:
         raise ValueError(f"not in O-: Q(phi) = {Q} >= 0")
     normsq = _exact_sqrt(-Q)

@@ -1,13 +1,13 @@
 """Dense linear algebra helpers for small matrices.
 
-Exact paths (entries int or Fraction, never rounded) share one
-fraction-free elimination on rows scaled to int, which gives the rank,
-determinant, inverse and null space; float paths go through numpy (SVD
-ranks, symmetric eigenvalues).  Dispatching helpers pick the exact route
-whenever every entry is exact.
+Exact paths share one fraction-free elimination on int rows, which gives
+the rank, determinant, inverse and null space; the public exact_* helpers
+take Fractions too and clear the whole matrix once before it.  Float paths
+go through numpy.  The invariants decide the backend once per form
+(invariants._scaled) and call the int or float helper directly; the
+dispatching helpers pick the exact route whenever every entry is exact.
 """
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -19,30 +19,28 @@ def matrix_is_exact(rows):
     return all(is_exact(x) for r in rows for x in r)
 
 
-def to_float_matrix(rows):
-    return np.array([[float(x) for x in r] for r in rows], dtype=float)
+def _integral(rows):
+    """(d, d rows on int), d the lcm of the denominators of exact rows."""
+    d, ints = _clear_denominators(x for r in rows for x in r)
+    it = iter(ints)
+    return d, [[next(it) for _ in r] for r in rows]
 
 
 def _bareiss(rows, jordan=False):
-    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968).
+    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968)
+    on int rows, which it leaves unchanged.
 
-    Each row is first scaled to int.  The pivot p of column c sits on the
-    first row at or below the current one that is nonzero there, and every
-    other row becomes (p row - row[c] pivot_row) // d, d the previous pivot
-    (1 at the start).  The division is exact: every entry stays a minor of
-    the scaled matrix.  The forward elimination clears below the pivots
-    only; jordan=True clears above them too, and then every pivot row
-    carries the last pivot d at its pivot, so those rows are d times the
-    reduced row echelon form.
+    The pivot p of column c sits on the first row at or below the current
+    one that is nonzero there, and every other row becomes
+    (p row - row[c] pivot_row) // d, d the previous pivot (1 at the start).
+    The division is exact: every entry stays a minor of the matrix.  The
+    forward elimination clears below the pivots only; jordan=True clears
+    above them too, and then every pivot row carries the last pivot d at
+    its pivot, so those rows are d times the reduced row echelon form.
 
-    Returns (int rows, pivot columns, d, D), D the product of the row
-    scalings times the sign of the row swaps: a square matrix of full rank
-    has determinant d / D."""
-    m, D = [], 1
-    for r in rows:
-        s, row = _clear_denominators(r)
-        m.append(row)
-        D *= s
+    Returns (int rows, pivot columns, d, sign), sign that of the row swaps:
+    a square matrix of full rank has determinant sign d."""
+    m, sign = list(rows), 1
     nrow, ncol = len(m), len(m[0]) if m else 0
     pivots, d, r = [], 1, 0
     for c in range(ncol):
@@ -51,7 +49,7 @@ def _bareiss(rows, jordan=False):
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            D = -D
+            sign = -sign
         top = m[r]
         p = top[c]
         for i in range(0 if jordan else r + 1, nrow):
@@ -67,18 +65,23 @@ def _bareiss(rows, jordan=False):
         r += 1
         if r == nrow:
             break
-    return m, pivots, d, D
+    return m, pivots, d, sign
+
+
+def int_rank(rows):
+    """Rank of an int matrix: the pivot count of the forward elimination."""
+    return len(_bareiss(rows)[1])
 
 
 def exact_rank(rows):
-    """Rank of an exact matrix: the pivot count of the forward elimination."""
-    return len(_bareiss(rows)[1])
+    """Rank of an exact matrix."""
+    return int_rank(_integral(rows)[1])
 
 
 def exact_nullspace(rows):
     """Basis of the right null space, as tuples of Fractions: one vector per
     free column, read off the pivot rows d RREF."""
-    m, pivots, d, _ = _bareiss(rows, jordan=True)
+    m, pivots, d, _ = _bareiss(_integral(rows)[1], jordan=True)
     ncol = len(m[0]) if m else 0
     basis = []
     for fc in range(ncol):
@@ -94,16 +97,17 @@ def exact_nullspace(rows):
 
 def exact_det(rows):
     """Determinant of a square exact matrix, as a Fraction."""
-    _, pivots, d, D = _bareiss(rows)
-    return Fraction(d, D) if len(pivots) == len(rows) else Fraction(0)
+    D, ints = _integral(rows)
+    _, pivots, d, sign = _bareiss(ints)
+    return Fraction(sign * d, D ** len(rows)) if len(pivots) == len(rows) else Fraction(0)
 
 
 def exact_inverse(rows):
     """Inverse of a square exact matrix, as rows of Fractions: the right half
-    of [A | I] after the Gauss-Jordan elimination is d A^-1."""
+    of D [A | I] after the Gauss-Jordan elimination is d A^-1."""
     n = len(rows)
-    m, pivots, d, _ = _bareiss(
-        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)],
+    m, pivots, d, _ = _bareiss(_integral(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])[1],
         jordan=True)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
@@ -113,17 +117,17 @@ def exact_inverse(rows):
 def det(rows):
     if matrix_is_exact(rows):
         return exact_det(rows)
-    return float(np.linalg.det(to_float_matrix(rows)))
+    return float(np.linalg.det(np.array(rows, dtype=float)))
 
 
 def inverse(rows):
     if matrix_is_exact(rows):
         return exact_inverse(rows)
-    return [list(r) for r in np.linalg.inv(to_float_matrix(rows))]
+    return [list(r) for r in np.linalg.inv(np.array(rows, dtype=float))]
 
 
 def float_rank(rows, tol=1e-8):
-    a = to_float_matrix(rows)
+    a = np.array(rows, dtype=float)
     if not a.size:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
@@ -133,30 +137,17 @@ def float_rank(rows, tol=1e-8):
 
 
 def float_nullspace(rows, tol=1e-8):
-    a = to_float_matrix(rows)
+    a = np.array(rows, dtype=float)
     _, s, vt = np.linalg.svd(a)
     smax = s[0] if s.size else 0.0
     r = int(np.sum(s > tol * smax)) if smax > 0 else 0
     return [tuple(v) for v in vt[r:]]
 
 
-def rank(rows, tol=1e-8):
-    if matrix_is_exact(rows):
-        return exact_rank(rows)
-    return float_rank(rows, tol)
-
-
 def nullspace(rows, tol=1e-8):
     if matrix_is_exact(rows):
         return exact_nullspace(rows)
     return float_nullspace(rows, tol)
-
-
-def _integral(rows):
-    """(d, d rows on int), d the lcm of the denominators of exact rows."""
-    d, ints = _clear_denominators(itertools.chain(*rows))
-    it = iter(ints)
-    return d, [[next(it) for _ in r] for r in rows]
 
 
 def _charpoly(a):
@@ -188,7 +179,10 @@ def exact_inertia(rows):
     nonzero ones.  Otherwise the signs are counted exactly: the
     characteristic polynomial of a symmetric matrix has only real roots, so
     Descartes' rule of signs gives n_plus as the sign changes of its
-    coefficients.  No tolerance is read."""
+    coefficients.  No tolerance is read.  An entry that is not an int,
+    such as a Fraction, raises TypeError: clear the denominators first."""
+    if not all(isinstance(x, int) for r in rows for x in r):
+        raise TypeError("exact_inertia takes a matrix of int entries")
     n = len(rows)
     if any(len(r) != n for r in rows) or any(
             rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
@@ -213,17 +207,12 @@ def exact_inertia(rows):
     return (n0, npos, n - n0 - npos)
 
 
-def signature_counts(sym, tol=1e-8):
-    """Eigenvalue inertia (n_zero, n_plus, n_minus) of a symmetric matrix.
-
-    An exact matrix is scaled to int once and handed to exact_inertia,
-    which never reads tol.  On floats, a matrix with a non-finite entry is
-    refused, symmetry is |a - a^T| <= 1e-12 max(1, max|a|) + 1e-5 |a^T|
-    entrywise, and eigenvalues within tol * max|eigenvalue| of zero count
-    as zero."""
-    if matrix_is_exact(sym):
-        return exact_inertia(_integral(sym)[1])
-    a = to_float_matrix(sym)
+def float_inertia(rows, tol=1e-8):
+    """Eigenvalue inertia (n_zero, n_plus, n_minus) of a symmetric float
+    matrix.  A matrix with a non-finite entry is refused, symmetry is
+    |a - a^T| <= 1e-12 max(1, max|a|) + 1e-5 |a^T| entrywise, and
+    eigenvalues within tol * max|eigenvalue| of zero count as zero."""
+    a = np.array(rows, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     scale0 = float(np.abs(a).max()) if a.size else 0.0
@@ -232,17 +221,22 @@ def signature_counts(sym, tol=1e-8):
     w = np.linalg.eigvalsh(a)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0:
-        return (len(sym), 0, 0)
+        return (len(rows), 0, 0)
     cut = tol * scale
     return (int(np.sum(np.abs(w) <= cut)), int(np.sum(w > cut)),
             int(np.sum(w < -cut)))
 
 
-def leading_minors(rows):
-    """Leading principal minors, exact when entries are exact."""
-    return [det([r[: k + 1] for r in rows[: k + 1]]) for k in range(len(rows))]
+def signature_counts(sym, tol=1e-8):
+    """Eigenvalue inertia (n_zero, n_plus, n_minus) of a symmetric matrix:
+    an exact matrix is scaled to int once and handed to exact_inertia,
+    which never reads tol; any other goes to float_inertia at tol."""
+    if matrix_is_exact(sym):
+        return exact_inertia(_integral(sym)[1])
+    return float_inertia(sym, tol)
 
 
 def is_positive_definite(rows):
-    """Sylvester criterion: all leading principal minors positive."""
-    return all(m > 0 for m in leading_minors(rows))
+    """Sylvester criterion: all leading principal minors positive (exact
+    when the entries are)."""
+    return all(det([r[:k + 1] for r in rows[:k + 1]]) > 0 for k in range(len(rows)))

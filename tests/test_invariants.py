@@ -478,16 +478,29 @@ GL_OF_SP = {"O-+": "O-", "O--": "O-", "O+": "O+", "O0+": "O0", "O0-": "O0",
             "O1+": "O1", "O1-": "O1", "O3": "O3", "O6": "O6"}
 
 
-def _assert_exact_table_answers(g):
+UNIT_VECTORS = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+
+
+def _assert_exact_table_answers(g, mu=1):
     """Exact classify_sp, classify_gl, signature(q_form) and subspace_dims
-    on the nine normal forms moved by g give their SP_ORBITS entry."""
+    on the nine normal forms (scaled by mu on the stable orbits) moved by g
+    give their SP_ORBITS entry, and mu; ker phi and rank K equal exact_rank
+    of the uncleared Form-level rows iota_{e_i} phi and K(phi)."""
     for label, orbit in inv.SP_ORBITS.items():
-        phi = pullback(g, orbit.normal_form)
+        phi = pullback(g, inv.sp_normal_form(label, mu))
         assert phi.is_exact()
-        assert inv.classify_sp(phi, OMEGA).label == label
+        sp = inv.classify_sp(phi, OMEGA)
+        assert sp.label == label
+        if sp.mu is not None:
+            assert abs(sp.mu - mu) <= 1e-12 * mu
         assert inv.classify_gl(phi) == orbit.gl
         assert tuple(inv.signature(inv.q_form(phi, OMEGA))) == SIGNATURE_TABLE[label]
-        assert tuple(inv.subspace_dims(phi, OMEGA)) == DIM_TABLE[orbit.gl]
+        dims = inv.subspace_dims(phi, OMEGA)
+        assert tuple(dims) == DIM_TABLE[orbit.gl]
+        C = [[interior(e, phi).coeffs.get(m, 0) for m in inv._MASKS2]
+             for e in UNIT_VECTORS]
+        assert dims.ker_phi == 6 - linalg.exact_rank(C)
+        assert dims.im_K == linalg.exact_rank(inv.compute_K(phi, OMEGA).rows)
 
 
 @pytest.mark.parametrize("b", [10 ** 2, 10 ** 4, 10 ** 8, 10 ** 12])
@@ -507,6 +520,75 @@ def test_exact_classification_of_sheared_normal_forms(b):
 def test_exact_classification_under_ill_conditioned_symplectic_maps(g):
     assert pullback(g, OMEGA) == OMEGA
     _assert_exact_table_answers(g)
+
+
+@pytest.mark.parametrize("mu", [1, Fraction(3, 2)])
+def test_exact_classification_of_forms_with_denominators(mu):
+    # rand_symplectic draws lifts and shears with entries of denominator 2,
+    # so the moved forms carry denominators that _scaled clears for every
+    # rank and for the q inertia
+    rng = random.Random(24)
+    maps = [g for g in (rand_symplectic(rng) for _ in range(12))
+            if any(Fraction(x).denominator > 1 for r in g.rows for x in r)]
+    assert len(maps) >= 4
+    for g in maps[:4]:
+        assert pullback(g, OMEGA) == OMEGA
+        _assert_exact_table_answers(g, mu)
+
+
+def test_exact_phi_under_float_vol_keeps_exact_ranks():
+    # the shear of test_exact_classification_of_sheared_normal_forms at
+    # b = 10^8: only the volume form is float, so every rank stays exact
+    block = [[int(i == j) for j in range(6)] for i in range(6)]
+    block[0][3] = 10 ** 8
+    g = inv.block_matrix_to_map(block)
+    for label, orbit in inv.SP_ORBITS.items():
+        phi = pullback(g, orbit.normal_form)
+        dims = inv.subspace_dims(phi, vol=VOL.to_float())
+        assert tuple(dims) == DIM_TABLE[orbit.gl], label
+
+
+def test_backend_decided_once_per_form(monkeypatch):
+    # _scaled decides exact or float once per form: no rank or inertia
+    # scans a matrix for exactness again, and only _scaled clears
+    # denominators, once on an exact form and never on a float one
+    import sys
+    from forms6 import exterior
+    g = inv.block_matrix_to_map([[1, 0, 0, Fraction(1, 2), 0, 0],
+                                 [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                                 [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
+                                 [0, 0, 0, 0, 0, 1]])
+    assert pullback(g, OMEGA) == OMEGA
+    inv.q_form(inv.sp_normal_form("O3"), OMEGA)  # the cached omega tables
+    scans, clears = [], []
+    is_exact_matrix, clear = linalg.matrix_is_exact, exterior._clear_denominators
+
+    def counting_scan(rows):
+        scans.append(1)
+        return is_exact_matrix(rows)
+
+    def counting_clear(xs):
+        clears.append(sys._getframe(1).f_code.co_name)
+        return clear(xs)
+
+    monkeypatch.setattr(linalg, "matrix_is_exact", counting_scan)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("forms6") and \
+                getattr(mod, "_clear_denominators", None) is clear:
+            monkeypatch.setattr(mod, "_clear_denominators", counting_clear)
+    for label, orbit in inv.SP_ORBITS.items():
+        if label == "O6":  # the zero form has no float copy
+            continue
+        phi = pullback(g, orbit.normal_form) * Fraction(3, 2)
+        assert any(type(x) is Fraction for x in phi.coeffs.values())
+        for f, want in ((phi, ["_scaled"]), (phi.to_float(), [])):
+            for call in (lambda: inv.classify_sp(f, OMEGA),
+                         lambda: inv.classify_gl(f),
+                         lambda: inv.subspace_dims(f, OMEGA)):
+                scans.clear()
+                clears.clear()
+                call()
+                assert (scans, clears) == ([], want), (label, f)
 
 
 def test_sp_orbit_table_agrees_with_the_test_tables():

@@ -62,7 +62,7 @@ def test_exact_rank_against_numpy(rng):
     for _ in range(30):
         a = rand_mat(rng, rng.randint(2, 6), rng.randint(2, 6))
         assert linalg.exact_rank(a) == np.linalg.matrix_rank(
-            linalg.to_float_matrix(a), tol=1e-9)
+            np.array(a, dtype=float), tol=1e-9)
 
 
 def test_exact_rank_matches_rref_on_rank_deficient_matrices(rng):
@@ -80,6 +80,10 @@ def test_exact_rank_matches_rref_on_rank_deficient_matrices(rng):
                        for x, y in zip(src, rows[rng.randrange(n)])]
         rows[0] = [int(x) if x.denominator == 1 else x for x in rows[0]]
         assert linalg.exact_rank(rows) == len(rref_oracle(rows)[1])
+        # the int core on the cleared rows, which it leaves as they are
+        ints = linalg._integral(rows)[1]
+        copy = [list(r) for r in ints]
+        assert linalg.int_rank(ints) == len(rref_oracle(rows)[1]) and ints == copy
         basis = linalg.exact_nullspace(rows)
         assert basis == nullspace_oracle(rows)
         assert all(type(v) is tuple for v in basis)
@@ -135,7 +139,7 @@ def test_exact_inverse_and_det(rng):
         prod = [[sum(a[i][k] * inv[k][j] for k in range(5)) for j in range(5)]
                 for i in range(5)]
         assert prod == [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-        assert abs(float(d) - np.linalg.det(linalg.to_float_matrix(a))) < 1e-6 * max(1, abs(float(d)))
+        assert abs(float(d) - np.linalg.det(np.array(a, dtype=float))) < 1e-6 * max(1, abs(float(d)))
 
 
 def test_exact_det_and_inverse_match_sympy(rng):
@@ -235,6 +239,17 @@ def test_charpoly_is_the_determinant_expansion(rng):
         a = rand_symmetric(rng, n % 7, n=1 + n % 6)
         want = sympy.Matrix(a).charpoly().all_coeffs()
         assert linalg._charpoly(a) == [int(c) for c in want]
+
+
+def test_exact_inertia_refuses_non_int_entries():
+    # a Fraction would reach the int-only Bareiss core and the floor
+    # division of the Faddeev-LeVerrier fallback; signature_counts clears
+    # the denominators first
+    a = [[10 ** 20, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(2, 5)]]
+    for bad in (a, [[1.0, 0], [0, 1.0]], [[np.int64(1)]]):
+        with pytest.raises(TypeError, match="int entries"):
+            linalg.exact_inertia(bad)
+    assert linalg.signature_counts(a) == (0, 3, 0)
 
 
 def test_exact_inertia_refuses_asymmetric_input():
