@@ -35,6 +35,8 @@ def _load_json(path):
         raise CliError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"malformed JSON in {path}: {e}")
+    except RecursionError:
+        raise CliError(f"JSON in {path} is nested too deeply")
 
 
 def _load_form(path, grade=None):

@@ -199,6 +199,13 @@ def basis(*axes):
     return Form(len(axes), {mask_from_axes(axes): 1})
 
 
+def basis_matrix(op, masks_in, masks_out):
+    """M with M[o][n] the coefficient of e^(masks_out[o]) in
+    op(e^(masks_in[n])), for an op linear on basis forms."""
+    images = [op(Form._trusted(m.bit_count(), {m: 1})).coeffs for m in masks_in]
+    return [[image.get(q, 0) for image in images] for q in masks_out]
+
+
 def wedge(a, b):
     """Exterior product.  Grades must sum to at most 6 (hard error past 6)."""
     g = a.grade + b.grade

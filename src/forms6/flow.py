@@ -83,7 +83,7 @@ class ReducedFlow:
         self.table = np.array(rows, dtype=float).reshape(-1, dim)
         moving = np.any(self.table != 0.0, axis=0)[idx]
         # each monomial's factors, moving ones first, and the monomials in
-        # the order taylor fills them: Cauchy, then one moving factor, then none
+        # the order _TaylorWork fills them: Cauchy, then one moving factor, then none
         fac = np.take_along_axis(idx, np.argsort(~moving, axis=1, kind="stable"), 1)
         n_moving = np.count_nonzero(moving, axis=1)
         order = np.argsort(-n_moving, kind="stable")
@@ -98,52 +98,43 @@ class ReducedFlow:
         mono = y.take(self.a, axis=-1) * y.take(self.b, axis=-1) * y.take(self.c, axis=-1)
         return np.einsum("...m,mn->...n", mono, self.table)
 
-    def taylor(self, y):
-        """Taylor coefficients y_0..y_ORDER in t of the solution through each
-        row of y, shape (ORDER + 1, R, n).
-
-        With y(t) = sum_k y_k t^k, y_{k+1} = f(y)_k / (k + 1), where f(y)_k
-        contracts the k-th coefficients of the monomials with the table.  A
-        coordinate that f does not move has y_k = 0 past k = 0.  So on a flow
-        without Cauchy monomials a monomial has k-th coefficient w y_k at
-        its one moving factor, or w at k = 0 and 0 past it with none, w the
-        product of its other factors at y_0.  On a flow with them every
-        monomial's is a Cauchy product, as the gauge of ``_TaylorWork``
-        moves every coordinate: first of b and c, (y_b y_c)_k = sum_j
-        y_{b,j} y_{c,k-j}, then of a with that (Jorba and Zou, Experimental
-        Mathematics 14, 2005).  No further evaluation of f is made."""
-        return _TaylorWork(self, len(y)).run(y)
-
 
 class _TaylorWork:
-    """The buffers of a coefficient build for a batch of a fixed number of
-    rows, and the views that each order reads and writes, laid out once, so
-    that a run is only the arithmetic of a build.  integrate_ode keeps one
-    (``stepping``) for its current batch size and runs it on every pass, and
+    """The buffers of a Taylor coefficient build for a batch of a fixed
+    number of rows, and the views that each order reads and writes, laid out
+    once, so that a run is only the arithmetic of a build.  integrate_ode
+    keeps one for its current batch size and runs it on every pass, and
     _step sums the series in its other buffers.  A run writes every buffer
     before it reads it, so it gives the bits of a fresh build; the
     coefficients it returns are a view of its own ``coef``, overwritten by
     the next run.
 
-    On a flow with Cauchy monomials, which can blow up in finite t, every
-    monomial is built as a Cauchy product and ``coef`` carries two more
-    columns, u and v.  With ``gauge`` set, as integrate_ode sets it on such a
-    flow, a run builds instead the series in tau of
+    On a flow without Cauchy monomials a run builds the coefficients
+    y_0..y_ORDER in t of the solution through each row: with
+    y(t) = sum_k y_k t^k, y_{k+1} = f(y)_k / (k + 1), where f(y)_k contracts
+    the k-th coefficients of the monomials with the table.  A coordinate
+    that f does not move has y_k = 0 past k = 0, so a monomial has k-th
+    coefficient w y_k at its one moving factor, or w at k = 0 and 0 past it
+    with none, w the product of its other factors at y_0.
+
+    A flow with Cauchy monomials can blow up in finite t.  There ``coef``
+    carries two more columns, u and v, and a run builds the series in tau of
         z' = f(z) - s z,  u' = -2 s u,  v' = u,  s = <z, f(z)> / N0,
     from z = y, u = 1, v = 0, with N0 = |y|_2^2 (s = 0 on a zero row).  For a
     cubic f, z / sqrt(u) solves y' = f(y) in t = v, for any s; this s keeps
     |z| = |y| at its start, so the series in tau has no pole where y has one
     in t (the Poincare compactification: Dumortier, Llibre and Artes,
-    Qualitative Theory of Planar Differential Systems, ch. 5).  Its orders
-    take one more contraction, for s_k = sum_j <z_j, f(z)_{k-j}> / N0, and
-    one more for the Cauchy product of s with z and u.  Without the gauge,
-    the gauge terms are absent, s = 0, u = 1 and v(tau) = tau: a run gives
-    the t series of ReducedFlow.taylor."""
+    Qualitative Theory of Planar Differential Systems, ch. 5).  The gauge
+    moves every coordinate, so every monomial's k-th coefficient is a Cauchy
+    product: first of b and c, (z_b z_c)_k = sum_j z_{b,j} z_{c,k-j}, then
+    of a with that (Jorba and Zou, Experimental Mathematics 14, 2005).  Its
+    orders take one more contraction, for s_k = sum_j <z_j, f(z)_{k-j}> / N0,
+    and one more for the Cauchy product of s with z and u.  No further
+    evaluation of f is made."""
 
     def __init__(self, flow, rows):
         n, dim = flow.table.shape
         self.cauchy = cauchy = flow.n_cauchy > 0
-        self.gauge = False
         # the factors taken at every order: a, b and c of each Cauchy
         # monomial, then the moving factor of each linear one, and those taken
         # at order 0 only: the two fixed factors of each linear or constant
@@ -151,7 +142,7 @@ class _TaylorWork:
         # Cauchy monomials the gauge moves every coordinate, so every
         # monomial is a Cauchy product there
         fac = flow.factors
-        nc, nm = (n, n) if cauchy else (flow.n_cauchy, flow.n_moved)
+        nc, nm = (n, n) if cauchy else (0, flow.n_moved)
         moving = np.concatenate((fac[:nc, 0], fac[:nc, 1], fac[:nc, 2], fac[nc:nm, 0]))
         self.fixed_factors = fac[nc:, 1], fac[nc:, 2], fac[nm:, 0]
         self.coef = coef = np.empty((ORDER + 1, rows, dim + 2 if cauchy else dim))
@@ -210,18 +201,10 @@ class _TaylorWork:
                 zf[:, :k + 1], self.r[:, :k + 1], s[:, k], s[:, None, :k + 1],
                 j_last(zu[k::-1]), sz, f[k], weights, zu[k + 1]))
 
-    @classmethod
-    def stepping(cls, flow, rows):
-        """The work integrate_ode steps with: gauged exactly when the flow
-        has Cauchy monomials."""
-        work = cls(flow, rows)
-        work.gauge = work.cauchy
-        return work
-
     def run(self, y):
-        """ReducedFlow.taylor(y) for y of this work's row count, or with
-        ``gauge`` the series of z, written into ``coef`` and returned as a
-        view of it; the series of u and v are coef's last two columns."""
+        """The series of y, or on a flow with Cauchy monomials of z, for y
+        of this work's row count, written into ``coef`` and returned as a
+        view of it; the series of u and v are then coef's last two columns."""
         dot, multiply, subtract, coef = np.vecdot, np.multiply, np.subtract, self.coef
         y0 = coef[0]
         self.y[0] = y
@@ -231,9 +214,9 @@ class _TaylorWork:
         f1, f2, f0 = self.fixed
         multiply(f1, f2, self.w)
         multiply(self.w_const, f0, self.const)
-        w, cauchy, gauge, cauchy_out, lin_out, mono = (
-            self.w_lin, self.cauchy, self.gauge, self.cauchy_out, self.lin_out, self.mono)
-        if gauge:
+        w, cauchy, cauchy_out, lin_out, mono = (
+            self.w_lin, self.cauchy, self.cauchy_out, self.lin_out, self.mono)
+        if cauchy:
             y0[:, -2:] = (1.0, 0.0)
             n0, r = dot(y, y), self.r
             r.fill(0.0)
@@ -245,9 +228,6 @@ class _TaylorWork:
             if cauchy:
                 dot(b, c, bc)
                 dot(a, bc_back, cauchy_out)
-            else:
-                multiply(lin, w, lin_out)
-            if gauge:
                 table, f_k, z, f_back, zf, r, s_k, s, zu_back, sz, f_pad, weights, zu_next = \
                     self.gauge_orders[k]
                 dot(mono, table, f_k)
@@ -257,10 +237,11 @@ class _TaylorWork:
                 subtract(f_pad, sz, sz)
                 multiply(sz, weights, zu_next)
             else:
+                multiply(lin, w, lin_out)
                 dot(mono, table, y_next)
-            if k == 0:
-                self.const.fill(0.0)
-        if gauge:
+                if k == 0:
+                    self.const.fill(0.0)
+        if cauchy:
             np.divide(coef[:-1, :, -2], self.ks, out=coef[1:, :, -1])
         return self.y
 
@@ -453,14 +434,14 @@ def integrate_ode(flow, y0, t_max, controls=None):
     h_cap = t_max / 20.0
     members = [_Member(row, norm)
                for row, norm in zip(y, np.max(np.abs(y), axis=-1).tolist())]
-    active, work = members, _TaylorWork.stepping(flow, len(members))
+    active, work = members, _TaylorWork(flow, len(members))
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             keep = [k for k, m in enumerate(active) if m.running(t_max)]
             if len(keep) < len(active):
                 active = [active[k] for k in keep]
                 y = y[keep]
-                work = _TaylorWork.stepping(flow, len(active)) if active else None
+                work = _TaylorWork(flow, len(active)) if active else None
             if not active:
                 break
             y = _step(work, y, active, t_max, h_cap, c)
@@ -529,7 +510,7 @@ def _step(work, y, active, t_max, h_cap, c):
     e = [math.frexp(m.norm)[1] for m in active]
     rows_e = np.array(e)[:, None]
     work.run(np.ldexp(y, -rows_e))
-    coef, ends, powers, gauge = work.coef, work.ends, work.powers, work.gauge
+    coef, ends, powers, gauge = work.coef, work.ends, work.powers, work.cauchy
     dim = y.shape[1]
     f0 = work.f[0, :, :dim] if gauge else coef[1]       # f(Y)
     np.abs(f0, out=work.slope)

@@ -21,8 +21,8 @@ from typing import NamedTuple
 from . import linalg
 from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
                        LinearMap6, _clear_denominators, _exact_div, basis,
-                       interior, is_exact, pullback, vector_of_five_form,
-                       wedge)
+                       basis_matrix, interior, is_exact, pullback,
+                       vector_of_five_form, wedge)
 
 # GL(V) orbit labels
 O_MINUS = "O-"
@@ -105,7 +105,6 @@ def _resolve_vol(omega, vol):
 # divided once at the end: K by D^2 c, F by D^3 c and Q by D^4 c^2.
 
 _MASKS2 = tuple(m for m in range(1 << DIM) if m.bit_count() == 2)
-_INDEX2 = {m: n for n, m in enumerate(_MASKS2)}
 _MASKS3 = tuple(m for m in range(1 << DIM) if m.bit_count() == 3)
 _INDEX3 = {m: n for n, m in enumerate(_MASKS3)}
 
@@ -148,20 +147,6 @@ def _build_K_table():
     return tuple((a, b, tuple(terms)) for (a, b), terms in table.items())
 
 
-def _build_contraction_table():
-    """Row i: (index of e^p, index of e^m, s) for each basis 3-form e^m with
-    iota_{e_i} e^m = s e^p."""
-    table = []
-    for i in range(DIM):
-        row = []
-        for n, m in enumerate(_MASKS3):
-            if m >> i & 1:
-                ((p, s),) = interior(_unit(i), Form(3, {m: 1})).items()
-                row.append((_INDEX2[p], n, s))
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def _build_F_table():
     """For each basis 3-form e^t, t = {i < j < k}, the three readings
     phi(K e_i, e_j, e_k) = -phi(K e_j, e_i, e_k) = phi(K e_k, e_i, e_j)
@@ -185,34 +170,25 @@ def _build_F_table():
     return tuple(table)
 
 
-def _build_Q_table():
-    """(index of the complement of e^t, sign of e^t ^ e^(complement))."""
-    table = []
-    for t in _MASKS3:
-        top = wedge(Form(3, {t: 1}), Form(3, {FULL_MASK ^ t: 1}))
-        table.append((_INDEX3[FULL_MASK ^ t], top.coeffs[FULL_MASK]))
-    return tuple(table)
+def _rows(M):
+    """Row o of a basis_matrix M as (o, n, s) for each nonzero s = M[o][n]."""
+    return tuple((o, n, s) for o, row in enumerate(M) for n, s in enumerate(row) if s)
 
 
-def _build_one_form_table():
-    """Row j: (index of e^q, index of e^m, s) for each basis 3-form e^m with
-    e^j ^ e^m = s e^q; a 4-form e^q is indexed by its complement."""
-    table = []
-    for j in range(DIM):
-        row = []
-        for n, m in enumerate(_MASKS3):
-            if not m >> j & 1:
-                ((q, s),) = wedge(basis(j + 1), Form(3, {m: 1})).items()
-                row.append((_INDEX2[FULL_MASK ^ q], n, s))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-_CONTR = _build_contraction_table()
+# row i of _CONTR: (p, m, s) with iota_{e_i} e^m = s e^p over the basis 3-forms
+# e^m; row j of _WEDGE1: (q, m, s) with e^j ^ e^m = s e^(all axes but q), a
+# 4-form indexed by its complement, p and q in _MASKS2 and m in _MASKS3 order
+_CONTR = tuple(_rows(basis_matrix(functools.partial(interior, _unit(i)),
+                                  _MASKS3, _MASKS2)) for i in range(DIM))
+_WEDGE1 = tuple(_rows(basis_matrix(functools.partial(wedge, basis(j + 1)), _MASKS3,
+                                   [FULL_MASK ^ p for p in _MASKS2])) for j in range(DIM))
 _K_TABLE = _build_K_table()
 _F_TABLE = _build_F_table()
-_Q_TABLE = _build_Q_table()
-_WEDGE1 = _build_one_form_table()
+# entry t: (index of the complement of e^t, sign of e^t ^ e^(complement)), read
+# off e^t ^ (the sum of all basis 3-forms), where only the complement survives
+_ALL3 = Form._trusted(3, dict.fromkeys(_MASKS3, 1))
+_Q_TABLE = tuple((_INDEX3[FULL_MASK ^ t], s) for t, s in zip(
+    _MASKS3, basis_matrix(lambda e: wedge(e, _ALL3), _MASKS3, (FULL_MASK,))[0]))
 
 
 class _Scaled(NamedTuple):
@@ -428,16 +404,6 @@ def _sparse(rows):
     return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
 
 
-def _wedge_rows(omega):
-    """Row i: the coefficient of e^(all axes but i+1) in omega ^ e^m, for
-    each basis 3-form e^m in _MASKS3 order."""
-    rows = [[0] * len(_MASKS3) for _ in range(DIM)]
-    for n, m in enumerate(_MASKS3):
-        for q, x in wedge(omega, Form(3, {m: 1})).items():
-            rows[(FULL_MASK ^ q).bit_length() - 1][n] = x
-    return rows
-
-
 @functools.lru_cache(maxsize=16)
 def _omega_tables_of(grade, exact, items):
     omega = Form(grade, dict(items))
@@ -445,7 +411,8 @@ def _omega_tables_of(grade, exact, items):
     c = vol.coeffs[FULL_MASK]
     W = omega_matrix(omega)
     inverse = tuple(map(tuple, linalg.inverse(W)))
-    P, dP = _wedge_rows(omega), 1
+    P, dP = basis_matrix(functools.partial(wedge, omega), _MASKS3,
+                         [FULL_MASK ^ (1 << i) for i in range(DIM)]), 1
     if exact:
         c = Fraction(c)
         dW, W = linalg._integral(W)
@@ -817,8 +784,9 @@ _BLOCK_TO_AXIS = (1, 3, 5, 2, 4, 6)
 
 
 def o0_normal_form():
-    """e^146 + e^236 + e^245, i.e. dx1^dy2^dy3 + dx2^dy3^dy1 + dx3^dy1^dy2."""
-    return basis(1, 4, 6) + basis(2, 3, 6) + basis(2, 4, 5)
+    """e^146 + e^236 + e^245, i.e. dx1^dy2^dy3 + dx2^dy3^dy1 + dx3^dy1^dy2,
+    the O0+ normal form."""
+    return sp_normal_form("O0+")
 
 
 def block_matrix_to_map(block):
@@ -920,16 +888,16 @@ def hitchin_data(phi, omega=None):
 
 # --- normal forms ------------------------------------------------------------
 
+# the Sp orbit whose SP_ORBITS normal form is that of its GL orbit; O+ has
+# its own, e^123 + e^456
+_GL_NORMAL = {O_MINUS: "O-+", O_0: "O0+", O_1: "O1-", O_3: "O3", O_6: "O6"}
+
+
 def gl_normal_form(label):
-    forms = {
-        O_MINUS: basis(1, 3, 5) - basis(1, 4, 6) - basis(2, 3, 6) - basis(2, 4, 5),
-        O_PLUS: basis(1, 2, 3) + basis(4, 5, 6),
-        O_0: basis(1, 4, 6) + basis(2, 3, 6) + basis(2, 4, 5),
-        O_1: basis(1, 3, 5) + basis(2, 4, 5),
-        O_3: basis(1, 3, 5),
-        O_6: Form.zero(3),
-    }
-    return forms[label]
+    """A fresh copy of the normal form of a GL orbit."""
+    if label == O_PLUS:
+        return basis(1, 2, 3) + basis(4, 5, 6)
+    return sp_normal_form(_GL_NORMAL[label])
 
 
 def sp_normal_form(label, mu=1):

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import invariants, io, linalg
 from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
-                       _clear_denominators, axes_from_mask, interior, is_exact,
-                       wedge)
+                       _clear_denominators, axes_from_mask, basis_matrix,
+                       interior, is_exact, wedge)
 from .invariants import (PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
                          compute_K, coords_to_form, form_to_coords,
                          standard_omega, volume_of)
@@ -286,10 +286,6 @@ _PAIR_I, _PAIR_J = (np.array(x) for x in zip(*_PAIRS))
 _INT64_BOUND = 1 << 62
 
 
-def _coefficients(form, masks):
-    return [form.coeffs.get(m, 0) for m in masks]
-
-
 class _Gather(NamedTuple):
     """A contraction table with at most one nonzero entry per output, as
     the index of that entry and its value (0 where there is none): the
@@ -332,19 +328,15 @@ class _Contractions(NamedTuple):
 def _contraction_tables():
     """The _Contractions, read off interior and wedge on basis forms as
     int64 arrays on first use, not at import."""
-    unit = invariants._unit
-    e4 = [Form(4, {m: 1}) for m in _MASKS4]
-    ii = np.array([[[_coefficients(interior(unit(j), interior(unit(i), e)),
-                                   invariants._MASKS2) for e in e4]
-                     for j in range(DIM)] for i in range(DIM)], np.int64)
-    ii = np.ascontiguousarray(ii.transpose(0, 1, 3, 2))
-    e3 = [Form(3, {m: 1}) for m in invariants._MASKS3]
-    w = np.array([[_coefficients(wedge(Form(2, {p: 1}), e), _MASKS5) for e in e3]
-                  for p in invariants._MASKS2], np.int64)
-    w = np.ascontiguousarray(w.transpose(2, 0, 1))
+    unit, m2, m3 = invariants._unit, invariants._MASKS2, invariants._MASKS3
+    ii = np.array([[basis_matrix(lambda e: interior(unit(j), interior(unit(i), e)),
+                                 _MASKS4, m2) for j in range(DIM)] for i in range(DIM)],
+                  np.int64)
+    w = np.stack([basis_matrix(functools.partial(wedge, Form(2, {p: 1})), m3, _MASKS5)
+                  for p in m2], axis=1, dtype=np.int64)
     vol = Form(DIM, {FULL_MASK: 1})
-    ivol = np.array([_coefficients(interior(unit(k), vol), _MASKS5)
-                     for k in range(DIM)], np.int64).T.copy()
+    ivol = np.array([[interior(unit(k), vol).coeffs.get(q, 0) for k in range(DIM)]
+                     for q in _MASKS5], np.int64)
     return _Contractions(_Gather.of(ii), _Gather.of(w), _Gather.of(ivol),
                          int(abs(ii).sum(axis=3).max()),
                          int(abs(w).sum(axis=(1, 2)).max()),
@@ -371,8 +363,7 @@ def _identity_tables(setup):
     bracket entry, so E clears the constants themselves."""
     if setup._identity is None:
         alg, unit = setup.algebra, invariants._unit
-        d = np.array([_coefficients(alg.d(Form(3, {m: 1})), _MASKS4)
-                      for m in invariants._MASKS3], object).T
+        d = np.array(basis_matrix(alg.d, invariants._MASKS3, _MASKS4), object)
         br = np.array([[alg.bracket(unit(i), unit(j)) for j in range(DIM)]
                        for i in range(DIM)], object).transpose(2, 0, 1)
         entries = [*d.flat, *br.flat]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rand_form, rand_invertible, rand_vector
 from forms6.exterior import (Form, GradeError, LinearMap6, _clear_denominators,
-                             _exact_div, basis, eval_form, interior,
+                             _exact_div, basis, basis_matrix, eval_form, interior,
                              mask_from_axes, pullback, vector_of_five_form,
                              wedge)
 
@@ -101,6 +101,24 @@ def test_interior_anticommutes(rng):
         a = rand_form(rng, rng.randint(2, 5), 0.5)
         v, w = rand_vector(rng), rand_vector(rng)
         assert interior(v, interior(w, a)) == -interior(w, interior(v, a))
+
+
+def test_basis_matrix_is_the_matrix_of_a_linear_op(rng):
+    # M v is the coefficient vector of op(a) for a with coefficients v, and
+    # the output masks may be any list, in any order
+    def masks(grade):
+        return [m for m in range(64) if m.bit_count() == grade]
+    for _ in range(10):
+        g = rng.randint(1, 5)
+        v, b = rand_vector(rng), rand_form(rng, rng.randint(0, 6 - g), 0.5)
+        for op, grade_out in ((lambda f: interior(v, f), g - 1),
+                              (lambda f: wedge(b, f), g + b.grade)):
+            a = rand_form(rng, g, 0.5)
+            m_in, m_out = masks(g), masks(grade_out)[::-1]
+            M = basis_matrix(op, m_in, m_out)
+            x = [a.coeffs.get(m, 0) for m in m_in]
+            assert [sum(r * y for r, y in zip(row, x)) for row in M] \
+                == [op(a).coeffs.get(q, 0) for q in m_out]
 
 
 def test_pullback_identity_and_diagonal(rng):

@@ -634,33 +634,36 @@ def _taylor_oracle(poly, y, table):
 TAYLOR_RTOL = 32 * np.finfo(float).eps
 
 
+def _taylor(poly, y):
+    """The coefficients of a fresh _TaylorWork build on the rows of y."""
+    return flow._TaylorWork(poly, len(y)).run(y)
+
+
 def test_taylor_coefficients_match_derivatives(rng):
-    # y_1 = f(y), and 2 y_2 = f'(y) f(y) by a central difference
-    for setup in (NIL, SOLV):
-        poly = flow.reduced_flow(setup)
-        y = np.array([[rng.uniform(-1, 1) for _ in range(14)] for _ in range(3)])
-        coef = poly.taylor(y)
-        assert coef.shape == (flow.ORDER + 1, 3, 14)
-        assert np.array_equal(coef[0], y)
-        assert np.allclose(coef[1], poly.rhs(y), rtol=1e-13, atol=1e-13)
-        e = 1e-6
-        jf = (poly.rhs(y + e * coef[1]) - poly.rhs(y - e * coef[1])) / (2 * e)
-        assert np.allclose(2 * coef[2], jf, rtol=1e-6, atol=1e-7)
+    # the t series of a flow without Cauchy monomials: y_1 = f(y), and
+    # 2 y_2 = f'(y) f(y) by a central difference
+    poly = flow.reduced_flow(NIL)
+    assert poly.n_cauchy == 0
+    y = np.array([[rng.uniform(-1, 1) for _ in range(14)] for _ in range(3)])
+    coef = _taylor(poly, y)
+    assert coef.shape == (flow.ORDER + 1, 3, 14)
+    assert np.array_equal(coef[0], y)
+    assert np.allclose(coef[1], poly.rhs(y), rtol=1e-13, atol=1e-13)
+    e = 1e-6
+    jf = (poly.rhs(y + e * coef[1]) - poly.rhs(y - e * coef[1])) / (2 * e)
+    assert np.allclose(2 * coef[2], jf, rtol=1e-6, atol=1e-7)
     # every order against full Cauchy products over the whole table, on a
     # zero row, unit rows and rows scaled by 2^40 and 2^-40.  y_k scales as
     # s^(2k+1), so on the scaled rows the orders past about 10 over- or
     # underflow; an order is compared where its bound is finite and normal
-    sd = rand_solv_data(rng)
-    tools = flow.SolvUVTools(sd)
-    polys = [flow.reduced_flow(NIL), flow.reduced_flow(SOLV), flow.reduced_flow(AB),
-             flow.solv_system(sd), tools.uv_flow, tools.comparison_flow]
     tiny = np.finfo(float).tiny / np.finfo(float).eps
-    for poly in polys:
+    for poly in (flow.reduced_flow(NIL), flow.reduced_flow(AB)):
+        assert poly.n_cauchy == 0
         n = poly.table.shape[1]
         unit = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(4)])
         y = np.vstack([np.zeros(n), unit, 2.0 ** 40 * unit[:1], 2.0 ** -40 * unit[1:2]])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = poly.taylor(y)
+            got = _taylor(poly, y)
             want = _taylor_oracle(poly, y, poly.table)
             bound = np.max(_taylor_oracle(poly, np.abs(y), np.abs(poly.table)), axis=-1)
             err = np.max(np.abs(got - want), axis=-1)
@@ -672,7 +675,7 @@ def test_taylor_coefficients_match_derivatives(rng):
         # a row's coefficients are the same bits alone as in the batch
         for r in range(len(y)):
             with np.errstate(over="ignore", invalid="ignore"):
-                assert np.array_equal(poly.taylor(y[r:r + 1])[:, 0], got[:, r],
+                assert np.array_equal(_taylor(poly, y[r:r + 1])[:, 0], got[:, r],
                                       equal_nan=True)
 
 
@@ -715,7 +718,7 @@ def test_gauged_build_matches_oracle(rng):
         n = poly.table.shape[1]
         unit = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(4)])
         y = np.vstack([np.zeros(n), unit, 2.0 ** 40 * unit[:1], 2.0 ** -40 * unit[1:2]])
-        work = flow._TaylorWork.stepping(poly, len(y))
+        work = flow._TaylorWork(poly, len(y))
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(work.run(y), work.coef[..., :n], equal_nan=True)
             got = work.coef.copy()
@@ -739,7 +742,7 @@ def test_gauged_build_matches_oracle(rng):
                            rtol=0.0, atol=TAYLOR_RTOL * np.max(bound[1]))
         assert np.allclose(got[1, 1:, n] / (-2.0 * s0), 1.0, rtol=1e-14, atol=0.0)
         for r in range(len(y)):
-            solo = flow._TaylorWork.stepping(poly, 1)
+            solo = flow._TaylorWork(poly, 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 solo.run(y[r:r + 1])
             assert np.array_equal(solo.coef[:, 0], got[:, r], equal_nan=True)
@@ -747,8 +750,9 @@ def test_gauged_build_matches_oracle(rng):
 
 def test_reused_taylor_work_gives_fresh_bits(rng):
     # one work object run on successive different batches gives the bits of
-    # a fresh build each time; the constant monomials' slot is zeroed past
-    # order 0 and must be refilled by the next run
+    # a fresh build each time, the gauged series of u and v included; the
+    # constant monomials' slot is zeroed past order 0 and must be refilled
+    # by the next run
     sd = rand_solv_data(rng)
     tools = flow.SolvUVTools(sd)
     polys = [flow.reduced_flow(NIL), flow.reduced_flow(SOLV), flow.reduced_flow(AB),
@@ -762,9 +766,11 @@ def test_reused_taylor_work_gives_fresh_bits(rng):
         work = flow._TaylorWork(poly, 2)
         with np.errstate(over="ignore", invalid="ignore"):
             for y in batches:
-                got = work.run(y).copy()
-                assert np.array_equal(got, poly.taylor(y), equal_nan=True)
-        assert np.isfinite(got).all()    # so the last comparison is not nan with nan
+                work.run(y)
+                fresh = flow._TaylorWork(poly, 2)
+                fresh.run(y)
+                assert np.array_equal(work.coef, fresh.coef, equal_nan=True)
+        assert np.isfinite(work.coef).all()    # so the last comparison is not nan with nan
 
 
 def test_sweep_members_match_solo_runs(rng):

@@ -161,6 +161,26 @@ def test_kernel_matches_form_level_definitions_on_floats(phi, c):
         <= 1e-12 * m ** 3 / abs(c)
 
 
+def test_basis_tables_match_interior_and_wedge(rng):
+    # entry for entry, so that a wrong complement or row order shows: row i
+    # of _CONTR read on phi is iota_{e_i} phi over the basis 2-forms, row j
+    # of _WEDGE1 is e^j ^ phi over the 4-forms by their complements, and the
+    # _Q_TABLE sum over the coefficients of phi and psi is (phi ^ psi)/e^123456
+    for _ in range(10):
+        phi, psi = rand_form(rng, 3, 0.6), rand_form(rng, 3, 0.6)
+        v = [phi.coeffs.get(m, 0) for m in inv._MASKS3]
+        for i, row in enumerate(inv._table_rows(inv._CONTR, v)):
+            e = [int(k == i) for k in range(6)]
+            assert row == [interior(e, phi).coeffs.get(p, 0) for p in inv._MASKS2]
+        for j, row in enumerate(inv._table_rows(inv._WEDGE1, v)):
+            assert row == [wedge(basis(j + 1), phi).coeffs.get(63 ^ p, 0)
+                           for p in inv._MASKS2]
+        for chi in (psi, inv.compute_F(phi, OMEGA)):
+            u = [chi.coeffs.get(m, 0) for m in inv._MASKS3]
+            assert sum(s * v[n] * u[c] for n, (c, s) in enumerate(inv._Q_TABLE)) \
+                == wedge(phi, chi).coeffs.get(63, 0)
+
+
 def test_F_of_scaled_float_forms_is_cubic():
     # the alternation check inside compute_F is relative to max|phi|^3, so
     # scaling float Sp-transformed normal forms never trips it (an absolute
@@ -447,6 +467,19 @@ def test_classify_gl_examples():
     assert inv.classify_gl(basis(1, 2, 3) + basis(4, 5, 6)) == "O+"
     assert inv.classify_gl(basis(1, 3, 5) + basis(2, 4, 5)) == "O1"
     assert inv.classify_gl(Form.zero(3)) == "O6"
+
+
+def test_normal_forms_are_fresh_copies_of_the_orbit_table():
+    # every GL normal form but O+'s is an SP_ORBITS entry, and o0_normal_form
+    # is O0+'s; editing a returned form leaves the table as it was
+    sp_of = {"O-": "O-+", "O0": "O0+", "O1": "O1-", "O3": "O3", "O6": "O6"}
+    assert inv.gl_normal_form("O+") == basis(1, 2, 3) + basis(4, 5, 6)
+    before = {label: dict(o.normal_form.coeffs) for label, o in inv.SP_ORBITS.items()}
+    for phi, label in ([(inv.gl_normal_form(g), s) for g, s in sp_of.items()]
+                       + [(inv.o0_normal_form(), "O0+")]):
+        assert phi == inv.SP_ORBITS[label].normal_form
+        phi.coeffs[0b000111] = 5
+        assert inv.SP_ORBITS[label].normal_form.coeffs == before[label]
 
 
 # --- Sp classification ----------------------------------------------------------

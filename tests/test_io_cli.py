@@ -508,6 +508,22 @@ def test_flow_rejects_malformed_algebra_file(tmp_path, capsys):
             capsys, "flow", str(alg), str(init), "--out", str(tmp_path))
 
 
+
+def test_deeply_nested_json_is_refused(tmp_path, capsys):
+    # the JSON decoder recurses once per level; a file that nests past the
+    # recursion limit is refused with one line, wherever it is given
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    init = tmp_path / "init.json"
+    write_coords(init, A=0.1, H=0.5)
+    form = data_file("forms/gl_O0.json")
+    out = str(tmp_path / "out")
+    for argv in (("classify", str(deep)),
+                 ("classify", form, "--omega", str(deep)),
+                 ("flow", "nil-debartolomeis", str(deep), "--out", out),
+                 ("flow", str(deep), str(init), "--out", out)):
+        assert "nested too deeply" in assert_refused(capsys, *argv)
+
 # --- hessian ----------------------------------------------------------------------
 
 def test_hessian_subcommand(tmp_path):

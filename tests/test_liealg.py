@@ -426,9 +426,9 @@ def test_identity_tables_clear_the_structure_constants():
         for j in range(6):
             want = SOLV_EXACT.algebra.bracket(unit(i), unit(j))
             assert tables.bracket[:, i, j].tolist() == [5 * x for x in want]
-    d = [[5 * x for x in la._coefficients(SOLV_EXACT.algebra.d(Form(3, {m: 1})),
-                                            la._MASKS4)] for m in inv._MASKS3]
-    assert tables.d.T.tolist() == d
+    for n, m in enumerate(inv._MASKS3):
+        dm = SOLV_EXACT.algebra.d(Form(3, {m: 1}))
+        assert tables.d[:, n].tolist() == [5 * dm.coeffs.get(r, 0) for r in la._MASKS4]
     assert la._identity_tables(NIL).E == 1
     float_tables = la._identity_tables(SOLV)
     assert float_tables.E == 1 and float_tables.d.dtype == np.float64
