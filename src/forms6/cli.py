@@ -2,10 +2,10 @@
 
 Subcommands: classify (orbit report for a 3-form file), verify (seeded
 verification suites with JSON reports), flow (trajectory CSV + status JSON),
-hessian (verify --suite hessian: the leaf-geometry report).  Every error
-path exits nonzero with a message on stderr; reports are written atomically
-and are byte-reproducible for a fixed seed and configuration apart from the
-single generated_at header field.
+hessian (verify --suite hessian: the leaf-geometry report).  An error exits
+nonzero with one stderr line, naming any input file of the wrong content,
+and writes no file.  Reports are written atomically and are byte-exact for
+a fixed seed and configuration apart from their generated_at field.
 """
 
 import argparse
@@ -39,11 +39,13 @@ def _load_json(path):
         raise CliError(f"JSON in {path} is nested too deeply")
 
 
-def _load_form(path, grade=None):
+def _load(path, parse, what):
+    """parse(the JSON of path); an error in its content names the file."""
+    data = _load_json(path)
     try:
-        return io.form_from_json(_load_json(path), grade=grade)
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"bad form file {path}: {e}")
+        return parse(data)
+    except (ValueError, KeyError, TypeError, ArithmeticError) as e:
+        raise CliError(f"bad {what} file {path}: {e}")
 
 
 def _stamp(report):
@@ -70,31 +72,23 @@ def _num(x):
 def cmd_classify(args):
     """With --omega, the GL orbit and q's signature are the SP_ORBITS entry
     of the Sp label, whose signature classify_sp measured, exactly on exact
-    input and at --tol on floats (on O3 and O6 it measures none, so q is
-    taken here): 3 K evaluations, 4 there."""
-    phi = _load_form(args.form, grade=3)
-    report = {
-        "input": args.form,
-        "gl_orbit": None, "sp_orbit": None, "mu": None, "Q": None,
-        "signature": None, "dims": None,
-    }
+    input and at --tol on floats (on O3 and O6, where q = 0, it is the
+    table's (6, 0, 0)): 3 K evaluations per report."""
+    form_of = functools.partial(io.form_from_json, grade=3)
+    phi = _load(args.form, form_of, "form")
+    report = {"input": args.form, **dict.fromkeys(("sp_orbit", "mu", "signature"))}
     if args.omega:
-        omega = _load_form(args.omega, grade=2)
+        omega = _load(args.omega, functools.partial(form_of, grade=2), "--omega")
         sp = inv.classify_sp(phi, omega, tol=args.tol)
         orbit = inv.SP_ORBITS[sp.label]
-        sig = orbit.signature
-        if sig is None:
-            sig = inv.signature(inv.q_form(phi, omega, args.tol), args.tol)
-        report["gl_orbit"] = orbit.gl
-        report["sp_orbit"] = sp.label
-        report["mu"] = _num(sp.mu) if sp.mu is not None else None
-        report["Q"] = _num(inv.compute_Q(phi, omega))
-        report["signature"] = list(sig)
-        report["dims"] = list(inv.subspace_dims(phi, omega, tol=args.tol))
+        report.update(gl_orbit=orbit.gl, sp_orbit=sp.label, mu=_num(sp.mu),
+                      Q=_num(inv.compute_Q(phi, omega)),
+                      signature=list(orbit.signature),
+                      dims=list(inv.subspace_dims(phi, omega, tol=args.tol)))
     else:
-        report["gl_orbit"] = inv.classify_gl(phi, tol=args.tol)
-        report["Q"] = _num(inv.compute_Q(phi, vol=inv.standard_volume()))
-        report["dims"] = list(inv.subspace_dims(phi, tol=args.tol))
+        report.update(gl_orbit=inv.classify_gl(phi, tol=args.tol),
+                      Q=_num(inv.compute_Q(phi, vol=inv.standard_volume())),
+                      dims=list(inv.subspace_dims(phi, tol=args.tol)))
     _emit(_stamp(report), args.out)
     return 0
 
@@ -114,15 +108,21 @@ def _load_setup(name_or_path):
         return liealg.builtin_setup(name_or_path)
     except KeyError:
         pass
-    data = _load_json(name_or_path)
-    try:
+
+    def parse(data):
         alg = liealg.algebra_from_json(data, name=os.path.basename(name_or_path))
-        omega = io.form_from_json(data["omega"], grade=2) if "omega" in data else None
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"bad algebra file {name_or_path}: {e}")
-    if omega is not None:
-        return liealg.InvariantSetup(alg, omega)
-    return liealg.InvariantSetup.standard(alg)
+        if "omega" in data:
+            return liealg.InvariantSetup(alg, io.form_from_json(data["omega"], grade=2))
+        return liealg.InvariantSetup.standard(alg)
+    return _load(name_or_path, parse, "algebra")
+
+
+def _parse_starts(data):
+    """(float PrimitiveCoords, file tags) of a start (object) or sweep (array)."""
+    if isinstance(data, list):
+        return ([io.coords_from_json(x).to_floats() for x in data],
+                [f"-{k:03d}" for k in range(len(data))])
+    return [io.coords_from_json(data).to_floats()], [""]
 
 
 def _check_positive(c0):
@@ -140,13 +140,16 @@ def _extra_columns(setup, c0, traj):
     coefficients in the trajectory CSV of the nil and solv algebras."""
     times = traj.times.tolist()
     if setup.algebra.name == "nil-debartolomeis":
-        nd = flow.NilData.from_coords(c0)
-        A0 = float(c0[0])
-        return [("A_closed", [flow.nil_closed_form(nd, A0, t) for t in times])]
+        # in the start's power-of-two units, y = 2^e Y and t = 4^-e T, so
+        # that 4 H^2 cannot overflow; every factor is exact
+        e = math.frexp(max(map(abs, c0)))[1]
+        nd = flow.NilData.from_coords([math.ldexp(x, -e) for x in c0])
+        return [("A_closed", [math.ldexp(flow.nil_closed_form(
+            nd, nd.constants.A, math.ldexp(t, 2 * e)), e) for t in times])]
     if setup.algebra.name != "solv-tomassini":
         return []
     st = traj.states
-    extra = [("u", 4.0 * st[:, 0] * -st[:, 6]), ("v", 4.0 * st[:, 2] * st[:, 4])]
+    extra = [("u", 4.0 * (st[:, 0] * -st[:, 6])), ("v", 4.0 * (st[:, 2] * st[:, 4]))]
     try:
         sd = flow.SolvData.from_coords(c0)
     except ValueError:
@@ -173,21 +176,12 @@ def _trajectory_csv(setup, c0, traj):
     return "\r\n".join(lines) + "\r\n"
 
 
-def _write_flow(setup, c0, traj, args, out_dir, tag):
-    io.atomic_write_text(os.path.join(out_dir, f"trajectory{tag}.csv"),
-                         _trajectory_csv(setup, c0, traj))
-    status = {
-        "status": traj.status,
-        "message": traj.message,
-        "t_final": traj.t_final,
-        "n_accepted": traj.n_accepted,
-        "n_rejected": traj.n_rejected,
-        "rhs_rows": traj.rhs_rows,
-        "min_step": traj.min_step,
-        "max_step": traj.max_step,
-        "limit_form": None,
-        "limit_orbit": None,
-    }
+def _flow_files(setup, c0, traj, args, tag):
+    """(name, text) of a start's trajectory CSV and status JSON."""
+    status = {key: getattr(traj, key) for key in (
+        "status", "message", "t_final", "n_accepted", "n_rejected", "rhs_rows",
+        "min_step", "max_step")}
+    status.update(limit_form=None, limit_orbit=None)
     if traj.status in ("blow_up", "reached_t_max"):
         try:
             form, orbit = flow.normalized_limit(traj, args.normalizer)
@@ -196,36 +190,40 @@ def _write_flow(setup, c0, traj, args, out_dir, tag):
             status["limit_orbit"] = orbit.label
             if orbit.mu is not None:
                 status["limit_mu"] = float(orbit.mu)
-        except flow.LimitError as e:
-            status["limit_error"] = str(e)
-    _emit(_stamp(status), os.path.join(out_dir, f"status{tag}.json"))
+        except (flow.LimitError, ValueError, ArithmeticError) as e:
+            status["limit_error"] = str(e)  # taking or classifying the limit
+    return [(f"trajectory{tag}.csv", _trajectory_csv(setup, c0, traj)),
+            (f"status{tag}.json", io.dumps_report(_stamp(status)))]
 
 
 def cmd_flow(args):
-    """Parse and check the whole sweep, integrate it as one batch, then
-    write each start's files; a refused start leaves no file behind."""
+    """Parse and check the whole sweep, integrate it as one batch, and
+    format every start's files before --out is made: a refused run, one
+    refused for a start it cannot format included, writes no file."""
     for opt in ("t_max", "tol", "blow_norm"):
         value = getattr(args, opt)
         if not (math.isfinite(value) and value > 0):
             raise CliError(f"--{opt.replace('_', '-')} must be finite and > 0, "
                            f"got {value}")
     setup = _load_setup(args.algebra)
-    data = _load_json(args.initial)
-    if isinstance(data, list):
-        starts = [io.coords_from_json(entry) for entry in data]
-        tags = [f"-{k:03d}" for k in range(len(starts))]
-    else:
-        starts, tags = [io.coords_from_json(data)], [""]
+    starts, tags = _load(args.initial, _parse_starts, "initial")
     if args.require_positive:
         for c0 in starts:
             _check_positive(c0)
     controls = flow.FlowControls(rtol=args.tol, blow_norm=args.blow_norm,
                                  detect_stationary=not args.no_stationary)
     trajs = flow.integrate_sweep(setup, starts, args.t_max, controls)
+    files = []
+    for k, (c0, traj, tag) in enumerate(zip(starts, trajs, tags)):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                files += _flow_files(setup, c0, traj, args, tag)
+        except (ArithmeticError, ValueError) as e:
+            raise CliError(f"cannot format the files of start {k}: {e}")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    for c0, traj, tag in zip(starts, trajs, tags):
-        _write_flow(setup, c0, traj, args, out_dir, tag)
+    for name, text in files:
+        io.atomic_write_text(os.path.join(out_dir, name), text)
     return 0
 
 
@@ -244,7 +242,9 @@ def build_parser():
     c = sub.add_parser("classify", help="orbit classification of a 3-form file")
     c.add_argument("form", help="JSON form file (grade 3)")
     c.add_argument("--omega", help="JSON 2-form file; enables Sp classification")
-    c.add_argument("--tol", type=float, default=1e-8)
+    c.add_argument("--tol", type=float, default=inv.ORBIT_TOL,
+                   help="tolerance of the float orbit decisions "
+                        "(default %(default)g)")
     c.add_argument("--out", help="write the report here instead of stdout")
     c.set_defaults(fn=cmd_classify)
 
@@ -260,16 +260,16 @@ def build_parser():
     f.add_argument("initial", help="initial coefficients JSON "
                                    "(object, or array for a sweep)")
     f.add_argument("--t-max", type=float, default=10.0)
-    f.add_argument("--tol", type=float, default=1e-9,
+    f.add_argument("--tol", type=float, default=flow.FlowControls.rtol,
                    help="relative bound on the last Taylor terms of a step, "
                         "which sets the step size, and the stationarity cut "
-                        "max|f(y)| <= tol max|y|^3 (default 1e-9)")
-    f.add_argument("--blow-norm", type=float, default=1e8,
+                        "max|f(y)| <= tol max|y|^3 (default %(default)g)")
+    f.add_argument("--blow-norm", type=float, default=flow.FlowControls.blow_norm,
                    help="growth of max|y| over the start's past which a step whose "
                         "t-advance is below --tol times t stops a start as blow_up; "
                         "a flow that can blow up is stepped in a projective time, "
                         "and the status message gives the growth rate and blow-up "
-                        "time estimate at the stop (default 1e8)")
+                        "time estimate at the stop (default %(default)g)")
     f.add_argument("--normalizer", default="A", choices=COORD_NAMES)
     f.add_argument("--no-stationary", action="store_true",
                    help="disable stationary-point termination")

@@ -590,10 +590,11 @@ class NilData:
 
 
 def nil_closed_form(nd, A0, t):
-    """A(t) of the scalar nil flow; the H = 0 branch is linear A0 + R t."""
-    if nd.H == 0.0:
-        return A0 + nd.R * t
+    """A(t) of the scalar nil flow; the H = 0 branch is linear A0 + R t,
+    as is one where 4 H^2 underflows, to within 4 H^2 t relative."""
     a = 4.0 * nd.H ** 2
+    if a == 0.0:
+        return A0 + nd.R * t
     limit = nd.R / a
     return limit + (A0 - limit) * math.exp(-a * t)
 

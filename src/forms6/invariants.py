@@ -35,7 +35,7 @@ O_6 = "O6"
 
 class _OrbitEntry(NamedTuple):
     gl: str
-    signature: tuple  # (n0, n+, n-) of q; None on O3 and O6
+    signature: tuple  # (n0, n+, n-) of q; (6, 0, 0) on O3 and O6, where q = 0
     normal_form: Form
 
 
@@ -54,8 +54,8 @@ SP_ORBITS = {
                        basis(1, 4, 6) - basis(2, 3, 6) - basis(2, 4, 5)),
     "O1+": _OrbitEntry(O_1, (5, 1, 0), basis(1, 3, 5) - basis(2, 4, 5)),
     "O1-": _OrbitEntry(O_1, (5, 0, 1), basis(1, 3, 5) + basis(2, 4, 5)),
-    "O3": _OrbitEntry(O_3, None, basis(1, 3, 5)),
-    "O6": _OrbitEntry(O_6, None, Form.zero(3)),
+    "O3": _OrbitEntry(O_3, (6, 0, 0), basis(1, 3, 5)),
+    "O6": _OrbitEntry(O_6, (6, 0, 0), Form.zero(3)),
 }
 SP_LABELS = tuple(SP_ORBITS)
 _SP_OF = {(o.gl, o.signature): label for label, o in SP_ORBITS.items()}
@@ -419,8 +419,8 @@ def _omega_tables_of(grade, exact, items):
         dP, P = linalg._integral(P)
         den = dW * abs(c.numerator)
         m = c.denominator if c > 0 else -c.denominator
-    else:
-        den, m = 1, 1 / c
+    else:  # float, vol too, though a float term of omega drops out of it
+        vol, den, m = vol.to_float(), 1, 1 / float(c)
     return _OmegaTables(vol, inverse, _sparse(W), m, den, _sparse(P), dP)
 
 
@@ -572,7 +572,7 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     """Sp(V, omega) orbit of a primitive 3-form, with mu for stable orbits.
 
     The label is the SP_ORBITS entry with the GL orbit of _gl_orbit and the
-    signature of q (none on O3 and O6).  On the exact backend that
+    signature of q, measured except on O3 and O6.  On the exact backend that
     signature is linalg.exact_inertia of the int matrix den q, so tol is
     never read there; on floats it is measured at tol.  mu is recovered
     from Q: Q = -16 mu^4 on O- and 4 mu^4 on O+.  One K evaluation.
@@ -585,9 +585,9 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     kn = _K_numerators(s.v)
     q, _ = _q_of(s, kn, tables, tol)  # its symmetry check runs on every form
     gl, Q = _gl_orbit(s, kn, tol)
-    # q vanishes on O3 and O6, and a float signature of it would read
-    # rounding noise
-    sig = None if gl in (O_3, O_6) else SignatureTriple(*(
+    # q vanishes on O3 and O6: its inertia is (6, 0, 0), which a float
+    # signature would misread in the rounding noise
+    sig = (6, 0, 0) if gl in (O_3, O_6) else SignatureTriple(*(
         linalg.exact_inertia(q) if s.exact else linalg.float_inertia(q, tol)))
     label = _SP_OF.get((gl, sig))
     if label is None:

@@ -25,7 +25,10 @@ def scalar_to_json(x):
 def scalar_from_json(v):
     if isinstance(v, str):
         num, _, den = v.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
+        den = int(den) if den else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in coefficient {v!r}")
+        return Fraction(int(num), den)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"bad coefficient {v!r}")
     if isinstance(v, float) and not math.isfinite(v):

@@ -428,19 +428,24 @@ def _table_core(setup, phi):
     return s, t.E, k, P, f, d @ P, d @ f, N
 
 
-def _max_over(x, scale):
-    """max|x| / |scale| as a float; an int x is divided exactly, as a
-    Fraction."""
+def _max_over(x, scale, core):
+    """max|x| / |scale| as a float, an int x divided exactly, as a
+    Fraction.  A float x is divided by c^2 E |P|^4 instead, with the names
+    of core, a _table_core: the scale of N, at which integrability_flags
+    cuts it, so that rounding reads alike at every scale of phi."""
+    s, E, _, P, *_ = core
     top = abs(x).max()
     if x.dtype == np.float64:
-        return float(top) / abs(float(scale))
+        c, size = float(s.c), float(abs(P).max()) or 1.0
+        return float(top) / (c * c * E) / (size * size * size * size)
     return float(Fraction(int(top)) / abs(scale))
 
 
-def _table_sides(setup, phi):
+def _table_sides(setup, phi, core=None):
     """(lhs, rhs, scale): both sides of the Nijenhuis identity as (15, 6)
     arrays over the basis pairs _PAIRS and the basis 5-forms _MASKS5, each
-    scale = c E D^4 times the side of nijenhuis_identity_sides.
+    scale = c E D^4 times the side of nijenhuis_identity_sides; core is
+    phi's _table_core, when the caller has it.
 
     With the names of _table_core, the lhs is iota_N e^123456, so
     c E D^4 iota_{N_K} vol.  The rhs is
@@ -448,7 +453,7 @@ def _table_sides(setup, phi):
     U = iota_Y iota_{kX} dP and W_f, W_P the wedges with f and P; each of
     its three terms carries c from k or f, E from d and D^4 from its degree
     4 in phi."""
-    s, E, k, P, f, dP, df, N = _table_core(setup, phi)
+    s, E, k, P, f, dP, df, N = core or _table_core(setup, phi)
     c = _contraction_tables()
     a = c.ii(dP)                                 # a[i, j] = iota_{e_j} iota_{e_i} dP
     # U[i, j] - U[j, i] at the pairs, U[i, j] = iota_{e_j} iota_{k e_i} dP
@@ -468,17 +473,20 @@ def verify_nijenhuis_identity(setup, phi):
     Both sides are homogeneous of degree 4 in phi and of degree 1 in the
     structure constants.  So an exact phi is checked as D phi, D the lcm of
     its denominators, over the setup's tables, whose constants carry E,
-    with _table_sides, and the residual is divided by |c| E D^4."""
-    lhs, rhs, scale = _table_sides(setup, phi)
-    return _max_over(lhs - rhs, scale)
+    with _table_sides, and the residual is divided by |c| E D^4.  On
+    floats it is relative: divided by c^2 E |P|^4, |P| = max|P_i|."""
+    core = _table_core(setup, phi)
+    lhs, rhs, scale = _table_sides(setup, phi, core)
+    return _max_over(lhs - rhs, scale, core)
 
 
 def nijenhuis_max(setup, phi):
     """Largest |entry| of the Nijenhuis tensor of K(phi): max|N| over
     |c^2 E D^4|, with N of _table_core, divided as a Fraction on exact
-    input."""
-    s, E, *_, N = _table_core(setup, phi)
-    return _max_over(N, s.c * s.c * E * s.D ** 4)
+    input; on floats relative, over c^2 E |P|^4."""
+    core = _table_core(setup, phi)
+    s, E, *_, N = core
+    return _max_over(N, s.c * s.c * E * s.D ** 4, core)
 
 
 def _identity_failure(setup, phi):

@@ -581,6 +581,18 @@ def test_exact_phi_under_float_vol_keeps_exact_ranks():
         assert tuple(dims) == DIM_TABLE[orbit.gl], label
 
 
+def test_float_omega_with_an_exact_volume_runs_on_floats():
+    # the float term 0.5 e^13 drops out of omega^3, so the volume comes out
+    # exact; the omega tables still give a float volume, and a form that is
+    # not primitive is refused as such, not with a TypeError
+    omega = OMEGA + basis(1, 3) * 0.5
+    with pytest.raises(ValueError, match="not primitive"):
+        inv.classify_sp(basis(2, 4, 6), omega)
+    assert inv.classify_sp(basis(1, 3, 5), omega).label == "O3"
+    assert inv.compute_Q(basis(1, 3, 5), omega) == 0.0
+    assert all(type(x) is float for x in inv._omega_tables(omega).vol.coeffs.values())
+
+
 def test_backend_decided_once_per_form(monkeypatch):
     # _scaled decides exact or float once per form: no rank or inertia
     # scans a matrix for exactness again, and only _scaled clears
@@ -628,9 +640,8 @@ def test_sp_orbit_table_agrees_with_the_test_tables():
     assert inv.SP_LABELS == tuple(inv.SP_ORBITS) and set(inv.SP_ORBITS) == set(GL_OF_SP)
     for label, orbit in inv.SP_ORBITS.items():
         assert orbit.gl == GL_OF_SP[label]
-        # O3 and O6 are told apart by dim ker phi, not by q
-        want = None if label in ("O3", "O6") else SIGNATURE_TABLE[label]
-        assert orbit.signature == want
+        # O3 and O6 are told apart by dim ker phi, not by q, which is 0 on both
+        assert orbit.signature == SIGNATURE_TABLE[label]
         assert inv.sp_normal_form(label) == orbit.normal_form
         assert inv.classify_sp(orbit.normal_form, OMEGA) == (
             label, 1.0 if orbit.gl in ("O-", "O+") else None)

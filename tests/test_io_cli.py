@@ -102,8 +102,8 @@ def test_classify_normal_forms(tmp_path, capsys):
 
 
 def test_classify_with_omega(monkeypatch, capsys):
-    # K is evaluated by classify_sp, compute_Q and subspace_dims; on O3 and
-    # O6 also by q_form, for the signature classify_sp does not measure there
+    # K is evaluated by classify_sp, compute_Q and subspace_dims on every
+    # label; the signature is the SP_ORBITS entry's, (6, 0, 0) on O3 and O6
     calls = []
     K = inv._K_numerators
     monkeypatch.setattr(inv, "_K_numerators", lambda v: calls.append(1) or K(v))
@@ -111,7 +111,7 @@ def test_classify_with_omega(monkeypatch, capsys):
         calls.clear()
         assert run_cli("classify", data_file(f"forms/sp_{label}.json"),
                        "--omega", OMEGA_FILE) == 0
-        assert len(calls) == (4 if gl in ("O3", "O6") else 3), label
+        assert len(calls) == 3, label
         rep = json.loads(capsys.readouterr().out)
         assert rep["sp_orbit"] == label
         assert rep["gl_orbit"] == gl
@@ -335,6 +335,22 @@ def test_flow_nil_linear_divergence_limit(tmp_path):
     assert abs(terms[(1, 3, 5)] - 1.0) < 1e-6
 
 
+def test_flow_reports_a_limit_it_cannot_classify(tmp_path, monkeypatch):
+    # a limit that cannot be classified is that start's limit_error; the
+    # run still writes every start
+    def refuse(traj, normalizer):
+        raise inv.ClassificationError("O0 form with unexpected signature")
+
+    monkeypatch.setattr(flow, "normalized_limit", refuse)
+    init = tmp_path / "lin.json"
+    write_coords(init, A=0.2, D=1.0, F=1.2, G=-0.8, J=0.6, L=0.4, N=-0.5)
+    assert run_cli("flow", "nil-debartolomeis", str(init), "--t-max", "5",
+                   "--no-stationary", "--out", str(tmp_path)) == 0
+    status = json.loads((tmp_path / "status.json").read_text())
+    assert status["status"] == "reached_t_max" and status["limit_orbit"] is None
+    assert status["limit_error"] == "O0 form with unexpected signature"
+
+
 def test_flow_writes_no_limit_after_max_steps(tmp_path, monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     init = tmp_path / "init.json"
@@ -507,6 +523,70 @@ def test_flow_rejects_malformed_algebra_file(tmp_path, capsys):
         assert "bad algebra file" in assert_refused(
             capsys, "flow", str(alg), str(init), "--out", str(tmp_path))
 
+
+def test_input_errors_name_their_file(tmp_path, capsys):
+    # a content error of any input file, a zero denominator or a number past
+    # the float range included, names the file, and a refused flow makes no
+    # --out directory
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps([{"axes": [1, 3, 5], "coeff": "1/0"}]))
+    err = assert_refused(capsys, "classify", str(form))
+    assert err == f"forms6: bad form file {form}: zero denominator in coefficient '1/0'\n"
+    err = assert_refused(capsys, "classify", data_file("forms/sp_O3.json"),
+                         "--omega", str(form))
+    assert err.startswith(f"forms6: bad --omega file {form}: ")
+    init, out = tmp_path / "init.json", tmp_path / "out"
+    for text in ('"A"', '{"A": "1/0"}', '{"Z": 1}', '[{"A": 1}, {"A": "2/0"}]',
+                 '{"A": 1' + "0" * 400 + "}"):
+        init.write_text(text)
+        err = assert_refused(capsys, "flow", "nil-debartolomeis", str(init),
+                             "--out", str(out))
+        assert err.startswith(f"forms6: bad initial file {init}: "), err
+        assert not out.exists()
+    # InvariantSetup's refusal of a degenerate omega names the algebra file
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"d": {}, "omega": [{"axes": [1, 2], "coeff": 1}]}))
+    write_coords(init, A=1.0)
+    err = assert_refused(capsys, "flow", str(alg), str(init), "--out", str(out))
+    assert err.startswith(f"forms6: bad algebra file {alg}: degenerate"), err
+    assert not out.exists()
+
+
+def test_flow_columns_in_the_start_units(tmp_path, capsys):
+    # A_closed is computed in each start's power-of-two units, where 4 H^2
+    # cannot overflow at H = 1e308 (and underflows, taking the linear
+    # branch, where H is 2^-1021 of the largest coefficient); a unit-scale
+    # start's column is nil_closed_form itself, bit for bit
+    starts = [{"A": 0.2, "D": 1.0, "F": 1.2, "G": -0.8, "H": 0.9},
+              {"A": 0.1, "D": 1e308, "H": 1e308},
+              {"G": 1.7976931348623157e308, "H": 8.0, "I": 10.0, "M": -3843.0}]
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(starts))
+    out = tmp_path / "out"
+    assert run_cli("flow", "nil-debartolomeis", str(sweep), "--t-max", "20",
+                   "--out", str(out)) == 0
+    assert len(os.listdir(out)) == 6
+    c0 = inv.PrimitiveCoords(**starts[0])
+    nd = flow.NilData.from_coords(c0)
+    for k in range(3):
+        rows = (out / f"trajectory-{k:03d}.csv").read_text().splitlines()[1:]
+        for row in rows:
+            t, *_, closed = row.split(",")
+            assert np.isfinite(float(closed))
+            if k == 0:
+                assert closed == repr(flow.nil_closed_form(nd, 0.2, float(t)))
+    # u = 4 A (-G) is 0, not inf times 0, at A = 1e308 and G = 0; a column
+    # that overflows in any units refuses the run, naming the start
+    sweep.write_text(json.dumps([{"A": 1e308}]))
+    assert run_cli("flow", "solv-tomassini", str(sweep), "--t-max", "1",
+                   "--out", str(out)) == 0
+    rows = (out / "trajectory-000.csv").read_text().splitlines()
+    assert rows[0].endswith(",u,v") and rows[1].endswith(",-0.0,0.0")
+    sweep.write_text(json.dumps([{"A": 1.0}, {"A": 1e308, "G": -1e308}]))
+    out = tmp_path / "refused"
+    err = assert_refused(capsys, "flow", "solv-tomassini", str(sweep),
+                         "--t-max", "1", "--out", str(out))
+    assert "start 1" in err and not out.exists()
 
 
 def test_deeply_nested_json_is_refused(tmp_path, capsys):

@@ -394,6 +394,21 @@ def test_float_table_sides_match_form_route(rng):
             assert la.verify_nijenhuis_identity(setup, phi) <= 1e-12 * abs(want).max()
 
 
+def test_float_nijenhuis_values_are_relative(rng):
+    # on floats both values are relative to c^2 E |P|^4, the scale at which
+    # integrability_flags cuts N: the identity's rounding stays near the
+    # unit roundoff at every scale, and a power-of-two scaling gives the
+    # same values
+    phi = inv.coords_to_form(rand_coords(rng)).to_float()
+    for scale in (1.0, 2.0 ** 20 + 1, 2.0 ** 41 + 1):
+        assert la.verify_nijenhuis_identity(SOLV, phi * scale) <= 1e-12
+    want = (la.verify_nijenhuis_identity(SOLV, phi), la.nijenhuis_max(SOLV, phi))
+    assert want[1] > 0
+    for scale in (2.0 ** 20, 2.0 ** 41, 2.0 ** -30):
+        assert (la.verify_nijenhuis_identity(SOLV, phi * scale),
+                la.nijenhuis_max(SOLV, phi * scale)) == want
+
+
 def test_identity_tables_built_on_first_use(monkeypatch):
     # the tables are read off the setup's own algebra: no scaled copy of it
     # is built, and they are cached on the setup after the first call
