@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import flow, invariants as inv, io, liealg, verify
+from .exterior import axes_from_mask
 from .invariants import COORD_NAMES
 
 
@@ -69,26 +70,69 @@ def _num(x):
 
 # --- classify ----------------------------------------------------------------
 
+def _orbit_fields(phi, omega, tol):
+    """The orbit fields of a classify report.  With omega, the GL orbit and
+    q's signature are the SP_ORBITS entry of the Sp label, whose signature
+    classify_sp measured, exactly on exact input and at tol on floats (on
+    O3 and O6, where q = 0, it is the table's (6, 0, 0)): one K evaluation,
+    shared by every call on phi."""
+    if omega is None:
+        fields = dict(gl_orbit=inv.classify_gl(phi, tol=tol),
+                      Q=_num(inv.compute_Q(phi, vol=inv.standard_volume())),
+                      dims=list(inv.subspace_dims(phi, tol=tol)))
+    else:
+        sp = inv.classify_sp(phi, omega, tol=tol)
+        orbit = inv.SP_ORBITS[sp.label]
+        fields = dict(gl_orbit=orbit.gl, sp_orbit=sp.label, mu=_num(sp.mu),
+                      Q=_num(inv.compute_Q(phi, omega)), signature=list(orbit.signature),
+                      dims=list(inv.subspace_dims(phi, omega, tol=tol)))
+    if not all(map(math.isfinite, (fields["Q"], fields.get("mu") or 0))):
+        raise OverflowError(f"Q = {fields['Q']} is not a finite float")
+    return fields
+
+
+# past these bounds a scalar can take K, F and Q (degrees 2, 3 and 4 in phi,
+# and -1, -1 and -2 in omega^3) out of the float range
+_SCALE_RANGE = (Fraction(1, 2 ** 100), 2 ** 100)
+
+
+def _out_of_range(args, phi, omega):
+    """'bad WHAT file PATH: ...' naming the largest coefficient of phi, or a
+    coefficient of omega, outside _SCALE_RANGE: phi enters the invariants
+    through its scale, omega through omega^3 and W^-1, entry by entry."""
+    top = [max(phi.coeffs.items(), key=lambda mx: abs(mx[1]))] if phi else []
+    lo, hi = _SCALE_RANGE
+    for path, what, terms in ((args.form, "form", top),
+                              (args.omega, "--omega", omega.coeffs.items() if omega else ())):
+        for m, x in terms:
+            if not lo <= abs(x) <= hi:
+                x = Fraction(x)
+                order = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+                axes = "".join(map(str, axes_from_mask(m)))
+                return (f"bad {what} file {path}: the coefficient of e^{axes}, of "
+                        f"order 1e{order:+.0f}, is out of range")
+    return None
+
+
 def cmd_classify(args):
-    """With --omega, the GL orbit and q's signature are the SP_ORBITS entry
-    of the Sp label, whose signature classify_sp measured, exactly on exact
-    input and at --tol on floats (on O3 and O6, where q = 0, it is the
-    table's (6, 0, 0)): 3 K evaluations per report."""
+    """Classify the form file, under --omega when it is given.  A refusal
+    names the file whose scale is out of range and its scalar, else both
+    files; a ClassificationError on well-scaled input is reported as it is."""
     form_of = functools.partial(io.form_from_json, grade=3)
     phi = _load(args.form, form_of, "form")
+    omega = _load(args.omega, functools.partial(form_of, grade=2), "--omega") \
+        if args.omega else None
     report = {"input": args.form, **dict.fromkeys(("sp_orbit", "mu", "signature"))}
-    if args.omega:
-        omega = _load(args.omega, functools.partial(form_of, grade=2), "--omega")
-        sp = inv.classify_sp(phi, omega, tol=args.tol)
-        orbit = inv.SP_ORBITS[sp.label]
-        report.update(gl_orbit=orbit.gl, sp_orbit=sp.label, mu=_num(sp.mu),
-                      Q=_num(inv.compute_Q(phi, omega)),
-                      signature=list(orbit.signature),
-                      dims=list(inv.subspace_dims(phi, omega, tol=args.tol)))
-    else:
-        report.update(gl_orbit=inv.classify_gl(phi, tol=args.tol),
-                      Q=_num(inv.compute_Q(phi, vol=inv.standard_volume())),
-                      dims=list(inv.subspace_dims(phi, tol=args.tol)))
+    try:
+        report.update(_orbit_fields(phi, omega, args.tol))
+    except (ValueError, ArithmeticError) as e:
+        bad = _out_of_range(args, phi, omega)
+        if bad:
+            raise CliError(f"{bad} ({e})")
+        if isinstance(e, inv.ClassificationError):
+            raise
+        under = f" under --omega {args.omega}" if args.omega else ""
+        raise CliError(f"cannot classify {args.form}{under}: {e}")
     _emit(_stamp(report), args.out)
     return 0
 
@@ -111,9 +155,10 @@ def _load_setup(name_or_path):
 
     def parse(data):
         alg = liealg.algebra_from_json(data, name=os.path.basename(name_or_path))
-        if "omega" in data:
-            return liealg.InvariantSetup(alg, io.form_from_json(data["omega"], grade=2))
-        return liealg.InvariantSetup.standard(alg)
+        setup = (liealg.InvariantSetup(alg, io.form_from_json(data["omega"], grade=2))
+                 if "omega" in data else liealg.InvariantSetup.standard(alg))
+        flow.reduced_flow(setup)  # refuses an omega other than the standard one
+        return setup
     return _load(name_or_path, parse, "algebra")
 
 

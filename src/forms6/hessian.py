@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .exterior import Form, _exact_div, basis, form_max_diff, is_exact, wedge
-from .invariants import _K_and_F, _exact_sqrt, volume_of
+from .invariants import _exact_sqrt, compute_F, compute_K, volume_of
 
 
 class DomainError(ValueError):
@@ -289,7 +289,7 @@ def fiber_verifications(metric, p):
     omega, phi = build_six_forms(metric, p)
     vol = volume_of(omega)
     prim = wedge(omega, phi).max_abs()
-    K, F = _K_and_F(phi, vol)
+    K, F = compute_K(phi, vol=vol), compute_F(phi, vol=vol)
     s = float(metric.sqrt_det)
     F_res = form_max_diff(F, basis(1, 2, 3) * (-4.0 * s))
     fiber_res = max(abs(float(K.rows[i][j])) for i in range(6) for j in range(3, 6))

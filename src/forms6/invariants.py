@@ -196,7 +196,7 @@ class _Scaled(NamedTuple):
     order, and c the coefficient of vol.  On the exact backend (phi and vol
     exact) D clears every denominator of phi, so v is int; otherwise D = 1,
     and v is exact when phi is (exact_phi)."""
-    v: list
+    v: tuple
     D: int
     c: object
     exact: bool
@@ -228,7 +228,7 @@ def _scaled(phi, vol):
     v = [0] * len(_MASKS3)
     for m, x in zip(phi.coeffs, xs):
         v[_INDEX3[m]] = x
-    return _Scaled(v, D, c, exact, exact_phi)
+    return _Scaled(tuple(v), D, c, exact, exact_phi)
 
 
 def _K_numerators(v):
@@ -301,11 +301,45 @@ def _F_of(s, gn):
     return Form._trusted(3, {m: div(-2 * g) for m, g in zip(_MASKS3, gn) if g})
 
 
-def _K_and_F(phi, vol):
-    """K(phi) and F(phi) from a single K evaluation."""
-    s = _scaled(phi, vol)
-    kn = _K_numerators(s.v)
-    return _K_of(s, kn), _F_of(s, _F_numerators(kn, s, DEFAULT_TOL))
+# --- one evaluation per form ------------------------------------------------
+#
+# _evaluate keeps the evaluation of the last form, which serves the calls a
+# caller makes on one form in a row.  Forms are mutable, so the key is their
+# content: grade, masks in dict order, values and their types (exactness only,
+# on exact input, whose s is cleared ints), and vol's coefficient and its type
+# (exactness only, when exact).  The slot is one tuple swap and fn is filled
+# idempotently, so a race can only miss.  No caller mutates an _Evaluation.
+
+class _Evaluation:
+    """s, the table input of phi, its K numerators kn and, on first use,
+    its F numerators fn, checked at DEFAULT_TOL."""
+    __slots__ = ("s", "kn", "_fn")
+
+    def __init__(self, s):
+        self.s, self.kn, self._fn = s, tuple(_K_numerators(s.v)), None
+
+    @property
+    def fn(self):
+        if self._fn is None:
+            self._fn = tuple(_F_numerators(self.kn, self.s, DEFAULT_TOL))
+        return self._fn
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
+_last = (None, None)  # (key, _Evaluation) of the last form evaluated
+
+
+def _evaluate(phi, vol):
+    """The _Evaluation of phi against vol, the last one when its key holds."""
+    global _last
+    c, xs = vol.coeffs[FULL_MASK], tuple(phi.coeffs.values())
+    types = tuple(map(type, xs))
+    key = (phi.grade, tuple(phi.coeffs), xs, _EXACT_TYPES.issuperset(types) or types,
+           type(c) in _EXACT_TYPES or type(c), c)
+    last = _last  # read once: another thread may swap the slot
+    if last[0] != key:
+        last = _last = key, _Evaluation(_scaled(phi, vol))
+    return last[1]
 
 
 def compute_K(phi, omega=None, vol=None):
@@ -314,8 +348,8 @@ def compute_K(phi, omega=None, vol=None):
     Column j is K(e_j), the unique vector with
     iota_{K e_j} vol = -iota_{e_j} phi ^ phi.
     """
-    s = _scaled(phi, _resolve_vol(omega, vol))
-    return _K_of(s, _K_numerators(s.v))
+    ev = _evaluate(phi, _resolve_vol(omega, vol))
+    return _K_of(ev.s, ev.kn)
 
 
 def compute_F(phi, omega=None, vol=None):
@@ -324,13 +358,13 @@ def compute_F(phi, omega=None, vol=None):
     Alternation in the first slot against the others is not formal, so it is
     verified internally; a failure indicates a broken K and raises.
     """
-    s = _scaled(phi, _resolve_vol(omega, vol))
-    return _F_of(s, _F_numerators(_K_numerators(s.v), s, DEFAULT_TOL))
+    ev = _evaluate(phi, _resolve_vol(omega, vol))
+    return _F_of(ev.s, ev.fn)
 
 
-def _Q_of(s, kn):
-    """Q(phi) from kn = _K_numerators(s.v)."""
-    gn = _F_numerators(kn, s, DEFAULT_TOL)
+def _Q_of(ev):
+    """Q(phi) from its _Evaluation."""
+    s, gn = ev.s, ev.fn
     # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
     top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(s.v, _Q_TABLE) if x)
     return _exact_div(top, s.D ** 4) / (s.c * s.c)
@@ -338,8 +372,7 @@ def _Q_of(s, kn):
 
 def compute_Q(phi, omega=None, vol=None):
     """The scalar Q(phi) = -(phi ^ F(phi)) / vol."""
-    s = _scaled(phi, _resolve_vol(omega, vol))
-    return _Q_of(s, _K_numerators(s.v))
+    return _Q_of(_evaluate(phi, _resolve_vol(omega, vol)))
 
 
 def omega_matrix(omega):
@@ -479,9 +512,9 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     are int, or Fractions when a denominator is left.
     """
     tables = _omega_tables(omega)
-    s = _scaled(phi, tables.vol)
-    _require_primitive(s, tables, tol, "q-form input")
-    q, den = _q_of(s, _K_numerators(s.v), tables, tol)
+    ev = _evaluate(phi, tables.vol)
+    _require_primitive(ev.s, tables, tol, "q-form input")
+    q, den = _q_of(ev.s, ev.kn, tables, tol)
     return q if den == 1 else [[Fraction(x, den) for x in r] for r in q]
 
 
@@ -510,8 +543,8 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
 
     Ranks of v -> iota_v phi (the contraction matrix), of K and of
     alpha -> alpha ^ phi, all taken on D phi: rank does not see the scale."""
-    s = _scaled(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
-    kn = _K_numerators(s.v)
+    ev = _evaluate(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
+    s, kn = ev.s, ev.kn
     rk = _rank(s, [kn[i * DIM:(i + 1) * DIM] for i in range(DIM)], tol)
     return SubspaceDims(_ker_phi(s, tol), DIM - rk, rk,
                         _rank(s, _table_rows(_WEDGE1, s.v), tol))
@@ -540,13 +573,13 @@ def _q_is_zero(s, Q, tol):
     return abs(float(Q)) <= tol * max(1.0, max(abs(float(x)) for x in s.v)) ** 4
 
 
-def _gl_orbit(s, kn, tol):
-    """(GL(V) orbit label, Q) of phi from kn = _K_numerators(s.v).
+def _gl_orbit(ev, tol):
+    """(GL(V) orbit label, Q) of phi from its _Evaluation ev.
 
     Stable orbits by the sign of Q; on the Q = 0 hypersurface dim ker phi
     (0, 1, 3, 6), from the contraction matrix on the same cleared
     coefficients, separates the remaining orbits."""
-    Q = _Q_of(s, kn)
+    s, Q = ev.s, _Q_of(ev)
     if not _q_is_zero(s, Q, tol):
         return (O_MINUS if Q < 0 else O_PLUS), Q
     k = _ker_phi(s, tol)
@@ -559,8 +592,8 @@ def _gl_orbit(s, kn, tol):
 def classify_gl(phi, vol=None, tol=ORBIT_TOL):
     """GL(V) orbit label of a 3-form: the sign of Q, or where Q = 0 the
     dimension of ker phi."""
-    s = _scaled(phi, _resolve_vol(None, standard_volume() if vol is None else vol))
-    return _gl_orbit(s, _K_numerators(s.v), tol)[0]
+    ev = _evaluate(phi, _resolve_vol(None, standard_volume() if vol is None else vol))
+    return _gl_orbit(ev, tol)[0]
 
 
 class SpOrbit(NamedTuple):
@@ -580,11 +613,11 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     if omega is None:
         omega = standard_omega()
     tables = _omega_tables(omega)
-    s = _scaled(phi, tables.vol)
+    ev = _evaluate(phi, tables.vol)
+    s = ev.s
     _require_primitive(s, tables, tol, "form")
-    kn = _K_numerators(s.v)
-    q, _ = _q_of(s, kn, tables, tol)  # its symmetry check runs on every form
-    gl, Q = _gl_orbit(s, kn, tol)
+    q, _ = _q_of(s, ev.kn, tables, tol)  # its symmetry check runs on every form
+    gl, Q = _gl_orbit(ev, tol)
     # q vanishes on O3 and O6: its inertia is (6, 0, 0), which a float
     # signature would misread in the rounding noise
     sig = (6, 0, 0) if gl in (O_3, O_6) else SignatureTriple(*(
@@ -873,15 +906,14 @@ def hitchin_data(phi, omega=None):
     J = K/sqrt(-lambda) squares to -id, phihat = J* phi, and
     F = |phi|^2 phihat with |phi|^2 = sqrt(-Q), lambda = Q/4.
     """
-    s = _scaled(phi, _omega_tables(omega if omega is not None else standard_omega()).vol)
-    kn = _K_numerators(s.v)
-    gl, Q = _gl_orbit(s, kn, ORBIT_TOL)
+    ev = _evaluate(phi, _omega_tables(omega if omega is not None else standard_omega()).vol)
+    gl, Q = _gl_orbit(ev, ORBIT_TOL)
     if gl != O_MINUS:
         raise ValueError(f"not in O-: Q(phi) = {Q} >= 0")
     normsq = _exact_sqrt(-Q)
     lam = Q / 4
     root = _exact_sqrt(-lam)  # = normsq / 2
-    J = LinearMap6([[_exact_div(x, root) for x in r] for r in _K_of(s, kn).rows])
+    J = LinearMap6([[_exact_div(x, root) for x in r] for r in _K_of(ev.s, ev.kn).rows])
     phihat = pullback(J, phi)
     return HitchinData(J, normsq, phihat, lam)
 

@@ -52,7 +52,14 @@ def form_from_json(data, grade=None):
             grade = len(axes)
         elif len(axes) != grade:
             raise ValueError(f"mixed grades in form terms: {axes}")
-        coeffs[m] = coeffs.get(m, 0) + scalar_from_json(term["coeff"])
+        x = scalar_from_json(term["coeff"])
+        try:
+            x = coeffs.get(m, 0) + x
+        except OverflowError:  # an int past the float range plus a float
+            x = math.inf
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"the terms on axes {axes} sum past the float range")
+        coeffs[m] = x
     if grade is None:
         raise ValueError("cannot infer the grade of an empty form; pass grade=")
     return Form(grade, coeffs)

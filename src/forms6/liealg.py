@@ -246,7 +246,7 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
     Returns {(i, j): (lhs 5-form, rhs 5-form)}.
     """
     vol = invariants._resolve_vol(setup.omega, None)
-    K, F = invariants._K_and_F(phi, vol)
+    K, F = compute_K(phi, vol=vol), compute_F(phi, vol=vol)
     dphi = setup.algebra.d(phi)
     dF = setup.algebra.d(F)
     N = _nijenhuis_of(setup.algebra, K)
@@ -413,9 +413,9 @@ def _table_core(setup, phi):
     - [ke_i,ke_j] is c^2 E D^4 N_K(e_i, e_j).  Exact input runs in int64 or
     on Python ints, as _sides_dtype decides, and float input in float64."""
     vol = invariants._resolve_vol(setup.omega, None)
-    s = invariants._scaled(phi, vol)
-    kn = invariants._K_numerators(s.v)
-    fn = [-2 * g for g in invariants._F_numerators(kn, s, DEFAULT_TOL)]
+    ev = invariants._evaluate(phi, vol)
+    s, kn = ev.s, ev.kn
+    fn = [-2 * g for g in ev.fn]
     t = _identity_tables(setup)
     dtype = _sides_dtype(s, t, kn, fn)
     d, br = (x.astype(dtype, copy=False) for x in (t.d, t.bracket))

@@ -19,10 +19,21 @@ def rng():
     return random.Random(20260810)
 
 
+def forget_evaluations(monkeypatch):
+    """Empty the memo of the last form's evaluation in invariants until
+    monkeypatch undoes its changes, which puts the old memo back: a fault
+    injected into a kernel is then neither hidden by an evaluation made
+    before it nor served to a later test."""
+    from forms6 import invariants
+    monkeypatch.setattr(invariants, "_last", (None, None))
+
+
 @pytest.fixture
 def K_evaluations(monkeypatch):
-    """A list that grows by one on each evaluation of the K table kernel."""
+    """A list that grows by one on each evaluation of the K table kernel,
+    starting from an empty memo."""
     from forms6 import invariants
+    forget_evaluations(monkeypatch)
     calls = []
     kernel = invariants._K_numerators
 

@@ -1,6 +1,9 @@
 """The CLI contract as a property: whatever JSON an input file holds, a run
 exits 0, or exits 2 with exactly one ``forms6:`` line on stderr and writes
-no file; a file whose JSON is not of its kind is named in that line."""
+no file; a file whose JSON is not of its kind is named in that line, and so
+is every file of a classify or of a flow's algebra that is refused, unless
+the refusal is the classifier's verdict (a ClassificationError) on input
+it has read."""
 
 import contextlib
 import io as _io
@@ -12,7 +15,7 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from forms6 import cli, flow, io, liealg
+from forms6 import cli, flow, invariants, io, liealg
 from forms6.invariants import COORD_NAMES
 
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
@@ -85,10 +88,17 @@ def _of_kind(parse, data):
     return True
 
 
-def assert_contract(data, parse, argv):
+def assert_contract(data, parse, argv, named=False):
     """Run argv(path, out) on a file holding data; out is a path no one
     has made.  Flows are held to 500 steps, which only bounds the time a
-    start can take: a start that uses them up still exits 0."""
+    start can take: a start that uses them up still exits 0.  With named,
+    every refusal but a ClassificationError's own line names the file."""
+    verdicts = []
+
+    def verdict(self, *args):
+        verdicts.append(f"forms6: {ValueError(*args)}\n")
+        ValueError.__init__(self, *args)
+
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out")
         with open(path, "w") as fh:
@@ -96,7 +106,8 @@ def assert_contract(data, parse, argv):
         stdout, stderr = _io.StringIO(), _io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                 warnings.catch_warnings(record=True) as caught, \
-                mock.patch.object(flow, "MAX_STEPS", 500):
+                mock.patch.object(flow, "MAX_STEPS", 500), \
+                mock.patch.object(invariants.ClassificationError, "__init__", verdict):
             warnings.simplefilter("always")
             code = cli.main(argv(path, out))
         err = stderr.getvalue()
@@ -107,28 +118,28 @@ def assert_contract(data, parse, argv):
         assert code == 2, (code, err)
         assert err.startswith("forms6: ") and err.count("\n") == 1, err
         assert not os.path.exists(out), err
-        if not _of_kind(parse, data):
+        if not _of_kind(parse, data) or named and err not in verdicts:
             assert path in err, err
 
 
 @PROPERTY
 @given(FORMS)
 def test_classify_form_file(data):
-    assert_contract(data, _form, lambda path, out: ["classify", path, "--out", out])
+    assert_contract(data, _form, lambda path, out: ["classify", path, "--out", out], named=True)
 
 
 @PROPERTY
 @given(FORMS)
 def test_classify_form_file_with_omega(data):
     assert_contract(data, _form, lambda path, out: [
-        "classify", path, "--omega", OMEGA, "--out", out])
+        "classify", path, "--omega", OMEGA, "--out", out], named=True)
 
 
 @PROPERTY
 @given(OMEGAS)
 def test_classify_omega_file(data):
     assert_contract(data, _omega, lambda path, out: [
-        "classify", FORM, "--omega", path, "--out", out])
+        "classify", FORM, "--omega", path, "--out", out], named=True)
 
 
 @PROPERTY
@@ -139,7 +150,7 @@ def test_flow_algebra_file(data):
         with open(init, "w") as fh:
             json.dump({"A": 1.0, "C": 0.5, "H": -0.25}, fh)
         assert_contract(data, _algebra, lambda path, out: [
-            "flow", path, init, "--t-max", "1", "--out", out])
+            "flow", path, init, "--t-max", "1", "--out", out], named=True)
 
 
 @PROPERTY

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (ill_conditioned_symplectic, rand_coords, rand_form,
-                      rand_fraction, rand_invertible, rand_symplectic, rand_vector)
+from conftest import (forget_evaluations, ill_conditioned_symplectic, rand_coords,
+                      rand_form, rand_fraction, rand_invertible, rand_symplectic,
+                      rand_vector)
 from forms6 import invariants as inv
 from forms6 import io, linalg, verify
 from forms6.exterior import (DEFAULT_TOL, Form, LinearMap6, basis, eval_form,
@@ -210,6 +211,78 @@ def test_one_K_evaluation_per_call(rng, K_evaluations):
             assert len(K_evaluations) == 1, fn.__name__
 
 
+def test_one_form_is_evaluated_once(rng, K_evaluations, monkeypatch):
+    # the calls a classification makes on one form share the memo's single
+    # evaluation of the K and F tables; classify_gl's standard vol, whose
+    # coefficient is the int 1, shares it with omega's Fraction(1)
+    F_evaluations, kernel = [], inv._F_numerators
+    monkeypatch.setattr(inv, "_F_numerators",
+                        lambda *args: F_evaluations.append(1) or kernel(*args))
+    prim = inv.coords_to_form(rand_coords(rng))
+    for phi in (prim, prim.to_float()):
+        forget_evaluations(monkeypatch)
+        K_evaluations.clear()
+        F_evaluations.clear()
+        inv.classify_sp(phi, OMEGA)
+        inv.classify_gl(phi)
+        inv.q_form(phi, OMEGA)
+        inv.subspace_dims(phi, OMEGA)
+        inv.compute_Q(phi, OMEGA)
+        assert (len(K_evaluations), len(F_evaluations)) == (1, 1)
+
+
+# each reading of a form with the type of every value, so that a float
+# served for an int, or an exact rank for a float one, fails the comparison
+_READINGS = (
+    lambda phi, vol: [(type(x), x) for r in inv.compute_K(phi, vol=vol).rows for x in r],
+    lambda phi, vol: [(m, type(x), x) for m, x in inv.compute_F(phi, vol=vol).coeffs.items()],
+    lambda phi, vol: (lambda Q: (type(Q), Q))(inv.compute_Q(phi, vol=vol)),
+    lambda phi, vol: inv.subspace_dims(phi, vol=vol),
+)
+
+
+def _cold(monkeypatch, read, phi, vol):
+    with monkeypatch.context() as m:
+        forget_evaluations(m)
+        return read(phi, vol)
+
+
+def test_memo_never_serves_a_stale_result(rng, monkeypatch):
+    # each reading follows one of the same form in its previous state, or of
+    # another form, and must equal a reading from an empty memo
+    phi0, psi = rand_form(rng, 3), rand_form(rng, 3)
+    m = next(iter(phi0.coeffs))
+    edits = (
+        lambda phi: phi.coeffs.update({m: phi.coeffs[m] + 1}),  # a changed value
+        lambda phi: phi.coeffs.update({m: 1}),
+        lambda phi: phi.coeffs.update({m: 1.0}),                # int -> float
+        lambda phi: phi.coeffs.update({m: Fraction(1)}),        # float -> Fraction
+        lambda phi: phi.coeffs.update({m: 1}),                  # Fraction(1) -> 1
+        lambda phi: setattr(phi, "coeffs", dict(reversed(phi.coeffs.items()))),
+        lambda phi: setattr(phi, "coeffs", dict(zip(reversed(phi.coeffs),  # other
+                                                    phi.coeffs.values()))),  # masks
+    )
+    for start in (phi0, phi0.to_float()):
+        for read in _READINGS:
+            phi = start * 1
+            for edit in edits:
+                read(phi, VOL)
+                edit(phi)
+                assert read(phi, VOL) == _cold(monkeypatch, read, phi, VOL)
+            for vol in (VOL, VOL.to_float(), VOL, VOL * Fraction(1)):  # exact vs float c
+                assert read(phi, vol) == _cold(monkeypatch, read, phi, vol)
+            for form in (phi, psi, phi, psi):  # two forms in turn
+                assert read(form, VOL) == _cold(monkeypatch, read, form, VOL)
+    # Fraction(1) and 1 share an entry, 1.0 does not
+    phi = phi0 * 1
+    phi.coeffs[m] = 1
+    ev = inv._evaluate(phi, VOL)
+    phi.coeffs[m] = Fraction(1)
+    assert inv._evaluate(phi, VOL) is ev
+    phi.coeffs[m] = 1.0
+    assert inv._evaluate(phi, VOL) is not ev
+
+
 def test_volume_of_omega_taken_from_cached_tables(rng, monkeypatch):
     # omega^3/3! comes from the per-omega tables, not from fresh wedges
     phi = inv.coords_to_form(rand_coords(rng))
@@ -328,7 +401,10 @@ def test_exact_primitivity_is_exact():
 
 def _shift_K_numerator(monkeypatch, rel):
     # shift the K numerator (0, 2) by rel |phi|^2 on floats and by one unit on
-    # ints; through W it lands in q[1][2] and not in q[2][1]
+    # ints; through W it lands in q[1][2] and not in q[2][1].  The memo of
+    # the last evaluation is emptied, so that it cannot hide the fault, and
+    # restored with the kernel, so that no shifted evaluation outlives it
+    forget_evaluations(monkeypatch)
     numerators = inv._K_numerators
 
     def shifted(v):
@@ -632,6 +708,7 @@ def test_backend_decided_once_per_form(monkeypatch):
                          lambda: inv.subspace_dims(f, OMEGA)):
                 scans.clear()
                 clears.clear()
+                forget_evaluations(monkeypatch)  # each call from a cold memo
                 call()
                 assert (scans, clears) == ([], want), (label, f)
 

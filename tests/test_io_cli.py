@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rand_coords, rand_form
+from conftest import forget_evaluations, rand_coords, rand_form
 from forms6 import cli, flow, io, verify
 from forms6 import invariants as inv
 from forms6 import liealg as la
@@ -102,16 +102,18 @@ def test_classify_normal_forms(tmp_path, capsys):
 
 
 def test_classify_with_omega(monkeypatch, capsys):
-    # K is evaluated by classify_sp, compute_Q and subspace_dims on every
-    # label; the signature is the SP_ORBITS entry's, (6, 0, 0) on O3 and O6
+    # classify_sp, compute_Q and subspace_dims share one K evaluation on
+    # every label; the signature is the SP_ORBITS entry's, (6, 0, 0) on O3
+    # and O6
     calls = []
     K = inv._K_numerators
     monkeypatch.setattr(inv, "_K_numerators", lambda v: calls.append(1) or K(v))
     for label, (gl, sig) in SP_DATA.items():
         calls.clear()
+        forget_evaluations(monkeypatch)
         assert run_cli("classify", data_file(f"forms/sp_{label}.json"),
                        "--omega", OMEGA_FILE) == 0
-        assert len(calls) == 3, label
+        assert len(calls) == 1, label
         rep = json.loads(capsys.readouterr().out)
         assert rep["sp_orbit"] == label
         assert rep["gl_orbit"] == gl
@@ -550,6 +552,50 @@ def test_input_errors_name_their_file(tmp_path, capsys):
     err = assert_refused(capsys, "flow", str(alg), str(init), "--out", str(out))
     assert err.startswith(f"forms6: bad algebra file {alg}: degenerate"), err
     assert not out.exists()
+    # so does the reduced flow's refusal of a closed, nondegenerate omega
+    # other than the standard one
+    alg.write_text(json.dumps({"d": {}, "omega": io.form_to_json(inv.standard_omega() * 2)}))
+    err = assert_refused(capsys, "flow", str(alg), str(init), "--out", str(out))
+    assert err == (f"forms6: bad algebra file {alg}: the primitive coefficient basis "
+                   "assumes the standard omega\n")
+    assert not out.exists()
+
+
+def test_classify_names_an_out_of_range_scalar(tmp_path, capsys):
+    # a classification that leaves the float range names the file and its
+    # scalar out of range, a large float or an int or Fraction past the float
+    # range, and writes no report
+    form, omega, out = tmp_path / "form.json", tmp_path / "omega.json", tmp_path / "out"
+    O_plus = inv.sp_normal_form("O+")
+    for phi, order in ((O_plus + basis(1, 3, 5) * 1e308, "1e+308"),
+                       (O_plus + basis(1, 3, 5) * 10 ** 400, "1e+400"),
+                       # Q and mu overflow to inf here, with no exception
+                       (inv.sp_normal_form("O-+", 1e77), "1e+77")):
+        form.write_text(json.dumps(io.form_to_json(phi)))
+        for extra in ((), ("--omega", OMEGA_FILE)):
+            err = assert_refused(capsys, "classify", str(form), *extra, "--out", str(out))
+            assert err.startswith(f"forms6: bad form file {form}: the coefficient of e^135, "
+                                  f"of order {order}, is out of range ("), err
+            assert not out.exists()
+    omega.write_text(json.dumps(io.form_to_json(
+        inv.standard_omega() + basis(5, 6) * (Fraction(1, 10 ** 400) - 1))))
+    err = assert_refused(capsys, "classify", data_file("forms/sp_O-+.json"),
+                         "--omega", str(omega), "--out", str(out))
+    assert err.startswith(f"forms6: bad --omega file {omega}: the coefficient of e^56, "
+                          "of order 1e-400, is out of range ("), err
+    # a ClassificationError on well-scaled input is reported as it is: the
+    # float O-+ normal form at scale 1e-4 (ROADMAP item 1, fault (a))
+    phi = inv.sp_normal_form("O-+", 1e-4)
+    form.write_text(json.dumps(io.form_to_json(phi)))
+    with pytest.raises(inv.ClassificationError) as verdict:
+        inv.classify_sp(phi, inv.standard_omega())
+    err = assert_refused(capsys, "classify", str(form), "--omega", OMEGA_FILE)
+    assert err == f"forms6: {verdict.value}\n"
+    # any other refusal of classify names both files
+    form.write_text(json.dumps(io.form_to_json(basis(1, 2, 3))))
+    err = assert_refused(capsys, "classify", str(form), "--omega", OMEGA_FILE)
+    assert err == (f"forms6: cannot classify {form} under --omega {OMEGA_FILE}: "
+                   "form is not primitive: |omega ^ phi| = 1.0\n")
 
 
 def test_flow_columns_in_the_start_units(tmp_path, capsys):
