@@ -86,8 +86,6 @@ def _orbit_fields(phi, omega, tol):
         fields = dict(gl_orbit=orbit.gl, sp_orbit=sp.label, mu=_num(sp.mu),
                       Q=_num(inv.compute_Q(phi, omega)), signature=list(orbit.signature),
                       dims=list(inv.subspace_dims(phi, omega, tol=tol)))
-    if not all(map(math.isfinite, (fields["Q"], fields.get("mu") or 0))):
-        raise OverflowError(f"Q = {fields['Q']} is not a finite float")
     return fields
 
 

@@ -307,22 +307,46 @@ def _F_of(s, gn):
 # caller makes on one form in a row.  Forms are mutable, so the key is their
 # content: grade, masks in dict order, values and their types (exactness only,
 # on exact input, whose s is cleared ints), and vol's coefficient and its type
-# (exactness only, when exact).  The slot is one tuple swap and fn is filled
-# idempotently, so a race can only miss.  No caller mutates an _Evaluation.
+# (exactness only, when exact).  The slot is one tuple swap and fn and the
+# derived entries are filled idempotently, so a race can only miss.  No caller
+# mutates an _Evaluation or a value it hands out.
 
 class _Evaluation:
     """s, the table input of phi, its K numerators kn and, on first use,
-    its F numerators fn, checked at DEFAULT_TOL."""
-    __slots__ = ("s", "kn", "_fn")
+    its F numerators fn, checked at DEFAULT_TOL, and the entries derived
+    from them, each keyed on what it reads beyond phi and vol: Q, dim ker
+    phi (at tol on a float rank) and the checked q (under omega's tables, at
+    tol).  A check that raises stores nothing."""
+    __slots__ = ("s", "kn", "_fn", "_derived")
 
     def __init__(self, s):
-        self.s, self.kn, self._fn = s, tuple(_K_numerators(s.v)), None
+        self.s, self.kn, self._fn, self._derived = s, tuple(_K_numerators(s.v)), None, None
 
     @property
     def fn(self):
         if self._fn is None:
             self._fn = tuple(_F_numerators(self.kn, self.s, DEFAULT_TOL))
         return self._fn
+
+    def _entry(self, key, make, *args):
+        d = self._derived
+        if d is None:  # made on the first derived read: a cold K costs no more
+            d = self._derived = {}
+        if key not in d:
+            d[key] = make(*args)
+        return d[key]
+
+    def Q(self):
+        return self._entry("Q", _Q_of, self)
+
+    def ker_phi(self, tol):
+        return self._entry(("ker", None if self.s.exact_phi else tol), _ker_phi, self.s, tol)
+
+    def q(self, tables, tol, what):
+        """(n, den) of q under omega's tables, after the primitivity check,
+        which names phi as what.  The entry holds tables, so while it lives
+        no other tables object can take its id."""
+        return self._entry(("q", id(tables), tol), _checked_q, self, tables, tol, what)[1:]
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -363,16 +387,19 @@ def compute_F(phi, omega=None, vol=None):
 
 
 def _Q_of(ev):
-    """Q(phi) from its _Evaluation."""
+    """Q(phi) from its _Evaluation; a float Q past the float range raises."""
     s, gn = ev.s, ev.fn
     # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
     top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(s.v, _Q_TABLE) if x)
-    return _exact_div(top, s.D ** 4) / (s.c * s.c)
+    Q = _exact_div(top, s.D ** 4) / (s.c * s.c)
+    if not (s.exact or math.isfinite(Q)):
+        raise OverflowError(f"Q(phi) = {Q} is not a finite float")
+    return Q
 
 
 def compute_Q(phi, omega=None, vol=None):
     """The scalar Q(phi) = -(phi ^ F(phi)) / vol."""
-    return _Q_of(_evaluate(phi, _resolve_vol(omega, vol)))
+    return _evaluate(phi, _resolve_vol(omega, vol)).Q()
 
 
 def omega_matrix(omega):
@@ -498,6 +525,11 @@ def _q_of(s, kn, tables, tol):
     return q, den
 
 
+def _checked_q(ev, tables, tol, what):
+    _require_primitive(ev.s, tables, tol, what)
+    return (tables, *_q_of(ev.s, ev.kn, tables, tol))
+
+
 def q_form(phi, omega, tol=DEFAULT_TOL):
     """The symmetric bilinear form q(omega, phi) = omega(v1, K v2) of a
     primitive 3-form.
@@ -512,10 +544,8 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     are int, or Fractions when a denominator is left.
     """
     tables = _omega_tables(omega)
-    ev = _evaluate(phi, tables.vol)
-    _require_primitive(ev.s, tables, tol, "q-form input")
-    q, den = _q_of(ev.s, ev.kn, tables, tol)
-    return q if den == 1 else [[Fraction(x, den) for x in r] for r in q]
+    q, den = _evaluate(phi, tables.vol).q(tables, tol, "q-form input")
+    return [list(r) if den == 1 else [Fraction(x, den) for x in r] for r in q]
 
 
 class SignatureTriple(NamedTuple):
@@ -546,7 +576,7 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
     ev = _evaluate(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
     s, kn = ev.s, ev.kn
     rk = _rank(s, [kn[i * DIM:(i + 1) * DIM] for i in range(DIM)], tol)
-    return SubspaceDims(_ker_phi(s, tol), DIM - rk, rk,
+    return SubspaceDims(ev.ker_phi(tol), DIM - rk, rk,
                         _rank(s, _table_rows(_WEDGE1, s.v), tol))
 
 
@@ -579,10 +609,10 @@ def _gl_orbit(ev, tol):
     Stable orbits by the sign of Q; on the Q = 0 hypersurface dim ker phi
     (0, 1, 3, 6), from the contraction matrix on the same cleared
     coefficients, separates the remaining orbits."""
-    s, Q = ev.s, _Q_of(ev)
+    s, Q = ev.s, ev.Q()
     if not _q_is_zero(s, Q, tol):
         return (O_MINUS if Q < 0 else O_PLUS), Q
-    k = _ker_phi(s, tol)
+    k = ev.ker_phi(tol)
     if k not in _GL_OF_KERNEL:
         raise ClassificationError(
             f"dim ker phi = {k} is impossible for a 3-form; check tolerances")
@@ -615,8 +645,7 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     tables = _omega_tables(omega)
     ev = _evaluate(phi, tables.vol)
     s = ev.s
-    _require_primitive(s, tables, tol, "form")
-    q, _ = _q_of(s, ev.kn, tables, tol)  # its symmetry check runs on every form
+    q, _ = ev.q(tables, tol, "form")  # checked for primitivity and symmetry
     gl, Q = _gl_orbit(ev, tol)
     # q vanishes on O3 and O6: its inertia is (6, 0, 0), which a float
     # signature would misread in the rounding noise

@@ -212,75 +212,166 @@ def test_one_K_evaluation_per_call(rng, K_evaluations):
 
 
 def test_one_form_is_evaluated_once(rng, K_evaluations, monkeypatch):
-    # the calls a classification makes on one form share the memo's single
-    # evaluation of the K and F tables; classify_gl's standard vol, whose
-    # coefficient is the int 1, shares it with omega's Fraction(1)
-    F_evaluations, kernel = [], inv._F_numerators
-    monkeypatch.setattr(inv, "_F_numerators",
-                        lambda *args: F_evaluations.append(1) or kernel(*args))
+    # the orbits workload's calls on one form, then compute_Q, share the
+    # memo's single evaluation of the K and F tables and its entries for Q,
+    # dim ker phi and the checked q; classify_gl's standard vol, whose
+    # coefficient is the int 1, shares it with omega's Fraction(1).  Emptying
+    # the memo empties the entries too: the second round counts anew
+    counts = {"_K_numerators": K_evaluations}
+    for name in ("_F_numerators", "_Q_of", "_ker_phi", "_q_of", "_require_primitive"):
+        calls, kernel = counts.setdefault(name, []), getattr(inv, name)
+        monkeypatch.setattr(inv, name, lambda *args, calls=calls, kernel=kernel:
+                            calls.append(1) or kernel(*args))
     prim = inv.coords_to_form(rand_coords(rng))
-    for phi in (prim, prim.to_float()):
+    o1 = pullback(rand_symplectic(rng), inv.sp_normal_form("O1+"))  # Q = 0, so
+    tol = inv.ORBIT_TOL                               # _gl_orbit reads ker phi
+    for phi in (prim, prim.to_float(), o1, o1.to_float()):
         forget_evaluations(monkeypatch)
-        K_evaluations.clear()
-        F_evaluations.clear()
-        inv.classify_sp(phi, OMEGA)
-        inv.classify_gl(phi)
-        inv.q_form(phi, OMEGA)
-        inv.subspace_dims(phi, OMEGA)
-        inv.compute_Q(phi, OMEGA)
-        assert (len(K_evaluations), len(F_evaluations)) == (1, 1)
+        for calls in counts.values():
+            calls.clear()
+        for rounds in (1, 2):
+            inv.classify_sp(phi, OMEGA, tol=tol)
+            inv.classify_gl(phi, tol=tol)
+            inv.signature(inv.q_form(phi, OMEGA, tol), tol)
+            inv.subspace_dims(phi, OMEGA, tol=tol)
+            inv.compute_Q(phi, OMEGA)
+            assert {name: len(calls) for name, calls in counts.items()} == \
+                dict.fromkeys(counts, rounds), rounds
+            forget_evaluations(monkeypatch)
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and message of the error it raises."""
+    try:
+        return read(*args)
+    except (ValueError, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+def _cold(read, *args):
+    """_outcome from an empty memo, which is put back afterwards."""
+    with pytest.MonkeyPatch.context() as m:
+        forget_evaluations(m)
+        return _outcome(read, *args)
 
 
 # each reading of a form with the type of every value, so that a float
-# served for an int, or an exact rank for a float one, fails the comparison
+# served for an int, or an exact rank for a float one, fails the comparison;
+# a refusal reads as its error's type and message
 _READINGS = (
-    lambda phi, vol: [(type(x), x) for r in inv.compute_K(phi, vol=vol).rows for x in r],
-    lambda phi, vol: [(m, type(x), x) for m, x in inv.compute_F(phi, vol=vol).coeffs.items()],
-    lambda phi, vol: (lambda Q: (type(Q), Q))(inv.compute_Q(phi, vol=vol)),
-    lambda phi, vol: inv.subspace_dims(phi, vol=vol),
+    lambda phi, vol, omega, tol: [(type(x), x)
+                                  for r in inv.compute_K(phi, vol=vol).rows for x in r],
+    lambda phi, vol, omega, tol: [(m, type(x), x)
+                                  for m, x in inv.compute_F(phi, vol=vol).coeffs.items()],
+    lambda phi, vol, omega, tol: (lambda Q: (type(Q), Q))(inv.compute_Q(phi, vol=vol)),
+    lambda phi, vol, omega, tol: inv.subspace_dims(phi, vol=vol, tol=tol),
+    lambda phi, vol, omega, tol: inv.classify_gl(phi, vol, tol),
+    lambda phi, vol, omega, tol: [(type(x), x) for r in inv.q_form(phi, omega, tol)
+                                  for x in r],
+    lambda phi, vol, omega, tol: inv.classify_sp(phi, omega, tol),
 )
 
 
-def _cold(monkeypatch, read, phi, vol):
-    with monkeypatch.context() as m:
-        forget_evaluations(m)
-        return read(phi, vol)
-
-
-def test_memo_never_serves_a_stale_result(rng, monkeypatch):
+def test_memo_never_serves_a_stale_result(rng):
     # each reading follows one of the same form in its previous state, or of
     # another form, and must equal a reading from an empty memo
     phi0, psi = rand_form(rng, 3), rand_form(rng, 3)
-    m = next(iter(phi0.coeffs))
+    prim = inv.coords_to_form(rand_coords(rng))
     edits = (
-        lambda phi: phi.coeffs.update({m: phi.coeffs[m] + 1}),  # a changed value
-        lambda phi: phi.coeffs.update({m: 1}),
-        lambda phi: phi.coeffs.update({m: 1.0}),                # int -> float
-        lambda phi: phi.coeffs.update({m: Fraction(1)}),        # float -> Fraction
-        lambda phi: phi.coeffs.update({m: 1}),                  # Fraction(1) -> 1
-        lambda phi: setattr(phi, "coeffs", dict(reversed(phi.coeffs.items()))),
-        lambda phi: setattr(phi, "coeffs", dict(zip(reversed(phi.coeffs),  # other
-                                                    phi.coeffs.values()))),  # masks
+        lambda phi, m: phi.coeffs.update({m: phi.coeffs[m] + 1}),  # a changed value
+        lambda phi, m: phi.coeffs.update({m: 1}),
+        lambda phi, m: phi.coeffs.update({m: 1.0}),                # int -> float
+        lambda phi, m: phi.coeffs.update({m: Fraction(1)}),        # float -> Fraction
+        lambda phi, m: phi.coeffs.update({m: 1}),                  # Fraction(1) -> 1
+        lambda phi, m: setattr(phi, "coeffs", dict(reversed(phi.coeffs.items()))),
+        lambda phi, m: setattr(phi, "coeffs", dict(zip(reversed(phi.coeffs),  # other
+                                                       phi.coeffs.values()))),  # masks
     )
-    for start in (phi0, phi0.to_float()):
+    at = (OMEGA, inv.ORBIT_TOL)
+    for start in (phi0, phi0.to_float(), prim, prim.to_float()):
+        m = next(iter(start.coeffs))
         for read in _READINGS:
             phi = start * 1
             for edit in edits:
-                read(phi, VOL)
-                edit(phi)
-                assert read(phi, VOL) == _cold(monkeypatch, read, phi, VOL)
+                _outcome(read, phi, VOL, *at)
+                edit(phi, m)
+                assert _outcome(read, phi, VOL, *at) == _cold(read, phi, VOL, *at)
             for vol in (VOL, VOL.to_float(), VOL, VOL * Fraction(1)):  # exact vs float c
-                assert read(phi, vol) == _cold(monkeypatch, read, phi, vol)
+                assert _outcome(read, phi, vol, *at) == _cold(read, phi, vol, *at)
             for form in (phi, psi, phi, psi):  # two forms in turn
-                assert read(form, VOL) == _cold(monkeypatch, read, form, VOL)
+                assert _outcome(read, form, VOL, *at) == _cold(read, form, VOL, *at)
     # Fraction(1) and 1 share an entry, 1.0 does not
     phi = phi0 * 1
+    m = next(iter(phi.coeffs))
     phi.coeffs[m] = 1
     ev = inv._evaluate(phi, VOL)
     phi.coeffs[m] = Fraction(1)
     assert inv._evaluate(phi, VOL) is ev
     phi.coeffs[m] = 1.0
     assert inv._evaluate(phi, VOL) is not ev
+    # the rows q_form hands out are the caller's to edit
+    inv.q_form(prim, OMEGA)[0][0] += 1
+    assert inv.q_form(prim, OMEGA) == _cold(inv.q_form, prim, OMEGA)
+
+
+def test_memo_entries_follow_tol_and_omega(rng):
+    # Q = 0 and dim ker phi on a float form that the tols decide apart, and
+    # primitivity on one that is primitive to 1e-4 but not to 1e-8
+    phi = basis(1, 3, 5) + basis(2, 4, 6) * 1e-3
+    assert [_cold(inv.classify_gl, phi, None, tol) for tol in (1e-8, 1e-4, 1e-2)] \
+        == [inv.O_PLUS, inv.O_0, inv.O_3]
+    near = inv.sp_normal_form("O-+").to_float() + basis(1, 2, 3) * 1e-6
+    assert _cold(inv.q_form, near, OMEGA, 1e-8)[0] is ValueError
+    assert isinstance(_cold(inv.q_form, near, OMEGA, 1e-4), list)
+    for form in (phi, near):
+        for read in _READINGS[3:]:
+            for tol in (1e-8, 1e-2, 1e-4, 1e-2, 1e-8):
+                assert _outcome(read, form, VOL, OMEGA, tol) == \
+                    _cold(read, form, VOL, OMEGA, tol)
+    # q under 20 diagonal omegas, all with volume coefficient 1, so one
+    # evaluation of phi serves them all; twice round evicts their tables
+    # from the per-omega cache, whose ids could then be reused
+    omegas = [basis(1, 2) * a + basis(3, 4) * b + basis(5, 6) * Fraction(1, a * b)
+              for a in range(1, 6) for b in (1, -1, 2, -3)]
+    forms = [pullback(rand_symplectic(rng), inv.sp_normal_form("O-+")),
+             inv.sp_normal_form("O--"), inv.sp_normal_form("O0-").to_float()]
+    for phi in forms:
+        labels = set()
+        for omega in omegas * 2:
+            for read in _READINGS[5:]:
+                got = _outcome(read, phi, None, omega, inv.ORBIT_TOL)
+                assert got == _cold(read, phi, None, omega, inv.ORBIT_TOL)
+            labels.add(got)
+        assert len(labels) > 1  # the omegas tell the readings apart
+
+
+_CALLS = (
+    lambda phi, tol: inv.classify_sp(phi, OMEGA, tol),
+    lambda phi, tol: inv.classify_gl(phi, tol=tol),
+    lambda phi, tol: inv.q_form(phi, OMEGA, tol),
+    lambda phi, tol: inv.subspace_dims(phi, OMEGA, tol=tol),
+    lambda phi, tol: inv.compute_Q(phi, OMEGA),
+)
+_RNG = random.Random(5)
+# exact and float forms: Sp-moved normal forms, three forms near the
+# decision boundaries (Q = 0, dim ker phi, primitivity), which the three tols
+# decide apart on floats, and a form that is not primitive
+_MEMO_FORMS = tuple(f for phi in (
+    [pullback(rand_symplectic(_RNG), inv.sp_normal_form(label)) for label in inv.SP_LABELS]
+    + [basis(1, 3, 5) + basis(2, 4, 6) * Fraction(1, 1000),
+       inv.sp_normal_form("O1+") + basis(2, 4, 6) * Fraction(1, 1000),
+       inv.sp_normal_form("O-+") + basis(1, 2, 3) * Fraction(1, 10 ** 6),
+       rand_form(_RNG, 3)]) for f in (phi, phi.to_float()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CALLS), st.sampled_from(_MEMO_FORMS),
+                          st.sampled_from((1e-8, 1e-4, 1e-2))), min_size=1, max_size=12))
+def test_any_interleaving_of_calls_equals_cold_calls(calls):
+    with pytest.MonkeyPatch.context() as m:
+        forget_evaluations(m)
+        for call, phi, tol in calls:
+            assert _outcome(call, phi, tol) == _cold(call, phi, tol)
 
 
 def test_volume_of_omega_taken_from_cached_tables(rng, monkeypatch):
