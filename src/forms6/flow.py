@@ -679,11 +679,11 @@ class SolvData:
 
     @property
     def u0(self):
-        return 4.0 * self.alpha * self.delta
+        return 4.0 * (self.alpha * self.delta)
 
     @property
     def v0(self):
-        return 4.0 * self.beta * self.gamma
+        return 4.0 * (self.beta * self.gamma)
 
     @property
     def S(self):

@@ -191,46 +191,6 @@ _Q_TABLE = tuple((_INDEX3[FULL_MASK ^ t], s) for t, s in zip(
     _MASKS3, basis_matrix(lambda e: wedge(e, _ALL3), _MASKS3, (FULL_MASK,))[0]))
 
 
-class _Scaled(NamedTuple):
-    """phi as the table input: v = the coefficients of D phi in _MASKS3
-    order, and c the coefficient of vol.  On the exact backend (phi and vol
-    exact) D clears every denominator of phi, so v is int; otherwise D = 1,
-    and v is exact when phi is (exact_phi)."""
-    v: tuple
-    D: int
-    c: object
-    exact: bool
-    exact_phi: bool
-
-
-def _cleared(phi):
-    """(D, D phi) for an exact form phi, with D the lcm of its denominators
-    and D phi on int coefficients."""
-    D, ints = _clear_denominators(phi.coeffs.values())
-    return D, Form(phi.grade, dict(zip(phi.coeffs, ints)))
-
-
-def _scaled(phi, vol):
-    if phi.grade != 3:
-        raise GradeError("K is defined for 3-forms")
-    c = vol.coeffs[FULL_MASK]
-    exact_phi = phi.is_exact()
-    exact = exact_phi and is_exact(c)
-    D, xs = 1, phi.coeffs.values()
-    if exact:
-        D, xs = _clear_denominators(xs)
-    else:
-        for x in xs:
-            if not math.isfinite(x):
-                raise ValueError(f"non-finite coefficient {x!r}")
-        if is_exact(c):
-            c = float(c)
-    v = [0] * len(_MASKS3)
-    for m, x in zip(phi.coeffs, xs):
-        v[_INDEX3[m]] = x
-    return _Scaled(tuple(v), D, c, exact, exact_phi)
-
-
 def _K_numerators(v):
     """The 36 entries of c K(phi), row-major, from the coefficient vector v."""
     out = [0] * (DIM * DIM)
@@ -245,15 +205,15 @@ def _K_numerators(v):
     return out
 
 
-def _F_numerators(kn, s, tol):
-    """The 20 coefficients of -c F(phi)/2 from kn = _K_numerators(s.v).
+def _F_numerators(ev, tol):
+    """The 20 coefficients of -c F(phi)/2 from the K numerators ev.kn.
 
     That phi(K v1, v2, v3) alternates in its first slot against the others is
     a theorem, not bookkeeping, so every reading is checked: exactly on the
     exact backend, and relative to max|phi|^3 (c F is cubic in phi) on
     floats.  A failure means K is broken and raises."""
-    v = s.v
-    scale = 0.0 if s.exact else tol * max(abs(x) for x in v) ** 3
+    v, kn = ev.v, ev.kn
+    scale = 0.0 if ev.exact else tol * ev.size ** 3
     out = []
     for t, readings in enumerate(_F_TABLE):
         g = []
@@ -265,7 +225,7 @@ def _F_numerators(kn, s, tol):
                     acc += sign * kn[o] * x
             g.append(acc)
         g0, g1, g2 = g
-        if s.exact:
+        if ev.exact:
             bad = g0 != g1 or g0 != g2
         else:
             bad = abs(g0 - g1) > scale or abs(g0 - g2) > scale
@@ -277,28 +237,28 @@ def _F_numerators(kn, s, tol):
     return out
 
 
-def _divider(s, power):
+def _divider(ev, power):
     """x -> x / (D^power c).  On the exact backend the quotient stays an int
     when D^power c = 1, so integer forms keep integer K and F."""
-    c = s.c
-    if not s.exact:
+    c = ev.c
+    if not ev.exact:
         return lambda x: x / c
-    den = s.D ** power * c.numerator
+    den = ev.D ** power * c.numerator
     mul = c.denominator
     if den == mul == 1:
         return lambda x: x
     return lambda x: Fraction(x * mul, den) if x else 0
 
 
-def _K_of(s, kn):
-    div = _divider(s, 2)
+def _K_of(ev):
+    div, kn = _divider(ev, 2), ev.kn
     return LinearMap6([[div(kn[i * DIM + j]) for j in range(DIM)]
                        for i in range(DIM)])
 
 
-def _F_of(s, gn):
-    div = _divider(s, 3)
-    return Form._trusted(3, {m: div(-2 * g) for m, g in zip(_MASKS3, gn) if g})
+def _F_of(ev):
+    div = _divider(ev, 3)
+    return Form._trusted(3, {m: div(-2 * g) for m, g in zip(_MASKS3, ev.fn) if g})
 
 
 # --- one evaluation per form ------------------------------------------------
@@ -306,26 +266,54 @@ def _F_of(s, gn):
 # _evaluate keeps the evaluation of the last form, which serves the calls a
 # caller makes on one form in a row.  Forms are mutable, so the key is their
 # content: grade, masks in dict order, values and their types (exactness only,
-# on exact input, whose s is cleared ints), and vol's coefficient and its type
-# (exactness only, when exact).  The slot is one tuple swap and fn and the
-# derived entries are filled idempotently, so a race can only miss.  No caller
-# mutates an _Evaluation or a value it hands out.
+# on exact input, whose v is cleared ints), and vol's coefficient and its type
+# (exactness only, when exact).  The slot is one tuple swap and kn, fn and
+# the derived entries are filled idempotently, so a race can only miss.  No
+# caller mutates an _Evaluation or a value it hands out.
 
 class _Evaluation:
-    """s, the table input of phi, its K numerators kn and, on first use,
-    its F numerators fn, checked at DEFAULT_TOL, and the entries derived
-    from them, each keyed on what it reads beyond phi and vol: Q, dim ker
-    phi (at tol on a float rank) and the checked q (under omega's tables, at
-    tol).  A check that raises stores nothing."""
-    __slots__ = ("s", "kn", "_fn", "_derived")
+    """phi as the table input: v, the coefficients of D phi in _MASKS3
+    order, size = max|v_i| unconverted (an exact int may lie past the float
+    range), and c, the coefficient of vol.  On the exact backend (phi and
+    vol exact) D clears every denominator of phi, so v is int; otherwise
+    D = 1, and v is exact when phi is (exact_phi).  On first use, its K
+    numerators kn, its F numerators fn, checked at DEFAULT_TOL, and the
+    entries derived from them, each keyed on what it reads beyond phi and
+    vol: Q, dim ker phi (at tol on a float rank) and the checked q (under
+    omega's tables, at tol).  A check that raises stores nothing."""
+    __slots__ = ("v", "D", "c", "exact", "exact_phi", "size", "_kn", "_fn", "_derived")
 
-    def __init__(self, s):
-        self.s, self.kn, self._fn, self._derived = s, tuple(_K_numerators(s.v)), None, None
+    def __init__(self, phi, vol):
+        if phi.grade != 3:
+            raise GradeError("K is defined for 3-forms")
+        c = vol.coeffs[FULL_MASK]
+        self.exact_phi = phi.is_exact()
+        self.exact = self.exact_phi and is_exact(c)
+        D, xs = 1, phi.coeffs.values()
+        if self.exact:
+            D, xs = _clear_denominators(xs)
+        else:
+            for x in xs:
+                if not math.isfinite(x):
+                    raise ValueError(f"non-finite coefficient {x!r}")
+            if is_exact(c):
+                c = float(c)
+        v = [0] * len(_MASKS3)
+        for m, x in zip(phi.coeffs, xs):
+            v[_INDEX3[m]] = x
+        self.v, self.D, self.c, self.size = tuple(v), D, c, max(map(abs, v))
+        self._kn = self._fn = self._derived = None
+
+    @property
+    def kn(self):
+        if self._kn is None:
+            self._kn = tuple(_K_numerators(self.v))
+        return self._kn
 
     @property
     def fn(self):
         if self._fn is None:
-            self._fn = tuple(_F_numerators(self.kn, self.s, DEFAULT_TOL))
+            self._fn = tuple(_F_numerators(self, DEFAULT_TOL))
         return self._fn
 
     def _entry(self, key, make, *args):
@@ -340,7 +328,7 @@ class _Evaluation:
         return self._entry("Q", _Q_of, self)
 
     def ker_phi(self, tol):
-        return self._entry(("ker", None if self.s.exact_phi else tol), _ker_phi, self.s, tol)
+        return self._entry(("ker", None if self.exact_phi else tol), _ker_phi, self, tol)
 
     def q(self, tables, tol, what):
         """(n, den) of q under omega's tables, after the primitivity check,
@@ -362,7 +350,7 @@ def _evaluate(phi, vol):
            type(c) in _EXACT_TYPES or type(c), c)
     last = _last  # read once: another thread may swap the slot
     if last[0] != key:
-        last = _last = key, _Evaluation(_scaled(phi, vol))
+        last = _last = key, _Evaluation(phi, vol)
     return last[1]
 
 
@@ -372,8 +360,7 @@ def compute_K(phi, omega=None, vol=None):
     Column j is K(e_j), the unique vector with
     iota_{K e_j} vol = -iota_{e_j} phi ^ phi.
     """
-    ev = _evaluate(phi, _resolve_vol(omega, vol))
-    return _K_of(ev.s, ev.kn)
+    return _K_of(_evaluate(phi, _resolve_vol(omega, vol)))
 
 
 def compute_F(phi, omega=None, vol=None):
@@ -382,17 +369,16 @@ def compute_F(phi, omega=None, vol=None):
     Alternation in the first slot against the others is not formal, so it is
     verified internally; a failure indicates a broken K and raises.
     """
-    ev = _evaluate(phi, _resolve_vol(omega, vol))
-    return _F_of(ev.s, ev.fn)
+    return _F_of(_evaluate(phi, _resolve_vol(omega, vol)))
 
 
 def _Q_of(ev):
     """Q(phi) from its _Evaluation; a float Q past the float range raises."""
-    s, gn = ev.s, ev.fn
+    gn = ev.fn
     # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
-    top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(s.v, _Q_TABLE) if x)
-    Q = _exact_div(top, s.D ** 4) / (s.c * s.c)
-    if not (s.exact or math.isfinite(Q)):
+    top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(ev.v, _Q_TABLE) if x)
+    Q = _exact_div(top, ev.D ** 4) / (ev.c * ev.c)
+    if not (ev.exact or math.isfinite(Q)):
         raise OverflowError(f"Q(phi) = {Q} is not a finite float")
     return Q
 
@@ -412,20 +398,20 @@ def omega_matrix(omega):
     return w
 
 
-def _require_primitive(s, tables, tol, what, size=None):
+def _require_primitive(ev, tables, tol, what, size=None):
     """Reject a form with omega ^ phi != 0, read off the rows tables.P on
-    the table input s: exactly on the exact backend, above tol |phi| on
-    floats, or above tol size when the caller gives the reference size (for
-    a phi that may itself be rounding residue)."""
-    v = s.v
+    the table input of its _Evaluation ev: exactly on the exact backend,
+    above tol |phi| on floats, or above tol size when the caller gives the
+    reference size (for a phi that may itself be rounding residue)."""
+    v = ev.v
     w = [sum(x * v[n] for n, x in row) for row in tables.P]
-    if s.exact:
+    if ev.exact:
         if not any(w):
             return
-        res = max(abs(float(Fraction(x, tables.dP * s.D))) for x in w)
+        res = max(abs(float(Fraction(x, tables.dP * ev.D))) for x in w)
     else:
         res = max(abs(x) for x in w) / tables.dP
-        if not res > tol * (max(abs(float(x)) for x in v) if size is None else size):
+        if not res > tol * (float(ev.size) if size is None else size):
             return
     raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
 
@@ -433,7 +419,7 @@ def _require_primitive(s, tables, tol, what, size=None):
 def _check_primitive(phi, omega, tol, what, size=None):
     """_require_primitive on a 3-form phi and a symplectic form omega."""
     tables = _omega_tables(omega)
-    _require_primitive(_scaled(phi, tables.vol), tables, tol, what, size)
+    _require_primitive(_evaluate(phi, tables.vol), tables, tol, what, size)
 
 
 # --- q on cleared denominators ------------------------------------------------
@@ -504,18 +490,18 @@ def _table_rows(table, v):
     return rows
 
 
-def _q_of(s, kn, tables, tol):
+def _q_of(ev, tables, tol):
     """(n, den) with q(omega, phi) = W kn / (D^2 c) = n / den, den > 0; n
     must be symmetric: exactly on the exact backend, where it is an int
     matrix, to tol max|phi|^2 on floats, where the division is done here
     and den = 1."""
-    m = tables.m
+    m, kn = tables.m, ev.kn
     q = [[m * sum(w * kn[l * DIM + j] for l, w in Wi) for j in range(DIM)]
          for Wi in tables.W]
-    den, scale = tables.den * s.D ** 2, 0
-    if not s.exact:
+    den, scale = tables.den * ev.D ** 2, 0
+    if not ev.exact:
         q = [[x / den for x in r] for r in q]
-        den, scale = 1, tol * max(abs(x) for x in s.v) ** 2
+        den, scale = 1, tol * ev.size ** 2
     for i in range(DIM):
         for j in range(i, DIM):  # with the diagonal, so that NaN fails too
             if not abs(q[i][j] - q[j][i]) <= scale:
@@ -526,8 +512,8 @@ def _q_of(s, kn, tables, tol):
 
 
 def _checked_q(ev, tables, tol, what):
-    _require_primitive(ev.s, tables, tol, what)
-    return (tables, *_q_of(ev.s, ev.kn, tables, tol))
+    _require_primitive(ev, tables, tol, what)
+    return (tables, *_q_of(ev, tables, tol))
 
 
 def q_form(phi, omega, tol=DEFAULT_TOL):
@@ -574,33 +560,32 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
     Ranks of v -> iota_v phi (the contraction matrix), of K and of
     alpha -> alpha ^ phi, all taken on D phi: rank does not see the scale."""
     ev = _evaluate(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
-    s, kn = ev.s, ev.kn
-    rk = _rank(s, [kn[i * DIM:(i + 1) * DIM] for i in range(DIM)], tol)
+    rk = _rank(ev, [ev.kn[i * DIM:(i + 1) * DIM] for i in range(DIM)], tol)
     return SubspaceDims(ev.ker_phi(tol), DIM - rk, rk,
-                        _rank(s, _table_rows(_WEDGE1, s.v), tol))
+                        _rank(ev, _table_rows(_WEDGE1, ev.v), tol))
 
 
-def _rank(s, rows, tol):
-    """Rank of rows built from s.v on the backend _scaled chose; an exact
-    phi under a float vol gives Fraction rows and keeps its exact rank."""
-    if s.exact_phi:
-        return linalg.int_rank(rows) if s.exact else linalg.exact_rank(rows)
+def _rank(ev, rows, tol):
+    """Rank of rows built from ev.v on the backend ev chose; an exact phi
+    under a float vol gives Fraction rows and keeps its exact rank."""
+    if ev.exact_phi:
+        return linalg.int_rank(rows) if ev.exact else linalg.exact_rank(rows)
     return linalg.float_rank(rows, tol)
 
 
-def _ker_phi(s, tol):
+def _ker_phi(ev, tol):
     """dim ker phi from the contraction matrix (row i: iota_{e_i} phi)."""
-    return DIM - _rank(s, _table_rows(_CONTR, s.v), tol)
+    return DIM - _rank(ev, _table_rows(_CONTR, ev.v), tol)
 
 
 class ClassificationError(ValueError):
     """Raised when tolerancing produces an impossible orbit datum."""
 
 
-def _q_is_zero(s, Q, tol):
-    if s.exact:
+def _q_is_zero(ev, Q, tol):
+    if ev.exact:
         return Q == 0
-    return abs(float(Q)) <= tol * max(1.0, max(abs(float(x)) for x in s.v)) ** 4
+    return abs(float(Q)) <= tol * max(1.0, float(ev.size)) ** 4
 
 
 def _gl_orbit(ev, tol):
@@ -609,8 +594,8 @@ def _gl_orbit(ev, tol):
     Stable orbits by the sign of Q; on the Q = 0 hypersurface dim ker phi
     (0, 1, 3, 6), from the contraction matrix on the same cleared
     coefficients, separates the remaining orbits."""
-    s, Q = ev.s, ev.Q()
-    if not _q_is_zero(s, Q, tol):
+    Q = ev.Q()
+    if not _q_is_zero(ev, Q, tol):
         return (O_MINUS if Q < 0 else O_PLUS), Q
     k = ev.ker_phi(tol)
     if k not in _GL_OF_KERNEL:
@@ -644,13 +629,12 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
         omega = standard_omega()
     tables = _omega_tables(omega)
     ev = _evaluate(phi, tables.vol)
-    s = ev.s
     q, _ = ev.q(tables, tol, "form")  # checked for primitivity and symmetry
     gl, Q = _gl_orbit(ev, tol)
     # q vanishes on O3 and O6: its inertia is (6, 0, 0), which a float
     # signature would misread in the rounding noise
     sig = (6, 0, 0) if gl in (O_3, O_6) else SignatureTriple(*(
-        linalg.exact_inertia(q) if s.exact else linalg.float_inertia(q, tol)))
+        linalg.exact_inertia(q) if ev.exact else linalg.float_inertia(q, tol)))
     label = _SP_OF.get((gl, sig))
     if label is None:
         raise ClassificationError(f"{gl} form with unexpected signature {sig}")
@@ -942,7 +926,7 @@ def hitchin_data(phi, omega=None):
     normsq = _exact_sqrt(-Q)
     lam = Q / 4
     root = _exact_sqrt(-lam)  # = normsq / 2
-    J = LinearMap6([[_exact_div(x, root) for x in r] for r in _K_of(ev.s, ev.kn).rows])
+    J = LinearMap6([[_exact_div(x, root) for x in r] for r in _K_of(ev).rows])
     phihat = pullback(J, phi)
     return HitchinData(J, normsq, phihat, lam)
 

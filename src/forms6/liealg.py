@@ -380,17 +380,17 @@ def _identity_tables(setup):
     return setup._identity
 
 
-def _sides_dtype(s, t, kn, fn):
-    """float64 unless phi and the setup are both exact.  Then int64 when a
-    bound from max|P|, max|k|, max|f| and the tables' absolute row sums
-    shows that no intermediate of _table_sides reaches 2^62, else object,
-    on Python ints."""
-    if not s.exact or t.d.dtype == np.float64:
+def _sides_dtype(ev, t):
+    """float64 unless phi, whose _Evaluation is ev, and the setup are both
+    exact.  Then int64 when a bound from max|P|, max|k|, max|f| and the
+    tables' absolute row sums shows that no intermediate of _table_sides
+    reaches 2^62, else object, on Python ints."""
+    if not ev.exact or t.d.dtype == np.float64:
         return "float64"
     if t.d.dtype == object:
         return "object"
     c = _contraction_tables()
-    p, k, f = (max(map(abs, xs)) for xs in (s.v, kn, fn))
+    p, k, f = ev.size, max(map(abs, ev.kn)), 2 * max(map(abs, ev.fn))  # f = -2 ev.fn
     dp, df = t.d_rows * p, t.d_rows * f
     a, af = c.r_ii * dp, c.r_ii * df
     u = DIM * k * a                            # U sums DIM terms
@@ -402,30 +402,29 @@ def _sides_dtype(s, t, kn, fn):
 
 
 def _table_core(setup, phi):
-    """(s, E, k, P, f, dP, df, N): what every reader of the tables needs.
+    """(ev, E, k, P, f, dP, df, N): what every reader of the tables needs.
 
     P = D phi is the coefficient vector of phi in _MASKS3 order, D the lcm
-    of the denominators of an exact phi (else 1), and s its
-    invariants._Scaled, with c the coefficient of vol; k = c K(P) (6x6) and
-    f = c F(P) are the K and F numerators.  Over the tables, whose structure
-    constants carry E, dP = E D d phi and df = c E D^3 dF on the basis
-    4-forms, and N[:, i, j] = -k^2[e_i,e_j] + k([ke_i,e_j] + [e_i,ke_j])
-    - [ke_i,ke_j] is c^2 E D^4 N_K(e_i, e_j).  Exact input runs in int64 or
-    on Python ints, as _sides_dtype decides, and float input in float64."""
+    of the denominators of an exact phi (else 1), and ev its _Evaluation,
+    with c the coefficient of vol; k = c K(P) (6x6) and f = c F(P) are the
+    K and F numerators.  Over the tables, whose structure constants carry
+    E, dP = E D d phi and df = c E D^3 dF on the basis 4-forms, and
+    N[:, i, j] = -k^2[e_i,e_j] + k([ke_i,e_j] + [e_i,ke_j]) - [ke_i,ke_j]
+    is c^2 E D^4 N_K(e_i, e_j).  Exact input runs in int64 or on Python
+    ints, as _sides_dtype decides, and float input in float64."""
     vol = invariants._resolve_vol(setup.omega, None)
     ev = invariants._evaluate(phi, vol)
-    s, kn = ev.s, ev.kn
     fn = [-2 * g for g in ev.fn]
     t = _identity_tables(setup)
-    dtype = _sides_dtype(s, t, kn, fn)
+    dtype = _sides_dtype(ev, t)
     d, br = (x.astype(dtype, copy=False) for x in (t.d, t.bracket))
-    P, f = np.array(s.v, dtype), np.array(fn, dtype)
-    k = np.array(kn, dtype).reshape(DIM, DIM)
+    P, f = np.array(ev.v, dtype), np.array(fn, dtype)
+    k = np.array(ev.kn, dtype).reshape(DIM, DIM)
     kb = np.einsum("ka,aij->kij", k, br)         # k [e_i, e_j]
     bk = np.einsum("kaj,ai->kij", br, k)         # [k e_i, e_j]
     # [k e_i, k e_j] = sum_b [k e_i, e_b] k[b, j] is bk @ k
     N = np.einsum("ka,aij->kij", k, bk - bk.transpose(0, 2, 1) - kb) - bk @ k
-    return s, t.E, k, P, f, d @ P, d @ f, N
+    return ev, t.E, k, P, f, d @ P, d @ f, N
 
 
 def _max_over(x, scale, core):
@@ -433,10 +432,10 @@ def _max_over(x, scale, core):
     Fraction.  A float x is divided by c^2 E |P|^4 instead, with the names
     of core, a _table_core: the scale of N, at which integrability_flags
     cuts it, so that rounding reads alike at every scale of phi."""
-    s, E, _, P, *_ = core
+    ev, E, *_ = core
     top = abs(x).max()
     if x.dtype == np.float64:
-        c, size = float(s.c), float(abs(P).max()) or 1.0
+        c, size = float(ev.c), float(ev.size) or 1.0
         return float(top) / (c * c * E) / (size * size * size * size)
     return float(Fraction(int(top)) / abs(scale))
 
@@ -453,7 +452,7 @@ def _table_sides(setup, phi, core=None):
     U = iota_Y iota_{kX} dP and W_f, W_P the wedges with f and P; each of
     its three terms carries c from k or f, E from d and D^4 from its degree
     4 in phi."""
-    s, E, k, P, f, dP, df, N = core or _table_core(setup, phi)
+    ev, E, k, P, f, dP, df, N = core or _table_core(setup, phi)
     c = _contraction_tables()
     a = c.ii(dP)                                 # a[i, j] = iota_{e_j} iota_{e_i} dP
     # U[i, j] - U[j, i] at the pairs, U[i, j] = iota_{e_j} iota_{k e_i} dP
@@ -462,7 +461,7 @@ def _table_sides(setup, phi, core=None):
     inner = 2 * U + c.ii(df)[_PAIR_I, _PAIR_J]
     rhs = a[_PAIR_I, _PAIR_J] @ c.w(f).T + inner @ c.w(P).T
     lhs = c.ivol(N[:, _PAIR_I, _PAIR_J]).T
-    return lhs, rhs, s.c * E * s.D ** 4
+    return lhs, rhs, ev.c * E * ev.D ** 4
 
 
 def verify_nijenhuis_identity(setup, phi):
@@ -485,8 +484,8 @@ def nijenhuis_max(setup, phi):
     |c^2 E D^4|, with N of _table_core, divided as a Fraction on exact
     input; on floats relative, over c^2 E |P|^4."""
     core = _table_core(setup, phi)
-    s, E, *_, N = core
-    return _max_over(N, s.c * s.c * E * s.D ** 4, core)
+    ev, E, *_, N = core
+    return _max_over(N, ev.c * ev.c * E * ev.D ** 4, core)
 
 
 def _identity_failure(setup, phi):
@@ -516,10 +515,10 @@ def integrability_flags(setup, phi):
     each is an all-zero test on ints.  On floats each cut is relative to
     |P| = max|P_i| in its degree: tol |P| E for dP, tol |P|^3 |c| E for df
     and tol |P|^4 c^2 E for N."""
-    s, E, _, P, _, dP, df, N = _table_core(setup, phi)
+    ev, E, _, P, _, dP, df, N = _table_core(setup, phi)
     cuts = (0, 0, 0)
     if P.dtype == np.float64:
-        size, c = float(abs(P).max()), abs(float(s.c))
+        size, c = float(ev.size), abs(float(ev.c))
         tol = DEFAULT_TOL * E
         cuts = (tol * size, tol * c * size ** 3, tol * c * c * size ** 4)
     integrable, F_integrable, K_integrable = (

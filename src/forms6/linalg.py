@@ -4,7 +4,7 @@ Exact paths share one fraction-free elimination on int rows, which gives
 the rank, determinant, inverse and null space; the public exact_* helpers
 take Fractions too and clear the whole matrix once before it.  Float paths
 go through numpy.  The invariants decide the backend once per form
-(invariants._scaled) and call the int or float helper directly; the
+(invariants._Evaluation) and call the int or float helper directly; the
 dispatching helpers pick the exact route whenever every entry is exact.
 """
 

@@ -85,12 +85,12 @@ def _bilinear(C, G):
     return [[sum(x * y for x, y in zip(Ci, gj)) for gj in GC] for Ci in C]
 
 
-def _q_route_checks(P, k):
+def _q_route_checks(v, k):
     """(name, holds) for the two other routes to q = omega(v1, K v2) on a
-    primitive P = D phi, with k = D^2 K: C G2 C^T and -C G3 C^T, C the
-    contraction matrix of P, each carry d D^2 q, as does d W k."""
+    primitive P = D phi with coefficients v, and k = D^2 K: C G2 C^T and
+    -C G3 C^T, C the contraction matrix of P, each carry d D^2 q, as does d W k."""
     W, d, G2, G3 = _q_route_tables()
-    C = inv._table_rows(inv._CONTR, [P.coeffs.get(m, 0) for m in inv._MASKS3])
+    C = inv._table_rows(inv._CONTR, v)
     q = [[d * sum(W[i][l] * k[l * 6 + j] for l in range(6)) for j in range(6)]
          for i in range(6)]
     yield "q = (i phi ^ i phi ^ omega)/vol", _bilinear(C, G2) == q
@@ -101,7 +101,8 @@ def _identity_checks(phi, primitive, vol, rng):
     """(name, holds) for each check of one ``identities`` trial, in order;
     X and Y are drawn from rng only once the K/F/Q identities hold, and the
     q routes are checked on primitive phi only."""
-    D, P = inv._cleared(phi)                    # P = D phi
+    ev = inv._evaluate(phi, vol)
+    D, P = ev.D, Form._trusted(3, dict(zip(inv._MASKS3, ev.v)))  # P = D phi
     k = _integral(itertools.chain(*inv.compute_K(phi, vol=vol).rows), D ** 2)
     yield "D^2 K integral", k is not None
     K = LinearMap6([k[i:i + 6] for i in range(0, 36, 6)])
@@ -115,7 +116,7 @@ def _identity_checks(phi, primitive, vol, rng):
     yield "K(F) = -Q K", inv.compute_K(F, vol=vol).scale(D ** 6) == K.scale(-Q)
     yield "F(F) = -Q^2 phi", inv.compute_F(F, vol=vol) * D ** 9 == P * (-Q * Q)
     if primitive:
-        yield from _q_route_checks(P, k)
+        yield from _q_route_checks(ev.v, k)
     X = [rng.randint(-4, 4) for _ in range(6)]
     Y = [rng.randint(-4, 4) for _ in range(6)]
     iXP, iXF = interior(X, P), interior(X, FP)

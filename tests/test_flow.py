@@ -432,6 +432,26 @@ def test_normalized_limit_rejects_stationary(rng):
         flow.normalized_limit(traj, "A")
 
 
+def test_normalized_limit_rejects_a_vanishing_normalizer():
+    # B = 0 all along the linearly growing nil start
+    c = inv.PrimitiveCoords(A=0.2, D=1.0, F=1.2, G=-0.8, J=0.6, L=0.4, N=-0.5)
+    traj = flow.integrate(NIL, c, 1e8, flow.FlowControls(detect_stationary=False))
+    assert traj.status == "reached_t_max"
+    flow.normalized_limit(traj, "A")
+    with pytest.raises(flow.LimitError, match="normalizing coefficient vanishes"):
+        flow.normalized_limit(traj, "B")
+
+
+def test_normalized_limit_rejects_unsettled_ratios():
+    # B/A = t/(1 + t) still moves by 1e-2 over the final window of a blow-up
+    times = np.linspace(0.0, 1.0, 40)
+    states = np.zeros((40, 14))
+    states[:, 0], states[:, 1] = 1.0 + times, times
+    traj = flow.Trajectory(times, states, "blow_up")
+    with pytest.raises(flow.LimitError, match="ratios not settled"):
+        flow.normalized_limit(traj, "A")
+
+
 def test_normalized_limit_rejects_bounded(rng):
     c = rand_nil_coords(rng)  # H != 0: A converges, nothing diverges
     traj = flow.integrate(NIL, c, 5.0, flow.FlowControls(detect_stationary=False))
@@ -978,6 +998,59 @@ def test_s_zero_branch():
                             flow.FlowControls(detect_stationary=False))
     assert tr.status == "blow_up"
     assert abs(tr.t_final - tp.value) / tp.value < 0.01
+
+
+def test_s_zero_c0_zero_branch():
+    # u = v: the comparison system is u' = 8 lam^2 u^2, with its pole at
+    # 1/(8 lam^2 u0)
+    sd = flow.SolvData(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+    tp = flow._t_prime(sd)
+    assert tp.branch == "S=0,C0=0"
+    assert tp.value == 1.0 / (flow.UV_RATE * sd.lam ** 2 * sd.u0)
+    tr = flow.integrate_ode(flow.SolvUVTools(sd).comparison_flow, [sd.u0, sd.v0, 1.0],
+                            10.0, flow.FlowControls(detect_stationary=False))
+    assert tr.status == "blow_up"
+    assert abs(tr.t_final - tp.value) / tp.value < 0.01
+
+
+def test_symmetric_branch_without_a_pole():
+    # u0 = v0 = S: the symmetric comparison system sits at its fixed point
+    sd = flow.SolvData(0.5, 0.5, 0.5, 0.5, 1.0, 0.0)
+    assert sd.C0 == 0.0 and sd.u0 == sd.S == 1.0
+    tp = flow._t_prime(sd)
+    assert (tp.value, tp.branch, tp.reason) == (None, "symmetric", "u0 = 1.0 <= S = 1.0")
+
+
+@pytest.mark.parametrize("sd", [flow.SolvData(1.0, 1.0, 1.0, 1.0, 0.0, 0.0),
+                                flow.SolvData(1.5, 1.0, 1.0, 1.0, 0.0, 0.0),
+                                flow.SolvData(1.0, 1.0, 1.0, 1.0, 0.3, 0.1)],
+                         ids=("S=0,C0=0", "S=0", "symmetric"))
+def test_w_closed_form_matches_comparison_flow(sd):
+    # w = e^{8 lam^2 S t} u along the comparison system, away from the pole
+    tools = flow.SolvUVTools(sd)
+    tr = flow.integrate_ode(tools.comparison_flow, [sd.u0, sd.v0, 1.0], 10.0,
+                            flow.FlowControls(detect_stationary=False))
+    assert tr.status == "blow_up"
+    for frac in (0.2, 0.5, 0.8):
+        i = int(np.searchsorted(tr.times, frac * tr.t_final))
+        t_i = float(tr.times[i])
+        w_num = math.exp(flow.UV_RATE * sd.lam ** 2 * sd.S * t_i) * tr.states[i, 0]
+        assert abs(tools.w_closed_form(t_i) - w_num) / abs(w_num) < 1e-5
+
+
+def test_u0_and_v0_keep_a_zero_product():
+    # 4 alpha delta with alpha = 1e308 and delta = 0 is 0, not inf * 0 = NaN:
+    # the start has no valid bound, and the CSV no comparison column
+    sd = flow.SolvData.from_coords(inv.PrimitiveCoords(A=1e308, B=1e308, C=1.0, D=-1.0,
+                                                       E=1.0, F=-1.0))
+    assert sd.u0 == 0.0 and sd.v0 == 4.0
+    assert flow.SolvUVTools(sd).t_prime.branch == "invalid"
+    # at unit scale the factor 4 is exact, so the bits are those of 4 alpha delta
+    rng = random.Random(3)
+    for _ in range(50):
+        a, b, g, d = (rng.uniform(-2.0, 2.0) for _ in range(4))
+        sd = flow.SolvData(a, b, g, d)
+        assert (sd.u0, sd.v0) == (4.0 * a * d, 4.0 * b * g)
 
 
 # --- positivity --------------------------------------------------------------------------

@@ -725,7 +725,7 @@ def test_exact_classification_under_ill_conditioned_symplectic_maps(g):
 @pytest.mark.parametrize("mu", [1, Fraction(3, 2)])
 def test_exact_classification_of_forms_with_denominators(mu):
     # rand_symplectic draws lifts and shears with entries of denominator 2,
-    # so the moved forms carry denominators that _scaled clears for every
+    # so the moved forms carry denominators that _evaluate clears for every
     # rank and for the q inertia
     rng = random.Random(24)
     maps = [g for g in (rand_symplectic(rng) for _ in range(12))
@@ -761,9 +761,9 @@ def test_float_omega_with_an_exact_volume_runs_on_floats():
 
 
 def test_backend_decided_once_per_form(monkeypatch):
-    # _scaled decides exact or float once per form: no rank or inertia
-    # scans a matrix for exactness again, and only _scaled clears
-    # denominators, once on an exact form and never on a float one
+    # the _Evaluation decides exact or float once per form: no rank or
+    # inertia scans a matrix for exactness again, and only its constructor
+    # clears denominators, once on an exact form and never on a float one
     import sys
     from forms6 import exterior
     g = inv.block_matrix_to_map([[1, 0, 0, Fraction(1, 2), 0, 0],
@@ -793,7 +793,7 @@ def test_backend_decided_once_per_form(monkeypatch):
             continue
         phi = pullback(g, orbit.normal_form) * Fraction(3, 2)
         assert any(type(x) is Fraction for x in phi.coeffs.values())
-        for f, want in ((phi, ["_scaled"]), (phi.to_float(), [])):
+        for f, want in ((phi, ["__init__"]), (phi.to_float(), [])):
             for call in (lambda: inv.classify_sp(f, OMEGA),
                          lambda: inv.classify_gl(f),
                          lambda: inv.subspace_dims(f, OMEGA)):
@@ -940,12 +940,12 @@ def test_primitivity_rows_are_the_wedge(rng, omega):
         for _ in range(10):
             phi = rand_form(rng, 3, sparsity=0.6)
             for form in (phi, phi.to_float()):
-                s = inv._scaled(form, tables.vol)
-                got = [sum(x * s.v[n] for n, x in row) for row in tables.P]
+                ev = inv._evaluate(form, tables.vol)
+                got = [sum(x * ev.v[n] for n, x in row) for row in tables.P]
                 w = wedge(om, form)
                 want = [w.coeffs.get(63 ^ (1 << i), 0) for i in range(6)]
-                if s.exact:
-                    assert [Fraction(x, tables.dP * s.D) for x in got] == want
+                if ev.exact:
+                    assert [Fraction(x, tables.dP * ev.D) for x in got] == want
                 else:
                     assert all(abs(x / tables.dP - float(y))
                                <= 1e-12 * max(1.0, form.max_abs() * om.max_abs())
@@ -1015,7 +1015,8 @@ def test_scaling_by_cleared_denominators_is_exact(c, phi, vol):
     assert inv.hat_map(cD) == tuple(x * D ** 3 for x in inv.hat_map(c))
     assert inv.q_from_coords(cD) == inv.q_from_coords(c) * D ** 4
     assert inv.coords_to_form(cD) == inv.coords_to_form(c) * D
-    D, P = inv._cleared(phi)
+    ev = inv._evaluate(phi, vol)
+    D, P = ev.D, Form(3, dict(zip(inv._MASKS3, ev.v)))
     assert P == phi * D and all(type(x) is int for x in P.coeffs.values())
     assert inv.compute_K(P, vol=vol) == inv.compute_K(phi, vol=vol).scale(D ** 2)
     assert inv.compute_F(P, vol=vol) == inv.compute_F(phi, vol=vol) * D ** 3
@@ -1152,6 +1153,30 @@ def test_hitchin_rejects_other_orbits():
         inv.hitchin_data(inv.sp_normal_form("O+"), OMEGA)
     with pytest.raises(ValueError, match="not in O-"):
         inv.hitchin_data(inv.sp_normal_form("O0+"), OMEGA)
+
+
+def test_float_Q_past_the_float_range_is_refused_by_every_reader():
+    # on the float O-+ normal form at 1e77, Q = -16e308 leaves the float
+    # range: compute_Q, classify_sp, classify_gl and hitchin_data raise
+    # OverflowError where they gave -inf, mu = inf and a zero J; at 1e76
+    # they give finite, correct values
+    calls = {"compute_Q": lambda phi: inv.compute_Q(phi, OMEGA),
+             "classify_sp": lambda phi: inv.classify_sp(phi, OMEGA),
+             "classify_gl": inv.classify_gl,
+             "hitchin_data": lambda phi: inv.hitchin_data(phi, OMEGA)}
+    big = inv.sp_normal_form("O-+", 1e77)
+    for name, call in calls.items():
+        with pytest.raises(OverflowError):
+            call(big)
+    phi = inv.sp_normal_form("O-+", 1e76)
+    Q = calls["compute_Q"](phi)
+    sp = calls["classify_sp"](phi)
+    J = calls["hitchin_data"](phi).J.rows
+    JJ = [[sum(J[i][k] * J[k][j] for k in range(6)) for j in range(6)] for i in range(6)]
+    assert math.isclose(Q, -16e304, rel_tol=1e-12), Q
+    assert sp.label == "O-+" and math.isclose(sp.mu, 1e76, rel_tol=1e-12), sp
+    assert calls["classify_gl"](phi) == inv.O_MINUS
+    assert all(abs(JJ[i][j] + (i == j)) <= 1e-12 for i in range(6) for j in range(6)), JJ
 
 
 # --- F-map orbit images --------------------------------------------------------------

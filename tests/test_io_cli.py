@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import forget_evaluations, rand_coords, rand_form
-from forms6 import cli, flow, io, verify
+from forms6 import cli, flow, hessian, io, verify
 from forms6 import invariants as inv
 from forms6 import liealg as la
 from forms6.exterior import Form, basis, wedge
@@ -253,6 +253,19 @@ def test_verify_nijenhuis_negative_control(monkeypatch, tmp_path):
     inv.coords_to_form(io.coords_from_json(rep["counterexample"]))
 
 
+def test_verify_hessian_negative_control(monkeypatch, tmp_path):
+    # a residual over its limit must fail the hessian suite, naming the
+    # check, its worst value and its limit
+    monkeypatch.setattr(hessian, "affine_derivative_check", lambda metric, p: 1.0)
+    passed, rep = verify.run("hessian", 0, 32)
+    assert passed is False and rep["passed"] is False
+    assert rep["failures"] == ["affine_fd = 1.0 > 0.0001"]
+    out = tmp_path / "neg.json"
+    assert run_cli("verify", "--suite", "hessian", "--trials", "32",
+                   "--out", str(out)) == 1
+    assert json.loads(out.read_text())["failures"] == rep["failures"]
+
+
 def test_verify_and_hessian_require_trials(capsys):
     # a run that checked nothing must never report "passed"
     for trials in ("0", "-5"):
@@ -448,6 +461,27 @@ def test_flow_require_positive_refuses_whole_sweep(tmp_path, capsys):
                          "--require-positive", "--out", str(out))
     assert "dominates_M" in err
     assert not out.exists() or not os.listdir(out)
+
+
+def test_flow_require_positive_refuses_a_start_off_the_ansatz(tmp_path, capsys):
+    # B != A: no closed solv ansatz, so no positivity to check
+    init = tmp_path / "open.json"
+    write_coords(init, A=1.0, B=0.5, C=0.8, D=-0.8, E=1.1, F=-1.1, G=-0.9, H=-0.9)
+    out = tmp_path / "out"
+    err = assert_refused(capsys, "flow", "solv-tomassini", str(init),
+                         "--require-positive", "--out", str(out))
+    assert err == "forms6: --require-positive: coefficients are not a closed solv ansatz\n"
+    assert not out.exists()
+
+
+def test_flow_solv_start_without_a_bound_has_no_comparison_column(tmp_path):
+    # u0 = 4 alpha delta = 0 for alpha = 1e308 and delta = 0: T' is invalid,
+    # so the CSV ends at the u and v columns
+    init = tmp_path / "big.json"
+    write_coords(init, A=1e308, B=1e308, C=1, D=-1, E=1, F=-1)
+    assert run_cli("flow", "solv-tomassini", str(init), "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert rows[0].endswith(",N,u,v") and "nan" not in rows[1]
 
 
 def test_flow_solv_with_positivity(tmp_path, capsys, monkeypatch):

@@ -344,7 +344,7 @@ def test_table_sides_equal_form_level_sides(rng):
         E = la._identity_tables(setup).E
         for _ in range(12):
             phi = inv.coords_to_form(rand_coords(rng))
-            D = inv._cleared(phi)[0]
+            D = inv._evaluate(phi, inv.volume_of(setup.omega)).D
             lhs, rhs, scale = la._table_sides(setup, phi)
             assert lhs.dtype == np.int64 and scale == E * D ** 4
             assert _divided(lhs, rhs, scale) == _form_level_arrays(setup, phi)
@@ -362,6 +362,20 @@ def test_table_sides_fall_back_to_python_ints(rng):
         assert lhs.dtype == object and (lhs == rhs).all()
         assert la.verify_nijenhuis_identity(setup, phi) == 0.0
         assert _divided(lhs, rhs, scale) == _form_level_arrays(setup, phi)
+
+
+def test_large_structure_constants_keep_python_int_tables(rng):
+    # lam = 2^70 puts the structure constants themselves past the int64
+    # bound: the tables are Python ints from the start, and the identity
+    # still holds exactly
+    setup = la.InvariantSetup.standard(la.solv_algebra(2 ** 70))
+    tables = la._identity_tables(setup)
+    assert tables.d.dtype == tables.bracket.dtype == object
+    for _ in range(6):
+        phi = inv.coords_to_form(rand_coords(rng))
+        ev = inv._evaluate(phi, inv.volume_of(setup.omega))
+        assert la._sides_dtype(ev, tables) == "object"
+        assert la.verify_nijenhuis_identity(setup, phi) == 0.0
 
 
 def test_python_int_route_equals_int64_route(rng, monkeypatch):
