@@ -9,8 +9,9 @@ algebra), integrates a batch of starts at once with a fixed-order Taylor
 series whose coefficients come from Cauchy products, built in buffers laid
 out once per batch size, each row in its own power-of-two units, and on a
 flow that can blow up (one with monomials of two or more factors the flow
-moves) in a projective time tau, dtau proportional to |y|^2 dt, in which
-the blow-up lies at tau = infinity, stops each start on scale-free blow-up
+moves) in a projective time tau, dt/dtau = e^(-2 s0 tau) with s0 the
+growth rate of |y| at the start of each pass, in which the blow-up lies at
+tau = infinity, stops each start on scale-free blow-up
 and stationarity tests (the latter cut at the run's own rtol and held with
 max|y| steady), which read t, extracts normalized limits,
 and carries the closed-form solutions used as cross-checks: the scalar
@@ -90,8 +91,13 @@ class ReducedFlow:
         self.factors, n_moving = fac[order], n_moving[order]
         self.n_cauchy = int(np.count_nonzero(n_moving >= 2))
         self.n_moved = self.n_cauchy + int(np.count_nonzero(n_moving == 1))
-        # table / (k + 1), the step from f(y)_k to y_{k+1}, transposed
-        self.tables = self.table[order].T / np.arange(1.0, ORDER + 1)[:, None, None]
+        # table / (k + 1), the step from f(y)_k to y_{k+1}, transposed; with
+        # Cauchy monomials followed by -1/(k + 1) times the identity, the step
+        # of _TaylorWork's gauge term s0 z_k
+        ks = np.arange(1.0, ORDER + 1)[:, None, None]
+        self.tables = self.table[order].T / ks
+        if self.n_cauchy:
+            self.tables = np.concatenate((self.tables, -np.eye(dim) / ks), axis=-1)
 
     def rhs(self, y):
         """The right side of each row of y, shape (R, n) or (n,)."""
@@ -106,8 +112,8 @@ class _TaylorWork:
     keeps one for its current batch size and runs it on every pass, and
     _step sums the series in its other buffers.  A run writes every buffer
     before it reads it, so it gives the bits of a fresh build; the
-    coefficients it returns are a view of its own ``coef``, overwritten by
-    the next run.
+    coefficients it returns are its own ``coef``, overwritten by the next
+    run.
 
     On a flow without Cauchy monomials a run builds the coefficients
     y_0..y_ORDER in t of the solution through each row: with
@@ -117,20 +123,21 @@ class _TaylorWork:
     coefficient w y_k at its one moving factor, or w at k = 0 and 0 past it
     with none, w the product of its other factors at y_0.
 
-    A flow with Cauchy monomials can blow up in finite t.  There ``coef``
-    carries two more columns, u and v, and a run builds the series in tau of
-        z' = f(z) - s z,  u' = -2 s u,  v' = u,  s = <z, f(z)> / N0,
-    from z = y, u = 1, v = 0, with N0 = |y|_2^2 (s = 0 on a zero row).  For a
-    cubic f, z / sqrt(u) solves y' = f(y) in t = v, for any s; this s keeps
-    |z| = |y| at its start, so the series in tau has no pole where y has one
-    in t (the Poincare compactification: Dumortier, Llibre and Artes,
-    Qualitative Theory of Planar Differential Systems, ch. 5).  The gauge
-    moves every coordinate, so every monomial's k-th coefficient is a Cauchy
-    product: first of b and c, (z_b z_c)_k = sum_j z_{b,j} z_{c,k-j}, then
-    of a with that (Jorba and Zou, Experimental Mathematics 14, 2005).  Its
-    orders take one more contraction, for s_k = sum_j <z_j, f(z)_{k-j}> / N0,
-    and one more for the Cauchy product of s with z and u.  No further
-    evaluation of f is made."""
+    A flow with Cauchy monomials can blow up in finite t.  There a run
+    builds the series in tau of z' = f(z) - s0 z from z = y, with the rate
+    s0 = <y, f(y)> / |y|_2^2 (0 on a zero row) held for the whole pass, kept
+    in ``s0`` with f(y) in ``f``.  For a cubic f, z e^(s0 tau) solves
+    y' = f(y) in t = v(tau) = (1 - e^(-2 s0 tau)) / (2 s0), for any s0
+    (``_step`` takes both closed forms); this s0 is |y|'s own growth rate,
+    so the series in tau has no pole where y has one in t (the Poincare
+    compactification: Dumortier, Llibre and Artes, Qualitative Theory of
+    Planar Differential Systems, ch. 5).  The gauge moves every coordinate,
+    so every monomial's k-th coefficient is a Cauchy product: first of b
+    and c, (z_b z_c)_k = sum_j z_{b,j} z_{c,k-j}, then of a with that (Jorba
+    and Zou, Experimental Mathematics 14, 2005).  The gauge term s0 z_k sits
+    after the monomials, so one contraction with the flow's table step gives
+    z_{k+1} = f(z)_k / (k + 1) - s0 z_k / (k + 1).  No further evaluation of
+    f is made."""
 
     def __init__(self, flow, rows):
         n, dim = flow.table.shape
@@ -145,105 +152,81 @@ class _TaylorWork:
         nc, nm = (n, n) if cauchy else (0, flow.n_moved)
         moving = np.concatenate((fac[:nc, 0], fac[:nc, 1], fac[:nc, 2], fac[nc:nm, 0]))
         self.fixed_factors = fac[nc:, 1], fac[nc:, 2], fac[nm:, 0]
-        self.coef = coef = np.empty((ORDER + 1, rows, dim + 2 if cauchy else dim))
-        self.y = coef[..., :dim]
-        self.mono = mono = np.empty((rows, 1, n))    # the monomials' k-th coefficients
+        self.coef = coef = np.empty((ORDER + 1, rows, dim))
+        # the monomials' k-th coefficients, then on a gauged flow s0 z_k
+        self.mono = mono = np.empty((rows, 1, flow.tables.shape[-1]))
         fwd = np.empty((ORDER, rows, len(moving)))   # y_j at each moving factor
         a, b, c = (fwd[..., i * nc:(i + 1) * nc] for i in range(3))
-        lin = fwd[..., 3 * nc:]
         bc = np.empty((ORDER, rows, nc))             # (y_b y_c)_j at each Cauchy monomial
         # the fixed factors at y_0 and the products w of the first two; the
         # constant monomials' coefficient is w f0 at k = 0 and 0 past it
         self.fixed = [np.empty((rows, len(i))) for i in self.fixed_factors]
         self.w = np.empty((rows, n - nc))
-        self.w_lin, self.w_const = self.w[:, :nm - nc], self.w[:, nm - nc:]
-        self.cauchy_out, self.lin_out, self.const = (
-            mono[:, 0, :nc], mono[:, 0, nc:nm], mono[:, 0, nm:])
+        self.w_const = self.w[:, nm - nc:]
+        self.cauchy_out, self.const = mono[:, 0, :nc], mono[:, 0, nm:n]
+        # the product taken at each order: the linear monomials' moving
+        # factors by w, or on a gauged flow z_k by s0
+        if cauchy:
+            self.s0, self.f = np.empty(rows), np.empty((rows, dim))
+            scaled, self.weight, self.scaled_out = coef, self.s0[:, None], mono[:, 0, n:]
+            self.f_table = flow.tables[0, :, :n]
+        else:
+            scaled, self.weight = fwd[..., 3 * nc:], self.w[:, :nm - nc]
+            self.scaled_out = mono[:, 0, nc:nm]
 
         def j_last(x):
             return x.transpose(1, 2, 0)
         # per order k: y_k, the moving factors and where they go, the Cauchy
         # operands with j last (sums over j = 0..k of u_j v_{k-j}, v read
-        # backwards), the linear factors, the table step and y_{k+1}
+        # backwards), the scaled factors, the table step and y_{k+1}
         self.orders = [(coef[k], moving, fwd[k],
                         j_last(b[:k + 1]), j_last(c[k::-1]), bc[k],
                         j_last(a[:k + 1]), j_last(bc[k::-1]),
-                        lin[k], flow.tables[k], coef[k + 1, :, :dim]) for k in range(ORDER)]
+                        scaled[k], flow.tables[k], coef[k + 1]) for k in range(ORDER)]
         # for _step: |f(y)_0|, |Y_ORDER-1| and |Y_ORDER|; the powers H^k of
         # each row's step (k = 0 stays 1); the terms H^k Y_k, highest k
         # first, and their sum
-        self.ends = np.zeros((3,) + coef.shape[1:])
-        self.slope = self.ends[0, :, :dim]
+        self.ends = np.empty((3,) + coef.shape[1:])
+        self.slope = self.ends[0]
         self.powers = np.empty((ORDER + 1, rows))
         self.powers[0] = 1.0
         self.terms = np.empty_like(coef)
         self.series = np.empty(coef.shape[1:])
-        if not cauchy:
-            return
-        # the gauge terms: f(z)_k, with 0 in u's column; <z_j, f_{k-j}> for
-        # j = 0..k; 1/N0 in every column, so that one dot of the two gives
-        # s_k; s_j with j last; (s [z, u])_k; and per order the weights
-        # 1/(k+1) and, for u, 2/(k+1), which take [f, 0]_k - (s [z, u])_k
-        # to [z, u]_{k+1}.  v_{k+1} = u_k / (k+1) is filled after the orders
-        self.held = np.flatnonzero(~np.any(flow.table != 0.0, axis=0))
-        self.f = f = np.zeros((ORDER, rows, dim + 1))
-        zf, self.r, s = np.empty((3, rows, ORDER))
-        sz = np.empty((rows, dim + 1))
-        zu = coef[..., :dim + 1]
-        self.ks = np.arange(1.0, ORDER + 1)[:, None]
-        self.gauge_orders = []
-        for k in range(ORDER):
-            weights = np.full(dim + 1, 1.0 / (k + 1))
-            weights[dim] = 2.0 / (k + 1)
-            self.gauge_orders.append((
-                flow.tables[0], f[k, :, :dim],
-                coef[:k + 1, :, :dim].transpose(1, 0, 2), f[k::-1, :, :dim].transpose(1, 0, 2),
-                zf[:, :k + 1], self.r[:, :k + 1], s[:, k], s[:, None, :k + 1],
-                j_last(zu[k::-1]), sz, f[k], weights, zu[k + 1]))
+        if cauchy:
+            self.held = np.flatnonzero(~np.any(flow.table != 0.0, axis=0))
 
     def run(self, y):
         """The series of y, or on a flow with Cauchy monomials of z, for y
-        of this work's row count, written into ``coef`` and returned as a
-        view of it; the series of u and v are then coef's last two columns."""
-        dot, multiply, subtract, coef = np.vecdot, np.multiply, np.subtract, self.coef
+        of this work's row count, written into ``coef`` and returned."""
+        dot, multiply, coef = np.vecdot, np.multiply, self.coef
         y0 = coef[0]
-        self.y[0] = y
+        y0[...] = y
         # the indices are in range; "clip" lets take write out unbuffered
         for i, out in zip(self.fixed_factors, self.fixed):
             y0.take(i, -1, out, "clip")
         f1, f2, f0 = self.fixed
         multiply(f1, f2, self.w)
         multiply(self.w_const, f0, self.const)
-        w, cauchy, cauchy_out, lin_out, mono = (
-            self.w_lin, self.cauchy, self.cauchy_out, self.lin_out, self.mono)
-        if cauchy:
-            y0[:, -2:] = (1.0, 0.0)
-            n0, r = dot(y, y), self.r
-            r.fill(0.0)
-            np.divide(1.0, n0[:, None], out=r, where=n0[:, None] > 0.0)
+        cauchy, cauchy_out, mono, weight, scaled_out = (
+            self.cauchy, self.cauchy_out, self.mono, self.weight, self.scaled_out)
         # arguments go by position, the fastest for numpy to parse
-        for k, (y_k, moving, fwd, b, c, bc, a, bc_back, lin, table, y_next) in \
+        for k, (y_k, moving, fwd, b, c, bc, a, bc_back, scaled, table, y_next) in \
                 enumerate(self.orders):
             y_k.take(moving, -1, fwd, "clip")
             if cauchy:
                 dot(b, c, bc)
                 dot(a, bc_back, cauchy_out)
-                table, f_k, z, f_back, zf, r, s_k, s, zu_back, sz, f_pad, weights, zu_next = \
-                    self.gauge_orders[k]
-                dot(mono, table, f_k)
-                dot(z, f_back, zf)
-                dot(zf, r, s_k)
-                dot(s, zu_back, sz)
-                subtract(f_pad, sz, sz)
-                multiply(sz, weights, zu_next)
-            else:
-                multiply(lin, w, lin_out)
-                dot(mono, table, y_next)
                 if k == 0:
-                    self.const.fill(0.0)
-        if cauchy:
-            np.divide(coef[:-1, :, -2], self.ks, out=coef[1:, :, -1])
-        return self.y
+                    # f(y) and s0, 0 on a zero row
+                    dot(cauchy_out[:, None], self.f_table, self.f)
+                    n0 = dot(y0, y0)
+                    self.s0.fill(0.0)
+                    np.divide(dot(y0, self.f), n0, out=self.s0, where=n0 > 0.0)
+            multiply(scaled, weight, scaled_out)
+            dot(mono, table, y_next)
+            if k == 0:
+                self.const.fill(0.0)
+        return coef
 
 
 def reduced_flow(setup):
@@ -267,7 +250,6 @@ def reduced_rhs(setup, coords):
 # ones the CLI exposes
 NORM_HOLD = 1e-6             # change of max|y| over a stationarity hold, relative
 MAX_STEPS = 2_000_000
-NEWTON_STEPS = 60            # bound on the iterations of _gauge_step's root
 
 
 @dataclass
@@ -409,8 +391,10 @@ def integrate_ode(flow, y0, t_max, controls=None):
     left and the old ones dropped), and steps each by
     h = min((eps/|y_{p-1}|)^(1/(p-1)), (eps/|y_p|)^(1/p)), p = ORDER,
     eps = rtol max|y| (Jorba and Zou, 2005).  A flow with Cauchy monomials
-    is stepped in the projective time tau of ``_TaylorWork``'s gauge, where
-    its blow-up lies at tau = infinity, and one without in t; either way the
+    is stepped in the projective time tau of ``_TaylorWork``'s gauge, whose
+    rate s0 is held for the pass, so that y and t at tau are closed forms of
+    the series of z (``_gauge_step``, which also holds |s0| h to about 1.3),
+    and one without in t; either way the
     step's t-advance is capped at t_max / 20, so that a run resolves at
     least 20 samples, and at t_max - t.  The step is chosen before it is
     taken, so none is rejected.
@@ -449,39 +433,42 @@ def integrate_ode(flow, y0, t_max, controls=None):
     return trajs[0] if single else trajs
 
 
-def _poly(coefs, x):
-    """The polynomial sum_k coefs[k] x^k and its derivative at x, by Horner."""
-    p = dp = 0.0
-    for a in reversed(coefs):
-        dp = dp * x + p
-        p = p * x + a
-    return p, dp
-
-
-def _gauge_step(v, h, cap, e2):
-    """The step in tau of a gauged row and its t-advance: (h, 4^-e v(h)),
-    v the row's series of t in tau in its units (e2 = 2e), where that
-    advance is at most cap, else (h', cap) with h' <= h the root of
-    v(h') = 4^e cap by Newton's method from that target.  v increases, as
-    v' = u > 0, and so it has one root below h."""
-    dt = math.ldexp(_poly(v, h)[0], -e2)
-    if dt <= cap:
-        return h, dt
-    target = math.ldexp(cap, e2)
-    x = min(target, h)
-    for _ in range(NEWTON_STEPS):
-        p, dp = _poly(v, x)
-        x, x_old = min(x - (p - target) / dp, h), x
-        if x == x_old:
-            break
-    return x, cap
+def _gauge_step(s0, eps, sizes, cap, e2):
+    """The step in tau of a gauged row of rate s0 in its units (e2 = 2e),
+    its t-advance and the growth of y over it: (h, 4^-e v(h), e^(s0 h)),
+    v(h) = (1 - e^(-2 s0 h)) / (2 s0), or h where s0 = 0.  h is the step
+    of _step_size on the sizes of Z_ORDER-1 and Z_ORDER, and at most the
+    step it would take on the terms of those orders of the series of
+    e^(-2 s0 tau) and of v, (2|s0|)^k / k! and (2|s0|)^(k-1) / k!, as if
+    they were summed as series.  That holds |s0| h to about 1.3 at the
+    default rtol, so a step grows |y| by at most about e^1.3, and samples
+    the approach to the blow-up, which normalized_limit reads.  Where the
+    advance is over cap, h is cut to h' with v(h') = 4^e cap and the advance
+    is cap; v increases and, for s0 > 0, stays below 1/(2 s0), so the cap
+    never binds where 2 s0 4^e cap >= 1."""
+    r = 2.0 * s0
+    a = abs(r)
+    h = _step_size(eps, sizes)
+    # (eps k! / (max(a, 1) a^(k-1)))^(1/k), taken so that no power overflows
+    for k in (ORDER - 1, ORDER) if a else ():
+        h = min(h, (eps * math.factorial(k) / max(a, 1.0)) ** (1.0 / k) / a ** (1.0 - 1.0 / k))
+    # h = 0 where Y or f(Y) is not finite, and so s0 may be nan
+    v = -math.expm1(-r * h) / r if r and h else h
+    dt = math.ldexp(v, -e2)
+    if dt > cap:
+        x = r * math.ldexp(cap, e2)
+        if x < 1.0:
+            h = -math.log1p(-x) / r if r else math.ldexp(cap, e2)
+        dt = cap
+    return h, dt, math.exp(s0 * h)
 
 
 def _blow_up_estimate(y, f, t, e):
     """The growth rate g = <y, f(y)> / |y|_2^2 = d log|y|/dt of a row y in
     its power-of-two units 2^-e, f = f(y), and the blow-up time
     T^ = t + 1/(2g) that it gives, as the tail of a blow_up message; in
-    tau, T^ - t is 1/(2 s) in step units."""
+    tau, T^ - t is 1/(2 s0) in step units, the t-advance of a pass as its
+    tau goes to infinity."""
     yy = float(np.vecdot(y, y))
     growth = float(np.vecdot(y, f)) / yy if yy else 0.0
     g = float(np.ldexp(growth, 2 * e))
@@ -503,37 +490,37 @@ def _step(work, y, active, t_max, h_cap, c):
     of max|y|, and by the flow's scaling y(t + H 4^-e) = 2^e Y(H).  Every
     factor is a power of two, so no coefficient over- or underflows, and a
     row scaled by 2^j takes the same steps and gives the scaled bits.  A
-    gauged row steps by H in tau: Y becomes z(H) / sqrt(u(H)), with the
-    coordinates the flow does not move written back with their start bits,
-    and t advances by 4^-e v(H).  The stop tests read the row's own f(Y)
-    and t-advance, in both gauges."""
+    gauged row of rate s0 steps by H in tau (``_gauge_step``): Y becomes
+    z(H) e^(s0 H), with the coordinates the flow does not move written back
+    with their start bits, and t advances by 4^-e v(H); both closed forms
+    are taken per row with math, whose bits do not depend on the batch.  The
+    stop tests read the row's own f(Y) and t-advance, in both gauges."""
     e = [math.frexp(m.norm)[1] for m in active]
     rows_e = np.array(e)[:, None]
     work.run(np.ldexp(y, -rows_e))
     coef, ends, powers, gauge = work.coef, work.ends, work.powers, work.cauchy
-    dim = y.shape[1]
-    f0 = work.f[0, :, :dim] if gauge else coef[1]       # f(Y)
+    f0 = work.f if gauge else coef[1]       # f(Y)
     np.abs(f0, out=work.slope)
     np.abs(coef[ORDER - 1:], out=ends[1:])
     slope, *last = np.maximum.reduce(ends, axis=-1).tolist()
-    v = coef[:, :, -1].T.tolist() if gauge else None
-    steps, H = [0.0] * len(active), [0.0] * len(active)
+    s0 = work.s0.tolist() if gauge else None
+    steps, H, grow = [0.0] * len(active), [0.0] * len(active), [1.0] * len(active)
     for k, m in enumerate(active):
         m.rows += 1
         norm = math.ldexp(m.norm, -e[k])
         if c.detect_stationary and m.converged(slope[k], norm, c.rtol):
             continue
-        h = _step_size(c.rtol * norm, (last[0][k], last[1][k]))
+        eps, sizes = c.rtol * norm, (last[0][k], last[1][k])
         cap = min(t_max - m.t, h_cap)
         if gauge:
-            h, dt = _gauge_step(v[k], h, cap, 2 * e[k])
+            h, dt, g = _gauge_step(s0[k], eps, sizes, cap, 2 * e[k])
         else:
-            dt = min(math.ldexp(h, -2 * e[k]), cap)
+            dt, g = min(math.ldexp(_step_size(eps, sizes), -2 * e[k]), cap), 1.0
             h = math.ldexp(dt, 2 * e[k])
         if m.blows_up(dt, c):
-            m.message += _blow_up_estimate(coef[0, k, :dim], f0[k], m.t, e[k])
+            m.message += _blow_up_estimate(coef[0, k], f0[k], m.t, e[k])
         else:
-            steps[k], H[k] = dt, h
+            steps[k], H[k], grow[k] = dt, h, g
     # sum_k H^k Y_k, smallest terms first; H^k overflows only against Y_k
     # that are exactly 0 (linear growth), where a power clamped at the float
     # maximum gives 0 and inf would give nan
@@ -543,7 +530,7 @@ def _step(work, y, active, t_max, h_cap, c):
     np.multiply(powers[::-1, :, None], coef[::-1], out=work.terms)
     series = np.add.reduce(work.terms, axis=0, out=work.series)
     if gauge:
-        y_new = np.ldexp(series[:, :dim] / np.sqrt(series[:, dim:dim + 1]), rows_e)
+        y_new = np.ldexp(series * np.array(grow)[:, None], rows_e)
         y_new[:, work.held] = y[:, work.held]
     else:
         y_new = np.ldexp(series, rows_e)
@@ -607,13 +594,14 @@ class LimitError(RuntimeError):
 
 def normalized_limit(traj, normalizer="A"):
     """Limit of phi(t)/c_normalizer(t), normalizer a name in COORD_NAMES,
-    over the final window (the last 5% of the samples, at least 3), classified.
+    read on the final window (the last 5% of the samples, at least 3),
+    classified.
 
-    Blow-up trajectories use final-window averaging (ratio drift there is
-    negligible); reached_t_max trajectories must have grown in norm by 1e3,
-    and extrapolate each ratio with a c + k/t model, which removes the
-    O(1/t) tail of linear growth.  Stationary trajectories are rejected:
-    there is nothing to normalize.
+    Blow-up trajectories take the last sample's ratios, the closest to the
+    blow-up, once the ratios have settled over the window; reached_t_max
+    trajectories must have grown in norm by 1e3, and extrapolate each ratio
+    with a c + k/t model, which removes the O(1/t) tail of linear growth.
+    Stationary trajectories are rejected: there is nothing to normalize.
     """
     idx = COORD_NAMES.index(normalizer)
     if traj.status == "converged":
@@ -636,7 +624,7 @@ def normalized_limit(traj, normalizer="A"):
     coords = np.empty(14)
     spread = np.empty(14)
     if traj.status == "blow_up":
-        coords[:] = ratios.mean(axis=0)
+        coords[:] = ratios[-1]
         spread[:] = ratios.max(axis=0) - ratios.min(axis=0)
     else:
         design = np.column_stack([np.ones_like(ts), 1.0 / ts])

@@ -51,7 +51,10 @@ def form_from_json(data, grade=None):
         if grade is None:
             grade = len(axes)
         elif len(axes) != grade:
-            raise ValueError(f"mixed grades in form terms: {axes}")
+            # past the first term, the terms read so far have this grade
+            raise ValueError(f"mixed grades in form terms: {axes}" if coeffs else
+                             f"a term of grade {len(axes)} (axes {axes}) where grade "
+                             f"{grade} was expected")
         x = scalar_from_json(term["coeff"])
         try:
             x = coeffs.get(m, 0) + x

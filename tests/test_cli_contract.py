@@ -158,3 +158,24 @@ def test_flow_algebra_file(data):
 def test_flow_initial_file(algebra, data):
     assert_contract(data, _starts, lambda path, out: [
         "flow", algebra, path, "--t-max", "1", "--out", out])
+
+
+def test_a_form_of_the_wrong_grade_is_refused_for_its_grade():
+    # a 2-form given as the form, or a 3-form as --omega, is refused for the
+    # grade of its terms; "mixed grades" is kept for a form whose own terms
+    # disagree
+    with tempfile.TemporaryDirectory() as tmp:
+        mixed, out = os.path.join(tmp, "mixed.json"), os.path.join(tmp, "out")
+        with open(mixed, "w") as fh:
+            json.dump([{"axes": [1, 3, 5], "coeff": 1}, {"axes": [1, 2], "coeff": 1}], fh)
+        for argv, line in (
+                ([OMEGA], f"bad form file {OMEGA}: a term of grade 2 (axes [1, 2]) "
+                          f"where grade 3 was expected"),
+                ([FORM, "--omega", FORM], f"bad --omega file {FORM}: a term of grade 3 "
+                                          f"(axes [1, 4, 6]) where grade 2 was expected"),
+                ([mixed], f"bad form file {mixed}: mixed grades in form terms: [1, 2]")):
+            stderr = _io.StringIO()
+            with contextlib.redirect_stdout(_io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main(["classify", *argv, "--out", out])
+            assert (code, stderr.getvalue()) == (2, f"forms6: {line}\n")
+            assert not os.path.exists(out)

@@ -197,6 +197,16 @@ def test_power_of_two_scaling_takes_the_same_steps(detect):
         assert np.array_equal(got.states / s, ref.states)
 
 
+def _draw_solv(rng):
+    """A closed, positive solv start drawn as the flow-sweep benchmark draws
+    them."""
+    while True:
+        abgd = [rng.uniform(0.5, 2.0) for _ in range(4)]
+        sd = flow.SolvData(*abgd, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+        if flow.positivity_check(sd).ok:
+            return list(sd.to_coords())
+
+
 def _bench_pool(seed):
     """The solv and nil starts of the flow-sweep benchmark pool of a seed:
     three rounds of one solv sweep then three nil sweeps, two starts each;
@@ -205,17 +215,12 @@ def _bench_pool(seed):
     solv, nil = [], []
     for kind in (["solv"] + ["nil"] * 3) * 3:
         for _ in range(2):
-            if kind == "nil":
-                c = [rng.uniform(-1.0, 1.0) for _ in range(14)]
-                c[7] = rng.uniform(0.5, 1.2) * rng.choice((-1, 1))
-                nil.append(c)
+            if kind == "solv":
+                solv.append(_draw_solv(rng))
                 continue
-            while True:
-                abgd = [rng.uniform(0.5, 2.0) for _ in range(4)]
-                sd = flow.SolvData(*abgd, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-                if flow.positivity_check(sd).ok:
-                    solv.append(list(sd.to_coords()))
-                    break
+            c = [rng.uniform(-1.0, 1.0) for _ in range(14)]
+            c[7] = rng.uniform(0.5, 1.2) * rng.choice((-1, 1))
+            nil.append(c)
     return solv, nil
 
 
@@ -292,12 +297,29 @@ def test_solv_pool_blows_up_alike_at_other_scales(s, blow_norm):
 @pytest.mark.parametrize("blow_norm", [1e5, DEFAULT_BLOW_NORM])
 def test_solv_pool_blows_up_in_few_projective_steps(blow_norm):
     # stepped in tau, each step covers a fixed share of log(T - t), so a
-    # start reaches its blow-up in a few passes: at most 20 at either gate,
-    # against about 50 and 78 in t.  Its limit is O-+ on the alpha delta =
-    # beta gamma locus to 1e-8
+    # start reaches its blow-up in a few passes: at most 11 and 17 at the
+    # two gates, against about 50 and 78 in t (and 14 and 19 with the
+    # gauge's rate recomputed at every order).  Its limit is O-+ on the
+    # alpha delta = beta gamma locus to 1e-8
+    most = {1e5: 11, DEFAULT_BLOW_NORM: 17}[blow_norm]
     for traj in _pool_run("solv", blow_norm, 1.0):
         assert traj.status == "blow_up"
-        assert traj.n_accepted <= 20 and traj.rhs_rows == traj.n_accepted + 1
+        assert traj.n_accepted <= most and traj.rhs_rows == traj.n_accepted + 1
+        form, label = _limit(traj)
+        cc = inv.form_to_coords(form)
+        assert label == "O-+"
+        assert abs(cc.A * -cc.G - cc.C * cc.E) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [53, 97])
+def test_blow_up_limit_is_read_on_the_last_sample(seed):
+    # the limit of a blow-up is its last sample's ratios, which lie on the
+    # alpha delta = beta gamma locus to 1e-8 on 30 benchmark-style starts;
+    # a mean over the final window reached 1.5e-8 and 3.5e-8 on these
+    rng = random.Random(seed)
+    starts = [_draw_solv(rng) for _ in range(30)]
+    for traj in flow.integrate_sweep(SOLV, starts, 100.0, SOLV_CONTROLS):
+        assert traj.status == "blow_up"
         form, label = _limit(traj)
         cc = inv.form_to_coords(form)
         assert label == "O-+"
@@ -700,34 +722,30 @@ def test_taylor_coefficients_match_derivatives(rng):
 
 
 def _gauge_oracle(poly, y, table, sign=-1.0):
-    """z_0..z_ORDER, u_0..u_ORDER and v_0..v_ORDER in tau of the gauged
-    system z' = f(z) - s z, u' = -2 s u, v' = u from z = y, u = 1, v = 0,
-    s = <z, f(z)> / N0 with N0 = |y|^2 (0 on a zero row), every order by
-    full Cauchy products over all three factors of every monomial.  With
-    sign = +1, on |y| and |table|, every term is added in absolute value,
-    which bounds each term the build sums."""
+    """z_0..z_ORDER in tau of the gauged system z' = f(z) - s z from z = y,
+    with the rate frozen at s0 = <y, f(y)> / |y|^2 (0 on a zero row), so
+    s_k = 0 for k > 0, every order by full Cauchy products over all three
+    factors of every monomial, and s0.  With sign = +1, on |y| and |table|,
+    every term is added in absolute value, which bounds each term the build
+    sums, and s0 bounds the build's |s0|."""
     n0 = np.sum(y * y, axis=-1)
-    r = np.divide(1.0, n0, out=np.zeros_like(n0), where=n0 > 0.0)
-    z, u, v, f, s = [y], [np.ones(len(y))], [np.zeros(len(y))], [], []
+    z, s0 = [y], None
     for k in range(flow.ORDER):
         mono = sum(z[i][:, poly.a] * z[j][:, poly.b] * z[k - i - j][:, poly.c]
                    for i in range(k + 1) for j in range(k + 1 - i))
-        f.append(mono @ table)
-        s.append(sum(np.sum(z[j] * f[k - j], axis=-1) for j in range(k + 1)) * r)
-        sz = sum(s[j][:, None] * z[k - j] for j in range(k + 1))
-        su = sum(s[j] * u[k - j] for j in range(k + 1))
-        z.append((f[k] + sign * sz) / (k + 1))
-        u.append(2.0 * sign * su / (k + 1))
-        v.append(u[k] / (k + 1))
-    return np.array(z), np.array(u), np.array(v)
+        f = mono @ table
+        if k == 0:
+            s0 = np.divide(np.sum(y * f, axis=-1), n0, out=np.zeros_like(n0), where=n0 > 0.0)
+        z.append((f + sign * s0[:, None] * z[k]) / (k + 1))
+    return np.array(z), s0
 
 
 def test_gauged_build_matches_oracle(rng):
     # the tau build of every flow with Cauchy monomials, order by order
     # against full Cauchy products, on a zero row, unit rows and rows scaled
     # by 2^40 and 2^-40, compared where the bound is finite and normal; its
-    # first order is f(Y) - s_0 Y and -2 s_0, and a row gives the same bits
-    # alone as in the batch
+    # rate is s0 = <y, f(y)>/|y|^2, its first order is f(Y) - s0 Y, and a
+    # row gives the same bits alone as in the batch
     sd = rand_solv_data(rng)
     tools = flow.SolvUVTools(sd)
     polys = [flow.reduced_flow(SOLV), flow.solv_system(sd), tools.uv_flow,
@@ -740,37 +758,35 @@ def test_gauged_build_matches_oracle(rng):
         y = np.vstack([np.zeros(n), unit, 2.0 ** 40 * unit[:1], 2.0 ** -40 * unit[1:2]])
         work = flow._TaylorWork(poly, len(y))
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.array_equal(work.run(y), work.coef[..., :n], equal_nan=True)
-            got = work.coef.copy()
-            want = np.concatenate([x.reshape(flow.ORDER + 1, len(y), -1)
-                                   for x in _gauge_oracle(poly, y, poly.table)], axis=-1)
-            bound = np.concatenate(
-                [x.reshape(flow.ORDER + 1, len(y), -1)
-                 for x in _gauge_oracle(poly, np.abs(y), np.abs(poly.table), 1.0)], axis=-1)
+            got = work.run(y).copy()
+            want, s0 = _gauge_oracle(poly, y, poly.table)
+            bound, s0_bound = _gauge_oracle(poly, np.abs(y), np.abs(poly.table), 1.0)
             bound = np.max(bound, axis=-1)
             err = np.max(np.abs(got - want), axis=-1)
-        assert got.shape == want.shape == (flow.ORDER + 1, len(y), n + 2)
+        assert got.shape == want.shape == (flow.ORDER + 1, len(y), n)
         compared = np.isfinite(bound) & ((bound == 0.0) | (bound > tiny))
         assert compared[:, :5].all() and compared[:11].all()
         assert np.all(err[compared] <= TAYLOR_RTOL * bound[compared])
-        # the zero row takes s = 0: z stays 0, u stays 1 and v is tau
-        assert not np.any(got[:, 0, :n]) and not np.any(got[1:, 0, n])
-        assert got[1, 0, n + 1] == 1.0 and not np.any(got[2:, 0, n + 1])
+        assert np.all(np.abs(work.s0 - s0) <= TAYLOR_RTOL * s0_bound)
+        # the zero row takes s0 = 0, and z stays 0
+        assert work.s0[0] == 0.0 and not np.any(got[:, 0])
         f = poly.rhs(y)
-        s0 = np.sum(y * f, axis=-1)[1:] / np.sum(y * y, axis=-1)[1:]
-        assert np.allclose(got[1, 1:, :n], f[1:] - s0[:, None] * y[1:],
+        assert np.allclose(work.f, f, rtol=0.0, atol=TAYLOR_RTOL * np.max(bound[1]))
+        ref = np.sum(y * f, axis=-1)[1:] / np.sum(y * y, axis=-1)[1:]
+        assert np.allclose(work.s0[1:], ref, rtol=1e-14, atol=0.0)
+        assert np.allclose(got[1, 1:], f[1:] - ref[:, None] * y[1:],
                            rtol=0.0, atol=TAYLOR_RTOL * np.max(bound[1]))
-        assert np.allclose(got[1, 1:, n] / (-2.0 * s0), 1.0, rtol=1e-14, atol=0.0)
         for r in range(len(y)):
             solo = flow._TaylorWork(poly, 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 solo.run(y[r:r + 1])
             assert np.array_equal(solo.coef[:, 0], got[:, r], equal_nan=True)
+            assert (solo.s0[0], *solo.f[0]) == (work.s0[r], *work.f[r])
 
 
 def test_reused_taylor_work_gives_fresh_bits(rng):
     # one work object run on successive different batches gives the bits of
-    # a fresh build each time, the gauged series of u and v included; the
+    # a fresh build each time, the gauged rate s0 and f(y) included; the
     # constant monomials' slot is zeroed past order 0 and must be refilled
     # by the next run
     sd = rand_solv_data(rng)
@@ -790,15 +806,19 @@ def test_reused_taylor_work_gives_fresh_bits(rng):
                 fresh = flow._TaylorWork(poly, 2)
                 fresh.run(y)
                 assert np.array_equal(work.coef, fresh.coef, equal_nan=True)
+                if poly.n_cauchy:
+                    assert np.array_equal(work.s0, fresh.s0)
+                    assert np.array_equal(work.f, fresh.f)
         assert np.isfinite(work.coef).all()    # so the last comparison is not nan with nan
 
 
 def test_sweep_members_match_solo_runs(rng):
     # a start gives the same bits alone or in a batch, whichever of the
-    # others stop first and after however many steps
+    # others stop first and after however many steps; the solv starts are
+    # the first and third draws, which stop after 10 and 11 steps
     zero = inv.PrimitiveCoords(*[0.0] * 14)
-    sweeps = ((SOLV, [rand_solv_data(rng).to_coords(), zero,
-                      rand_solv_data(rng).to_coords()], 100.0, SOLV_CONTROLS),
+    first, _, third = (rand_solv_data(rng).to_coords() for _ in range(3))
+    sweeps = ((SOLV, [first, zero, third], 100.0, SOLV_CONTROLS),
               (NIL, [rand_nil_coords(rng, 0.9, 1.2),
                      rand_nil_coords(rng, 0.9, 1.2)._replace(H=0.0), zero],
                40.0, flow.FlowControls()))
@@ -858,6 +878,20 @@ def test_huge_state_steps_in_its_own_units():
     traj = flow.integrate(SOLV, [1e160] * 14, 1.0)
     assert traj.status == "blow_up" and "cannot move" in traj.message
     assert traj.n_accepted > 0 and np.all(np.isfinite(traj.states))
+
+
+@pytest.mark.parametrize("c0", [[1.0, 1.0, 1.0], [1.9, 1.9, 1.0]])
+def test_gauged_series_past_the_float_range_stops_at_once(c0):
+    # on a flow with coefficients of 1e308 the series of the first start
+    # overflows past its first order, and on the second f(Y) and s0
+    # themselves do; either start stops at its first pass, whose step
+    # cannot move t, instead of stepping on with nan
+    poly = flow._padded_flow(3, [(0, 1e308, (0, 0, 1)), (0, 1e308, (0, 1, 1)),
+                                 (0, 1e308, (0, 0, 0)), (1, 1.0, (0, 1, 2))])
+    assert poly.n_cauchy > 0
+    traj = flow.integrate_ode(poly, c0, 1.0)
+    assert traj.status == "blow_up" and "cannot move" in traj.message
+    assert traj.n_accepted == 0 and np.all(np.isfinite(traj.states))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
