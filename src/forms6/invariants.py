@@ -18,6 +18,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from . import linalg
 from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
                        LinearMap6, _clear_denominators, _exact_div, basis,
@@ -103,6 +105,11 @@ def _resolve_vol(omega, vol):
 # coefficient vector of phi.  An exact phi is first scaled by the lcm D of
 # its denominators, so the tables run on int, and each output entry is
 # divided once at the end: K by D^2 c, F by D^3 c and Q by D^4 c^2.
+# The K and F tables run as one gather-multiply-reduce each: column o of the
+# (L, n) index and sign arrays holds the terms of output o in table order,
+# padded with sign 0 at a zero slot, and the sum runs down axis 0 from 0, bit
+# for bit as a Python loop would (numpy sums 8 or more terms pairwise along
+# the last axis).  Float terms overflow as Python floats do, with no warning.
 
 _MASKS2 = tuple(m for m in range(1 << DIM) if m.bit_count() == 2)
 _MASKS3 = tuple(m for m in range(1 << DIM) if m.bit_count() == 3)
@@ -116,7 +123,8 @@ def _unit(j):
 
 
 def _build_K_table():
-    """Entry i*DIM + j of c K(phi) as a sum of t phi_a phi_b over index pairs
+    """Row o of the table: the terms (a, b, t), in (a, b) order, of entry
+    o = i*DIM + j of c K(phi) as a sum of t phi_a phi_b over index pairs
     a < b, read off iota_{K e_j} vol = -iota_{e_j} e^a ^ e^b.
 
     For each (a, j) one wedge against the sum of the e^b that miss
@@ -140,11 +148,11 @@ def _build_K_table():
                     nb = _INDEX3[rest ^ (1 << i)]
                     key = (na, nb, i * DIM + j) if na < nb else (nb, na, i * DIM + j)
                     acc[key] = acc.get(key, 0) + int(x)
-    table = {}
+    table = [[] for _ in range(DIM * DIM)]
     for (a, b, o), t in sorted(acc.items()):
         if t:
-            table.setdefault((a, b), []).append((o, t))
-    return tuple((a, b, tuple(terms)) for (a, b), terms in table.items())
+            table[o].append((a, b, t))
+    return tuple(map(tuple, table))
 
 
 def _build_F_table():
@@ -184,6 +192,27 @@ _WEDGE1 = tuple(_rows(basis_matrix(functools.partial(wedge, basis(j + 1)), _MASK
                                    [FULL_MASK ^ p for p in _MASKS2])) for j in range(DIM))
 _K_TABLE = _build_K_table()
 _F_TABLE = _build_F_table()
+
+
+def _columns(groups, pad):
+    """One (L, len(groups)) array per slot of the term tuples: row l of
+    column n holds term l of groups[n], or pad past its end."""
+    rows = max(map(len, groups))
+    return tuple(np.array(x).reshape(rows, -1) for x in zip(*(
+        g[l] if l < len(g) else pad for l in range(rows) for g in groups)))
+
+
+# the zero slots: a trailing 0 of the coefficients, and of the K numerators
+# from an empty last group; column t + 20 r of F is reading r of -c F_t/2
+_ZERO_V, _ZERO_K = len(_MASKS3), DIM * DIM
+_K_A, _K_B, _K_T = _columns(_K_TABLE + ((),), (_ZERO_V, _ZERO_V, 0))
+_F_K, _F_V, _F_S = _columns([terms for reading in zip(*_F_TABLE) for terms in reading],
+                             (_ZERO_K, _ZERO_V, 0))
+#: the int64 route runs only when every intermediate is bounded below this
+_INT64_BOUND = 1 << 62
+# every K and F term and partial sum is at most _KMAX size^2, _FMAX _KMAX size^3
+_KMAX = int(abs(_K_T).sum(axis=0).max())
+_FMAX = int(abs(_F_S).sum(axis=0).max())
 # entry t: (index of the complement of e^t, sign of e^t ^ e^(complement)), read
 # off e^t ^ (the sum of all basis 3-forms), where only the complement survives
 _ALL3 = Form._trusted(3, dict.fromkeys(_MASKS3, 1))
@@ -191,50 +220,28 @@ _Q_TABLE = tuple((_INDEX3[FULL_MASK ^ t], s) for t, s in zip(
     _MASKS3, basis_matrix(lambda e: wedge(e, _ALL3), _MASKS3, (FULL_MASK,))[0]))
 
 
-def _K_numerators(v):
-    """The 36 entries of c K(phi), row-major, from the coefficient vector v."""
-    out = [0] * (DIM * DIM)
-    for a, b, terms in _K_TABLE:
-        x = v[a]
-        if x:
-            y = v[b]
-            if y:
-                p = x * y
-                for o, t in terms:
-                    out[o] += t * p
-    return out
+@np.errstate(over="ignore", invalid="ignore")
+def _K_numerators(a):
+    """The 36 entries of c K(phi), row-major, and a trailing 0, from the
+    coefficient array a of an _Evaluation, in its dtype."""
+    return (_K_T * (a[_K_A] * a[_K_B])).sum(axis=0, initial=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _F_numerators(ev, tol):
-    """The 20 coefficients of -c F(phi)/2 from the K numerators ev.kn.
+    """The 20 coefficients of -c F(phi)/2 from the K numerators ev.ka.
 
     That phi(K v1, v2, v3) alternates in its first slot against the others is
     a theorem, not bookkeeping, so every reading is checked: exactly on the
     exact backend, and relative to max|phi|^3 (c F is cubic in phi) on
     floats.  A failure means K is broken and raises."""
-    v, kn = ev.v, ev.kn
     scale = 0.0 if ev.exact else tol * ev.size ** 3
-    out = []
-    for t, readings in enumerate(_F_TABLE):
-        g = []
-        for terms in readings:
-            acc = 0
-            for o, m, sign in terms:
-                x = v[m]
-                if x:
-                    acc += sign * kn[o] * x
-            g.append(acc)
-        g0, g1, g2 = g
-        if ev.exact:
-            bad = g0 != g1 or g0 != g2
-        else:
-            bad = abs(g0 - g1) > scale or abs(g0 - g2) > scale
-        if bad:
-            axes = tuple(i + 1 for i in range(DIM) if _MASKS3[t] >> i & 1)
-            raise ArithmeticError(
-                f"F(phi) is not alternating at {axes}; K is inconsistent")
-        out.append(g0)
-    return out
+    g0, g1, g2 = ((_F_S * ev.ka[_F_K]) * ev.a[_F_V]).sum(axis=0, initial=0).reshape(3, -1)
+    bad = (abs(g0 - g1) > scale) | (abs(g0 - g2) > scale)
+    if bad.any():
+        axes = tuple(i + 1 for i in range(DIM) if _MASKS3[bad.argmax()] >> i & 1)
+        raise ArithmeticError(f"F(phi) is not alternating at {axes}; K is inconsistent")
+    return g0.tolist()
 
 
 def _divider(ev, power):
@@ -267,8 +274,8 @@ def _F_of(ev):
 # caller makes on one form in a row.  Forms are mutable, so the key is their
 # content: grade, masks in dict order, values and their types (exactness only,
 # on exact input, whose v is cleared ints), and vol's coefficient and its type
-# (exactness only, when exact).  The slot is one tuple swap and kn, fn and
-# the derived entries are filled idempotently, so a race can only miss.  No
+# (exactness only, when exact).  The slot is one tuple swap and ka, kn, fn
+# and the derived entries are filled idempotently, so a race can only miss.  No
 # caller mutates an _Evaluation or a value it hands out.
 
 class _Evaluation:
@@ -276,12 +283,16 @@ class _Evaluation:
     order, size = max|v_i| unconverted (an exact int may lie past the float
     range), and c, the coefficient of vol.  On the exact backend (phi and
     vol exact) D clears every denominator of phi, so v is int; otherwise
-    D = 1, and v is exact when phi is (exact_phi).  On first use, its K
-    numerators kn, its F numerators fn, checked at DEFAULT_TOL, and the
-    entries derived from them, each keyed on what it reads beyond phi and
-    vol: Q, dim ker phi (at tol on a float rank) and the checked q (under
-    omega's tables, at tol).  A check that raises stores nothing."""
-    __slots__ = ("v", "D", "c", "exact", "exact_phi", "size", "_kn", "_fn", "_derived")
+    D = 1, and v is exact when phi is (exact_phi).  The gathers run on a, v
+    and a 0, in int64 below the bound _FMAX _KMAX size^3 < _INT64_BOUND,
+    else on objects (Python ints, or an exact phi under a float vol), and in
+    float64 on floats.  On first use, its K numerators ka (a's dtype, and a
+    0) and kn, its F numerators fn, checked at DEFAULT_TOL, and the entries
+    derived from them, each keyed on what it reads beyond phi and vol: Q,
+    dim ker phi (at tol on a float rank) and the checked q (under omega's
+    tables, at tol).  A check that raises stores nothing."""
+    __slots__ = ("v", "a", "D", "c", "exact", "exact_phi", "size", "_ka", "_kn", "_fn",
+                 "_derived")
 
     def __init__(self, phi, vol):
         if phi.grade != 3:
@@ -302,12 +313,20 @@ class _Evaluation:
         for m, x in zip(phi.coeffs, xs):
             v[_INDEX3[m]] = x
         self.v, self.D, self.c, self.size = tuple(v), D, c, max(map(abs, v))
-        self._kn = self._fn = self._derived = None
+        small = self.exact and _FMAX * _KMAX * self.size ** 3 < _INT64_BOUND
+        self.a = np.array(v + [0], np.int64 if small else object if self.exact_phi else np.float64)
+        self._ka = self._kn = self._fn = self._derived = None
+
+    @property
+    def ka(self):
+        if self._ka is None:
+            self._ka = _K_numerators(self.a)
+        return self._ka
 
     @property
     def kn(self):
         if self._kn is None:
-            self._kn = tuple(_K_numerators(self.v))
+            self._kn = tuple(self.ka[:-1].tolist())
         return self._kn
 
     @property
@@ -759,14 +778,10 @@ def hat_monomial_table():
     for j, b in enumerate(PRIMITIVE_BASIS):
         for m, s in b.coeffs.items():
             lin[_INDEX3[m]].append((j, s))
-    k_terms = [[] for _ in range(DIM * DIM)]    # entry o of c K: (a, b, t)
-    for a, b, terms in _K_TABLE:
-        for o, t in terms:
-            k_terms[o].append((a, b, t))
     acc = {}
     for i, lead in enumerate(_LEAD_MASKS):
         for o, m, sign in _F_TABLE[_INDEX3[lead]][0]:
-            for a, b, t in k_terms[o]:
+            for a, b, t in _K_TABLE[o]:
                 for (ja, sa), (jb, sb), (jm, sm) in itertools.product(
                         lin[a], lin[b], lin[m]):
                     row = acc.setdefault(tuple(sorted((ja, jb, jm))), [0] * 14)

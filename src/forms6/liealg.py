@@ -29,7 +29,7 @@ from . import invariants, io, linalg
 from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
                        _clear_denominators, axes_from_mask, basis_matrix,
                        interior, is_exact, wedge)
-from .invariants import (PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
+from .invariants import (_INT64_BOUND, PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
                          compute_K, coords_to_form, form_to_coords,
                          standard_omega, volume_of)
 
@@ -282,8 +282,6 @@ _MASKS4 = tuple(m for m in range(1 << DIM) if m.bit_count() == 4)
 _MASKS5 = tuple(m for m in range(1 << DIM) if m.bit_count() == 5)
 _PAIRS = tuple((i, j) for i in range(DIM) for j in range(i + 1, DIM))
 _PAIR_I, _PAIR_J = (np.array(x) for x in zip(*_PAIRS))
-#: the int64 route runs only when every intermediate is bounded below this
-_INT64_BOUND = 1 << 62
 
 
 class _Gather(NamedTuple):

@@ -2,8 +2,10 @@
 
 Exact paths share one fraction-free elimination on int rows, which gives
 the rank, determinant, inverse and null space; the public exact_* helpers
-take Fractions too and clear the whole matrix once before it.  Float paths
-go through numpy.  The invariants decide the backend once per form
+take Fractions too and clear the whole matrix once before it.  Its
+symmetric form, with symmetric pivoting, gives the inertia of a symmetric
+int matrix.  No exact path makes a float call.  Float paths go through
+numpy.  The invariants decide the backend once per form
 (invariants._Evaluation) and call the int or float helper directly; the
 dispatching helpers pick the exact route whenever every entry is exact.
 """
@@ -150,61 +152,46 @@ def nullspace(rows, tol=1e-8):
     return float_nullspace(rows, tol)
 
 
-def _charpoly(a):
-    """[1, c_1, ..., c_n], det(x I - a) = sum c_k x^(n-k), of a square int
-    matrix, by Faddeev-LeVerrier: M_1 = I, c_k = -tr(a M_k)/k and
-    M_(k+1) = a M_k + c_k I.  Each c_k is an int, so k divides the trace
-    and the floor division is exact."""
-    n = len(a)
-    coeffs, M = [1], [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        cols = list(zip(*M))
-        aM = [[sum(x * y for x, y in zip(r, col)) for col in cols] for r in a]
-        c = -sum(aM[i][i] for i in range(n)) // k
-        coeffs.append(c)
-        M = [[x + c if i == j else x for j, x in enumerate(r)]
-             for i, r in enumerate(aM)]
-    return coeffs
-
-
 def exact_inertia(rows):
-    """Inertia (n_zero, n_plus, n_minus) of a symmetric int matrix, exact.
+    """Inertia (n_zero, n_plus, n_minus) of a symmetric int matrix, exact,
+    by one fraction-free symmetric elimination with no float or tolerance.
 
-    n_zero = n - rank from the forward Bareiss pass.  The signs come from
-    eigvalsh of the float copy when they are certified: the computed
-    eigenvalues are those of a matrix within 64 n eps |a|_F of a (the
-    rounding to float, and eigvalsh's backward stability), so by Weyl's
-    inequality every one farther than that from zero has the sign of its
-    exact eigenvalue, and when n - n_zero of them are, they are all the
-    nonzero ones.  Otherwise the signs are counted exactly: the
-    characteristic polynomial of a symmetric matrix has only real roots, so
-    Descartes' rule of signs gives n_plus as the sign changes of its
-    coefficients.  No tolerance is read.  An entry that is not an int,
-    such as a Fraction, raises TypeError: clear the denominators first."""
+    Each step pivots on a nonzero diagonal entry, moved to the front by a
+    symmetric swap; where the trailing block's diagonal is zero but some
+    m[a][b] is not, row and column b are first added to row and column a, a
+    congruence that puts 2 m[a][b] on the diagonal.  Every other entry
+    becomes (p x - f y) // d, d the last pivot, exactly as in _bareiss, and
+    the pivots p_1..p_r are the leading principal minors of a matrix
+    congruent to the input.  At a zero trailing block (d times the Schur
+    complement) n_zero = n - r (Haynsworth), and n_minus is the number of
+    sign changes in (1, p_1..p_r) (Jacobi).  A non-int entry, such as a
+    Fraction, raises TypeError: clear the denominators first."""
     if not all(isinstance(x, int) for r in rows for x in r):
         raise TypeError("exact_inertia takes a matrix of int entries")
     n = len(rows)
     if any(len(r) != n for r in rows) or any(
             rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    n0 = n - len(_bareiss(rows)[1])
-    if n0 == n:
-        return (n, 0, 0)
-    try:
-        a = np.array(rows, dtype=float)
-    except OverflowError:  # beyond float range: only the exact count
-        pass
-    else:
-        w = np.linalg.eigvalsh(a)
-        top = float(np.abs(a).max())  # |a|_F = top |a / top|_F, free of overflow
-        fro = top * float(np.sqrt(np.sum((a / top) ** 2)))
-        cut = 64 * n * np.finfo(float).eps * fro
-        npos, nneg = int(np.sum(w > cut)), int(np.sum(w < -cut))
-        if npos + nneg == n - n0:
-            return (n0, npos, nneg)
-    signs = [c > 0 for c in _charpoly(rows) if c]
-    npos = sum(x != y for x, y in zip(signs, signs[1:]))
-    return (n0, npos, n - n0 - npos)
+    m, d, nminus, r = [list(row) for row in rows], 1, 0, 0
+    while m:
+        i = next((i for i, row in enumerate(m) if row[i]), None)
+        if i is None:
+            i, b = next(((a, b) for a, row in enumerate(m)
+                         for b in range(a + 1, len(m)) if row[b]), (None, None))
+            if i is None:
+                break
+            for row in m:  # the congruence e_a -> e_a + e_b
+                row[i] += row[b]
+            m[i] = [x + y for x, y in zip(m[i], m[b])]
+        if i:
+            m[0], m[i] = m[i], m[0]
+            for row in m:
+                row[0], row[i] = row[i], row[0]
+        p, top = m[0][0], m[0][1:]
+        m = [[(p * x - row[0] * y) // d for x, y in zip(row[1:], top)] for row in m[1:]]
+        nminus += (p < 0) != (d < 0)
+        d, r = p, r + 1
+    return (n - r, r - nminus, nminus)
 
 
 def float_inertia(rows, tol=1e-8):

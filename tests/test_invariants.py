@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (forget_evaluations, ill_conditioned_symplectic, rand_coords,
                       rand_form, rand_fraction, rand_invertible, rand_symplectic,
@@ -160,6 +160,76 @@ def test_kernel_matches_form_level_definitions_on_floats(phi, c):
                for i in range(6) for j in range(6))
     assert form_max_diff(inv.compute_F(phi, vol=vol), oracle_F(phi, vol)) \
         <= 1e-12 * m ** 3 / abs(c)
+
+
+def left_to_right(terms):
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
+
+
+def loop_numerators(v):
+    """The K numerators and reading 0 of the F numerators as plain
+    left-to-right sums from 0 over the terms of the tables, none skipped."""
+    kn = [left_to_right(t * (v[a] * v[b]) for a, b, t in terms) for terms in inv._K_TABLE]
+    fn = [left_to_right(sign * kn[o] * v[m] for o, m, sign in readings[0])
+          for readings in inv._F_TABLE]
+    return kn, fn
+
+
+# the largest max|v| whose K and F gathers run in int64
+INT64_EDGE = int((inv._INT64_BOUND / (inv._FMAX * inv._KMAX)) ** (1 / 3)) + 2
+while inv._FMAX * inv._KMAX * INT64_EDGE ** 3 >= inv._INT64_BOUND:
+    INT64_EDGE -= 1
+# kind: (the scalar of the coefficients, vol, the dtype of the gathers)
+GATHER_KINDS = {
+    "int64 below the bound": (INT64_EDGE, VOL, "int64"),
+    "ints above the bound": (INT64_EDGE + 1, VOL, "object"),
+    "Fractions under a float vol": (Fraction(5, 7), inv.standard_volume() * -0.4, "object"),
+    "floats at 1e-150": (1e-150, inv.standard_volume() * 1.5, "float64"),
+    "floats at 1": (1.0, VOL, "float64"),
+    "floats at 1e100": (1e100, inv.standard_volume() * -0.4, "float64"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GATHER_KINDS)),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=20, max_size=20),
+       st.lists(st.booleans(), min_size=20, max_size=20) | st.just([True] * 20))
+def test_gathers_match_the_form_level_definitions_and_loop_sums(kind, ints, keep):
+    # dense and sparse forms on each route of the K and F gathers; floats
+    # must keep the bits of a plain left-to-right sum, signed zeros too
+    assume(any(ints))
+    scale, vol, dtype = GATHER_KINDS[kind]
+    top = max(ints, key=abs)
+    keep[ints.index(top)] = True
+    if isinstance(scale, int):  # max|v| is the scale itself
+        v = [n * scale // abs(top) for n in ints]
+    elif isinstance(scale, float):
+        v = [n * scale / 10 ** 6 for n in ints]
+    else:
+        v = [n * scale for n in ints]
+    phi = Form(3, {m: x for m, x, k in zip(inv._MASKS3, v, keep) if k and x})
+    ev = inv._evaluate(phi, vol)
+    assert ev.a.dtype == dtype
+    kn, fn = loop_numerators(ev.v)
+    if dtype == "float64":
+        assert [x.hex() for x in ev.kn] == [float(x).hex() for x in kn]
+        assert [x.hex() for x in ev.fn] == [float(x).hex() for x in fn]
+    else:
+        assert ev.kn == tuple(kn) and ev.fn == tuple(fn)
+        if isinstance(scale, int):
+            assert all(type(x) is int for x in ev.kn + ev.fn)
+    K, F, c = inv.compute_K(phi, vol=vol), inv.compute_F(phi, vol=vol), vol.coeffs[63]
+    if linalg.matrix_is_exact(K.rows):
+        assert K.rows == oracle_K(phi, vol) and F == oracle_F(phi, vol)
+    else:
+        m = float(phi.max_abs()) if phi else 0.0
+        expect = oracle_K(phi, vol)
+        assert all(abs(K.rows[i][j] - expect[i][j]) <= 1e-12 * m ** 2 / abs(c)
+                   for i in range(6) for j in range(6))
+        assert form_max_diff(F, oracle_F(phi, vol)) <= 1e-12 * m ** 3 / abs(c)
 
 
 def test_basis_tables_match_interior_and_wedge(rng):
@@ -498,10 +568,10 @@ def _shift_K_numerator(monkeypatch, rel):
     forget_evaluations(monkeypatch)
     numerators = inv._K_numerators
 
-    def shifted(v):
-        out = numerators(v)
-        exact = all(isinstance(x, int) for x in v)
-        out[2] += 1 if exact else rel * max(map(abs, v)) ** 2
+    def shifted(a):
+        out = numerators(a)
+        exact = all(isinstance(x, int) for x in a.tolist())
+        out[2] += 1 if exact else rel * max(map(abs, a)) ** 2
         return out
 
     monkeypatch.setattr(inv, "_K_numerators", shifted)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forms6 import linalg
 
@@ -209,11 +210,7 @@ def sympy_inertia(rows):
     return tuple(counts)
 
 
-def test_exact_inertia_matches_sympy_roots(rng, monkeypatch):
-    charpolys = []
-    charpoly = linalg._charpoly
-    monkeypatch.setattr(linalg, "_charpoly",
-                        lambda a: charpolys.append(1) or charpoly(a))
+def test_exact_inertia_matches_sympy_roots(rng):
     for n in range(140):
         a = rand_symmetric(rng, n % 7)
         want = sympy_inertia(a)
@@ -222,29 +219,60 @@ def test_exact_inertia_matches_sympy_roots(rng, monkeypatch):
         for tol in (0.5, 1e-8, 1e-300):
             assert linalg.signature_counts(a, tol) == want
         assert linalg.signature_counts([[Fraction(x, 7) for x in r] for r in a]) == want
-    # both the certified float read and the Descartes fallback ran
-    assert 0 < len(charpolys) < 140
+
+
+# one matrix per branch of the symmetric elimination: a zero leading pivot
+# (a symmetric swap), a nonzero block with a zero diagonal (the congruence
+# step), first and after a pivot, and a stop at a zero trailing block
+BRANCHES = {
+    "swap": [[0, 1, 0], [1, 2, 0], [0, 0, -3]],
+    "congruence first": [[0, 2, 3], [2, 0, -5], [3, -5, 0]],
+    "congruence later": [[1, 1, 1, 0], [1, 1, 1, 2], [1, 1, 1, 0], [0, 2, 0, 0]],
+    "rank-deficient stop": [[1, 2, 3], [2, 4, 6], [3, 6, 9]],
+    "zero block then stop": [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("name", BRANCHES)
+def test_exact_inertia_takes_each_branch_exactly(name):
+    a = BRANCHES[name]
+    want = sympy_inertia(a)
+    assert linalg.exact_inertia(a) == want
+    # entries near 10^400, far past the float range, keep the inertia
+    big = 10 ** 400 + 1
+    assert linalg.exact_inertia([[big * x for x in r] for r in a]) == want
 
 
 def test_exact_inertia_beyond_float_range():
     big = 10 ** 400
     a = [[big, 1, 0], [1, -big, 0], [0, 0, 0]]
-    assert linalg.exact_inertia(a) == (1, 1, 1)
+    assert linalg.exact_inertia(a) == sympy_inertia(a) == (1, 1, 1)
     assert linalg.signature_counts(a, 1e-8) == (1, 1, 1)
 
 
-def test_charpoly_is_the_determinant_expansion(rng):
-    import sympy
-    for n in range(20):
-        a = rand_symmetric(rng, n % 7, n=1 + n % 6)
-        want = sympy.Matrix(a).charpoly().all_coeffs()
-        assert linalg._charpoly(a) == [int(c) for c in want]
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([0, 1, -1, 3, -7, 10 ** 30, -(10 ** 30)]), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-9, 9)),
+             max_size=12))))
+def test_exact_inertia_of_a_unimodular_congruence(diag_and_moves):
+    # P^T diag(d) P, P a product of elementary int row additions, so det P =
+    # 1: by Sylvester's law of inertia its inertia is the sign count of d
+    d, moves = diag_and_moves
+    n = len(d)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in moves:
+        if i != j:
+            P[i] = [x + k * y for x, y in zip(P[i], P[j])]
+    a = [[sum(P[k][i] * d[k] * P[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    want = (d.count(0), sum(x > 0 for x in d), sum(x < 0 for x in d))
+    assert linalg.exact_inertia(a) == want
 
 
 def test_exact_inertia_refuses_non_int_entries():
-    # a Fraction would reach the int-only Bareiss core and the floor
-    # division of the Faddeev-LeVerrier fallback; signature_counts clears
-    # the denominators first
+    # a Fraction would reach the floor divisions of the int-only
+    # elimination; signature_counts clears the denominators first
     a = [[10 ** 20, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(2, 5)]]
     for bad in (a, [[1.0, 0], [0, 1.0]], [[np.int64(1)]]):
         with pytest.raises(TypeError, match="int entries"):
