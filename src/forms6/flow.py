@@ -433,6 +433,16 @@ def integrate_ode(flow, y0, t_max, controls=None):
     return trajs[0] if single else trajs
 
 
+def _advance(v, e2):
+    """The t-advance 4^-e v of a step v in units 2^-e (e2 = 2e); inf where
+    it lies past the float range, as it does for tiny starts, so that the
+    cap cuts it."""
+    try:
+        return math.ldexp(v, -e2)
+    except OverflowError:
+        return math.inf
+
+
 def _gauge_step(s0, eps, sizes, cap, e2):
     """The step in tau of a gauged row of rate s0 in its units (e2 = 2e),
     its t-advance and the growth of y over it: (h, 4^-e v(h), e^(s0 h)),
@@ -454,7 +464,7 @@ def _gauge_step(s0, eps, sizes, cap, e2):
         h = min(h, (eps * math.factorial(k) / max(a, 1.0)) ** (1.0 / k) / a ** (1.0 - 1.0 / k))
     # h = 0 where Y or f(Y) is not finite, and so s0 may be nan
     v = -math.expm1(-r * h) / r if r and h else h
-    dt = math.ldexp(v, -e2)
+    dt = _advance(v, e2)
     if dt > cap:
         x = r * math.ldexp(cap, e2)
         if x < 1.0:
@@ -515,7 +525,7 @@ def _step(work, y, active, t_max, h_cap, c):
         if gauge:
             h, dt, g = _gauge_step(s0[k], eps, sizes, cap, 2 * e[k])
         else:
-            dt, g = min(math.ldexp(_step_size(eps, sizes), -2 * e[k]), cap), 1.0
+            dt, g = min(_advance(_step_size(eps, sizes), 2 * e[k]), cap), 1.0
             h = math.ldexp(dt, 2 * e[k])
         if m.blows_up(dt, c):
             m.message += _blow_up_estimate(coef[0, k], f0[k], m.t, e[k])

@@ -220,6 +220,21 @@ _Q_TABLE = tuple((_INDEX3[FULL_MASK ^ t], s) for t, s in zip(
     _MASKS3, basis_matrix(lambda e: wedge(e, _ALL3), _MASKS3, (FULL_MASK,))[0]))
 
 
+def _row_gather(table):
+    """(index, sign), each (DIM, 15), of a table of _CONTR's shape: entry
+    (i, p) of row i has at most one term (p, m, s), read as s a[m], and is
+    padded with sign 0 at the zero slot _ZERO_V."""
+    index = np.full((DIM, len(_MASKS2)), _ZERO_V)
+    sign = np.zeros((DIM, len(_MASKS2)), np.int64)
+    for i, terms in enumerate(table):
+        for p, m, s in terms:
+            index[i, p], sign[i, p] = m, s
+    return index, sign
+
+
+_CONTR_ROWS, _WEDGE1_ROWS = _row_gather(_CONTR), _row_gather(_WEDGE1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _K_numerators(a):
     """The 36 entries of c K(phi), row-major, and a trailing 0, from the
@@ -272,11 +287,16 @@ def _F_of(ev):
 #
 # _evaluate keeps the evaluation of the last form, which serves the calls a
 # caller makes on one form in a row.  Forms are mutable, so the key is their
-# content: grade, masks in dict order, values and their types (exactness only,
-# on exact input, whose v is cleared ints), and vol's coefficient and its type
-# (exactness only, when exact).  The slot is one tuple swap and ka, kn, fn
-# and the derived entries are filled idempotently, so a race can only miss.  No
-# caller mutates an _Evaluation or a value it hands out.
+# content.  It leads with the two exactness markers: the types of phi's
+# values (exactness only, on exact input, whose v is cleared ints) and of
+# vol's coefficient (likewise), so a form of the other backend fails at its
+# marker and no Fraction is compared with its float copy.  Then come grade,
+# masks in dict order, values and vol's coefficient.  The slot is one tuple
+# swap and ka, kn, fn and the derived entries are filled idempotently, so a
+# race can only miss.  No caller mutates an _Evaluation or a value it hands
+# out.  The contraction and one-form wedge rows, for dim ker phi and the
+# (Ann phi)^perp rank, are each one gather on a (_gather_rows): every entry
+# is one signed term, so the rows keep a's dtype and every bit.
 
 class _Evaluation:
     """phi as the table input: v, the coefficients of D phi in _MASKS3
@@ -365,8 +385,8 @@ def _evaluate(phi, vol):
     global _last
     c, xs = vol.coeffs[FULL_MASK], tuple(phi.coeffs.values())
     types = tuple(map(type, xs))
-    key = (phi.grade, tuple(phi.coeffs), xs, _EXACT_TYPES.issuperset(types) or types,
-           type(c) in _EXACT_TYPES or type(c), c)
+    key = (_EXACT_TYPES.issuperset(types) or types, type(c) in _EXACT_TYPES or type(c),
+           phi.grade, tuple(phi.coeffs), xs, c)
     last = _last  # read once: another thread may swap the slot
     if last[0] != key:
         last = _last = key, _Evaluation(phi, vol)
@@ -494,21 +514,6 @@ def _omega_tables(omega):
                             tuple(sorted(omega.coeffs.items())))
 
 
-def _table_rows(table, v):
-    """Row i: sum of s v[m] e_p over the (p, m, s) of table[i], the 15
-    entries indexed like the basis 2-forms.  With _CONTR, row i is
-    iota_{e_i} of the form with coefficients v."""
-    rows = []
-    for terms in table:
-        row = [0] * len(_MASKS2)
-        for p, m, s in terms:
-            x = v[m]
-            if x:
-                row[p] = x if s > 0 else -x
-        rows.append(row)
-    return rows
-
-
 def _q_of(ev, tables, tol):
     """(n, den) with q(omega, phi) = W kn / (D^2 c) = n / den, den > 0; n
     must be symmetric: exactly on the exact backend, where it is an int
@@ -579,22 +584,31 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
     Ranks of v -> iota_v phi (the contraction matrix), of K and of
     alpha -> alpha ^ phi, all taken on D phi: rank does not see the scale."""
     ev = _evaluate(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
-    rk = _rank(ev, [ev.kn[i * DIM:(i + 1) * DIM] for i in range(DIM)], tol)
+    rk = _rank(ev, ev.ka[:-1].reshape(DIM, DIM), tol)
     return SubspaceDims(ev.ker_phi(tol), DIM - rk, rk,
-                        _rank(ev, _table_rows(_WEDGE1, ev.v), tol))
+                        _rank(ev, _gather_rows(_WEDGE1_ROWS, ev.a), tol))
+
+
+def _gather_rows(rows, a):
+    """The (DIM, 15) rows of _CONTR_ROWS or _WEDGE1_ROWS read on the
+    coefficient array a of an _Evaluation, in its dtype: with _CONTR_ROWS,
+    row i is iota_{e_i} of the form, over the basis 2-forms."""
+    index, sign = rows
+    return sign * a[index]
 
 
 def _rank(ev, rows, tol):
-    """Rank of rows built from ev.v on the backend ev chose; an exact phi
-    under a float vol gives Fraction rows and keeps its exact rank."""
-    if ev.exact_phi:
-        return linalg.int_rank(rows) if ev.exact else linalg.exact_rank(rows)
-    return linalg.float_rank(rows, tol)
+    """Rank of a (DIM, n) array in ev.a's dtype: exact on Python ints, or on
+    Fractions for an exact phi under a float vol, else float at tol."""
+    if not ev.exact_phi:
+        return linalg.float_rank(rows, tol)
+    rows = rows.tolist()
+    return linalg.int_rank(rows) if ev.exact else linalg.exact_rank(rows)
 
 
 def _ker_phi(ev, tol):
     """dim ker phi from the contraction matrix (row i: iota_{e_i} phi)."""
-    return DIM - _rank(ev, _table_rows(_CONTR, ev.v), tol)
+    return DIM - _rank(ev, _gather_rows(_CONTR_ROWS, ev.a), tol)
 
 
 class ClassificationError(ValueError):

@@ -85,12 +85,13 @@ def _bilinear(C, G):
     return [[sum(x * y for x, y in zip(Ci, gj)) for gj in GC] for Ci in C]
 
 
-def _q_route_checks(v, k):
+def _q_route_checks(ev, k):
     """(name, holds) for the two other routes to q = omega(v1, K v2) on a
-    primitive P = D phi with coefficients v, and k = D^2 K: C G2 C^T and
-    -C G3 C^T, C the contraction matrix of P, each carry d D^2 q, as does d W k."""
+    primitive P = D phi, the table input of the exact _Evaluation ev, and
+    k = D^2 K: C G2 C^T and -C G3 C^T, C the contraction matrix of P, each
+    carry d D^2 q, as does d W k."""
     W, d, G2, G3 = _q_route_tables()
-    C = inv._table_rows(inv._CONTR, v)
+    C = inv._gather_rows(inv._CONTR_ROWS, ev.a).tolist()
     q = [[d * sum(W[i][l] * k[l * 6 + j] for l in range(6)) for j in range(6)]
          for i in range(6)]
     yield "q = (i phi ^ i phi ^ omega)/vol", _bilinear(C, G2) == q
@@ -113,10 +114,11 @@ def _identity_checks(phi, primitive, vol, rng):
     pf = wedge(P, FP)                           # D^4 phi ^ F
     Q = -pf.coeffs.get(63, 0)                   # D^4 Q
     yield "K K = (Q/4) id", K.compose(K).scale(4) == LinearMap6.diagonal([Q] * 6)
-    yield "K(F) = -Q K", inv.compute_K(F, vol=vol).scale(D ** 6) == K.scale(-Q)
-    yield "F(F) = -Q^2 phi", inv.compute_F(F, vol=vol) * D ** 9 == P * (-Q * Q)
+    # by homogeneity K(FP) = D^6 K(F) and F(FP) = D^9 F(F), on the int FP
+    yield "K(F) = -Q K", inv.compute_K(FP, vol=vol) == K.scale(-Q)
+    yield "F(F) = -Q^2 phi", inv.compute_F(FP, vol=vol) == P * (-Q * Q)
     if primitive:
-        yield from _q_route_checks(ev.v, k)
+        yield from _q_route_checks(ev, k)
     X = [rng.randint(-4, 4) for _ in range(6)]
     Y = [rng.randint(-4, 4) for _ in range(6)]
     iXP, iXF = interior(X, P), interior(X, FP)

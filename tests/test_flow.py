@@ -880,6 +880,18 @@ def test_huge_state_steps_in_its_own_units():
     assert traj.n_accepted > 0 and np.all(np.isfinite(traj.states))
 
 
+@pytest.mark.parametrize("setup", [NIL, SOLV], ids=["nil", "solv"])
+@pytest.mark.parametrize("s", [1e-160, 1e-320])
+def test_tiny_start_steps_at_the_cap(setup, s):
+    # below about 2^-512 the t-advance of a step, taken in the start's own
+    # units, lies past the float range: it is over the cap, so every step is
+    # the cap, and a cubic flow does not move such a start in float
+    traj = flow.integrate(setup, [s] * 14, 100.0)
+    assert traj.status == "reached_t_max" and traj.n_accepted == 20
+    assert traj.min_step == traj.max_step == 5.0 and traj.times[-1] == 100.0
+    assert np.array_equal(traj.final_state, traj.states[0])
+
+
 @pytest.mark.parametrize("c0", [[1.0, 1.0, 1.0], [1.9, 1.9, 1.0]])
 def test_gauged_series_past_the_float_range_stops_at_once(c0):
     # on a flow with coefficients of 1e308 the series of the first start

@@ -232,24 +232,41 @@ def test_gathers_match_the_form_level_definitions_and_loop_sums(kind, ints, keep
         assert form_max_diff(F, oracle_F(phi, vol)) <= 1e-12 * m ** 3 / abs(c)
 
 
+# route: (the form made of a Fraction form, vol, the dtype of ev.a and its rows)
+ROW_ROUTES = {
+    "int64": (lambda phi: phi, VOL, "int64"),
+    "ints above the bound": (lambda phi: phi * 10 ** 7, VOL, "object"),
+    "Fractions under a float vol": (lambda phi: phi, VOL.to_float(), "object"),
+    "float64": (Form.to_float, VOL, "float64"),
+}
+
+
 def test_basis_tables_match_interior_and_wedge(rng):
-    # entry for entry, so that a wrong complement or row order shows: row i
-    # of _CONTR read on phi is iota_{e_i} phi over the basis 2-forms, row j
-    # of _WEDGE1 is e^j ^ phi over the 4-forms by their complements, and the
-    # _Q_TABLE sum over the coefficients of phi and psi is (phi ^ psi)/e^123456
-    for _ in range(10):
-        phi, psi = rand_form(rng, 3, 0.6), rand_form(rng, 3, 0.6)
-        v = [phi.coeffs.get(m, 0) for m in inv._MASKS3]
-        for i, row in enumerate(inv._table_rows(inv._CONTR, v)):
-            e = [int(k == i) for k in range(6)]
-            assert row == [interior(e, phi).coeffs.get(p, 0) for p in inv._MASKS2]
-        for j, row in enumerate(inv._table_rows(inv._WEDGE1, v)):
-            assert row == [wedge(basis(j + 1), phi).coeffs.get(63 ^ p, 0)
-                           for p in inv._MASKS2]
-        for chi in (psi, inv.compute_F(phi, OMEGA)):
-            u = [chi.coeffs.get(m, 0) for m in inv._MASKS3]
-            assert sum(s * v[n] * u[c] for n, (c, s) in enumerate(inv._Q_TABLE)) \
-                == wedge(phi, chi).coeffs.get(63, 0)
+    # entry for entry on every dtype route of an evaluation's array, so that
+    # a wrong complement, row order or sign shows: row i of the _CONTR_ROWS
+    # gather is iota_{e_i} P over the basis 2-forms, P = D phi the table
+    # input, and row j of the _WEDGE1_ROWS gather is e^j ^ P over the 4-forms
+    # by their complements; the _Q_TABLE sum over the coefficients of phi
+    # and psi is (phi ^ psi)/e^123456
+    for make, vol, dtype in ROW_ROUTES.values():
+        for _ in range(10):
+            phi, psi = rand_form(rng, 3, 0.6), rand_form(rng, 3, 0.6)
+            ev = inv._evaluate(make(phi), vol)
+            P = make(phi) * ev.D
+            C = inv._gather_rows(inv._CONTR_ROWS, ev.a)
+            W = inv._gather_rows(inv._WEDGE1_ROWS, ev.a)
+            assert ev.a.dtype == C.dtype == W.dtype == dtype
+            for i, row in enumerate(C.tolist()):
+                e = [int(k == i) for k in range(6)]
+                assert row == [interior(e, P).coeffs.get(p, 0) for p in inv._MASKS2]
+            for j, row in enumerate(W.tolist()):
+                assert row == [wedge(basis(j + 1), P).coeffs.get(63 ^ p, 0)
+                               for p in inv._MASKS2]
+            v = [phi.coeffs.get(m, 0) for m in inv._MASKS3]
+            for chi in (psi, inv.compute_F(phi, OMEGA)):
+                u = [chi.coeffs.get(m, 0) for m in inv._MASKS3]
+                assert sum(s * v[n] * u[c] for n, (c, s) in enumerate(inv._Q_TABLE)) \
+                    == wedge(phi, chi).coeffs.get(63, 0)
 
 
 def test_F_of_scaled_float_forms_is_cubic():
@@ -382,6 +399,25 @@ def test_memo_never_serves_a_stale_result(rng):
     # the rows q_form hands out are the caller's to edit
     inv.q_form(prim, OMEGA)[0][0] += 1
     assert inv.q_form(prim, OMEGA) == _cold(inv.q_form, prim, OMEGA)
+
+
+def test_memo_key_compares_no_fraction_with_a_float(monkeypatch):
+    # the exactness markers lead the key, so a form of the other backend
+    # fails the comparison there, before a Fraction meets its float copy
+    exact = inv.sp_normal_form("O-+", Fraction(3, 2))
+    forms = (exact, exact.to_float()) * 3
+    calls = []
+    eq = Fraction.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return eq(self, other)
+
+    forget_evaluations(monkeypatch)
+    monkeypatch.setattr(Fraction, "__eq__", counting)
+    for phi in forms:
+        assert inv._evaluate(phi, VOL).exact == phi.is_exact()
+    assert not calls
 
 
 def test_memo_entries_follow_tol_and_omega(rng):

@@ -380,6 +380,17 @@ def test_flow_writes_no_limit_after_max_steps(tmp_path, monkeypatch):
     assert status["limit_form"] is None
 
 
+@pytest.mark.parametrize("setup", ["nil-debartolomeis", "solv-tomassini"])
+@pytest.mark.parametrize("s", [1e-160, 1e-320])
+def test_flow_tiny_start_writes_its_files(tmp_path, setup, s):
+    init = tmp_path / "tiny.json"
+    write_coords(init, **dict.fromkeys(inv.COORD_NAMES, s))
+    assert run_cli("flow", setup, str(init), "--out", str(tmp_path)) == 0
+    status = json.loads((tmp_path / "status.json").read_text())
+    assert (status["status"], status["n_accepted"]) == ("reached_t_max", 20)
+    assert (tmp_path / "trajectory.csv").read_text().count("\n") == 22
+
+
 def test_flow_sweep(tmp_path):
     init = tmp_path / "sweep.json"
     init.write_text(json.dumps([{"A": 0.1, "H": 0.5}, {"A": -0.3, "H": 0.7}]))
