@@ -115,7 +115,10 @@ def _out_of_range(args, phi, omega):
 def cmd_classify(args):
     """Classify the form file, under --omega when it is given.  A refusal
     names the file whose scale is out of range and its scalar, else both
-    files; a ClassificationError on well-scaled input is reported as it is."""
+    files; a ClassificationError on well-scaled input is reported as it is.
+    --tol is a relative cut in (0, 1): at 1 or more every float rank is 0."""
+    if not (math.isfinite(args.tol) and 0 < args.tol < 1):
+        raise CliError(f"--tol must be finite and in (0, 1), got {args.tol}")
     form_of = functools.partial(io.form_from_json, grade=3)
     phi = _load(args.form, form_of, "form")
     omega = _load(args.omega, functools.partial(form_of, grade=2), "--omega") \
@@ -286,8 +289,8 @@ def build_parser():
     c.add_argument("form", help="JSON form file (grade 3)")
     c.add_argument("--omega", help="JSON 2-form file; enables Sp classification")
     c.add_argument("--tol", type=float, default=inv.ORBIT_TOL,
-                   help="tolerance of the float orbit decisions "
-                        "(default %(default)g)")
+                   help="relative tolerance of the float orbit decisions, "
+                        "in (0, 1) (default %(default)g)")
     c.add_argument("--out", help="write the report here instead of stdout")
     c.set_defaults(fn=cmd_classify)
 

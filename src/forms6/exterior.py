@@ -134,9 +134,6 @@ class Form:
     def zero(cls, grade):
         return cls(grade, {})
 
-    def items(self):
-        return self.coeffs.items()
-
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
@@ -285,16 +282,8 @@ class LinearMap6:
     def scale(self, s):
         return LinearMap6([[x * s for x in r] for r in self.rows])
 
-    def __add__(self, other):
-        return LinearMap6([[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.rows, other.rows)])
-
     def __eq__(self, other):
         return isinstance(other, LinearMap6) and other.rows == self.rows
-
-    def inverse(self):
-        from . import linalg
-        return LinearMap6(linalg.inverse(self.rows))
 
     def __repr__(self):
         return f"LinearMap6({[list(r) for r in self.rows]!r})"

@@ -23,8 +23,7 @@ import numpy as np
 from . import linalg
 from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
                        LinearMap6, _clear_denominators, _exact_div, basis,
-                       basis_matrix, interior, is_exact, pullback,
-                       vector_of_five_form, wedge)
+                       basis_matrix, interior, is_exact, pullback, wedge)
 
 # GL(V) orbit labels
 O_MINUS = "O-"
@@ -105,6 +104,9 @@ def _resolve_vol(omega, vol):
 # coefficient vector of phi.  An exact phi is first scaled by the lcm D of
 # its denominators, so the tables run on int, and each output entry is
 # divided once at the end: K by D^2 c, F by D^3 c and Q by D^4 c^2.
+# Each table with one signed term per output is a _Gather, read off interior
+# or wedge on basis forms by basis_matrix: _CONTR, _WEDGE1, _WEDGE2 and
+# _IVOL.  K's table is their composition and F's reads _CONTR.
 # The K and F tables run as one gather-multiply-reduce each: column o of the
 # (L, n) index and sign arrays holds the terms of output o in table order,
 # padded with sign 0 at a zero slot, and the sum runs down axis 0 from 0, bit
@@ -113,6 +115,7 @@ def _resolve_vol(omega, vol):
 
 _MASKS2 = tuple(m for m in range(1 << DIM) if m.bit_count() == 2)
 _MASKS3 = tuple(m for m in range(1 << DIM) if m.bit_count() == 3)
+_MASKS5 = tuple(m for m in range(1 << DIM) if m.bit_count() == 5)
 _INDEX3 = {m: n for n, m in enumerate(_MASKS3)}
 
 
@@ -122,74 +125,82 @@ def _unit(j):
     return e
 
 
+class _Gather(NamedTuple):
+    """A contraction table with at most one nonzero entry per output, as
+    the index of that entry and its value (0 where there is none): the
+    table applied to x, contracting x's first axis, is sign x[src], in x's
+    dtype and with every bit of x."""
+    src: np.ndarray
+    sign: np.ndarray
+
+    @classmethod
+    def of(cls, table):
+        """The _Gather of an int table over its last axis; raises if an
+        output has two nonzero entries."""
+        table = np.asarray(table)
+        nonzero = table != 0
+        if nonzero.sum(axis=-1).max() > 1:
+            raise ValueError("not a gather: an output has two nonzero entries")
+        src = nonzero.argmax(axis=-1)
+        return cls(src, np.take_along_axis(table, src[..., None], -1)[..., 0])
+
+    def __call__(self, x):
+        sign = self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 1))
+        return sign * x[self.src]
+
+
+# over the coefficients of a 3-form in _MASKS3 order: _CONTR[i, p] gives the
+# coefficient of e^(_MASKS2[p]) in iota_{e_i} of it, _WEDGE1[j, p] that of
+# e^(all axes but _MASKS2[p]) in e^j ^ it (a 4-form by its complement), and
+# _WEDGE2[q, p] that of e^(_MASKS5[q]) in e^(_MASKS2[p]) ^ it; over a vector
+# x, _IVOL[q] gives that of e^(_MASKS5[q]) in iota_x e^123456
+_CONTR = _Gather.of([basis_matrix(functools.partial(interior, _unit(i)), _MASKS3, _MASKS2)
+                     for i in range(DIM)])
+_WEDGE1 = _Gather.of([basis_matrix(functools.partial(wedge, basis(j + 1)), _MASKS3,
+                                   [FULL_MASK ^ p for p in _MASKS2]) for j in range(DIM)])
+_WEDGE2 = _Gather.of(np.stack([basis_matrix(functools.partial(wedge, Form._trusted(2, {p: 1})),
+                                            _MASKS3, _MASKS5) for p in _MASKS2], axis=1))
+_IVOL = _Gather.of(np.hstack([basis_matrix(functools.partial(interior, _unit(k)),
+                                           (FULL_MASK,), _MASKS5) for k in range(DIM)]))
+
+
 def _build_K_table():
     """Row o of the table: the terms (a, b, t), in (a, b) order, of entry
     o = i*DIM + j of c K(phi) as a sum of t phi_a phi_b over index pairs
-    a < b, read off iota_{K e_j} vol = -iota_{e_j} e^a ^ e^b.
-
-    For each (a, j) one wedge against the sum of the e^b that miss
-    iota_{e_j} e^a = +-e^pair covers every pair that does not vanish: the
-    products land on distinct 5-forms, so entry i of the column belongs to
-    b = (all axes but i) minus pair."""
-    vol = standard_volume()
-    acc = {}
-    for na, a in enumerate(_MASKS3):
-        ea = Form(3, {a: 1})
-        for j in range(DIM):
-            if not a >> j & 1:
-                continue
-            ia = -interior(_unit(j), ea)
-            (pair,) = ia.coeffs
-            rest = FULL_MASK ^ pair
-            free = Form(3, {rest ^ (1 << k): 1 for k in range(DIM) if rest >> k & 1})
-            col = vector_of_five_form(wedge(ia, free), vol)
-            for i, x in enumerate(col):
-                if x:
-                    nb = _INDEX3[rest ^ (1 << i)]
-                    key = (na, nb, i * DIM + j) if na < nb else (nb, na, i * DIM + j)
-                    acc[key] = acc.get(key, 0) + int(x)
-    table = [[] for _ in range(DIM * DIM)]
-    for (a, b, o), t in sorted(acc.items()):
-        if t:
-            table[o].append((a, b, t))
-    return tuple(map(tuple, table))
+    a < b, read off iota_{K e_j} vol = -iota_{e_j} e^a ^ e^b.  By the
+    gathers, iota_{e_j} e^a = s e^p, e^p ^ e^b = s' e^(_MASKS5[q]) and
+    iota_{e_i} vol = s'' e^(_MASKS5[q]), so each (j, q, p) adds -s s' s''
+    on the pair {a, b} at entry (i, j)."""
+    j, q, p = np.ix_(range(DIM), range(len(_MASKS5)), range(len(_MASKS2)))
+    a, b = _CONTR.src[j, p], _WEDGE2.src[q, p]
+    dense = np.zeros((DIM * DIM, len(_MASKS3), len(_MASKS3)), np.int64)
+    np.add.at(dense, (_IVOL.src[q] * DIM + j, np.minimum(a, b), np.maximum(a, b)),
+              -_CONTR.sign[j, p] * _WEDGE2.sign[q, p] * _IVOL.sign[q])
+    table = []
+    for d in dense:
+        a, b = np.nonzero(d)
+        table.append(tuple(zip(a.tolist(), b.tolist(), d[a, b].tolist())))
+    return tuple(table)
 
 
 def _build_F_table():
     """For each basis 3-form e^t, t = {i < j < k}, the three readings
     phi(K e_i, e_j, e_k) = -phi(K e_j, e_i, e_k) = phi(K e_k, e_i, e_j)
     of -c F_t/2, each a sum of s (c K)_{l, first} phi_m over the terms
-    phi(e_l, ., .) = iota_{e_l} phi that reach the pair."""
-    reach = {(l, _MASKS2[p]): (m, s)
-             for l, row in enumerate(_CONTR) for p, m, s in row}
+    iota_{e_l} e^m = s e^pair of _CONTR that reach the pair."""
     table = []
     for t in _MASKS3:
         readings = []
         for pos, i in enumerate(j for j in range(DIM) if t >> j & 1):
-            pair = t ^ (1 << i)
+            p = _MASKS2.index(t ^ (1 << i))
+            src, s = _CONTR.src[:, p].tolist(), _CONTR.sign[:, p].tolist()
             sign = -1 if pos == 1 else 1
-            terms = []
-            for l in range(DIM):
-                if (l, pair) in reach:
-                    m, s = reach[l, pair]
-                    terms.append((l * DIM + i, m, sign * s))
-            readings.append(tuple(terms))
+            readings.append(tuple((l * DIM + i, src[l], sign * s[l])
+                                  for l in range(DIM) if s[l]))
         table.append(tuple(readings))
     return tuple(table)
 
 
-def _rows(M):
-    """Row o of a basis_matrix M as (o, n, s) for each nonzero s = M[o][n]."""
-    return tuple((o, n, s) for o, row in enumerate(M) for n, s in enumerate(row) if s)
-
-
-# row i of _CONTR: (p, m, s) with iota_{e_i} e^m = s e^p over the basis 3-forms
-# e^m; row j of _WEDGE1: (q, m, s) with e^j ^ e^m = s e^(all axes but q), a
-# 4-form indexed by its complement, p and q in _MASKS2 and m in _MASKS3 order
-_CONTR = tuple(_rows(basis_matrix(functools.partial(interior, _unit(i)),
-                                  _MASKS3, _MASKS2)) for i in range(DIM))
-_WEDGE1 = tuple(_rows(basis_matrix(functools.partial(wedge, basis(j + 1)), _MASKS3,
-                                   [FULL_MASK ^ p for p in _MASKS2])) for j in range(DIM))
 _K_TABLE = _build_K_table()
 _F_TABLE = _build_F_table()
 
@@ -218,21 +229,6 @@ _FMAX = int(abs(_F_S).sum(axis=0).max())
 _ALL3 = Form._trusted(3, dict.fromkeys(_MASKS3, 1))
 _Q_TABLE = tuple((_INDEX3[FULL_MASK ^ t], s) for t, s in zip(
     _MASKS3, basis_matrix(lambda e: wedge(e, _ALL3), _MASKS3, (FULL_MASK,))[0]))
-
-
-def _row_gather(table):
-    """(index, sign), each (DIM, 15), of a table of _CONTR's shape: entry
-    (i, p) of row i has at most one term (p, m, s), read as s a[m], and is
-    padded with sign 0 at the zero slot _ZERO_V."""
-    index = np.full((DIM, len(_MASKS2)), _ZERO_V)
-    sign = np.zeros((DIM, len(_MASKS2)), np.int64)
-    for i, terms in enumerate(table):
-        for p, m, s in terms:
-            index[i, p], sign[i, p] = m, s
-    return index, sign
-
-
-_CONTR_ROWS, _WEDGE1_ROWS = _row_gather(_CONTR), _row_gather(_WEDGE1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -295,8 +291,7 @@ def _F_of(ev):
 # swap and ka, kn, fn and the derived entries are filled idempotently, so a
 # race can only miss.  No caller mutates an _Evaluation or a value it hands
 # out.  The contraction and one-form wedge rows, for dim ker phi and the
-# (Ann phi)^perp rank, are each one gather on a (_gather_rows): every entry
-# is one signed term, so the rows keep a's dtype and every bit.
+# (Ann phi)^perp rank, are the gathers _CONTR(a) and _WEDGE1(a).
 
 class _Evaluation:
     """phi as the table input: v, the coefficients of D phi in _MASKS3
@@ -586,15 +581,7 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
     ev = _evaluate(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
     rk = _rank(ev, ev.ka[:-1].reshape(DIM, DIM), tol)
     return SubspaceDims(ev.ker_phi(tol), DIM - rk, rk,
-                        _rank(ev, _gather_rows(_WEDGE1_ROWS, ev.a), tol))
-
-
-def _gather_rows(rows, a):
-    """The (DIM, 15) rows of _CONTR_ROWS or _WEDGE1_ROWS read on the
-    coefficient array a of an _Evaluation, in its dtype: with _CONTR_ROWS,
-    row i is iota_{e_i} of the form, over the basis 2-forms."""
-    index, sign = rows
-    return sign * a[index]
+                        _rank(ev, _WEDGE1(ev.a), tol))
 
 
 def _rank(ev, rows, tol):
@@ -608,7 +595,7 @@ def _rank(ev, rows, tol):
 
 def _ker_phi(ev, tol):
     """dim ker phi from the contraction matrix (row i: iota_{e_i} phi)."""
-    return DIM - _rank(ev, _gather_rows(_CONTR_ROWS, ev.a), tol)
+    return DIM - _rank(ev, _CONTR(ev.a), tol)
 
 
 class ClassificationError(ValueError):

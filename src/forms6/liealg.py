@@ -26,12 +26,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import invariants, io, linalg
-from .exterior import (DIM, DEFAULT_TOL, FULL_MASK, Form, GradeError,
+from .exterior import (DIM, DEFAULT_TOL, Form, GradeError,
                        _clear_denominators, axes_from_mask, basis_matrix,
                        interior, is_exact, wedge)
-from .invariants import (_INT64_BOUND, PRIMITIVE_BASIS, PrimitiveCoords, compute_F,
-                         compute_K, coords_to_form, form_to_coords,
-                         standard_omega, volume_of)
+from .invariants import (_INT64_BOUND, _IVOL, _MASKS5, _WEDGE2, PRIMITIVE_BASIS,
+                         PrimitiveCoords, compute_F, compute_K, coords_to_form,
+                         form_to_coords, standard_omega, volume_of)
 
 #: growth rate of the built-in solvable algebra, log((3 + sqrt 5)/2)
 SOLV_LAMBDA = math.log((3 + math.sqrt(5)) / 2)
@@ -279,44 +279,19 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
 # definitions; the tests hold the tables to them entry for entry.
 
 _MASKS4 = tuple(m for m in range(1 << DIM) if m.bit_count() == 4)
-_MASKS5 = tuple(m for m in range(1 << DIM) if m.bit_count() == 5)
 _PAIRS = tuple((i, j) for i in range(DIM) for j in range(i + 1, DIM))
 _PAIR_I, _PAIR_J = (np.array(x) for x in zip(*_PAIRS))
 
 
-class _Gather(NamedTuple):
-    """A contraction table with at most one nonzero entry per output, as
-    the index of that entry and its value (0 where there is none): the
-    table applied to x, contracting x's first axis, is sign x[src]."""
-    src: np.ndarray
-    sign: np.ndarray
-
-    @classmethod
-    def of(cls, table):
-        """The _Gather of an int table over its last axis; raises if an
-        output has two nonzero entries."""
-        nonzero = table != 0
-        if nonzero.sum(axis=-1).max() > 1:
-            raise ValueError("not a gather: an output has two nonzero entries")
-        src = nonzero.argmax(axis=-1)
-        return cls(src, np.take_along_axis(table, src[..., None], -1)[..., 0])
-
-    def __call__(self, x):
-        sign = self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 1))
-        return sign * x[self.src]
-
-
 class _Contractions(NamedTuple):
     """ii[i, j] takes the coefficients of a 4-form to those of iota_{e_j}
-    iota_{e_i} of it; w[q, p] takes those of a 3-form to the coefficient of
-    e^(_MASKS5[q]) in its wedge with the p-th basis 2-form; ivol[q] takes a
-    vector x over k = 0..5 to that in sum_k x_k iota_{e_k} e^123456.  Each
-    is a _Gather: of the 8100, 1800 and 36 entries of the dense tables, 180,
-    60 and 6 are nonzero, at most one per output.  The r_* are the dense
-    tables' largest absolute row sums over the contracted indices."""
-    ii: _Gather
-    w: _Gather
-    ivol: _Gather
+    iota_{e_i} of it, an invariants._Gather: of the 8100 entries of the
+    dense table, 180 are nonzero, at most one per output.  The wedge with
+    the basis 2-forms onto 5-forms and iota_x e^123456 are invariants'
+    _WEDGE2 and _IVOL.  The r_* are the largest absolute row sums over the
+    contracted indices of ii, _WEDGE2 (over the 2-forms and the 3-forms)
+    and _IVOL."""
+    ii: invariants._Gather
     r_ii: int
     r_w: int
     r_vol: int
@@ -324,21 +299,15 @@ class _Contractions(NamedTuple):
 
 @functools.cache
 def _contraction_tables():
-    """The _Contractions, read off interior and wedge on basis forms as
-    int64 arrays on first use, not at import."""
-    unit, m2, m3 = invariants._unit, invariants._MASKS2, invariants._MASKS3
+    """The _Contractions, ii read off interior on basis forms as an int64
+    array on first use, not at import."""
+    unit, m2 = invariants._unit, invariants._MASKS2
     ii = np.array([[basis_matrix(lambda e: interior(unit(j), interior(unit(i), e)),
                                  _MASKS4, m2) for j in range(DIM)] for i in range(DIM)],
                   np.int64)
-    w = np.stack([basis_matrix(functools.partial(wedge, Form(2, {p: 1})), m3, _MASKS5)
-                  for p in m2], axis=1, dtype=np.int64)
-    vol = Form(DIM, {FULL_MASK: 1})
-    ivol = np.array([[interior(unit(k), vol).coeffs.get(q, 0) for k in range(DIM)]
-                     for q in _MASKS5], np.int64)
-    return _Contractions(_Gather.of(ii), _Gather.of(w), _Gather.of(ivol),
-                         int(abs(ii).sum(axis=3).max()),
-                         int(abs(w).sum(axis=(1, 2)).max()),
-                         int(abs(ivol).sum(axis=1).max()))
+    return _Contractions(invariants._Gather.of(ii), int(abs(ii).sum(axis=3).max()),
+                         int(abs(_WEDGE2.sign).sum(axis=1).max()),
+                         int(abs(_IVOL.sign).max()))
 
 
 class _IdentityTables(NamedTuple):
@@ -457,8 +426,8 @@ def _table_sides(setup, phi, core=None):
     U = (np.einsum("ln,lnp->np", k[:, _PAIR_I], a[:, _PAIR_J])
          - np.einsum("ln,lnp->np", k[:, _PAIR_J], a[:, _PAIR_I]))
     inner = 2 * U + c.ii(df)[_PAIR_I, _PAIR_J]
-    rhs = a[_PAIR_I, _PAIR_J] @ c.w(f).T + inner @ c.w(P).T
-    lhs = c.ivol(N[:, _PAIR_I, _PAIR_J]).T
+    rhs = a[_PAIR_I, _PAIR_J] @ _WEDGE2(f).T + inner @ _WEDGE2(P).T
+    lhs = _IVOL(N[:, _PAIR_I, _PAIR_J]).T
     return lhs, rhs, ev.c * E * ev.D ** 4
 
 

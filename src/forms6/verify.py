@@ -91,7 +91,7 @@ def _q_route_checks(ev, k):
     k = D^2 K: C G2 C^T and -C G3 C^T, C the contraction matrix of P, each
     carry d D^2 q, as does d W k."""
     W, d, G2, G3 = _q_route_tables()
-    C = inv._gather_rows(inv._CONTR_ROWS, ev.a).tolist()
+    C = inv._CONTR(ev.a).tolist()
     q = [[d * sum(W[i][l] * k[l * 6 + j] for l in range(6)) for j in range(6)]
          for i in range(6)]
     yield "q = (i phi ^ i phi ^ omega)/vol", _bilinear(C, G2) == q

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rand_form, rand_invertible, rand_vector
+from forms6 import linalg
 from forms6.exterior import (Form, GradeError, LinearMap6, _clear_denominators,
                              _exact_div, basis, basis_matrix, eval_form, interior,
                              mask_from_axes, pullback, vector_of_five_form,
@@ -142,7 +143,7 @@ def test_pullback_round_trip(rng):
     for _ in range(10):
         g = rand_invertible(rng)
         a = rand_form(rng, 3, 0.5)
-        assert pullback(g.inverse(), pullback(g, a)) == a
+        assert pullback(LinearMap6(linalg.inverse(g.rows)), pullback(g, a)) == a
 
 
 def test_pullback_matches_evaluation(rng):

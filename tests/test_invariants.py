@@ -243,30 +243,46 @@ ROW_ROUTES = {
 
 def test_basis_tables_match_interior_and_wedge(rng):
     # entry for entry on every dtype route of an evaluation's array, so that
-    # a wrong complement, row order or sign shows: row i of the _CONTR_ROWS
-    # gather is iota_{e_i} P over the basis 2-forms, P = D phi the table
-    # input, and row j of the _WEDGE1_ROWS gather is e^j ^ P over the 4-forms
-    # by their complements; the _Q_TABLE sum over the coefficients of phi
-    # and psi is (phi ^ psi)/e^123456
+    # a wrong complement, row order or sign shows: row i of the _CONTR gather
+    # is iota_{e_i} P over the basis 2-forms, P = D phi the table input, row
+    # j of the _WEDGE1 gather is e^j ^ P over the 4-forms by their
+    # complements, entry (q, p) of the _WEDGE2 gather is the coefficient of
+    # the q-th basis 5-form in e^p ^ P, and _IVOL of the vector x made of
+    # P's first six coefficients is iota_x e^123456 over the 5-forms; the
+    # _Q_TABLE sum over the coefficients of phi and psi is (phi ^ psi)/e^123456
+    e6 = inv.standard_volume()
     for make, vol, dtype in ROW_ROUTES.values():
         for _ in range(10):
             phi, psi = rand_form(rng, 3, 0.6), rand_form(rng, 3, 0.6)
             ev = inv._evaluate(make(phi), vol)
             P = make(phi) * ev.D
-            C = inv._gather_rows(inv._CONTR_ROWS, ev.a)
-            W = inv._gather_rows(inv._WEDGE1_ROWS, ev.a)
-            assert ev.a.dtype == C.dtype == W.dtype == dtype
+            x = ev.a[:6]
+            C, W1, W2, I = inv._CONTR(ev.a), inv._WEDGE1(ev.a), inv._WEDGE2(ev.a), inv._IVOL(x)
+            assert ev.a.dtype == C.dtype == W1.dtype == W2.dtype == I.dtype == dtype
             for i, row in enumerate(C.tolist()):
                 e = [int(k == i) for k in range(6)]
                 assert row == [interior(e, P).coeffs.get(p, 0) for p in inv._MASKS2]
-            for j, row in enumerate(W.tolist()):
+            for j, row in enumerate(W1.tolist()):
                 assert row == [wedge(basis(j + 1), P).coeffs.get(63 ^ p, 0)
                                for p in inv._MASKS2]
+            wedges = [wedge(Form(2, {p: 1}), P).coeffs for p in inv._MASKS2]
+            for q, row in zip(inv._MASKS5, W2.tolist()):
+                assert row == [w.get(q, 0) for w in wedges]
+            assert I.tolist() == [interior(x.tolist(), e6).coeffs.get(q, 0)
+                                  for q in inv._MASKS5]
             v = [phi.coeffs.get(m, 0) for m in inv._MASKS3]
             for chi in (psi, inv.compute_F(phi, OMEGA)):
                 u = [chi.coeffs.get(m, 0) for m in inv._MASKS3]
                 assert sum(s * v[n] * u[c] for n, (c, s) in enumerate(inv._Q_TABLE)) \
                     == wedge(phi, chi).coeffs.get(63, 0)
+
+
+def test_gather_refuses_two_terms_in_one_output():
+    # a table whose output 1 reads two inputs is not a gather
+    with pytest.raises(ValueError, match="two nonzero entries"):
+        inv._Gather.of([[1, 0, 0], [0, 1, -1]])
+    g = inv._Gather.of([[0, 0, -1], [0, 0, 0]])
+    assert g.src.tolist() == [2, 0] and g.sign.tolist() == [-1, 0]
 
 
 def test_F_of_scaled_float_forms_is_cubic():

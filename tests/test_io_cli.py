@@ -37,6 +37,12 @@ def test_form_json_fraction_encoding():
     assert io.form_from_json(data) == f
 
 
+# terms on one mask that sum past the float range: an int past it plus a
+# float (the sum raises OverflowError), and two floats (the sum is inf)
+OVERFLOWING_TERMS = ([{"axes": [1, 3, 5], "coeff": 10 ** 400}, {"axes": [1, 3, 5], "coeff": 1.0}],
+                     [{"axes": [1, 3, 5], "coeff": 1e308}, {"axes": [1, 3, 5], "coeff": 1e308}])
+
+
 def test_form_json_errors():
     with pytest.raises(ValueError):
         io.form_from_json([])  # no grade to infer
@@ -45,6 +51,9 @@ def test_form_json_errors():
                            {"axes": [1, 2, 3], "coeff": 1}])
     with pytest.raises(ValueError):
         io.form_from_json({"axes": [1]})
+    for terms in OVERFLOWING_TERMS:
+        with pytest.raises(ValueError, match=r"axes \[1, 3, 5\] sum past the float range"):
+            io.form_from_json(terms, grade=3)
     assert io.form_from_json([], grade=3) == Form.zero(3)
 
 
@@ -560,6 +569,19 @@ def test_flow_rejects_bad_controls(tmp_path, capsys):
             assert opt in err
 
 
+def test_classify_rejects_bad_tol(tmp_path, capsys):
+    # --tol is a relative cut: at 1 or more every float rank reads 0, and nan
+    # or a cut at most 0 decides nothing; each is refused before any file is read
+    out = tmp_path / "report.json"
+    omega = ("--omega", data_file("forms/omega_standard.json"))
+    for extra in ((), omega):
+        for value in ("nan", "inf", "-5", "0", "1"):
+            err = assert_refused(capsys, "classify", data_file("forms/sp_O1+.json"),
+                                 *extra, "--tol", value, "--out", str(out))
+            assert "--tol" in err and str(float(value)) in err
+            assert not out.exists()
+
+
 def test_flow_rejects_malformed_algebra_file(tmp_path, capsys):
     init = tmp_path / "init.json"
     write_coords(init, A=1.0)
@@ -582,6 +604,11 @@ def test_input_errors_name_their_file(tmp_path, capsys):
     err = assert_refused(capsys, "classify", data_file("forms/sp_O3.json"),
                          "--omega", str(form))
     assert err.startswith(f"forms6: bad --omega file {form}: ")
+    for terms in OVERFLOWING_TERMS:
+        form.write_text(json.dumps(terms))
+        err = assert_refused(capsys, "classify", str(form))
+        assert err == (f"forms6: bad form file {form}: the terms on axes [1, 3, 5] "
+                       "sum past the float range\n")
     init, out = tmp_path / "init.json", tmp_path / "out"
     for text in ('"A"', '{"A": "1/0"}', '{"Z": 1}', '[{"A": 1}, {"A": "2/0"}]',
                  '{"A": 1' + "0" * 400 + "}"):

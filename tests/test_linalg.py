@@ -176,6 +176,8 @@ def test_signature_counts():
     assert linalg.signature_counts(np.eye(6).tolist()) == (0, 6, 0)
     assert linalg.signature_counts(np.diag([1, 1, 1, -1, -1, -1]).tolist()) == (0, 3, 3)
     assert linalg.signature_counts([[0] * 6 for _ in range(6)]) == (6, 0, 0)
+    # a float zero matrix has no eigenvalue to cut against: every direction is null
+    assert linalg.float_inertia([[0.0] * 4 for _ in range(4)]) == (4, 0, 0)
     with pytest.raises(ValueError):
         linalg.signature_counts([[0, 1, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)])
 
