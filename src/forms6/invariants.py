@@ -66,6 +66,12 @@ _GL_OF_KERNEL = {0: O_0, 1: O_1, 3: O_3, 6: O_6}  # dim ker phi where Q = 0
 ORBIT_TOL = 1e-8
 
 
+def _check_tol(tol):
+    """Refuse a relative cut that decides nothing, or reads every rank 0."""
+    if not (math.isfinite(tol) and 0 < tol < 1):
+        raise ValueError(f"tol must be finite and in (0, 1), got {tol}")
+
+
 def standard_omega():
     """The standard symplectic form e^12 + e^34 + e^56."""
     return basis(1, 2) + basis(3, 4) + basis(5, 6)
@@ -239,20 +245,20 @@ def _K_numerators(a):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _F_numerators(ev, tol):
-    """The 20 coefficients of -c F(phi)/2 from the K numerators ev.ka.
+def _F_numerators(ev):
+    """The 20 coefficients of -c F(phi)/2, in a's dtype, from ev.ka.
 
     That phi(K v1, v2, v3) alternates in its first slot against the others is
     a theorem, not bookkeeping, so every reading is checked: exactly on the
-    exact backend, and relative to max|phi|^3 (c F is cubic in phi) on
-    floats.  A failure means K is broken and raises."""
-    scale = 0.0 if ev.exact else tol * ev.size ** 3
+    exact backend, and relative to DEFAULT_TOL max|phi|^3 (c F is cubic in
+    phi) on floats.  A failure means K is broken and raises."""
+    scale = 0.0 if ev.exact else DEFAULT_TOL * ev.size ** 3
     g0, g1, g2 = ((_F_S * ev.ka[_F_K]) * ev.a[_F_V]).sum(axis=0, initial=0).reshape(3, -1)
     bad = (abs(g0 - g1) > scale) | (abs(g0 - g2) > scale)
     if bad.any():
         axes = tuple(i + 1 for i in range(DIM) if _MASKS3[bad.argmax()] >> i & 1)
         raise ArithmeticError(f"F(phi) is not alternating at {axes}; K is inconsistent")
-    return g0.tolist()
+    return g0
 
 
 def _divider(ev, power):
@@ -269,14 +275,14 @@ def _divider(ev, power):
 
 
 def _K_of(ev):
-    div, kn = _divider(ev, 2), ev.kn
+    div, kn = _divider(ev, 2), ev.ka.tolist()
     return LinearMap6([[div(kn[i * DIM + j]) for j in range(DIM)]
                        for i in range(DIM)])
 
 
 def _F_of(ev):
     div = _divider(ev, 3)
-    return Form._trusted(3, {m: div(-2 * g) for m, g in zip(_MASKS3, ev.fn) if g})
+    return Form._trusted(3, {m: div(-2 * g) for m, g in zip(_MASKS3, ev.fa.tolist()) if g})
 
 
 # --- one evaluation per form ------------------------------------------------
@@ -284,30 +290,29 @@ def _F_of(ev):
 # _evaluate keeps the evaluation of the last form, which serves the calls a
 # caller makes on one form in a row.  Forms are mutable, so the key is their
 # content.  It leads with the two exactness markers: the types of phi's
-# values (exactness only, on exact input, whose v is cleared ints) and of
+# values (exactness only, on exact input, whose a is cleared ints) and of
 # vol's coefficient (likewise), so a form of the other backend fails at its
 # marker and no Fraction is compared with its float copy.  Then come grade,
 # masks in dict order, values and vol's coefficient.  The slot is one tuple
-# swap and ka, kn, fn and the derived entries are filled idempotently, so a
-# race can only miss.  No caller mutates an _Evaluation or a value it hands
-# out.  The contraction and one-form wedge rows, for dim ker phi and the
+# swap and ka, fa and the derived entries are filled idempotently, so a race
+# can only miss.  No caller mutates an _Evaluation or a value it hands out.
+# The contraction and one-form wedge rows, for dim ker phi and the
 # (Ann phi)^perp rank, are the gathers _CONTR(a) and _WEDGE1(a).
 
 class _Evaluation:
-    """phi as the table input: v, the coefficients of D phi in _MASKS3
-    order, size = max|v_i| unconverted (an exact int may lie past the float
-    range), and c, the coefficient of vol.  On the exact backend (phi and
-    vol exact) D clears every denominator of phi, so v is int; otherwise
-    D = 1, and v is exact when phi is (exact_phi).  The gathers run on a, v
-    and a 0, in int64 below the bound _FMAX _KMAX size^3 < _INT64_BOUND,
-    else on objects (Python ints, or an exact phi under a float vol), and in
-    float64 on floats.  On first use, its K numerators ka (a's dtype, and a
-    0) and kn, its F numerators fn, checked at DEFAULT_TOL, and the entries
-    derived from them, each keyed on what it reads beyond phi and vol: Q,
-    dim ker phi (at tol on a float rank) and the checked q (under omega's
-    tables, at tol).  A check that raises stores nothing."""
-    __slots__ = ("v", "a", "D", "c", "exact", "exact_phi", "size", "_ka", "_kn", "_fn",
-                 "_derived")
+    """phi as the table input: a, the coefficients of D phi in _MASKS3 order
+    and a trailing 0, size = max|a_i| unconverted (an exact int may lie past
+    the float range), and c, the coefficient of vol.  On the exact backend
+    (phi and vol exact) D clears every denominator of phi, so a holds ints;
+    otherwise D = 1, and a is exact when phi is (exact_phi).  a is int64
+    below the bound _FMAX _KMAX size^3 < _INT64_BOUND, else objects (Python
+    ints, or an exact phi under a float vol), and float64 on floats.  On
+    first use, its K numerators ka (a's dtype, and a 0), its F numerators fa,
+    checked at DEFAULT_TOL, and the entries derived from them, each keyed on
+    what it reads beyond phi and vol: Q, dim ker phi (at tol on a float
+    rank) and the checked q (under omega's tables, at tol).  A check that
+    raises stores nothing."""
+    __slots__ = ("a", "D", "c", "exact", "exact_phi", "size", "_ka", "_fa", "_derived")
 
     def __init__(self, phi, vol):
         if phi.grade != 3:
@@ -324,13 +329,13 @@ class _Evaluation:
                     raise ValueError(f"non-finite coefficient {x!r}")
             if is_exact(c):
                 c = float(c)
-        v = [0] * len(_MASKS3)
+        v = [0] * (len(_MASKS3) + 1)
         for m, x in zip(phi.coeffs, xs):
             v[_INDEX3[m]] = x
-        self.v, self.D, self.c, self.size = tuple(v), D, c, max(map(abs, v))
+        self.D, self.c, self.size = D, c, max(map(abs, v))
         small = self.exact and _FMAX * _KMAX * self.size ** 3 < _INT64_BOUND
-        self.a = np.array(v + [0], np.int64 if small else object if self.exact_phi else np.float64)
-        self._ka = self._kn = self._fn = self._derived = None
+        self.a = np.array(v, np.int64 if small else object if self.exact_phi else np.float64)
+        self._ka = self._fa = self._derived = None
 
     @property
     def ka(self):
@@ -339,16 +344,10 @@ class _Evaluation:
         return self._ka
 
     @property
-    def kn(self):
-        if self._kn is None:
-            self._kn = tuple(self.ka[:-1].tolist())
-        return self._kn
-
-    @property
-    def fn(self):
-        if self._fn is None:
-            self._fn = tuple(_F_numerators(self, DEFAULT_TOL))
-        return self._fn
+    def fa(self):
+        if self._fa is None:
+            self._fa = _F_numerators(self)
+        return self._fa
 
     def _entry(self, key, make, *args):
         d = self._derived
@@ -408,9 +407,9 @@ def compute_F(phi, omega=None, vol=None):
 
 def _Q_of(ev):
     """Q(phi) from its _Evaluation; a float Q past the float range raises."""
-    gn = ev.fn
+    v, gn = ev.a.tolist(), ev.fa.tolist()
     # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
-    top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(ev.v, _Q_TABLE) if x)
+    top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(v, _Q_TABLE) if x)
     Q = _exact_div(top, ev.D ** 4) / (ev.c * ev.c)
     if not (ev.exact or math.isfinite(Q)):
         raise OverflowError(f"Q(phi) = {Q} is not a finite float")
@@ -432,19 +431,19 @@ def omega_matrix(omega):
     return w
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _require_primitive(ev, tables, tol, what, size=None):
-    """Reject a form with omega ^ phi != 0, read off the rows tables.P on
-    the table input of its _Evaluation ev: exactly on the exact backend,
-    above tol |phi| on floats, or above tol size when the caller gives the
+    """Reject a form with omega ^ phi != 0, read off tables.P a on the table
+    input a of its _Evaluation ev: exactly on the exact backend, above
+    tol |phi| on floats, or above tol size when the caller gives the
     reference size (for a phi that may itself be rounding residue)."""
-    v = ev.v
-    w = [sum(x * v[n] for n, x in row) for row in tables.P]
+    w = (tables.P * ev.a[:, None]).sum(axis=0, initial=0).tolist()
     if ev.exact:
         if not any(w):
             return
         res = max(abs(float(Fraction(x, tables.dP * ev.D))) for x in w)
     else:
-        res = max(abs(x) for x in w) / tables.dP
+        res = max(map(abs, w)) / tables.dP
         if not res > tol * (float(ev.size) if size is None else size):
             return
     raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
@@ -462,30 +461,27 @@ def _check_primitive(phi, omega, tol, what, size=None):
 # matrix of omega and kn the K numerators.  That it equals
 # (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol and -<iota_{v1}phi, iota_{v2}phi>
 # is a theorem, checked by the ``identities`` verification suite, not here.
-# W depends on omega only and is built once per omega.
+# W and the primitivity table P are built once per omega as dense arrays,
+# int64, Python ints or float64 (see _omega_tables_of), and both products
+# sum down axis 0 from 0, bit for bit as the K and F gathers do.
 
 class _OmegaTables(NamedTuple):
-    """W of one omega as sparse rows of (column, entry), cleared to int when
-    omega is exact, with a multiplier m and den such that den D^2 q = m W kn.
-    Winv is W^-1 as linalg.inverse gives it, for the Lefschetz contraction.
-    P holds omega ^ phi as sparse rows over the coefficients of phi in
-    _MASKS3 order, one per basis 5-form, cleared to int when omega is
-    exact: dP D (omega ^ phi) = P v."""
+    """W, the matrix of one omega, cleared to int when omega is exact, with
+    a multiplier m and den such that den D^2 q = m W kn.  Winv is W^-1 as
+    linalg.inverse gives it, for the Lefschetz contraction.  Row n of P is
+    what a_n of the table input adds to omega ^ phi on the basis 5-forms
+    e^(all axes but i), cleared likewise: dP D (omega ^ phi) = sum_n a_n P[n]."""
     vol: Form
     Winv: tuple
-    W: tuple
+    W: np.ndarray
     m: object
     den: object
-    P: tuple
+    P: np.ndarray
     dP: object
 
 
-def _sparse(rows):
-    return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
-
-
 @functools.lru_cache(maxsize=16)
-def _omega_tables_of(grade, exact, items):
+def _omega_tables_of(grade, items, types):
     omega = Form(grade, dict(items))
     vol = volume_of(omega)
     c = vol.coeffs[FULL_MASK]
@@ -493,40 +489,44 @@ def _omega_tables_of(grade, exact, items):
     inverse = tuple(map(tuple, linalg.inverse(W)))
     P, dP = basis_matrix(functools.partial(wedge, omega), _MASKS3,
                          [FULL_MASK ^ (1 << i) for i in range(DIM)]), 1
-    if exact:
+    if omega.is_exact():
         c = Fraction(c)
         dW, W = linalg._integral(W)
         dP, P = linalg._integral(P)
         den = dW * abs(c.numerator)
         m = c.denominator if c > 0 else -c.denominator
+        # int64 when no product with an int64 ka or a can reach _INT64_BOUND (P's entries are W's)
+        dtype = np.int64 if abs(m) * max(sum(map(abs, r)) for r in W) <= _FMAX else object
     else:  # float, vol too, though a float term of omega drops out of it
-        vol, den, m = vol.to_float(), 1, 1 / float(c)
-    return _OmegaTables(vol, inverse, _sparse(W), m, den, _sparse(P), dP)
+        vol, den, m, dtype = vol.to_float(), 1, 1 / float(c), np.float64
+    return _OmegaTables(vol, inverse, np.array(W, dtype), m, den,
+                        np.array([*zip(*P), (0,) * DIM], dtype), dP)
 
 
 def _omega_tables(omega):
-    return _omega_tables_of(omega.grade, omega.is_exact(),
-                            tuple(sorted(omega.coeffs.items())))
+    # the value types key the cache too: 1, 1.0 and Fraction(1) hash alike
+    items = tuple(omega.coeffs.items())
+    return _omega_tables_of(omega.grade, items, tuple(type(x) for _, x in items))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _q_of(ev, tables, tol):
     """(n, den) with q(omega, phi) = W kn / (D^2 c) = n / den, den > 0; n
     must be symmetric: exactly on the exact backend, where it is an int
     matrix, to tol max|phi|^2 on floats, where the division is done here
     and den = 1."""
-    m, kn = tables.m, ev.kn
-    q = [[m * sum(w * kn[l * DIM + j] for l, w in Wi) for j in range(DIM)]
-         for Wi in tables.W]
+    k = ev.ka[:-1].reshape(DIM, DIM)
+    q = tables.m * (tables.W.T[:, :, None] * k[:, None]).sum(axis=0, initial=0)
     den, scale = tables.den * ev.D ** 2, 0
     if not ev.exact:
-        q = [[x / den for x in r] for r in q]
-        den, scale = 1, tol * ev.size ** 2
-    for i in range(DIM):
-        for j in range(i, DIM):  # with the diagonal, so that NaN fails too
-            if not abs(q[i][j] - q[j][i]) <= scale:
-                raise ArithmeticError(
-                    f"q-form is not symmetric at ({i},{j}): {q[i][j]} against "
-                    f"{q[j][i]}; K is inconsistent")
+        q, den, scale = q / den, 1, tol * ev.size ** 2
+    # NaN fails too; bad is symmetric, so its first entry is on or above the diagonal
+    bad = ~(abs(q - q.T) <= scale)
+    q = q.tolist()
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), DIM)
+        raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): {q[i][j]} against "
+                              f"{q[j][i]}; K is inconsistent")
     return q, den
 
 
@@ -544,10 +544,11 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     broken and raises.  Non-primitive input is rejected.  That q also equals
     (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol and -<iota_{v1}phi,
     iota_{v2}phi> is checked by ``forms6 verify --suite identities``.
-    Primitivity is read off the per-omega rows of omega ^ phi on the same
+    Primitivity is read off the per-omega table of omega ^ phi on the same
     coefficients that K is computed from.  On the exact backend the entries
     are int, or Fractions when a denominator is left.
     """
+    _check_tol(tol)
     tables = _omega_tables(omega)
     q, den = _evaluate(phi, tables.vol).q(tables, tol, "q-form input")
     return [list(r) if den == 1 else [Fraction(x, den) for x in r] for r in q]
@@ -560,9 +561,10 @@ class SignatureTriple(NamedTuple):
 
 
 def signature(sym, tol=ORBIT_TOL):
-    """Inertia (n_zero, n_plus, n_minus) of a symmetric matrix: exact, and
-    blind to tol, when every entry is exact; on floats, eigenvalues within
+    """Inertia (n_zero, n_plus, n_minus) of a symmetric matrix: exact when
+    every entry is exact, tol in (0, 1) unread; on floats, eigenvalues within
     tol * max|eigenvalue| of zero count as zero (linalg.signature_counts)."""
+    _check_tol(tol)
     return SignatureTriple(*linalg.signature_counts(sym, tol))
 
 
@@ -578,6 +580,7 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
 
     Ranks of v -> iota_v phi (the contraction matrix), of K and of
     alpha -> alpha ^ phi, all taken on D phi: rank does not see the scale."""
+    _check_tol(tol)
     ev = _evaluate(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
     rk = _rank(ev, ev.ka[:-1].reshape(DIM, DIM), tol)
     return SubspaceDims(ev.ker_phi(tol), DIM - rk, rk,
@@ -627,6 +630,7 @@ def _gl_orbit(ev, tol):
 def classify_gl(phi, vol=None, tol=ORBIT_TOL):
     """GL(V) orbit label of a 3-form: the sign of Q, or where Q = 0 the
     dimension of ker phi."""
+    _check_tol(tol)
     ev = _evaluate(phi, _resolve_vol(None, standard_volume() if vol is None else vol))
     return _gl_orbit(ev, tol)[0]
 
@@ -645,6 +649,7 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     never read there; on floats it is measured at tol.  mu is recovered
     from Q: Q = -16 mu^4 on O- and 4 mu^4 on O+.  One K evaluation.
     """
+    _check_tol(tol)
     if omega is None:
         omega = standard_omega()
     tables = _omega_tables(omega)

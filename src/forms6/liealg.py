@@ -357,7 +357,7 @@ def _sides_dtype(ev, t):
     if t.d.dtype == object:
         return "object"
     c = _contraction_tables()
-    p, k, f = ev.size, max(map(abs, ev.kn)), 2 * max(map(abs, ev.fn))  # f = -2 ev.fn
+    p, k, f = ev.size, int(abs(ev.ka).max()), 2 * int(abs(ev.fa).max())  # f = -2 ev.fa
     dp, df = t.d_rows * p, t.d_rows * f
     a, af = c.r_ii * dp, c.r_ii * df
     u = DIM * k * a                            # U sums DIM terms
@@ -381,12 +381,11 @@ def _table_core(setup, phi):
     ints, as _sides_dtype decides, and float input in float64."""
     vol = invariants._resolve_vol(setup.omega, None)
     ev = invariants._evaluate(phi, vol)
-    fn = [-2 * g for g in ev.fn]
     t = _identity_tables(setup)
     dtype = _sides_dtype(ev, t)
-    d, br = (x.astype(dtype, copy=False) for x in (t.d, t.bracket))
-    P, f = np.array(ev.v, dtype), np.array(fn, dtype)
-    k = np.array(ev.kn, dtype).reshape(DIM, DIM)
+    with np.errstate(over="ignore"):  # -2 fa overflows as a Python float does
+        d, br, P, k, f = (x.astype(dtype, copy=False) for x in (
+            t.d, t.bracket, ev.a[:-1], ev.ka[:-1].reshape(DIM, DIM), -2 * ev.fa))
     kb = np.einsum("ka,aij->kij", k, br)         # k [e_i, e_j]
     bk = np.einsum("kaj,ai->kij", br, k)         # [k e_i, e_j]
     # [k e_i, k e_j] = sum_b [k e_i, e_b] k[b, j] is bk @ k

@@ -60,11 +60,11 @@ def _integral(values, s):
 
 @functools.cache
 def _q_route_tables():
-    """(W, d, G2, G3) for the standard omega, with G2 and G3 sparse rows over
-    the basis 2-forms scaled to int by their lcm denominator d: G2[p][r] is
-    (e^p ^ e^r ^ omega)/vol and G3[p][r] the pairing of e^p and e^r induced
-    by omega, the determinant extension of -W^-1.  Derived from wedge and
-    W^-1 on first use, not at import."""
+    """(W, d, G2, G3) for the standard omega as object arrays of ints, with
+    G2 and G3 over the basis 2-forms scaled to int by their lcm denominator
+    d: G2[p, r] is (e^p ^ e^r ^ omega)/vol and G3[p, r] the pairing of e^p
+    and e^r induced by omega, the determinant extension of -W^-1.  Derived
+    from wedge and W^-1 on first use, not at import."""
     omega = inv.standard_omega()
     c = inv.volume_of(omega).coeffs[FULL_MASK]
     W = inv.omega_matrix(omega)
@@ -76,13 +76,8 @@ def _q_route_tables():
     G3 = [[O[i][k] * O[j][l] - O[i][l] * O[j][k] for k, l in pairs]
           for i, j in pairs]
     d, ints = linalg._integral(G2 + G3)
-    return W, d, inv._sparse(ints[:len(G2)]), inv._sparse(ints[len(G2):])
-
-
-def _bilinear(C, G):
-    """C G C^T for G given by sparse rows."""
-    GC = [[sum(g * Cj[r] for r, g in row) for row in G] for Cj in C]
-    return [[sum(x * y for x, y in zip(Ci, gj)) for gj in GC] for Ci in C]
+    W, G = np.array(W, object), np.array(ints, object)
+    return W, d, G[:len(G2)], G[len(G2):]
 
 
 def _q_route_checks(ev, k):
@@ -91,11 +86,10 @@ def _q_route_checks(ev, k):
     k = D^2 K: C G2 C^T and -C G3 C^T, C the contraction matrix of P, each
     carry d D^2 q, as does d W k."""
     W, d, G2, G3 = _q_route_tables()
-    C = inv._CONTR(ev.a).tolist()
-    q = [[d * sum(W[i][l] * k[l * 6 + j] for l in range(6)) for j in range(6)]
-         for i in range(6)]
-    yield "q = (i phi ^ i phi ^ omega)/vol", _bilinear(C, G2) == q
-    yield "q = -<i phi, i phi>", _bilinear(C, G3) == [[-x for x in r] for r in q]
+    C = inv._CONTR(ev.a)
+    q = d * (W @ np.array(k, object).reshape(6, 6))
+    yield "q = (i phi ^ i phi ^ omega)/vol", bool((C @ G2 @ C.T == q).all())
+    yield "q = -<i phi, i phi>", bool((C @ G3 @ C.T == -q).all())
 
 
 def _identity_checks(phi, primitive, vol, rng):
@@ -103,7 +97,7 @@ def _identity_checks(phi, primitive, vol, rng):
     X and Y are drawn from rng only once the K/F/Q identities hold, and the
     q routes are checked on primitive phi only."""
     ev = inv._evaluate(phi, vol)
-    D, P = ev.D, Form._trusted(3, dict(zip(inv._MASKS3, ev.v)))  # P = D phi
+    D, P = ev.D, Form._trusted(3, dict(zip(inv._MASKS3, ev.a.tolist())))  # P = D phi
     k = _integral(itertools.chain(*inv.compute_K(phi, vol=vol).rows), D ** 2)
     yield "D^2 K integral", k is not None
     K = LinearMap6([k[i:i + 6] for i in range(0, 36, 6)])

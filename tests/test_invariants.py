@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -212,15 +213,17 @@ def test_gathers_match_the_form_level_definitions_and_loop_sums(kind, ints, keep
         v = [n * scale for n in ints]
     phi = Form(3, {m: x for m, x, k in zip(inv._MASKS3, v, keep) if k and x})
     ev = inv._evaluate(phi, vol)
-    assert ev.a.dtype == dtype
-    kn, fn = loop_numerators(ev.v)
+    assert ev.a.dtype == ev.ka.dtype == ev.fa.dtype == dtype
+    kn, fn = loop_numerators(ev.a.tolist())
+    ka, fa = ev.ka.tolist(), ev.fa.tolist()
+    assert ka.pop() == 0
     if dtype == "float64":
-        assert [x.hex() for x in ev.kn] == [float(x).hex() for x in kn]
-        assert [x.hex() for x in ev.fn] == [float(x).hex() for x in fn]
+        assert [x.hex() for x in ka] == [float(x).hex() for x in kn]
+        assert [x.hex() for x in fa] == [float(x).hex() for x in fn]
     else:
-        assert ev.kn == tuple(kn) and ev.fn == tuple(fn)
+        assert ka == kn and fa == fn
         if isinstance(scale, int):
-            assert all(type(x) is int for x in ev.kn + ev.fn)
+            assert all(type(x) is int for x in ka + fa)
     K, F, c = inv.compute_K(phi, vol=vol), inv.compute_F(phi, vol=vol), vol.coeffs[63]
     if linalg.matrix_is_exact(K.rows):
         assert K.rows == oracle_K(phi, vol) and F == oracle_F(phi, vol)
@@ -230,6 +233,40 @@ def test_gathers_match_the_form_level_definitions_and_loop_sums(kind, ints, keep
         assert all(abs(K.rows[i][j] - expect[i][j]) <= 1e-12 * m ** 2 / abs(c)
                    for i in range(6) for j in range(6))
         assert form_max_diff(F, oracle_F(phi, vol)) <= 1e-12 * m ** 3 / abs(c)
+
+
+GL_OMEGA_MAP = rand_invertible(random.Random(5))
+# (omega, a map that moves a form primitive under the standard omega to one
+# primitive under omega)
+OMEGAS = {"standard": (OMEGA, LinearMap6.identity()),
+          "3/2 standard": (OMEGA * Fraction(3, 2), LinearMap6.identity()),
+          "GL-moved": (pullback(GL_OMEGA_MAP, OMEGA), GL_OMEGA_MAP)}
+
+
+@pytest.mark.parametrize("name", sorted(OMEGAS))
+def test_q_and_primitivity_sums_keep_the_bits_of_a_loop(rng, name):
+    # float q and the residual P a, with W and P dense, must keep the bits
+    # of a left-to-right loop from 0 over the nonzero entries, as the K and
+    # F gathers do; a BLAS W @ kn, which sums in another order, fails here
+    # under the GL-moved omega
+    omega, g = OMEGAS[name]
+    for om in (omega, omega.to_float()):
+        tables = inv._omega_tables(om)
+        W, P = tables.W.tolist(), tables.P.tolist()
+        for _ in range(15):
+            prim = pullback(g, pullback(rand_symplectic(rng), inv.coords_to_form(rand_coords(rng))))
+            phi = prim.to_float() * rng.choice((1e-3, 1.0, 7.0))
+            kn = inv._evaluate(phi, tables.vol).ka.tolist()
+            want = [[tables.m * left_to_right(w * kn[l * 6 + j] for l, w in enumerate(r) if w)
+                     / tables.den for j in range(6)] for r in W]
+            got = inv.q_form(phi, om)
+            assert [[x.hex() for x in r] for r in got] == [[x.hex() for x in r] for r in want]
+            bad = (phi + rand_form(rng, 3)).to_float()
+            a = inv._evaluate(bad, tables.vol).a.tolist()
+            w = [left_to_right(a[n] * x for n, x in enumerate(col) if x) for col in zip(*P)]
+            with pytest.raises(ValueError, match="not primitive") as err:
+                inv.q_form(bad, om)
+            assert str(err.value).endswith(f"= {max(map(abs, w)) / tables.dP}")
 
 
 # route: (the form made of a Fraction form, vol, the dtype of ev.a and its rows)
@@ -283,6 +320,26 @@ def test_gather_refuses_two_terms_in_one_output():
         inv._Gather.of([[1, 0, 0], [0, 1, -1]])
     g = inv._Gather.of([[0, 0, -1], [0, 0, 0]])
     assert g.src.tolist() == [2, 0] and g.sign.tolist() == [-1, 0]
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 2.0))
+def test_orbit_decisions_refuse_a_bad_tol(K_evaluations, monkeypatch, tol):
+    # tol is a relative cut: nan or a cut at most 0 decides nothing and at 1
+    # or more every float rank reads 0 (nan labelled the O1+ form O+ and 2
+    # labelled it O6); each entry point refuses it before phi is evaluated,
+    # on either backend
+    for phi in (inv.sp_normal_form("O1+"), inv.sp_normal_form("O1+").to_float()):
+        q = inv.q_form(phi, OMEGA)
+        forget_evaluations(monkeypatch)
+        K_evaluations.clear()
+        for call in (lambda: inv.classify_gl(phi, tol=tol),
+                     lambda: inv.classify_sp(phi, OMEGA, tol),
+                     lambda: inv.subspace_dims(phi, OMEGA, tol=tol),
+                     lambda: inv.q_form(phi, OMEGA, tol),
+                     lambda: inv.signature(q, tol)):
+            with pytest.raises(ValueError, match=r"tol must be finite and in \(0, 1\)"):
+                call()
+        assert not K_evaluations
 
 
 def test_F_of_scaled_float_forms_is_cubic():
@@ -661,10 +718,8 @@ def test_identities_suite_catches_a_broken_q_route(monkeypatch, route, check):
     # identities suite, which must fail, naming the route, when one entry of
     # its table is off by one
     tables = list(verify._q_route_tables())
-    rows = list(tables[route])
-    (r, g), *rest = rows[0]
-    rows[0] = ((r, g + 1), *rest)
-    tables[route] = tuple(rows)
+    G = tables[route] = tables[route].copy()
+    G[0, np.flatnonzero(G[0])[0]] += 1
     monkeypatch.setattr(verify, "_q_route_tables", lambda: tuple(tables))
     _, rep = verify.run("identities", 5, 6)
     assert rep["passed"] is False
@@ -1051,19 +1106,20 @@ def test_coords_round_trip(rng):
         assert inv.form_to_coords(inv.coords_to_form(c)) == c
 
 
-@pytest.mark.parametrize("omega", [OMEGA, OMEGA * Fraction(3, 2),
-                                   pullback(rand_invertible(random.Random(5)), OMEGA)],
-                         ids=("standard", "3/2 standard", "GL-moved"))
-def test_primitivity_rows_are_the_wedge(rng, omega):
-    # the per-omega rows P give dP D (omega ^ phi) = P v, v the table input
-    # of phi: exactly on exact forms, to rounding on floats and float omega
+@pytest.mark.parametrize("name", sorted(OMEGAS))
+def test_primitivity_rows_are_the_wedge(rng, name):
+    # the per-omega table P gives dP D (omega ^ phi) = sum_n a_n P[n], a the
+    # table input of phi: exactly on exact forms, to rounding on floats and float omega
+    omega = OMEGAS[name][0]
     for om in (omega, omega.to_float()):
         tables = inv._omega_tables(om)
         for _ in range(10):
             phi = rand_form(rng, 3, sparsity=0.6)
             for form in (phi, phi.to_float()):
                 ev = inv._evaluate(form, tables.vol)
-                got = [sum(x * ev.v[n] for n, x in row) for row in tables.P]
+                assert not any(tables.P[-1].tolist())  # the trailing 0 of ev.a
+                a = ev.a.tolist()
+                got = [sum(a[n] * x for n, x in enumerate(col)) for col in zip(*tables.P.tolist())]
                 w = wedge(om, form)
                 want = [w.coeffs.get(63 ^ (1 << i), 0) for i in range(6)]
                 if ev.exact:
@@ -1138,7 +1194,7 @@ def test_scaling_by_cleared_denominators_is_exact(c, phi, vol):
     assert inv.q_from_coords(cD) == inv.q_from_coords(c) * D ** 4
     assert inv.coords_to_form(cD) == inv.coords_to_form(c) * D
     ev = inv._evaluate(phi, vol)
-    D, P = ev.D, Form(3, dict(zip(inv._MASKS3, ev.v)))
+    D, P = ev.D, Form(3, dict(zip(inv._MASKS3, ev.a.tolist())))
     assert P == phi * D and all(type(x) is int for x in P.coeffs.values())
     assert inv.compute_K(P, vol=vol) == inv.compute_K(phi, vol=vol).scale(D ** 2)
     assert inv.compute_F(P, vol=vol) == inv.compute_F(phi, vol=vol) * D ** 3

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -580,6 +581,24 @@ def test_classify_rejects_bad_tol(tmp_path, capsys):
                                  *extra, "--tol", value, "--out", str(out))
             assert "--tol" in err and str(float(value)) in err
             assert not out.exists()
+
+
+def test_classify_refuses_an_extreme_float_omega_without_a_warning(tmp_path, capsys):
+    # omega^3 of these coefficients underflows and q reads nan; the refusal
+    # names the out-of-range coefficient, and no numpy warning leaks from
+    # the array routes on the way
+    omega = tmp_path / "omega.json"
+    omega.write_text(json.dumps([{"axes": [1, 2], "coeff": 5e-324},
+                                 {"axes": [3, 4], "coeff": 2.2250738585072014e-308},
+                                 {"axes": [5, 6], "coeff": 1e308}]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = assert_refused(capsys, "classify", data_file("forms/sp_O0+.json"),
+                             "--omega", str(omega))
+    assert err == (f"forms6: bad --omega file {omega}: the coefficient of e^12, of order "
+                   f"1e-323, is out of range (q-form is not symmetric at (0,0): nan "
+                   f"against nan; K is inconsistent)\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_flow_rejects_malformed_algebra_file(tmp_path, capsys):
