@@ -142,8 +142,8 @@ def _leaf_h(metric, p):
     r_j r_k in the affine frame, with the kernel values it was built on."""
     pt = _point(metric, p)
     _, g, d, _, _, _, P, f, fp = pt
-    h = [[2 * g[j][k] / f - f * fp * d * P[j] * P[k] for k in range(3)]
-         for j in range(3)]
+    h = tuple(tuple([2 * g[j][k] / f - f * fp * d * P[j] * P[k] for k in range(3)])
+              for j in range(3))
     return h, pt
 
 
@@ -168,27 +168,28 @@ def build_six_forms(metric, p):
     return omega, phi
 
 
-@dataclass
+@dataclass(frozen=True)
 class HessianLeafData:
     """Leaf metric package at one fiber point: the Hessian metric h in the
     affine frame, its closed-form inverse, the totally symmetric third
     derivatives and the affine frame vectors (rows = frame vectors in the
-    fiber coordinates).  The curvature is read off this package by
-    scalar_curvature."""
-    h: object
-    h_inv: object
-    h3: object
-    V_frame: object
+    fiber coordinates), all as tuple rows: leaf_data hands one package to
+    every caller at its point, so none may change it.  The curvature is read
+    off this package by scalar_curvature."""
+    h: tuple
+    h_inv: tuple
+    h3: tuple
+    V_frame: tuple
 
 
-def leaf_data(metric, p):
+def _build_leaf_data(metric, p):
     h, (exact, g, d, s, t, r, P, f, fp) = _leaf_h(metric, p)
     ginv = metric.inv if exact else [[float(x) for x in row] for row in metric.inv]
 
     # closed-form inverse, valid because f^2 (f + 2 r f') = 1
     T = [2 * t[j] / d for j in range(3)]  # = g^{jp} P_p
-    h_inv = [[(f / 2) * (ginv[j][k] + (fp * d / (2 * f)) * T[j] * T[k])
-              for k in range(3)] for j in range(3)]
+    h_inv = tuple(tuple([(f / 2) * (ginv[j][k] + (fp * d / (2 * f)) * T[j] * T[k])
+                         for k in range(3)]) for j in range(3))
 
     h3 = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     if fp != 0:
@@ -205,11 +206,35 @@ def leaf_data(metric, p):
                     for (a, b, c) in {(j, k, l), (j, l, k), (k, j, l),
                                       (k, l, j), (l, j, k), (l, k, j)}:
                         h3[a][b][c] = val
+    h3 = tuple(tuple(map(tuple, m)) for m in h3)
 
     fr = f + 2 * r * fp
-    V = [[2 * f * s * ((fr if j == k else 0) - fp * P[j] * t[k])
-          for k in range(3)] for j in range(3)]
+    V = tuple(tuple([2 * f * s * ((fr if j == k else 0) - fp * P[j] * t[k])
+                     for k in range(3)]) for j in range(3))
     return HessianLeafData(h, h_inv, h3, V)
+
+
+# leaf_data keeps the package of the last fiber point, which serves the
+# calls a caller makes on one point in a row: fiber_verifications, leaf_data
+# and affine_derivative_check on one point build one package, not three.
+# The key leads with the exactness markers, the types of g's and t's entries
+# and of C, so an exact point and its equal-valued float copy miss; then come
+# the values and the signs of their zeros, which reach the package's bits
+# (a -0.0 of g turns up in h).  The slot is one tuple swap and the package
+# is frozen, so a race can only miss.
+_last_leaf = (None, None)  # (key, HessianLeafData) of the last point built
+
+
+def leaf_data(metric, p):
+    """The HessianLeafData at the fiber point p over metric, the last one
+    built when its key holds."""
+    global _last_leaf
+    xs = (*metric.g[0], *metric.g[1], *metric.g[2], *p.t, p.C)
+    key = (tuple(map(type, xs)), xs, tuple(math.copysign(1.0, x) for x in xs if not x))
+    last = _last_leaf  # read once: another thread may swap the slot
+    if last[0] != key:
+        last = _last_leaf = key, _build_leaf_data(metric, p)
+    return last[1]
 
 
 def scalar_curvature(data):

@@ -251,14 +251,29 @@ def _F_numerators(ev):
     That phi(K v1, v2, v3) alternates in its first slot against the others is
     a theorem, not bookkeeping, so every reading is checked: exactly on the
     exact backend, and relative to DEFAULT_TOL max|phi|^3 (c F is cubic in
-    phi) on floats.  A failure means K is broken and raises."""
-    scale = 0.0 if ev.exact else DEFAULT_TOL * ev.size ** 3
+    phi) on floats.  A failure means K is broken and raises; a float phi
+    whose |phi|^3 leaves the float range raises OverflowError."""
+    try:
+        scale = 0.0 if ev.exact else DEFAULT_TOL * ev.size ** 3
+    except OverflowError:
+        raise _out_of_range(ev, "|phi|^3") from None
     g0, g1, g2 = ((_F_S * ev.ka[_F_K]) * ev.a[_F_V]).sum(axis=0, initial=0).reshape(3, -1)
     bad = (abs(g0 - g1) > scale) | (abs(g0 - g2) > scale)
     if bad.any():
         axes = tuple(i + 1 for i in range(DIM) if _MASKS3[bad.argmax()] >> i & 1)
         raise ArithmeticError(f"F(phi) is not alternating at {axes}; K is inconsistent")
     return g0
+
+
+def _out_of_range(ev, name):
+    """The OverflowError of a float invariant of phi past the float range,
+    made on failure paths only: it names K(phi) when one of K's numerators
+    is not finite, else name."""
+    if not (ev.exact_phi or np.isfinite(ev.ka).all()):
+        name = "K(phi)"
+    # size may be an exact entry of a mixed phi; it converted when a was built
+    at = "" if ev.exact_phi else f" at max|phi| = {float(ev.size):.6g}"
+    return OverflowError(f"{name} is out of the float range{at}")
 
 
 def _divider(ev, power):
@@ -514,16 +529,22 @@ def _q_of(ev, tables, tol):
     """(n, den) with q(omega, phi) = W kn / (D^2 c) = n / den, den > 0; n
     must be symmetric: exactly on the exact backend, where it is an int
     matrix, to tol max|phi|^2 on floats, where the division is done here
-    and den = 1."""
+    and den = 1.  A float phi whose K or |phi|^2 leaves the float range
+    raises OverflowError."""
     k = ev.ka[:-1].reshape(DIM, DIM)
     q = tables.m * (tables.W.T[:, :, None] * k[:, None]).sum(axis=0, initial=0)
     den, scale = tables.den * ev.D ** 2, 0
     if not ev.exact:
-        q, den, scale = q / den, 1, tol * ev.size ** 2
+        try:
+            q, den, scale = q / den, 1, tol * ev.size ** 2
+        except OverflowError:
+            raise _out_of_range(ev, "|phi|^2") from None
     # NaN fails too; bad is symmetric, so its first entry is on or above the diagonal
     bad = ~(abs(q - q.T) <= scale)
     q = q.tolist()
     if bad.any():
+        if not (ev.exact_phi or np.isfinite(ev.ka).all()):
+            raise _out_of_range(ev, "K(phi)")
         i, j = divmod(int(bad.argmax()), DIM)
         raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): {q[i][j]} against "
                               f"{q[j][i]}; K is inconsistent")
@@ -582,7 +603,10 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
     alpha -> alpha ^ phi, all taken on D phi: rank does not see the scale."""
     _check_tol(tol)
     ev = _evaluate(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
-    rk = _rank(ev, ev.ka[:-1].reshape(DIM, DIM), tol)
+    try:
+        rk = _rank(ev, ev.ka[:-1].reshape(DIM, DIM), tol)
+    except ValueError:  # float_rank refuses K's non-finite numerators
+        raise _out_of_range(ev, "K(phi)") from None
     return SubspaceDims(ev.ker_phi(tol), DIM - rk, rk,
                         _rank(ev, _WEDGE1(ev.a), tol))
 
@@ -608,7 +632,11 @@ class ClassificationError(ValueError):
 def _q_is_zero(ev, Q, tol):
     if ev.exact:
         return Q == 0
-    return abs(float(Q)) <= tol * max(1.0, float(ev.size)) ** 4
+    try:
+        cut = tol * max(1.0, float(ev.size)) ** 4
+    except OverflowError:
+        raise _out_of_range(ev, "|phi|^4") from None
+    return abs(float(Q)) <= cut
 
 
 def _gl_orbit(ev, tol):

@@ -129,7 +129,12 @@ def inverse(rows):
 
 
 def float_rank(rows, tol=1e-8):
+    """Rank of a float matrix: its singular values above tol times the
+    largest.  A matrix with a non-finite entry is refused, before LAPACK
+    can misread it."""
     a = np.array(rows, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     if not a.size:
         return 0
     s = np.linalg.svd(a, compute_uv=False)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from forms6 import hessian as hs
 from forms6 import invariants as inv
-from forms6 import linalg
+from forms6 import linalg, verify
 from forms6.exterior import is_exact, wedge
 
 
@@ -244,6 +244,119 @@ def test_affine_derivative_check_differentiates_h_alone(rng, monkeypatch, C):
     assert len(neighbours) == 6
     for q, h in neighbours:
         assert repr(h) == repr(hs.leaf_data(metric, q).h)
+
+
+# --- one leaf package per fiber point ----------------------------------------------------
+
+def leaf_bits(data):
+    """The package's scalars in repr, which keeps the bits of a float, -0.0
+    included, and tells a Fraction from a float."""
+    return repr((data.h, data.h_inv, data.h3, data.V_frame))
+
+
+def counting_builds(monkeypatch):
+    """Empty the leaf_data slot and record the point of every package built."""
+    build, built = hs._build_leaf_data, []
+
+    def counting(metric, p):
+        built.append(p)
+        return build(metric, p)
+
+    monkeypatch.setattr(hs, "_last_leaf", (None, None))
+    monkeypatch.setattr(hs, "_build_leaf_data", counting)
+    return built
+
+
+@pytest.mark.parametrize("C", [-0.1, 0, 0.5, 2])
+def test_leaf_data_hit_keeps_the_bits_of_a_fresh_build(rng, C):
+    # a hit hands back the package a fresh build makes, bit for bit, also
+    # when the point differs from the last one only in the sign of a zero
+    # of t, or the metric in the sign of its zero entries
+    plus = hs.BaseMetric3([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    minus = hs.BaseMetric3([[1.0, -0.0, 0.0], [-0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    for metric in (rand_spd(rng), plus, minus):
+        for t in ((1.3, 0.0, -0.9), (1.3, -0.0, -0.9), (-0.0, 1.1, 0.0)):
+            p = hs.FiberPoint(t, C)
+            fresh = leaf_bits(hs._build_leaf_data(metric, p))
+            assert leaf_bits(hs.leaf_data(metric, p)) == fresh
+            assert leaf_bits(hs.leaf_data(metric, hs.FiberPoint(t, C))) == fresh
+    # the sign of a zero of g reaches h: the two metrics may not share a slot
+    p = hs.FiberPoint((1.0, 0.5, 0.3), 0.0)
+    assert leaf_bits(hs._build_leaf_data(plus, p)) != leaf_bits(hs._build_leaf_data(minus, p))
+    for first, second in ((plus, minus), (minus, plus)):
+        hs.leaf_data(first, p)
+        assert leaf_bits(hs.leaf_data(second, p)) == leaf_bits(hs._build_leaf_data(second, p))
+
+
+def test_leaf_data_alternating_points_get_their_own_packages(rng, monkeypatch):
+    metric = rand_spd(rng)
+    a, b = domain_point(rng, metric, 0.5), domain_point(rng, metric, -0.1)
+    want = {p: leaf_bits(hs._build_leaf_data(metric, p)) for p in (a, b)}
+    built = counting_builds(monkeypatch)
+    for p in (a, b, a):
+        assert leaf_bits(hs.leaf_data(metric, p)) == want[p]
+        assert hs.leaf_data(metric, p) is hs.leaf_data(metric, p)
+    assert built == [a, b, a]
+
+
+def test_leaf_data_keeps_the_exact_or_float_rule_across_the_slot():
+    # an exact point and its equal-valued float copy, of the metric, the
+    # point or both, compare equal; each gets a package of its own backend.
+    # C = 0.0 keeps a rational point exact, and C = 0 is its exact copy
+    p = hs.FiberPoint((Fraction(1, 2), 1, Fraction(-3, 2)), 0)
+    float_metric = hs.BaseMetric3([[float(x) for x in row] for row in EXACT_METRIC.g])
+    float_p = hs.FiberPoint(tuple(float(x) for x in p.t), 0.0)
+    exact = (EXACT_METRIC, p, True)
+    for copy in ((float_metric, p, False), (EXACT_METRIC, float_p, False),
+                 (float_metric, float_p, False), (EXACT_METRIC, hs.FiberPoint(p.t, 0.0), True)):
+        for first, second in ((exact, copy), (copy, exact)):
+            hs.leaf_data(*first[:2])
+            data = hs.leaf_data(*second[:2])
+            scalars = [x for rows in (data.h, data.h_inv, data.V_frame) for row in rows
+                       for x in row]
+            assert all(is_exact(x) if second[2] else type(x) is float for x in scalars)
+
+
+def test_leaf_package_is_immutable(rng):
+    metric = rand_spd(rng)
+    for C in (0, 0.5):
+        p = domain_point(rng, metric, C)
+        data = hs.leaf_data(metric, p)
+        with pytest.raises(AttributeError):
+            data.h = ()
+        for rows in (data.h, data.h_inv, data.V_frame, *data.h3, hs._leaf_h(metric, p)[0]):
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            with pytest.raises(TypeError):
+                rows[0][0] = 1.0
+        assert type(data.h3) is tuple
+
+
+@pytest.mark.parametrize("C", [-0.1, 0.0, 0.5, 2.0])
+def test_one_leaves_item_builds_one_package(rng, monkeypatch, C):
+    # the calls of one leaves item on one point (bench/workloads.py) build
+    # its package once, where each of its three leaf_data reads built it
+    metric = rand_spd(rng)
+    p = domain_point(rng, metric, C, lo=0.8)
+    built = counting_builds(monkeypatch)
+    hs.fiber_verifications(metric, p)
+    hs.scalar_curvature(hs.leaf_data(metric, p))
+    hs.closed_form_scalar_curvature(metric, p)
+    hs.affine_derivative_check(metric, p)
+    assert built == [p]
+
+
+def test_hessian_suite_builds_one_package_per_point(monkeypatch):
+    built = counting_builds(monkeypatch)
+    checked, fiber_verifications = [], hs.fiber_verifications
+
+    def recording(metric, p):
+        checked.append(p)
+        return fiber_verifications(metric, p)
+
+    monkeypatch.setattr(hs, "fiber_verifications", recording)
+    passed, report = verify.run("hessian", 0, 64)
+    assert passed, report
+    assert len(checked) > 16 and built == checked
 
 
 def test_polar_cross_check(rng):

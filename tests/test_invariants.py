@@ -1357,6 +1357,47 @@ def test_float_Q_past_the_float_range_is_refused_by_every_reader():
     assert all(abs(JJ[i][j] + (i == j)) <= 1e-12 for i in range(6) for j in range(6)), JJ
 
 
+def test_float_overflow_names_the_invariant_out_of_range(capfd):
+    # on the float O-+ normal form at 4e153, K's numerators are still finite
+    # (2 |phi|^2 = 3.2e307) but |phi|^3 is not; by 1e154 K's numerators
+    # overflow.  Each reader raises an OverflowError naming what left the
+    # float range: not "K is inconsistent", nor Python's bare "(34, 'Numerical
+    # result out of range')"; subspace_dims is right at 4e153 and past it is
+    # refused before LAPACK reads inf, with nothing written to stderr
+    readers = {"subspace_dims": lambda phi: inv.subspace_dims(phi, OMEGA),
+               "q_form": lambda phi: inv.q_form(phi, OMEGA),
+               "classify_sp": lambda phi: inv.classify_sp(phi, OMEGA),
+               "classify_gl": inv.classify_gl,
+               "compute_F": lambda phi: inv.compute_F(phi, OMEGA),
+               "compute_Q": lambda phi: inv.compute_Q(phi, OMEGA)}
+    O_mp = inv.sp_normal_form("O-+").to_float()
+    phi = O_mp * 4e153
+    assert inv.subspace_dims(phi, OMEGA) == (0, 0, 6, 6)
+    assert inv.q_form(phi, OMEGA) == [[3.2e307 * (i == j) for j in range(6)] for i in range(6)]
+    for name in ("classify_sp", "classify_gl", "compute_F", "compute_Q"):
+        with pytest.raises(OverflowError) as e:
+            readers[name](phi)
+        assert str(e.value) == "|phi|^3 is out of the float range at max|phi| = 4e+153", name
+    for scale, at in ((1e154, "1e+154"), (1e200, "1e+200")):
+        for name, read in readers.items():
+            with pytest.raises(OverflowError) as e:
+                read(O_mp * scale)
+            assert str(e.value) == f"K(phi) is out of the float range at max|phi| = {at}", name
+    # a float phi whose largest entry is a Fraction is named the same way
+    mixed = Form(3, {**(O_mp * 1e154).coeffs, 21: Fraction(2 * 10 ** 154)})
+    for name, read in readers.items():
+        with pytest.raises(OverflowError, match=r"^K\(phi\) .* = 2e\+154$"):
+            read(mixed)
+    # K = 0 on O3 and Q = 0 on O0+: the cuts |phi|^2 of q and |phi|^4 of
+    # Q = 0 are what overflow
+    with pytest.raises(OverflowError, match=r"^\|phi\|\^2 is out of the float range"):
+        inv.q_form(inv.sp_normal_form("O3").to_float() * 1e200, OMEGA)
+    for read in (inv.classify_gl, lambda phi: inv.classify_sp(phi, OMEGA)):
+        with pytest.raises(OverflowError, match=r"^\|phi\|\^4 is out of the float range"):
+            read(inv.sp_normal_form("O0+").to_float() * 1e80)
+    assert capfd.readouterr() == ("", "")
+
+
 # --- F-map orbit images --------------------------------------------------------------
 
 def test_F_orbit_images(rng):

@@ -182,6 +182,20 @@ def test_signature_counts():
         linalg.signature_counts([[0, 1, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)])
 
 
+def test_float_rank_refuses_a_non_finite_entry(capfd):
+    # as float_inertia does: LAPACK's SVD of an inf or nan entry wrote
+    # "DLASCL parameter number 4 had an illegal value" to stderr and gave
+    # rank 0; a finite matrix up to the top of the float range keeps its rank
+    for bad in (math.inf, -math.inf, math.nan):
+        rows = np.eye(6)
+        rows[2, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.float_rank(rows)
+    assert linalg.float_rank(np.eye(6) * 1e308) == 6
+    assert linalg.float_rank([[1.0, 2.0], [2.0, 4.0]]) == 1
+    assert capfd.readouterr() == ("", "")
+
+
 def rand_symmetric(rng, rank, n=6):
     """A symmetric int matrix of rank at most rank (almost always exactly),
     sum of +-u u^T over random int u, then congruent by a diagonal of mixed
