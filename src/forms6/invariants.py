@@ -109,7 +109,10 @@ def _resolve_vol(omega, vol):
 # derived at import from the Form-level definitions and evaluated on the
 # coefficient vector of phi.  An exact phi is first scaled by the lcm D of
 # its denominators, so the tables run on int, and each output entry is
-# divided once at the end: K by D^2 c, F by D^3 c and Q by D^4 c^2.
+# divided once at the end: K by D^2 c, F by D^3 c and Q by D^4 c^2.  A float
+# phi is first scaled into its own binade, by 2^-e with max|2^-e phi| in
+# [1/2, 1), so no table, cut or decision can leave the float range, and each
+# output is scaled back once, by 2^(k e) in its degree k (_at_scale).
 # Each table with one signed term per output is a _Gather, read off interior
 # or wedge on basis forms by basis_matrix: _CONTR, _WEDGE1, _WEDGE2 and
 # _IVOL.  K's table is their composition and F's reads _CONTR.
@@ -117,7 +120,7 @@ def _resolve_vol(omega, vol):
 # (L, n) index and sign arrays holds the terms of output o in table order,
 # padded with sign 0 at a zero slot, and the sum runs down axis 0 from 0, bit
 # for bit as a Python loop would (numpy sums 8 or more terms pairwise along
-# the last axis).  Float terms overflow as Python floats do, with no warning.
+# the last axis).
 
 _MASKS2 = tuple(m for m in range(1 << DIM) if m.bit_count() == 2)
 _MASKS3 = tuple(m for m in range(1 << DIM) if m.bit_count() == 3)
@@ -237,26 +240,20 @@ _Q_TABLE = tuple((_INDEX3[FULL_MASK ^ t], s) for t, s in zip(
     _MASKS3, basis_matrix(lambda e: wedge(e, _ALL3), _MASKS3, (FULL_MASK,))[0]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _K_numerators(a):
     """The 36 entries of c K(phi), row-major, and a trailing 0, from the
     coefficient array a of an _Evaluation, in its dtype."""
     return (_K_T * (a[_K_A] * a[_K_B])).sum(axis=0, initial=0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _F_numerators(ev):
     """The 20 coefficients of -c F(phi)/2, in a's dtype, from ev.ka.
 
     That phi(K v1, v2, v3) alternates in its first slot against the others is
     a theorem, not bookkeeping, so every reading is checked: exactly on the
     exact backend, and relative to DEFAULT_TOL max|phi|^3 (c F is cubic in
-    phi) on floats.  A failure means K is broken and raises; a float phi
-    whose |phi|^3 leaves the float range raises OverflowError."""
-    try:
-        scale = 0.0 if ev.exact else DEFAULT_TOL * ev.size ** 3
-    except OverflowError:
-        raise _out_of_range(ev, "|phi|^3") from None
+    phi) on floats.  A failure means K is broken and raises."""
+    scale = 0.0 if ev.exact else DEFAULT_TOL * ev.size ** 3
     g0, g1, g2 = ((_F_S * ev.ka[_F_K]) * ev.a[_F_V]).sum(axis=0, initial=0).reshape(3, -1)
     bad = (abs(g0 - g1) > scale) | (abs(g0 - g2) > scale)
     if bad.any():
@@ -265,39 +262,45 @@ def _F_numerators(ev):
     return g0
 
 
-def _out_of_range(ev, name):
-    """The OverflowError of a float invariant of phi past the float range,
-    made on failure paths only: it names K(phi) when one of K's numerators
-    is not finite, else name."""
-    if not (ev.exact_phi or np.isfinite(ev.ka).all()):
-        name = "K(phi)"
-    # size may be an exact entry of a mixed phi; it converted when a was built
-    at = "" if ev.exact_phi else f" at max|phi| = {float(ev.size):.6g}"
-    return OverflowError(f"{name} is out of the float range{at}")
+def _at_scale(ev, xs, degree, name):
+    """The float outputs xs of degree `degree` in phi, read off the table
+    input of ev, at phi's own scale: 2^(degree e) x for each x, as a list.
+    This is where a float output can leave the float range, and then it
+    raises an OverflowError that names it.  On the exact backend xs is
+    returned as is."""
+    if ev.exact:
+        return xs
+    n = degree * ev.e
+    try:
+        ys = [math.ldexp(x, n) for x in xs]
+        if all(map(math.isfinite, ys)):
+            return ys
+    except OverflowError:
+        pass
+    raise OverflowError(f"{name} is out of the float range at max|phi| = "
+                        f"{math.ldexp(ev.size, ev.e):.6g}")
 
 
-def _divider(ev, power):
-    """x -> x / (D^power c).  On the exact backend the quotient stays an int
-    when D^power c = 1, so integer forms keep integer K and F."""
-    c = ev.c
+def _divided(ev, x, power, name):
+    """x / (D^power c) at phi's scale, as a list, for an array x of degree
+    power in phi: on floats scaled back by _at_scale, which names the output
+    as name; on the exact backend the quotient stays an int when
+    D^power c = 1, so integer forms keep integer K and F."""
     if not ev.exact:
-        return lambda x: x / c
-    den = ev.D ** power * c.numerator
-    mul = c.denominator
-    if den == mul == 1:
-        return lambda x: x
-    return lambda x: Fraction(x * mul, den) if x else 0
+        return _at_scale(ev, (x / ev.c).tolist(), power, name)
+    den, mul = ev.D ** power * ev.c.numerator, ev.c.denominator
+    x = x.tolist()
+    return x if den == mul == 1 else [Fraction(n * mul, den) if n else 0 for n in x]
 
 
 def _K_of(ev):
-    div, kn = _divider(ev, 2), ev.ka.tolist()
-    return LinearMap6([[div(kn[i * DIM + j]) for j in range(DIM)]
-                       for i in range(DIM)])
+    kn = _divided(ev, ev.ka, 2, "K(phi)")
+    return LinearMap6([kn[i * DIM:(i + 1) * DIM] for i in range(DIM)])
 
 
 def _F_of(ev):
-    div = _divider(ev, 3)
-    return Form._trusted(3, {m: div(-2 * g) for m, g in zip(_MASKS3, ev.fa.tolist()) if g})
+    f = _divided(ev, -2 * ev.fa, 3, "F(phi)")
+    return Form._trusted(3, {m: x for m, x in zip(_MASKS3, f) if x})
 
 
 # --- one evaluation per form ------------------------------------------------
@@ -315,19 +318,23 @@ def _F_of(ev):
 # (Ann phi)^perp rank, are the gathers _CONTR(a) and _WEDGE1(a).
 
 class _Evaluation:
-    """phi as the table input: a, the coefficients of D phi in _MASKS3 order
-    and a trailing 0, size = max|a_i| unconverted (an exact int may lie past
-    the float range), and c, the coefficient of vol.  On the exact backend
-    (phi and vol exact) D clears every denominator of phi, so a holds ints;
-    otherwise D = 1, and a is exact when phi is (exact_phi).  a is int64
-    below the bound _FMAX _KMAX size^3 < _INT64_BOUND, else objects (Python
-    ints, or an exact phi under a float vol), and float64 on floats.  On
+    """phi as the table input: a, the coefficients of 2^-e D phi in _MASKS3
+    order and a trailing 0, size = max|a_i| unconverted (an exact int may lie
+    past the float range), and c, the coefficient of vol.  On the exact
+    backend (phi and vol exact) D clears every denominator of phi, so a holds
+    ints; otherwise D = 1, and a is exact when phi is (exact_phi).  A float
+    phi is read in its binade: e = frexp(max|phi|)[1] puts size in [1/2, 1),
+    kept as an int, since 2^(-k e) of degree k > 1 leaves the float range
+    near |phi| = 1e-300; else e = 0.  A float phi whose coefficients span
+    past the float range, a nonzero one not normal in a, is refused.
+    a is float64 on floats, int64 below the bound _FMAX _KMAX size^3 <
+    _INT64_BOUND, else objects (Python ints, or exact phi, float vol).  On
     first use, its K numerators ka (a's dtype, and a 0), its F numerators fa,
     checked at DEFAULT_TOL, and the entries derived from them, each keyed on
     what it reads beyond phi and vol: Q, dim ker phi (at tol on a float
     rank) and the checked q (under omega's tables, at tol).  A check that
     raises stores nothing."""
-    __slots__ = ("a", "D", "c", "exact", "exact_phi", "size", "_ka", "_fa", "_derived")
+    __slots__ = ("a", "D", "e", "c", "exact", "exact_phi", "size", "_ka", "_fa", "_derived")
 
     def __init__(self, phi, vol):
         if phi.grade != 3:
@@ -347,9 +354,18 @@ class _Evaluation:
         v = [0] * (len(_MASKS3) + 1)
         for m, x in zip(phi.coeffs, xs):
             v[_INDEX3[m]] = x
-        self.D, self.c, self.size = D, c, max(map(abs, v))
-        small = self.exact and _FMAX * _KMAX * self.size ** 3 < _INT64_BOUND
-        self.a = np.array(v, np.int64 if small else object if self.exact_phi else np.float64)
+        self.D, self.c, self.size, self.e = D, c, max(map(abs, v)), 0
+        if self.exact_phi:
+            small = self.exact and _FMAX * _KMAX * self.size ** 3 < _INT64_BOUND
+            self.a = np.array(v, np.int64 if small else object)
+        else:
+            self.size, self.e = math.frexp(self.size)
+            self.a = np.ldexp(np.array(v, np.float64), -self.e)
+            for x, y in zip(v, self.a.tolist()):
+                if x and abs(y) < 2.0 ** -1022:  # its products would underflow
+                    raise OverflowError(
+                        f"the coefficients of phi span past the float range: {x!r} "
+                        f"against max|phi| = {math.ldexp(self.size, self.e):.6g}")
         self._ka = self._fa = self._derived = None
 
     @property
@@ -421,19 +437,17 @@ def compute_F(phi, omega=None, vol=None):
 
 
 def _Q_of(ev):
-    """Q(phi) from its _Evaluation; a float Q past the float range raises."""
+    """Q of the table input of ev: Q(phi) exactly, 2^-4e Q(phi) on floats."""
     v, gn = ev.a.tolist(), ev.fa.tolist()
     # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
     top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(v, _Q_TABLE) if x)
-    Q = _exact_div(top, ev.D ** 4) / (ev.c * ev.c)
-    if not (ev.exact or math.isfinite(Q)):
-        raise OverflowError(f"Q(phi) = {Q} is not a finite float")
-    return Q
+    return _exact_div(top, ev.D ** 4) / (ev.c * ev.c)
 
 
 def compute_Q(phi, omega=None, vol=None):
     """The scalar Q(phi) = -(phi ^ F(phi)) / vol."""
-    return _evaluate(phi, _resolve_vol(omega, vol)).Q()
+    ev = _evaluate(phi, _resolve_vol(omega, vol))
+    return _at_scale(ev, [ev.Q()], 4, "Q(phi)")[0]
 
 
 def omega_matrix(omega):
@@ -446,12 +460,12 @@ def omega_matrix(omega):
     return w
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _require_primitive(ev, tables, tol, what, size=None):
     """Reject a form with omega ^ phi != 0, read off tables.P a on the table
     input a of its _Evaluation ev: exactly on the exact backend, above
     tol |phi| on floats, or above tol size when the caller gives the
-    reference size (for a phi that may itself be rounding residue)."""
+    reference size at phi's scale (for a phi that may itself be rounding
+    residue)."""
     w = (tables.P * ev.a[:, None]).sum(axis=0, initial=0).tolist()
     if ev.exact:
         if not any(w):
@@ -459,8 +473,9 @@ def _require_primitive(ev, tables, tol, what, size=None):
         res = max(abs(float(Fraction(x, tables.dP * ev.D))) for x in w)
     else:
         res = max(map(abs, w)) / tables.dP
-        if not res > tol * (float(ev.size) if size is None else size):
+        if not res > tol * (ev.size if size is None else math.ldexp(size, -ev.e)):
             return
+        res = math.ldexp(res, ev.e)
     raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
 
 
@@ -524,30 +539,23 @@ def _omega_tables(omega):
     return _omega_tables_of(omega.grade, items, tuple(type(x) for _, x in items))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # an extreme float omega may overflow q
 def _q_of(ev, tables, tol):
-    """(n, den) with q(omega, phi) = W kn / (D^2 c) = n / den, den > 0; n
-    must be symmetric: exactly on the exact backend, where it is an int
-    matrix, to tol max|phi|^2 on floats, where the division is done here
-    and den = 1.  A float phi whose K or |phi|^2 leaves the float range
-    raises OverflowError."""
+    """(n, den) with q = W kn / (D^2 c) = n / den, den > 0, on the table input
+    of ev, as a (DIM, DIM) array; n must be symmetric: exactly on the exact
+    backend, where it is an int matrix, to tol size^2 on floats, where the
+    division is done here and den = 1."""
     k = ev.ka[:-1].reshape(DIM, DIM)
     q = tables.m * (tables.W.T[:, :, None] * k[:, None]).sum(axis=0, initial=0)
     den, scale = tables.den * ev.D ** 2, 0
     if not ev.exact:
-        try:
-            q, den, scale = q / den, 1, tol * ev.size ** 2
-        except OverflowError:
-            raise _out_of_range(ev, "|phi|^2") from None
+        q, den, scale = q / den, 1, tol * ev.size ** 2
     # NaN fails too; bad is symmetric, so its first entry is on or above the diagonal
     bad = ~(abs(q - q.T) <= scale)
-    q = q.tolist()
     if bad.any():
-        if not (ev.exact_phi or np.isfinite(ev.ka).all()):
-            raise _out_of_range(ev, "K(phi)")
         i, j = divmod(int(bad.argmax()), DIM)
-        raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): {q[i][j]} against "
-                              f"{q[j][i]}; K is inconsistent")
+        raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): {q[i, j]} against "
+                              f"{q[j, i]}; K is inconsistent")
     return q, den
 
 
@@ -571,8 +579,11 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     """
     _check_tol(tol)
     tables = _omega_tables(omega)
-    q, den = _evaluate(phi, tables.vol).q(tables, tol, "q-form input")
-    return [list(r) if den == 1 else [Fraction(x, den) for x in r] for r in q]
+    ev = _evaluate(phi, tables.vol)
+    q, den = ev.q(tables, tol, "q-form input")
+    if not ev.exact:
+        return [_at_scale(ev, r, 2, "q(omega, phi)") for r in q.tolist()]
+    return [r if den == 1 else [Fraction(x, den) for x in r] for r in q.tolist()]
 
 
 class SignatureTriple(NamedTuple):
@@ -600,53 +611,42 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
     """Dimensions (ker phi, ker K, im K, (Ann phi)^perp).
 
     Ranks of v -> iota_v phi (the contraction matrix), of K and of
-    alpha -> alpha ^ phi, all taken on D phi: rank does not see the scale."""
+    alpha -> alpha ^ phi, all taken on the table input 2^-e D phi; a float
+    rank cuts at tol |phi|^degree there, so it does not see the scale."""
     _check_tol(tol)
     ev = _evaluate(phi, _resolve_vol(omega if omega is not None else standard_omega(), vol))
-    try:
-        rk = _rank(ev, ev.ka[:-1].reshape(DIM, DIM), tol)
-    except ValueError:  # float_rank refuses K's non-finite numerators
-        raise _out_of_range(ev, "K(phi)") from None
-    return SubspaceDims(ev.ker_phi(tol), DIM - rk, rk,
-                        _rank(ev, _WEDGE1(ev.a), tol))
+    rk = _rank(ev, ev.ka[:-1].reshape(DIM, DIM), 2, tol)
+    return SubspaceDims(ev.ker_phi(tol), DIM - rk, rk, _rank(ev, _WEDGE1(ev.a), 1, tol))
 
 
-def _rank(ev, rows, tol):
-    """Rank of a (DIM, n) array in ev.a's dtype: exact on Python ints, or on
-    Fractions for an exact phi under a float vol, else float at tol."""
+def _rank(ev, rows, degree, tol):
+    """Rank of a (DIM, n) array in ev.a's dtype, of the given degree in phi:
+    exact on Python ints, or on Fractions for an exact phi under a float vol,
+    else float, its singular values cut at tol size^degree."""
     if not ev.exact_phi:
-        return linalg.float_rank(rows, tol)
+        return linalg.float_rank(rows, tol * ev.size ** degree)
     rows = rows.tolist()
     return linalg.int_rank(rows) if ev.exact else linalg.exact_rank(rows)
 
 
 def _ker_phi(ev, tol):
     """dim ker phi from the contraction matrix (row i: iota_{e_i} phi)."""
-    return DIM - _rank(ev, _CONTR(ev.a), tol)
+    return DIM - _rank(ev, _CONTR(ev.a), 1, tol)
 
 
 class ClassificationError(ValueError):
     """Raised when tolerancing produces an impossible orbit datum."""
 
 
-def _q_is_zero(ev, Q, tol):
-    if ev.exact:
-        return Q == 0
-    try:
-        cut = tol * max(1.0, float(ev.size)) ** 4
-    except OverflowError:
-        raise _out_of_range(ev, "|phi|^4") from None
-    return abs(float(Q)) <= cut
-
-
 def _gl_orbit(ev, tol):
-    """(GL(V) orbit label, Q) of phi from its _Evaluation ev.
+    """(GL(V) orbit label, Q) of phi from its _Evaluation ev, Q as ev.Q()
+    gives it.
 
     Stable orbits by the sign of Q; on the Q = 0 hypersurface dim ker phi
     (0, 1, 3, 6), from the contraction matrix on the same cleared
     coefficients, separates the remaining orbits."""
     Q = ev.Q()
-    if not _q_is_zero(ev, Q, tol):
+    if not (Q == 0 if ev.exact else abs(Q) <= tol * ev.size ** 4):
         return (O_MINUS if Q < 0 else O_PLUS), Q
     k = ev.ker_phi(tol)
     if k not in _GL_OF_KERNEL:
@@ -687,12 +687,12 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     # q vanishes on O3 and O6: its inertia is (6, 0, 0), which a float
     # signature would misread in the rounding noise
     sig = (6, 0, 0) if gl in (O_3, O_6) else SignatureTriple(*(
-        linalg.exact_inertia(q) if ev.exact else linalg.float_inertia(q, tol)))
+        linalg.exact_inertia(q.tolist()) if ev.exact else linalg.float_inertia(q, tol)))
     label = _SP_OF.get((gl, sig))
     if label is None:
         raise ClassificationError(f"{gl} form with unexpected signature {sig}")
     mu4 = {O_MINUS: -Q / 16, O_PLUS: Q / 4}.get(gl)
-    return SpOrbit(label, None if mu4 is None else float(mu4) ** 0.25)
+    return SpOrbit(label, None if mu4 is None else _at_scale(ev, [float(mu4) ** 0.25], 1, "mu")[0])
 
 
 # --- the 14-coefficient parametrization of primitive 3-forms ----------------
@@ -970,6 +970,7 @@ def hitchin_data(phi, omega=None):
     """
     ev = _evaluate(phi, _omega_tables(omega if omega is not None else standard_omega()).vol)
     gl, Q = _gl_orbit(ev, ORBIT_TOL)
+    Q = _at_scale(ev, [Q], 4, "Q(phi)")[0]
     if gl != O_MINUS:
         raise ValueError(f"not in O-: Q(phi) = {Q} >= 0")
     normsq = _exact_sqrt(-Q)

@@ -372,7 +372,8 @@ def _table_core(setup, phi):
     """(ev, E, k, P, f, dP, df, N): what every reader of the tables needs.
 
     P = D phi is the coefficient vector of phi in _MASKS3 order, D the lcm
-    of the denominators of an exact phi (else 1), and ev its _Evaluation,
+    of the denominators of an exact phi and 2^-e, phi's binade, on a float
+    one (else 1), and ev its _Evaluation,
     with c the coefficient of vol; k = c K(P) (6x6) and f = c F(P) are the
     K and F numerators.  Over the tables, whose structure constants carry
     E, dP = E D d phi and df = c E D^3 dF on the basis 4-forms, and
@@ -383,9 +384,8 @@ def _table_core(setup, phi):
     ev = invariants._evaluate(phi, vol)
     t = _identity_tables(setup)
     dtype = _sides_dtype(ev, t)
-    with np.errstate(over="ignore"):  # -2 fa overflows as a Python float does
-        d, br, P, k, f = (x.astype(dtype, copy=False) for x in (
-            t.d, t.bracket, ev.a[:-1], ev.ka[:-1].reshape(DIM, DIM), -2 * ev.fa))
+    d, br, P, k, f = (x.astype(dtype, copy=False) for x in (
+        t.d, t.bracket, ev.a[:-1], ev.ka[:-1].reshape(DIM, DIM), -2 * ev.fa))
     kb = np.einsum("ka,aij->kij", k, br)         # k [e_i, e_j]
     bk = np.einsum("kaj,ai->kij", br, k)         # [k e_i, e_j]
     # [k e_i, k e_j] = sum_b [k e_i, e_b] k[b, j] is bk @ k
@@ -409,7 +409,8 @@ def _max_over(x, scale, core):
 def _table_sides(setup, phi, core=None):
     """(lhs, rhs, scale): both sides of the Nijenhuis identity as (15, 6)
     arrays over the basis pairs _PAIRS and the basis 5-forms _MASKS5, each
-    scale = c E D^4 times the side of nijenhuis_identity_sides; core is
+    scale = c E D^4 times the side of nijenhuis_identity_sides (D as in
+    _table_core, so c E 2^-4e on a float phi); core is
     phi's _table_core, when the caller has it.
 
     With the names of _table_core, the lhs is iota_N e^123456, so
@@ -427,7 +428,7 @@ def _table_sides(setup, phi, core=None):
     inner = 2 * U + c.ii(df)[_PAIR_I, _PAIR_J]
     rhs = a[_PAIR_I, _PAIR_J] @ _WEDGE2(f).T + inner @ _WEDGE2(P).T
     lhs = _IVOL(N[:, _PAIR_I, _PAIR_J]).T
-    return lhs, rhs, ev.c * E * ev.D ** 4
+    return lhs, rhs, ev.c * E * ev.D ** 4 if ev.exact else math.ldexp(ev.c * E, -4 * ev.e)
 
 
 def verify_nijenhuis_identity(setup, phi):

@@ -128,19 +128,16 @@ def inverse(rows):
     return [list(r) for r in np.linalg.inv(np.array(rows, dtype=float))]
 
 
-def float_rank(rows, tol=1e-8):
-    """Rank of a float matrix: its singular values above tol times the
-    largest.  A matrix with a non-finite entry is refused, before LAPACK
-    can misread it."""
+def float_rank(rows, cut):
+    """Rank of a float matrix: the number of its singular values above cut,
+    an absolute cut that the caller sets in the units of its matrix.  A
+    matrix with a non-finite entry is refused, before LAPACK can misread it."""
     a = np.array(rows, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     if not a.size:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(np.linalg.svd(a, compute_uv=False) > cut))
 
 
 def float_nullspace(rows, tol=1e-8):

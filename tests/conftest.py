@@ -1,11 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from forms6 import linalg
-from forms6.exterior import Form, LinearMap6
+from forms6 import invariants, linalg
+from forms6.exterior import Form, LinearMap6, pullback
 from forms6.verify import rand_coords, rand_fraction  # noqa: F401 (re-exported)
 
 
@@ -24,7 +25,6 @@ def forget_evaluations(monkeypatch):
     monkeypatch undoes its changes, which puts the old memo back: a fault
     injected into a kernel is then neither hidden by an evaluation made
     before it nor served to a later test."""
-    from forms6 import invariants
     monkeypatch.setattr(invariants, "_last", (None, None))
 
 
@@ -32,7 +32,6 @@ def forget_evaluations(monkeypatch):
 def K_evaluations(monkeypatch):
     """A list that grows by one on each evaluation of the K table kernel,
     starting from an empty memo."""
-    from forms6 import invariants
     forget_evaluations(monkeypatch)
     calls = []
     kernel = invariants._K_numerators
@@ -125,6 +124,19 @@ def rand_symplectic(rng, factors=3):
             h = _swap()
         g = g.compose(h)
     return g
+
+
+@functools.cache
+def _seed11_maps(count):
+    rng = random.Random(11)
+    return tuple(rand_symplectic(rng) for _ in range(count))
+
+
+def seed11_moved_form(label, n):
+    """The Sp normal form of label moved by map n of the seed-11
+    rand_symplectic maps, as floats: the pool on which the float orbit
+    faults are recorded."""
+    return pullback(_seed11_maps(n + 1)[n], invariants.sp_normal_form(label)).to_float()
 
 
 @st.composite

@@ -353,6 +353,21 @@ def test_blow_up_without_growth_has_no_estimate():
     assert traj.message.endswith("<= 0, T^ unavailable")
 
 
+# a generic solv-tomassini start, all 14 coefficients free, that creeps
+# toward blow-up along the cone of equilibria
+DRIFT_START = [-1.139, -0.662, 0.983, -0.526, -0.550, 0.430, 0.919,
+               -0.490, -0.297, 0.515, 0.701, 0.273, -0.770, -0.766]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open fault: an explicit step cannot outrun the drift, so the "
+                          "start ends 'error' ('exceeded MAX_STEPS steps')")
+def test_ledger_drift_start_is_decided_in_bounded_work(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 1000)
+    traj = flow.integrate(SOLV, DRIFT_START, 100.0)
+    assert traj.status != "error", traj.message
+
+
 def test_projective_steps_land_on_t_max():
     # stopped short of its blow-up, a solv start is capped by t_max / 20 and
     # lands on t_max; its state is DOP853's there

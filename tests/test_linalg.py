@@ -186,13 +186,17 @@ def test_float_rank_refuses_a_non_finite_entry(capfd):
     # as float_inertia does: LAPACK's SVD of an inf or nan entry wrote
     # "DLASCL parameter number 4 had an illegal value" to stderr and gave
     # rank 0; a finite matrix up to the top of the float range keeps its rank
+    # under a cut in its units, and the cut is absolute, not relative to the
+    # largest singular value
     for bad in (math.inf, -math.inf, math.nan):
         rows = np.eye(6)
         rows[2, 4] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            linalg.float_rank(rows)
-    assert linalg.float_rank(np.eye(6) * 1e308) == 6
-    assert linalg.float_rank([[1.0, 2.0], [2.0, 4.0]]) == 1
+            linalg.float_rank(rows, 1e-8)
+    assert linalg.float_rank(np.eye(6) * 1e308, 1e300) == 6
+    assert linalg.float_rank([[1.0, 2.0], [2.0, 4.0]], 1e-8) == 1
+    assert linalg.float_rank(np.diag([1.0, 1e-6, 1e-9]), 1e-8) == 2
+    assert linalg.float_rank(np.eye(3) * 1e-9, 1e-8) == 0
     assert capfd.readouterr() == ("", "")
 
 
