@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import flow, invariants as inv, io, liealg, verify
-from .exterior import axes_from_mask
 from .invariants import COORD_NAMES
 
 
@@ -62,10 +61,11 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
-def _num(x):
-    if isinstance(x, Fraction):
-        return float(x)
-    return x
+def _num(x, name):
+    """A report number: an exact x as its float, refused by name past the float range."""
+    if isinstance(x, Fraction) and x and not 2.0 ** -1074 <= abs(x) <= sys.float_info.max:
+        raise OverflowError(f"{name} is out of the float range")
+    return float(x) if isinstance(x, Fraction) else x
 
 
 # --- classify ----------------------------------------------------------------
@@ -77,46 +77,21 @@ def _orbit_fields(phi, omega, tol):
     O3 and O6, where q = 0, it is the table's (6, 0, 0)): one K evaluation,
     shared by every call on phi."""
     if omega is None:
-        fields = dict(gl_orbit=inv.classify_gl(phi, tol=tol),
-                      Q=_num(inv.compute_Q(phi, vol=inv.standard_volume())),
-                      dims=list(inv.subspace_dims(phi, tol=tol)))
-    else:
-        sp = inv.classify_sp(phi, omega, tol=tol)
-        orbit = inv.SP_ORBITS[sp.label]
-        fields = dict(gl_orbit=orbit.gl, sp_orbit=sp.label, mu=_num(sp.mu),
-                      Q=_num(inv.compute_Q(phi, omega)), signature=list(orbit.signature),
-                      dims=list(inv.subspace_dims(phi, omega, tol=tol)))
-    return fields
-
-
-# past these bounds a scalar can take K, F and Q (degrees 2, 3 and 4 in phi,
-# and -1, -1 and -2 in omega^3) out of the float range
-_SCALE_RANGE = (Fraction(1, 2 ** 100), 2 ** 100)
-
-
-def _out_of_range(args, phi, omega):
-    """'bad WHAT file PATH: ...' naming the largest coefficient of phi, or a
-    coefficient of omega, outside _SCALE_RANGE: phi enters the invariants
-    through its scale, omega through omega^3 and W^-1, entry by entry."""
-    top = [max(phi.coeffs.items(), key=lambda mx: abs(mx[1]))] if phi else []
-    lo, hi = _SCALE_RANGE
-    for path, what, terms in ((args.form, "form", top),
-                              (args.omega, "--omega", omega.coeffs.items() if omega else ())):
-        for m, x in terms:
-            if not lo <= abs(x) <= hi:
-                x = Fraction(x)
-                order = math.log10(abs(x.numerator)) - math.log10(x.denominator)
-                axes = "".join(map(str, axes_from_mask(m)))
-                return (f"bad {what} file {path}: the coefficient of e^{axes}, of "
-                        f"order 1e{order:+.0f}, is out of range")
-    return None
+        return dict(gl_orbit=inv.classify_gl(phi, tol=tol),
+                    Q=_num(inv.compute_Q(phi, vol=inv.standard_volume()), "Q"),
+                    dims=list(inv.subspace_dims(phi, tol=tol)))
+    sp = inv.classify_sp(phi, omega, tol=tol)
+    orbit = inv.SP_ORBITS[sp.label]
+    return dict(gl_orbit=orbit.gl, sp_orbit=sp.label, mu=_num(sp.mu, "mu"),
+                Q=_num(inv.compute_Q(phi, omega), "Q"), signature=list(orbit.signature),
+                dims=list(inv.subspace_dims(phi, omega, tol=tol)))
 
 
 def cmd_classify(args):
-    """Classify the form file, under --omega when it is given.  A refusal
-    names the file whose scale is out of range and its scalar, else both
-    files; a ClassificationError on well-scaled input is reported as it is.
-    --tol is a relative cut in (0, 1): at 1 or more every float rank is 0."""
+    """Classify the form file, under --omega when it is given.  A refusal is
+    the library's text after 'cannot classify FILE [under --omega FILE]: ',
+    and a ClassificationError is reported as it is.  --tol is a relative
+    cut in (0, 1): at 1 or more every float rank is 0."""
     if not (math.isfinite(args.tol) and 0 < args.tol < 1):
         raise CliError(f"--tol must be finite and in (0, 1), got {args.tol}")
     form_of = functools.partial(io.form_from_json, grade=3)
@@ -127,9 +102,6 @@ def cmd_classify(args):
     try:
         report.update(_orbit_fields(phi, omega, args.tol))
     except (ValueError, ArithmeticError) as e:
-        bad = _out_of_range(args, phi, omega)
-        if bad:
-            raise CliError(f"{bad} ({e})")
         if isinstance(e, inv.ClassificationError):
             raise
         under = f" under --omega {args.omega}" if args.omega else ""

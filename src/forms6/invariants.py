@@ -15,6 +15,7 @@ classification, and the 14-coefficient parametrization of primitive 3-forms
 import functools
 import itertools
 import math
+from decimal import Context
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -82,10 +83,14 @@ def standard_volume():
 
 
 def volume_of(omega):
-    """omega^3/3!; raises on degenerate omega."""
+    """omega^3/3!; raises on degenerate omega, and by name past the float range."""
     if omega.grade != 2:
         raise GradeError("symplectic form must have grade 2")
     vol = wedge(wedge(omega, omega), omega).map_coeffs(lambda c: _exact_div(c, 6))
+    c = vol.coeffs.get(FULL_MASK, 0)
+    if not (omega.is_exact() or 2.0 ** -1022 <= abs(c) < math.inf):  # subnormal: bits lost
+        volume_of(omega.map_coeffs(Fraction))  # raises on a degenerate omega
+        raise OverflowError(f"omega^3/3! = {c!r} is not a normal float")
     if not vol:
         raise ValueError("degenerate symplectic form: omega^3 = 0")
     return vol
@@ -111,8 +116,8 @@ def _resolve_vol(omega, vol):
 # its denominators, so the tables run on int, and each output entry is
 # divided once at the end: K by D^2 c, F by D^3 c and Q by D^4 c^2.  A float
 # phi is first scaled into its own binade, by 2^-e with max|2^-e phi| in
-# [1/2, 1), so no table, cut or decision can leave the float range, and each
-# output is scaled back once, by 2^(k e) in its degree k (_at_scale).
+# [1/2, 1), and c into its own, c = 2^g c', so no table or cut (none reads c)
+# can leave the float range, and each output is scaled back once (_at_scale).
 # Each table with one signed term per output is a _Gather, read off interior
 # or wedge on basis forms by basis_matrix: _CONTR, _WEDGE1, _WEDGE2 and
 # _IVOL.  K's table is their composition and F's reads _CONTR.
@@ -262,32 +267,28 @@ def _F_numerators(ev):
     return g0
 
 
-def _at_scale(ev, xs, degree, name):
-    """The float outputs xs of degree `degree` in phi, read off the table
-    input of ev, at phi's own scale: 2^(degree e) x for each x, as a list.
-    This is where a float output can leave the float range, and then it
-    raises an OverflowError that names it.  On the exact backend xs is
-    returned as is."""
-    if ev.exact:
-        return xs
-    n = degree * ev.e
+def _at_scale(ev, xs, n, name):
+    """2^n x for each float x of xs, as a list: outputs read off the table
+    input of ev, put back at the scale of phi and vol.  An output past the
+    float range raises an OverflowError that names it and both scales."""
     try:
         ys = [math.ldexp(x, n) for x in xs]
         if all(map(math.isfinite, ys)):
             return ys
     except OverflowError:
         pass
-    raise OverflowError(f"{name} is out of the float range at max|phi| = "
-                        f"{math.ldexp(ev.size, ev.e):.6g}")
+    size, c = (f"{Context(prec=6).divide(*x.as_integer_ratio()).normalize():g}" for x in (
+        Fraction(ev.size) * Fraction(2) ** ev.e / ev.D, Fraction(ev.c) * Fraction(2) ** ev.g))
+    raise OverflowError(f"{name} is out of the float range at max|phi| = {size}, vol = {c}")
 
 
 def _divided(ev, x, power, name):
     """x / (D^power c) at phi's scale, as a list, for an array x of degree
-    power in phi: on floats scaled back by _at_scale, which names the output
-    as name; on the exact backend the quotient stays an int when
-    D^power c = 1, so integer forms keep integer K and F."""
+    power in phi: on floats over c' and scaled back by _at_scale, which
+    names the output as name; on the exact backend the quotient stays an
+    int when D^power c = 1, so integer forms keep integer K and F."""
     if not ev.exact:
-        return _at_scale(ev, (x / ev.c).tolist(), power, name)
+        return _at_scale(ev, (x / ev.c).tolist(), power * ev.e - ev.g, name)
     den, mul = ev.D ** power * ev.c.numerator, ev.c.denominator
     x = x.tolist()
     return x if den == mul == 1 else [Fraction(n * mul, den) if n else 0 for n in x]
@@ -317,24 +318,50 @@ def _F_of(ev):
 # The contraction and one-form wedge rows, for dim ker phi and the
 # (Ann phi)^perp rank, are the gathers _CONTR(a) and _WEDGE1(a).
 
+def _binade(xs, what):
+    """(e, 2^-e xs) with max|2^-e x| in [1/2, 1), e = 0 for no xs, for the
+    coefficients of a float form.  Refuses, naming the form, a non-finite x
+    and an x that is not a normal float there (its products underflow)."""
+    if not all(map(math.isfinite, xs)):
+        raise ValueError(f"non-finite coefficient {next(x for x in xs if not math.isfinite(x))!r}")
+    mags = list(map(abs, xs))  # nonzero: a Form holds no 0
+    size, e = math.frexp(max(mags, default=0.0))
+    if math.ldexp(min(mags, default=1.0), -e) < 2.0 ** -1022:
+        raise OverflowError(f"the coefficients of {what} span past the float range: "
+                            f"{min(mags)!r} against max|{what}| = {math.ldexp(size, e):.6g}")
+    return e, [math.ldexp(x, -e) for x in xs]
+
+
+def _log2(x):
+    """k with |x| in [2^(k-1), 2^(k+1)), for a nonzero exact or float x."""
+    n, d = abs(x).as_integer_ratio()
+    return n.bit_length() - d.bit_length()
+
+
+def _vol_binade(c):
+    """(g, c'): c = 2^g c', g even and c' in [1/2, 4) the float nearest 2^-g c."""
+    n, d = c.as_integer_ratio()
+    g = _log2(c) // 2 * 2
+    return g, n / (d << g) if g >= 0 else (n << -g) / d
+
+
 class _Evaluation:
     """phi as the table input: a, the coefficients of 2^-e D phi in _MASKS3
     order and a trailing 0, size = max|a_i| unconverted (an exact int may lie
     past the float range), and c, the coefficient of vol.  On the exact
     backend (phi and vol exact) D clears every denominator of phi, so a holds
-    ints; otherwise D = 1, and a is exact when phi is (exact_phi).  A float
-    phi is read in its binade: e = frexp(max|phi|)[1] puts size in [1/2, 1),
-    kept as an int, since 2^(-k e) of degree k > 1 leaves the float range
-    near |phi| = 1e-300; else e = 0.  A float phi whose coefficients span
-    past the float range, a nonzero one not normal in a, is refused.
-    a is float64 on floats, int64 below the bound _FMAX _KMAX size^3 <
-    _INT64_BOUND, else objects (Python ints, or exact phi, float vol).  On
-    first use, its K numerators ka (a's dtype, and a 0), its F numerators fa,
-    checked at DEFAULT_TOL, and the entries derived from them, each keyed on
-    what it reads beyond phi and vol: Q, dim ker phi (at tol on a float
-    rank) and the checked q (under omega's tables, at tol).  A check that
-    raises stores nothing."""
-    __slots__ = ("a", "D", "e", "c", "exact", "exact_phi", "size", "_ka", "_fa", "_derived")
+    ints; otherwise D = 1, a is exact when phi is (exact_phi), and c is c' of
+    c = 2^g c' (_vol_binade), else g = 0.  Off the exact backend phi is read
+    in its binade: e (an int, as 2^(-k e) may leave the float range) puts
+    size in [1/2, 1) on a float phi, and exactly in [1/2, 2) on an exact
+    one; else e = 0.  a is float64 on floats, int64 below the bound _FMAX _KMAX
+    size^3 < _INT64_BOUND, else objects (Python ints, or exact phi, float
+    vol).  On first use, its K numerators ka (a's dtype, and a 0), its F
+    numerators fa, checked at DEFAULT_TOL, and the entries derived from
+    them, none reading c, each keyed on what it reads beyond phi and vol:
+    Q's numerator, dim ker phi (at tol on a float rank) and the checked q
+    (under omega's tables, at tol).  A check that raises stores nothing."""
+    __slots__ = ("a", "D", "e", "c", "g", "exact", "exact_phi", "size", "_ka", "_fa", "_derived")
 
     def __init__(self, phi, vol):
         if phi.grade != 3:
@@ -342,30 +369,22 @@ class _Evaluation:
         c = vol.coeffs[FULL_MASK]
         self.exact_phi = phi.is_exact()
         self.exact = self.exact_phi and is_exact(c)
-        D, xs = 1, phi.coeffs.values()
+        D, xs, self.e, self.g = 1, list(phi.coeffs.values()), 0, 0
         if self.exact:
             D, xs = _clear_denominators(xs)
         else:
-            for x in xs:
-                if not math.isfinite(x):
-                    raise ValueError(f"non-finite coefficient {x!r}")
-            if is_exact(c):
-                c = float(c)
+            self.g, c = _vol_binade(c)
+            if not self.exact_phi:
+                self.e, xs = _binade(xs, "phi")
+            elif xs:  # exactly
+                self.e = _log2(max(map(abs, xs)))
+                xs = [x * Fraction(2) ** -self.e for x in xs]
         v = [0] * (len(_MASKS3) + 1)
         for m, x in zip(phi.coeffs, xs):
             v[_INDEX3[m]] = x
-        self.D, self.c, self.size, self.e = D, c, max(map(abs, v)), 0
-        if self.exact_phi:
-            small = self.exact and _FMAX * _KMAX * self.size ** 3 < _INT64_BOUND
-            self.a = np.array(v, np.int64 if small else object)
-        else:
-            self.size, self.e = math.frexp(self.size)
-            self.a = np.ldexp(np.array(v, np.float64), -self.e)
-            for x, y in zip(v, self.a.tolist()):
-                if x and abs(y) < 2.0 ** -1022:  # its products would underflow
-                    raise OverflowError(
-                        f"the coefficients of phi span past the float range: {x!r} "
-                        f"against max|phi| = {math.ldexp(self.size, self.e):.6g}")
+        self.D, self.c, self.size = D, c, max(map(abs, v))
+        small = self.exact and _FMAX * _KMAX * self.size ** 3 < _INT64_BOUND
+        self.a = np.array(v, np.float64 if not self.exact_phi else np.int64 if small else object)
         self._ka = self._fa = self._derived = None
 
     @property
@@ -437,17 +456,18 @@ def compute_F(phi, omega=None, vol=None):
 
 
 def _Q_of(ev):
-    """Q of the table input of ev: Q(phi) exactly, 2^-4e Q(phi) on floats."""
+    """Q's numerator on the table input of ev: c^2 D^4 Q(phi), 2^-4e on floats."""
     v, gn = ev.a.tolist(), ev.fa.tolist()
     # -(phi ^ F)/vol with F = -2 gn / (D^3 c) and phi = v / D
-    top = 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(v, _Q_TABLE) if x)
-    return _exact_div(top, ev.D ** 4) / (ev.c * ev.c)
+    return 2 * sum(sign * x * gn[n] for x, (n, sign) in zip(v, _Q_TABLE) if x)
 
 
 def compute_Q(phi, omega=None, vol=None):
-    """The scalar Q(phi) = -(phi ^ F(phi)) / vol."""
+    """The scalar Q(phi) = -(phi ^ F(phi)) / vol, its numerator over D^4 c^2."""
     ev = _evaluate(phi, _resolve_vol(omega, vol))
-    return _at_scale(ev, [ev.Q()], 4, "Q(phi)")[0]
+    if ev.exact:
+        return Fraction(ev.Q(), ev.D ** 4) / (ev.c * ev.c)
+    return _at_scale(ev, [ev.Q() / (ev.c * ev.c)], 4 * ev.e - 2 * ev.g, "Q(phi)")[0]
 
 
 def omega_matrix(omega):
@@ -463,19 +483,19 @@ def omega_matrix(omega):
 def _require_primitive(ev, tables, tol, what, size=None):
     """Reject a form with omega ^ phi != 0, read off tables.P a on the table
     input a of its _Evaluation ev: exactly on the exact backend, above
-    tol |phi| on floats, or above tol size when the caller gives the
-    reference size at phi's scale (for a phi that may itself be rounding
-    residue)."""
+    tol |phi| max|P| on floats, or above tol size max|P| when the caller
+    gives the reference size at phi's scale (for a phi that may itself be
+    rounding residue)."""
     w = (tables.P * ev.a[:, None]).sum(axis=0, initial=0).tolist()
     if ev.exact:
         if not any(w):
             return
         res = max(abs(float(Fraction(x, tables.dP * ev.D))) for x in w)
     else:
-        res = max(map(abs, w)) / tables.dP
-        if not res > tol * (ev.size if size is None else math.ldexp(size, -ev.e)):
+        res = max(map(abs, w))
+        if not res > tol * tables.wmax * (ev.size if size is None else math.ldexp(size, -ev.e)):
             return
-        res = math.ldexp(res, ev.e)
+        res = math.ldexp(res / tables.dP, ev.e)
     raise ValueError(f"{what} is not primitive: |omega ^ phi| = {res}")
 
 
@@ -497,15 +517,19 @@ def _check_primitive(phi, omega, tol, what, size=None):
 
 class _OmegaTables(NamedTuple):
     """W, the matrix of one omega, cleared to int when omega is exact, with
-    a multiplier m and den such that den D^2 q = m W kn.  Winv is W^-1 as
-    linalg.inverse gives it, for the Lefschetz contraction.  Row n of P is
-    what a_n of the table input adds to omega ^ phi on the basis 5-forms
-    e^(all axes but i), cleared likewise: dP D (omega ^ phi) = sum_n a_n P[n]."""
+    m and den such that den D^2 q = m W kn, and for floats fm and fden, 2^g m
+    and den over one power of two, c = 2^g c'.  Winv is W^-1 as linalg.inverse
+    gives it, for the Lefschetz contraction.  Row n of P is what a_n of the
+    table input adds to omega ^ phi on the basis 5-forms e^(all axes but i),
+    cleared likewise: dP D (omega ^ phi) = sum_n a_n P[n]; wmax = max|W| = max|P|."""
     vol: Form
     Winv: tuple
     W: np.ndarray
     m: object
     den: object
+    fm: float
+    fden: float
+    wmax: object
     P: np.ndarray
     dP: object
 
@@ -513,23 +537,28 @@ class _OmegaTables(NamedTuple):
 @functools.lru_cache(maxsize=16)
 def _omega_tables_of(grade, items, types):
     omega = Form(grade, dict(items))
+    if not omega.is_exact():
+        _binade(list(omega.coeffs.values()), "omega")  # refuses a span past the float range
     vol = volume_of(omega)
-    c = vol.coeffs[FULL_MASK]
     W = omega_matrix(omega)
     inverse = tuple(map(tuple, linalg.inverse(W)))
     P, dP = basis_matrix(functools.partial(wedge, omega), _MASKS3,
                          [FULL_MASK ^ (1 << i) for i in range(DIM)]), 1
     if omega.is_exact():
-        c = Fraction(c)
+        c = Fraction(vol.coeffs[FULL_MASK])
         dW, W = linalg._integral(W)
         dP, P = linalg._integral(P)
         den = dW * abs(c.numerator)
         m = c.denominator if c > 0 else -c.denominator
         # int64 when no product with an int64 ka or a can reach _INT64_BOUND (P's entries are W's)
         dtype = np.int64 if abs(m) * max(sum(map(abs, r)) for r in W) <= _FMAX else object
+        g, s = _vol_binade(c)[0], den.bit_length()
+        fm, fden = float(m * Fraction(2) ** (g - s)), den / 2 ** s
     else:  # float, vol too, though a float term of omega drops out of it
-        vol, den, m, dtype = vol.to_float(), 1, 1 / float(c), np.float64
-    return _OmegaTables(vol, inverse, np.array(W, dtype), m, den,
+        vol, m, den, dtype = vol.to_float(), None, None, np.float64
+        fm, fden = 1 / _vol_binade(vol.coeffs[FULL_MASK])[1], 1.0
+    W = np.array(W, dtype)
+    return _OmegaTables(vol, inverse, W, m, den, fm, fden, abs(W).max(),
                         np.array([*zip(*P), (0,) * DIM], dtype), dP)
 
 
@@ -539,24 +568,22 @@ def _omega_tables(omega):
     return _omega_tables_of(omega.grade, items, tuple(type(x) for _, x in items))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an extreme float omega may overflow q
 def _q_of(ev, tables, tol):
     """(n, den) with q = W kn / (D^2 c) = n / den, den > 0, on the table input
-    of ev, as a (DIM, DIM) array; n must be symmetric: exactly on the exact
-    backend, where it is an int matrix, to tol size^2 on floats, where the
-    division is done here and den = 1."""
+    of ev, as a (DIM, DIM) array: n = m W kn on the exact backend, an int
+    matrix, and on floats n = 2^(g - 2e) q, den = 1.  W kn must be
+    symmetric: exactly on the exact backend, to tol size^2 max|W| on floats."""
     k = ev.ka[:-1].reshape(DIM, DIM)
-    q = tables.m * (tables.W.T[:, :, None] * k[:, None]).sum(axis=0, initial=0)
-    den, scale = tables.den * ev.D ** 2, 0
-    if not ev.exact:
-        q, den, scale = q / den, 1, tol * ev.size ** 2
+    wk = (tables.W.T[:, :, None] * k[:, None]).sum(axis=0, initial=0)
     # NaN fails too; bad is symmetric, so its first entry is on or above the diagonal
-    bad = ~(abs(q - q.T) <= scale)
+    bad = ~(abs(wk - wk.T) <= (0 if ev.exact else tol * ev.size ** 2 * tables.wmax))
     if bad.any():
         i, j = divmod(int(bad.argmax()), DIM)
-        raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): {q[i, j]} against "
-                              f"{q[j, i]}; K is inconsistent")
-    return q, den
+        raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): W K reads {wk[i, j]} "
+                              f"against {wk[j, i]}; K is inconsistent")
+    if ev.exact:
+        return tables.m * wk, tables.den * ev.D ** 2
+    return tables.fm * wk / tables.fden, 1
 
 
 def _checked_q(ev, tables, tol, what):
@@ -582,7 +609,7 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     ev = _evaluate(phi, tables.vol)
     q, den = ev.q(tables, tol, "q-form input")
     if not ev.exact:
-        return [_at_scale(ev, r, 2, "q(omega, phi)") for r in q.tolist()]
+        return [_at_scale(ev, r, 2 * ev.e - ev.g, "q(omega, phi)") for r in q.tolist()]
     return [r if den == 1 else [Fraction(x, den) for x in r] for r in q.tolist()]
 
 
@@ -639,20 +666,19 @@ class ClassificationError(ValueError):
 
 
 def _gl_orbit(ev, tol):
-    """(GL(V) orbit label, Q) of phi from its _Evaluation ev, Q as ev.Q()
-    gives it.
+    """GL(V) orbit label of phi from its _Evaluation ev.
 
-    Stable orbits by the sign of Q; on the Q = 0 hypersurface dim ker phi
-    (0, 1, 3, 6), from the contraction matrix on the same cleared
-    coefficients, separates the remaining orbits."""
+    Stable orbits by the sign of Q's numerator ev.Q(), cut at tol |phi|^4 on
+    floats; on the Q = 0 hypersurface dim ker phi (0, 1, 3, 6), from the
+    contraction matrix on the same coefficients, separates the rest."""
     Q = ev.Q()
     if not (Q == 0 if ev.exact else abs(Q) <= tol * ev.size ** 4):
-        return (O_MINUS if Q < 0 else O_PLUS), Q
+        return O_MINUS if Q < 0 else O_PLUS
     k = ev.ker_phi(tol)
     if k not in _GL_OF_KERNEL:
         raise ClassificationError(
             f"dim ker phi = {k} is impossible for a 3-form; check tolerances")
-    return _GL_OF_KERNEL[k], Q
+    return _GL_OF_KERNEL[k]
 
 
 def classify_gl(phi, vol=None, tol=ORBIT_TOL):
@@ -660,7 +686,7 @@ def classify_gl(phi, vol=None, tol=ORBIT_TOL):
     dimension of ker phi."""
     _check_tol(tol)
     ev = _evaluate(phi, _resolve_vol(None, standard_volume() if vol is None else vol))
-    return _gl_orbit(ev, tol)[0]
+    return _gl_orbit(ev, tol)
 
 
 class SpOrbit(NamedTuple):
@@ -675,7 +701,8 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     signature of q, measured except on O3 and O6.  On the exact backend that
     signature is linalg.exact_inertia of the int matrix den q, so tol is
     never read there; on floats it is measured at tol.  mu is recovered
-    from Q: Q = -16 mu^4 on O- and 4 mu^4 on O+.  One K evaluation.
+    from Q: Q = -16 mu^4 on O- and 4 mu^4 on O+, its root taken in the
+    binades of phi and c, or of an exact mu^4.  One K evaluation.
     """
     _check_tol(tol)
     if omega is None:
@@ -683,7 +710,7 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     tables = _omega_tables(omega)
     ev = _evaluate(phi, tables.vol)
     q, _ = ev.q(tables, tol, "form")  # checked for primitivity and symmetry
-    gl, Q = _gl_orbit(ev, tol)
+    gl = _gl_orbit(ev, tol)
     # q vanishes on O3 and O6: its inertia is (6, 0, 0), which a float
     # signature would misread in the rounding noise
     sig = (6, 0, 0) if gl in (O_3, O_6) else SignatureTriple(*(
@@ -691,8 +718,16 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     label = _SP_OF.get((gl, sig))
     if label is None:
         raise ClassificationError(f"{gl} form with unexpected signature {sig}")
-    mu4 = {O_MINUS: -Q / 16, O_PLUS: Q / 4}.get(gl)
-    return SpOrbit(label, None if mu4 is None else _at_scale(ev, [float(mu4) ** 0.25], 1, "mu")[0])
+    if gl not in (O_MINUS, O_PLUS):
+        return SpOrbit(label)
+    over = -16 if gl == O_MINUS else 4
+    if ev.exact:  # mu^4 over 2^4k, near 1, so that its float keeps every bit
+        mu4 = compute_Q(phi, omega) / over
+        k = _log2(mu4) // 4
+        mu4 /= Fraction(2) ** (4 * k)
+    else:
+        mu4, k = ev.Q() / (ev.c * ev.c) / over, ev.e - ev.g // 2
+    return SpOrbit(label, _at_scale(ev, [float(mu4) ** 0.25], k, "mu")[0])
 
 
 # --- the 14-coefficient parametrization of primitive 3-forms ----------------
@@ -968,10 +1003,9 @@ def hitchin_data(phi, omega=None):
     J = K/sqrt(-lambda) squares to -id, phihat = J* phi, and
     F = |phi|^2 phihat with |phi|^2 = sqrt(-Q), lambda = Q/4.
     """
-    ev = _evaluate(phi, _omega_tables(omega if omega is not None else standard_omega()).vol)
-    gl, Q = _gl_orbit(ev, ORBIT_TOL)
-    Q = _at_scale(ev, [Q], 4, "Q(phi)")[0]
-    if gl != O_MINUS:
+    omega = standard_omega() if omega is None else omega
+    ev, Q = _evaluate(phi, _omega_tables(omega).vol), compute_Q(phi, omega)
+    if _gl_orbit(ev, ORBIT_TOL) != O_MINUS:
         raise ValueError(f"not in O-: Q(phi) = {Q} >= 0")
     normsq = _exact_sqrt(-Q)
     lam = Q / 4

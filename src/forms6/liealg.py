@@ -395,14 +395,14 @@ def _table_core(setup, phi):
 
 def _max_over(x, scale, core):
     """max|x| / |scale| as a float, an int x divided exactly, as a
-    Fraction.  A float x is divided by c^2 E |P|^4 instead, with the names
-    of core, a _table_core: the scale of N, at which integrability_flags
-    cuts it, so that rounding reads alike at every scale of phi."""
+    Fraction.  A float x is divided by E |P|^4 instead, with the names of
+    core, a _table_core: the scale of N, at which integrability_flags cuts
+    it, so that rounding reads alike at every scale of phi and omega."""
     ev, E, *_ = core
     top = abs(x).max()
     if x.dtype == np.float64:
-        c, size = float(ev.c), float(ev.size) or 1.0
-        return float(top) / (c * c * E) / (size * size * size * size)
+        size = float(ev.size) or 1.0
+        return float(top) / E / (size * size * size * size)
     return float(Fraction(int(top)) / abs(scale))
 
 
@@ -410,7 +410,7 @@ def _table_sides(setup, phi, core=None):
     """(lhs, rhs, scale): both sides of the Nijenhuis identity as (15, 6)
     arrays over the basis pairs _PAIRS and the basis 5-forms _MASKS5, each
     scale = c E D^4 times the side of nijenhuis_identity_sides (D as in
-    _table_core, so c E 2^-4e on a float phi); core is
+    _table_core, so c E 2^-4e on a float phi, c = 2^g c'); core is
     phi's _table_core, when the caller has it.
 
     With the names of _table_core, the lhs is iota_N e^123456, so
@@ -428,7 +428,7 @@ def _table_sides(setup, phi, core=None):
     inner = 2 * U + c.ii(df)[_PAIR_I, _PAIR_J]
     rhs = a[_PAIR_I, _PAIR_J] @ _WEDGE2(f).T + inner @ _WEDGE2(P).T
     lhs = _IVOL(N[:, _PAIR_I, _PAIR_J]).T
-    return lhs, rhs, ev.c * E * ev.D ** 4 if ev.exact else math.ldexp(ev.c * E, -4 * ev.e)
+    return lhs, rhs, ev.c * E * ev.D ** 4 if ev.exact else math.ldexp(ev.c * E, ev.g - 4 * ev.e)
 
 
 def verify_nijenhuis_identity(setup, phi):
@@ -440,7 +440,7 @@ def verify_nijenhuis_identity(setup, phi):
     structure constants.  So an exact phi is checked as D phi, D the lcm of
     its denominators, over the setup's tables, whose constants carry E,
     with _table_sides, and the residual is divided by |c| E D^4.  On
-    floats it is relative: divided by c^2 E |P|^4, |P| = max|P_i|."""
+    floats it is relative: divided by E |P|^4, |P| = max|P_i|."""
     core = _table_core(setup, phi)
     lhs, rhs, scale = _table_sides(setup, phi, core)
     return _max_over(lhs - rhs, scale, core)
@@ -449,7 +449,7 @@ def verify_nijenhuis_identity(setup, phi):
 def nijenhuis_max(setup, phi):
     """Largest |entry| of the Nijenhuis tensor of K(phi): max|N| over
     |c^2 E D^4|, with N of _table_core, divided as a Fraction on exact
-    input; on floats relative, over c^2 E |P|^4."""
+    input; on floats relative, over E |P|^4, c^2 N_K / |phi|^4."""
     core = _table_core(setup, phi)
     ev, E, *_, N = core
     return _max_over(N, ev.c * ev.c * E * ev.D ** 4, core)
@@ -480,14 +480,13 @@ def integrability_flags(setup, phi):
     """d phi = 0, d F(phi) = 0 and N_K = 0, read off _table_core's dP, df
     and N, which are E D, c E D^3 and c^2 E D^4 times them.  On exact input
     each is an all-zero test on ints.  On floats each cut is relative to
-    |P| = max|P_i| in its degree: tol |P| E for dP, tol |P|^3 |c| E for df
-    and tol |P|^4 c^2 E for N."""
+    |P| = max|P_i| in its degree, and none reads c: tol |P| E for dP,
+    tol |P|^3 E for df and tol |P|^4 E for N."""
     ev, E, _, P, _, dP, df, N = _table_core(setup, phi)
     cuts = (0, 0, 0)
     if P.dtype == np.float64:
-        size, c = float(ev.size), abs(float(ev.c))
-        tol = DEFAULT_TOL * E
-        cuts = (tol * size, tol * c * size ** 3, tol * c * c * size ** 4)
+        size, tol = float(ev.size), DEFAULT_TOL * E
+        cuts = (tol * size, tol * size ** 3, tol * size ** 4)
     integrable, F_integrable, K_integrable = (
         bool(abs(x).max() <= cut) for x, cut in zip((dP, df, N), cuts))
     return IntegrabilityFlags(integrable, F_integrable,

@@ -255,13 +255,18 @@ def binade_coeffs(phi):
 def test_q_and_primitivity_sums_keep_the_bits_of_a_loop(rng, name):
     # float q and the residual P a, with W and P dense, must keep the bits
     # of a left-to-right loop from 0 over the nonzero entries, as the K and
-    # F gathers do, on phi in its binade and scaled back by 2^(degree e); a
-    # BLAS W @ kn, which sums in another order, fails here under the
-    # GL-moved omega
+    # F gathers do, on phi in its binade, multiplied by fm and divided by
+    # fden, and scaled back by 2^(2e - g); a BLAS W @ kn, which sums in
+    # another order, fails here under the GL-moved omega.  On an exact
+    # omega, fm and fden are m and den, up to powers of two, rounded once
     omega, g = OMEGAS[name]
     for om in (omega, omega.to_float()):
         tables = inv._omega_tables(om)
         W, P = tables.W.tolist(), tables.P.tolist()
+        if om.is_exact():
+            two_g = Fraction(2) ** inv._vol_binade(tables.vol.coeffs[63])[0]
+            assert Fraction(tables.fm) / Fraction(tables.fden) == \
+                Fraction(float(tables.m)) / Fraction(float(tables.den)) * two_g
         for _ in range(15):
             prim = pullback(g, pullback(rand_symplectic(rng), inv.coords_to_form(rand_coords(rng))))
             phi = prim.to_float() * rng.choice((1e-3, 1.0, 7.0))
@@ -269,8 +274,9 @@ def test_q_and_primitivity_sums_keep_the_bits_of_a_loop(rng, name):
             ev = inv._evaluate(phi, tables.vol)
             assert ev.e == e and ev.a.tolist() == a
             kn = ev.ka.tolist()
-            want = [[math.ldexp(tables.m * left_to_right(w * kn[l * 6 + j] for l, w in
-                                                         enumerate(r) if w) / tables.den, 2 * e)
+            want = [[math.ldexp(tables.fm * left_to_right(w * kn[l * 6 + j] for l, w in
+                                                          enumerate(r) if w) / tables.fden,
+                                2 * e - ev.g)
                      for j in range(6)] for r in W]
             got = inv.q_form(phi, om)
             assert [[x.hex() for x in r] for r in got] == [[x.hex() for x in r] for r in want]
@@ -297,10 +303,10 @@ def test_basis_tables_match_interior_and_wedge(rng):
     # a wrong complement, row order or sign shows: row i of the _CONTR gather
     # is iota_{e_i} P over the basis 2-forms, P = D phi the table input, row
     # j of the _WEDGE1 gather is e^j ^ P over the 4-forms by their
-    # complements (P = 2^-e phi on floats, in its binade), entry (q, p) of
-    # the _WEDGE2 gather is the coefficient of
-    # the q-th basis 5-form in e^p ^ P, and _IVOL of the vector x made of
-    # P's first six coefficients is iota_x e^123456 over the 5-forms; the
+    # complements (P = 2^-e phi off the exact backend, in its binade), entry
+    # (q, p) of the _WEDGE2 gather is the coefficient of the q-th basis
+    # 5-form in e^p ^ P, and _IVOL of the vector x made of P's first six
+    # coefficients is iota_x e^123456 over the 5-forms; the
     # _Q_TABLE sum over the coefficients of phi and psi is (phi ^ psi)/e^123456
     e6 = inv.standard_volume()
     for make, vol, dtype in ROW_ROUTES.values():
@@ -308,8 +314,8 @@ def test_basis_tables_match_interior_and_wedge(rng):
             phi, psi = rand_form(rng, 3, 0.6), rand_form(rng, 3, 0.6)
             ev = inv._evaluate(make(phi), vol)
             P = make(phi) * ev.D
-            if ev.e:
-                P = P.map_coeffs(lambda x: math.ldexp(x, -ev.e))
+            if ev.e:  # exactly, on an exact phi too
+                P = P.map_coeffs(lambda x: x * Fraction(2) ** -ev.e)
             x = ev.a[:6]
             C, W1, W2, I = inv._CONTR(ev.a), inv._WEDGE1(ev.a), inv._WEDGE2(ev.a), inv._IVOL(x)
             assert ev.a.dtype == C.dtype == W1.dtype == W2.dtype == I.dtype == dtype
@@ -1041,13 +1047,15 @@ def test_classification_of_small_stable_float_forms():
     _classify_scaled(("O-+", "O--", "O+"), (1e-6, 1e-4))
 
 
-# reader: (degree in phi, the reader's floats, in a fixed order)
+# reader: (degree in phi, degree in omega, the reader's floats under omega,
+# in a fixed order); omega enters through vol = omega^3/3! and W
 POWER_READERS = {
-    "K": (2, lambda phi: [x for r in inv.compute_K(phi, OMEGA).rows for x in r]),
-    "F": (3, lambda phi: [inv.compute_F(phi, OMEGA).coeffs.get(m, 0.0) for m in inv._MASKS3]),
-    "Q": (4, lambda phi: [inv.compute_Q(phi, OMEGA)]),
-    "q": (2, lambda phi: [x for r in inv.q_form(phi, OMEGA) for x in r]),
-    "mu": (1, lambda phi: [inv.classify_sp(phi, OMEGA).mu or 0.0]),
+    "K": (2, -3, lambda phi, om: [x for r in inv.compute_K(phi, om).rows for x in r]),
+    "F": (3, -3, lambda phi, om: [inv.compute_F(phi, om).coeffs.get(m, 0.0)
+                                  for m in inv._MASKS3]),
+    "Q": (4, -6, lambda phi, om: [inv.compute_Q(phi, om)]),
+    "q": (2, -2, lambda phi, om: [x for r in inv.q_form(phi, om) for x in r]),
+    "mu": (1, Fraction(-3, 2), lambda phi, om: [inv.classify_sp(phi, om).mu or 0.0]),
 }
 
 
@@ -1057,33 +1065,59 @@ def is_normal(x):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(inv.SP_LABELS), st.integers(0, 9), st.floats(0.1, 10),
-       st.integers(-1100, 1100))
-def test_power_of_two_scalings_read_alike(label, n, s, k):
-    # phi and 2^k phi, both with only normal coefficients, have the same
-    # table input in their binades: the same labels (so q's signature) and dims, and
-    # each output of degree d is 2^(d k) times phi's wherever both are
-    # normal floats, or refused where 2^(d k) times it leaves the float range
+       st.integers(-1100, 1100), st.integers(-300, 300), st.booleans())
+def test_power_of_two_scalings_read_alike(label, n, s, k, j, exact_omega):
+    # phi and 2^k phi, both with only normal coefficients, under omega and
+    # 2^j omega, exact or float, have the same table input in their binades,
+    # and vol = 2^(3j) omega^3/3! is read in its own: the same labels, q's
+    # signature and dims, and each output of degrees d in phi and d' in
+    # omega is 2^(d k + d' j) times phi's wherever both are normal floats,
+    # or refused where that leaves the float range (mu when d' j is an int)
     phi = seed11_moved_form(label, n) * s
     exponents = [math.frexp(x)[1] for x in phi.coeffs.values()] or [0]
     assume(-1021 <= min(exponents) + min(k, 0) and max(exponents) + max(k, 0) <= 1024)
+    assume(abs(k - 1.5 * j) < 1000)  # mu = s 2^(k - 3j/2) stays in the float range
     big = phi.map_coeffs(lambda x: math.ldexp(x, k))
-    assert inv.classify_sp(big, OMEGA).label == inv.classify_sp(phi, OMEGA).label == label
-    assert inv.classify_gl(big) == inv.classify_gl(phi)
-    assert inv.subspace_dims(big, OMEGA) == inv.subspace_dims(phi, OMEGA)
-    for name, (degree, read) in POWER_READERS.items():
-        x = read(phi)
+    om = OMEGA if exact_omega else OMEGA.to_float()
+    om_big = om * (Fraction(2) ** j if exact_omega else 2.0 ** j)
+    assert inv.classify_sp(big, om_big).label == inv.classify_sp(phi, om).label == label
+    assert inv.classify_gl(big, inv.volume_of(om_big)) == inv.classify_gl(phi)
+    assert inv.subspace_dims(big, om_big) == inv.subspace_dims(phi, om)
+    for name, (degree, omega_degree, read) in POWER_READERS.items():
+        shift = degree * k + omega_degree * j
+        if shift.denominator != 1:
+            continue
+        shift = int(shift)
+        x = read(phi, om)
         try:
-            y = read(big)
+            y = read(big, om_big)
         except OverflowError:
-            assert max(math.frexp(a)[1] for a in x if a) + degree * k > 1024, name
+            assert max(math.frexp(a)[1] for a in x if a) + shift > 1024, name
             continue
         for a, b in zip(x, y):
             if a == 0:
                 assert b == 0, (name, b)
                 continue
-            want = math.ldexp(a, degree * k) if math.frexp(a)[1] + degree * k <= 1024 else math.inf
+            want = math.ldexp(a, shift) if math.frexp(a)[1] + shift <= 1024 else math.inf
             if is_normal(a) and is_normal(want):
                 assert b == want, (name, a, b)
+        # q's signature, where q is not rounding noise (O3, O6) and reads
+        # normal, with eigenvalues (at most 6 max|q|) in the float range
+        if name == "q" and label not in ("O3", "O6") and all(
+                is_normal(b) and is_normal(6 * b) for a, b in zip(x, y) if a):
+            assert inv.signature([y[i:i + 6] for i in range(0, 36, 6)]) == \
+                inv.signature([x[i:i + 6] for i in range(0, 36, 6)])
+
+
+@pytest.mark.parametrize("scale", ("1e-3", "2", "10", "1e2", "1e8", "1e40"))
+def test_labels_do_not_read_the_scale_of_omega(scale):
+    # the Q = 0 cut reads Q's numerator, and the q and primitivity cuts are
+    # relative to max|omega|, so no decision reads vol: the moved normal
+    # forms keep their labels under a scaled omega, exact or float
+    for om in (OMEGA * Fraction(scale), OMEGA.to_float() * float(scale)):
+        for label in inv.SP_LABELS:
+            for n in range(10):
+                assert inv.classify_sp(seed11_moved_form(label, n), om).label == label, (om, n)
 
 
 # the smallest input of each open float orbit fault, pinned as a strict xfail
@@ -1194,7 +1228,8 @@ def test_coords_round_trip(rng):
 def test_primitivity_rows_are_the_wedge(rng, name):
     # the per-omega table P gives dP D (omega ^ phi) = sum_n a_n P[n], a the
     # table input of phi: exactly on exact forms, to rounding on floats and
-    # float omega, where a is 2^-e phi, phi in its binade
+    # float omega, where a is 2^-e phi, phi in its binade (exactly so on an
+    # exact phi)
     omega = OMEGAS[name][0]
     for om in (omega, omega.to_float()):
         tables = inv._omega_tables(om)
@@ -1207,7 +1242,7 @@ def test_primitivity_rows_are_the_wedge(rng, name):
                 if not ev.exact_phi:
                     e, want_a = binade_coeffs(form)
                     assert ev.e == e and a == want_a
-                    form = form.map_coeffs(lambda x: math.ldexp(x, -e))
+                form = form.map_coeffs(lambda x: x * Fraction(2) ** -ev.e)
                 got = [sum(a[n] * x for n, x in enumerate(col)) for col in zip(*tables.P.tolist())]
                 w = wedge(om, form)
                 want = [w.coeffs.get(63 ^ (1 << i), 0) for i in range(6)]
@@ -1436,7 +1471,8 @@ def test_float_Q_past_the_float_range_is_refused_by_every_reader():
     for name in ("compute_Q", "hitchin_data"):
         with pytest.raises(OverflowError) as e:
             calls[name](big)
-        assert str(e.value) == "Q(phi) is out of the float range at max|phi| = 1e+77", name
+        assert str(e.value) == ("Q(phi) is out of the float range at "
+                                "max|phi| = 1e+77, vol = 1"), name
     sp = calls["classify_sp"](big)
     assert sp.label == "O-+" and math.isclose(sp.mu, 1e77, rel_tol=1e-12), sp
     assert calls["classify_gl"](big) == inv.O_MINUS
@@ -1449,6 +1485,83 @@ def test_float_Q_past_the_float_range_is_refused_by_every_reader():
     assert sp.label == "O-+" and math.isclose(sp.mu, 1e76, rel_tol=1e-12), sp
     assert calls["classify_gl"](phi) == inv.O_MINUS
     assert all(abs(JJ[i][j] + (i == j)) <= 1e-12 for i in range(6) for j in range(6)), JJ
+
+
+@pytest.mark.parametrize("c", (1e-200, 1e-310, 5e-324, 1e200, 1.7e308))
+def test_vol_is_read_in_its_binade(c):
+    # c, the coefficient of vol, is read as 2^g c': Q = -16/c^2 of the float
+    # O-+ normal form leaves the float range below c = 4e-154 and K = 2/c
+    # below 1.1e-308, and each refuses naming its output and both scales,
+    # where c c underflowed to a bare ZeroDivisionError; the label, whose
+    # Q = 0 cut reads Q's numerator, does not read c at all
+    phi, vol = inv.sp_normal_form("O-+").to_float(), inv.standard_volume() * c
+    assert inv.classify_gl(phi, vol) == inv.O_MINUS
+    Q = -16 / c / c
+    if math.isfinite(Q):
+        assert math.isclose(inv.compute_Q(phi, vol=vol), Q, rel_tol=1e-15)
+    else:
+        with pytest.raises(OverflowError) as e:
+            inv.compute_Q(phi, vol=vol)
+        assert str(e.value) == f"Q(phi) is out of the float range at max|phi| = 1, vol = {c:.6g}"
+    K = inv.compute_K(phi, vol=vol).rows if c > 1.2e-308 else None
+    if K is None:
+        with pytest.raises(OverflowError) as e:
+            inv.compute_K(phi, vol=vol)
+        assert str(e.value).startswith("K(phi) is out of the float range at max|phi| = 1, vol")
+    else:  # one rounding more where 2/c is subnormal
+        assert math.isclose(max(abs(x) for r in K for x in r), 2 / c,
+                            rel_tol=1e-15, abs_tol=1e-323)
+
+
+def test_exact_mu_is_read_in_its_binade():
+    # the fourth root of an exact mu^4 is taken of 2^-4k mu^4, near 1, and
+    # scaled back by 2^k: mu of 10^100 O-+ is 1e100, where float(mu^4)
+    # overflowed, and O+ under 10^150 omega has mu = 1e-225, where float(mu^4)
+    # read 0; only a mu past the float range is refused, by name
+    assert inv.classify_sp(inv.sp_normal_form("O-+") * 10 ** 100) == ("O-+", 1e100)
+    assert inv.classify_sp(inv.sp_normal_form("O+"), OMEGA * 10 ** 150) == ("O+", 1e-225)
+    assert inv.classify_sp(inv.sp_normal_form("O-+", 3)) == ("O-+", 3.0)
+    with pytest.raises(OverflowError) as e:
+        inv.classify_sp(inv.sp_normal_form("O-+") * 10 ** 400)
+    assert str(e.value) == "mu is out of the float range at max|phi| = 1e+400, vol = 1"
+
+
+def test_exact_phi_under_a_float_omega_is_read_in_its_binade():
+    # an exact phi under a float vol is scaled exactly into its binade, so
+    # it reads as the exact backend rounded, and only an output past the
+    # float range is refused, by name
+    omega = OMEGA.to_float()
+    big = inv.sp_normal_form("O-+") * 10 ** 100
+    assert inv.classify_sp(big, omega) == ("O-+", 1e100)
+    assert inv.q_form(big, omega)[0][0] == 2e200
+    for read, name in ((inv.compute_Q, "Q(phi)"), (inv.compute_F, "F(phi)")):
+        with pytest.raises(OverflowError) as e:
+            read(big * 10 ** 3, omega)
+        assert str(e.value) == f"{name} is out of the float range at max|phi| = 1e+103, vol = 1"
+    # under omega_0, c = 1: K and Q are the floats nearest their exact values
+    for phi in (inv.sp_normal_form("O+") * Fraction(3, 7),
+                pullback(rand_symplectic(random.Random(3)), inv.sp_normal_form("O-+")) * 10 ** 30):
+        assert inv.compute_K(phi, omega).rows == tuple(
+            tuple(map(float, r)) for r in inv.compute_K(phi, OMEGA).rows)
+        assert inv.compute_Q(phi, omega) == float(inv.compute_Q(phi, OMEGA))
+        assert inv.classify_sp(phi, omega).label == inv.classify_sp(phi, OMEGA).label
+
+
+@pytest.mark.parametrize("omega, text", [
+    (OMEGA.to_float() * 1e-110, "omega^3/3! = 0 is not a normal float"),
+    # subnormal: 5e-324 where omega^3/3! is 5.36e-324, so its bits are lost
+    (OMEGA.to_float() * 1.75e-108, "omega^3/3! = 5e-324 is not a normal float"),
+    (OMEGA.to_float() * 1e110, "omega^3/3! = inf is not a normal float"),
+    (basis(1, 2) * 5e-324 + basis(3, 4) + basis(5, 6) * 1e308,
+     "the coefficients of omega span past the float range: 5e-324 against max|omega| = 1e+308")])
+def test_float_omega_past_the_float_range_is_refused_by_name(omega, text):
+    phi = inv.sp_normal_form("O-+").to_float()
+    for read in (inv.classify_sp, inv.compute_Q, inv.q_form):
+        with pytest.raises(OverflowError) as e:
+            read(phi, omega)
+        assert str(e.value) == text
+    with pytest.raises(ValueError, match="degenerate"):
+        inv.classify_sp(phi, (basis(1, 2) + basis(3, 4)).to_float())
 
 
 def test_float_overflow_names_the_invariant_out_of_range(capfd):
@@ -1472,7 +1585,8 @@ def test_float_overflow_names_the_invariant_out_of_range(capfd):
             if name in refused:
                 with pytest.raises(OverflowError) as e:
                     read(phi)
-                assert str(e.value) == f"{name} is out of the float range at max|phi| = {at}"
+                assert str(e.value) == (f"{name} is out of the float range at "
+                                        f"max|phi| = {at}, vol = 1")
             else:
                 assert all(map(math.isfinite, np.ravel(read(phi)))), name
         sp = inv.classify_sp(phi, OMEGA)
@@ -1486,7 +1600,8 @@ def test_float_overflow_names_the_invariant_out_of_range(capfd):
     for name, read in readers.items():
         with pytest.raises(OverflowError) as e:
             read(mixed)
-        assert str(e.value) == f"{name} is out of the float range at max|phi| = 2e+154"
+        assert str(e.value) == (f"{name} is out of the float range at "
+                                "max|phi| = 2e+154, vol = 1")
     # K = 0 on O3 and Q = 0 on O0+: their readers answer far past 1e77
     O3 = inv.sp_normal_form("O3").to_float() * 1e200
     assert inv.q_form(O3, OMEGA) == [[0.0] * 6 for _ in range(6)]

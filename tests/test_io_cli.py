@@ -584,9 +584,9 @@ def test_classify_rejects_bad_tol(tmp_path, capsys):
 
 
 def test_classify_refuses_an_extreme_float_omega_without_a_warning(tmp_path, capsys):
-    # omega^3 of these coefficients underflows and q reads nan; the refusal
-    # names the out-of-range coefficient, and no numpy warning leaks from
-    # the array routes on the way
+    # these coefficients span past the float range, so omega^3 would
+    # underflow and q read nan; the library refuses the span, naming omega
+    # and its smallest coefficient, and no numpy warning leaks on the way
     omega = tmp_path / "omega.json"
     omega.write_text(json.dumps([{"axes": [1, 2], "coeff": 5e-324},
                                  {"axes": [3, 4], "coeff": 2.2250738585072014e-308},
@@ -595,9 +595,9 @@ def test_classify_refuses_an_extreme_float_omega_without_a_warning(tmp_path, cap
         warnings.simplefilter("always")
         err = assert_refused(capsys, "classify", data_file("forms/sp_O0+.json"),
                              "--omega", str(omega))
-    assert err == (f"forms6: bad --omega file {omega}: the coefficient of e^12, of order "
-                   f"1e-323, is out of range (q-form is not symmetric at (0,0): nan "
-                   f"against nan; K is inconsistent)\n")
+    assert err == (f"forms6: cannot classify {data_file('forms/sp_O0+.json')} under --omega "
+                   f"{omega}: the coefficients of omega span past the float range: 5e-324 "
+                   "against max|omega| = 1e+308\n")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -653,30 +653,40 @@ def test_input_errors_name_their_file(tmp_path, capsys):
 
 
 def test_classify_names_an_out_of_range_scalar(tmp_path, capsys):
-    # a classification that leaves the float range names the file and its
-    # scalar out of range, a large float or an int or Fraction past the float
-    # range, and writes no report
+    # a classification that leaves the float range names the file(s) and
+    # what leaves it, after "cannot classify", and writes no report
     form, omega, out = tmp_path / "form.json", tmp_path / "omega.json", tmp_path / "out"
     O_plus = inv.sp_normal_form("O+")
     # a float phi is classified in its own binade, so it is refused where a
     # reported output, here Q, leaves the float range, or where a coefficient,
-    # here e^246's, falls below the float range in the binade
-    for phi, order in ((inv.sp_normal_form("O-+", 1e308), "1e+308"),
-                       (O_plus + basis(1, 3, 5) * 1e308, "1e+308"),
-                       (O_plus + basis(1, 3, 5) * 10 ** 400, "1e+400"),
-                       (inv.sp_normal_form("O-+", 1e77), "1e+77")):
+    # here e^246's, falls below the float range in the binade; an exact Q past
+    # the float range is refused by the report field's name
+    Q_out = "Q(phi) is out of the float range at max|phi| = {}, vol = 1"
+    for phi, text in ((inv.sp_normal_form("O-+", 1e308), Q_out.format("1e+308")),
+                      (O_plus + basis(1, 3, 5) * 1e308, "the coefficients of phi span past "
+                       "the float range: 1 against max|phi| = 1e+308"),
+                      (O_plus + basis(1, 3, 5) * 10 ** 400, "Q is out of the float range"),
+                      (inv.sp_normal_form("O-+", 1e77), Q_out.format("1e+77"))):
         form.write_text(json.dumps(io.form_to_json(phi)))
         for extra in ((), ("--omega", OMEGA_FILE)):
             err = assert_refused(capsys, "classify", str(form), *extra, "--out", str(out))
-            assert err.startswith(f"forms6: bad form file {form}: the coefficient of e^135, "
-                                  f"of order {order}, is out of range ("), err
+            under = f" under --omega {OMEGA_FILE}" if extra else ""
+            assert err == f"forms6: cannot classify {form}{under}: {text}\n", err
             assert not out.exists()
     omega.write_text(json.dumps(io.form_to_json(
         inv.standard_omega() + basis(5, 6) * (Fraction(1, 10 ** 400) - 1))))
     err = assert_refused(capsys, "classify", data_file("forms/sp_O-+.json"),
                          "--omega", str(omega), "--out", str(out))
-    assert err.startswith(f"forms6: bad --omega file {omega}: the coefficient of e^56, "
-                          "of order 1e-400, is out of range ("), err
+    assert err == (f"forms6: cannot classify {data_file('forms/sp_O-+.json')} under --omega "
+                   f"{omega}: Q is out of the float range\n"), err
+    # an exact phi under a float omega is read in its binade too: mu = 1e100
+    # is read, and the float Q past the float range names itself
+    form.write_text(json.dumps(io.form_to_json(inv.sp_normal_form("O-+") * 10 ** 100)))
+    omega.write_text(json.dumps(io.form_to_json(inv.standard_omega().to_float())))
+    err = assert_refused(capsys, "classify", str(form), "--omega", str(omega), "--out", str(out))
+    assert err == (f"forms6: cannot classify {form} under --omega {omega}: "
+                   f"{Q_out.format('1e+100')}\n"), err
+    assert not out.exists()
     # a ClassificationError on well-scaled input is reported as it is: the
     # O-+ normal form moved by seed-11 map 38, as floats (fault (g))
     phi = seed11_moved_form("O-+", 38)
