@@ -643,12 +643,9 @@ def normalized_limit(traj, normalizer="A"):
         fit = design @ sol
         spread[:] = np.max(np.abs(fit - ratios), axis=0)
     bad = float(np.max(spread))
-    # the ratios are of degree 0 in phi, so this cut is scale-free as it
-    # stands: a start scaled by 2^j gives the same ratios, spread and verdict
-    # bit for bit.  The floor at 1 may stay, as it never acts: the
-    # normalizer's own ratio is 1, exactly on blow-up and up to the fit's
-    # rounding otherwise, so max|coords| is at least about 1 anyway
-    if bad > 1e-4 * max(1.0, float(np.max(np.abs(coords)))):
+    # the ratios are of degree 0 in phi, so this cut is scale-free: a start
+    # scaled by 2^j gives the same ratios, spread and verdict bit for bit
+    if bad > 1e-4 * float(np.max(np.abs(coords))):
         raise LimitError(
             f"ratios not settled in the final window (spread {bad:.3e}); "
             f"window of {w} samples ending at t = {ts[-1]:.6g}")

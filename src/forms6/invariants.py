@@ -267,13 +267,14 @@ def _F_numerators(ev):
     return g0
 
 
-def _at_scale(ev, xs, n, name):
-    """2^n x for each float x of xs, as a list: outputs read off the table
-    input of ev, put back at the scale of phi and vol.  An output past the
-    float range raises an OverflowError that names it and both scales."""
+def _at_scale(ev, xs, n, name, least=0.0):
+    """2^n x for each x of xs, as a list of floats: outputs read off the
+    table input of ev, put back at the scale of phi and vol, an exact x
+    rounded once.  An output past the float range, or below least in
+    magnitude, raises an OverflowError that names it and both scales."""
     try:
         ys = [math.ldexp(x, n) for x in xs]
-        if all(map(math.isfinite, ys)):
+        if all(map(math.isfinite, ys)) and not (least and min(map(abs, ys)) < least):
             return ys
     except OverflowError:
         pass
@@ -284,14 +285,15 @@ def _at_scale(ev, xs, n, name):
 
 def _divided(ev, x, power, name):
     """x / (D^power c) at phi's scale, as a list, for an array x of degree
-    power in phi: on floats over c' and scaled back by _at_scale, which
-    names the output as name; on the exact backend the quotient stays an
-    int when D^power c = 1, so integer forms keep integer K and F."""
+    power in phi: on floats over c' and scaled back by _at_scale, which names
+    the output as name; on an exact phi an int when D^power c = 1, so integer
+    forms keep integer K and F, and rounded once by it under a float vol."""
     if not ev.exact:
         return _at_scale(ev, (x / ev.c).tolist(), power * ev.e - ev.g, name)
     den, mul = ev.D ** power * ev.c.numerator, ev.c.denominator
     x = x.tolist()
-    return x if den == mul == 1 else [Fraction(n * mul, den) if n else 0 for n in x]
+    x = x if den == mul == 1 else [Fraction(n * mul, den) if n else 0 for n in x]
+    return _at_scale(ev, x, 0, name) if ev.rounded else x
 
 
 def _K_of(ev):
@@ -346,45 +348,39 @@ def _vol_binade(c):
 
 
 class _Evaluation:
-    """phi as the table input: a, the coefficients of 2^-e D phi in _MASKS3
-    order and a trailing 0, size = max|a_i| unconverted (an exact int may lie
-    past the float range), and c, the coefficient of vol.  On the exact
-    backend (phi and vol exact) D clears every denominator of phi, so a holds
-    ints; otherwise D = 1, a is exact when phi is (exact_phi), and c is c' of
-    c = 2^g c' (_vol_binade), else g = 0.  Off the exact backend phi is read
-    in its binade: e (an int, as 2^(-k e) may leave the float range) puts
-    size in [1/2, 1) on a float phi, and exactly in [1/2, 2) on an exact
-    one; else e = 0.  a is float64 on floats, int64 below the bound _FMAX _KMAX
-    size^3 < _INT64_BOUND, else objects (Python ints, or exact phi, float
-    vol).  On first use, its K numerators ka (a's dtype, and a 0), its F
-    numerators fa, checked at DEFAULT_TOL, and the entries derived from
-    them, none reading c, each keyed on what it reads beyond phi and vol:
-    Q's numerator, dim ker phi (at tol on a float rank) and the checked q
-    (under omega's tables, at tol).  A check that raises stores nothing."""
-    __slots__ = ("a", "D", "e", "c", "g", "exact", "exact_phi", "size", "_ka", "_fa", "_derived")
+    """phi as the table input, in the one arithmetic that phi's type picks:
+    a, the coefficients of 2^-e D phi in _MASKS3 order and a trailing 0,
+    size = max|a_i| unconverted (an exact int may lie past the float range),
+    and c, the coefficient of vol.  An exact phi (exact) is cleared by D, the
+    lcm of its denominators: a holds ints, int64 below the bound _FMAX _KMAX
+    size^3 < _INT64_BOUND, else Python ints, e = g = 0, and a float c is read
+    as the dyadic rational it holds; each output is then rounded once
+    (rounded).  A float phi is read in its binade: D = 1, e (an int, as
+    2^(-k e) may leave the float range) puts size in [1/2, 1), a is float64,
+    and c is c' of c = 2^g c' (_vol_binade).  On first use, its K numerators
+    ka (a's dtype, and a 0), its F numerators fa, checked at DEFAULT_TOL,
+    and the entries derived from them, none reading c, each keyed on what
+    it reads beyond phi and vol: Q's numerator, dim ker phi (at tol on a
+    float rank) and the checked q (under omega's tables, at tol).  A check
+    that raises stores nothing."""
+    __slots__ = ("a", "D", "e", "c", "g", "exact", "rounded", "size", "_ka", "_fa", "_derived")
 
     def __init__(self, phi, vol):
         if phi.grade != 3:
             raise GradeError("K is defined for 3-forms")
-        c = vol.coeffs[FULL_MASK]
-        self.exact_phi = phi.is_exact()
-        self.exact = self.exact_phi and is_exact(c)
-        D, xs, self.e, self.g = 1, list(phi.coeffs.values()), 0, 0
+        c, xs = vol.coeffs[FULL_MASK], list(phi.coeffs.values())
+        self.exact = phi.is_exact()
+        self.rounded = self.exact and not is_exact(c)
         if self.exact:
-            D, xs = _clear_denominators(xs)
+            (D, xs), c, self.e, self.g = _clear_denominators(xs), Fraction(c), 0, 0
         else:
-            self.g, c = _vol_binade(c)
-            if not self.exact_phi:
-                self.e, xs = _binade(xs, "phi")
-            elif xs:  # exactly
-                self.e = _log2(max(map(abs, xs)))
-                xs = [x * Fraction(2) ** -self.e for x in xs]
+            D, (self.g, c), (self.e, xs) = 1, _vol_binade(c), _binade(xs, "phi")
         v = [0] * (len(_MASKS3) + 1)
         for m, x in zip(phi.coeffs, xs):
             v[_INDEX3[m]] = x
         self.D, self.c, self.size = D, c, max(map(abs, v))
         small = self.exact and _FMAX * _KMAX * self.size ** 3 < _INT64_BOUND
-        self.a = np.array(v, np.float64 if not self.exact_phi else np.int64 if small else object)
+        self.a = np.array(v, np.int64 if small else object if self.exact else np.float64)
         self._ka = self._fa = self._derived = None
 
     @property
@@ -411,7 +407,7 @@ class _Evaluation:
         return self._entry("Q", _Q_of, self)
 
     def ker_phi(self, tol):
-        return self._entry(("ker", None if self.exact_phi else tol), _ker_phi, self, tol)
+        return self._entry(("ker", None if self.exact else tol), _ker_phi, self, tol)
 
     def q(self, tables, tol, what):
         """(n, den) of q under omega's tables, after the primitivity check,
@@ -465,9 +461,9 @@ def _Q_of(ev):
 def compute_Q(phi, omega=None, vol=None):
     """The scalar Q(phi) = -(phi ^ F(phi)) / vol, its numerator over D^4 c^2."""
     ev = _evaluate(phi, _resolve_vol(omega, vol))
-    if ev.exact:
-        return Fraction(ev.Q(), ev.D ** 4) / (ev.c * ev.c)
-    return _at_scale(ev, [ev.Q() / (ev.c * ev.c)], 4 * ev.e - 2 * ev.g, "Q(phi)")[0]
+    Q = Fraction(ev.Q(), ev.D ** 4) / (ev.c * ev.c) if ev.exact else ev.Q() / (ev.c * ev.c)
+    return Q if ev.exact and not ev.rounded else _at_scale(
+        ev, [Q], 4 * ev.e - 2 * ev.g, "Q(phi)")[0]
 
 
 def omega_matrix(omega):
@@ -501,7 +497,7 @@ def _require_primitive(ev, tables, tol, what, size=None):
 
 def _check_primitive(phi, omega, tol, what, size=None):
     """_require_primitive on a 3-form phi and a symplectic form omega."""
-    tables = _omega_tables(omega)
+    tables = _omega_tables(omega, phi.is_exact())
     _require_primitive(_evaluate(phi, tables.vol), tables, tol, what, size)
 
 
@@ -511,68 +507,73 @@ def _check_primitive(phi, omega, tol, what, size=None):
 # matrix of omega and kn the K numerators.  That it equals
 # (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol and -<iota_{v1}phi, iota_{v2}phi>
 # is a theorem, checked by the ``identities`` verification suite, not here.
-# W and the primitivity table P are built once per omega as dense arrays,
-# int64, Python ints or float64 (see _omega_tables_of), and both products
-# sum down axis 0 from 0, bit for bit as the K and F gathers do.
+# W and the primitivity table P are built once per omega and arithmetic as
+# dense arrays, int64, Python ints or float64 (see _omega_tables_of), and
+# both products sum down axis 0 from 0, bit for bit as the K and F gathers do.
 
 class _OmegaTables(NamedTuple):
-    """W, the matrix of one omega, cleared to int when omega is exact, with
-    m and den such that den D^2 q = m W kn, and for floats fm and fden, 2^g m
-    and den over one power of two, c = 2^g c'.  Winv is W^-1 as linalg.inverse
-    gives it, for the Lefschetz contraction.  Row n of P is what a_n of the
-    table input adds to omega ^ phi on the basis 5-forms e^(all axes but i),
-    cleared likewise: dP D (omega ^ phi) = sum_n a_n P[n]; wmax = max|W| = max|P|."""
+    """The tables of one omega in the arithmetic of the phi that reads them,
+    with omega's own vol (float on a float omega) and Winv = W^-1 as
+    linalg.inverse gives it, for the Lefschetz contraction.  W is omega's
+    matrix with den D^2 q = m W kn: cleared to int for an exact phi, a float
+    coefficient read as the dyadic rational it holds, and for a float phi
+    rounded once to float64, m = 1/c' (c = 2^g c') and den = 1.  Row n of P
+    is what a_n of the table input adds to omega ^ phi on the basis 5-forms
+    e^(all axes but i), likewise: dP D (omega ^ phi) = sum_n a_n P[n];
+    wmax = max|W| = max|P|."""
     vol: Form
     Winv: tuple
     W: np.ndarray
     m: object
     den: object
-    fm: float
-    fden: float
     wmax: object
     P: np.ndarray
     dP: object
 
 
 @functools.lru_cache(maxsize=16)
-def _omega_tables_of(grade, items, types):
+def _omega_tables_of(grade, items, types, exact):
     omega = Form(grade, dict(items))
-    if not omega.is_exact():
-        _binade(list(omega.coeffs.values()), "omega")  # refuses a span past the float range
+    if not (exact and omega.is_exact()):  # read as floats, each coefficient rounded once
+        try:
+            xs = list(map(float, omega.coeffs.values()))
+        except OverflowError:
+            raise OverflowError("the coefficients of omega reach past the float range") from None
+        _binade(xs, "omega")  # refuses a span past the float range
     vol = volume_of(omega)
+    vol = vol if omega.is_exact() else vol.to_float()  # a float term of omega may drop out
+    inverse = tuple(map(tuple, linalg.inverse(omega_matrix(omega))))
+    c = vol.coeffs[FULL_MASK]
+    if exact:
+        omega, c = omega.map_coeffs(Fraction), Fraction(c)
     W = omega_matrix(omega)
-    inverse = tuple(map(tuple, linalg.inverse(W)))
     P, dP = basis_matrix(functools.partial(wedge, omega), _MASKS3,
                          [FULL_MASK ^ (1 << i) for i in range(DIM)]), 1
-    if omega.is_exact():
-        c = Fraction(vol.coeffs[FULL_MASK])
+    if exact:
         dW, W = linalg._integral(W)
         dP, P = linalg._integral(P)
         den = dW * abs(c.numerator)
         m = c.denominator if c > 0 else -c.denominator
         # int64 when no product with an int64 ka or a can reach _INT64_BOUND (P's entries are W's)
         dtype = np.int64 if abs(m) * max(sum(map(abs, r)) for r in W) <= _FMAX else object
-        g, s = _vol_binade(c)[0], den.bit_length()
-        fm, fden = float(m * Fraction(2) ** (g - s)), den / 2 ** s
-    else:  # float, vol too, though a float term of omega drops out of it
-        vol, m, den, dtype = vol.to_float(), None, None, np.float64
-        fm, fden = 1 / _vol_binade(vol.coeffs[FULL_MASK])[1], 1.0
+    else:
+        m, den, dtype = 1 / _vol_binade(c)[1], 1, np.float64
     W = np.array(W, dtype)
-    return _OmegaTables(vol, inverse, W, m, den, fm, fden, abs(W).max(),
+    return _OmegaTables(vol, inverse, W, m, den, abs(W).max(),
                         np.array([*zip(*P), (0,) * DIM], dtype), dP)
 
 
-def _omega_tables(omega):
-    # the value types key the cache too: 1, 1.0 and Fraction(1) hash alike
+def _omega_tables(omega, exact=True):
+    # phi's kind (exact) and the value types key the cache: 1, 1.0 and Fraction(1) hash alike
     items = tuple(omega.coeffs.items())
-    return _omega_tables_of(omega.grade, items, tuple(type(x) for _, x in items))
+    return _omega_tables_of(omega.grade, items, tuple(type(x) for _, x in items), exact)
 
 
 def _q_of(ev, tables, tol):
     """(n, den) with q = W kn / (D^2 c) = n / den, den > 0, on the table input
-    of ev, as a (DIM, DIM) array: n = m W kn on the exact backend, an int
+    of ev, as a (DIM, DIM) array: n = m W kn on an exact phi, an int
     matrix, and on floats n = 2^(g - 2e) q, den = 1.  W kn must be
-    symmetric: exactly on the exact backend, to tol size^2 max|W| on floats."""
+    symmetric: exactly on an exact phi, to tol size^2 max|W| on floats."""
     k = ev.ka[:-1].reshape(DIM, DIM)
     wk = (tables.W.T[:, :, None] * k[:, None]).sum(axis=0, initial=0)
     # NaN fails too; bad is symmetric, so its first entry is on or above the diagonal
@@ -581,9 +582,7 @@ def _q_of(ev, tables, tol):
         i, j = divmod(int(bad.argmax()), DIM)
         raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): W K reads {wk[i, j]} "
                               f"against {wk[j, i]}; K is inconsistent")
-    if ev.exact:
-        return tables.m * wk, tables.den * ev.D ** 2
-    return tables.fm * wk / tables.fden, 1
+    return tables.m * wk, tables.den * ev.D ** 2
 
 
 def _checked_q(ev, tables, tol, what):
@@ -601,16 +600,17 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol and -<iota_{v1}phi,
     iota_{v2}phi> is checked by ``forms6 verify --suite identities``.
     Primitivity is read off the per-omega table of omega ^ phi on the same
-    coefficients that K is computed from.  On the exact backend the entries
-    are int, or Fractions when a denominator is left.
+    coefficients that K is computed from.  On an exact phi the entries are int,
+    or Fractions when a denominator is left, each rounded once under a float omega.
     """
     _check_tol(tol)
-    tables = _omega_tables(omega)
+    tables = _omega_tables(omega, phi.is_exact())
     ev = _evaluate(phi, tables.vol)
     q, den = ev.q(tables, tol, "q-form input")
     if not ev.exact:
         return [_at_scale(ev, r, 2 * ev.e - ev.g, "q(omega, phi)") for r in q.tolist()]
-    return [r if den == 1 else [Fraction(x, den) for x in r] for r in q.tolist()]
+    q = [r if den == 1 else [Fraction(x, den) for x in r] for r in q.tolist()]
+    return [_at_scale(ev, r, 0, "q(omega, phi)") for r in q] if ev.rounded else q
 
 
 class SignatureTriple(NamedTuple):
@@ -648,12 +648,11 @@ def subspace_dims(phi, omega=None, vol=None, tol=ORBIT_TOL):
 
 def _rank(ev, rows, degree, tol):
     """Rank of a (DIM, n) array in ev.a's dtype, of the given degree in phi:
-    exact on Python ints, or on Fractions for an exact phi under a float vol,
-    else float, its singular values cut at tol size^degree."""
-    if not ev.exact_phi:
-        return linalg.float_rank(rows, tol * ev.size ** degree)
-    rows = rows.tolist()
-    return linalg.int_rank(rows) if ev.exact else linalg.exact_rank(rows)
+    exact on the ints of an exact phi, else float, its singular values cut
+    at tol size^degree."""
+    if ev.exact:
+        return linalg.int_rank(rows.tolist())
+    return linalg.float_rank(rows, tol * ev.size ** degree)
 
 
 def _ker_phi(ev, tol):
@@ -698,16 +697,17 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     """Sp(V, omega) orbit of a primitive 3-form, with mu for stable orbits.
 
     The label is the SP_ORBITS entry with the GL orbit of _gl_orbit and the
-    signature of q, measured except on O3 and O6.  On the exact backend that
+    signature of q, measured except on O3 and O6.  On an exact phi that
     signature is linalg.exact_inertia of the int matrix den q, so tol is
     never read there; on floats it is measured at tol.  mu is recovered
     from Q: Q = -16 mu^4 on O- and 4 mu^4 on O+, its root taken in the
-    binades of phi and c, or of an exact mu^4.  One K evaluation.
+    binades of phi and c, or of an exact mu^4, and refused where it is not a
+    normal float.  One K evaluation.
     """
     _check_tol(tol)
     if omega is None:
         omega = standard_omega()
-    tables = _omega_tables(omega)
+    tables = _omega_tables(omega, phi.is_exact())
     ev = _evaluate(phi, tables.vol)
     q, _ = ev.q(tables, tol, "form")  # checked for primitivity and symmetry
     gl = _gl_orbit(ev, tol)
@@ -722,12 +722,12 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
         return SpOrbit(label)
     over = -16 if gl == O_MINUS else 4
     if ev.exact:  # mu^4 over 2^4k, near 1, so that its float keeps every bit
-        mu4 = compute_Q(phi, omega) / over
+        mu4 = Fraction(ev.Q(), over * ev.D ** 4) / (ev.c * ev.c)
         k = _log2(mu4) // 4
         mu4 /= Fraction(2) ** (4 * k)
     else:
         mu4, k = ev.Q() / (ev.c * ev.c) / over, ev.e - ev.g // 2
-    return SpOrbit(label, _at_scale(ev, [float(mu4) ** 0.25], k, "mu")[0])
+    return SpOrbit(label, _at_scale(ev, [float(mu4) ** 0.25], k, "mu", 2.0 ** -1022)[0])
 
 
 # --- the 14-coefficient parametrization of primitive 3-forms ----------------

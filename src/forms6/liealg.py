@@ -348,10 +348,10 @@ def _identity_tables(setup):
 
 
 def _sides_dtype(ev, t):
-    """float64 unless phi, whose _Evaluation is ev, and the setup are both
-    exact.  Then int64 when a bound from max|P|, max|k|, max|f| and the
-    tables' absolute row sums shows that no intermediate of _table_sides
-    reaches 2^62, else object, on Python ints."""
+    """float64 unless phi (ev, its _Evaluation, which reads a float vol
+    exactly) and the setup's constants are both exact.  Then int64 when a
+    bound from max|P|, max|k|, max|f| and the tables' absolute row sums shows
+    that no intermediate of _table_sides reaches 2^62, else Python ints."""
     if not ev.exact or t.d.dtype == np.float64:
         return "float64"
     if t.d.dtype == object:

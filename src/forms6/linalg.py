@@ -10,6 +10,7 @@ numpy.  The invariants decide the backend once per form
 dispatching helpers pick the exact route whenever every entry is exact.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -200,14 +201,15 @@ def float_inertia(rows, tol=1e-8):
     """Eigenvalue inertia (n_zero, n_plus, n_minus) of a symmetric float
     matrix.  A matrix with a non-finite entry is refused, symmetry is
     |a - a^T| <= 1e-12 max(1, max|a|) + 1e-5 |a^T| entrywise, and
-    eigenvalues within tol * max|eigenvalue| of zero count as zero."""
+    eigenvalues within tol * max|eigenvalue| of zero count as zero, read in
+    a's binade (max|2^-e a| in [1/2, 1)), where none overflows."""
     a = np.array(rows, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     scale0 = float(np.abs(a).max()) if a.size else 0.0
     if not (np.abs(a - a.T) <= 1e-12 * max(1.0, scale0) + 1e-5 * np.abs(a.T)).all():
         raise ValueError("matrix is not symmetric")
-    w = np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(np.ldexp(a, -math.frexp(scale0)[1]))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0:
         return (len(rows), 0, 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (forget_evaluations, ill_conditioned_symplectic, rand_coords,
+from conftest import (_seed11_maps, forget_evaluations, ill_conditioned_symplectic, rand_coords,
                       rand_form, rand_fraction, rand_invertible, rand_symplectic,
                       rand_vector, seed11_moved_form)
 from forms6 import invariants as inv
@@ -188,7 +188,9 @@ while inv._FMAX * inv._KMAX * INT64_EDGE ** 3 >= inv._INT64_BOUND:
 GATHER_KINDS = {
     "int64 below the bound": (INT64_EDGE, VOL, "int64"),
     "ints above the bound": (INT64_EDGE + 1, VOL, "object"),
-    "Fractions under a float vol": (Fraction(5, 7), inv.standard_volume() * -0.4, "object"),
+    # an exact phi is cleared to ints under a float vol too: D = 7, max|D v| = INT64_EDGE
+    "Fractions under a float vol": (Fraction(INT64_EDGE, 7), inv.standard_volume() * -0.4,
+                                    "int64"),
     "floats at 1e-150": (1e-150, inv.standard_volume() * 1.5, "float64"),
     "floats at 1": (1.0, VOL, "float64"),
     "floats at 1e100": (1e100, inv.standard_volume() * -0.4, "float64"),
@@ -210,8 +212,8 @@ def test_gathers_match_the_form_level_definitions_and_loop_sums(kind, ints, keep
         v = [n * scale // abs(top) for n in ints]
     elif isinstance(scale, float):
         v = [n * scale / 10 ** 6 for n in ints]
-    else:
-        v = [n * scale for n in ints]
+    else:  # max|v| is the scale itself, over its denominator
+        v = [Fraction(n * scale.numerator // abs(top), scale.denominator) for n in ints]
     phi = Form(3, {m: x for m, x, k in zip(inv._MASKS3, v, keep) if k and x})
     ev = inv._evaluate(phi, vol)
     assert ev.a.dtype == ev.ka.dtype == ev.fa.dtype == dtype
@@ -255,18 +257,17 @@ def binade_coeffs(phi):
 def test_q_and_primitivity_sums_keep_the_bits_of_a_loop(rng, name):
     # float q and the residual P a, with W and P dense, must keep the bits
     # of a left-to-right loop from 0 over the nonzero entries, as the K and
-    # F gathers do, on phi in its binade, multiplied by fm and divided by
-    # fden, and scaled back by 2^(2e - g); a BLAS W @ kn, which sums in
-    # another order, fails here under the GL-moved omega.  On an exact
-    # omega, fm and fden are m and den, up to powers of two, rounded once
+    # F gathers do, on phi in its binade, multiplied by the float tables'
+    # m = 1/c', and scaled back by 2^(2e - g); a BLAS W @ kn, which sums in
+    # another order, fails here under the GL-moved omega.  An exact omega's
+    # float tables are its matrix rounded once, as a float omega's are
     omega, g = OMEGAS[name]
     for om in (omega, omega.to_float()):
-        tables = inv._omega_tables(om)
+        tables = inv._omega_tables(om, False)
         W, P = tables.W.tolist(), tables.P.tolist()
-        if om.is_exact():
-            two_g = Fraction(2) ** inv._vol_binade(tables.vol.coeffs[63])[0]
-            assert Fraction(tables.fm) / Fraction(tables.fden) == \
-                Fraction(float(tables.m)) / Fraction(float(tables.den)) * two_g
+        assert tables.W.dtype == tables.P.dtype == np.float64
+        assert W == [[float(x) for x in r] for r in inv.omega_matrix(om)]
+        assert tables.m == 1 / inv._vol_binade(tables.vol.coeffs[63])[1] and tables.den == 1
         for _ in range(15):
             prim = pullback(g, pullback(rand_symplectic(rng), inv.coords_to_form(rand_coords(rng))))
             phi = prim.to_float() * rng.choice((1e-3, 1.0, 7.0))
@@ -274,9 +275,8 @@ def test_q_and_primitivity_sums_keep_the_bits_of_a_loop(rng, name):
             ev = inv._evaluate(phi, tables.vol)
             assert ev.e == e and ev.a.tolist() == a
             kn = ev.ka.tolist()
-            want = [[math.ldexp(tables.fm * left_to_right(w * kn[l * 6 + j] for l, w in
-                                                          enumerate(r) if w) / tables.fden,
-                                2 * e - ev.g)
+            want = [[math.ldexp(tables.m * left_to_right(w * kn[l * 6 + j] for l, w in
+                                                         enumerate(r) if w), 2 * e - ev.g)
                      for j in range(6)] for r in W]
             got = inv.q_form(phi, om)
             assert [[x.hex() for x in r] for r in got] == [[x.hex() for x in r] for r in want]
@@ -293,7 +293,7 @@ def test_q_and_primitivity_sums_keep_the_bits_of_a_loop(rng, name):
 ROW_ROUTES = {
     "int64": (lambda phi: phi, VOL, "int64"),
     "ints above the bound": (lambda phi: phi * 10 ** 7, VOL, "object"),
-    "Fractions under a float vol": (lambda phi: phi, VOL.to_float(), "object"),
+    "Fractions under a float vol": (lambda phi: phi, VOL.to_float(), "int64"),
     "float64": (Form.to_float, VOL, "float64"),
 }
 
@@ -303,7 +303,7 @@ def test_basis_tables_match_interior_and_wedge(rng):
     # a wrong complement, row order or sign shows: row i of the _CONTR gather
     # is iota_{e_i} P over the basis 2-forms, P = D phi the table input, row
     # j of the _WEDGE1 gather is e^j ^ P over the 4-forms by their
-    # complements (P = 2^-e phi off the exact backend, in its binade), entry
+    # complements (P = 2^-e phi on a float phi, in its binade), entry
     # (q, p) of the _WEDGE2 gather is the coefficient of the q-th basis
     # 5-form in e^p ^ P, and _IVOL of the vector x made of P's first six
     # coefficients is iota_x e^123456 over the 5-forms; the
@@ -314,7 +314,7 @@ def test_basis_tables_match_interior_and_wedge(rng):
             phi, psi = rand_form(rng, 3, 0.6), rand_form(rng, 3, 0.6)
             ev = inv._evaluate(make(phi), vol)
             P = make(phi) * ev.D
-            if ev.e:  # exactly, on an exact phi too
+            if ev.e:  # exactly, on a float phi
                 P = P.map_coeffs(lambda x: x * Fraction(2) ** -ev.e)
             x = ev.a[:6]
             C, W1, W2, I = inv._CONTR(ev.a), inv._WEDGE1(ev.a), inv._WEDGE2(ev.a), inv._IVOL(x)
@@ -903,14 +903,19 @@ def _assert_exact_table_answers(g, mu=1):
         assert dims.im_K == linalg.exact_rank(inv.compute_K(phi, OMEGA).rows)
 
 
+def _sheared(b):
+    """The integer Sp shear [[I, B], [0, I]] with B = diag(b, 0, 0)."""
+    block = [[int(i == j) for j in range(6)] for i in range(6)]
+    block[0][3] = b
+    return inv.block_matrix_to_map(block)
+
+
 @pytest.mark.parametrize("b", [10 ** 2, 10 ** 4, 10 ** 8, 10 ** 12])
 def test_exact_classification_of_sheared_normal_forms(b):
     # the shear [[I, B], [0, I]] with B = diag(b, 0, 0) spreads q's
     # eigenvalues over b^2 to 1/b^2; a float zero cut misreads them from
     # b = 10^2, so the exact backend must not read one
-    block = [[int(i == j) for j in range(6)] for i in range(6)]
-    block[0][3] = b
-    g = inv.block_matrix_to_map(block)
+    g = _sheared(b)
     assert pullback(g, OMEGA) == OMEGA
     _assert_exact_table_answers(g)
 
@@ -939,9 +944,7 @@ def test_exact_classification_of_forms_with_denominators(mu):
 def test_exact_phi_under_float_vol_keeps_exact_ranks():
     # the shear of test_exact_classification_of_sheared_normal_forms at
     # b = 10^8: only the volume form is float, so every rank stays exact
-    block = [[int(i == j) for j in range(6)] for i in range(6)]
-    block[0][3] = 10 ** 8
-    g = inv.block_matrix_to_map(block)
+    g = _sheared(10 ** 8)
     for label, orbit in inv.SP_ORBITS.items():
         phi = pullback(g, orbit.normal_form)
         dims = inv.subspace_dims(phi, vol=VOL.to_float())
@@ -1102,9 +1105,9 @@ def test_power_of_two_scalings_read_alike(label, n, s, k, j, exact_omega):
             if is_normal(a) and is_normal(want):
                 assert b == want, (name, a, b)
         # q's signature, where q is not rounding noise (O3, O6) and reads
-        # normal, with eigenvalues (at most 6 max|q|) in the float range
+        # normal; its eigenvalues may reach 6 max|q|, past the float range
         if name == "q" and label not in ("O3", "O6") and all(
-                is_normal(b) and is_normal(6 * b) for a, b in zip(x, y) if a):
+                is_normal(b) for a, b in zip(x, y) if a):
             assert inv.signature([y[i:i + 6] for i in range(0, 36, 6)]) == \
                 inv.signature([x[i:i + 6] for i in range(0, 36, 6)])
 
@@ -1226,25 +1229,25 @@ def test_coords_round_trip(rng):
 
 @pytest.mark.parametrize("name", sorted(OMEGAS))
 def test_primitivity_rows_are_the_wedge(rng, name):
-    # the per-omega table P gives dP D (omega ^ phi) = sum_n a_n P[n], a the
-    # table input of phi: exactly on exact forms, to rounding on floats and
-    # float omega, where a is 2^-e phi, phi in its binade (exactly so on an
-    # exact phi)
+    # the per-omega table P, in the arithmetic of phi, gives
+    # dP D (omega ^ phi) = sum_n a_n P[n], a the table input of phi: exactly
+    # on exact forms, a float omega read as the dyadic rationals it holds,
+    # and to rounding on floats, where a is 2^-e phi, phi in its binade
     omega = OMEGAS[name][0]
     for om in (omega, omega.to_float()):
-        tables = inv._omega_tables(om)
         for _ in range(10):
             phi = rand_form(rng, 3, sparsity=0.6)
             for form in (phi, phi.to_float()):
+                tables = inv._omega_tables(om, form.is_exact())
                 ev = inv._evaluate(form, tables.vol)
                 assert not any(tables.P[-1].tolist())  # the trailing 0 of ev.a
                 a = ev.a.tolist()
-                if not ev.exact_phi:
+                if not ev.exact:
                     e, want_a = binade_coeffs(form)
                     assert ev.e == e and a == want_a
                 form = form.map_coeffs(lambda x: x * Fraction(2) ** -ev.e)
                 got = [sum(a[n] * x for n, x in enumerate(col)) for col in zip(*tables.P.tolist())]
-                w = wedge(om, form)
+                w = wedge(om.map_coeffs(Fraction) if ev.exact else om, form)
                 want = [w.coeffs.get(63 ^ (1 << i), 0) for i in range(6)]
                 if ev.exact:
                     assert [Fraction(x, tables.dP * ev.D) for x in got] == want
@@ -1527,9 +1530,9 @@ def test_exact_mu_is_read_in_its_binade():
 
 
 def test_exact_phi_under_a_float_omega_is_read_in_its_binade():
-    # an exact phi under a float vol is scaled exactly into its binade, so
-    # it reads as the exact backend rounded, and only an output past the
-    # float range is refused, by name
+    # an exact phi under a float vol is evaluated on its cleared ints and
+    # each output rounded once, so only an output past the float range is
+    # refused, by name
     omega = OMEGA.to_float()
     big = inv.sp_normal_form("O-+") * 10 ** 100
     assert inv.classify_sp(big, omega) == ("O-+", 1e100)
@@ -1545,6 +1548,107 @@ def test_exact_phi_under_a_float_omega_is_read_in_its_binade():
             tuple(map(float, r)) for r in inv.compute_K(phi, OMEGA).rows)
         assert inv.compute_Q(phi, omega) == float(inv.compute_Q(phi, OMEGA))
         assert inv.classify_sp(phi, omega).label == inv.classify_sp(phi, OMEGA).label
+
+
+def _decisions(phi, omega, vol):
+    """classify_sp, classify_gl, subspace_dims and signature(q_form) of phi
+    under omega (and its vol), each as _outcome reads it."""
+    return [_outcome(lambda: inv.classify_sp(phi, omega)),
+            _outcome(lambda: inv.classify_gl(phi, vol)),
+            _outcome(lambda: inv.subspace_dims(phi, vol=vol)),
+            _outcome(lambda: inv.signature(inv.q_form(phi, omega)))]
+
+
+def test_exact_phi_is_decided_exactly_under_a_float_omega():
+    # an exact phi is decided on its cleared ints, a float omega or vol read
+    # as the dyadic rational it holds, so every decision is the exact-omega
+    # one: on the Sp normal forms sheared by [[I, B], [0, I]],
+    # B = diag(b, 0, 0), where q's eigenvalues spread over b^2 to 1/b^2
+    # (Fractions under a float cut mislabelled 17 of these 36, the O-+ at
+    # b = 10^4 as O0 with no error), and on 9 labels x 20 seed-11 maps
+    # moved by GL_OMEGA_MAP under the GL-moved omega, whose float copy is
+    # exact (3 of these 180 were refused).  On the sheared forms q_form
+    # hands out q rounded, whose float signature cannot resolve that
+    # spread, so there only classify_sp reads q's signature, exactly
+    om, om_f = OMEGA, OMEGA.to_float()
+    for b in (10 ** 2, 10 ** 4, 10 ** 8, 10 ** 12):
+        g = _sheared(b)
+        assert pullback(g, OMEGA) == OMEGA
+        for label, orbit in inv.SP_ORBITS.items():
+            phi = pullback(g, orbit.normal_form)
+            want = _decisions(phi, om, VOL)
+            assert want[0] == (label, 1.0 if orbit.gl in (inv.O_MINUS, inv.O_PLUS) else None)
+            assert _decisions(phi, om_f, VOL.to_float())[:3] == want[:3], (b, label)
+    om, h = OMEGAS["GL-moved"]
+    om_f = om.to_float()
+    assert om_f.map_coeffs(Fraction) == om
+    for g in _seed11_maps(20):
+        for label, orbit in inv.SP_ORBITS.items():
+            phi = pullback(h, pullback(g, orbit.normal_form))
+            want = _decisions(phi, om, inv.volume_of(om))
+            assert want[0][0] == label
+            assert _decisions(phi, om_f, inv.volume_of(om_f)) == want, label
+
+
+@pytest.mark.parametrize("scale", (1, Fraction(3, 2)))
+def test_exact_phi_under_a_float_omega_rounds_each_output_once(scale):
+    # K, F, Q and q of an exact phi under a float omega are the exact
+    # values, rounded once (mixed Fraction and float arithmetic missed K on
+    # 47 of these 180 forms under 3/2 omega_0)
+    om = OMEGA * scale
+    om_f = om.to_float()
+    for g in _seed11_maps(20):
+        for label in inv.SP_LABELS:
+            phi = pullback(g, inv.sp_normal_form(label))
+            assert inv.compute_K(phi, om_f).rows == tuple(
+                tuple(map(float, r)) for r in inv.compute_K(phi, om).rows)
+            assert inv.compute_F(phi, om_f) == inv.compute_F(phi, om).map_coeffs(float)
+            assert inv.compute_Q(phi, om_f) == float(inv.compute_Q(phi, om))
+            assert inv.q_form(phi, om_f) == [list(map(float, r)) for r in inv.q_form(phi, om)]
+            assert all(type(x) is float for r in inv.q_form(phi, om_f) for x in r)
+
+
+@pytest.mark.parametrize("omega, vol", [(OMEGA * 10 ** 300, "1e+900"),
+                                        (OMEGA * 10 ** 210, "1e+630")])
+def test_mu_that_is_not_a_normal_float_is_refused(omega, vol):
+    # mu is positive on O-+-, O-- and O+: where it underflows to 0 or to a
+    # subnormal (1e-450 and 1e-315 here, read as 0.0 and 1e-315), it is
+    # refused by name, on an exact or float phi; Q's underflow is a value
+    for label in ("O-+", "O+"):
+        for phi in (inv.sp_normal_form(label), inv.sp_normal_form(label).to_float()):
+            with pytest.raises(OverflowError) as e:
+                inv.classify_sp(phi, omega)
+            assert str(e.value) == f"mu is out of the float range at max|phi| = 1, vol = {vol}"
+            assert inv.classify_gl(phi, inv.volume_of(omega)) == inv.SP_ORBITS[label].gl
+
+
+def test_exact_omega_past_the_float_range_of_a_float_phi():
+    # a float phi reads an exact omega's tables rounded once, so a coefficient
+    # that is not a normal float is refused by name, where a bare "int too
+    # large to convert to float" came from W kn and P a; an exact phi reads
+    # them exactly and answers
+    O_mp = inv.sp_normal_form("O-+")
+    tiny = OMEGA + basis(5, 6) * (Fraction(1, 10 ** 400) - 1)
+    for omega, text in ((tiny, "the coefficients of omega span past the float range: "
+                                "0.0 against max|omega| = 1"),
+                        (OMEGA * 10 ** 400, "the coefficients of omega reach past the "
+                                            "float range")):
+        for read in (inv.classify_sp, inv.q_form):
+            with pytest.raises(OverflowError) as e:
+                read(O_mp.to_float(), omega)
+            assert str(e.value) == text
+        assert inv.classify_gl(O_mp, inv.volume_of(omega)) == inv.O_MINUS
+    assert inv.classify_sp(O_mp, tiny) == ("O-+", 1e200)
+    assert inv.q_form(O_mp, OMEGA * 10 ** 400)[0][0] == Fraction(2, 10 ** 800)
+
+
+def test_q_signature_reads_eigenvalues_past_the_float_range():
+    # q's entries reach 1.4e308 and its eigenvalues pass the float range:
+    # float_inertia reads q in its binade, where it read every eigenvalue 0
+    phi = seed11_moved_form("O+", 0) * (1.25 * 2.0 ** 211)
+    q = inv.q_form(phi, OMEGA.to_float() * 2.0 ** -300)
+    assert all(map(math.isfinite, np.ravel(q)))
+    assert inv.signature(q) == (0, 3, 3)
 
 
 @pytest.mark.parametrize("omega, text", [

@@ -679,8 +679,8 @@ def test_classify_names_an_out_of_range_scalar(tmp_path, capsys):
                          "--omega", str(omega), "--out", str(out))
     assert err == (f"forms6: cannot classify {data_file('forms/sp_O-+.json')} under --omega "
                    f"{omega}: Q is out of the float range\n"), err
-    # an exact phi under a float omega is read in its binade too: mu = 1e100
-    # is read, and the float Q past the float range names itself
+    # an exact phi under a float omega is decided on its ints, each output
+    # rounded once: mu = 1e100 is read, and Q past the float range names itself
     form.write_text(json.dumps(io.form_to_json(inv.sp_normal_form("O-+") * 10 ** 100)))
     omega.write_text(json.dumps(io.form_to_json(inv.standard_omega().to_float())))
     err = assert_refused(capsys, "classify", str(form), "--omega", str(omega), "--out", str(out))
@@ -700,6 +700,20 @@ def test_classify_names_an_out_of_range_scalar(tmp_path, capsys):
     err = assert_refused(capsys, "classify", str(form), "--omega", OMEGA_FILE)
     assert err == (f"forms6: cannot classify {form} under --omega {OMEGA_FILE}: "
                    "form is not primitive: |omega ^ phi| = 1.0\n")
+
+
+def test_classify_refuses_a_mu_that_is_not_a_normal_float(tmp_path, capsys):
+    # mu of the O-+ normal form under 10^300 omega_0 is 1e-450: it read
+    # "mu": 0.0 with exit 0; it is refused by name, exact phi or float
+    form, omega, out = tmp_path / "form.json", tmp_path / "omega.json", tmp_path / "out"
+    omega.write_text(json.dumps(io.form_to_json(inv.standard_omega() * 10 ** 300)))
+    for phi in (inv.sp_normal_form("O-+").to_float(), inv.sp_normal_form("O-+")):
+        form.write_text(json.dumps(io.form_to_json(phi)))
+        err = assert_refused(capsys, "classify", str(form), "--omega", str(omega),
+                             "--out", str(out))
+        assert err == (f"forms6: cannot classify {form} under --omega {omega}: mu is out "
+                       "of the float range at max|phi| = 1, vol = 1e+900\n"), err
+        assert not out.exists()
 
 
 def test_flow_columns_in_the_start_units(tmp_path, capsys):

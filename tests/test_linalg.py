@@ -182,6 +182,17 @@ def test_signature_counts():
         linalg.signature_counts([[0, 1, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)])
 
 
+def test_float_inertia_reads_eigenvalues_past_the_float_range():
+    # eigvalsh runs on the matrix in its binade: a finite symmetric matrix
+    # whose eigenvalues reach past the float range (here 2^1024, 0 and
+    # -2^1023) read as inf, so the cut tol max|eigenvalue| was inf and every
+    # eigenvalue counted as 0; the inertia is a power-of-two scaling invariant
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    for k in (-1070, -500, 0, 500, 1023):
+        assert linalg.float_inertia(np.ldexp(a, k)) == (1, 1, 1), k
+    assert linalg.float_inertia(np.eye(6) * 1.7e308) == (0, 6, 0)
+
+
 def test_float_rank_refuses_a_non_finite_entry(capfd):
     # as float_inertia does: LAPACK's SVD of an inf or nan entry wrote
     # "DLASCL parameter number 4 had an illegal value" to stderr and gave
