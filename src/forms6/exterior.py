@@ -262,16 +262,9 @@ class LinearMap6:
         self.rows = rows
 
     @classmethod
-    def identity(cls):
-        return cls.diagonal([1] * DIM)
-
-    @classmethod
     def diagonal(cls, diag):
         return cls([[diag[i] if i == j else 0 for j in range(DIM)]
                     for i in range(DIM)])
-
-    def apply(self, v):
-        return tuple(sum(r[j] * v[j] for j in range(DIM)) for r in self.rows)
 
     def compose(self, other):
         """self after other (matrix product self @ other)."""

@@ -718,27 +718,6 @@ def _padded_flow(dim, terms):
     return ReducedFlow(monos, rows, dim)
 
 
-# used only by the tests, which hold the generic right side to this paper's
-# closed system on the solv algebra
-def solv_system(sd):
-    """The four-component closed-ansatz system, hand-written, as a
-    ReducedFlow on rows (alpha, beta, gamma, delta, 1).
-
-    Cross-check oracle only: the integrator always goes through the generic
-    reduced right side."""
-    l2 = 4.0 * sd.lam ** 2
-    MN2m = (sd.M - sd.N) ** 2
-    MN2p = (sd.M + sd.N) ** 2
-    # alpha' = l2 alpha (4 beta gamma - (M-N)^2), beta' = l2 beta (4 alpha
-    # delta - (M+N)^2), gamma' likewise, delta' like alpha'
-    return _padded_flow(5, [
-        (0, 4.0 * l2, (0, 1, 2)), (0, -l2 * MN2m, (0, 4, 4)),
-        (1, 4.0 * l2, (0, 1, 3)), (1, -l2 * MN2p, (1, 4, 4)),
-        (2, 4.0 * l2, (0, 2, 3)), (2, -l2 * MN2p, (2, 4, 4)),
-        (3, 4.0 * l2, (1, 2, 3)), (3, -l2 * MN2m, (3, 4, 4)),
-    ])
-
-
 @dataclass
 class PositivityReport:
     same_sign: bool

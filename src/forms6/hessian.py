@@ -281,14 +281,15 @@ def polar_leaf_metric(p, metric):
     return radial, tangential
 
 
-def affine_derivative_check(metric, p, step=1e-6):
+def affine_derivative_check(metric, p):
     """Finite-difference derivative of the leaf metric along each affine
     frame vector against the closed-form third derivatives; returns the
     largest componentwise residual.  The full leaf package is built once, at
     p; the 6 neighbour points evaluate h alone.
 
-    The default step keeps the truncation error small even close to the
-    excised boundary for C < 0, where the third derivatives grow."""
+    The step keeps the truncation error small even close to the excised
+    boundary for C < 0, where the third derivatives grow."""
+    step = 1e-6
     base = leaf_data(metric, p)
     V = [[float(x) for x in row] for row in base.V_frame]
     t = tuple(float(x) for x in p.t)

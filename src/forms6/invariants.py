@@ -904,79 +904,6 @@ def gradient_relations_check(c):
     return worst
 
 
-# --- stabilizer of the O0 normal form ---------------------------------------
-# o0_normal_form, block_matrix_to_map, stabilizer_predicates and hitchin_data
-# are used only by the tests; each states a paper claim they check: the
-# stabilizer of phi0 and F(phi0) on O0, and Hitchin's J on O-.
-
-# coframe order (dx1, dx2, dx3, dy1, dy2, dy3) -> axes (1, 3, 5, 2, 4, 6)
-_BLOCK_TO_AXIS = (1, 3, 5, 2, 4, 6)
-
-
-def o0_normal_form():
-    """e^146 + e^236 + e^245, i.e. dx1^dy2^dy3 + dx2^dy3^dy1 + dx3^dy1^dy2,
-    the O0+ normal form."""
-    return sp_normal_form("O0+")
-
-
-def block_matrix_to_map(block):
-    """Convert a 6x6 matrix in the (dx, dy) coframe basis into the LinearMap6
-    whose pullback realizes it, under dx^j = e^{2j-1}, dy^j = e^{2j}.
-
-    The coframe column transforms by the transpose, g* c^a = sum_b M[b][a] c^b,
-    so a lower-triangular block matrix [[A,0],[B,C]] keeps the span of the dy
-    covectors invariant (B feeds dy components into the images of the dx)."""
-    rows = [[0] * DIM for _ in range(DIM)]
-    for a in range(DIM):
-        for b in range(DIM):
-            rows[_BLOCK_TO_AXIS[a] - 1][_BLOCK_TO_AXIS[b] - 1] = block[b][a]
-    return LinearMap6(rows)
-
-
-class StabilizerCheck(NamedTuple):
-    stabilizes_F: bool
-    stabilizes_phi: bool
-    reason: str = ""
-
-
-def stabilizer_predicates(block):
-    """Block conditions for stabilizing F(phi0) and phi0 for the normal form
-    phi0 = o0_normal_form(), with block = [[A, 0], [B, C]] in (dx, dy) order.
-
-    Stabilizing F(phi0) (a 3-form twisted by a volume factor) needs the
-    lower-triangular shape and det A det^2 C = 1; stabilizing phi0 further
-    needs A = C/det C and Tr(B C^{-1}) = 0.
-    """
-    block = [list(r) for r in block]
-    A = [r[:3] for r in block[:3]]
-    Z = [r[3:] for r in block[:3]]
-    B = [r[:3] for r in block[3:]]
-    C = [r[3:] for r in block[3:]]
-
-    exact = linalg.matrix_is_exact(block)
-
-    def near(x, y):
-        return (x == y if exact
-                else abs(float(x - y)) <= DEFAULT_TOL * max(1.0, abs(float(y))))
-
-    if any(not near(x, 0) for r in Z for x in r):
-        return StabilizerCheck(False, False, "upper-right block is nonzero")
-    detC = linalg.det(C)
-    if detC == 0 or (not exact and abs(float(detC)) <= DEFAULT_TOL):
-        return StabilizerCheck(False, False, "C block is singular")
-    detA = linalg.det(A)
-    f_ok = near(detA * detC * detC, 1)
-    if not f_ok:
-        return StabilizerCheck(False, False, f"det A det^2 C = {detA * detC * detC}")
-    Cinv = linalg.inverse(C)
-    a_ok = all(near(A[i][j] * detC, C[i][j]) for i in range(3) for j in range(3))
-    tr = sum(B[i][k] * Cinv[k][i] for i in range(3) for k in range(3))
-    phi_ok = a_ok and near(tr, 0)
-    reason = "" if phi_ok else (
-        "A != C/det C" if not a_ok else f"Tr(B C^-1) = {tr}")
-    return StabilizerCheck(True, phi_ok, reason)
-
-
 # --- Hitchin data on the stable orbit O- ------------------------------------
 
 class HitchinData(NamedTuple):

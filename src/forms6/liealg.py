@@ -92,20 +92,6 @@ class LieAlgebra6:
                         out[k] = out[k] + c * vec[k]
         return tuple(out)
 
-    def is_unimodular(self):
-        """True when every ad_X is traceless."""
-        for j in range(DIM):
-            ej = [0] * DIM
-            ej[j] = 1
-            tr = 0
-            for k in range(DIM):
-                ek = [0] * DIM
-                ek[k] = 1
-                tr += self.bracket(ej, ek)[k]
-            if tr != 0:
-                return False
-        return True
-
     def __repr__(self):
         return f"LieAlgebra6({self.name or 'anonymous'})"
 
@@ -157,9 +143,9 @@ def dlambdad(setup, a):
     return setup.algebra.d(lefschetz_lambda(setup, setup.algebra.d(a)))
 
 
-# LieAlgebra6.is_unimodular and flow_operator are used only by the tests; each
-# states a paper claim they check: the built-in algebras are unimodular, and
-# d Lambda d F is 4 hat_H e^135 on the nil algebra and 0 on the abelian one.
+# flow_operator is used only by the tests; it states a paper claim they
+# check: d Lambda d F is 4 hat_H e^135 on the nil algebra and 0 on the
+# abelian one.
 def flow_operator(setup, phi):
     """d Lambda d F(phi) for an invariant primitive 3-form.
 
@@ -229,7 +215,7 @@ def _nijenhuis_of(alg, K):
     return out
 
 
-def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
+def nijenhuis_identity_sides(setup, phi):
     """Both sides of the Nijenhuis identity on all 15 basis pairs.
 
     For an invariant primitive 3-form the contraction of N_K(X,Y) into
@@ -240,8 +226,7 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
         + phi ^ iota_Y iota_X dF.
 
     The further candidate term - dphi ^ iota_Y iota_X F does NOT belong to
-    the identity (its coefficient is zero); set ``extra_df_term`` to include
-    it anyway and observe the exact mismatch it produces.
+    the identity (its coefficient is zero).
 
     Returns {(i, j): (lhs 5-form, rhs 5-form)}.
     """
@@ -263,8 +248,6 @@ def nijenhuis_identity_sides(setup, phi, extra_df_term=False):
             mixed = interior(Y, interior(KX, dphi)) - interior(X, interior(KY, dphi))
             rhs = rhs + 2 * wedge(phi, mixed)
             rhs = rhs + wedge(phi, interior(Y, interior(X, dF)))
-            if extra_df_term:
-                rhs = rhs - wedge(dphi, interior(Y, interior(X, F)))
             out[(i + 1, j + 1)] = (lhs, rhs)
     return out
 

@@ -76,11 +76,6 @@ def int_rank(rows):
     return len(_bareiss(rows)[1])
 
 
-def exact_rank(rows):
-    """Rank of an exact matrix."""
-    return int_rank(_integral(rows)[1])
-
-
 def exact_nullspace(rows):
     """Basis of the right null space, as tuples of Fractions: one vector per
     free column, read off the pivot rows d RREF."""

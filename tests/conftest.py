@@ -59,6 +59,11 @@ def rand_vector(rng, lo=-4, hi=4):
     return tuple(Fraction(rng.randint(lo, hi)) for _ in range(6))
 
 
+def exact_rank(rows):
+    """Rank of an exact matrix: linalg's int elimination on its cleared rows."""
+    return linalg.int_rank(linalg._integral(rows)[1])
+
+
 def rand_invertible(rng):
     while True:
         rows = [[rand_fraction(rng, -3, 3, (1, 1, 2)) for _ in range(6)]
@@ -75,6 +80,16 @@ def _interleave(block):
         for b in range(6):
             out[sigma[a]][sigma[b]] = block[a][b]
     return out
+
+
+def coframe_block_map(block):
+    """The LinearMap6 whose pullback realizes a 6x6 matrix written in the
+    (dx, dy) coframe basis, under dx^j = e^{2j-1}, dy^j = e^{2j}.
+
+    The coframe column transforms by the transpose, g* c^a = sum_b M[b][a] c^b,
+    so a lower-triangular block matrix [[A,0],[B,C]] keeps the span of the dy
+    covectors invariant (B feeds dy components into the images of the dx)."""
+    return LinearMap6(_interleave([list(c) for c in zip(*block)]))
 
 
 def _lift(A):
@@ -104,7 +119,7 @@ def _swap():
 def rand_symplectic(rng, factors=3):
     """Random element of Sp(6) from elementary generators: block-diagonal
     GL(3) lifts, symmetric shears, and the x/y swap."""
-    g = LinearMap6.identity()
+    g = LinearMap6.diagonal([1] * 6)
     for _ in range(factors):
         kind = rng.randrange(3)
         if kind == 0:
@@ -146,7 +161,7 @@ def ill_conditioned_symplectic(draw, max_factors=8, max_entry=10 ** 12):
     lifts of the unimodular I + t E_ij and symmetric shears whose entries t
     reach max_entry.  Exact integer forms stay integer under them."""
     big = st.integers(-max_entry, max_entry)
-    g = LinearMap6.identity()
+    g = LinearMap6.diagonal([1] * 6)
     for kind in draw(st.lists(st.sampled_from(("lift", "shear", "swap")),
                               min_size=1, max_size=max_factors)):
         if kind == "lift":

