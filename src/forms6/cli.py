@@ -9,6 +9,7 @@ a fixed seed and configuration apart from their generated_at field.
 """
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
@@ -53,10 +54,20 @@ def _stamp(report):
     return report
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Refuse an OSError raised inside as 'cannot write PATH: reason'."""
+    try:
+        yield
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _emit(report, out_path):
     text = io.dumps_report(report)
     if out_path:
-        io.atomic_write_text(out_path, text)
+        with _writing(out_path):
+            io.atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -138,6 +149,8 @@ def _load_setup(name_or_path):
 def _parse_starts(data):
     """(float PrimitiveCoords, file tags) of a start (object) or sweep (array)."""
     if isinstance(data, list):
+        if not data:
+            raise ValueError("a sweep needs at least one start")
         return ([io.coords_from_json(x).to_floats() for x in data],
                 [f"-{k:03d}" for k in range(len(data))])
     return [io.coords_from_json(data).to_floats()], [""]
@@ -239,9 +252,12 @@ def cmd_flow(args):
         except (ArithmeticError, ValueError) as e:
             raise CliError(f"cannot format the files of start {k}: {e}")
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     for name, text in files:
-        io.atomic_write_text(os.path.join(out_dir, name), text)
+        path = os.path.join(out_dir, name)
+        with _writing(path):
+            io.atomic_write_text(path, text)
     return 0
 
 

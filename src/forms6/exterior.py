@@ -8,8 +8,10 @@ Conventions
 * A :class:`Form` stores only its nonzero coefficients, keyed by mask.
 * Coefficients may be exact (``int`` / ``fractions.Fraction``) or ``float``;
   every operation is generic over the backend, and exact inputs yield
-  exact outputs.  Float comparisons go through an explicit tolerance
-  (``DEFAULT_TOL``, relative for entries above 1) rather than ``==``.
+  exact outputs.  Float decisions (primitivity, the alternation check of
+  F, the integrability flags) cut at ``DEFAULT_TOL`` times max|phi|^k, k
+  the degree of the quantity in phi; ``Form.__eq__`` compares the
+  coefficients with ``==``.
 * Vectors are plain length-6 sequences in the basis dual to e^1..e^6.
 """
 
@@ -19,7 +21,7 @@ from fractions import Fraction
 DIM = 6
 FULL_MASK = (1 << DIM) - 1
 
-#: default tolerance for float comparisons (relative above magnitude 1)
+#: default tolerance of float decisions, relative to max|phi|^k in degree k
 DEFAULT_TOL = 1e-9
 
 

@@ -104,7 +104,7 @@ class FiberPoint:
         r = self.r(metric)
         if self.C != 0 and float(r) <= 0.0:
             raise DomainError("r must be positive when C != 0")
-        if self.C < 0 and float(r) <= (-float(self.C)) ** (2.0 / 3.0) + 1e-6:
+        if self.C < 0 and float(r) <= (1 + 1e-6) * (-float(self.C)) ** (2.0 / 3.0):
             raise DomainError(
                 f"r = {float(r):.6g} inside the excised ball r <= (-C)^(2/3)")
         return r

@@ -29,9 +29,9 @@ from . import invariants, io, linalg
 from .exterior import (DIM, DEFAULT_TOL, Form, GradeError,
                        _clear_denominators, axes_from_mask, basis_matrix,
                        interior, is_exact, wedge)
-from .invariants import (_INT64_BOUND, _IVOL, _MASKS5, _WEDGE2, PRIMITIVE_BASIS,
-                         PrimitiveCoords, compute_F, compute_K, coords_to_form,
-                         form_to_coords, standard_omega, volume_of)
+from .invariants import (_FMAX, _INT64_BOUND, _IVOL, _KMAX, _MASKS5, _WEDGE2,
+                         PRIMITIVE_BASIS, PrimitiveCoords, compute_F, compute_K,
+                         coords_to_form, form_to_coords, standard_omega, volume_of)
 
 #: growth rate of the built-in solvable algebra, log((3 + sqrt 5)/2)
 SOLV_LAMBDA = math.log((3 + math.sqrt(5)) / 2)
@@ -266,45 +266,32 @@ _PAIRS = tuple((i, j) for i in range(DIM) for j in range(i + 1, DIM))
 _PAIR_I, _PAIR_J = (np.array(x) for x in zip(*_PAIRS))
 
 
-class _Contractions(NamedTuple):
-    """ii[i, j] takes the coefficients of a 4-form to those of iota_{e_j}
-    iota_{e_i} of it, an invariants._Gather: of the 8100 entries of the
-    dense table, 180 are nonzero, at most one per output.  The wedge with
-    the basis 2-forms onto 5-forms and iota_x e^123456 are invariants'
-    _WEDGE2 and _IVOL.  The r_* are the largest absolute row sums over the
-    contracted indices of ii, _WEDGE2 (over the 2-forms and the 3-forms)
-    and _IVOL."""
-    ii: invariants._Gather
-    r_ii: int
-    r_w: int
-    r_vol: int
-
-
 @functools.cache
 def _contraction_tables():
-    """The _Contractions, ii read off interior on basis forms as an int64
-    array on first use, not at import."""
+    """ii[i, j] takes the coefficients of a 4-form to those of iota_{e_j}
+    iota_{e_i} of it, an invariants._Gather read off interior on basis forms
+    on first use, not at import: of the 8100 entries of the dense table, 180
+    are nonzero, at most one per output, each +-1.  The wedge with the basis
+    2-forms onto 5-forms and iota_x e^123456 are invariants' _WEDGE2 and
+    _IVOL."""
     unit, m2 = invariants._unit, invariants._MASKS2
-    ii = np.array([[basis_matrix(lambda e: interior(unit(j), interior(unit(i), e)),
-                                 _MASKS4, m2) for j in range(DIM)] for i in range(DIM)],
-                  np.int64)
-    return _Contractions(invariants._Gather.of(ii), int(abs(ii).sum(axis=3).max()),
-                         int(abs(_WEDGE2.sign).sum(axis=1).max()),
-                         int(abs(_IVOL.sign).max()))
+    return invariants._Gather.of(np.array(
+        [[basis_matrix(lambda e: interior(unit(j), interior(unit(i), e)), _MASKS4, m2)
+          for j in range(DIM)] for i in range(DIM)], np.int64))
 
 
 class _IdentityTables(NamedTuple):
     """d[r, m]: E times the coefficient of the r-th basis 4-form in d of the
     m-th basis 3-form; bracket[k, i, j] = E [e_i, e_j]^k.  When the
     structure constants are exact, E is the lcm of their denominators, so
-    the tables are int: int64 when small, object (Python ints) when large;
-    otherwise E = 1 and they are float64.  d_rows is the largest absolute
-    row sum of d and bracket_max the largest |entry| of bracket."""
+    the tables are int, and on an exact phi every intermediate of
+    _table_core and _table_sides is at most growth |P|^4, |P| = max|P_i|:
+    the tables are int64 when growth < 2^62, else object (Python ints).
+    Otherwise E = 1, growth is None and they are float64."""
     d: np.ndarray
     bracket: np.ndarray
     E: int
-    d_rows: object
-    bracket_max: object
+    growth: object
 
 
 def _identity_tables(setup):
@@ -317,38 +304,23 @@ def _identity_tables(setup):
         br = np.array([[alg.bracket(unit(i), unit(j)) for j in range(DIM)]
                        for i in range(DIM)], object).transpose(2, 0, 1)
         entries = [*d.flat, *br.flat]
-        E, dtype = 1, np.float64
+        E, growth, dtype = 1, None, np.float64
         if all(map(is_exact, entries)):
             E, ints = _clear_denominators(entries)
             d = np.array(ints[:d.size], object).reshape(d.shape)
             br = np.array(ints[d.size:], object).reshape(br.shape)
-            dtype = np.int64 if max(map(abs, ints)) < _INT64_BOUND else object
-        tables = _IdentityTables(d.astype(dtype), br.astype(dtype), E,
-                                 abs(d).sum(axis=1).max(), abs(br).max())
+            # |k| <= k |P|^2 and |f| <= f |P|^3 (invariants' bounds, f = -2 fa);
+            # a row of d sums to at most rows and one of _WEDGE2 to w = 10, ii
+            # and _IVOL are +-1 gathers, and N sums 144 products k k [e_a, e_b]
+            k, f, rows = _KMAX, 2 * _FMAX * _KMAX, abs(d).sum(axis=1).max()
+            w = int(abs(_WEDGE2.sign).sum(axis=1).max())
+            growth = max(f, w * rows * (2 * f + 4 * DIM * k),
+                         4 * DIM * DIM * abs(br).max() * k * k)
+            dtype = np.int64 if growth < _INT64_BOUND else object
+        tables = _IdentityTables(d.astype(dtype), br.astype(dtype), E, growth)
         tables.d.flags.writeable = tables.bracket.flags.writeable = False
         setup._identity = tables
     return setup._identity
-
-
-def _sides_dtype(ev, t):
-    """float64 unless phi (ev, its _Evaluation, which reads a float vol
-    exactly) and the setup's constants are both exact.  Then int64 when a
-    bound from max|P|, max|k|, max|f| and the tables' absolute row sums shows
-    that no intermediate of _table_sides reaches 2^62, else Python ints."""
-    if not ev.exact or t.d.dtype == np.float64:
-        return "float64"
-    if t.d.dtype == object:
-        return "object"
-    c = _contraction_tables()
-    p, k, f = ev.size, int(abs(ev.ka).max()), 2 * int(abs(ev.fa).max())  # f = -2 ev.fa
-    dp, df = t.d_rows * p, t.d_rows * f
-    a, af = c.r_ii * dp, c.r_ii * df
-    u = DIM * k * a                            # U sums DIM terms
-    inner = 4 * u + af
-    rhs = c.r_w * (f * a + p * inner)
-    n = 4 * DIM * DIM * t.bracket_max * k * k  # N sums 144 products k k [e_a, e_b]
-    bound = max(p, k, f, dp, df, a, u, inner, c.r_w * max(p, f), rhs, n, c.r_vol * n)
-    return "int64" if bound < _INT64_BOUND else "object"
 
 
 def _table_core(setup, phi):
@@ -361,12 +333,14 @@ def _table_core(setup, phi):
     K and F numerators.  Over the tables, whose structure constants carry
     E, dP = E D d phi and df = c E D^3 dF on the basis 4-forms, and
     N[:, i, j] = -k^2[e_i,e_j] + k([ke_i,e_j] + [e_i,ke_j]) - [ke_i,ke_j]
-    is c^2 E D^4 N_K(e_i, e_j).  Exact input runs in int64 or on Python
-    ints, as _sides_dtype decides, and float input in float64."""
+    is c^2 E D^4 N_K(e_i, e_j).  Exact input on exact tables runs in int64
+    when growth |P|^4 < 2^62 (the zero form read as |P| = 1), else on
+    Python ints, and any other input in float64."""
     vol = invariants._resolve_vol(setup.omega, None)
     ev = invariants._evaluate(phi, vol)
     t = _identity_tables(setup)
-    dtype = _sides_dtype(ev, t)
+    dtype = (np.float64 if not ev.exact or t.growth is None else
+             np.int64 if t.growth * max(ev.size, 1) ** 4 < _INT64_BOUND else object)
     d, br, P, k, f = (x.astype(dtype, copy=False) for x in (
         t.d, t.bracket, ev.a[:-1], ev.ka[:-1].reshape(DIM, DIM), -2 * ev.fa))
     kb = np.einsum("ka,aij->kij", k, br)         # k [e_i, e_j]
@@ -376,25 +350,25 @@ def _table_core(setup, phi):
     return ev, t.E, k, P, f, d @ P, d @ f, N
 
 
-def _max_over(x, scale, core):
-    """max|x| / |scale| as a float, an int x divided exactly, as a
-    Fraction.  A float x is divided by E |P|^4 instead, with the names of
-    core, a _table_core: the scale of N, at which integrability_flags cuts
+def _max_over(x, m, core):
+    """max|x| / |c^m E D^4| as a float, an int x divided exactly, as a
+    Fraction, with the names of core, a _table_core.  A float x is divided
+    by E |P|^4 instead: the scale of N, at which integrability_flags cuts
     it, so that rounding reads alike at every scale of phi and omega."""
     ev, E, *_ = core
     top = abs(x).max()
     if x.dtype == np.float64:
         size = float(ev.size) or 1.0
         return float(top) / E / (size * size * size * size)
-    return float(Fraction(int(top)) / abs(scale))
+    return float(Fraction(int(top)) / abs(ev.c ** m * E * ev.D ** 4))
 
 
-def _table_sides(setup, phi, core=None):
-    """(lhs, rhs, scale): both sides of the Nijenhuis identity as (15, 6)
-    arrays over the basis pairs _PAIRS and the basis 5-forms _MASKS5, each
-    scale = c E D^4 times the side of nijenhuis_identity_sides (D as in
-    _table_core, so c E 2^-4e on a float phi, c = 2^g c'); core is
-    phi's _table_core, when the caller has it.
+def _table_sides(core):
+    """(lhs, rhs): both sides of the Nijenhuis identity as (15, 6) arrays
+    over the basis pairs _PAIRS and the basis 5-forms _MASKS5, from core,
+    phi's _table_core, each c E D^4 times the side of
+    nijenhuis_identity_sides (D as in _table_core, so c E 2^-4e on a float
+    phi, c = 2^g c').
 
     With the names of _table_core, the lhs is iota_N e^123456, so
     c E D^4 iota_{N_K} vol.  The rhs is
@@ -402,16 +376,15 @@ def _table_sides(setup, phi, core=None):
     U = iota_Y iota_{kX} dP and W_f, W_P the wedges with f and P; each of
     its three terms carries c from k or f, E from d and D^4 from its degree
     4 in phi."""
-    ev, E, k, P, f, dP, df, N = core or _table_core(setup, phi)
-    c = _contraction_tables()
-    a = c.ii(dP)                                 # a[i, j] = iota_{e_j} iota_{e_i} dP
+    ev, E, k, P, f, dP, df, N = core
+    ii = _contraction_tables()
+    a = ii(dP)                                   # a[i, j] = iota_{e_j} iota_{e_i} dP
     # U[i, j] - U[j, i] at the pairs, U[i, j] = iota_{e_j} iota_{k e_i} dP
     U = (np.einsum("ln,lnp->np", k[:, _PAIR_I], a[:, _PAIR_J])
          - np.einsum("ln,lnp->np", k[:, _PAIR_J], a[:, _PAIR_I]))
-    inner = 2 * U + c.ii(df)[_PAIR_I, _PAIR_J]
+    inner = 2 * U + ii(df)[_PAIR_I, _PAIR_J]
     rhs = a[_PAIR_I, _PAIR_J] @ _WEDGE2(f).T + inner @ _WEDGE2(P).T
-    lhs = _IVOL(N[:, _PAIR_I, _PAIR_J]).T
-    return lhs, rhs, ev.c * E * ev.D ** 4 if ev.exact else math.ldexp(ev.c * E, ev.g - 4 * ev.e)
+    return _IVOL(N[:, _PAIR_I, _PAIR_J]).T, rhs
 
 
 def verify_nijenhuis_identity(setup, phi):
@@ -425,8 +398,8 @@ def verify_nijenhuis_identity(setup, phi):
     with _table_sides, and the residual is divided by |c| E D^4.  On
     floats it is relative: divided by E |P|^4, |P| = max|P_i|."""
     core = _table_core(setup, phi)
-    lhs, rhs, scale = _table_sides(setup, phi, core)
-    return _max_over(lhs - rhs, scale, core)
+    lhs, rhs = _table_sides(core)
+    return _max_over(lhs - rhs, 1, core)
 
 
 def nijenhuis_max(setup, phi):
@@ -434,14 +407,13 @@ def nijenhuis_max(setup, phi):
     |c^2 E D^4|, with N of _table_core, divided as a Fraction on exact
     input; on floats relative, over E |P|^4, c^2 N_K / |phi|^4."""
     core = _table_core(setup, phi)
-    ev, E, *_, N = core
-    return _max_over(N, ev.c * ev.c * E * ev.D ** 4, core)
+    return _max_over(core[-1], 2, core)
 
 
 def _identity_failure(setup, phi):
     """The first basis pair and 5-form component where the two sides of the
     exact identity differ, named as a check; None when they agree."""
-    lhs, rhs, _ = _table_sides(setup, phi)
+    lhs, rhs = _table_sides(_table_core(setup, phi))
     bad = np.flatnonzero(lhs != rhs)
     if not len(bad):
         return None

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -49,6 +50,18 @@ def test_domain_constraints():
         # r = 0.09 < 0.1^(2/3) ~ 0.215: inside the excised ball for C = -0.1
         hs.FiberPoint((0.3, 0, 0), -0.1).validate(g)
     hs.FiberPoint((0.3, 0, 0), 0).validate(g)          # fine when C = 0
+
+
+def test_excision_margin_is_relative():
+    # the leaf geometry is homogeneous under t -> s t, C -> s^3 C, and r has
+    # degree 2 in t: a point at r = 1.5 (-C)^(2/3) lies outside the excised
+    # ball at every scale s
+    g = hs.BaseMetric3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for s in (2.0 ** -20, 1.0, 2.0 ** 20):
+        C = -0.1 * s ** 3
+        p = hs.FiberPoint((math.sqrt(1.5) * (-C) ** (1 / 3), 0.0, 0.0), C)
+        assert p.validate(g) > (-C) ** (2 / 3)
+        hs.leaf_data(g, p)
 
 
 def test_profile_choice_normalization(rng):

@@ -560,6 +560,44 @@ def test_flow_rejects_malformed_initial_data(tmp_path, capsys):
     assert not [p for p in os.listdir(tmp_path) if p != "init.json"]
 
 
+def test_flow_refuses_an_empty_sweep(tmp_path, capsys):
+    # a run that would do nothing is refused, not reported as a success
+    init, out = tmp_path / "init.json", tmp_path / "out"
+    init.write_text("[]")
+    err = assert_refused(capsys, "flow", "nil-debartolomeis", str(init), "--out", str(out))
+    assert err == f"forms6: bad initial file {init}: a sweep needs at least one start\n"
+    assert not out.exists()
+
+
+def test_classify_refuses_an_unwritable_out(tmp_path, capsys):
+    # --out names a directory: refused with the path, and no temp file is left
+    err = assert_refused(capsys, "classify", data_file("forms/sp_O3.json"),
+                         "--out", str(tmp_path))
+    assert err.startswith(f"forms6: cannot write {tmp_path}: "), err
+    assert os.listdir(tmp_path) == []
+
+
+def test_flow_refuses_an_unwritable_out(tmp_path, capsys):
+    # --out names a file: makedirs fails, and no trajectory is written
+    init, out = tmp_path / "init.json", tmp_path / "taken"
+    write_coords(init, A=0.1, H=0.5)
+    out.write_text("kept\n")
+    err = assert_refused(capsys, "flow", "nil-debartolomeis", str(init),
+                         "--t-max", "1", "--out", str(out))
+    assert err.startswith(f"forms6: cannot write {out}: "), err
+    assert out.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["init.json", "taken"]
+
+
+def test_verify_refuses_an_unwritable_out(tmp_path, capsys):
+    # the directory of --out does not exist
+    out = tmp_path / "missing" / "x.json"
+    err = assert_refused(capsys, "verify", "--suite", "lemma-bc", "--trials", "2",
+                         "--out", str(out))
+    assert err.startswith(f"forms6: cannot write {out}: "), err
+    assert os.listdir(tmp_path) == []
+
+
 def test_flow_rejects_bad_controls(tmp_path, capsys):
     init = tmp_path / "init.json"
     write_coords(init, A=0.1, H=0.5)

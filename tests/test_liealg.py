@@ -346,6 +346,14 @@ def _form_level_arrays(setup, phi):
                  for k in (0, 1))
 
 
+def _scale(setup, phi):
+    # c E D^4, c E 2^-4e on a float phi (c = 2^g c'): the table sides over it
+    # are the Form-level sides
+    ev = inv._evaluate(phi, inv.volume_of(setup.omega))
+    E = la._identity_tables(setup).E
+    return ev.c * E * ev.D ** 4 if ev.exact else math.ldexp(ev.c * E, ev.g - 4 * ev.e)
+
+
 def _divided(lhs, rhs, scale):
     # the table sides over their scale, as exact Fractions
     return tuple([[Fraction(int(x)) / scale for x in row] for row in side.tolist()]
@@ -360,7 +368,8 @@ def test_table_sides_equal_form_level_sides(rng):
         for _ in range(12):
             phi = inv.coords_to_form(rand_coords(rng))
             D = inv._evaluate(phi, inv.volume_of(setup.omega)).D
-            lhs, rhs, scale = la._table_sides(setup, phi)
+            lhs, rhs = la._table_sides(la._table_core(setup, phi))
+            scale = _scale(setup, phi)
             assert lhs.dtype == np.int64 and scale == E * D ** 4
             assert _divided(lhs, rhs, scale) == _form_level_arrays(setup, phi)
             assert la._identity_failure(setup, phi) is None
@@ -373,23 +382,21 @@ def test_table_sides_fall_back_to_python_ints(rng):
         c = inv.PrimitiveCoords(*(Fraction(2 ** 40 + rng.randint(-9, 9),
                                            rng.choice((1, 2, 3))) for _ in range(14)))
         phi = inv.coords_to_form(c)
-        lhs, rhs, scale = la._table_sides(setup, phi)
+        lhs, rhs = la._table_sides(la._table_core(setup, phi))
         assert lhs.dtype == object and (lhs == rhs).all()
         assert la.verify_nijenhuis_identity(setup, phi) == 0.0
-        assert _divided(lhs, rhs, scale) == _form_level_arrays(setup, phi)
+        assert _divided(lhs, rhs, _scale(setup, phi)) == _form_level_arrays(setup, phi)
 
 
 def test_large_structure_constants_keep_python_int_tables(rng):
     # lam = 2^70 puts the structure constants themselves past the int64
     # bound: the tables are Python ints from the start, and the identity
-    # still holds exactly
+    # still holds exactly, on the zero form too
     setup = la.InvariantSetup.standard(la.solv_algebra(2 ** 70))
     tables = la._identity_tables(setup)
     assert tables.d.dtype == tables.bracket.dtype == object
-    for _ in range(6):
-        phi = inv.coords_to_form(rand_coords(rng))
-        ev = inv._evaluate(phi, inv.volume_of(setup.omega))
-        assert la._sides_dtype(ev, tables) == "object"
+    for phi in [Form.zero(3)] + [inv.coords_to_form(rand_coords(rng)) for _ in range(6)]:
+        assert la._table_core(setup, phi)[-1].dtype == object
         assert la.verify_nijenhuis_identity(setup, phi) == 0.0
 
 
@@ -398,27 +405,55 @@ def test_python_int_route_equals_int64_route(rng, monkeypatch):
     # gives the int64 route's sides and core entry for entry
     cases = [(setup, inv.coords_to_form(rand_coords(rng)))
              for setup in (NIL, SOLV_EXACT) for _ in range(6)]
-    want = [(la._table_sides(setup, phi), la._table_core(setup, phi)[2:])
-            for setup, phi in cases]
-    monkeypatch.setattr(la, "_sides_dtype", lambda *args: "object")
-    for (setup, phi), ((lhs, rhs, scale), core) in zip(cases, want):
-        assert lhs.dtype == np.int64
-        got_lhs, got_rhs, got_scale = la._table_sides(setup, phi)
-        assert got_lhs.dtype == got_rhs.dtype == object
-        assert got_lhs.tolist() == lhs.tolist() and got_rhs.tolist() == rhs.tolist()
-        assert got_scale == scale
-        for x, y in zip(la._table_core(setup, phi)[2:], core):
-            assert x.dtype == object and x.tolist() == y.tolist()
+    want = [_core_and_sides(setup, phi) for setup, phi in cases]
+    monkeypatch.setattr(la, "_INT64_BOUND", 0)
+    for (setup, phi), arrays in zip(cases, want):
+        assert arrays[-1].dtype == np.int64
+        _assert_python_ints_equal(_core_and_sides(setup, phi), arrays)
+
+
+def _core_and_sides(setup, phi):
+    # the arrays of the core, then lhs and rhs
+    core = la._table_core(setup, phi)
+    return (*core[2:], *la._table_sides(core))
+
+
+def _assert_python_ints_equal(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == object and x.tolist() == y.tolist()
+
+
+def test_growth_bound_holds_at_the_int64_edge(monkeypatch):
+    # an int64 overflow wraps silently, so at the largest p with
+    # growth p^4 < 2^62 the int64 route, on a form whose 14 coordinates are
+    # +-p, must equal the Python-int route entry for entry; p + 1 takes
+    # Python ints
+    rng = random.Random(40)
+    setups = (NIL, SOLV_EXACT, la.InvariantSetup.standard(la.solv_algebra(Fraction(2 ** 20, 3))))
+    cases = []
+    for setup in setups:
+        G = la._identity_tables(setup).growth
+        p = math.isqrt(math.isqrt((inv._INT64_BOUND - 1) // G))
+        assert G * p ** 4 < inv._INT64_BOUND <= G * (p + 1) ** 4
+        signs = [rng.choice((-1, 1)) for _ in range(14)]
+        phi, over = (inv.coords_to_form(inv.PrimitiveCoords(*(s * x for s in signs)))
+                     for x in (p, p + 1))
+        assert la._table_core(setup, over)[-1].dtype == object
+        cases.append((setup, phi, _core_and_sides(setup, phi)))
+    assert [case[2][-1].dtype for case in cases] == [np.int64] * 3
+    monkeypatch.setattr(la, "_INT64_BOUND", 0)
+    for setup, phi, arrays in cases:
+        _assert_python_ints_equal(_core_and_sides(setup, phi), arrays)
 
 
 def test_float_table_sides_match_form_route(rng):
     for setup in (NIL, SOLV_EXACT, SOLV):
         for _ in range(4):
             phi = inv.coords_to_form(rand_coords(rng)).to_float()
-            lhs, rhs, scale = la._table_sides(setup, phi)
+            lhs, rhs = la._table_sides(la._table_core(setup, phi))
             assert lhs.dtype == np.float64
             want = np.array(_form_level_arrays(setup, phi), dtype=float)
-            got = np.array([lhs, rhs]) / scale
+            got = np.array([lhs, rhs]) / _scale(setup, phi)
             assert abs(got - want).max() <= 1e-12 * abs(want).max()
             assert la.verify_nijenhuis_identity(setup, phi) <= 1e-12 * abs(want).max()
 
