@@ -284,15 +284,18 @@ def polar_leaf_metric(p, metric):
 def affine_derivative_check(metric, p):
     """Finite-difference derivative of the leaf metric along each affine
     frame vector against the closed-form third derivatives; returns the
-    largest componentwise residual.  The full leaf package is built once, at
-    p; the 6 neighbour points evaluate h alone.
+    largest componentwise residual over max|h3| (the residual itself where
+    h3 = 0, at C = 0).  The full leaf package is built once, at p; the 6
+    neighbour points evaluate h alone.
 
-    The step keeps the truncation error small even close to the excised
-    boundary for C < 0, where the third derivatives grow."""
-    step = 1e-6
+    Under (t, C) -> (s t, s^3 C) h has degree 0 and h3 degree -1, so the
+    step 1e-6 max|t| and the relative residual do not see s.  The step keeps
+    the truncation error small even close to the excised boundary for
+    C < 0, where the third derivatives grow."""
     base = leaf_data(metric, p)
     V = [[float(x) for x in row] for row in base.V_frame]
     t = tuple(float(x) for x in p.t)
+    step = 1e-6 * max(map(abs, t)) or 1e-6  # t = 0 only at C = 0, where h is constant
     worst = 0.0
     for l in range(3):
         tp = tuple(t[k] + step * V[l][k] for k in range(3))
@@ -303,7 +306,8 @@ def affine_derivative_check(metric, p):
             for k in range(3):
                 fd = (float(hp[j][k]) - float(hm[j][k])) / (2 * step)
                 worst = max(worst, abs(fd - float(base.h3[j][k][l])))
-    return worst
+    top = max(abs(float(x)) for plane in base.h3 for row in plane for x in row)
+    return worst / top if top else worst
 
 
 def fiber_verifications(metric, p):

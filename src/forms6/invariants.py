@@ -410,9 +410,9 @@ class _Evaluation:
         return self._entry(("ker", None if self.exact else tol), _ker_phi, self, tol)
 
     def q(self, tables, tol, what):
-        """(n, den) of q under omega's tables, after the primitivity check,
-        which names phi as what.  The entry holds tables, so while it lives
-        no other tables object can take its id."""
+        """(n, den, ref) of q under omega's tables (_q_of), after the
+        primitivity check, which names phi as what.  The entry holds tables,
+        so while it lives no other tables object can take its id."""
         return self._entry(("q", id(tables), tol), _checked_q, self, tables, tol, what)[1:]
 
 
@@ -570,24 +570,29 @@ def _omega_tables(omega, exact=True):
 
 
 def _q_of(ev, tables, tol):
-    """(n, den) with q = W kn / (D^2 c) = n / den, den > 0, on the table input
-    of ev, as a (DIM, DIM) array: n = m W kn on an exact phi, an int
-    matrix, and on floats n = 2^(g - 2e) q, den = 1.  W kn must be
-    symmetric: exactly on an exact phi, to tol size^2 max|W| on floats."""
+    """(n, den, ref) with q = W kn / (D^2 c) = n / den, den > 0, on the table
+    input of ev, as a (DIM, DIM) array: n = m W kn on an exact phi, an int
+    matrix, ref = None; on floats n = 2^(g - 2e) q, den = 1, ref = size^2
+    max|W| |m|.  n must be symmetric: exactly, or to tol ref on floats."""
     k = ev.ka[:-1].reshape(DIM, DIM)
-    wk = (tables.W.T[:, :, None] * k[:, None]).sum(axis=0, initial=0)
+    n = tables.m * (tables.W.T[:, :, None] * k[:, None]).sum(axis=0, initial=0)
+    ref = None if ev.exact else float(ev.size ** 2 * tables.wmax * abs(tables.m))
     # NaN fails too; bad is symmetric, so its first entry is on or above the diagonal
-    bad = ~(abs(wk - wk.T) <= (0 if ev.exact else tol * ev.size ** 2 * tables.wmax))
+    bad = ~(abs(n - n.T) <= (0 if ev.exact else tol * ref))
     if bad.any():
         i, j = divmod(int(bad.argmax()), DIM)
-        raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): W K reads {wk[i, j]} "
-                              f"against {wk[j, i]}; K is inconsistent")
-    return tables.m * wk, tables.den * ev.D ** 2
+        raise ArithmeticError(f"q-form is not symmetric at ({i},{j}): m W K reads {n[i, j]} "
+                              f"against {n[j, i]}; K is inconsistent")
+    return n, tables.den * ev.D ** 2, ref
 
 
 def _checked_q(ev, tables, tol, what):
     _require_primitive(ev, tables, tol, what)
     return (tables, *_q_of(ev, tables, tol))
+
+
+class _QRows(list):
+    """q_form's rows, holding a copy of (n, ref) of _q_of for signature."""
 
 
 def q_form(phi, omega, tol=DEFAULT_TOL):
@@ -600,17 +605,18 @@ def q_form(phi, omega, tol=DEFAULT_TOL):
     (iota_{v1}phi ^ iota_{v2}phi ^ omega)/vol and -<iota_{v1}phi,
     iota_{v2}phi> is checked by ``forms6 verify --suite identities``.
     Primitivity is read off the per-omega table of omega ^ phi on the same
-    coefficients that K is computed from.  On an exact phi the entries are int,
-    or Fractions when a denominator is left, each rounded once under a float omega.
-    """
+    coefficients that K is computed from.  The entries are int on an exact phi,
+    or Fractions when a denominator is left, each rounded once under a float
+    omega; the list holds the matrix q was checked on, which signature reads."""
     _check_tol(tol)
     tables = _omega_tables(omega, phi.is_exact())
     ev = _evaluate(phi, tables.vol)
-    q, den = ev.q(tables, tol, "q-form input")
-    if not ev.exact:
-        return [_at_scale(ev, r, 2 * ev.e - ev.g, "q(omega, phi)") for r in q.tolist()]
-    q = [r if den == 1 else [Fraction(x, den) for x in r] for r in q.tolist()]
-    return [_at_scale(ev, r, 0, "q(omega, phi)") for r in q] if ev.rounded else q
+    n, den, ref = ev.q(tables, tol, "q-form input")
+    rows = _QRows(r if den == 1 else [Fraction(x, den) for x in r] for r in n.tolist())
+    if not ev.exact or ev.rounded:  # e = g = 0 on an exact phi
+        rows[:] = [_at_scale(ev, r, 2 * ev.e - ev.g, "q(omega, phi)") for r in rows]
+    rows.held = n.copy(), ref
+    return rows
 
 
 class SignatureTriple(NamedTuple):
@@ -619,12 +625,25 @@ class SignatureTriple(NamedTuple):
     nminus: int
 
 
+def _inertia(n, ref, tol):
+    """Inertia of the symmetric array n: exact on ints (ref None), else cut at tol ref."""
+    return SignatureTriple(*(linalg.exact_inertia(n.tolist()) if ref is None
+                             else linalg.float_inertia(n, tol * ref)))
+
+
 def signature(sym, tol=ORBIT_TOL):
-    """Inertia (n_zero, n_plus, n_minus) of a symmetric matrix: exact when
-    every entry is exact, tol in (0, 1) unread; on floats, eigenvalues within
-    tol * max|eigenvalue| of zero count as zero (linalg.signature_counts)."""
+    """Inertia (n_zero, n_plus, n_minus) of a symmetric matrix: of a q_form
+    result as classify_sp reads q, of any other exact one on its cleared
+    ints (tol in (0, 1) unread), else cut at tol max|entry| in its binade."""
     _check_tol(tol)
-    return SignatureTriple(*linalg.signature_counts(sym, tol))
+    held = sym.held if isinstance(sym, _QRows) else None
+    if held is None and linalg.matrix_is_exact(sym):
+        held = np.array(linalg._integral(sym)[1], object), None
+    elif held is None:
+        a = np.array(sym, dtype=float)
+        top, e = math.frexp(float(abs(a).max(initial=0.0)))
+        held = np.ldexp(a, -e), top
+    return _inertia(*held, tol)
 
 
 class SubspaceDims(NamedTuple):
@@ -667,11 +686,13 @@ class ClassificationError(ValueError):
 def _gl_orbit(ev, tol):
     """GL(V) orbit label of phi from its _Evaluation ev.
 
-    Stable orbits by the sign of Q's numerator ev.Q(), cut at tol |phi|^4 on
-    floats; on the Q = 0 hypersurface dim ker phi (0, 1, 3, 6), from the
-    contraction matrix on the same coefficients, separates the rest."""
+    Stable orbits by the sign of Q's numerator ev.Q(), on floats 0 where
+    |F| <= tol |phi|^3 or |Q| <= 4 tol |F| |phi| (within tol |phi| of the cone
+    Q = 0: dQ(psi) = -4 psi ^ F / vol); then dim ker phi (0, 1, 3, 6)."""
     Q = ev.Q()
-    if not (Q == 0 if ev.exact else abs(Q) <= tol * ev.size ** 4):
+    if not ev.exact:  # in the binades: c' |F| = 2 max|fa|, Q's numerator c'^2 Q
+        f, cut = 2 * float(abs(ev.fa).max()), tol * ev.size * abs(ev.c)
+    if not (Q == 0 if ev.exact else f <= cut * ev.size ** 2 or abs(Q) <= 4 * f * cut):
         return O_MINUS if Q < 0 else O_PLUS
     k = ev.ker_phi(tol)
     if k not in _GL_OF_KERNEL:
@@ -699,7 +720,7 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
     The label is the SP_ORBITS entry with the GL orbit of _gl_orbit and the
     signature of q, measured except on O3 and O6.  On an exact phi that
     signature is linalg.exact_inertia of the int matrix den q, so tol is
-    never read there; on floats it is measured at tol.  mu is recovered
+    never read there; on floats it is cut at tol |phi|^2 max|W|.  mu is recovered
     from Q: Q = -16 mu^4 on O- and 4 mu^4 on O+, its root taken in the
     binades of phi and c, or of an exact mu^4, and refused where it is not a
     normal float.  One K evaluation.
@@ -709,12 +730,9 @@ def classify_sp(phi, omega=None, tol=ORBIT_TOL):
         omega = standard_omega()
     tables = _omega_tables(omega, phi.is_exact())
     ev = _evaluate(phi, tables.vol)
-    q, _ = ev.q(tables, tol, "form")  # checked for primitivity and symmetry
+    n, _, ref = ev.q(tables, tol, "form")  # checked for primitivity and symmetry
     gl = _gl_orbit(ev, tol)
-    # q vanishes on O3 and O6: its inertia is (6, 0, 0), which a float
-    # signature would misread in the rounding noise
-    sig = (6, 0, 0) if gl in (O_3, O_6) else SignatureTriple(*(
-        linalg.exact_inertia(q.tolist()) if ev.exact else linalg.float_inertia(q, tol)))
+    sig = (6, 0, 0) if gl in (O_3, O_6) else _inertia(n, ref, tol)  # q = 0 on O3, O6
     label = _SP_OF.get((gl, sig))
     if label is None:
         raise ClassificationError(f"{gl} form with unexpected signature {sig}")

@@ -5,9 +5,10 @@ the rank, determinant, inverse and null space; the public exact_* helpers
 take Fractions too and clear the whole matrix once before it.  Its
 symmetric form, with symmetric pivoting, gives the inertia of a symmetric
 int matrix.  No exact path makes a float call.  Float paths go through
-numpy.  The invariants decide the backend once per form
-(invariants._Evaluation) and call the int or float helper directly; the
-dispatching helpers pick the exact route whenever every entry is exact.
+numpy; float_rank and float_inertia cut at an absolute value in the
+matrix's units, which the caller sets.  The invariants decide the backend
+once per form (invariants._Evaluation) and call the int or float helper
+directly; det, inverse and nullspace take the exact route when every entry is.
 """
 
 import math
@@ -192,34 +193,20 @@ def exact_inertia(rows):
     return (n - r, r - nminus, nminus)
 
 
-def float_inertia(rows, tol=1e-8):
+def float_inertia(rows, cut):
     """Eigenvalue inertia (n_zero, n_plus, n_minus) of a symmetric float
-    matrix.  A matrix with a non-finite entry is refused, symmetry is
-    |a - a^T| <= 1e-12 max(1, max|a|) + 1e-5 |a^T| entrywise, and
-    eigenvalues within tol * max|eigenvalue| of zero count as zero, read in
-    a's binade (max|2^-e a| in [1/2, 1)), where none overflows."""
+    matrix, eigenvalues within an absolute cut in its units counted as zero.
+    A non-finite entry is refused, and so is |a - a^T| > cut anywhere; the
+    eigenvalues are read in a's binade (max|2^-e a| in [1/2, 1)), where none
+    overflows, against 2^-e cut."""
     a = np.array(rows, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
-    scale0 = float(np.abs(a).max()) if a.size else 0.0
-    if not (np.abs(a - a.T) <= 1e-12 * max(1.0, scale0) + 1e-5 * np.abs(a.T)).all():
+    if not (np.abs(a - a.T) <= cut).all():
         raise ValueError("matrix is not symmetric")
-    w = np.linalg.eigvalsh(np.ldexp(a, -math.frexp(scale0)[1]))
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0:
-        return (len(rows), 0, 0)
-    cut = tol * scale
-    return (int(np.sum(np.abs(w) <= cut)), int(np.sum(w > cut)),
-            int(np.sum(w < -cut)))
-
-
-def signature_counts(sym, tol=1e-8):
-    """Eigenvalue inertia (n_zero, n_plus, n_minus) of a symmetric matrix:
-    an exact matrix is scaled to int once and handed to exact_inertia,
-    which never reads tol; any other goes to float_inertia at tol."""
-    if matrix_is_exact(sym):
-        return exact_inertia(_integral(sym)[1])
-    return float_inertia(sym, tol)
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    w, cut = np.linalg.eigvalsh(np.ldexp(a, -e)), math.ldexp(cut, -e)
+    return (int(np.sum(np.abs(w) <= cut)), int(np.sum(w > cut)), int(np.sum(w < -cut)))
 
 
 def is_positive_definite(rows):

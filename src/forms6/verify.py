@@ -248,7 +248,7 @@ def _suite_hessian(seed, trials, report):
               "K_kills_fibers": 1e-10, "K_frame_match": 1e-9,
               "det_h_minus_8detg": 1e-10, "h_inv_vs_numeric": 1e-10,
               "scalar_closed_form": 1e-8, "ricci_min_eig": 1e-10,
-              "affine_fd": 1e-4}
+              "affine_fd": 1e-6}
     report["residuals"] = worst
     for k, lim in limits.items():
         if worst.get(k, 0.0) > lim:

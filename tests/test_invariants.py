@@ -518,9 +518,11 @@ def test_memo_key_compares_no_fraction_with_a_float(monkeypatch):
 
 
 def test_memo_entries_follow_tol_and_omega(rng):
-    # Q = 0 and dim ker phi on a float form that the tols decide apart, and
-    # primitivity on one that is primitive to 1e-4 but not to 1e-8
-    phi = basis(1, 3, 5) + basis(2, 4, 6) * 1e-3
+    # Q = 0 and dim ker phi on a float form that the tols decide apart (Q
+    # within 7.5e-5 |phi| of the cone Q = 0, contraction singular values 1
+    # and 1.5e-4), and primitivity on one that is primitive to 1e-4 but not
+    # to 1e-8
+    phi = basis(1, 3, 5) + basis(2, 4, 6) * 1.5e-4
     assert [_cold(inv.classify_gl, phi, None, tol) for tol in (1e-8, 1e-4, 1e-2)] \
         == [inv.O_PLUS, inv.O_0, inv.O_3]
     near = inv.sp_normal_form("O-+").to_float() + basis(1, 2, 3) * 1e-6
@@ -1123,36 +1125,101 @@ def test_labels_do_not_read_the_scale_of_omega(scale):
                 assert inv.classify_sp(seed11_moved_form(label, n), om).label == label, (om, n)
 
 
-# the smallest input of each open float orbit fault, pinned as a strict xfail
-# so that a fix fails tier-1 until the pin becomes a plain test
-@pytest.mark.xfail(strict=True, raises=inv.ClassificationError,
-                   reason="fault (g): Q = -16 of the O-+ form moved by map 38 falls under "
-                          "the cut tol |phi|^4 at |phi| = 274, so classify_sp raises "
-                          "'O0 form with unexpected signature (0, 6, 0)' and classify_gl "
-                          "says O0")
+# the smallest input of each float orbit fault that the one |phi| scale
+# mended; each was a strict xfail pin in the fault ledger
 def test_ledger_stable_form_under_an_ill_conditioned_map():
+    # fault (g): Q = -16 of the O-+ form moved by map 38 fell under the cut
+    # tol |phi|^4 at |phi| = 274; it lies 1.4e-4 |phi| from the cone Q = 0
     phi = seed11_moved_form("O-+", 38)
     assert inv.classify_sp(phi, OMEGA).label == "O-+"
     assert inv.classify_gl(phi) == inv.O_MINUS
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="fault (c): float_inertia reads the rounding of q = 0 on the O3 "
-                          "form moved by map 0 at 3.7 as the signature (0, 3, 3)")
 def test_ledger_signature_of_q_on_a_moved_O3_form():
+    # fault (c): a float cut at tol max|eigenvalue| read the rounding of
+    # q = 0 on the O3 form moved by map 0 at 3.7 as the signature (0, 3, 3);
+    # against tol |phi|^2 max|W| it reads as zero
     phi = seed11_moved_form("O3", 0) * 3.7
     assert inv.signature(inv.q_form(phi, OMEGA)) == (6, 0, 0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="float_inertia reads the rounded q of the exact O-+ form sheared "
-                          "at b = 10^2 under the float omega as the signature (1, 5, 0): "
-                          "q's eigenvalues spread over b^4, past its cut tol max|eigenvalue|")
 def test_ledger_signature_of_q_on_a_sheared_form_under_a_float_omega():
+    # q of the exact O-+ form sheared at b = 10^2, rounded under the float
+    # omega, has eigenvalues from 2e-4 to 2e4, which a cut at tol
+    # max|eigenvalue| read as (1, 5, 0); its signature is read off its ints
     phi = pullback(_sheared(10 ** 2), inv.sp_normal_form("O-+"))
     om_f = OMEGA.to_float()
     assert inv.classify_sp(phi, om_f).label == "O-+"
     assert inv.signature(inv.q_form(phi, om_f)) == (0, 6, 0)
+
+
+def test_q_form_holds_a_copy_of_the_checked_matrix():
+    # signature reads the matrix that q_form holds; zeroing it, as a caller
+    # may, leaves the memo's entry that classify_sp and the next q_form read
+    for phi in (inv.sp_normal_form("O-+"), seed11_moved_form("O-+", 3)):
+        q = inv.q_form(phi, OMEGA)
+        q.held[0][:] = 0
+        assert inv.signature(q) == (6, 0, 0)
+        assert inv.signature(inv.q_form(phi, OMEGA)) == (0, 6, 0)
+        assert inv.classify_sp(phi, OMEGA).label == "O-+"
+
+
+# the GL orbits in the closure of each: Q is continuous and dim ker phi only
+# grows in a limit, so O+ and O- (dimension 20) close on Q = 0, which is the
+# closure of O0 (19), and O0 on O1 (15), O3 (10) and O6 = {0} in that order
+_GL_CLOSURE = {inv.O_MINUS: (inv.O_0, inv.O_1, inv.O_3, inv.O_6),
+               inv.O_PLUS: (inv.O_0, inv.O_1, inv.O_3, inv.O_6),
+               inv.O_0: (inv.O_1, inv.O_3, inv.O_6), inv.O_1: (inv.O_3, inv.O_6),
+               inv.O_3: (inv.O_6,), inv.O_6: ()}
+
+
+def _relative_margins(phi):
+    """The margins of an exact phi to the float orbit cuts under omega_0
+    (c = 1, max|W| = 1): |Q| / (4 |F| |phi|) and |F| / |phi|^3 on O+-, the
+    smallest nonzero |eigenvalue| of q over |phi|^2, and the smallest nonzero
+    singular value of the contraction matrix over |phi|."""
+    if not phi:
+        return []
+    size = max(map(abs, phi.coeffs.values()))
+    out, Q = [], inv.compute_Q(phi, OMEGA)
+    if Q:
+        f = max(map(abs, inv.compute_F(phi, OMEGA).coeffs.values()))
+        out += [float(abs(Q) / (4 * f * size)), float(f / size ** 3)]
+    q = [[x / size ** 2 for x in r] for r in inv.q_form(phi, OMEGA)]
+    n0 = inv.signature(q).n0
+    if n0 < 6:
+        out.append(sorted(abs(np.linalg.eigvalsh(np.array(q, float))))[n0])
+    rank = 6 - inv.subspace_dims(phi, OMEGA).ker_phi
+    if rank:
+        rows = [[interior([int(i == j) for j in range(6)], phi).coeffs.get(m, 0) / size
+                 for m in inv._MASKS2] for i in range(6)]
+        out.append(np.linalg.svd(np.array(rows, float), compute_uv=False)[rank - 1])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(inv.SP_LABELS),
+       st.integers(0, 2 ** 32).map(lambda k: rand_symplectic(random.Random(k)))
+       | ill_conditioned_symplectic(),
+       st.sampled_from((1e-4, 1e-2, 1.0, 3.7, 1e2)))
+def test_float_labels_are_exact_or_degenerate(label, g, s):
+    # a float form whose exact margins to every cut exceed 10 tol gets its
+    # exact labels; any other float form gets them, a label in the closure
+    # of its GL orbit (it lies within tol of that orbit), or a
+    # ClassificationError, never a label of a larger or an unrelated orbit
+    phi = pullback(g, inv.sp_normal_form(label))
+    assume(all(abs(x) < 1e300 for x in phi.coeffs.values()))
+    flt = phi.to_float() * s
+    try:
+        got = inv.classify_sp(flt, OMEGA).label
+    except inv.ClassificationError:
+        got = None
+    gl, want = inv.classify_gl(flt), inv.SP_ORBITS[label].gl
+    if min(_relative_margins(phi), default=1.0) > 10 * inv.ORBIT_TOL:
+        assert (got, gl) == (label, want)
+    else:
+        assert got in (None, label) or inv.SP_ORBITS[got].gl in _GL_CLOSURE[want], got
+        assert gl == want or gl in _GL_CLOSURE[want], gl
 
 
 def test_classify_sp_rejects_non_primitive():
@@ -1626,8 +1693,7 @@ def test_exact_phi_is_decided_exactly_under_a_float_omega():
     # b = 10^4 as O0 with no error), and on 9 labels x 20 seed-11 maps
     # moved by GL_OMEGA_MAP under the GL-moved omega, whose float copy is
     # exact (3 of these 180 were refused).  On the sheared forms q_form
-    # hands out q rounded, whose float signature cannot resolve that
-    # spread, so there only classify_sp reads q's signature, exactly
+    # hands out q rounded, and signature reads it off the ints q_form holds
     om, om_f = OMEGA, OMEGA.to_float()
     for b in (10 ** 2, 10 ** 4, 10 ** 8, 10 ** 12):
         g = _sheared(b)
@@ -1636,7 +1702,7 @@ def test_exact_phi_is_decided_exactly_under_a_float_omega():
             phi = pullback(g, orbit.normal_form)
             want = _decisions(phi, om, VOL)
             assert want[0] == (label, 1.0 if orbit.gl in (inv.O_MINUS, inv.O_PLUS) else None)
-            assert _decisions(phi, om_f, VOL.to_float())[:3] == want[:3], (b, label)
+            assert _decisions(phi, om_f, VOL.to_float()) == want, (b, label)
     om, h = OMEGAS["GL-moved"]
     om_f = om.to_float()
     assert om_f.map_coeffs(Fraction) == om

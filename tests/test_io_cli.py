@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import forget_evaluations, rand_coords, rand_form, seed11_moved_form
+from conftest import coframe_block_map, forget_evaluations, rand_coords, rand_form
 from forms6 import cli, flow, hessian, io, verify
 from forms6 import invariants as inv
 from forms6 import liealg as la
-from forms6.exterior import Form, basis, wedge
+from forms6.exterior import Form, basis, pullback, wedge
 
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 
@@ -269,7 +269,7 @@ def test_verify_hessian_negative_control(monkeypatch, tmp_path):
     monkeypatch.setattr(hessian, "affine_derivative_check", lambda metric, p: 1.0)
     passed, rep = verify.run("hessian", 0, 32)
     assert passed is False and rep["passed"] is False
-    assert rep["failures"] == ["affine_fd = 1.0 > 0.0001"]
+    assert rep["failures"] == ["affine_fd = 1.0 > 1e-06"]
     out = tmp_path / "neg.json"
     assert run_cli("verify", "--suite", "hessian", "--trials", "32",
                    "--out", str(out)) == 1
@@ -726,13 +726,17 @@ def test_classify_names_an_out_of_range_scalar(tmp_path, capsys):
                    f"{Q_out.format('1e+100')}\n"), err
     assert not out.exists()
     # a ClassificationError on well-scaled input is reported as it is: the
-    # O-+ normal form moved by seed-11 map 38, as floats (fault (g))
-    phi = seed11_moved_form("O-+", 38)
+    # O-+ normal form sheared by [[I, B], [0, I]], B = diag(10^3, 0, 0), as
+    # floats, whose smallest eigenvalue of q lies within tol |phi|^2 of zero
+    block = [[int(i == j) for j in range(6)] for i in range(6)]
+    block[0][3] = 10 ** 3
+    phi = pullback(coframe_block_map(block), inv.sp_normal_form("O-+")).to_float()
     form.write_text(json.dumps(io.form_to_json(phi)))
     with pytest.raises(inv.ClassificationError) as verdict:
         inv.classify_sp(phi, inv.standard_omega())
     err = assert_refused(capsys, "classify", str(form), "--omega", OMEGA_FILE)
     assert err == f"forms6: {verdict.value}\n"
+    assert err.startswith("forms6: O- form with unexpected signature ")
     # any other refusal of classify names both files
     form.write_text(json.dumps(io.form_to_json(basis(1, 2, 3))))
     err = assert_refused(capsys, "classify", str(form), "--omega", OMEGA_FILE)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import exact_rank
+from forms6 import invariants as inv
 from forms6 import linalg
 
 
@@ -174,24 +175,28 @@ def test_exact_det_and_inverse_match_sympy(rng):
 
 
 def test_signature_counts():
-    assert linalg.signature_counts(np.eye(6).tolist()) == (0, 6, 0)
-    assert linalg.signature_counts(np.diag([1, 1, 1, -1, -1, -1]).tolist()) == (0, 3, 3)
-    assert linalg.signature_counts([[0] * 6 for _ in range(6)]) == (6, 0, 0)
-    # a float zero matrix has no eigenvalue to cut against: every direction is null
-    assert linalg.float_inertia([[0.0] * 4 for _ in range(4)]) == (4, 0, 0)
+    assert inv.signature(np.eye(6).tolist()) == (0, 6, 0)
+    assert inv.signature(np.diag([1, 1, 1, -1, -1, -1]).tolist()) == (0, 3, 3)
+    assert inv.signature([[0] * 6 for _ in range(6)]) == (6, 0, 0)
+    # a float zero matrix: every direction is null, at a zero cut too
+    assert inv.signature([[0.0] * 4 for _ in range(4)]) == (4, 0, 0)
+    assert linalg.float_inertia([[0.0] * 4 for _ in range(4)], 0.0) == (4, 0, 0)
     with pytest.raises(ValueError):
-        linalg.signature_counts([[0, 1, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)])
+        inv.signature([[0, 1, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)])
 
 
 def test_float_inertia_reads_eigenvalues_past_the_float_range():
     # eigvalsh runs on the matrix in its binade: a finite symmetric matrix
     # whose eigenvalues reach past the float range (here 2^1024, 0 and
-    # -2^1023) read as inf, so the cut tol max|eigenvalue| was inf and every
-    # eigenvalue counted as 0; the inertia is a power-of-two scaling invariant
+    # -2^1023) read as inf, and a cut in their units counted every eigenvalue
+    # as 0; the inertia is a power-of-two scaling invariant, down to
+    # subnormal entries, where signature's cut tol max|a| is read in a's binade
     a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
     for k in (-1070, -500, 0, 500, 1023):
-        assert linalg.float_inertia(np.ldexp(a, k)) == (1, 1, 1), k
-    assert linalg.float_inertia(np.eye(6) * 1.7e308) == (0, 6, 0)
+        assert inv.signature(np.ldexp(a, k)) == (1, 1, 1), k
+    for k in (-500, 0, 500, 1023):
+        assert linalg.float_inertia(np.ldexp(a, k), math.ldexp(1e-8, k)) == (1, 1, 1), k
+    assert linalg.float_inertia(np.eye(6) * 1.7e308, 1e300) == (0, 6, 0)
 
 
 def test_float_rank_refuses_a_non_finite_entry(capfd):
@@ -249,8 +254,8 @@ def test_exact_inertia_matches_sympy_roots(rng):
         assert linalg.exact_inertia(a) == want
         # exact input never reads tol, and a common denominator changes nothing
         for tol in (0.5, 1e-8, 1e-300):
-            assert linalg.signature_counts(a, tol) == want
-        assert linalg.signature_counts([[Fraction(x, 7) for x in r] for r in a]) == want
+            assert inv.signature(a, tol) == want
+        assert inv.signature([[Fraction(x, 7) for x in r] for r in a]) == want
 
 
 # one matrix per branch of the symmetric elimination: a zero leading pivot
@@ -279,7 +284,7 @@ def test_exact_inertia_beyond_float_range():
     big = 10 ** 400
     a = [[big, 1, 0], [1, -big, 0], [0, 0, 0]]
     assert linalg.exact_inertia(a) == sympy_inertia(a) == (1, 1, 1)
-    assert linalg.signature_counts(a, 1e-8) == (1, 1, 1)
+    assert inv.signature(a, 1e-8) == (1, 1, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,12 +309,12 @@ def test_exact_inertia_of_a_unimodular_congruence(diag_and_moves):
 
 def test_exact_inertia_refuses_non_int_entries():
     # a Fraction would reach the floor divisions of the int-only
-    # elimination; signature_counts clears the denominators first
+    # elimination; signature clears the denominators first
     a = [[10 ** 20, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(2, 5)]]
     for bad in (a, [[1.0, 0], [0, 1.0]], [[np.int64(1)]]):
         with pytest.raises(TypeError, match="int entries"):
             linalg.exact_inertia(bad)
-    assert linalg.signature_counts(a) == (0, 3, 0)
+    assert inv.signature(a) == (0, 3, 0)
 
 
 def test_exact_inertia_refuses_asymmetric_input():
@@ -324,23 +329,35 @@ def test_float_signature_refuses_non_finite_entries(bad):
     a = np.eye(6).tolist()
     a[2][2] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        linalg.signature_counts(a)
+        inv.signature(a)
     a[2][2], a[0][1] = 1.0, bad
     with pytest.raises(ValueError, match="non-finite"):
-        linalg.signature_counts(a)
+        inv.signature(a)
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.float_inertia(a, 1e-8)
 
 
 def test_float_symmetry_cut():
-    # |a - a^T| <= 1e-12 max(1, max|a|) + 1e-5 |a^T|, entrywise
-    a = np.diag([1.0, 2.0, 3.0]).tolist()
-    a[0][1], a[1][0] = 1.0, 1.0 + 0.9e-5
-    assert linalg.signature_counts(a) == (0, 3, 0)
-    a[1][0] = 1.0 + 1.1e-5
+    # |a - a^T| <= cut entrywise, the cut the eigenvalues are read against,
+    # with no absolute floor: 4e-12 off the diagonal of a matrix with
+    # max|a| = 3 passes a cut of 1e-11 (a floor 1e-12 max(1, max|a|) refused
+    # it), and signature reads a bare float matrix at tol max|a| at any scale
+    a = np.diag([1.0, 2.0, 3.0])
+    a[0, 1], a[1, 0] = 1.0, 1.0 + 0.9e-5
+    assert linalg.float_inertia(a, 1e-5) == (0, 3, 0)
+    a[1, 0] = 1.0 + 1.1e-5
     with pytest.raises(ValueError, match="not symmetric"):
-        linalg.signature_counts(a)
-    a[0][1], a[1][0] = 0.0, 4e-12
+        linalg.float_inertia(a, 1e-5)
+    a[0, 1], a[1, 0] = 0.0, 4e-12
+    assert linalg.float_inertia(a, 1e-11) == (0, 3, 0)
     with pytest.raises(ValueError, match="not symmetric"):
-        linalg.signature_counts(a)
+        linalg.float_inertia(a, 1e-12)
+    for k in (-600, 0, 600):
+        a[0, 1], a[1, 0] = 0.0, 2e-8
+        assert inv.signature(np.ldexp(a, k), 1e-8) == (0, 3, 0), k
+        a[1, 0] = 4e-8
+        with pytest.raises(ValueError, match="not symmetric"):
+            inv.signature(np.ldexp(a, k), 1e-8)
 
 
 def test_positive_definite():
